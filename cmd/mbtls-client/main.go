@@ -20,9 +20,7 @@ func main() {
 	pkiDir := flag.String("pki", "./pki", "PKI directory (provisioned by mbtls-server)")
 	serverName := flag.String("name", "origin.example", "expected server name")
 	accountability := flag.String("accountability", "attest", "accountability mode: attest or proxysig")
-	relayWorkers := flag.Int("relay-workers", 0, "crypto workers for the process-wide relay pool (0 = one per core)")
 	flag.Parse()
-	mbtls.ConfigureRelayWorkers(*relayWorkers)
 	path := flag.Arg(0)
 	if path == "" {
 		path = "/"

@@ -44,8 +44,12 @@ func main() {
 	drain := flag.Duration("drain", 10*time.Second, "graceful-drain deadline on SIGINT/SIGTERM")
 	stekRotate := flag.Duration("stek-rotate", time.Hour, "session-ticket key rotation interval (0 disables resumption)")
 	keyshares := flag.Int("keyshares", 0, "precomputed X25519 keyshare pool size (0 = sized from shard count, negative disables)")
-	relayWorkers := flag.Int("relay-workers", 0, "parallel relay crypto workers (0 = one per core, negative = serial relay)")
+	relayWorkers := flag.Int("relay-workers", 0, "relay crypto workers (0 = one per core)")
 	flag.Parse()
+	if *relayWorkers < 0 {
+		fmt.Fprintf(os.Stderr, "mbtls-proxy: invalid -relay-workers %d (must be 0 or positive)\n", *relayWorkers)
+		os.Exit(2)
+	}
 
 	cfg := mbtls.MiddleboxConfig{
 		NewProcessor: func() mbtls.Processor {
@@ -125,16 +129,10 @@ func main() {
 		cfg.KeyShares = ksPool
 	}
 
-	// Relay crypto workers: the parallel pipeline's pool is host-scoped
-	// so one bulk session can use every configured core. A negative
-	// count opts out of pipelining entirely (the single-core baseline).
-	var relayPool *mbtls.RelayPool
-	if *relayWorkers < 0 {
-		cfg.SerialRelay = true
-	} else {
-		relayPool = mbtls.NewRelayPool(*relayWorkers)
-		cfg.RelayPool = relayPool
-	}
+	// Relay crypto workers: the pool is host-scoped so one bulk session
+	// can use every configured core.
+	relayPool := mbtls.NewRelayPool(*relayWorkers)
+	cfg.RelayPool = relayPool
 
 	mb, err := mbtls.NewMiddlebox(cfg)
 	if err != nil {
@@ -171,7 +169,7 @@ func main() {
 	if *statsEvery > 0 {
 		go func() {
 			for range time.Tick(*statsEvery) {
-				logStats(host.Metrics())
+				logStats(host.Snapshot())
 			}
 		}()
 	}
@@ -189,7 +187,7 @@ func main() {
 		ctx, cancel := context.WithTimeout(context.Background(), *drain)
 		defer cancel()
 		err := host.Shutdown(ctx)
-		m := host.Metrics()
+		m := host.Snapshot()
 		log.Printf("mbtls-proxy: drained in %v (forced %d): %v", m.DrainTime, m.ForceClosed, err)
 	}()
 

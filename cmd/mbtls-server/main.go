@@ -38,12 +38,7 @@ func main() {
 	shards := flag.Int("shards", 0, "session-host shards (0 = one per core)")
 	reusePort := flag.Bool("reuseport", false, "bind one SO_REUSEPORT listener per shard (Linux)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-drain deadline on SIGINT/SIGTERM")
-	relayWorkers := flag.Int("relay-workers", 0, "crypto workers for the process-wide relay pool (0 = one per core)")
 	flag.Parse()
-
-	// Endpoints don't relay, but embedded middlebox code paths share
-	// the process-wide pool; size it before anything can create it.
-	mbtls.ConfigureRelayWorkers(*relayWorkers)
 
 	acct, err := mbtls.ParseAccountability(*accountability)
 	if err != nil {
@@ -87,7 +82,7 @@ func main() {
 	if *statsEvery > 0 {
 		go func() {
 			for range time.Tick(*statsEvery) {
-				m := host.Metrics()
+				m := host.Snapshot()
 				log.Printf("mbtls-server: stats active=%d handshaking=%d accepted=%d completed=%d failed=%d "+
 					"overloaded=%d relayed=%d faults=%d",
 					m.ActiveSessions, m.HandshakesInFlight, m.Accepted, m.Completed, m.Failed,
@@ -109,7 +104,7 @@ func main() {
 		ctx, cancel := context.WithTimeout(context.Background(), *drain)
 		defer cancel()
 		err := host.Shutdown(ctx)
-		m := host.Metrics()
+		m := host.Snapshot()
 		log.Printf("mbtls-server: drained in %v (forced %d): %v", m.DrainTime, m.ForceClosed, err)
 	}()
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -14,12 +15,12 @@ import (
 // records.
 const maxRecordPlaintext = tls12.MaxPlaintext
 
-// batchResult accounts for one handleBatch call. Both counters are
-// exact even when the batch fails partway: opened counts the input
-// records fully opened and resealed before the failure, appended the
-// output records framed into dst. Counting this way keeps the stats
-// surface deterministic — totals depend on the record stream, not on
-// how the relay happened to slice it into batches.
+// batchResult accounts for one job. Both counters are exact even when
+// the job fails partway: opened counts the input records fully opened
+// and resealed before the failure, appended the output records framed
+// into dst. Counting this way keeps the stats surface deterministic —
+// totals depend on the record stream, not on how the relay happened to
+// slice it into jobs.
 type batchResult struct {
 	appended int // records framed into dst
 	opened   int // input records fully opened and resealed
@@ -28,16 +29,27 @@ type batchResult struct {
 // dataPlaneHandler is a middlebox's per-session data plane: it opens
 // protected records arriving on one hop, optionally transforms
 // application data, and reseals for the next hop (paper Figure 4).
+// Every record crosses it the same way (DESIGN.md §14): a reservation
+// fixes the batch's sequence numbers, processBatchAt does the work, and
+// the session's commit gate releases the output in arrival order.
 //
-// handleBatch processes a batch of records in one call, appending the
-// resealed records in wire form (header included) to dst and returning
+// reserveBatch runs on the relay goroutine and claims the sequence
+// numbers the batch will consume — the open range from arrival order,
+// the seal range from the predicted output geometry.
+//
+// processBatchAt runs on any goroutine, any number concurrently, using
+// only the reservation and caller-owned scratch. It appends the
+// resealed records in wire form (header included) to dst and returns
 // the extended buffer plus the batch accounting. Input payloads are
 // decrypted in place and destroyed; the appended bytes never alias
-// them, so the caller may reuse its read buffers as soon as the call
-// returns. On error, dst still carries the records resealed before
-// the failure — the caller must flush them, because they consumed
-// sealing sequence numbers. Batching is what makes the enclave variant
-// cheap: the whole batch crosses the boundary as a single ecall.
+// them. On error, dst still carries the records resealed before the
+// failure — the caller must release them, because their sealing
+// sequence numbers are spent.
+//
+// processInline is reserveBatch followed by processBatchAt for a job
+// the relay goroutine runs itself. It exists so the enclave plane pays
+// one boundary crossing for the pair, which is what lets Figure 7's
+// enclave configuration track the no-enclave one.
 //
 // appendAlert seals an alert under the given direction's sealing
 // state and appends its wire form to dst. A relay uses it fatally to
@@ -45,36 +57,30 @@ type batchResult struct {
 // to seal the close_notify a force-closed session sends at the drain
 // deadline; either way it must go through the data plane because a
 // plaintext alert would be a MAC failure for a peer holding hop keys.
-// The remaining four methods are the parallel pipeline's split of
-// handleBatch into an intake half and a worker half (DESIGN.md §14).
-// reserveBatch runs on the relay goroutine and claims the sequence
-// numbers the batch will consume — the open range from arrival order,
-// the seal range from the predicted output geometry — and returns
-// ok=false when the batch cannot be processed out of order (a
-// Processor is installed: stateful processors need ordered input and
-// transforming ones make the seal-range prediction impossible), in
-// which case nothing is reserved and the caller must use handleBatch.
-// processBatchAt then runs on any worker goroutine, any number
-// concurrently, using only the reservation and caller-owned scratch.
-// sealSeq/resetSealSeq let the fault path read the committed sealing
-// position and rewind an abandoned reservation so a subsequently
-// sealed alert still verifies at the peer.
+// sealSeq/resetSealSeq let the commit gate read the sealing position
+// and move it to the committed one — back over an abandoned
+// reservation, or forward over an open-ended one — so a subsequently
+// sealed record or alert still verifies at the peer.
 type dataPlaneHandler interface {
-	handleBatch(dir Direction, recs []tls12.RawRecord, dst []byte) ([]byte, batchResult, error)
-	appendAlert(dir Direction, level tls12.AlertLevel, desc tls12.AlertDescription, dst []byte) ([]byte, error)
-	reserveBatch(dir Direction, recs []tls12.RawRecord) (batchReservation, bool)
+	reserveBatch(dir Direction, recs []tls12.RawRecord) batchReservation
 	processBatchAt(dir Direction, recs []tls12.RawRecord, rsv batchReservation, sc *tls12.CryptoScratch, dst []byte) ([]byte, batchResult, error)
+	processInline(dir Direction, recs []tls12.RawRecord, sc *tls12.CryptoScratch, dst []byte) ([]byte, batchReservation, batchResult, error)
+	appendAlert(dir Direction, level tls12.AlertLevel, desc tls12.AlertDescription, dst []byte) ([]byte, error)
 	sealSeq(dir Direction) uint64
 	resetSealSeq(dir Direction, seq uint64)
 }
 
 // batchReservation is the sequence-number claim reserveBatch hands to
 // processBatchAt: the first open sequence (arrival order), the first
-// seal sequence, and the exact number of output records the batch will
-// seal. The prediction is exact because without a Processor every
-// inbound record reseals to ceil(plaintextLen/maxRecordPlaintext)
-// records (minimum one), and plaintext length is determined by wire
-// length.
+// seal sequence, and the number of sealing sequences claimed. Without a
+// Processor the claim is exact: every inbound record reseals to
+// ceil(plaintextLen/maxRecordPlaintext) records (minimum one), and
+// plaintext length is determined by wire length. A Processor makes the
+// geometry unpredictable, so the seal range is open-ended — outCount is
+// zero, nothing past sealStart is claimed, and the commit gate moves
+// the sealing position once the output is known. That is only sound
+// with no other job in flight, which holds because a session with a
+// Processor runs every job inline.
 type batchReservation struct {
 	openStart uint64
 	sealStart uint64
@@ -174,24 +180,46 @@ func predictOutRecords(payloadLen, overhead int) int {
 	return (pt + maxRecordPlaintext - 1) / maxRecordPlaintext
 }
 
-// handleBatch implements dataPlaneHandler. A MAC failure is fatal for
-// the session: per-hop keys are what enforce path integrity (P4), so a
-// record arriving under the wrong key must kill the connection, not be
-// forwarded.
-func (dp *dataPlane) handleBatch(dir Direction, recs []tls12.RawRecord, dst []byte) ([]byte, batchResult, error) {
+// reserveBatch implements dataPlaneHandler. The open range is one
+// sequence per inbound record; the seal range is the output geometry
+// predicted from wire lengths, or open-ended when a Processor makes it
+// unpredictable. Reservation happens under the direction lock so it
+// serializes against alert sealing and the gate's repositioning, but
+// the claimed ranges are then consumed with no lock at all.
+func (dp *dataPlane) reserveBatch(dir Direction, recs []tls12.RawRecord) batchReservation {
 	mu := dp.dirLock(dir)
 	mu.Lock()
 	defer mu.Unlock()
-	openCS, sealCS := dp.openC2S, dp.sealC2S
-	if dir == DirServerToClient {
-		openCS, sealCS = dp.openS2C, dp.sealS2C
+	openCS, sealCS := dp.states(dir)
+	rsv := batchReservation{openStart: openCS.ReserveSeq(uint64(len(recs)))}
+	if dp.proc != nil {
+		rsv.sealStart = sealCS.Seq()
+		return rsv
 	}
-	var res batchResult
+	overhead := sealCS.Overhead()
 	for _, rec := range recs {
-		plaintext, err := openCS.OpenInPlace(rec.Type, rec.Payload)
+		rsv.outCount += predictOutRecords(len(rec.Payload), overhead)
+	}
+	rsv.sealStart = sealCS.ReserveSeq(uint64(rsv.outCount))
+	return rsv
+}
+
+// processBatchAt implements dataPlaneHandler. It takes no lock — any
+// number of workers may run it concurrently for the same direction,
+// each with its own scratch. A MAC failure is fatal for the session:
+// per-hop keys are what enforce path integrity (P4), so a record
+// arriving under the wrong key must kill the connection, not be
+// forwarded.
+func (dp *dataPlane) processBatchAt(dir Direction, recs []tls12.RawRecord, rsv batchReservation, sc *tls12.CryptoScratch, dst []byte) ([]byte, batchResult, error) {
+	openCS, sealCS := dp.states(dir)
+	var res batchResult
+	openSeq, sealSeq := rsv.openStart, rsv.sealStart
+	for _, rec := range recs {
+		plaintext, err := openCS.OpenInPlaceAt(sc, openSeq, rec.Type, rec.Payload)
 		if err != nil {
 			return dst, res, fmt.Errorf("core: hop MAC check failed (%s, %s): %w", dir, rec.Type, err)
 		}
+		openSeq++
 		out := plaintext
 		if rec.Type == tls12.TypeApplicationData && dp.proc != nil {
 			out, err = dp.proc.Process(dir, plaintext)
@@ -210,62 +238,6 @@ func (dp *dataPlane) handleBatch(dir Direction, recs []tls12.RawRecord, dst []by
 				frag = frag[:maxRecordPlaintext]
 			}
 			out = out[len(frag):]
-			dst = appendSealedRecord(dst, sealCS, rec.Type, frag)
-			res.appended++
-		}
-		res.opened++
-	}
-	return dst, res, nil
-}
-
-// reserveBatch implements dataPlaneHandler. The open range is one
-// sequence per inbound record; the seal range is the exact output
-// geometry predicted from wire lengths. Reservation happens under the
-// direction lock so it serializes against the serial path and against
-// other reservations, but the claimed ranges are then consumed with no
-// lock at all.
-func (dp *dataPlane) reserveBatch(dir Direction, recs []tls12.RawRecord) (batchReservation, bool) {
-	if dp.proc != nil {
-		return batchReservation{}, false
-	}
-	mu := dp.dirLock(dir)
-	mu.Lock()
-	defer mu.Unlock()
-	openCS, sealCS := dp.states(dir)
-	var rsv batchReservation
-	overhead := sealCS.Overhead()
-	for _, rec := range recs {
-		rsv.outCount += predictOutRecords(len(rec.Payload), overhead)
-	}
-	rsv.openStart = openCS.ReserveSeq(uint64(len(recs)))
-	rsv.sealStart = sealCS.ReserveSeq(uint64(rsv.outCount))
-	return rsv, true
-}
-
-// processBatchAt implements dataPlaneHandler: handleBatch against a
-// reservation instead of live cipher-state sequences. It takes no lock
-// — any number of workers may run it concurrently for the same
-// direction, each with its own scratch — and produces output
-// byte-identical to handleBatch processing the same records at the
-// same sequence positions. Error text matches handleBatch so fault
-// classification is path-independent.
-func (dp *dataPlane) processBatchAt(dir Direction, recs []tls12.RawRecord, rsv batchReservation, sc *tls12.CryptoScratch, dst []byte) ([]byte, batchResult, error) {
-	openCS, sealCS := dp.states(dir)
-	var res batchResult
-	openSeq, sealSeq := rsv.openStart, rsv.sealStart
-	for _, rec := range recs {
-		plaintext, err := openCS.OpenInPlaceAt(sc, openSeq, rec.Type, rec.Payload)
-		if err != nil {
-			return dst, res, fmt.Errorf("core: hop MAC check failed (%s, %s): %w", dir, rec.Type, err)
-		}
-		openSeq++
-		out := plaintext
-		for first := true; first || len(out) > 0; first = false {
-			frag := out
-			if len(frag) > maxRecordPlaintext {
-				frag = frag[:maxRecordPlaintext]
-			}
-			out = out[len(frag):]
 			dst = appendSealedRecordAt(dst, sealCS, sc, sealSeq, rec.Type, frag)
 			sealSeq++
 			res.appended++
@@ -273,6 +245,13 @@ func (dp *dataPlane) processBatchAt(dir Direction, recs []tls12.RawRecord, rsv b
 		res.opened++
 	}
 	return dst, res, nil
+}
+
+// processInline implements dataPlaneHandler.
+func (dp *dataPlane) processInline(dir Direction, recs []tls12.RawRecord, sc *tls12.CryptoScratch, dst []byte) ([]byte, batchReservation, batchResult, error) {
+	rsv := dp.reserveBatch(dir, recs)
+	out, res, err := dp.processBatchAt(dir, recs, rsv, sc, dst)
+	return out, rsv, res, err
 }
 
 // sealSeq implements dataPlaneHandler.
@@ -299,10 +278,7 @@ func (dp *dataPlane) appendAlert(dir Direction, level tls12.AlertLevel, desc tls
 	mu := dp.dirLock(dir)
 	mu.Lock()
 	defer mu.Unlock()
-	sealCS := dp.sealC2S
-	if dir == DirServerToClient {
-		sealCS = dp.sealS2C
-	}
+	_, sealCS := dp.states(dir)
 	body := [2]byte{byte(level), byte(desc)}
 	return appendSealedRecord(dst, sealCS, tls12.TypeAlert, body[:]), nil
 }
@@ -321,101 +297,96 @@ type enclaveDataPlane struct {
 // enclave.
 var dpCounter atomic.Uint64
 
-// installEnclaveDataPlane constructs the data plane inside the enclave.
-func installEnclaveDataPlane(e *enclave.Enclave, km *KeyMaterial, proc Processor) (*enclaveDataPlane, error) {
-	dp, err := newDataPlane(km, proc)
-	if err != nil {
-		return nil, err
-	}
+// installEnclaveDataPlane moves a freshly built data plane into the
+// enclave.
+func installEnclaveDataPlane(e *enclave.Enclave, dp *dataPlane) *enclaveDataPlane {
 	key := fmt.Sprintf("mbtls:dataplane:%d", dpCounter.Add(1))
 	e.Enter(func(mem enclave.Memory) {
 		mem.Put(key, dp)
 	})
-	return &enclaveDataPlane{e: e, key: key}, nil
+	return &enclaveDataPlane{e: e, key: key}
 }
 
-// handleBatch implements dataPlaneHandler via a single ecall for the
-// whole batch — the boundary-crossing cost is amortized across every
-// record the relay drained, which is what lets Figure 7's enclave
-// configuration track the no-enclave one. The cipher states advance
-// per record, protected by the inner plane's per-direction locks.
-func (edp *enclaveDataPlane) handleBatch(dir Direction, recs []tls12.RawRecord, dst []byte) (out []byte, res batchResult, err error) {
-	out = dst
+// enter runs f on the inner plane inside the enclave: one boundary
+// crossing. Enclave.Enter does not serialize callers, so workers
+// processing different batches of one session proceed concurrently
+// inside the enclave — safe because processBatchAt touches only
+// immutable state plus the reservation, and everything else is
+// protected by the inner plane's per-direction locks.
+func (edp *enclaveDataPlane) enter(f func(dp *dataPlane) error) (err error) {
 	edp.e.Enter(func(mem enclave.Memory) {
 		dp, ok := mem.Get(edp.key).(*dataPlane)
 		if !ok {
-			err = fmt.Errorf("core: enclave data plane missing")
+			err = errors.New("core: enclave data plane missing")
 			return
 		}
-		out, res, err = dp.handleBatch(dir, recs, dst)
+		err = f(dp)
 	})
-	return out, res, err
+	return err
 }
 
 // reserveBatch implements dataPlaneHandler: one ecall claims the
-// batch's sequence ranges. Together with processBatchAt this costs two
-// boundary crossings per batch instead of the serial path's one — the
-// price of letting a worker run the crypto off the relay goroutine —
-// but the per-record amortization Figure 7 depends on is preserved:
-// crossings stay O(batches), never O(records).
-func (edp *enclaveDataPlane) reserveBatch(dir Direction, recs []tls12.RawRecord) (rsv batchReservation, ok bool) {
-	edp.e.Enter(func(mem enclave.Memory) {
-		dp, inner := mem.Get(edp.key).(*dataPlane)
-		if !inner {
-			return
-		}
-		rsv, ok = dp.reserveBatch(dir, recs)
+// batch's sequence ranges. Together with processBatchAt a pipelined
+// batch costs two boundary crossings instead of an inline one's single
+// crossing — the price of letting a worker run the crypto off the relay
+// goroutine — but the per-record amortization Figure 7 depends on is
+// preserved: crossings stay O(batches), never O(records).
+func (edp *enclaveDataPlane) reserveBatch(dir Direction, recs []tls12.RawRecord) (rsv batchReservation) {
+	//nolint:errcheck // a missing plane fails the processBatchAt that follows
+	edp.enter(func(dp *dataPlane) error {
+		rsv = dp.reserveBatch(dir, recs)
+		return nil
 	})
-	return rsv, ok
+	return rsv
 }
 
 // processBatchAt implements dataPlaneHandler: the whole batch crosses
-// the boundary as the worker's single ecall. Enclave.Enter does not
-// serialize callers, so workers processing different batches of the
-// same session proceed concurrently inside the enclave — safe because
-// processBatchAt touches only immutable state plus the reservation.
+// the boundary as the worker's single ecall.
 func (edp *enclaveDataPlane) processBatchAt(dir Direction, recs []tls12.RawRecord, rsv batchReservation, sc *tls12.CryptoScratch, dst []byte) (out []byte, res batchResult, err error) {
 	out = dst
-	edp.e.Enter(func(mem enclave.Memory) {
-		dp, ok := mem.Get(edp.key).(*dataPlane)
-		if !ok {
-			err = fmt.Errorf("core: enclave data plane missing")
-			return
-		}
+	err = edp.enter(func(dp *dataPlane) (err error) {
 		out, res, err = dp.processBatchAt(dir, recs, rsv, sc, dst)
+		return err
 	})
 	return out, res, err
+}
+
+// processInline implements dataPlaneHandler: reservation and batch in
+// one ecall.
+func (edp *enclaveDataPlane) processInline(dir Direction, recs []tls12.RawRecord, sc *tls12.CryptoScratch, dst []byte) (out []byte, rsv batchReservation, res batchResult, err error) {
+	out = dst
+	err = edp.enter(func(dp *dataPlane) (err error) {
+		out, rsv, res, err = dp.processInline(dir, recs, sc, dst)
+		return err
+	})
+	return out, rsv, res, err
 }
 
 // sealSeq implements dataPlaneHandler inside the enclave.
 func (edp *enclaveDataPlane) sealSeq(dir Direction) (seq uint64) {
-	edp.e.Enter(func(mem enclave.Memory) {
-		if dp, ok := mem.Get(edp.key).(*dataPlane); ok {
-			seq = dp.sealSeq(dir)
-		}
+	//nolint:errcheck // a missing plane has no position to report
+	edp.enter(func(dp *dataPlane) error {
+		seq = dp.sealSeq(dir)
+		return nil
 	})
 	return seq
 }
 
 // resetSealSeq implements dataPlaneHandler inside the enclave.
 func (edp *enclaveDataPlane) resetSealSeq(dir Direction, seq uint64) {
-	edp.e.Enter(func(mem enclave.Memory) {
-		if dp, ok := mem.Get(edp.key).(*dataPlane); ok {
-			dp.resetSealSeq(dir, seq)
-		}
+	//nolint:errcheck // a missing plane has no position to move
+	edp.enter(func(dp *dataPlane) error {
+		dp.resetSealSeq(dir, seq)
+		return nil
 	})
 }
 
 // appendAlert implements dataPlaneHandler inside the enclave.
 func (edp *enclaveDataPlane) appendAlert(dir Direction, level tls12.AlertLevel, desc tls12.AlertDescription, dst []byte) (out []byte, err error) {
 	out = dst
-	edp.e.Enter(func(mem enclave.Memory) {
-		dp, ok := mem.Get(edp.key).(*dataPlane)
-		if !ok {
-			err = fmt.Errorf("core: enclave data plane missing")
-			return
-		}
+	err = edp.enter(func(dp *dataPlane) (err error) {
 		out, err = dp.appendAlert(dir, level, desc, dst)
+		return err
 	})
 	return out, err
 }

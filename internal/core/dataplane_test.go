@@ -10,10 +10,8 @@ import (
 
 const testSuite = tls12.TLS_ECDHE_ECDSA_WITH_AES_256_GCM_SHA384
 
-// testDataPlaneKit builds a data plane plus cipher states playing the
-// adjacent hops: src seals what the plane opens on hop A, sink opens
-// what it reseals onto hop B.
-func testDataPlaneKit(t *testing.T, proc Processor) (dp *dataPlane, src, sink *tls12.CipherState) {
+// testKeyMaterial generates the two hops' keys of a one-middlebox path.
+func testKeyMaterial(t *testing.T) *KeyMaterial {
 	t.Helper()
 	hopA, err := GenerateHopKeys(testSuite)
 	if err != nil {
@@ -23,21 +21,127 @@ func testDataPlaneKit(t *testing.T, proc Processor) (dp *dataPlane, src, sink *t
 	if err != nil {
 		t.Fatal(err)
 	}
-	km := &KeyMaterial{Version: tls12.VersionTLS12, Down: *hopA, Up: *hopB}
-	dp, err = newDataPlane(km, proc)
+	return &KeyMaterial{Version: tls12.VersionTLS12, Down: *hopA, Up: *hopB}
+}
+
+// refPlane is the tests' independent model of a middlebox hop: the
+// same key material as the plane under test, driven strictly in stream
+// order through tls12's live-sequence OpenInPlace/SealAppend — the
+// record layer the endpoints use, which cipherat_test.go pins against
+// the explicit-sequence variants the data plane runs on. AES-GCM is
+// deterministic, so a correct plane reproduces its output byte for
+// byte.
+type refPlane struct {
+	open, seal [2]*tls12.CipherState // by dirIndex
+	proc       Processor
+}
+
+func newRefPlane(t *testing.T, km *KeyMaterial, proc Processor) *refPlane {
+	t.Helper()
+	downC2S, downS2C, err := km.Down.cipherStates()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src, err = tls12.NewCipherState(testSuite, hopA.C2SKey, hopA.C2SIV, 0); err != nil {
+	upC2S, upS2C, err := km.Up.cipherStates()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if sink, err = tls12.NewCipherState(testSuite, hopB.C2SKey, hopB.C2SIV, 0); err != nil {
-		t.Fatal(err)
+	return &refPlane{
+		open: [2]*tls12.CipherState{downC2S, upS2C},
+		seal: [2]*tls12.CipherState{upC2S, downS2C},
+		proc: proc,
 	}
-	return dp, src, sink
 }
 
-// parseWire splits handleBatch output back into raw records.
+// appendRecord frames one sealed record at the direction's live
+// sealing sequence.
+func (r *refPlane) appendRecord(dir Direction, dst []byte, typ tls12.ContentType, plaintext []byte) []byte {
+	body := r.seal[dirIndex(dir)].SealAppend(nil, typ, plaintext)
+	dst = append(dst, byte(typ), byte(tls12.VersionTLS12>>8), byte(tls12.VersionTLS12&0xff), byte(len(body)>>8), byte(len(body)))
+	return append(dst, body...)
+}
+
+// reseal opens recs in order, transforms application data, fragments at
+// the TLS plaintext limit and reseals, stopping at the first failure.
+// It destroys the input payloads.
+func (r *refPlane) reseal(dir Direction, recs []tls12.RawRecord, dst []byte) ([]byte, batchResult, error) {
+	var res batchResult
+	for _, rec := range recs {
+		out, err := r.open[dirIndex(dir)].OpenInPlace(rec.Type, rec.Payload)
+		if err != nil {
+			return dst, res, err
+		}
+		if rec.Type == tls12.TypeApplicationData && r.proc != nil {
+			if out, err = r.proc.Process(dir, out); err != nil {
+				return dst, res, err
+			}
+		}
+		for {
+			n := len(out)
+			if n > tls12.MaxPlaintext {
+				n = tls12.MaxPlaintext
+			}
+			dst = r.appendRecord(dir, dst, rec.Type, out[:n])
+			res.appended++
+			if out = out[n:]; len(out) == 0 {
+				break
+			}
+		}
+		res.opened++
+	}
+	return dst, res, nil
+}
+
+// cloneRecords deep-copies a batch: opening destroys payloads in place,
+// so the plane and the reference each need their own.
+func cloneRecords(recs []tls12.RawRecord) []tls12.RawRecord {
+	out := make([]tls12.RawRecord, len(recs))
+	for i, rec := range recs {
+		out[i] = tls12.RawRecord{Type: rec.Type, Payload: append([]byte(nil), rec.Payload...)}
+	}
+	return out
+}
+
+// testDataPlaneKit builds a data plane, its reference model, and cipher
+// states playing the adjacent hops: src seals what the plane opens on
+// hop A, sink opens what it reseals onto hop B.
+func testDataPlaneKit(t *testing.T, newProc func() Processor) (dp *dataPlane, ref *refPlane, src, sink *tls12.CipherState) {
+	t.Helper()
+	km := testKeyMaterial(t)
+	var proc, refProc Processor
+	if newProc != nil {
+		proc, refProc = newProc(), newProc()
+	}
+	dp, err := newDataPlane(km, proc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref = newRefPlane(t, km, refProc)
+	if src, err = tls12.NewCipherState(testSuite, km.Down.C2SKey, km.Down.C2SIV, 0); err != nil {
+		t.Fatal(err)
+	}
+	if sink, err = tls12.NewCipherState(testSuite, km.Up.C2SKey, km.Up.C2SIV, 0); err != nil {
+		t.Fatal(err)
+	}
+	return dp, ref, src, sink
+}
+
+// runPlane runs one batch through the plane the way the relay's inline
+// job does, and checks it against the reference.
+func runPlane(t *testing.T, dp *dataPlane, ref *refPlane, recs []tls12.RawRecord) ([]byte, batchResult, error) {
+	t.Helper()
+	want, wantRes, wantErr := ref.reseal(DirClientToServer, cloneRecords(recs), nil)
+	out, _, res, err := dp.processInline(DirClientToServer, recs, new(tls12.CryptoScratch), nil)
+	if !bytes.Equal(out, want) {
+		t.Fatalf("plane output diverges from the reference: %d bytes vs %d", len(out), len(want))
+	}
+	if res != wantRes || (err == nil) != (wantErr == nil) {
+		t.Fatalf("plane outcome %+v / %v, reference %+v / %v", res, err, wantRes, wantErr)
+	}
+	return out, res, err
+}
+
+// parseWire splits resealed output back into raw records.
 func parseWire(t *testing.T, wire []byte) []tls12.RawRecord {
 	t.Helper()
 	var recs []tls12.RawRecord
@@ -60,12 +164,12 @@ func parseWire(t *testing.T, wire []byte) []tls12.RawRecord {
 // resealed and forwarded, not silently dropped — dropping it would
 // desynchronize the hop sequence numbers.
 func TestDataPlaneEmptyAppDataResealed(t *testing.T) {
-	dp, src, sink := testDataPlaneKit(t, nil)
+	dp, ref, src, sink := testDataPlaneKit(t, nil)
 	rec := tls12.RawRecord{
 		Type:    tls12.TypeApplicationData,
 		Payload: src.Seal(tls12.TypeApplicationData, nil),
 	}
-	out, res, err := dp.handleBatch(DirClientToServer, []tls12.RawRecord{rec}, nil)
+	out, res, err := runPlane(t, dp, ref, []tls12.RawRecord{rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,8 +186,10 @@ func TestDataPlaneEmptyAppDataResealed(t *testing.T) {
 	}
 }
 
-// TestDataPlaneBatchMatchesSingle: processing N records as one batch
-// must produce byte-identical output to N single-record batches.
+// TestDataPlaneBatchMatchesSingle: how a stream is sliced into batches
+// must not show in the output — N records as one batch through one
+// plane, and as N single-record batches through another, both equal the
+// reference's record-by-record pass.
 func TestDataPlaneBatchMatchesSingle(t *testing.T) {
 	payloads := [][]byte{
 		[]byte("first"),
@@ -102,20 +208,16 @@ func TestDataPlaneBatchMatchesSingle(t *testing.T) {
 		return recs
 	}
 
-	dpA, srcA, _ := testDataPlaneKit(t, nil)
-	batchOut, batchRes, err := dpA.handleBatch(DirClientToServer, sealBatch(srcA), nil)
+	dpA, refA, srcA, _ := testDataPlaneKit(t, nil)
+	_, batchRes, err := runPlane(t, dpA, refA, sealBatch(srcA))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// A second plane driven record by record must emit the same record
-	// shapes (keys differ, so bytes can't be compared directly).
-	dp2, src2, _ := testDataPlaneKit(t, nil)
-	var singleOut []byte
+	dpB, refB, srcB, _ := testDataPlaneKit(t, nil)
 	var singleRes batchResult
-	for _, rec := range sealBatch(src2) {
-		var res batchResult
-		singleOut, res, err = dp2.handleBatch(DirClientToServer, []tls12.RawRecord{rec}, singleOut)
+	for _, rec := range sealBatch(srcB) {
+		_, res, err := runPlane(t, dpB, refB, []tls12.RawRecord{rec})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,35 +227,24 @@ func TestDataPlaneBatchMatchesSingle(t *testing.T) {
 	if batchRes != singleRes {
 		t.Fatalf("batch accounting %+v, singles %+v", batchRes, singleRes)
 	}
-	// Keys differ between the two kits, so compare structure and
-	// decrypted contents rather than raw bytes.
-	br := parseWire(t, batchOut)
-	sr := parseWire(t, singleOut)
-	if len(br) != len(sr) {
-		t.Fatalf("batch %d records vs singles %d", len(br), len(sr))
-	}
-	for i := range br {
-		if br[i].Type != sr[i].Type || len(br[i].Payload) != len(sr[i].Payload) {
-			t.Fatalf("record %d shape differs: %v/%d vs %v/%d",
-				i, br[i].Type, len(br[i].Payload), sr[i].Type, len(sr[i].Payload))
-		}
-	}
 }
 
 // TestDataPlaneProcessorExpansion: a processor growing a record beyond
 // the fragment limit forces re-fragmentation into multiple records,
 // all of which must open in order at the sink.
 func TestDataPlaneProcessorExpansion(t *testing.T) {
-	grow := ProcessorFunc(func(dir Direction, chunk []byte) ([]byte, error) {
-		return bytes.Repeat(chunk, 3), nil
-	})
-	dp, src, sink := testDataPlaneKit(t, grow)
+	grow := func() Processor {
+		return ProcessorFunc(func(dir Direction, chunk []byte) ([]byte, error) {
+			return bytes.Repeat(chunk, 3), nil
+		})
+	}
+	dp, ref, src, sink := testDataPlaneKit(t, grow)
 	payload := bytes.Repeat([]byte{0x42}, 6000) // ×3 = 18000 > maxPlaintext
 	rec := tls12.RawRecord{
 		Type:    tls12.TypeApplicationData,
 		Payload: src.Seal(tls12.TypeApplicationData, payload),
 	}
-	out, res, err := dp.handleBatch(DirClientToServer, []tls12.RawRecord{rec}, nil)
+	out, res, err := runPlane(t, dp, ref, []tls12.RawRecord{rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +267,7 @@ func TestDataPlaneProcessorExpansion(t *testing.T) {
 // TestDataPlaneMACFailure: a record sealed under the wrong key must
 // kill the batch with the hop-MAC error (path integrity, P4).
 func TestDataPlaneMACFailure(t *testing.T) {
-	dp, src, _ := testDataPlaneKit(t, nil)
+	dp, ref, src, _ := testDataPlaneKit(t, nil)
 	wrongKeys, err := GenerateHopKeys(testSuite)
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +284,7 @@ func TestDataPlaneMACFailure(t *testing.T) {
 		Type:    tls12.TypeApplicationData,
 		Payload: wrongSrc.Seal(tls12.TypeApplicationData, []byte("evil")),
 	}
-	_, res, err := dp.handleBatch(DirClientToServer, []tls12.RawRecord{good, bad}, nil)
+	_, res, err := runPlane(t, dp, ref, []tls12.RawRecord{good, bad})
 	if err == nil || !strings.Contains(err.Error(), "hop MAC check failed") {
 		t.Fatalf("err = %v", err)
 	}

@@ -112,7 +112,7 @@ func TestDeploymentPreconfiguredMiddlebox(t *testing.T) {
 	if got := proxy.Stats().MbTLSSessions; got != 4 {
 		t.Fatalf("proxy served %d mbTLS sessions, want 4", got)
 	}
-	if got := proxyHost.Metrics().Accepted; got != 4 {
+	if got := proxyHost.Snapshot().Accepted; got != 4 {
 		t.Fatalf("proxy host admitted %d sessions, want 4", got)
 	}
 }

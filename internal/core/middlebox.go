@@ -77,15 +77,10 @@ type MiddleboxConfig struct {
 	// bounded host-scoped pool, so relay memory is bounded by the pool
 	// rather than by session count. Nil uses the process-wide pool.
 	BufPool *tls12.RecordBufPool
-	// RelayPool, when set, supplies the crypto workers for the
-	// order-preserving parallel relay pipeline (DESIGN.md §14). Nil uses
-	// the process-wide shared pool; see SerialRelay to opt out of
-	// pipelining entirely.
+	// RelayPool, when set, supplies the crypto workers the relay hands
+	// its pipelined jobs to (DESIGN.md §14). Nil uses the process-wide
+	// shared pool.
 	RelayPool *RelayPool
-	// SerialRelay disables the parallel relay pipeline: every batch runs
-	// inline on the relay goroutine, as before the pipeline existed.
-	// Benchmarks use it as the single-core baseline.
-	SerialRelay bool
 	// TicketKeys, when set, enables chain-ticket resumption for the
 	// middlebox's secondary sessions: it issues STEK-sealed hop tickets
 	// named after the middlebox, and resumes returning clients that
@@ -127,8 +122,8 @@ type Middlebox struct {
 	cfg   MiddleboxConfig
 	vault enclave.Vault
 	bufs  *tls12.RecordBufPool
-	// relayPool is the resolved crypto worker pool for the parallel
-	// relay pipeline; nil when cfg.SerialRelay opted out.
+	// relayPool is the resolved crypto worker pool for pipelined relay
+	// jobs.
 	relayPool *RelayPool
 
 	// sessionSeq allocates monotonic per-session IDs; each session's
@@ -169,11 +164,9 @@ func NewMiddlebox(cfg MiddleboxConfig) (*Middlebox, error) {
 	if mb.bufs == nil {
 		mb.bufs = tls12.SharedRecordBufPool()
 	}
-	if !cfg.SerialRelay {
-		mb.relayPool = cfg.RelayPool
-		if mb.relayPool == nil {
-			mb.relayPool = SharedRelayPool()
-		}
+	mb.relayPool = cfg.RelayPool
+	if mb.relayPool == nil {
+		mb.relayPool = SharedRelayPool()
 	}
 	if cfg.Enclave != nil {
 		mb.vault = enclave.NewEnclaveVault(cfg.Enclave)
@@ -329,7 +322,7 @@ type mbSession struct {
 	helloRaw []byte
 
 	// Accountability state. proxySig reports the negotiated mode (set
-	// before the data plane can install, so flushBatch's check is
+	// before the data plane can install, so commit's check is
 	// ordered); acctMismatch marks a client-side session whose
 	// negotiated mode differs from the configured one (decided at join
 	// time, before the secondary goroutine starts). evMu guards the
@@ -349,18 +342,13 @@ type mbSession struct {
 	dp     dataPlaneHandler
 	dpErr  error
 
-	// Pipeline state (DESIGN.md §14). gates carry each direction's
+	// Relay state (DESIGN.md §14). gates carry each direction's
 	// committed sealing position and poison error; bg tracks background
 	// reapers run must wait out after closeAll; faultHandled dedups the
-	// fault sequence when a commit goroutine already ran it.
+	// fault sequence when a commit already ran it.
 	gates        [2]commitGate
 	bg           sync.WaitGroup
 	faultHandled atomic.Bool
-	// fwdSlot/fwdOut are the per-direction single-record slow path's
-	// reused batch slot and reseal buffer (alerts and the False-Start
-	// window), released when run returns.
-	fwdSlot [2][1]tls12.RawRecord
-	fwdOut  [2][]byte
 
 	closeOnce sync.Once
 }
@@ -479,17 +467,8 @@ func (s *mbSession) run() error {
 	// Registered before closeAll so it runs after it (LIFO): pipeline
 	// reapers may be waiting on a commit goroutine wedged in a dead
 	// transport write, which only unblocks once closeAll drops the
-	// conns. The slow-path reseal buffers are released here too — after
-	// every goroutine that could touch them is gone.
-	defer func() {
-		s.bg.Wait()
-		for i := range s.fwdOut {
-			if s.fwdOut[i] != nil {
-				s.mb.bufs.PutRecordBuf(s.fwdOut[i])
-				s.fwdOut[i] = nil
-			}
-		}
-	}()
+	// conns.
+	defer s.bg.Wait()
 	defer s.closeAll()
 
 	raw, buffered, helloRaw, maxSubC2S, err := s.collectClientHello()
@@ -588,19 +567,23 @@ func (s *mbSession) run() error {
 		}
 		go s.runSecondary(serverAddr)
 	}
+	return s.relayBoth()
+}
 
+// relayBoth relays both directions until the first one ends, then
+// tears the session down.
+func (s *mbSession) relayBoth() error {
 	errc := make(chan error, 2)
 	go func() { errc <- s.relay(DirClientToServer) }()
 	go func() { errc <- s.relay(DirServerToClient) }()
-	err = <-errc
+	err := <-errc
 	// The first relay error decides the session's fate. A fault-
 	// classified one (reset, MAC damage, protocol violation — anything
 	// but a clean EOF) means a hop died: tell both neighbors with a
 	// fatal alert before tearing down, so endpoints blocked mid-read
 	// fail fast on a protocol-level signal instead of waiting out their
-	// deadlines. A pipeline commit goroutine may already have run this
-	// sequence for a fault it detected (faultHandled); don't count or
-	// propagate twice.
+	// deadlines. A commit may already have run this sequence for a fault
+	// it detected (faultHandled); don't count or propagate twice.
 	if cls := ClassifyError(err); cls.isFault() && !s.faultHandled.Load() {
 		s.mb.faultsObserved.Add(1)
 		s.propagateFault(alertForClass(cls))
@@ -801,25 +784,19 @@ func (s *mbSession) spliceOneWay(dst net.Conn, src io.Reader) error {
 	}
 }
 
-// maxRelayBatch caps how many records one data-plane batch (and thus
-// one ecall and one outbound write) may carry, bounding latency and the
-// size of the reseal buffer.
+// maxRelayBatch caps how many records one inline data-plane job (and
+// thus one ecall and one outbound write) may carry, bounding latency
+// and the size of the reseal buffer.
 const maxRelayBatch = 32
 
 // relayLoop pumps records in one direction, participating in the mbTLS
 // handshake and data plane as required. Steady-state application data
 // is drained in batches: every buffered record headed for the data
-// plane is collected and opened/transformed/resealed as one unit.
-// When the middlebox has a RelayPool, batches are submitted to the
-// order-preserving parallel pipeline (pipeline.go): sequence numbers
-// are reserved at intake, workers run the crypto concurrently, and the
-// per-direction commit goroutine releases output in arrival order —
-// the relay keeps reading ahead while crypto is in flight. Without a
-// pool (SerialRelay), or when the data plane declines out-of-order
-// processing, the batch runs inline as before. Everything else
-// (handshake, discovery, alerts) takes the per-record slow path,
-// always behind a pipeline flush so slow-path writes never overtake
-// pipelined output.
+// plane is collected and crosses it as one job (pipeline.go) — handed
+// to the RelayPool while the relay reads ahead, or run inline on this
+// goroutine when the job must be ordered. Everything else (handshake,
+// discovery, pre-key alerts) is forwarded record by record, always
+// behind a flush so forwarded bytes never overtake pipelined output.
 func (s *mbSession) relayLoop(dir Direction) error {
 	src := s.downR
 	if dir == DirServerToClient {
@@ -827,19 +804,26 @@ func (s *mbSession) relayLoop(dir Direction) error {
 	}
 	rr := newRecordReader(src)
 	defer rr.release()
-	// Pipeline state, created lazily at the first fast-path batch so
-	// handshake-only and non-mbTLS sessions pay nothing.
+	// Job state, created at the first record that crosses the data plane
+	// so handshake-only and non-mbTLS sessions pay nothing.
 	var pl *dirPipeline
 	defer func() {
 		if pl != nil {
 			pl.shutdown()
 		}
 	}()
-	// Reused per-direction batch state; each direction is driven by
-	// exactly one goroutine, so no locking here.
-	batch := make([]tls12.RawRecord, 0, maxRelayBatch)
-	out := s.mb.bufs.GetRecordBuf()
-	defer s.mb.bufs.PutRecordBuf(out)
+	// A Processor needs its input in stream order (and makes the output
+	// geometry unpredictable), so its sessions run every job inline, at
+	// the full batch size; pipelined jobs are capped lower so one buffer
+	// drain splits across several workers.
+	inlineOnly := s.mb.cfg.NewProcessor != nil
+	limit := pipelineJobRecords
+	if inlineOnly {
+		limit = maxRelayBatch
+	}
+	// Reused per-direction batch; each direction is driven by exactly
+	// one goroutine, so no locking here.
+	batch := make([]tls12.RawRecord, 0, limit)
 	for {
 		rec, wire, err := rr.next()
 		if err != nil {
@@ -854,85 +838,67 @@ func (s *mbSession) relayLoop(dir Direction) error {
 			}
 			return err
 		}
-		dp := s.batchReady(dir, rec)
+		batch = append(batch[:0], rec)
+		inline, collect := inlineOnly, true
+		dp := s.batchReady(dir, rec.Type)
 		if dp == nil {
 			if pl != nil {
 				if err := pl.flush(); err != nil {
 					return err
 				}
 			}
-			if err := s.handleRecordWire(dir, rec, wire); err != nil {
+			if dp, err = s.handleRecordWire(dir, rec, wire); err != nil {
 				return err
 			}
-			continue
-		}
-		if pl == nil && s.mb.relayPool != nil {
-			pl = newDirPipeline(s, dir, s.mb.relayPool)
-		}
-		// Fast path: drain every already-buffered data record into one
-		// batch. A record with a different disposition ends the batch
-		// and is handled after the flush, preserving stream order.
-		// Pipelined batches are capped lower than serial ones so one
-		// buffer drain splits across several workers.
-		limit := maxRelayBatch
-		pipelined := pl != nil && !pl.serialOnly
-		if pipelined {
-			limit = pipelineJobRecords
-		}
-		batch = append(batch[:0], rec)
-		var tail tls12.RawRecord
-		var tailWire []byte
-		for len(batch) < limit && rr.buffered() {
-			next, nextWire, err := rr.next()
-			if err != nil {
-				return err
-			}
-			if s.batchReady(dir, next) == nil {
-				tail, tailWire = next, nextWire
-				break
-			}
-			batch = append(batch, next)
-		}
-		// A batch ended by a non-data tail must run serially: the tail's
-		// bytes sit in the read buffer behind the batch records, and
-		// submitting would detach that buffer into the job — the tail
-		// slices would alias storage the commit stage recycles.
-		if pipelined && tailWire == nil {
-			submitted, serr := pl.submit(dp, rr, batch)
-			if serr != nil {
-				return serr
-			}
-			if submitted {
+			if dp == nil {
 				continue
 			}
-			// The data plane declined (a Processor is installed, which
-			// needs ordered plaintext input): latch onto the serial path
-			// so later batches regain the full serial batch size.
-			pl.serialOnly = true
+			// A hop-protected alert, or data that waited out the
+			// False-Start window: a one-record job, in stream order.
+			inline, collect = true, false
 		}
-		if pl != nil {
-			if err := pl.flush(); err != nil {
-				return err
+		// Fast path: drain every already-buffered data record into the
+		// batch. When what follows in the buffer is not such a record —
+		// a different disposition, or a header that does not parse — the
+		// relay has to wait for this batch before it can deal with that
+		// anyway, so the batch runs inline: everything buffered ahead of
+		// a framing error is committed before the next read reports it.
+		for collect {
+			typ, _, ok, perr := rr.peekHeader()
+			if !ok && perr == nil {
+				break
 			}
+			if perr != nil || s.batchReady(dir, typ) == nil {
+				inline = true
+				break
+			}
+			if len(batch) == limit {
+				break
+			}
+			next, _, _ := rr.next() //nolint:errcheck // peekHeader just parsed this record
+			batch = append(batch, next)
 		}
-		if out, err = s.flushBatch(dir, dp, batch, out); err != nil {
+		if pl == nil {
+			pl = newDirPipeline(s, dir)
+		}
+		if inline {
+			err = pl.runInline(dp, batch)
+		} else {
+			err = pl.submit(dp, rr, batch)
+		}
+		if err != nil {
 			return err
-		}
-		if tailWire != nil {
-			if err := s.handleRecordWire(dir, tail, tailWire); err != nil {
-				return err
-			}
 		}
 	}
 }
 
-// batchReady returns the data plane when rec can take the batched fast
-// path: steady-state application data on a joined, non-degraded session
-// whose per-hop keys are already installed. Everything else (including
-// the False-Start window before key material arrives) goes through
-// handleRecordWire.
-func (s *mbSession) batchReady(dir Direction, rec tls12.RawRecord) dataPlaneHandler {
-	if rec.Type != tls12.TypeApplicationData || !s.mbtls || s.degraded.Load() {
+// batchReady returns the data plane when a record of the given type can
+// take the batched fast path: steady-state application data on a
+// joined, non-degraded session whose per-hop keys are already
+// installed. Everything else (including the False-Start window before
+// key material arrives) goes through handleRecordWire.
+func (s *mbSession) batchReady(dir Direction, typ tls12.ContentType) dataPlaneHandler {
+	if typ != tls12.TypeApplicationData || !s.mbtls || s.degraded.Load() {
 		return nil
 	}
 	if s.mb.cfg.Mode == ServerSide && !s.secGotData.Load() {
@@ -942,52 +908,16 @@ func (s *mbSession) batchReady(dir Direction, rec tls12.RawRecord) dataPlaneHand
 	return s.dataPlaneIfReady()
 }
 
-// flushBatch runs a batch through the data plane serially and writes
-// the whole resealed result in one outbound write. out is the reused
-// reseal buffer; the (possibly grown) buffer is returned for reuse.
-// Callers flush any pipelined work for the direction first (relayLoop
-// does; processForward's callers sit behind the same flush), so the
-// gate's committed position advances with the batch.
-func (s *mbSession) flushBatch(dir Direction, dp dataPlaneHandler, batch []tls12.RawRecord, out []byte) ([]byte, error) {
-	g := s.gate(dir)
-	g.flushMu.Lock()
-	if gerr := g.err; gerr != nil {
-		g.flushMu.Unlock()
-		return out, gerr
-	}
-	g.flushMu.Unlock()
-	out, res, err := dp.handleBatch(dir, batch, out[:0])
-	g.flushMu.Lock()
-	g.sealSeq += uint64(res.appended)
-	g.reserved += uint64(res.appended)
-	g.flushMu.Unlock()
-	s.mb.recordsRekeyed.Add(int64(res.opened))
-	s.mb.bytesProcessed.Add(int64(len(out) - res.appended*recordHeaderLen))
-	if s.proxySig.Load() && len(out) > 0 {
-		s.noteResealed(dir, out, res.appended)
-	}
-	if len(out) > 0 {
-		// Flush even a partially processed batch: the records already
-		// resealed consumed sealing sequence numbers, so dropping them
-		// would desynchronize the hop and turn any subsequently sealed
-		// alert into MAC garbage at the peer.
-		conn, mu := s.outbound(dir)
-		if werr := s.writeWire(conn, mu, out); err == nil {
-			err = werr
-		}
-	}
-	return out, err
-}
-
 // handleRecordWire is the per-record slow path. wire is the record's
 // original framing, forwarded directly when the record passes through
 // unmodified; it aliases the relay's read buffer and must not be
-// retained.
-func (s *mbSession) handleRecordWire(dir Direction, rec tls12.RawRecord, wire []byte) error {
+// retained. A hop-protected record cannot be forwarded: the data plane
+// is returned instead, and the caller runs the record through it.
+func (s *mbSession) handleRecordWire(dir Direction, rec tls12.RawRecord, wire []byte) (dataPlaneHandler, error) {
 	switch rec.Type {
 	case tls12.TypeEncapsulated:
 		if len(rec.Payload) < 1 {
-			return errors.New("core: empty Encapsulated record")
+			return nil, errors.New("core: empty Encapsulated record")
 		}
 		sub := rec.Payload[0]
 		if sub == neighborSubchannel && s.neighborMode {
@@ -998,12 +928,12 @@ func (s *mbSession) handleRecordWire(dir Direction, rec tls12.RawRecord, wire []
 			} else {
 				s.upNPipe.feed(rec.Payload[1:])
 			}
-			return nil
+			return nil, nil
 		}
 		if s.isMine(dir, sub) {
 			s.secGotData.Store(true)
 			s.secPipe.feed(rec.Payload[1:])
-			return nil
+			return nil, nil
 		}
 		if dir == DirServerToClient {
 			s.joinMu.Lock()
@@ -1012,19 +942,19 @@ func (s *mbSession) handleRecordWire(dir Direction, rec tls12.RawRecord, wire []
 			}
 			s.joinMu.Unlock()
 		}
-		return s.forwardWire(dir, wire)
+		return nil, s.forwardWire(dir, wire)
 
 	case tls12.TypeHandshake:
 		if dir == DirServerToClient && s.mb.cfg.Mode == ClientSide && s.mbtls {
 			if err := s.maybeJoinClientSide(); err != nil {
-				return err
+				return nil, err
 			}
 		}
-		return s.forwardWire(dir, wire)
+		return nil, s.forwardWire(dir, wire)
 
 	case tls12.TypeApplicationData:
 		if !s.mbtls || s.degraded.Load() {
-			return s.forwardWire(dir, wire)
+			return nil, s.forwardWire(dir, wire)
 		}
 		if s.mb.cfg.Mode == ServerSide && !s.secGotData.Load() && s.dataPlaneIfReady() == nil {
 			// Application data is flowing but the server never spoke
@@ -1035,20 +965,16 @@ func (s *mbSession) handleRecordWire(dir Direction, rec tls12.RawRecord, wire []
 			s.degraded.Store(true)
 			s.notifyEstablished()
 			s.mb.markNoAnnounce(s.up.RemoteAddr().String())
-			return s.forwardWire(dir, wire)
+			return nil, s.forwardWire(dir, wire)
 		}
-		dp, err := s.waitDataPlane()
-		if err != nil {
-			return err
-		}
-		return s.processForward(dir, dp, rec)
+		return s.waitDataPlane()
 
 	case tls12.TypeAlert:
 		// Before per-hop keys exist, alerts travel end-to-end under
 		// the primary session (or in the clear) and are relayed;
 		// afterwards they are hop-protected and must be resealed.
 		if dp := s.dataPlaneIfReady(); dp != nil {
-			return s.processForward(dir, dp, rec)
+			return dp, nil
 		}
 		if s.mb.cfg.Mode == ServerSide && s.mbtls && dir == DirServerToClient &&
 			!s.secGotData.Load() && len(rec.Payload) == 2 && rec.Payload[0] == 2 {
@@ -1058,10 +984,10 @@ func (s *mbSession) handleRecordWire(dir Direction, rec tls12.RawRecord, wire []
 			// observes the transparent behavior (paper §3.4).
 			s.mb.markNoAnnounce(s.up.RemoteAddr().String())
 		}
-		return s.forwardWire(dir, wire)
+		return nil, s.forwardWire(dir, wire)
 
 	default:
-		return s.forwardWire(dir, wire)
+		return nil, s.forwardWire(dir, wire)
 	}
 }
 
@@ -1244,18 +1170,7 @@ func (s *mbSession) runSecondary(serverAddr string) {
 		}
 	}
 
-	var proc Processor
-	if s.mb.cfg.NewProcessor != nil {
-		proc = s.mb.cfg.NewProcessor()
-	}
-	var dp dataPlaneHandler
-	if e := s.mb.cfg.Enclave; e != nil {
-		dp, err = installEnclaveDataPlane(e, km, proc)
-	} else {
-		dp, err = newDataPlane(km, proc)
-	}
-	s.setDataPlane(dp, err)
-	if err == nil && dp != nil && s.proxySig.Load() {
+	if s.installDataPlane(km) && s.proxySig.Load() {
 		// Keep the secondary session alive to serve close-time evidence
 		// requests; teardown fails the subchannel pipe and unwinds this
 		// loop with the goroutine.
@@ -1465,18 +1380,28 @@ func (s *mbSession) runNeighborHops() {
 	// Wiping km also clears down.hop and up.hop: the struct copies
 	// alias the same key slices.
 	defer km.Wipe()
+	s.installDataPlane(km)
+}
+
+// installDataPlane builds the session's data plane from its hop keys —
+// with the session's Processor, inside the enclave when one is
+// configured — and publishes it, reporting whether it went live.
+func (s *mbSession) installDataPlane(km *KeyMaterial) bool {
 	var proc Processor
 	if s.mb.cfg.NewProcessor != nil {
 		proc = s.mb.cfg.NewProcessor()
 	}
-	var dp dataPlaneHandler
-	var err error
-	if e := s.mb.cfg.Enclave; e != nil {
-		dp, err = installEnclaveDataPlane(e, km, proc)
-	} else {
-		dp, err = newDataPlane(km, proc)
+	host, err := newDataPlane(km, proc)
+	if err != nil {
+		s.setDataPlane(nil, err)
+		return false
 	}
-	s.setDataPlane(dp, err)
+	var dp dataPlaneHandler = host
+	if e := s.mb.cfg.Enclave; e != nil {
+		dp = installEnclaveDataPlane(e, host)
+	}
+	s.setDataPlane(dp, nil)
+	return true
 }
 
 func (s *mbSession) setDataPlane(dp dataPlaneHandler, err error) {
@@ -1534,24 +1459,4 @@ func (s *mbSession) waitDataPlane() (dataPlaneHandler, error) {
 		return nil, s.dpErr
 	}
 	return s.dp, nil
-}
-
-// processForward runs one protected record through the data plane and
-// forwards the resealed result. It is the slow-path (off-batch)
-// companion of flushBatch, used for alerts and the False-Start window.
-// The per-direction batch slot and reseal buffer are session-owned and
-// reused across calls — a session relaying alert-heavy traffic (or a
-// long False-Start window) must not pay a pool round-trip per record.
-// Each direction is driven by one relay goroutine, so the slots need
-// no locking; run releases the buffers at teardown.
-func (s *mbSession) processForward(dir Direction, dp dataPlaneHandler, rec tls12.RawRecord) error {
-	i := dirIndex(dir)
-	if s.fwdOut[i] == nil {
-		s.fwdOut[i] = s.mb.bufs.GetRecordBuf()
-	}
-	s.fwdSlot[i][0] = rec
-	var err error
-	s.fwdOut[i], err = s.flushBatch(dir, dp, s.fwdSlot[i][:], s.fwdOut[i])
-	s.fwdSlot[i][0] = tls12.RawRecord{}
-	return err
 }

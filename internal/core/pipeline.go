@@ -1,21 +1,22 @@
-// Order-preserving parallel AEAD pipeline for the middlebox relay
-// (DESIGN.md §14). Per-record open/reseal is embarrassingly parallel
-// once sequence numbers are assigned at intake: the open nonce is the
-// arrival sequence and the seal nonce the commit sequence, both
-// deterministic, so a batch's crypto can run on any worker while the
-// relay keeps reading. Three stages share the work per direction:
+// The middlebox relay's one data path (DESIGN.md §14). Per-record
+// open/reseal is embarrassingly parallel once sequence numbers are
+// assigned at intake: the open nonce is the arrival sequence and the
+// seal nonce the commit sequence, both deterministic, so a batch's
+// crypto can run on any worker while the relay keeps reading. Every
+// batch is one job through the same three steps per direction:
 //
-//	intake  (relay goroutine)  reserve sequence ranges, detach the read
-//	                           buffer, enqueue the job
-//	crypto  (RelayPool worker) open/reseal against the reservation,
-//	                           out of order, lock-free
-//	commit  (commit goroutine) release resealed output, fold proxysig
-//	                           digests, and recycle buffers in strict
-//	                           arrival order
+//	reserve  claim the job's sequence ranges, in arrival order
+//	process  open/reseal against the reservation, lock-free
+//	commit   release the resealed output, account stats, and fold
+//	         proxysig digests in strict arrival order
 //
-// The commit gate tracks the committed sealing position per direction
-// so fault paths can rewind reserved-but-uncommitted sequences and
-// seal an alert that still verifies at the peer.
+// A pipelined job is reserved on the relay goroutine, processed by a
+// RelayPool worker, and committed by the direction's commit goroutine,
+// while the relay reads ahead. A job that must be ordered runs all
+// three steps inline on the relay goroutine, after the jobs in flight
+// have committed. The commit gate tracks the committed sealing position
+// per direction so fault paths can rewind reserved-but-uncommitted
+// sequences and seal an alert that still verifies at the peer.
 package core
 
 import (
@@ -49,10 +50,10 @@ const (
 // token signals job completion through a reused one-slot channel.
 type token struct{}
 
-// relayJob is one unit of pipeline work: up to pipelineJobRecords
-// records sharing a detached read buffer, a sequence reservation, and
-// a persistent reseal buffer. Jobs are slot-recycled per direction, so
-// the steady state allocates nothing.
+// relayJob is one unit of relay work: a sequence reservation, a
+// persistent reseal buffer, and — when pipelined — up to
+// pipelineJobRecords records sharing a detached read buffer. Jobs are
+// slot-recycled per direction, so the steady state allocates nothing.
 type relayJob struct {
 	dir  Direction
 	dp   dataPlaneHandler
@@ -118,33 +119,15 @@ func NewRelayPool(workers int) *RelayPool {
 }
 
 var (
-	sharedRelayPoolMu sync.Mutex
-	sharedRelayPool   *RelayPool
-	sharedRelaySize   int
+	sharedRelayPoolOnce sync.Once
+	sharedRelayPool     *RelayPool
 )
 
 // SharedRelayPool returns the process-wide pool, created on first use
-// with GOMAXPROCS-derived workers (or the size set by
-// ConfigureSharedRelayPool). It is never closed.
+// with one worker per GOMAXPROCS. It is never closed.
 func SharedRelayPool() *RelayPool {
-	sharedRelayPoolMu.Lock()
-	defer sharedRelayPoolMu.Unlock()
-	if sharedRelayPool == nil {
-		sharedRelayPool = NewRelayPool(sharedRelaySize)
-	}
+	sharedRelayPoolOnce.Do(func() { sharedRelayPool = NewRelayPool(0) })
 	return sharedRelayPool
-}
-
-// ConfigureSharedRelayPool sets the worker count the shared pool is
-// created with. It has no effect once the pool exists; call it at
-// process startup (the daemons wire -relay-workers through it when no
-// host-owned pool is in play).
-func ConfigureSharedRelayPool(workers int) {
-	sharedRelayPoolMu.Lock()
-	defer sharedRelayPoolMu.Unlock()
-	if sharedRelayPool == nil {
-		sharedRelaySize = workers
-	}
 }
 
 // Close stops the workers. Submitting after Close panics; hosts close
@@ -271,20 +254,15 @@ type commitGate struct {
 	alertSent bool
 }
 
-// dirPipeline is one relay direction's pipeline state, owned by the
-// relay goroutine except where noted. Slot recycling between the relay
-// and the commit goroutine rides two channels: submitCh carries jobs
-// in ticket (arrival) order, freeCh returns committed slots.
+// dirPipeline is one relay direction's job state, owned by the relay
+// goroutine except where noted. Slot recycling between the relay and
+// the commit goroutine rides two channels: submitCh carries jobs in
+// ticket (arrival) order, freeCh returns committed slots.
 type dirPipeline struct {
 	s    *mbSession
 	dir  Direction
 	pool *RelayPool
 	gate *commitGate
-
-	// serialOnly latches after reserveBatch declines (a Processor is
-	// installed): stateful processors need ordered input, so every
-	// batch takes the serial path.
-	serialOnly bool
 
 	free  []*relayJob
 	total int
@@ -293,17 +271,24 @@ type dirPipeline struct {
 	freeCh        chan *relayJob
 	committerUp   bool
 	committerDone chan struct{}
+
+	// inline is the slot of the jobs the relay goroutine runs itself,
+	// inlineSc their crypto scratch (heap-resident with the pipeline,
+	// like a worker's).
+	inline   relayJob
+	inlineSc tls12.CryptoScratch
 }
 
-func newDirPipeline(s *mbSession, dir Direction, pool *RelayPool) *dirPipeline {
+func newDirPipeline(s *mbSession, dir Direction) *dirPipeline {
 	return &dirPipeline{
 		s:             s,
 		dir:           dir,
-		pool:          pool,
+		pool:          s.mb.relayPool,
 		gate:          s.gate(dir),
 		submitCh:      make(chan *relayJob, pipelineDepth),
 		freeCh:        make(chan *relayJob, pipelineDepth),
 		committerDone: make(chan struct{}),
+		inline:        relayJob{out: s.mb.bufs.GetRecordBuf()},
 	}
 }
 
@@ -336,24 +321,21 @@ func (pl *dirPipeline) slot() *relayJob {
 
 // submit reserves the batch's sequence ranges and hands it to the
 // worker pool, detaching the reader's buffer so the records stay valid
-// while the relay reads ahead. Returns submitted=false (and reserves
-// nothing) when the data plane declines out-of-order processing.
-// Relay-goroutine only: reservation order is commit order.
-func (pl *dirPipeline) submit(dp dataPlaneHandler, rr *recordReader, batch []tls12.RawRecord) (bool, error) {
+// while the relay reads ahead. Relay-goroutine only: reservation order
+// is commit order.
+func (pl *dirPipeline) submit(dp dataPlaneHandler, rr *recordReader, batch []tls12.RawRecord) error {
 	if err := pl.takeErr(); err != nil {
-		return false, err
+		return err
 	}
 	j := pl.slot()
-	rsv, ok := dp.reserveBatch(pl.dir, batch)
-	if !ok {
-		pl.free = append(pl.free, j)
-		return false, nil
-	}
+	j.dir, j.dp = pl.dir, dp
+	j.rsv = dp.reserveBatch(pl.dir, batch)
+	// Tell the gate how far the plane's sealing position has moved, so a
+	// fault alert sealed before this job commits rewinds first.
 	g := pl.gate
 	g.flushMu.Lock()
-	g.reserved = rsv.sealStart + uint64(rsv.outCount)
+	g.reserved = j.rsv.sealStart + uint64(j.rsv.outCount)
 	g.flushMu.Unlock()
-	j.dir, j.dp, j.rsv = pl.dir, dp, rsv
 	j.n = copy(j.recs[:], batch)
 	j.readBuf = rr.detach()
 	j.submitted = time.Now()
@@ -370,13 +352,33 @@ func (pl *dirPipeline) submit(dp dataPlaneHandler, rr *recordReader, batch []tls
 	}
 	pl.submitCh <- j
 	pl.pool.enqueue(j)
-	return true, nil
+	return nil
+}
+
+// runInline runs a batch as a job on the relay goroutine: wait out the
+// jobs in flight, reserve and process in one data-plane call, commit.
+// It is the path of every batch that must be ordered — a Processor
+// needs its input in stream order; a batch ended by a non-data record
+// or a framing error has the relay waiting for it anyway — and of the
+// single records of the slow path (hop-protected alerts, the
+// False-Start window). Same reservation, same loop, same commit as a
+// pipelined job; it only skips the hand-offs, so it touches no pool
+// counter and needs no buffer detach: the records stay valid in the
+// reader because the relay reads nothing until the job has committed.
+func (pl *dirPipeline) runInline(dp dataPlaneHandler, batch []tls12.RawRecord) error {
+	if err := pl.flush(); err != nil {
+		return err
+	}
+	j := &pl.inline
+	j.dp = dp
+	j.out, j.rsv, j.res, j.err = dp.processInline(pl.dir, batch, &pl.inlineSc, j.out[:0])
+	return pl.commit(j)
 }
 
 // flush blocks until every submitted job has committed, then reports
-// the direction's poison error if any. The relay calls it before any
-// serial write to its direction, so slow-path output never overtakes
-// pipelined output.
+// the direction's poison error if any. The relay calls it before
+// anything it writes to its direction itself, so neither an inline job
+// nor a forwarded record ever overtakes pipelined output.
 func (pl *dirPipeline) flush() error {
 	for pl.total-len(pl.free) > 0 {
 		pl.free = append(pl.free, <-pl.freeCh)
@@ -394,8 +396,8 @@ func (pl *dirPipeline) takeErr() error {
 }
 
 // commitLoop is the per-direction commit goroutine: it waits for each
-// job in ticket order, releases its output, and recycles the slot. It
-// exits when the relay closes submitCh at teardown.
+// pipelined job in ticket order, commits it, and recycles the slot and
+// its read buffer. It exits when the relay closes submitCh at teardown.
 func (pl *dirPipeline) commitLoop() {
 	pprof.Do(context.Background(), pprof.Labels(
 		"mbtls_session", strconv.FormatUint(pl.s.id, 10),
@@ -404,44 +406,49 @@ func (pl *dirPipeline) commitLoop() {
 	), func(context.Context) {
 		for j := range pl.submitCh {
 			<-j.done
-			pl.commit(j)
+			pl.pool.noteLatency(time.Since(j.submitted))
+			pl.commit(j) //nolint:errcheck // commit acted on it; the relay reads it from the gate
+			relayReadBufs.Put(j.readBuf)
+			j.readBuf = nil
+			pl.pool.inFlight.Add(-1)
 			pl.freeCh <- j
 		}
 	})
 	close(pl.committerDone)
 }
 
-// commit releases one job's resealed output in arrival order: update
-// the committed seal position, fold the proxysig digest, write the
-// wire bytes, and recycle the read buffer. A failed job flushes its
-// partial output (those records consumed sealing sequence numbers),
-// rewinds the reserved-but-unsealed range, poisons the direction, and
-// tears the session down the same way the serial path would.
-func (pl *dirPipeline) commit(j *relayJob) {
+// commit releases one job's resealed output in arrival order: settle
+// the sealing position, account stats, fold the proxysig digest, and
+// write the wire bytes. It is the only place any of that happens, for
+// pipelined and inline jobs alike, so digest order is wire order by
+// construction. One caller at a time per direction: the commit
+// goroutine, or the relay goroutine once flush has seen it idle. A
+// failed job releases its partial output (those records consumed
+// sealing sequence numbers), poisons the direction, and tears the
+// session down. The returned error is the direction's poison, if any.
+func (pl *dirPipeline) commit(j *relayJob) error {
 	s, dir, g := pl.s, pl.dir, pl.gate
-	defer func() {
-		if j.readBuf != nil {
-			relayReadBufs.Put(j.readBuf)
-			j.readBuf = nil
-		}
-		pl.pool.inFlight.Add(-1)
-	}()
-	pl.pool.noteLatency(time.Since(j.submitted))
-
 	g.flushMu.Lock()
-	if g.err != nil {
+	if err := g.err; err != nil {
 		// Poisoned (a fault alert may already hold the next sequence
-		// number): drop the output, recycle the buffers.
+		// number): drop the output.
 		g.flushMu.Unlock()
-		return
+		return err
 	}
 	committed := j.rsv.sealStart + uint64(j.res.appended)
 	g.sealSeq = committed
-	if j.err != nil {
-		// Rewind under the gate so a racing alert seals contiguously
-		// after the records this batch did commit.
+	if g.reserved < committed {
+		g.reserved = committed // an inline job: submit never announced it
+	}
+	if committed != j.rsv.sealStart+uint64(j.rsv.outCount) {
+		// The plane's claim is not what was sealed: a failed job stopped
+		// short of its reservation, or an open-ended one claimed nothing.
+		// Move the plane under the gate, so a racing alert seals
+		// contiguously after the records this job did commit.
 		j.dp.resetSealSeq(dir, committed)
 		g.reserved = committed
+	}
+	if j.err != nil {
 		g.err = j.err
 		s.faultHandled.Store(true)
 	}
@@ -460,7 +467,7 @@ func (pl *dirPipeline) commit(j *relayJob) {
 	}
 	if j.err != nil {
 		pl.failSession(j.err)
-		return
+		return j.err
 	}
 	if werr != nil {
 		g.flushMu.Lock()
@@ -469,11 +476,13 @@ func (pl *dirPipeline) commit(j *relayJob) {
 			g.err = werr
 			s.faultHandled.Store(true)
 		}
+		werr = g.err
 		g.flushMu.Unlock()
 		if fresh {
 			pl.failSession(werr)
 		}
 	}
+	return werr
 }
 
 // failSession runs the session-fatal sequence for an error detected at
@@ -510,13 +519,10 @@ func (pl *dirPipeline) shutdown() {
 	}()
 }
 
-// reclaim returns every idle slot's buffers to their pools.
+// reclaim returns every idle slot's reseal buffer to the pool (read
+// buffers went back as each job committed).
 func (pl *dirPipeline) reclaim() {
-	for _, j := range pl.free {
-		if j.readBuf != nil {
-			relayReadBufs.Put(j.readBuf)
-			j.readBuf = nil
-		}
+	for _, j := range append(pl.free, &pl.inline) {
 		if j.out != nil {
 			pl.s.mb.bufs.PutRecordBuf(j.out)
 			j.out = nil

@@ -10,7 +10,7 @@ import (
 	"repro/internal/testutil/goleak"
 )
 
-// Race coverage for the parallel relay pipeline: both directions of a
+// Race coverage for the relay pipeline: both directions of a
 // pipelined session (dedicated multi-worker pool, bulk traffic in
 // flight both ways) hit netsim faults — ciphertext corruption landing
 // mid-batch and a hop dying mid-pipeline — and must surface typed
@@ -123,72 +123,96 @@ func requireFaultClass(t *testing.T, name string, err error, allowed ...core.Err
 	t.Fatalf("%s: error class %s (err: %v) not allowed", name, cls, err)
 }
 
-// TestPipelineCorruptMidBatch: ciphertext corruption lands inside a
-// bulk burst on the client→middlebox hop while both directions have
-// jobs in the pipeline. The middlebox's MAC check must kill the
-// session through the commit path: partial batch flushed, alert sealed
-// at the committed position, both endpoints unwound, no leaks.
+// TestPipelineCorruptMidBatch: corruption lands inside a bulk burst on
+// the client→middlebox hop while both directions have jobs in the
+// pipeline — in a record's ciphertext, where the middlebox's MAC check
+// kills the session through the commit path (partial batch released,
+// alert sealed at the committed position), and in a record header,
+// where the relay's look-ahead finds the framing error behind the
+// records it has buffered and commits those first (the byte-exact
+// version of that is a FuzzParallelReseal seed). Either way both
+// endpoints unwind on a typed error and nothing leaks.
 func TestPipelineCorruptMidBatch(t *testing.T) {
+	const (
+		recordOverhead = 5 + 8 + 16 // header, explicit nonce, tag
+		steadyState    = "steady state"
+		fullRecord     = 16384 + recordOverhead
+	)
 	e := newEnv(t)
-	pool := core.NewRelayPool(4)
-	defer pool.Close()
-	base := goleak.Base()
 	// Handshake bytes don't depend on the relay configuration, so the
-	// measurement session runs serial — it must not touch the pool this
-	// test closes.
+	// measurement session runs on the shared pool — it must not touch
+	// the pool this test closes.
 	h := measureClientHandshakeBytes(t, e, func() *core.Middlebox {
-		return e.middlebox(t, "mb.example", core.ClientSide, func(cfg *core.MiddleboxConfig) {
-			cfg.SerialRelay = true
+		return e.middlebox(t, "mb.example", core.ClientSide)
+	})
+	// Offsets count from the start of the bulk stream, which follows the
+	// handshake and the steady-state exchange's one small record.
+	bulk := h + int64(len(steadyState)+recordOverhead)
+	for _, tc := range []struct {
+		name   string
+		offset int64
+	}{
+		// ~24KiB in: past the first record, inside a burst the relay
+		// drains as multi-record batches.
+		{"ciphertext", 24 * 1024},
+		// The version byte of the second bulk record's header.
+		{"header", fullRecord + 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pool := core.NewRelayPool(4)
+			defer pool.Close()
+			base := goleak.Base()
+			spec := netsim.FaultSpec{Kind: netsim.FaultCorrupt, Offset: bulk + tc.offset, Seed: 11, Dir: netsim.DirAToB}
+			mb := e.middlebox(t, "mb.example", core.ClientSide, func(cfg *core.MiddleboxConfig) {
+				cfg.RelayPool = pool
+			})
+			clientEnd, serverEnd, handleDone := buildTrackedChain(spec, mb)
+
+			srvCh := make(chan *core.Session, 1)
+			go func() {
+				s, _ := core.Accept(serverEnd, e.serverConfig())
+				srvCh <- s
+			}()
+			client, err := core.Dial(clientEnd, e.clientConfig())
+			if err != nil {
+				t.Fatalf("handshake must clear a mid-data fault: %v", err)
+			}
+			server := <-srvCh
+			if server == nil {
+				t.Fatal("server handshake failed")
+			}
+			// Prove the pipeline engaged before the fault can land: the
+			// reply crosses a data plane the request has already waited
+			// for, so it is a pool job whatever the scheduling.
+			exchange(t, client, server, steadyState, "ack")
+			if st := pool.Stats(); st.RecordsProcessed == 0 {
+				t.Fatal("relay pool processed no records — the pipeline never engaged")
+			}
+
+			out := pumpBothDirections(t, client, server)
+			// The corruption is detected by the middlebox's hop-MAC check
+			// or its record reader; endpoints see the propagated alert or
+			// the teardown's transport-level close.
+			mangle := []core.ErrorClass{
+				core.ClassIntegrity, core.ClassProtocol, core.ClassRemoteAlert,
+				core.ClassReset, core.ClassCleanClose, core.ClassTimeout,
+			}
+			requireFaultClass(t, "client write", out.clientWrite, mangle...)
+			requireFaultClass(t, "client read", out.clientRead, mangle...)
+			requireFaultClass(t, "server write", out.serverWrite, mangle...)
+			requireFaultClass(t, "server read", out.serverRead, mangle...)
+			if mb.Stats().FaultsObserved < 1 {
+				t.Fatalf("middlebox observed no fault: %+v", mb.Stats())
+			}
+
+			client.Close()
+			server.Close()
+			clientEnd.Close()
+			serverEnd.Close()
+			awaitHandle(t, handleDone)
+			waitGoroutines(t, base)
 		})
-	})
-
-	// Offset lands ~24KiB into the bulk stream: past the first few
-	// records, inside a burst the relay drains as multi-record batches.
-	spec := netsim.FaultSpec{Kind: netsim.FaultCorrupt, Offset: h + 24*1024, Seed: 11, Dir: netsim.DirAToB}
-	mb := e.middlebox(t, "mb.example", core.ClientSide, func(cfg *core.MiddleboxConfig) {
-		cfg.RelayPool = pool
-	})
-	clientEnd, serverEnd, handleDone := buildTrackedChain(spec, mb)
-
-	srvCh := make(chan *core.Session, 1)
-	go func() {
-		s, _ := core.Accept(serverEnd, e.serverConfig())
-		srvCh <- s
-	}()
-	client, err := core.Dial(clientEnd, e.clientConfig())
-	if err != nil {
-		t.Fatalf("handshake must clear a mid-data fault: %v", err)
 	}
-	server := <-srvCh
-	if server == nil {
-		t.Fatal("server handshake failed")
-	}
-
-	out := pumpBothDirections(t, client, server)
-	// The corruption is detected by the middlebox's hop-MAC check (or,
-	// if it mangles framing, the record reader); endpoints see the
-	// propagated alert or the teardown's transport-level close.
-	mangle := []core.ErrorClass{
-		core.ClassIntegrity, core.ClassProtocol, core.ClassRemoteAlert,
-		core.ClassReset, core.ClassCleanClose, core.ClassTimeout,
-	}
-	requireFaultClass(t, "client write", out.clientWrite, mangle...)
-	requireFaultClass(t, "client read", out.clientRead, mangle...)
-	requireFaultClass(t, "server write", out.serverWrite, mangle...)
-	requireFaultClass(t, "server read", out.serverRead, mangle...)
-	if mb.Stats().FaultsObserved < 1 {
-		t.Fatalf("middlebox observed no fault: %+v", mb.Stats())
-	}
-	if st := pool.Stats(); st.RecordsProcessed == 0 {
-		t.Fatal("relay pool processed no records — the pipeline never engaged")
-	}
-
-	client.Close()
-	server.Close()
-	clientEnd.Close()
-	serverEnd.Close()
-	awaitHandle(t, handleDone)
-	waitGoroutines(t, base)
 }
 
 // TestPipelineHopDeathMidStream: the middlebox→server hop resets while

@@ -32,10 +32,10 @@ var relayReadBufs = sync.Pool{
 // vectored write — without an allocation or an extra Read per record.
 //
 // Ownership: the RawRecord returned by next aliases the internal
-// buffer. It stays valid until the first next call that follows a
-// buffered() == false observation (only then may the buffer compact),
-// so the drain pattern "next once, then next again while buffered()"
-// keeps every record of a batch alive together.
+// buffer. It stays valid until the first next call that finds no
+// complete record buffered (only then may the buffer compact), so the
+// drain pattern "next once, then next again while peekHeader reports a
+// record" keeps every record of a batch alive together.
 type recordReader struct {
 	src io.Reader
 	buf []byte
@@ -70,9 +70,8 @@ func (rr *recordReader) release() {
 // while the reader continues parsing from the fresh buffer.
 //
 // Callers must not detach while any already-returned record that is
-// NOT part of the detached batch is still live: a tail record parsed
-// after the batch also aliases the old buffer, so a batch ended by a
-// tail must take the serial (no-detach) path instead.
+// NOT part of the detached batch is still live: it also aliases the
+// old buffer.
 func (rr *recordReader) detach() *[]byte {
 	old := rr.bp
 	bp := relayReadBufs.Get().(*[]byte)
@@ -84,8 +83,10 @@ func (rr *recordReader) detach() *[]byte {
 }
 
 // peekHeader parses the header at the current position without
-// consuming it. ok is false when fewer than a full record's bytes are
-// buffered.
+// consuming it: what next would return without reading from the
+// transport or moving already-returned records. ok is false when fewer
+// than a full record's bytes are buffered; err is the framing error
+// next will report for a header that does not parse.
 func (rr *recordReader) peekHeader() (typ tls12.ContentType, length int, ok bool, err error) {
 	if rr.w-rr.r < tls12.RecordHeaderLen {
 		return 0, 0, false, nil
@@ -98,13 +99,6 @@ func (rr *recordReader) peekHeader() (typ tls12.ContentType, length int, ok bool
 		return 0, 0, false, nil
 	}
 	return typ, length, true, nil
-}
-
-// buffered reports whether a complete record can be returned without
-// reading from the transport or moving already-returned records.
-func (rr *recordReader) buffered() bool {
-	_, _, ok, err := rr.peekHeader()
-	return ok && err == nil
 }
 
 // next returns the next record. The returned record and wire slices

@@ -17,19 +17,14 @@ import (
 // Fig7BufferSizes are the paper's x-axis chunk sizes.
 var Fig7BufferSizes = []int{512, 1024, 2048, 4096, 8192, 12288}
 
-// Fig7WorkersAxis is the relay-pipeline workers sweep: the serial
-// baseline (Fig7SerialWorkers) then 1/2/4/8 crypto workers.
-var Fig7WorkersAxis = []int{Fig7SerialWorkers, 1, 2, 4, 8}
+// Fig7WorkersAxis is the relay-pipeline workers sweep: 1/2/4/8 crypto
+// workers.
+var Fig7WorkersAxis = []int{1, 2, 4, 8}
 
 // Fig7WorkersBufSizes are the chunk sizes the workers sweep runs at;
 // 16 KiB (a full TLS record per chunk) is where crypto dominates and
 // parallel scaling is most visible.
 var Fig7WorkersBufSizes = []int{4096, 16384}
-
-// Fig7SerialWorkers marks a workers-sweep cell running the pre-pipeline
-// serial relay (the single-core baseline the 1-worker cell is measured
-// against).
-const Fig7SerialWorkers = -1
 
 // Fig7Cell is one configuration × buffer-size measurement.
 type Fig7Cell struct {
@@ -37,8 +32,7 @@ type Fig7Cell struct {
 	Enclave    bool `json:"enclave"`
 	BufSize    int  `json:"buf_size"`
 	// Workers distinguishes relay-pipeline sweep cells: 0 is a classic
-	// matrix cell (default pipeline), Fig7SerialWorkers (-1) the serial
-	// baseline, and N>0 a dedicated N-worker pool.
+	// matrix cell (the shared pool), N>0 a dedicated N-worker pool.
 	Workers int `json:"workers,omitempty"`
 	// Gbps is the delivered application throughput through the
 	// middlebox.
@@ -79,7 +73,7 @@ type Fig7Options struct {
 	// sweep.
 	WorkersAxis []int
 	// Quick shrinks the run to a smoke test (the CI gate): one buffer
-	// size, a short window, and a two-point workers sweep.
+	// size, a short window, and a one-point workers sweep.
 	Quick bool
 }
 
@@ -120,7 +114,7 @@ func RunFig7(opts Fig7Options) ([]Fig7Cell, error) {
 			bufSizes = []int{4096}
 		}
 		if opts.WorkersAxis == nil {
-			workersAxis = []int{Fig7SerialWorkers, 2}
+			workersAxis = []int{2}
 		}
 		workersBufs = []int{4096}
 	}
@@ -168,9 +162,8 @@ func RunFig7(opts Fig7Options) ([]Fig7Cell, error) {
 	// Relay-pipeline workers sweep: encrypted, no enclave (the crypto
 	// scaling axis — the enclave rows would measure boundary crossings,
 	// which the classic matrix already covers). One stream, because the
-	// question the sweep answers is single-session scaling: the serial
-	// relay caps one bulk session at one core per direction no matter
-	// the host's core count, and the pipeline is what lifts that cap.
+	// question the sweep answers is single-session scaling: how far the
+	// pool lifts one bulk session past one core per direction.
 	for _, workers := range workersAxis {
 		for _, bufSize := range workersBufs {
 			cell, err := fig7Cell(ca, serverCert, mbCert, platform, fab, true, false, bufSize, workers, 1, window)
@@ -192,14 +185,10 @@ func fig7Cell(ca *certs.CA, serverCert, mbCert *tls12.Certificate, platform *enc
 	cell := Fig7Cell{Encryption: encryption, Enclave: useEnclave, BufSize: bufSize, Workers: workers}
 
 	mbCfg := core.MiddleboxConfig{Mode: core.ClientSide, Certificate: mbCert}
-	// Workers-sweep cells pin the relay pipeline: the serial marker
-	// disables it, a positive count gets a dedicated pool so the cell's
-	// utilization and latency are not mixed with other cells'.
+	// Workers-sweep cells get a dedicated pool so the cell's utilization
+	// and latency are not mixed with other cells'.
 	var cellPool *core.RelayPool
-	switch {
-	case workers == Fig7SerialWorkers:
-		mbCfg.SerialRelay = true
-	case workers > 0:
+	if workers > 0 {
 		cellPool = core.NewRelayPool(workers)
 		mbCfg.RelayPool = cellPool
 	}
@@ -452,17 +441,13 @@ func FormatFig7(cells []Fig7Cell) string {
 		fmt.Fprintf(&b, "%-10s | %8s | %8s | %12s | %12s\n", "Workers", "Buffer", "Gbps", "reseal p50", "reseal p99")
 		fmt.Fprintf(&b, "%s\n", strings.Repeat("-", 62))
 		for _, c := range sweep {
-			label := fmt.Sprintf("%d", c.Workers)
-			if c.Workers == Fig7SerialWorkers {
-				label = "serial"
-			}
 			lat50, lat99 := "-", "-"
 			if c.ResealP50Micros > 0 {
 				lat50 = fmt.Sprintf("%.1fµs", c.ResealP50Micros)
 				lat99 = fmt.Sprintf("%.1fµs", c.ResealP99Micros)
 			}
-			fmt.Fprintf(&b, "%-10s | %8s | %8.2f | %12s | %12s\n",
-				label, byteSize(c.BufSize), c.Gbps, lat50, lat99)
+			fmt.Fprintf(&b, "%-10d | %8s | %8.2f | %12s | %12s\n",
+				c.Workers, byteSize(c.BufSize), c.Gbps, lat50, lat99)
 		}
 	}
 	return b.String()

@@ -196,7 +196,7 @@ func TestConcurrentSessionsThroughFaultyNetwork(t *testing.T) {
 		t.Fatal("faulty-path session wedged")
 	}
 
-	m := mbHost.Metrics()
+	m := mbHost.Snapshot()
 	if m.Accepted < raceSessions+1 {
 		t.Errorf("middlebox host admitted %d sessions, want >= %d", m.Accepted, raceSessions+1)
 	}

@@ -130,16 +130,12 @@ type Config struct {
 	// code (see Host.BufPool). Nil allocates a bounded pool sized to
 	// MaxSessions.
 	BufPool *tls12.RecordBufPool
-	// RelayPool registers an externally owned relay crypto worker pool
-	// so its utilization/depth/stall counters merge into Metrics. The
-	// caller keeps ownership of its lifecycle.
+	// RelayPool registers the relay crypto worker pool the host's
+	// middleboxes were built with, so its utilization/depth/stall
+	// counters merge into Metrics. The caller keeps ownership of its
+	// lifecycle. Nil registers none (middleboxes built without one use
+	// the process-wide shared pool).
 	RelayPool *core.RelayPool
-	// RelayWorkers, when positive, makes the host create and own a
-	// relay pool with that many workers (closed after the drain
-	// completes). Callers wire Host.RelayPool() into their
-	// MiddleboxConfig. Zero means no host-owned pool; use RelayPool to
-	// register a shared one instead.
-	RelayWorkers int
 	// MiddleboxStats, when set, is snapshotted into Metrics so a host
 	// fronting a Middlebox aggregates both stats surfaces in one
 	// place.
@@ -165,12 +161,6 @@ type Host struct {
 	cfg    Config
 	shards []*shard
 	bufs   *tls12.RecordBufPool
-	// relayPool is the resolved relay crypto pool (cfg.RelayPool, or a
-	// host-owned one when cfg.RelayWorkers > 0); ownedPool is non-nil
-	// only in the latter case and is closed after the drain.
-	relayPool *core.RelayPool
-	ownedPool *core.RelayPool
-
 	// rr rotates the home shard for admissions.
 	rr atomic.Uint64
 
@@ -214,11 +204,6 @@ func New(cfg Config) (*Host, error) {
 		drainCh:   make(chan struct{}),
 		listeners: make(map[net.Listener]struct{}),
 	}
-	h.relayPool = cfg.RelayPool
-	if h.relayPool == nil && cfg.RelayWorkers > 0 {
-		h.ownedPool = core.NewRelayPool(cfg.RelayWorkers)
-		h.relayPool = h.ownedPool
-	}
 	gatePerShard := 0
 	switch {
 	case cfg.MaxHandshakes == 0:
@@ -260,12 +245,6 @@ func (h *Host) Shards() int { return len(h.shards) }
 // served by this host should be built with MiddleboxConfig.BufPool set
 // to it so relay memory is bounded by the pool, not by session count.
 func (h *Host) BufPool() *tls12.RecordBufPool { return h.bufs }
-
-// RelayPool returns the host's resolved relay crypto worker pool (the
-// registered external one, or the host-owned one when the Config asked
-// for RelayWorkers). Nil when the host has neither; middleboxes then
-// fall back to the process-wide shared pool.
-func (h *Host) RelayPool() *core.RelayPool { return h.relayPool }
 
 // Draining returns a channel closed when drain begins.
 func (h *Host) Draining() <-chan struct{} { return h.drainCh }
@@ -460,11 +439,6 @@ func (h *Host) Shutdown(ctx context.Context) error {
 	for _, ln := range lns {
 		ln.Close()
 	}
-	if firstClose && h.ownedPool != nil {
-		// Every shard drained, so no session can submit more jobs; the
-		// host-owned crypto workers can stop.
-		h.ownedPool.Close()
-	}
 	var err error
 	if deadline.Load() {
 		err = ctx.Err()
@@ -536,7 +510,7 @@ type Metrics struct {
 	BufPool tls12.RecordBufPoolStats
 	// RelayPool snapshots the relay crypto worker pool (worker
 	// utilization, pipeline depth, stalls, reseal latency quantiles)
-	// when the host has one registered or owned.
+	// when the host has one registered.
 	RelayPool *core.RelayPoolStats
 	// Handshake fast-path surfaces, present when the Config registered
 	// the corresponding resource.
@@ -564,8 +538,8 @@ func (h *Host) Snapshot() Metrics {
 		m.Middlebox = &st
 	}
 	m.BufPool = h.bufs.Stats()
-	if h.relayPool != nil {
-		st := h.relayPool.Stats()
+	if h.cfg.RelayPool != nil {
+		st := h.cfg.RelayPool.Stats()
 		m.RelayPool = &st
 	}
 	if p := h.cfg.KeySharePool; p != nil {
@@ -581,7 +555,3 @@ func (h *Host) Snapshot() Metrics {
 	}
 	return m
 }
-
-// Metrics snapshots the host. Alias of Snapshot, kept for callers that
-// predate sharding.
-func (h *Host) Metrics() Metrics { return h.Snapshot() }

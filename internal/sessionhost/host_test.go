@@ -188,7 +188,7 @@ func TestShutdownDrainsInFlightAndRefusesNew(t *testing.T) {
 	if err := <-shutdownErr; err != nil {
 		t.Fatalf("Shutdown = %v, want clean drain", err)
 	}
-	m := host.Metrics()
+	m := host.Snapshot()
 	if m.Completed != 1 || m.ForceClosed != 0 {
 		t.Errorf("completed=%d forceClosed=%d, want 1/0", m.Completed, m.ForceClosed)
 	}
@@ -271,7 +271,7 @@ func TestOverloadRefusal(t *testing.T) {
 	if err := host.Submit(c1); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "slot occupied", func() bool { return host.Metrics().ActiveSessions == 1 })
+	waitFor(t, "slot occupied", func() bool { return host.Snapshot().ActiveSessions == 1 })
 
 	// Local Submit beyond the cap.
 	c2, c2peer := net.Pipe()
@@ -313,7 +313,7 @@ func TestOverloadRefusal(t *testing.T) {
 		}
 	}
 
-	m := host.Metrics()
+	m := host.Snapshot()
 	if m.Overloaded < 2 {
 		t.Errorf("overloaded = %d, want >= 2", m.Overloaded)
 	}
@@ -395,7 +395,7 @@ func TestForceClosePastDeadlineLeaksNoGoroutines(t *testing.T) {
 	}()
 	<-established
 	waitFor(t, "session registered on both hosts", func() bool {
-		return mbHost.Metrics().ActiveSessions == 1 && srvHost.Metrics().ActiveSessions == 1
+		return mbHost.Snapshot().ActiveSessions == 1 && srvHost.Snapshot().ActiveSessions == 1
 	})
 
 	// Drain the middlebox host with a deadline the idle session cannot
@@ -405,7 +405,7 @@ func TestForceClosePastDeadlineLeaksNoGoroutines(t *testing.T) {
 	if err := mbHost.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("Shutdown past deadline = %v, want deadline exceeded", err)
 	}
-	if got := mbHost.Metrics().ForceClosed; got != 1 {
+	if got := mbHost.Snapshot().ForceClosed; got != 1 {
 		t.Errorf("forceClosed = %d, want 1", got)
 	}
 
@@ -470,7 +470,7 @@ func TestControlLifecycle(t *testing.T) {
 	if err := host.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if m := host.Metrics(); m.Completed != 2 || m.ActiveSessions != 0 {
+	if m := host.Snapshot(); m.Completed != 2 || m.ActiveSessions != 0 {
 		t.Errorf("completed=%d active=%d, want 2/0", m.Completed, m.ActiveSessions)
 	}
 	select {

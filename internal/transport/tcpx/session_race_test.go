@@ -217,7 +217,7 @@ func TestConcurrentSessionsOverTCP(t *testing.T) {
 	// with the client's Close, so poll briefly.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		m := mbHost.Metrics()
+		m := mbHost.Snapshot()
 		if m.Failed >= 1 || time.Now().After(deadline) {
 			if m.Accepted < raceSessions+1 {
 				t.Errorf("middlebox host admitted %d sessions, want >= %d", m.Accepted, raceSessions+1)

@@ -69,10 +69,10 @@ type (
 	// SessionHost and the middlebox it fronts.
 	RecordBufPool = tls12.RecordBufPool
 
-	// RelayPool is the host-scoped crypto worker pool behind the
-	// order-preserving parallel relay pipeline; RelayPoolStats is its
-	// metrics snapshot (utilization, pipeline depth, stalls, reseal
-	// latency quantiles).
+	// RelayPool is the host-scoped crypto worker pool a middlebox
+	// relay's pipelined jobs run on; RelayPoolStats is its metrics
+	// snapshot (utilization, pipeline depth, stalls, reseal latency
+	// quantiles).
 	RelayPool      = core.RelayPool
 	RelayPoolStats = core.RelayPoolStats
 
@@ -201,18 +201,9 @@ func NewRecordBufPool(maxRetained int) *RecordBufPool {
 
 // NewRelayPool starts a relay crypto worker pool; workers <= 0 derives
 // the count from GOMAXPROCS. Close it only after the sessions using it
-// have drained (a SessionHost with Config.RelayWorkers set does this
-// itself).
+// have drained.
 func NewRelayPool(workers int) *RelayPool {
 	return core.NewRelayPool(workers)
-}
-
-// ConfigureRelayWorkers sets the worker count the process-wide shared
-// relay pool is created with (0 = GOMAXPROCS-derived). It must run
-// before the first middlebox session relays data; it has no effect
-// once the shared pool exists.
-func ConfigureRelayWorkers(workers int) {
-	core.ConfigureSharedRelayPool(workers)
 }
 
 // NewKeySharePool builds a host-scoped X25519 precompute pool holding

@@ -20,9 +20,10 @@ gate go test ./...
 gate go vet ./...
 gate go test -race ./internal/core/ ./internal/tls12/ ./internal/netsim/ ./internal/sessionhost/ ./internal/hsfast/
 gate go test -race ./internal/transport/...
-# Parallel relay pipeline: the differential fuzzer's seed corpus plus
-# the both-directions fault race tests, explicitly, under -race.
-gate go test -race -run 'TestPipeline|FuzzParallelReseal' -count=1 ./internal/core/
+# The frozen benchmark module compiles against core's relay API; catch
+# a break here, not in the bench run.
+gate go build -C benchmark ./...
+gate go vet -C benchmark ./...
 gate go run ./cmd/mbtls-lint ./...
 # proxysig smoke: the full proxysig session/audit/failure-path suite on
 # netsim, then the quick handshake cells, which run both accountability
@@ -30,8 +31,8 @@ gate go run ./cmd/mbtls-lint ./...
 gate go test -run 'TestProxySig|TestAccountabilityMismatch' -count=1 ./internal/core/
 gate go run ./cmd/mbtls-bench handshake -quick
 gate go run ./cmd/mbtls-bench transport -quick
-# fig7 smoke: one serial and one pipelined cell end-to-end, so the
-# workers sweep can't rot between full bench runs.
+# fig7 smoke: the classic matrix plus one workers-sweep cell end-to-end,
+# so the sweep can't rot between full bench runs.
 gate go run ./cmd/mbtls-bench fig7 -quick
 
 echo "== gofmt -l ."
