@@ -8,9 +8,8 @@
 //	mbtls-bench fig7              Figure 7: SGX (non-)overhead on throughput
 //	mbtls-bench legacy            §5.1: legacy interoperability breakdown
 //	mbtls-bench design            §2: the design-space matrix, with live probes
-//	mbtls-bench sessions          session-host throughput/latency concurrency sweep
-//	mbtls-bench handshake         handshake fast path: full vs chain-ticket-resumed
-//	mbtls-bench transport         simulated (netsim) vs real (loopback TCP) comparison
+//	mbtls-bench sessions          chain sweep: session-host throughput/latency vs concurrency
+//	mbtls-bench handshake         chain sweep: full vs chain-ticket-resumed, attest vs proxysig
 //	mbtls-bench all               everything above
 //
 // The sessions and fig7 sweeps take -transport {netsim|tcp} to run the
@@ -18,6 +17,8 @@
 //
 // Absolute numbers depend on this machine; the shapes (who wins, by
 // roughly what factor) are what reproduce the paper. See EXPERIMENTS.md.
+// Regression numbers — environment-stamped, repeated, comparable run to
+// run — come from benchmark/ instead (`go run -C benchmark .`).
 package main
 
 import (
@@ -36,7 +37,6 @@ func main() {
 	scale := flag.Float64("scale", 0.1, "latency scale for fig6 (1.0 = real inter-DC latencies)")
 	window := flag.Duration("window", 250*time.Millisecond, "measurement window per fig7 cell")
 	boundary := flag.Duration("boundary-cost", time.Microsecond, "simulated SGX transition cost for fig7")
-	jsonOut := flag.Bool("json", false, "for fig7/sessions: also write BENCH_fig7.json / BENCH_sessions.json")
 	perWorker := flag.Int("sessions-per-worker", 0, "sessions each worker runs per concurrency level (0 = default)")
 	quick := flag.Bool("quick", false, "for handshake/sessions/fig7: shrink to a smoke-test run (CI gate)")
 	shards := flag.Int("shards", 0, "for sessions: session-host shard count (0 = GOMAXPROCS)")
@@ -46,7 +46,7 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile covering the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile at the end of the run to this file")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: mbtls-bench [flags] {design|table1|table2|fig5|fig6|fig7|legacy|sessions|handshake|transport|all}\n")
+		fmt.Fprintf(os.Stderr, "usage: mbtls-bench [flags] {design|table1|table2|fig5|fig6|fig7|legacy|sessions|handshake|all}\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -55,7 +55,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	// Accept flags after the subcommand too (mbtls-bench fig7 -json).
+	// Accept flags after the subcommand too (mbtls-bench fig7 -quick).
 	if flag.NArg() > 1 {
 		if err := flag.CommandLine.Parse(flag.Args()[1:]); err != nil {
 			os.Exit(2)
@@ -113,11 +113,6 @@ func main() {
 			cells, err := experiments.RunFig7(experiments.Fig7Options{Window: fig7Window, BoundaryCost: *boundary, Transport: *transportName, Quick: *quick})
 			exitOn(err)
 			fmt.Print(experiments.FormatFig7(cells))
-			if *jsonOut {
-				exitOn(experiments.AnnotateFig7Allocs(cells, *boundary))
-				exitOn(experiments.WriteFig7JSON("BENCH_fig7.json", cells))
-				fmt.Println("wrote BENCH_fig7.json")
-			}
 		case "legacy":
 			r, err := experiments.RunLegacy(experiments.LegacyOptions{})
 			exitOn(err)
@@ -125,7 +120,7 @@ func main() {
 		case "design":
 			fmt.Print(experiments.FormatDesignSpace(experiments.DesignSpace()))
 		case "sessions":
-			rep, err := experiments.RunSessions(experiments.SessionsOptions{
+			rep, err := experiments.RunSessions(experiments.ChainOptions{
 				SessionsPerWorker: *perWorker,
 				Shards:            *shards,
 				Transport:         *transportName,
@@ -139,30 +134,14 @@ func main() {
 				})
 				exitOn(err)
 			}
-			fmt.Print(experiments.FormatSessions(rep))
-			if *jsonOut {
-				exitOn(experiments.WriteSessionsJSON("BENCH_sessions.json", rep))
-				fmt.Println("wrote BENCH_sessions.json")
-			}
-		case "transport":
-			rep, err := experiments.RunTransportCompare(*quick)
-			exitOn(err)
-			fmt.Print(experiments.FormatTransport(rep))
-			if *jsonOut {
-				exitOn(experiments.WriteTransportJSON("BENCH_transport.json", rep))
-				fmt.Println("wrote BENCH_transport.json")
-			}
+			fmt.Print(experiments.FormatChain(rep))
 		case "handshake":
-			rows, err := experiments.RunHandshake(experiments.HandshakeOptions{
+			rep, err := experiments.RunHandshake(experiments.ChainOptions{
 				SessionsPerWorker: *perWorker,
 				Quick:             *quick,
 			})
 			exitOn(err)
-			fmt.Print(experiments.FormatHandshake(rows))
-			if *jsonOut {
-				exitOn(experiments.WriteHandshakeJSON("BENCH_handshake.json", rows))
-				fmt.Println("wrote BENCH_handshake.json")
-			}
+			fmt.Print(experiments.FormatChain(rep))
 		default:
 			fmt.Fprintf(os.Stderr, "mbtls-bench: unknown experiment %q\n", name)
 			flag.Usage()
@@ -172,7 +151,7 @@ func main() {
 	}
 
 	if cmd == "all" {
-		for _, name := range []string{"design", "table1", "table2", "fig5", "fig6", "fig7", "legacy", "sessions", "handshake", "transport"} {
+		for _, name := range []string{"design", "table1", "table2", "fig5", "fig6", "fig7", "legacy", "sessions", "handshake"} {
 			run(name)
 		}
 		return

@@ -2,9 +2,7 @@ package core
 
 import (
 	"crypto/rand"
-	"fmt"
 	"io"
-	"runtime"
 
 	"repro/internal/enclave"
 	"repro/internal/tls12"
@@ -125,63 +123,6 @@ func (h *BenchHarness) DrainWire(buf []byte) (int, error) {
 		buf = buf[tls12.RecordHeaderLen+length:]
 	}
 	return total, nil
-}
-
-// Fig7MeasureAllocs runs rounds batches of batch records of size
-// bufSize through a fresh harness and reports the steady-state heap
-// allocations per middlebox operation (one processed record), measured
-// with runtime.MemStats. It backs the allocs/op column of the
-// machine-readable Figure 7 baseline.
-func Fig7MeasureAllocs(encl *enclave.Enclave, suite uint16, reencrypt bool, bufSize, batch, rounds int) (float64, error) {
-	h, err := NewBenchHarness(encl, suite, reencrypt)
-	if err != nil {
-		return 0, err
-	}
-	plaintext := RandomPlaintext(bufSize)
-	srcBuf := make([]byte, 0, batch*(tls12.RecordHeaderLen+bufSize+64))
-	dst := make([]byte, 0, cap(srcBuf))
-	recs := make([]tls12.RawRecord, 0, batch)
-
-	run := func() error {
-		srcBuf = srcBuf[:0]
-		recs = recs[:0]
-		for i := 0; i < batch; i++ {
-			var rec tls12.RawRecord
-			srcBuf, rec = h.SealInto(srcBuf, plaintext)
-			recs = append(recs, rec)
-		}
-		var n int
-		dst, n, err = h.ProcessBatch(recs, dst[:0])
-		if err != nil {
-			return err
-		}
-		if n != batch && !h.reencrypt {
-			return fmt.Errorf("core: bench processed %d of %d records", n, batch)
-		}
-		_, err = h.DrainWire(dst)
-		return err
-	}
-	// Warm up buffers and pools outside the measured region.
-	for i := 0; i < 3; i++ {
-		if err := run(); err != nil {
-			return 0, err
-		}
-	}
-	before := heapMallocs()
-	for i := 0; i < rounds; i++ {
-		if err := run(); err != nil {
-			return 0, err
-		}
-	}
-	after := heapMallocs()
-	return float64(after-before) / float64(rounds*batch), nil
-}
-
-// heapMallocs snapshots the cumulative heap allocation count.
-func heapMallocs() uint64 {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.Mallocs
 }
 
 // RandomPlaintext returns a buffer of random bytes for the workload

@@ -112,7 +112,7 @@ type MiddleboxStats struct {
 	FaultsObserved  int64 // sessions torn down by a fault-classified error
 	SessionsResumed int64 // secondary handshakes resumed from hop tickets
 	ProxySig        int64 // sessions joined under proxysig accountability
-	EvidenceSigned  int64 // signed evidence statements served to endpoints
+	EvidenceSigned  int64 // evidence statements signed for endpoints
 }
 
 // Middlebox is an mbTLS application-layer middlebox: it relays a TCP
@@ -1276,10 +1276,13 @@ func (s *mbSession) serveEvidence(conn *tls12.Conn) {
 			conn.SendAlert(tls12.AlertInternalError)
 			return
 		}
+		// Counted once signed, before the write: the endpoint's Close
+		// returns as soon as it has read the evidence, and a reader of
+		// Stats right after must already see it.
+		s.mb.evidenceSigned.Add(1)
 		if err := conn.WriteKeyMaterial(acctFrame(acctFrameEvidence, blob)); err != nil {
 			return
 		}
-		s.mb.evidenceSigned.Add(1)
 	}
 }
 

@@ -1,0 +1,608 @@
+package experiments
+
+import (
+	"fmt"
+	"net"
+	"runtime"
+	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/certs"
+	"repro/internal/core"
+	"repro/internal/enclave"
+	"repro/internal/hsfast"
+	"repro/internal/sessionhost"
+	"repro/internal/tls12"
+)
+
+// The chain sweeps measure one topology — client → hosted middlebox →
+// hosted origin, the daemons' production configuration — two ways.
+// `sessions` asks how the session-host runtime holds up as concurrency
+// grows; `handshake` asks what the chain-ticket fast path and each
+// accountability mode cost at establishment. Both are cell tables
+// handed to one builder (newChainEnv) and one driver (runCell).
+
+// SessionsLevels is the default concurrency sweep of the sessions
+// table. The high levels (256, 1024) oversubscribe any realistic core
+// count, so they measure how the sharded admission path and the
+// handshake gate behave when the host is the bottleneck, not the
+// clients.
+var SessionsLevels = []int{4, 16, 64, 256, 1024}
+
+// HandshakeLevels is the default concurrency sweep of the handshake
+// table. 16-way is the acceptance point: resumed chains should sustain
+// at least twice the sessions/sec of full chains at half the p50.
+var HandshakeLevels = []int{4, 16}
+
+// ChainOptions tunes a chain sweep.
+type ChainOptions struct {
+	// Levels overrides the table's concurrency sweep.
+	Levels []int
+	// SessionsPerWorker is how many sequential sessions each worker
+	// runs per cell (default 8 for sessions, 16 for handshake).
+	SessionsPerWorker int
+	// Shards overrides the hosts' shard count (default GOMAXPROCS).
+	Shards int
+	// Transport selects the byte-moving backend: TransportNetsim
+	// (default) or TransportTCP, the same topology over loopback kernel
+	// sockets with SO_REUSEPORT per-shard listeners.
+	Transport string
+	// Quick shrinks the run to a smoke test (one 4-way level, two
+	// sessions per worker) and skips the keyshare hit-rate gate.
+	Quick bool
+}
+
+// resolve applies the table's defaults and the Quick override.
+func (o ChainOptions) resolve(levels []int, perWorker int) ChainOptions {
+	if len(o.Levels) == 0 {
+		o.Levels = levels
+	}
+	if o.SessionsPerWorker <= 0 {
+		o.SessionsPerWorker = perWorker
+	}
+	if o.Shards <= 0 {
+		o.Shards = runtime.GOMAXPROCS(0)
+	}
+	if o.Quick {
+		o.Levels, o.SessionsPerWorker = []int{4}, 2
+	}
+	return o
+}
+
+// ChainRow is one measured cell.
+type ChainRow struct {
+	// Accountability is the negotiated mode: "attest" (enclave quotes
+	// during the secondary handshake) or "proxysig" (delegation warrants
+	// at establishment, signed evidence at close).
+	Accountability string
+	// Mode is "full" (complete chain handshakes) or "resumed" (every
+	// measured session redeems the previous one's chain ticket).
+	Mode string
+	// Concurrency is how many workers ran sessions at once.
+	Concurrency int
+	// Sessions is the number of completed measured sessions.
+	Sessions int
+	// SessionsPerSec is sustained whole-session throughput
+	// (establishment + one echo round trip + teardown).
+	SessionsPerSec float64
+	// HandshakeP50Ms / HandshakeP99Ms are client-observed chain
+	// establishment latency percentiles in milliseconds.
+	HandshakeP50Ms float64
+	HandshakeP99Ms float64
+	// ResumedPrimary / ResumedHops count measured sessions that took
+	// the chain-ticket fast path (zero in full mode by construction).
+	ResumedPrimary int64
+	ResumedHops    int64
+	// KeyShareHitRate, VerifyCacheHitRate and PoolHitRate are the
+	// middlebox keyshare pool's, the client chain-verification cache's
+	// and the host-scoped record-buffer pool's hit rates over the cell,
+	// seeding burst included: that burst is exactly the load the
+	// keyshare pool exists to absorb.
+	KeyShareHitRate    float64
+	VerifyCacheHitRate float64
+	PoolHitRate        float64
+	// SpeedupVsFull is a resumed row's sessions/sec over the full row's
+	// at the same accountability and concurrency (zero when the table
+	// has no such row).
+	SpeedupVsFull float64
+}
+
+// ChainReport is one chain sweep's result.
+type ChainReport struct {
+	// Title heads the formatted table.
+	Title string
+	// Shards and Transport are the hosts' shard count and the backend
+	// the sweep ran over.
+	Shards    int
+	Transport string
+	Rows      []ChainRow
+	// Soak is the idle-session soak result (`sessions -soak` only).
+	Soak *SoakRow
+
+	// Whole-run counters the tables gate on.
+	keyShares      hsfast.KeySharePoolStats
+	evidenceSigned int64
+}
+
+// echoBufs pools the bench origin's echo buffers. The echo handler is
+// per-session; allocating (and zeroing) a fresh 64 KiB buffer for each
+// of tens of thousands of sessions was a measurable slice of bench CPU
+// that said nothing about the protocol under test.
+var echoBufs = sync.Pool{
+	New: func() any {
+		b := make([]byte, 64<<10)
+		return &b
+	},
+}
+
+// echoSession echoes everything read back to the peer through a pooled
+// buffer until the session ends.
+func echoSession(s *core.Session) error {
+	bp := echoBufs.Get().(*[]byte)
+	defer echoBufs.Put(bp)
+	buf := *bp
+	for {
+		nr, err := s.Read(buf)
+		if err != nil {
+			return err
+		}
+		if _, err := s.Write(buf[:nr]); err != nil {
+			return err
+		}
+	}
+}
+
+// chainHop is one accountability mode's way into the chain: the
+// middlebox serving it and the client's dial func to that middlebox's
+// host.
+type chainHop struct {
+	mb   *core.Middlebox
+	dial func() (net.Conn, error)
+}
+
+// chainEnv is the running topology every cell shares: a ticket-issuing
+// origin host behind one middlebox host per accountability mode, and
+// the client-side caches every worker shares. The attest chain is the
+// one benchmark/ measures: an enclave-hosted middlebox the client
+// requires a quote from, checked through a cached verifier; a
+// shard-sized keyshare pool; a host-scoped record-buffer pool; a STEK
+// per host, registered with it. The proxysig middlebox shares the
+// certificate and both pools but runs outside an enclave —
+// accountability there comes from delegation warrants and signed
+// evidence.
+type chainEnv struct {
+	fab      *fabric
+	ca       *certs.CA
+	verifier *enclave.Verifier
+	chainVC  *hsfast.VerifyCache
+	ksPool   *hsfast.KeySharePool
+	bufPool  *tls12.RecordBufPool
+	hosts    []*sessionhost.Host
+	hops     map[core.Accountability]chainHop
+}
+
+// Close drains every host (which closes its listeners) and stops the
+// keyshare pool. It is the teardown of a running chain and of one whose
+// construction failed partway.
+func (e *chainEnv) Close() {
+	for _, h := range e.hosts {
+		h.Close() //nolint:errcheck
+	}
+	if e.ksPool != nil {
+		e.ksPool.Close()
+	}
+}
+
+// newChainEnv builds the chain with one middlebox host per mode in
+// accts, sized for maxLevel concurrent clients, and starts serving.
+func newChainEnv(accts []core.Accountability, maxLevel, shards int, trName string) (_ *chainEnv, err error) {
+	env := &chainEnv{hops: make(map[core.Accountability]chainHop)}
+	defer func() {
+		if err != nil {
+			env.Close()
+		}
+	}()
+
+	if env.ca, err = certs.NewCA("chain root"); err != nil {
+		return nil, err
+	}
+	serverCert, err := env.ca.Issue("origin.example", []string{"origin.example"}, nil)
+	if err != nil {
+		return nil, err
+	}
+	mbCert, err := env.ca.Issue("mb.example", []string{"mb.example"}, nil)
+	if err != nil {
+		return nil, err
+	}
+	authority, err := enclave.NewAuthority()
+	if err != nil {
+		return nil, err
+	}
+	platform, err := authority.NewPlatform()
+	if err != nil {
+		return nil, err
+	}
+	env.verifier = &enclave.Verifier{
+		Authority: authority.PublicKey(),
+		Cache:     hsfast.NewVerifyCache(64, time.Hour, nil),
+	}
+	env.chainVC = hsfast.NewVerifyCache(64, time.Hour, nil)
+	// Admission cap: the daemons' default, or twice the clients once the
+	// sweep outgrows it. Host teardown lags the client's next dial, so a
+	// cap near the client count refuses the odd session, and a refusal
+	// here is a failed cell, not load shedding.
+	maxSessions := max(2*maxLevel, sessionhost.DefaultMaxSessions)
+	env.bufPool = tls12.NewRecordBufPool(maxSessions)
+	env.ksPool = hsfast.NewKeySharePoolForShards(shards)
+
+	if env.fab, err = newFabric(trName, env.bufPool); err != nil {
+		return nil, err
+	}
+
+	srvSTEK, err := hsfast.NewSTEK(time.Hour, nil)
+	if err != nil {
+		return nil, err
+	}
+	scfg := &core.ServerConfig{
+		TLS:               &tls12.Config{Certificate: serverCert, EnableTickets: true, TicketKeys: srvSTEK},
+		AcceptMiddleboxes: true,
+		MiddleboxTLS:      &tls12.Config{RootCAs: env.ca.Pool()},
+		HandshakeTimeout:  30 * time.Second,
+	}
+	srvAddr, err := env.serve("server", sessionhost.Config{
+		Name:        "chain-origin",
+		MaxSessions: maxSessions,
+		Shards:      shards,
+		Handler:     sessionhost.NewServerHandler(scfg, echoSession),
+		TicketKeys:  srvSTEK,
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	for _, acct := range accts {
+		node := "mb-" + acct.String()
+		stek, err := hsfast.NewSTEK(time.Hour, nil)
+		if err != nil {
+			return nil, err
+		}
+		mbCfg := core.MiddleboxConfig{
+			Name:           "mb.example",
+			Mode:           core.ClientSide,
+			Certificate:    mbCert,
+			Accountability: acct,
+			BufPool:        env.bufPool,
+			TicketKeys:     stek,
+			KeyShares:      env.ksPool,
+		}
+		if acct == core.AccountAttest {
+			mbCfg.Enclave = platform.CreateEnclave(enclave.CodeImage{Name: "mbtls-proxy", Version: "1.0"})
+		}
+		mb, err := core.NewMiddlebox(mbCfg)
+		if err != nil {
+			return nil, err
+		}
+		addr, err := env.serve(node, sessionhost.Config{
+			Name:           "chain-" + node,
+			MaxSessions:    maxSessions,
+			Shards:         shards,
+			BufPool:        env.bufPool,
+			Handler:        sessionhost.NewMiddleboxHandler(mb, env.fab.dialer(node, srvAddr)),
+			MiddleboxStats: mb.Stats,
+			KeySharePool:   env.ksPool,
+			TicketKeys:     stek,
+		})
+		if err != nil {
+			return nil, err
+		}
+		env.hops[acct] = chainHop{mb: mb, dial: env.fab.dialer("client", addr)}
+	}
+	return env, nil
+}
+
+// serve binds node's listeners, starts a host on them and returns the
+// address it is reached at. The host is Close's from here on.
+func (e *chainEnv) serve(node string, cfg sessionhost.Config) (string, error) {
+	lns, addr, err := e.fab.listen(node, cfg.Shards)
+	if err != nil {
+		return "", err
+	}
+	h, err := sessionhost.New(cfg)
+	if err != nil {
+		for _, ln := range lns {
+			ln.Close()
+		}
+		return "", err
+	}
+	e.hosts = append(e.hosts, h)
+	go h.ServeListeners(lns) //nolint:errcheck
+	return addr, nil
+}
+
+// session runs one complete client session under acct: establish
+// (timed; redeeming *ct when resume is set), one echo round trip,
+// close — which under proxysig collects and audits the middlebox's
+// evidence. *ct receives the session's reissued chain ticket.
+func (e *chainEnv) session(acct core.Accountability, resume bool, ct **core.ChainTicket,
+	payload []byte) (time.Duration, core.SessionStats, error) {
+
+	conn, err := e.hops[acct].dial()
+	if err != nil {
+		return 0, core.SessionStats{}, err
+	}
+	ccfg := &core.ClientConfig{
+		TLS: &tls12.Config{
+			RootCAs:     e.ca.Pool(),
+			ServerName:  "origin.example",
+			VerifyCache: e.chainVC,
+		},
+		Accountability:   acct,
+		HandshakeTimeout: 30 * time.Second,
+		OnNewChainTicket: func(c *core.ChainTicket) { *ct = c },
+	}
+	if resume {
+		ccfg.ChainTicket = *ct
+	}
+	if acct == core.AccountAttest {
+		ccfg.RequireMiddleboxAttestation = true
+		ccfg.MiddleboxVerifier = e.verifier
+	}
+	start := time.Now()
+	sess, err := core.Dial(conn, ccfg)
+	if err != nil {
+		conn.Close()
+		return 0, core.SessionStats{}, err
+	}
+	hs := time.Since(start)
+	defer sess.Close()
+	if _, err := sess.Write(payload); err != nil {
+		return 0, core.SessionStats{}, err
+	}
+	buf := make([]byte, len(payload))
+	for total := 0; total < len(buf); {
+		nr, err := sess.Read(buf[total:])
+		total += nr
+		if err != nil {
+			return 0, core.SessionStats{}, err
+		}
+	}
+	return hs, sess.Stats(), nil
+}
+
+// chainCell names one measurement: which middlebox, full or resumed
+// establishment, how many concurrent workers.
+type chainCell struct {
+	acct    core.Accountability
+	resumed bool
+	level   int
+}
+
+func (c chainCell) mode() string {
+	if c.resumed {
+		return "resumed"
+	}
+	return "full"
+}
+
+func (c chainCell) String() string { return fmt.Sprintf("%s/%s@%d", c.acct, c.mode(), c.level) }
+
+// eachWorker runs fn on n goroutines and returns the first error.
+func eachWorker(n int, fn func(w int) error) error {
+	errs := make(chan error, n)
+	var wg sync.WaitGroup
+	for w := 0; w < n; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			if err := fn(w); err != nil {
+				errs <- fmt.Errorf("worker %d: %w", w, err)
+			}
+		}(w)
+	}
+	wg.Wait()
+	select {
+	case err := <-errs:
+		return err
+	default:
+		return nil
+	}
+}
+
+// hitRate is hits/lookups over a window, given as counter deltas.
+func hitRate[T int64 | uint64](hits, lookups T) float64 {
+	if lookups == 0 {
+		return 0
+	}
+	return float64(hits) / float64(lookups)
+}
+
+// runCell drives one cell: cell.level workers each run perWorker
+// sessions back to back through the shared hosts, and the timings are
+// reduced to a row. A resumed cell first seeds every worker's chain
+// ticket with one full session before the clock starts; each measured
+// session then redeems the previous one's reissue, the way a
+// production client does.
+func runCell(env *chainEnv, cell chainCell, perWorker int, payload []byte) (ChainRow, error) {
+	row := ChainRow{Accountability: cell.acct.String(), Mode: cell.mode(), Concurrency: cell.level}
+	ks0, vc0, pool0 := env.ksPool.Stats(), env.chainVC.Stats(), env.bufPool.Stats()
+
+	tickets := make([]*core.ChainTicket, cell.level)
+	if cell.resumed {
+		err := eachWorker(cell.level, func(w int) error {
+			_, _, err := env.session(cell.acct, false, &tickets[w], payload)
+			return err
+		})
+		if err != nil {
+			return row, fmt.Errorf("seed: %w", err)
+		}
+	}
+
+	latencies := make([]time.Duration, cell.level*perWorker) // worker w owns [w*perWorker, (w+1)*perWorker)
+	var resumedPrimary, resumedHops atomic.Int64
+	start := time.Now()
+	err := eachWorker(cell.level, func(w int) error {
+		for i := 0; i < perWorker; i++ {
+			hs, st, err := env.session(cell.acct, cell.resumed, &tickets[w], payload)
+			if err != nil {
+				return fmt.Errorf("session %d: %w", i, err)
+			}
+			latencies[w*perWorker+i] = hs
+			resumedPrimary.Add(st.ResumedPrimary)
+			resumedHops.Add(st.ResumedHops)
+		}
+		return nil
+	})
+	elapsed := time.Since(start)
+	if err != nil {
+		return row, err
+	}
+	row.ResumedPrimary, row.ResumedHops = resumedPrimary.Load(), resumedHops.Load()
+	if cell.resumed && (row.ResumedPrimary == 0 || row.ResumedHops == 0) {
+		return row, fmt.Errorf("no session took the fast path (resumed primary=%d hops=%d)",
+			row.ResumedPrimary, row.ResumedHops)
+	}
+
+	slices.Sort(latencies)
+	row.Sessions = len(latencies)
+	row.SessionsPerSec = float64(row.Sessions) / elapsed.Seconds()
+	row.HandshakeP50Ms = float64(percentileDuration(latencies, 0.50)) / float64(time.Millisecond)
+	row.HandshakeP99Ms = float64(percentileDuration(latencies, 0.99)) / float64(time.Millisecond)
+	ks1, vc1, pool1 := env.ksPool.Stats(), env.chainVC.Stats(), env.bufPool.Stats()
+	row.KeyShareHitRate = hitRate(ks1.Hits-ks0.Hits, ks1.Hits+ks1.Misses-ks0.Hits-ks0.Misses)
+	row.VerifyCacheHitRate = hitRate(vc1.Hits-vc0.Hits, vc1.Hits+vc1.Misses-vc0.Hits-vc0.Misses)
+	row.PoolHitRate = hitRate(pool1.Hits-pool0.Hits, pool1.Gets-pool0.Gets)
+	return row, nil
+}
+
+// runChainTable builds the chain the cells need and drives each cell
+// in order. The report carries the whole-run counters the tables gate
+// on, read while the chain still runs.
+func runChainTable(title string, opts ChainOptions, payloadBytes int, cells []chainCell) (*ChainReport, error) {
+	var accts []core.Accountability
+	maxLevel := 0
+	for _, c := range cells {
+		if !slices.Contains(accts, c.acct) {
+			accts = append(accts, c.acct)
+		}
+		maxLevel = max(maxLevel, c.level)
+	}
+	env, err := newChainEnv(accts, maxLevel, opts.Shards, opts.Transport)
+	if err != nil {
+		return nil, err
+	}
+	defer env.Close()
+
+	rep := &ChainReport{Title: title, Shards: opts.Shards, Transport: env.fab.name}
+	payload := core.RandomPlaintext(payloadBytes)
+	for _, cell := range cells {
+		row, err := runCell(env, cell, opts.SessionsPerWorker, payload)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", cell, err)
+		}
+		rep.Rows = append(rep.Rows, row)
+	}
+	rep.keyShares = env.ksPool.Stats()
+	for _, hop := range env.hops {
+		rep.evidenceSigned += hop.mb.Stats().EvidenceSigned
+	}
+	return rep, nil
+}
+
+// RunSessions measures the sessionhost runtime under concurrent
+// session churn: one attest/resumed cell per concurrency level with a
+// 4 KiB echo, so the rows exercise admission, the handshake gate,
+// resumption and teardown together. The keyshare pool's whole-run hit
+// rate gates the result: a sag there means the pool is
+// under-provisioned for the shard count.
+func RunSessions(opts ChainOptions) (*ChainReport, error) {
+	opts = opts.resolve(SessionsLevels, 8)
+	var cells []chainCell
+	for _, level := range opts.Levels {
+		cells = append(cells, chainCell{core.AccountAttest, true, level})
+	}
+	rep, err := runChainTable("Session host: concurrent full-session throughput", opts, 4096, cells)
+	if err != nil {
+		return nil, err
+	}
+	if st := rep.keyShares; !opts.Quick && st.Hits+st.Misses > 0 && st.HitRate() < 0.90 {
+		return nil, fmt.Errorf("sessions: keyshare pool hit rate %.3f below the 0.90 gate "+
+			"(capacity %d, workers %d — pool under-provisioned for %d shard(s))",
+			st.HitRate(), st.Capacity, st.Workers, opts.Shards)
+	}
+	return rep, nil
+}
+
+// RunHandshake measures the handshake fast path: full chain
+// establishment (primary + middlebox hop, every signature and
+// verification live) against chain-ticket resumption of the same
+// topology, at each concurrency level and under each accountability
+// mode, with a 256 B echo so establishment dominates. The
+// attest-vs-proxysig comparison shows what each trust mechanism costs
+// at establishment time.
+func RunHandshake(opts ChainOptions) (*ChainReport, error) {
+	opts = opts.resolve(HandshakeLevels, 16)
+	var cells []chainCell
+	for _, acct := range []core.Accountability{core.AccountAttest, core.AccountProxySig} {
+		for _, level := range opts.Levels {
+			cells = append(cells, chainCell{acct, false, level}, chainCell{acct, true, level})
+		}
+	}
+	rep, err := runChainTable("Handshake fast path: full vs chain-ticket-resumed, attest vs proxysig", opts, 256, cells)
+	if err != nil {
+		return nil, err
+	}
+	// Every proxysig session audits its middlebox at close; a sweep that
+	// completed without signed evidence would mean the mode silently
+	// degraded, so fail loudly rather than report hollow numbers.
+	if rep.evidenceSigned == 0 {
+		return nil, fmt.Errorf("handshake proxysig: no middlebox evidence was signed")
+	}
+	// Cells come in full/resumed pairs.
+	for i := 0; i+1 < len(rep.Rows); i += 2 {
+		if full := rep.Rows[i].SessionsPerSec; full > 0 {
+			rep.Rows[i+1].SpeedupVsFull = rep.Rows[i+1].SessionsPerSec / full
+		}
+	}
+	return rep, nil
+}
+
+// percentileDuration returns the p-quantile of an already-sorted
+// slice (nearest-rank).
+func percentileDuration(sorted []time.Duration, p float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	i := int(float64(len(sorted)) * p)
+	if i >= len(sorted) {
+		i = len(sorted) - 1
+	}
+	return sorted[i]
+}
+
+// FormatChain renders a chain sweep.
+func FormatChain(rep *ChainReport) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s (%d shard(s), %s transport)\n", rep.Title, rep.Shards, rep.Transport)
+	fmt.Fprintf(&b, "%-8s | %-7s | %-11s | %8s | %12s | %9s | %9s | %7s | %6s | %6s | %8s | %7s\n",
+		"Acct", "Mode", "Concurrency", "Sessions", "Sessions/sec", "HS p50", "HS p99",
+		"Resumed", "KS hit", "VC hit", "Pool hit", "Speedup")
+	fmt.Fprintf(&b, "%s\n", strings.Repeat("-", 134))
+	for _, r := range rep.Rows {
+		speedup := ""
+		if r.SpeedupVsFull > 0 {
+			speedup = fmt.Sprintf("%.2fx", r.SpeedupVsFull)
+		}
+		fmt.Fprintf(&b, "%-8s | %-7s | %-11d | %8d | %12.1f | %7.2fms | %7.2fms | %7d | %5.0f%% | %5.0f%% | %7.0f%% | %7s\n",
+			r.Accountability, r.Mode, r.Concurrency, r.Sessions, r.SessionsPerSec,
+			r.HandshakeP50Ms, r.HandshakeP99Ms, r.ResumedPrimary,
+			100*r.KeyShareHitRate, 100*r.VerifyCacheHitRate, 100*r.PoolHitRate, speedup)
+	}
+	if rep.Soak != nil {
+		b.WriteString("\n")
+		b.WriteString(FormatSoak(rep.Soak))
+	}
+	return b.String()
+}

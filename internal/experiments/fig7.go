@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 	"sync"
 	"time"
@@ -28,28 +26,24 @@ var Fig7WorkersBufSizes = []int{4096, 16384}
 
 // Fig7Cell is one configuration × buffer-size measurement.
 type Fig7Cell struct {
-	Encryption bool `json:"encryption"`
-	Enclave    bool `json:"enclave"`
-	BufSize    int  `json:"buf_size"`
+	Encryption bool
+	Enclave    bool
+	BufSize    int
 	// Workers distinguishes relay-pipeline sweep cells: 0 is a classic
 	// matrix cell (the shared pool), N>0 a dedicated N-worker pool.
-	Workers int `json:"workers,omitempty"`
+	Workers int
 	// Gbps is the delivered application throughput through the
 	// middlebox.
-	Gbps float64 `json:"gbps"`
+	Gbps float64
 	// Transitions counts enclave boundary crossings during the
 	// measurement window (zero without an enclave).
-	Transitions int64 `json:"transitions"`
-	// AllocsPerOp is the steady-state heap allocations per processed
-	// record on the isolated middlebox stage (see WriteFig7JSON); the
-	// zero-allocation pipeline targets 0.
-	AllocsPerOp float64 `json:"allocs_per_op"`
+	Transitions int64
 	// ResealP50Micros/ResealP99Micros are per-job submit→commit reseal
 	// latency quantiles in microseconds, present on workers-sweep cells
 	// with a dedicated pool (the throughput-vs-latency tradeoff of
 	// deeper pipelines).
-	ResealP50Micros float64 `json:"reseal_p50_us,omitempty"`
-	ResealP99Micros float64 `json:"reseal_p99_us,omitempty"`
+	ResealP50Micros float64
+	ResealP99Micros float64
 }
 
 // Fig7Options tunes the run.
@@ -141,7 +135,7 @@ func RunFig7(opts Fig7Options) ([]Fig7Cell, error) {
 	}
 	platform.SetBoundaryCost(boundaryCost)
 
-	fab, err := newConnFab(opts.Transport)
+	fab, err := newFabric(opts.Transport, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -180,7 +174,7 @@ func RunFig7(opts Fig7Options) ([]Fig7Cell, error) {
 // fixed-size chunks through one middlebox to a sink server for the
 // window duration.
 func fig7Cell(ca *certs.CA, serverCert, mbCert *tls12.Certificate, platform *enclave.Platform,
-	fab *connFab, encryption, useEnclave bool, bufSize, workers, streams int, window time.Duration) (Fig7Cell, error) {
+	fab *fabric, encryption, useEnclave bool, bufSize, workers, streams int, window time.Duration) (Fig7Cell, error) {
 
 	cell := Fig7Cell{Encryption: encryption, Enclave: useEnclave, BufSize: bufSize, Workers: workers}
 
@@ -351,50 +345,6 @@ func fig7Cell(ca *certs.CA, serverCert, mbCert *tls12.Certificate, platform *enc
 		cell.Transitions = encl.Transitions() - startTransitions
 	}
 	return cell, nil
-}
-
-// AnnotateFig7Allocs fills each cell's AllocsPerOp by running the
-// isolated middlebox stage (the BenchHarness batch pipeline, the same
-// unit BenchmarkDataPlane times) under a heap-allocation counter. The
-// boundary cost matches the throughput run so the enclave cells
-// exercise the identical code path.
-func AnnotateFig7Allocs(cells []Fig7Cell, boundaryCost time.Duration) error {
-	if boundaryCost <= 0 {
-		boundaryCost = time.Microsecond
-	}
-	authority, err := enclave.NewAuthority()
-	if err != nil {
-		return err
-	}
-	platform, err := authority.NewPlatform()
-	if err != nil {
-		return err
-	}
-	platform.SetBoundaryCost(boundaryCost)
-	const suite = tls12.TLS_ECDHE_ECDSA_WITH_AES_256_GCM_SHA384
-	for i := range cells {
-		var encl *enclave.Enclave
-		if cells[i].Enclave {
-			encl = platform.CreateEnclave(enclave.CodeImage{Name: "fig7-allocs", Version: "1.0"})
-		}
-		allocs, err := core.Fig7MeasureAllocs(encl, suite, cells[i].Encryption, cells[i].BufSize, 16, 50)
-		if err != nil {
-			return fmt.Errorf("fig7 allocs enc=%v sgx=%v buf=%d: %w",
-				cells[i].Encryption, cells[i].Enclave, cells[i].BufSize, err)
-		}
-		cells[i].AllocsPerOp = allocs
-	}
-	return nil
-}
-
-// WriteFig7JSON writes the cells as a machine-readable baseline
-// (BENCH_fig7.json) so future changes can track the perf trajectory.
-func WriteFig7JSON(path string, cells []Fig7Cell) error {
-	data, err := json.MarshalIndent(cells, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // FormatFig7 renders the cells as the paper's Figure 7 series, followed

@@ -27,28 +27,25 @@ type SoakOptions struct {
 // bounded per-session memory, and then drain them all promptly?
 type SoakRow struct {
 	// Sessions is how many sessions were admitted and held live.
-	Sessions int `json:"sessions"`
+	Sessions int
 	// Shards is the host's shard count.
-	Shards int `json:"shards"`
+	Shards int
 	// AdmitP50Us / AdmitP99Us are per-Submit admission latency
 	// percentiles in microseconds, measured across every admission
 	// while the registry grows to its full size.
-	AdmitP50Us float64 `json:"admit_p50_us"`
-	AdmitP99Us float64 `json:"admit_p99_us"`
+	AdmitP50Us float64
+	AdmitP99Us float64
 	// BytesPerSession is steady-state heap growth divided by session
 	// count (GC-settled before and after admission).
-	BytesPerSession float64 `json:"bytes_per_session"`
+	BytesPerSession float64
 	// HeapSteadyMB is the absolute GC-settled heap with every session
 	// live, for eyeballing the envelope.
-	HeapSteadyMB float64 `json:"heap_steady_mb"`
+	HeapSteadyMB float64
 	// DrainMs is how long Shutdown took to drain every live session.
-	DrainMs float64 `json:"drain_ms"`
+	DrainMs float64
 	// ForceClosed counts sessions the drain deadline had to kill
 	// (zero: idle handlers exit on the drain signal).
-	ForceClosed uint64 `json:"force_closed"`
-	// LeakedGoroutines is the goroutine-count delta once the host shut
-	// down (zero after a clean drain).
-	LeakedGoroutines int `json:"leaked_goroutines"`
+	ForceClosed uint64
 }
 
 // soakConn is the cheapest possible net.Conn: the soak measures the
@@ -197,11 +194,11 @@ func gcSettle() {
 func FormatSoak(r *SoakRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Session host: idle-session soak (%d shard(s))\n", r.Shards)
-	fmt.Fprintf(&b, "%-10s | %10s | %10s | %10s | %10s | %9s | %7s\n",
-		"Sessions", "Admit p50", "Admit p99", "B/session", "Heap", "Drain", "Leaked")
-	fmt.Fprintf(&b, "%s\n", strings.Repeat("-", 84))
-	fmt.Fprintf(&b, "%-10d | %8.1fus | %8.1fus | %10.0f | %8.1fMB | %7.1fms | %7d\n",
+	fmt.Fprintf(&b, "%-10s | %10s | %10s | %10s | %10s | %9s\n",
+		"Sessions", "Admit p50", "Admit p99", "B/session", "Heap", "Drain")
+	fmt.Fprintf(&b, "%s\n", strings.Repeat("-", 74))
+	fmt.Fprintf(&b, "%-10d | %8.1fus | %8.1fus | %10.0f | %8.1fMB | %7.1fms\n",
 		r.Sessions, r.AdmitP50Us, r.AdmitP99Us, r.BytesPerSession,
-		r.HeapSteadyMB, r.DrainMs, r.LeakedGoroutines)
+		r.HeapSteadyMB, r.DrainMs)
 	return b.String()
 }

@@ -58,8 +58,8 @@ import "net"
 // backend. Addr strings are backend-scoped: node names for netsim,
 // host:port for tcpx. Implementations must be safe for concurrent use.
 type Transport interface {
-	// Name identifies the backend ("netsim", "tcp") in benchmarks,
-	// logs, and BENCH_transport.json rows.
+	// Name identifies the backend ("netsim", "tcp") in benchmark
+	// reports and logs.
 	Name() string
 	// Listen claims addr and returns a listener whose accepted conns
 	// satisfy the package Conn contract.

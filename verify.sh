@@ -27,10 +27,11 @@ gate go vet -C benchmark ./...
 gate go run ./cmd/mbtls-lint ./...
 # proxysig smoke: the full proxysig session/audit/failure-path suite on
 # netsim, then the quick handshake cells, which run both accountability
-# modes end-to-end and fail if no middlebox evidence was signed.
+# modes end-to-end and fail if no middlebox evidence was signed; then
+# the same chain harness over loopback TCP.
 gate go test -run 'TestProxySig|TestAccountabilityMismatch' -count=1 ./internal/core/
 gate go run ./cmd/mbtls-bench handshake -quick
-gate go run ./cmd/mbtls-bench transport -quick
+gate go run ./cmd/mbtls-bench sessions -quick -transport tcp
 # fig7 smoke: the classic matrix plus one workers-sweep cell end-to-end,
 # so the sweep can't rot between full bench runs.
 gate go run ./cmd/mbtls-bench fig7 -quick
