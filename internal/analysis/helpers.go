@@ -24,10 +24,10 @@ func timingSensitiveName(name string) bool {
 }
 
 // confidentialName reports whether a struct-field identifier denotes
-// key material that must not outlive its owner: keys, secrets, and
-// private halves of signing keypairs (the delegation signing key, the
-// attestation authority key), but not wire-visible artifacts like MACs
-// or verify_data.
+// key material that must not outlive its owner: keys, secrets, a key
+// block cached beside its master secret, and private halves of signing
+// keypairs (the delegation signing key, the attestation authority key),
+// but not wire-visible artifacts like MACs or verify_data.
 func confidentialName(name string) bool {
 	n := strings.ToLower(name)
 	if strings.Contains(n, "pub") {
@@ -36,6 +36,7 @@ func confidentialName(name string) bool {
 	return strings.Contains(n, "secret") ||
 		strings.Contains(n, "master") ||
 		strings.Contains(n, "priv") ||
+		strings.Contains(n, "keyblock") ||
 		strings.HasSuffix(n, "key") ||
 		strings.HasSuffix(n, "keys")
 }

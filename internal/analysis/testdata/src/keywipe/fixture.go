@@ -33,6 +33,30 @@ func (p *PartialKeys) Wipe() { // want "does not clear secret field WriteKey"
 	wipe(p.ReadKey)
 }
 
+// CachedSchedule keeps the expanded key block beside the master secret
+// it was derived from (the tls12.Conn shape); the block is key material
+// in its own right and Wipe must clear both: no finding.
+type CachedSchedule struct {
+	masterSecret []byte
+	keyBlock     []byte
+}
+
+func (c *CachedSchedule) Wipe() {
+	wipe(c.masterSecret)
+	wipe(c.keyBlock)
+}
+
+// StaleSchedule wipes the master secret and forgets the block cached
+// from it.
+type StaleSchedule struct {
+	masterSecret []byte
+	keyBlock     []byte
+}
+
+func (c *StaleSchedule) Wipe() { // want "does not clear secret field keyBlock"
+	wipe(c.masterSecret)
+}
+
 // Inner/Outer: a value field of a secret-bearing struct counts as a
 // secret field and is cleared by a nested Wipe call.
 type Inner struct {

@@ -13,7 +13,10 @@ import (
 
 type session struct {
 	masterSecret []byte
-	peerName     string
+	// keyBlock is the key block cached from masterSecret: a source in
+	// its own right, whole or sliced into keys.
+	keyBlock []byte
+	peerName string
 }
 
 // delegationKey mirrors the proxysig signing keypair: the private half
@@ -34,6 +37,11 @@ func ExportSessionKeys() []byte { return make([]byte, 32) }
 func direct(s *session) {
 	fmt.Printf("ms=%x\n", s.masterSecret) // want "reaches fmt.Printf"
 	log.Println(s.peerName)               // non-secret field: clean
+}
+
+func cachedBlock(s *session) error {
+	log.Printf("block=%x", s.keyBlock)                     // want "reaches log.Printf"
+	return fmt.Errorf("bad write key %x", s.keyBlock[:16]) // want "reaches fmt.Errorf"
 }
 
 func indirect(s *session) {

@@ -199,7 +199,13 @@ func (m *attestMode) checkHop(sum MiddleboxSummary) error {
 	return nil
 }
 
-func (m *attestMode) establishCredentials([]secondaryResult, *ChainTicket) (*sessionAudit, error) {
+func (m *attestMode) establishCredentials(secs []secondaryResult, _ *ChainTicket) (*sessionAudit, error) {
+	// Nothing reads an attest-mode secondary session past key
+	// distribution: its secrets and pooled record buffers go now.
+	for _, r := range secs {
+		r.conn.Wipe()
+		r.conn.RecordLayer().Release()
+	}
 	return nil, nil
 }
 

@@ -17,6 +17,7 @@ import (
 // requires attestation and collects chain tickets.
 type chainFixture struct {
 	e    *env
+	encl *enclave.Enclave
 	stek *hsfast.STEK
 	mb   *core.Middlebox
 	scfg *core.ServerConfig
@@ -42,7 +43,7 @@ func newChainFixture(t *testing.T) *chainFixture {
 	scfg := e.serverConfig()
 	scfg.TLS.EnableTickets = true
 	copy(scfg.TLS.TicketKey[:], "chain-resumption-primary-stek-00")
-	return &chainFixture{e: e, stek: stek, mb: mb, scfg: scfg}
+	return &chainFixture{e: e, encl: encl, stek: stek, mb: mb, scfg: scfg}
 }
 
 // clientConfig builds a chain-collecting client config; onTicket

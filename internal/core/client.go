@@ -28,8 +28,10 @@ type secondaryResult struct {
 // watchSubchannels dispatches each peer-opened subchannel to handle and
 // closes results once stop is signaled and all handlers finished. The
 // single goroutine owns the WaitGroup, so no handler can start after
-// the final Wait.
-func watchSubchannels(m *mux, stop <-chan struct{}, results chan<- secondaryResult, handle func(uint8) secondaryResult) {
+// the final Wait. results is buffered for maxSubchannels so a handler's
+// send never blocks; it carries pointers because that buffer is
+// allocated per session, whatever the chain's length.
+func watchSubchannels(m *mux, stop <-chan struct{}, results chan<- *secondaryResult, handle func(uint8) secondaryResult) {
 	var wg sync.WaitGroup
 	defer func() {
 		wg.Wait()
@@ -39,7 +41,8 @@ func watchSubchannels(m *mux, stop <-chan struct{}, results chan<- secondaryResu
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results <- handle(sub)
+			r := handle(sub)
+			results <- &r
 		}()
 	}
 	for {
@@ -144,7 +147,7 @@ func Dial(transport net.Conn, cfg *ClientConfig) (*Session, error) {
 	// primary handshake can complete.
 	secCfg := secondaryClientConfig(cfg.TLS, cfg.MiddleboxTLS, acct)
 	secCfg.HopTickets = ct.hopTicketMap()
-	results := make(chan secondaryResult, maxSubchannels)
+	results := make(chan *secondaryResult, maxSubchannels)
 	stop := make(chan struct{})
 	go watchSubchannels(m, stop, results, func(sub uint8) secondaryResult {
 		return runClientSecondary(m, sub, secCfg, hello, helloRaw, collect)
@@ -176,7 +179,7 @@ func Dial(transport net.Conn, cfg *ClientConfig) (*Session, error) {
 		if r.err != nil {
 			return fail(fmt.Errorf("core: middlebox handshake (subchannel %d): %w", r.sub, r.err))
 		}
-		secs = append(secs, r)
+		secs = append(secs, *r)
 	}
 	// Higher subchannel IDs were self-assigned closer to the client
 	// (paper §3.4, "Client-Side Middleboxes"), so descending order is

@@ -90,6 +90,12 @@ func buildChain(mboxes ...*core.Middlebox) (clientEnd, serverEnd net.Conn) {
 func runSession(t *testing.T, ccfg *core.ClientConfig, scfg *core.ServerConfig, mboxes ...*core.Middlebox) (*core.Session, *core.Session) {
 	t.Helper()
 	clientEnd, serverEnd := buildChain(mboxes...)
+	return dialAccept(t, clientEnd, serverEnd, ccfg, scfg)
+}
+
+// dialAccept dials and accepts concurrently over an already-built chain.
+func dialAccept(t *testing.T, clientEnd, serverEnd net.Conn, ccfg *core.ClientConfig, scfg *core.ServerConfig) (*core.Session, *core.Session) {
+	t.Helper()
 	type res struct {
 		sess *core.Session
 		err  error

@@ -353,9 +353,27 @@ type mbSession struct {
 	closeOnce sync.Once
 }
 
-// storeSecret namespaces a session secret into the vault.
-func (s *mbSession) storeSecret(name string, v []byte) {
-	s.mb.vault.StoreSecret(s.vaultPrefix+name, v)
+// storeSecrets namespaces a batch of session secrets into the vault —
+// one enclave crossing per batch.
+func (s *mbSession) storeSecrets(secrets ...enclave.Secret) {
+	for i := range secrets {
+		secrets[i].Name = s.vaultPrefix + secrets[i].Name
+	}
+	s.mb.vault.StoreSecrets(secrets...)
+}
+
+// storeHopKeys retains both hops' keys in the vault before the data
+// plane is built from them.
+func (s *mbSession) storeHopKeys(down, up *HopKeys) {
+	s.storeSecrets(
+		enclave.Secret{Name: "hop/down-c2s", Value: down.C2SKey},
+		enclave.Secret{Name: "hop/down-c2s-iv", Value: down.C2SIV},
+		enclave.Secret{Name: "hop/down-s2c", Value: down.S2CKey},
+		enclave.Secret{Name: "hop/down-s2c-iv", Value: down.S2CIV},
+		enclave.Secret{Name: "hop/up-c2s", Value: up.C2SKey},
+		enclave.Secret{Name: "hop/up-c2s-iv", Value: up.C2SIV},
+		enclave.Secret{Name: "hop/up-s2c", Value: up.S2CKey},
+		enclave.Secret{Name: "hop/up-s2c-iv", Value: up.S2CIV})
 }
 
 // notifyEstablished tells the hosting runtime (if any) that the
@@ -1034,10 +1052,12 @@ func (s *mbSession) maybeJoinClientSide() error {
 	// Hold the primary ServerHello until our secondary ServerHello is
 	// on the wire, so middleboxes closer to the client see our
 	// subchannel in use before they self-assign.
+	timeout := time.NewTimer(s.mb.cfg.DataPlaneTimeout)
+	defer timeout.Stop() // go.mod says go 1.22: an unstopped timer lives out its 30 s
 	select {
 	case <-firstWrite:
 		return nil
-	case <-time.After(s.mb.cfg.DataPlaneTimeout):
+	case <-timeout.C:
 		return errors.New("core: secondary handshake failed to start")
 	}
 }
@@ -1122,13 +1142,17 @@ func (s *mbSession) runSecondary(serverAddr string) {
 	if conn.ConnectionState().Resumed {
 		s.mb.sessionsResumed.Add(1)
 	}
+	// The secondary session lives only in this goroutine: when it
+	// returns, its secrets are wiped and its pooled record buffers go back.
+	defer func() { conn.Wipe(); rl.Release() }()
 
 	// Retain the secondary session keys in the vault so the adversary
 	// harness can probe what a malicious infrastructure provider
 	// would find in host memory.
 	if sk, err := conn.ExportSessionKeys(); err == nil {
-		s.storeSecret("secondary/client-write", sk.ClientWriteKey)
-		s.storeSecret("secondary/server-write", sk.ServerWriteKey)
+		s.storeSecrets(
+			enclave.Secret{Name: "secondary/client-write", Value: sk.ClientWriteKey},
+			enclave.Secret{Name: "secondary/server-write", Value: sk.ServerWriteKey})
 		sk.Wipe() // the vault cloned what it stored
 	}
 
@@ -1151,14 +1175,7 @@ func (s *mbSession) runSecondary(serverAddr string) {
 		return
 	}
 	defer km.Wipe() // held only until the data plane's cipher states are built
-	s.storeSecret("hop/down-c2s", km.Down.C2SKey)
-	s.storeSecret("hop/down-c2s-iv", km.Down.C2SIV)
-	s.storeSecret("hop/down-s2c", km.Down.S2CKey)
-	s.storeSecret("hop/down-s2c-iv", km.Down.S2CIV)
-	s.storeSecret("hop/up-c2s", km.Up.C2SKey)
-	s.storeSecret("hop/up-c2s-iv", km.Up.C2SIV)
-	s.storeSecret("hop/up-s2c", km.Up.S2CKey)
-	s.storeSecret("hop/up-s2c-iv", km.Up.S2CIV)
+	s.storeHopKeys(&km.Down, &km.Up)
 
 	// Proxysig: the delegation warrant follows the key material on the
 	// same subchannel and must be accepted before the data plane goes
@@ -1246,7 +1263,7 @@ func (s *mbSession) receiveDelegation(conn *tls12.Conn) error {
 	if f := s.mb.cfg.AccountabilityFaults; f != nil && f.MutateDelegation != nil {
 		deleg = f.MutateDelegation(deleg)
 	}
-	s.storeSecret("acct/delegation", deleg)
+	s.storeSecrets(enclave.Secret{Name: "acct/delegation", Value: deleg})
 	s.evMu.Lock()
 	s.delegation = deleg
 	s.evC2S = sha256.New()
@@ -1370,15 +1387,7 @@ func (s *mbSession) runNeighborHops() {
 		return
 	}
 
-	s.storeSecret("hop/down-c2s", down.hop.C2SKey)
-	s.storeSecret("hop/down-c2s-iv", down.hop.C2SIV)
-	s.storeSecret("hop/down-s2c", down.hop.S2CKey)
-	s.storeSecret("hop/down-s2c-iv", down.hop.S2CIV)
-	s.storeSecret("hop/up-c2s", up.hop.C2SKey)
-	s.storeSecret("hop/up-c2s-iv", up.hop.C2SIV)
-	s.storeSecret("hop/up-s2c", up.hop.S2CKey)
-	s.storeSecret("hop/up-s2c-iv", up.hop.S2CIV)
-
+	s.storeHopKeys(down.hop, up.hop)
 	km := &KeyMaterial{Version: tls12.VersionTLS12, Down: *down.hop, Up: *up.hop}
 	// Wiping km also clears down.hop and up.hop: the struct copies
 	// alias the same key slices.
@@ -1399,6 +1408,11 @@ func (s *mbSession) installDataPlane(km *KeyMaterial) bool {
 		s.setDataPlane(nil, err)
 		return false
 	}
+	// Seed the commit gates from the plane's starting sealing sequences
+	// (key material carries arbitrary ones) before any observer can see
+	// the plane, and while it is still host-side: reading them back out
+	// of the enclave would cost two crossings.
+	s.initGates(host)
 	var dp dataPlaneHandler = host
 	if e := s.mb.cfg.Enclave; e != nil {
 		dp = installEnclaveDataPlane(e, host)
@@ -1408,12 +1422,6 @@ func (s *mbSession) installDataPlane(km *KeyMaterial) bool {
 }
 
 func (s *mbSession) setDataPlane(dp dataPlaneHandler, err error) {
-	if dp != nil {
-		// Seed the commit gates from the plane's starting sealing
-		// sequences before any observer can see the plane (key material
-		// carries arbitrary starting sequence numbers).
-		s.initGates(dp)
-	}
 	s.dpMu.Lock()
 	if s.dp == nil && s.dpErr == nil {
 		s.dp = dp

@@ -544,10 +544,10 @@ func (s *mbSession) gate(dir Direction) *commitGate {
 	return &s.gates[dirIndex(dir)]
 }
 
-// initGates seeds both gates' seal positions from the freshly
-// installed data plane (key material carries arbitrary starting
-// sequence numbers). Runs before the plane is published, so every
-// observer of dp sees initialized gates.
+// initGates seeds both gates' seal positions from the freshly built
+// data plane (key material carries arbitrary starting sequence
+// numbers). Runs before the plane is published, so every observer of
+// dp sees initialized gates.
 func (s *mbSession) initGates(dp dataPlaneHandler) {
 	for _, dir := range []Direction{DirClientToServer, DirServerToClient} {
 		g := s.gate(dir)

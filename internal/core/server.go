@@ -55,7 +55,7 @@ func Accept(transport net.Conn, cfg *ServerConfig) (*Session, error) {
 	neighborCh := make(chan neighborResult, 1)
 	var neighborStarted atomic.Bool
 
-	results := make(chan secondaryResult, maxSubchannels)
+	results := make(chan *secondaryResult, maxSubchannels)
 	stop := make(chan struct{})
 	go watchSubchannels(m, stop, results, func(sub uint8) secondaryResult {
 		if sub == neighborSubchannel {
@@ -103,7 +103,7 @@ func Accept(transport net.Conn, cfg *ServerConfig) (*Session, error) {
 		if r.err != nil {
 			return fail(fmt.Errorf("core: middlebox handshake (subchannel %d): %w", r.sub, r.err))
 		}
-		secs = append(secs, r)
+		secs = append(secs, *r)
 	}
 	// Higher subchannel IDs were self-assigned closer to the server,
 	// so ascending order runs from the bridge toward the server

@@ -2,8 +2,11 @@ package enclave
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
+
+	"repro/internal/secmem"
 )
 
 func mustAuthority(t *testing.T) *Authority {
@@ -211,7 +214,7 @@ func TestBoundaryCostApplied(t *testing.T) {
 
 func TestVaults(t *testing.T) {
 	host := NewHostVault()
-	host.StoreSecret("k", []byte("sensitive"))
+	host.StoreSecrets(Secret{"k", []byte("sensitive")})
 	var seen []byte
 	host.UseSecret("k", func(s []byte) { seen = append([]byte(nil), s...) })
 	if !bytes.Equal(seen, []byte("sensitive")) {
@@ -224,7 +227,7 @@ func TestVaults(t *testing.T) {
 	a := mustAuthority(t)
 	p := mustPlatform(t, a)
 	ev := NewEnclaveVault(p.CreateEnclave(CodeImage{Name: "v"}))
-	ev.StoreSecret("k", []byte("sensitive"))
+	ev.StoreSecrets(Secret{"k", []byte("sensitive")})
 	seen = nil
 	ev.UseSecret("k", func(s []byte) { seen = append([]byte(nil), s...) })
 	if !bytes.Equal(seen, []byte("sensitive")) {
@@ -232,6 +235,71 @@ func TestVaults(t *testing.T) {
 	}
 	if dump := ev.DumpHostMemory(); len(dump) != 0 {
 		t.Fatal("enclave vault dump must be empty")
+	}
+}
+
+// TestVaultBatch pins what a batched store costs and keeps: N secrets
+// are one enclave entry (two transitions) and invisible to the host on
+// an EnclaveVault, all host-visible on a HostVault; both clone the
+// values; WipePrefix zeroizes and removes the whole batch and nothing
+// else.
+func TestVaultBatch(t *testing.T) {
+	const n = 8
+	batch := func() []Secret {
+		secrets := []Secret{{"other/k", []byte("kept")}}
+		for i := 0; i < n; i++ {
+			secrets = append(secrets, Secret{fmt.Sprintf("session/7/hop-%d", i), bytes.Repeat([]byte{byte(i + 1)}, 16)})
+		}
+		return secrets
+	}
+	e := mustPlatform(t, mustAuthority(t)).CreateEnclave(CodeImage{Name: "v"})
+	for name, v := range map[string]Vault{"host": NewHostVault(), "enclave": NewEnclaveVault(e)} {
+		in := batch()
+		before := e.Transitions()
+		v.StoreSecrets(in...)
+		crossed := e.Transitions() - before
+		dump := v.DumpHostMemory()
+		if name == "enclave" {
+			if crossed != 2 || len(dump) != 0 {
+				t.Fatalf("enclave batch of %d: %d transitions (want 2), %d host-visible secrets (want 0)", len(in), crossed, len(dump))
+			}
+		} else if crossed != 0 || len(dump) != len(in) {
+			t.Fatalf("host batch of %d: %d transitions, %d host-visible secrets", len(in), crossed, len(dump))
+		}
+
+		// The vault holds clones: the caller wiping its copy (as every
+		// caller does) must not reach them, and each stored value must be
+		// zeroized in place by WipePrefix.
+		stored := make(map[string][]byte)
+		for _, s := range in {
+			want := append([]byte(nil), s.Value...)
+			secmem.Wipe(s.Value)
+			v.UseSecret(s.Name, func(got []byte) {
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s: %s = %x, want %x", name, s.Name, got, want)
+				}
+				stored[s.Name] = got // kept to watch WipePrefix zeroize this very slice
+			})
+		}
+		before = e.Transitions()
+		v.WipePrefix("session/7/")
+		if crossed := e.Transitions() - before; name == "enclave" && crossed != 2 {
+			t.Fatalf("enclave WipePrefix: %d transitions, want 2", crossed)
+		}
+		for _, s := range in {
+			kept := s.Name == "other/k"
+			v.UseSecret(s.Name, func(got []byte) {
+				if (got != nil) != kept {
+					t.Errorf("%s: after WipePrefix %s present=%v, want %v", name, s.Name, got != nil, kept)
+				}
+			})
+			if zero := bytes.Equal(stored[s.Name], make([]byte, len(stored[s.Name]))); zero == kept {
+				t.Errorf("%s: after WipePrefix %s zeroized=%v, want %v", name, s.Name, zero, !kept)
+			}
+		}
+		if name == "host" && len(v.DumpHostMemory()) != 1 {
+			t.Fatalf("host: %d secrets left after WipePrefix, want 1", len(v.DumpHostMemory()))
+		}
 	}
 }
 

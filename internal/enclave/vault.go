@@ -15,8 +15,10 @@ import (
 // has complete access to all hardware (e.g., it can read and manipulate
 // memory)."
 type Vault interface {
-	// StoreSecret records a named secret.
-	StoreSecret(name string, secret []byte)
+	// StoreSecrets records a batch of named secrets, cloning each value,
+	// in one visit to the vault's protection domain: a key install is
+	// one enclave crossing however many keys it carries.
+	StoreSecrets(secrets ...Secret)
 	// UseSecret invokes f with the named secret in its protection
 	// domain (inside the enclave for an EnclaveVault). f must not leak
 	// the slice.
@@ -35,6 +37,12 @@ type Vault interface {
 	WipePrefix(prefix string)
 }
 
+// Secret is one named entry of a StoreSecrets batch.
+type Secret struct {
+	Name  string
+	Value []byte
+}
+
 // HostVault stores secrets in host memory — the non-SGX deployment.
 type HostVault struct {
 	mu      sync.Mutex
@@ -46,10 +54,12 @@ func NewHostVault() *HostVault {
 	return &HostVault{secrets: make(map[string][]byte)}
 }
 
-// StoreSecret implements Vault.
-func (v *HostVault) StoreSecret(name string, secret []byte) {
+// StoreSecrets implements Vault.
+func (v *HostVault) StoreSecrets(secrets ...Secret) {
 	v.mu.Lock()
-	v.secrets[name] = append([]byte(nil), secret...)
+	for _, s := range secrets {
+		v.secrets[s.Name] = append([]byte(nil), s.Value...)
+	}
 	v.mu.Unlock()
 }
 
@@ -114,14 +124,18 @@ func NewEnclaveVault(e *Enclave) *EnclaveVault {
 // Enclave returns the backing enclave (for attestation plumbing).
 func (v *EnclaveVault) Enclave() *Enclave { return v.enclave }
 
-// StoreSecret implements Vault, paying one enclave transition.
-func (v *EnclaveVault) StoreSecret(name string, secret []byte) {
-	copied := append([]byte(nil), secret...)
+// StoreSecrets implements Vault, paying one enclave entry for the
+// whole batch.
+func (v *EnclaveVault) StoreSecrets(secrets ...Secret) {
 	v.mu.Lock()
-	v.names[name] = true
+	for _, s := range secrets {
+		v.names[s.Name] = true
+	}
 	v.mu.Unlock()
 	v.enclave.Enter(func(mem Memory) {
-		mem.Put("secret:"+name, copied)
+		for _, s := range secrets {
+			mem.Put("secret:"+s.Name, append([]byte(nil), s.Value...))
+		}
 	})
 }
 

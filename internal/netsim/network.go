@@ -143,6 +143,8 @@ func (l *Listener) deliver(c net.Conn) error {
 	}
 	l.mu.Unlock()
 	// Backlog full: wait outside the lock so Close stays responsive.
+	timeout := time.NewTimer(5 * time.Second)
+	defer timeout.Stop()
 	select {
 	case l.backlog <- c:
 		l.mu.Lock()
@@ -161,7 +163,7 @@ func (l *Listener) deliver(c net.Conn) error {
 		return refused
 	case <-l.closed:
 		return refused
-	case <-time.After(5 * time.Second):
+	case <-timeout.C:
 		return fmt.Errorf("netsim: accept backlog full at %q", l.addr)
 	}
 }

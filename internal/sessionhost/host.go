@@ -172,6 +172,9 @@ type Host struct {
 	lmu       sync.Mutex
 	listeners map[net.Listener]struct{}
 	closed    bool
+
+	// lingering counts refused connections reject is still holding.
+	lingering atomic.Int32
 }
 
 // New builds a Host.
@@ -380,9 +383,21 @@ func (h *Host) Lookup(id uint64) (*Control, bool) {
 	return &Control{s: s}, true
 }
 
+// Refusal limits: a refused connection is kept for at most
+// rejectLinger, and at most maxLingering of them at once — past that a
+// refusal closes at once, so a flood of refusals stays cheap.
+const (
+	rejectLinger = time.Second
+	maxLingering = 64
+)
+
 // reject answers a refused connection with the matching plaintext
-// fatal alert, then closes it. Best-effort: the alert races the
-// client's own view of the connection by design.
+// fatal alert, then closes it — after the peer's first record has been
+// read and dropped, off the accept loop. Closing right behind the alert
+// races the peer's ClientHello: a peer that writes into the closed
+// connection sees a write error (netsim) or a reset that discards the
+// unread alert (TCP), not the refusal. The wait is bounded by
+// rejectLinger and by one record's length.
 func (h *Host) reject(conn net.Conn, err error) {
 	desc := tls12.AlertOverloaded
 	var de *core.DrainingError
@@ -393,10 +408,19 @@ func (h *Host) reject(conn net.Conn, err error) {
 		Type:    tls12.TypeAlert,
 		Payload: []byte{byte(tls12.AlertLevelFatal), byte(desc)},
 	}
-	conn.SetWriteDeadline(time.Now().Add(time.Second)) //nolint:errcheck
-	conn.Write(rec.Marshal())                          //nolint:errcheck
-	conn.Close()
+	conn.SetDeadline(time.Now().Add(rejectLinger)) //nolint:errcheck
+	conn.Write(rec.Marshal())                      //nolint:errcheck
 	h.logf("sessionhost %s: refused connection: %v", h.cfg.Name, err)
+	if h.lingering.Add(1) > maxLingering {
+		h.lingering.Add(-1)
+		conn.Close()
+		return
+	}
+	go func() {
+		tls12.ReadRawRecord(conn) //nolint:errcheck // read to be dropped
+		conn.Close()
+		h.lingering.Add(-1)
+	}()
 }
 
 // Shutdown gracefully drains the host: new admissions are refused with

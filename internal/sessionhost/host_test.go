@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -250,9 +251,11 @@ func TestServeListenersPartialFailureClosesSiblings(t *testing.T) {
 	}
 }
 
-func TestOverloadRefusal(t *testing.T) {
-	e := newHostEnv(t)
-	release := make(chan struct{})
+// fullHost returns a one-slot host ("tiny") whose slot is occupied by a
+// session that ends when release is closed.
+func fullHost(t *testing.T) (host *sessionhost.Host, release chan struct{}) {
+	t.Helper()
+	release = make(chan struct{})
 	host, err := sessionhost.New(sessionhost.Config{
 		Name:        "tiny",
 		MaxSessions: 1,
@@ -264,19 +267,23 @@ func TestOverloadRefusal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Occupy the only slot.
 	c1, c1peer := net.Pipe()
-	defer c1peer.Close()
+	t.Cleanup(func() { c1peer.Close() })
 	if err := host.Submit(c1); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "slot occupied", func() bool { return host.Snapshot().ActiveSessions == 1 })
+	return host, release
+}
+
+func TestOverloadRefusal(t *testing.T) {
+	e := newHostEnv(t)
+	host, release := fullHost(t)
 
 	// Local Submit beyond the cap.
 	c2, c2peer := net.Pipe()
 	defer c2peer.Close()
-	err = host.Submit(c2)
+	err := host.Submit(c2)
 	var oe *core.OverloadError
 	if !errors.As(err, &oe) {
 		t.Fatalf("Submit over cap = %v, want OverloadError", err)
@@ -325,6 +332,54 @@ func TestOverloadRefusal(t *testing.T) {
 	if err := host.Close(); err != nil {
 		t.Fatalf("Close = %v", err)
 	}
+}
+
+// TestRefusalOutlivesTheHello pins how long a refusal stays readable
+// (DESIGN.md §9). The host used to close right behind the alert, so a
+// client whose ClientHello left after that close failed on its own
+// write and never read the refusal; scheduling decided which. Here the
+// order is forced: the host has refused, and moved on, before the
+// client writes. A refused client that never writes is still closed,
+// within the linger bound, and nothing is left running.
+func TestRefusalOutlivesTheHello(t *testing.T) {
+	base := goleak.Base()
+	e := newHostEnv(t)
+	host, release := fullHost(t)
+	ln, err := e.net.Listen("tiny")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go host.Serve(ln) //nolint:errcheck
+
+	late, err := e.net.Dial("late", "tiny")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "refusal", func() bool { return host.Snapshot().Overloaded == 1 })
+	time.Sleep(50 * time.Millisecond) // the alert is written and the accept loop is back in Accept
+	if _, err := core.Dial(late, e.clientConfig()); !tls12.IsRemoteAlert(err, tls12.AlertOverloaded) {
+		t.Errorf("late hello: Dial = %v, want remote overloaded alert", err)
+	}
+
+	silent, err := e.net.Dial("silent", "tiny")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	silent.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+	alert := make([]byte, tls12.RecordHeaderLen+2)
+	if _, err := io.ReadFull(silent, alert); err != nil || alert[0] != byte(tls12.TypeAlert) || alert[6] != byte(tls12.AlertOverloaded) {
+		t.Fatalf("silent client read % x (%v), want an overloaded alert", alert, err)
+	}
+	if _, err := silent.Read(alert); err != io.EOF {
+		t.Errorf("silent client after the alert: %v, want EOF once the linger bound passes", err)
+	}
+
+	close(release)
+	if err := host.Close(); err != nil {
+		t.Fatalf("Close = %v", err)
+	}
+	waitGoroutines(t, base)
 }
 
 // TestForceClosePastDeadlineLeaksNoGoroutines is the forced half of

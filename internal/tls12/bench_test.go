@@ -50,7 +50,7 @@ func BenchmarkPRF(b *testing.B) {
 	})
 	b.Run("key-block", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			keysFromMaster(TLS_ECDHE_ECDSA_WITH_AES_256_GCM_SHA384, secret, cr, sr)
+			keyBlock(prfMAC(TLS_ECDHE_ECDSA_WITH_AES_256_GCM_SHA384, secret), cr, sr, 72)
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"crypto/x509"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"net"
 	"sync"
@@ -109,8 +110,14 @@ type Conn struct {
 
 	state ConnectionState
 
-	// masterSecret is retained for key export and resumption.
+	// The key schedule, run once by setMaster (hsMu held) and wiped by
+	// Wipe: masterSecret is retained for resumption tickets, keyBlock
+	// (RFC 5246 §6.3) feeds both cipher states and ExportSessionKeys, and
+	// masterMAC — the master-keyed PRF HMAC behind the key block and both
+	// Finished values — is dropped when the handshake returns.
 	masterSecret []byte
+	keyBlock     []byte
+	masterMAC    hash.Hash
 	clientRandom [randomLen]byte
 	serverRandom [randomLen]byte
 }
@@ -199,6 +206,7 @@ func (c *Conn) handshakeLocked() error {
 	} else {
 		c.handshakeErr = c.serverHandshake()
 	}
+	c.masterMAC = nil
 	if c.handshakeErr == nil {
 		c.state.HandshakeComplete = true
 	}
@@ -521,7 +529,7 @@ func (c *Conn) Close() error {
 }
 
 // Wipe zeroizes the connection's long-lived secrets: the master secret
-// retained for key export and resumption, and any buffered
+// and the key block derived from it, and any buffered
 // MBTLSKeyMaterial payloads not yet consumed by ReadKeyMaterial. It is
 // called by Close and may be called early by an endpoint that has
 // finished exporting keys (paper §3.1: secrets must not outlive their
@@ -532,8 +540,8 @@ func (c *Conn) Wipe() {
 	// a reader parked in readRecord holds it until the transport fails,
 	// which is why keyMatBuf lives under kmMu instead.
 	c.hsMu.Lock()
-	secmem.Wipe(c.masterSecret)
-	c.masterSecret = nil
+	secmem.WipeAll(c.masterSecret, c.keyBlock)
+	c.masterSecret, c.keyBlock = nil, nil
 	c.hsMu.Unlock()
 	c.kmMu.Lock()
 	for _, p := range c.keyMatBuf {
@@ -579,10 +587,10 @@ func (c *Conn) ExportSessionKeys() (*SessionKeys, error) {
 	if !c.state.HandshakeComplete {
 		return nil, errors.New("tls12: handshake not complete")
 	}
-	if len(c.masterSecret) == 0 {
+	if len(c.keyBlock) == 0 {
 		return nil, errors.New("tls12: master secret already wiped")
 	}
-	cwKey, swKey, cwIV, swIV := keysFromMaster(c.state.CipherSuite, c.masterSecret, c.clientRandom[:], c.serverRandom[:])
+	cwKey, swKey, cwIV, swIV := splitKeyBlock(c.state.CipherSuite, append([]byte(nil), c.keyBlock...))
 	sk := &SessionKeys{
 		Suite:          c.state.CipherSuite,
 		ClientWriteKey: cwKey,
@@ -614,15 +622,26 @@ func (c *Conn) InstallDataCiphers(read, write *CipherState) {
 	c.rl.SetWriteCipher(write)
 }
 
-// keysFromMaster expands the master secret into the suite's GCM keys
-// and implicit IVs (RFC 5246 §6.3 key block, MAC keys elided for AEAD).
-func keysFromMaster(suite uint16, master, clientRandom, serverRandom []byte) (cwKey, swKey, cwIV, swIV []byte) {
+// setMaster takes ownership of the master secret and runs the key
+// schedule, once per connection: every later use — the cipher state
+// each ChangeCipherSpec installs, ExportSessionKeys — reads keyBlock.
+// The suite and both randoms are fixed by now; hsMu is held.
+func (c *Conn) setMaster(master []byte) {
+	suite := c.state.CipherSuite
 	keyLen, err := suiteKeyLen(suite)
 	if err != nil {
 		panic(err) // suite validated during negotiation
 	}
+	c.masterSecret = master
+	c.masterMAC = prfMAC(suite, master)
+	c.keyBlock = keyBlock(c.masterMAC, c.clientRandom[:], c.serverRandom[:], 2*keyLen+2*suiteIVLen(suite))
+}
+
+// splitKeyBlock slices a key block into the suite's GCM keys and
+// implicit IVs (RFC 5246 §6.3, MAC keys elided for AEAD).
+func splitKeyBlock(suite uint16, kb []byte) (cwKey, swKey, cwIV, swIV []byte) {
+	keyLen, _ := suiteKeyLen(suite) // setMaster sized kb by it
 	ivLen := suiteIVLen(suite)
-	kb := keyBlock(suite, master, clientRandom, serverRandom, 2*keyLen+2*ivLen)
 	cwKey, kb = kb[:keyLen], kb[keyLen:]
 	swKey, kb = kb[:keyLen], kb[keyLen:]
 	cwIV, kb = kb[:ivLen], kb[ivLen:]

@@ -195,7 +195,7 @@ func (c *Conn) clientHandshake() error {
 	if err != nil {
 		return c.fatal(AlertIllegalParameter, err)
 	}
-	c.masterSecret = computeMasterSecret(sh.CipherSuite, preMaster, c.clientRandom[:], c.serverRandom[:])
+	c.setMaster(computeMasterSecret(sh.CipherSuite, preMaster, c.clientRandom[:], c.serverRandom[:]))
 	secmem.Wipe(preMaster) // only the master secret survives key derivation
 
 	// Send ChangeCipherSpec under the old (plaintext) state, then
@@ -206,7 +206,7 @@ func (c *Conn) clientHandshake() error {
 	if err := c.activateCiphers(sh.CipherSuite, true, false); err != nil {
 		return c.fatal(AlertInternalError, err)
 	}
-	fin := &finishedMsg{verifyData: finishedVerifyData(sh.CipherSuite, c.masterSecret, true, ts.sum())}
+	fin := &finishedMsg{verifyData: finishedVerifyData(c.masterMAC, true, ts.sum())}
 	finRaw := fin.marshal()
 	if err := c.writeHandshakeMsg(finRaw); err != nil {
 		return err
@@ -241,7 +241,7 @@ func (c *Conn) clientHandshake() error {
 // in (either a NewSessionTicket message or a ChangeCipherSpec).
 func (c *Conn) clientResume(cfg *Config, st *SessionTicket, sh *ServerHello, ts *transcript,
 	typ HandshakeType, body, raw []byte, ccs bool) error {
-	c.masterSecret = append([]byte(nil), st.MasterSecret...)
+	c.setMaster(append([]byte(nil), st.MasterSecret...))
 	c.state.Resumed = true
 
 	if !ccs {
@@ -267,7 +267,7 @@ func (c *Conn) clientResume(cfg *Config, st *SessionTicket, sh *ServerHello, ts 
 	if err := c.activateCiphers(sh.CipherSuite, true, false); err != nil {
 		return c.fatal(AlertInternalError, err)
 	}
-	fin := &finishedMsg{verifyData: finishedVerifyData(sh.CipherSuite, c.masterSecret, true, ts.sum())}
+	fin := &finishedMsg{verifyData: finishedVerifyData(c.masterMAC, true, ts.sum())}
 	finRaw := fin.marshal()
 	if err := c.writeHandshakeMsg(finRaw); err != nil {
 		return err
@@ -299,7 +299,7 @@ func (c *Conn) verifyPeerFinished(suite uint16, ts *transcript, peerIsClient boo
 	if err != nil {
 		return c.fatal(AlertDecodeError, err)
 	}
-	want := finishedVerifyData(suite, c.masterSecret, peerIsClient, ts.sum())
+	want := finishedVerifyData(c.masterMAC, peerIsClient, ts.sum())
 	if subtle.ConstantTimeCompare(fin.verifyData, want) != 1 {
 		return c.fatal(AlertDecryptError, errors.New("tls12: finished verification failed"))
 	}
@@ -307,15 +307,12 @@ func (c *Conn) verifyPeerFinished(suite uint16, ts *transcript, peerIsClient boo
 	return nil
 }
 
-// activateCiphers installs the session's write and/or read cipher
-// derived from the master secret, honoring connection role.
+// activateCiphers installs the session's write and/or read cipher from
+// the connection's key block, honoring connection role. NewCipherState
+// copies the key into its AES schedule; the block itself stays with the
+// connection until Wipe.
 func (c *Conn) activateCiphers(suite uint16, write, read bool) error {
-	cwKey, swKey, cwIV, swIV := keysFromMaster(suite, c.masterSecret, c.clientRandom[:], c.serverRandom[:])
-	// NewCipherState copies the key into its AES schedule, so the
-	// expanded key block can be zeroized as soon as both states are
-	// built (the four slices alias one buffer; wiping all four clears
-	// the whole block).
-	defer secmem.WipeAll(cwKey, swKey, cwIV, swIV)
+	cwKey, swKey, cwIV, swIV := splitKeyBlock(suite, c.keyBlock)
 	myWriteKey, myWriteIV := cwKey, cwIV
 	myReadKey, myReadIV := swKey, swIV
 	if !c.isClient {

@@ -168,7 +168,7 @@ func (c *Conn) serverHandshake() error {
 	if err != nil {
 		return c.fatal(AlertIllegalParameter, err)
 	}
-	c.masterSecret = computeMasterSecret(suite, preMaster, c.clientRandom[:], c.serverRandom[:])
+	c.setMaster(computeMasterSecret(suite, preMaster, c.clientRandom[:], c.serverRandom[:]))
 	secmem.Wipe(preMaster) // only the master secret survives key derivation
 
 	// Client CCS + Finished.
@@ -194,7 +194,7 @@ func (c *Conn) serverHandshake() error {
 	if err := c.activateCiphers(suite, true, false); err != nil {
 		return c.fatal(AlertInternalError, err)
 	}
-	fin := &finishedMsg{verifyData: finishedVerifyData(suite, c.masterSecret, false, ts.sum())}
+	fin := &finishedMsg{verifyData: finishedVerifyData(c.masterMAC, false, ts.sum())}
 	finRaw := fin.marshal()
 	if err := c.writeHandshakeMsg(finRaw); err != nil {
 		return err
@@ -205,7 +205,7 @@ func (c *Conn) serverHandshake() error {
 
 // serverResume completes an abbreviated handshake from a valid ticket.
 func (c *Conn) serverResume(cfg *Config, sh *ServerHello, st *sessionState, ts *transcript) error {
-	c.masterSecret = append([]byte(nil), st.master...)
+	c.setMaster(append([]byte(nil), st.master...))
 	st.wipe() // the conn owns its clone now
 	c.state.Resumed = true
 	suite := st.suite
@@ -221,7 +221,7 @@ func (c *Conn) serverResume(cfg *Config, sh *ServerHello, st *sessionState, ts *
 	if err := c.activateCiphers(suite, true, false); err != nil {
 		return c.fatal(AlertInternalError, err)
 	}
-	fin := &finishedMsg{verifyData: finishedVerifyData(suite, c.masterSecret, false, ts.sum())}
+	fin := &finishedMsg{verifyData: finishedVerifyData(c.masterMAC, false, ts.sum())}
 	finRaw := fin.marshal()
 	if err := c.writeHandshakeMsg(finRaw); err != nil {
 		return err

@@ -208,25 +208,25 @@ func TestPRFProperties(t *testing.T) {
 	// Deterministic.
 	a := make([]byte, 100)
 	b := make([]byte, 100)
-	prf(suitePRFHash(TLS_ECDHE_ECDSA_WITH_AES_256_GCM_SHA384), a, secret, "test label", seed)
-	prf(suitePRFHash(TLS_ECDHE_ECDSA_WITH_AES_256_GCM_SHA384), b, secret, "test label", seed)
+	prf(prfMAC(TLS_ECDHE_ECDSA_WITH_AES_256_GCM_SHA384, secret), a, "test label", seed)
+	prf(prfMAC(TLS_ECDHE_ECDSA_WITH_AES_256_GCM_SHA384, secret), b, "test label", seed)
 	if !bytes.Equal(a, b) {
 		t.Fatal("PRF not deterministic")
 	}
 	// Label-separated.
-	prf(suitePRFHash(TLS_ECDHE_ECDSA_WITH_AES_256_GCM_SHA384), b, secret, "other label", seed)
+	prf(prfMAC(TLS_ECDHE_ECDSA_WITH_AES_256_GCM_SHA384, secret), b, "other label", seed)
 	if bytes.Equal(a, b) {
 		t.Fatal("distinct labels produced identical output")
 	}
 	// Prefix-consistent: a longer expansion starts with the shorter.
 	long := make([]byte, 200)
-	prf(suitePRFHash(TLS_ECDHE_ECDSA_WITH_AES_256_GCM_SHA384), long, secret, "test label", seed)
+	prf(prfMAC(TLS_ECDHE_ECDSA_WITH_AES_256_GCM_SHA384, secret), long, "test label", seed)
 	if !bytes.Equal(long[:100], a) {
 		t.Fatal("PRF expansion is not prefix-consistent")
 	}
 	// Suite hashes differ.
 	c := make([]byte, 100)
-	prf(suitePRFHash(TLS_ECDHE_ECDSA_WITH_AES_128_GCM_SHA256), c, secret, "test label", seed)
+	prf(prfMAC(TLS_ECDHE_ECDSA_WITH_AES_128_GCM_SHA256, secret), c, "test label", seed)
 	if bytes.Equal(a, c) {
 		t.Fatal("SHA-256 and SHA-384 PRFs agree")
 	}
@@ -236,14 +236,15 @@ func TestKeysFromMasterSymmetry(t *testing.T) {
 	master := bytes.Repeat([]byte{0x33}, 48)
 	cr := bytes.Repeat([]byte{0x44}, 32)
 	sr := bytes.Repeat([]byte{0x55}, 32)
-	cwKey, swKey, cwIV, swIV := keysFromMaster(TLS_ECDHE_ECDSA_WITH_AES_256_GCM_SHA384, master, cr, sr)
+	const suite = TLS_ECDHE_ECDSA_WITH_AES_256_GCM_SHA384
+	cwKey, swKey, cwIV, swIV := splitKeyBlock(suite, keyBlock(prfMAC(suite, master), cr, sr, 72))
 	if len(cwKey) != 32 || len(swKey) != 32 || len(cwIV) != 4 || len(swIV) != 4 {
 		t.Fatalf("key block geometry: %d/%d/%d/%d", len(cwKey), len(swKey), len(cwIV), len(swIV))
 	}
 	if bytes.Equal(cwKey, swKey) {
 		t.Fatal("client and server write keys identical")
 	}
-	cwKey2, _, _, _ := keysFromMaster(TLS_ECDHE_ECDSA_WITH_AES_256_GCM_SHA384, master, cr, sr)
+	cwKey2, _, _, _ := splitKeyBlock(suite, keyBlock(prfMAC(suite, master), cr, sr, 72))
 	if !bytes.Equal(cwKey, cwKey2) {
 		t.Fatal("key derivation not deterministic")
 	}
@@ -252,8 +253,9 @@ func TestKeysFromMasterSymmetry(t *testing.T) {
 func TestFinishedVerifyDataRoles(t *testing.T) {
 	master := bytes.Repeat([]byte{0x66}, 48)
 	hash := bytes.Repeat([]byte{0x77}, 48)
-	client := finishedVerifyData(TLS_ECDHE_ECDSA_WITH_AES_256_GCM_SHA384, master, true, hash)
-	server := finishedVerifyData(TLS_ECDHE_ECDSA_WITH_AES_256_GCM_SHA384, master, false, hash)
+	mac := prfMAC(TLS_ECDHE_ECDSA_WITH_AES_256_GCM_SHA384, master)
+	client := finishedVerifyData(mac, true, hash)
+	server := finishedVerifyData(mac, false, hash)
 	if len(client) != 12 || len(server) != 12 {
 		t.Fatal("verify_data length wrong")
 	}

@@ -21,31 +21,32 @@ const masterSecretLen = 48
 // finishedVerifyLen is the length of the Finished verify_data.
 const finishedVerifyLen = 12
 
-// pHash implements P_hash from RFC 5246 §5: an HMAC expansion of secret
-// over seed, writing len(result) bytes into result.
-func pHash(newHash func() hash.Hash, result, secret, seed []byte) {
-	h := hmac.New(newHash, secret)
-	h.Write(seed)
-	a := h.Sum(nil)
-
+// pHash implements P_hash from RFC 5246 §5: an HMAC expansion over
+// seed, writing len(result) bytes into result. mac is an HMAC keyed
+// with the secret; it is reset first, so one keyed HMAC serves every
+// expansion of the same secret.
+func pHash(mac hash.Hash, result, seed []byte) {
+	// A(0) = seed, A(i) = HMAC(A(i-1)); block i is HMAC(A(i) || seed).
+	a := seed
 	for off := 0; off < len(result); {
-		h.Reset()
-		h.Write(a)
-		h.Write(seed)
-		off += copy(result[off:], h.Sum(nil))
+		mac.Reset()
+		mac.Write(a)
+		a = mac.Sum(nil)
 
-		h.Reset()
-		h.Write(a)
-		a = h.Sum(nil)
+		mac.Reset()
+		mac.Write(a)
+		mac.Write(seed)
+		off += copy(result[off:], mac.Sum(nil))
 	}
 }
 
-// prf computes the TLS 1.2 PRF with the given hash, filling result.
-func prf(newHash func() hash.Hash, result, secret []byte, label string, seed []byte) {
+// prf computes the TLS 1.2 PRF of the secret mac is keyed with (see
+// prfMAC), filling result.
+func prf(mac hash.Hash, result []byte, label string, seed []byte) {
 	labelAndSeed := make([]byte, 0, len(label)+len(seed))
 	labelAndSeed = append(labelAndSeed, label...)
 	labelAndSeed = append(labelAndSeed, seed...)
-	pHash(newHash, result, secret, labelAndSeed)
+	pHash(mac, result, labelAndSeed)
 }
 
 // suitePRFHash returns the hash constructor used by the suite's PRF
@@ -57,6 +58,12 @@ func suitePRFHash(suiteID uint16) func() hash.Hash {
 	return sha256.New
 }
 
+// prfMAC keys the suite's PRF HMAC with secret. The HMAC holds the
+// padded key, so its owner drops it with the secret.
+func prfMAC(suiteID uint16, secret []byte) hash.Hash {
+	return hmac.New(suitePRFHash(suiteID), secret)
+}
+
 // computeMasterSecret derives the 48-byte master secret from the ECDHE
 // pre-master secret and the session randoms (RFC 5246 §8.1).
 func computeMasterSecret(suiteID uint16, preMaster, clientRandom, serverRandom []byte) []byte {
@@ -64,30 +71,30 @@ func computeMasterSecret(suiteID uint16, preMaster, clientRandom, serverRandom [
 	seed = append(seed, clientRandom...)
 	seed = append(seed, serverRandom...)
 	master := make([]byte, masterSecretLen)
-	prf(suitePRFHash(suiteID), master, preMaster, labelMasterSecret, seed)
+	prf(prfMAC(suiteID, preMaster), master, labelMasterSecret, seed)
 	return master
 }
 
-// keyBlock derives n bytes of key material from the master secret
+// keyBlock derives n bytes of key material with the master-keyed mac
 // (RFC 5246 §6.3; note the server_random || client_random seed order).
-func keyBlock(suiteID uint16, master, clientRandom, serverRandom []byte, n int) []byte {
+func keyBlock(mac hash.Hash, clientRandom, serverRandom []byte, n int) []byte {
 	seed := make([]byte, 0, len(clientRandom)+len(serverRandom))
 	seed = append(seed, serverRandom...)
 	seed = append(seed, clientRandom...)
 	kb := make([]byte, n)
-	prf(suitePRFHash(suiteID), kb, master, labelKeyExpansion, seed)
+	prf(mac, kb, labelKeyExpansion, seed)
 	return kb
 }
 
 // finishedVerifyData computes the 12-byte Finished verify_data over the
-// transcript hash (RFC 5246 §7.4.9).
-func finishedVerifyData(suiteID uint16, master []byte, isClient bool, transcriptHash []byte) []byte {
+// transcript hash with the master-keyed mac (RFC 5246 §7.4.9).
+func finishedVerifyData(mac hash.Hash, isClient bool, transcriptHash []byte) []byte {
 	label := labelServerFinished
 	if isClient {
 		label = labelClientFinished
 	}
 	out := make([]byte, finishedVerifyLen)
-	prf(suitePRFHash(suiteID), out, master, label, transcriptHash)
+	prf(mac, out, label, transcriptHash)
 	return out
 }
 
