@@ -1,11 +1,15 @@
 package core_test
 
 import (
+	"bytes"
 	"io"
+	"net"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/enclave"
 	"repro/internal/netsim"
 )
 
@@ -85,4 +89,113 @@ func TestResumedSessionFixedCost(t *testing.T) {
 	if perSession > ceilingKiB && !raceEnabled {
 		t.Fatalf("resumed session allocates %.1f KiB, ceiling %d KiB", perSession, ceilingKiB)
 	}
+}
+
+// gatedConn parks its Reads while held, so that what the peer writes
+// meanwhile is all queued when the reader behind it comes back.
+type gatedConn struct {
+	net.Conn
+	mu   sync.Mutex
+	open *sync.Cond
+	held bool
+}
+
+func (g *gatedConn) hold(held bool) {
+	g.mu.Lock()
+	g.held = held
+	g.open.Broadcast()
+	g.mu.Unlock()
+}
+
+func (g *gatedConn) Read(p []byte) (int, error) {
+	g.mu.Lock()
+	for g.held {
+		g.open.Wait()
+	}
+	g.mu.Unlock()
+	return g.Conn.Read(p)
+}
+
+// TestBurstRelayCostPerBatch pins what a backlog of small records costs
+// an enclave middlebox (DESIGN.md §14): per-record costs are per-batch
+// costs. N 512-byte records are queued ahead of the relay while its
+// source is gated, so batch sizes follow from the read buffer and
+// maxRelayBatch, not from scheduling: a read drains what has arrived, a
+// job carries up to 32 records, and the enclave is entered twice a job.
+// One record per read and per job — the relay before netsim reads
+// drained — costs 4 N transitions at 1 record a job.
+func TestBurstRelayCostPerBatch(t *testing.T) {
+	e := newEnv(t)
+	platform, err := e.authority.NewPlatform()
+	if err != nil {
+		t.Fatal(err)
+	}
+	encl := platform.CreateEnclave(enclave.CodeImage{Name: "mbtls-proxy", Version: "1.0"})
+	pool := core.NewRelayPool(2)
+	defer pool.Close()
+	mb := e.middlebox(t, "sgx-proxy.example", core.ClientSide, func(cfg *core.MiddleboxConfig) {
+		cfg.Enclave = encl
+		cfg.RelayPool = pool
+	})
+
+	left, right := netsim.Pipe()
+	upL, upR := netsim.Pipe()
+	src := &gatedConn{Conn: right}
+	src.open = sync.NewCond(&src.mu)
+	host := hostedOnce{make(chan struct{}), make(chan struct{})}
+	go func() {
+		defer close(host.done)
+		mb.HandleHosted(src, upL, &host) //nolint:errcheck
+	}()
+	client, server := dialAccept(t, left, upR, e.clientConfig(), e.serverConfig())
+	<-host.established
+	exchange(t, client, server, "ping", "pong")
+
+	// The relay is parked inside a Read. Hold the gate, then send one
+	// record to take it through that Read: once the server has the
+	// record, the relay's next Read is one that waits at the gate.
+	src.hold(true)
+	if _, err := client.Write([]byte("mark")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(server, make([]byte, 4)); err != nil {
+		t.Fatal(err)
+	}
+
+	const n, size = 1024, 512 // 554 KB of records: inside netsim's window
+	payload := core.RandomPlaintext(size)
+	before, crossed := pool.Stats(), encl.Transitions()
+	for i := 0; i < n; i++ {
+		if _, err := client.Write(payload); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+	src.hold(false)
+	got := make([]byte, n*size)
+	if _, err := io.ReadFull(server, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, bytes.Repeat(payload, n)) {
+		t.Fatal("burst corrupted in the relay")
+	}
+	crossed = encl.Transitions() - crossed
+	after := pool.Stats()
+	records, jobs := after.RecordsProcessed-before.RecordsProcessed, after.JobsProcessed-before.JobsProcessed
+	t.Logf("%d records: %d jobs (%.1f records a job), %d enclave transitions", records, jobs, float64(records)/float64(jobs), crossed)
+	if records != n {
+		t.Fatalf("pool processed %d records, want all %d pipelined", records, n)
+	}
+	if records < 16*jobs {
+		t.Errorf("%d records took %d jobs, want at least 16 records a job", records, jobs)
+	}
+	if crossed > n/4 {
+		t.Errorf("%d records cost %d enclave transitions, want at most %d", n, crossed, n/4)
+	}
+
+	client.Close()
+	if _, err := server.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("server read after client close: %v, want EOF", err)
+	}
+	<-host.done
+	server.Close()
 }

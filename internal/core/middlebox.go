@@ -802,9 +802,11 @@ func (s *mbSession) spliceOneWay(dst net.Conn, src io.Reader) error {
 	}
 }
 
-// maxRelayBatch caps how many records one inline data-plane job (and
-// thus one ecall and one outbound write) may carry, bounding latency
-// and the size of the reseal buffer.
+// maxRelayBatch caps how many records one data-plane job, inline or
+// pipelined (and thus one pair of ecalls and one outbound write), may
+// carry, bounding latency and the size of the reseal buffer. A full
+// read buffer of small records still splits into several jobs for the
+// workers; records of 2 KiB and up are bounded by the buffer first.
 const maxRelayBatch = 32
 
 // relayLoop pumps records in one direction, participating in the mbTLS
@@ -831,17 +833,11 @@ func (s *mbSession) relayLoop(dir Direction) error {
 		}
 	}()
 	// A Processor needs its input in stream order (and makes the output
-	// geometry unpredictable), so its sessions run every job inline, at
-	// the full batch size; pipelined jobs are capped lower so one buffer
-	// drain splits across several workers.
+	// geometry unpredictable), so its sessions run every job inline.
 	inlineOnly := s.mb.cfg.NewProcessor != nil
-	limit := pipelineJobRecords
-	if inlineOnly {
-		limit = maxRelayBatch
-	}
-	// Reused per-direction batch; each direction is driven by exactly
-	// one goroutine, so no locking here.
-	batch := make([]tls12.RawRecord, 0, limit)
+	// Reused per-direction batch, grown to the largest one seen; each
+	// direction is driven by exactly one goroutine, so no locking here.
+	var batch []tls12.RawRecord
 	for {
 		rec, wire, err := rr.next()
 		if err != nil {
@@ -890,7 +886,7 @@ func (s *mbSession) relayLoop(dir Direction) error {
 				inline = true
 				break
 			}
-			if len(batch) == limit {
+			if len(batch) == maxRelayBatch {
 				break
 			}
 			next, _, _ := rr.next() //nolint:errcheck // peekHeader just parsed this record

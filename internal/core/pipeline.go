@@ -34,10 +34,6 @@ import (
 )
 
 const (
-	// pipelineJobRecords caps the records one pipeline job carries.
-	// Smaller than maxRelayBatch so one read-buffer drain splits into
-	// several jobs that different workers chew concurrently.
-	pipelineJobRecords = 8
 	// pipelineDepth bounds in-flight jobs per direction: the relay
 	// blocks submitting once this many are uncommitted, which bounds
 	// both memory (each job owns one read buffer and one reseal
@@ -51,14 +47,13 @@ const (
 type token struct{}
 
 // relayJob is one unit of relay work: a sequence reservation, a
-// persistent reseal buffer, and — when pipelined — up to
-// pipelineJobRecords records sharing a detached read buffer. Jobs are
-// slot-recycled per direction, so the steady state allocates nothing.
+// persistent reseal buffer, and — when pipelined — up to maxRelayBatch
+// records sharing a detached read buffer. Jobs are slot-recycled per
+// direction, so the steady state allocates nothing.
 type relayJob struct {
 	dir  Direction
 	dp   dataPlaneHandler
-	recs [pipelineJobRecords]tls12.RawRecord
-	n    int
+	recs []tls12.RawRecord // grows to the largest batch the slot has carried
 	rsv  batchReservation
 
 	// readBuf is the relay read buffer the records' payloads alias,
@@ -152,10 +147,10 @@ func (p *RelayPool) worker() {
 		for j := range p.jobs {
 			p.queued.Add(-1)
 			start := time.Now()
-			j.out, j.res, j.err = j.dp.processBatchAt(j.dir, j.recs[:j.n], j.rsv, sc, j.out[:0])
+			j.out, j.res, j.err = j.dp.processBatchAt(j.dir, j.recs, j.rsv, sc, j.out[:0])
 			p.busyNanos.Add(time.Since(start).Nanoseconds())
 			p.jobsDone.Add(1)
-			p.recordsDone.Add(int64(j.n))
+			p.recordsDone.Add(int64(len(j.recs)))
 			j.done <- token{}
 		}
 	})
@@ -336,7 +331,7 @@ func (pl *dirPipeline) submit(dp dataPlaneHandler, rr *recordReader, batch []tls
 	g.flushMu.Lock()
 	g.reserved = j.rsv.sealStart + uint64(j.rsv.outCount)
 	g.flushMu.Unlock()
-	j.n = copy(j.recs[:], batch)
+	j.recs = append(j.recs[:0], batch...)
 	j.readBuf = rr.detach()
 	j.submitted = time.Now()
 	if !pl.committerUp {

@@ -63,15 +63,16 @@ func pumpBothDirections(t *testing.T, client, server *core.Session) pumpOutcome 
 	})
 	defer watchdog.Stop()
 
+	// Writers stop at an error only: a byte budget would let a fast
+	// relay finish it before a timed fault lands.
 	writer := func(s *core.Session, ch chan<- error) {
 		buf := make([]byte, 32*1024)
-		for i := 0; i < 512; i++ {
+		for {
 			if _, err := s.Write(buf); err != nil {
 				ch <- err
 				return
 			}
 		}
-		ch <- nil
 	}
 	reader := func(s *core.Session, ch chan<- error) {
 		buf := make([]byte, 64*1024)

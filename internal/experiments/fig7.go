@@ -36,8 +36,11 @@ type Fig7Cell struct {
 	// middlebox.
 	Gbps float64
 	// Transitions counts enclave boundary crossings during the
-	// measurement window (zero without an enclave).
-	Transitions int64
+	// measurement window (zero without an enclave), and
+	// TransitionsPerRecord divides them by the chunks delivered in it:
+	// how far the relay amortises the boundary over its batches.
+	Transitions          int64
+	TransitionsPerRecord float64
 	// ResealP50Micros/ResealP99Micros are per-job submit→commit reseal
 	// latency quantiles in microseconds, present on workers-sweep cells
 	// with a dedicated pool (the throughput-vs-latency tradeoff of
@@ -67,7 +70,9 @@ type Fig7Options struct {
 	// sweep.
 	WorkersAxis []int
 	// Quick shrinks the run to a smoke test (the CI gate): one buffer
-	// size, a short window, and a one-point workers sweep.
+	// size, a short window, and a one-point workers sweep. It fails when
+	// an Encryption + Enclave cell crosses the boundary twice a record
+	// or more — the relay's batches are not filling.
 	Quick bool
 }
 
@@ -148,6 +153,9 @@ func RunFig7(opts Fig7Options) ([]Fig7Cell, error) {
 				cell, err := fig7Cell(ca, serverCert, mbCert, platform, fab, encryption, useEnclave, bufSize, 0, streams, window)
 				if err != nil {
 					return nil, fmt.Errorf("fig7 enc=%v sgx=%v buf=%d: %w", encryption, useEnclave, bufSize, err)
+				}
+				if opts.Quick && encryption && useEnclave && cell.TransitionsPerRecord >= 2 {
+					return nil, fmt.Errorf("fig7 buf=%d: %.2f enclave transitions per record, want < 2 (batches not filling)", bufSize, cell.TransitionsPerRecord)
 				}
 				cells = append(cells, cell)
 			}
@@ -319,6 +327,10 @@ func fig7Cell(ca *certs.CA, serverCert, mbCert *tls12.Certificate, platform *enc
 	bytes := delivered
 	deliveredMu.Unlock()
 	elapsed := time.Since(start)
+	if encl != nil {
+		cell.Transitions = encl.Transitions() - startTransitions
+		cell.TransitionsPerRecord = float64(cell.Transitions) * float64(bufSize) / float64(max(bytes, 1))
+	}
 	// A stream dying mid-window invalidates the measurement; report it
 	// before teardown floods the error channel with shutdown noise.
 	teardown := func() {
@@ -341,9 +353,6 @@ func fig7Cell(ca *certs.CA, serverCert, mbCert *tls12.Certificate, platform *enc
 	teardown()
 
 	cell.Gbps = float64(bytes) * 8 / elapsed.Seconds() / 1e9
-	if encl != nil {
-		cell.Transitions = encl.Transitions() - startTransitions
-	}
 	return cell, nil
 }
 
@@ -360,6 +369,7 @@ func FormatFig7(cells []Fig7Cell) string {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 7: SGX (Non-)Overhead — middlebox throughput (Gbps)\n")
+	fmt.Fprintf(&b, "(in brackets: enclave transitions per record)\n")
 	fmt.Fprintf(&b, "%-32s", "Configuration \\ Buffer")
 	sizes := []int{}
 	seen := map[int]bool{}
@@ -367,10 +377,10 @@ func FormatFig7(cells []Fig7Cell) string {
 		if !seen[c.BufSize] {
 			seen[c.BufSize] = true
 			sizes = append(sizes, c.BufSize)
-			fmt.Fprintf(&b, " | %8s", byteSize(c.BufSize))
+			fmt.Fprintf(&b, " | %13s", byteSize(c.BufSize))
 		}
 	}
-	fmt.Fprintf(&b, "\n%s\n", strings.Repeat("-", 34+11*len(sizes)))
+	fmt.Fprintf(&b, "\n%s\n", strings.Repeat("-", 34+16*len(sizes)))
 	for _, enc := range []bool{false, true} {
 		for _, sgx := range []bool{false, true} {
 			label := map[bool]string{false: "No Encryption", true: "Encryption"}[enc] +
@@ -379,7 +389,11 @@ func FormatFig7(cells []Fig7Cell) string {
 			for _, size := range sizes {
 				for _, c := range classic {
 					if c.Encryption == enc && c.Enclave == sgx && c.BufSize == size {
-						fmt.Fprintf(&b, " | %8.2f", c.Gbps)
+						text := fmt.Sprintf("%.2f", c.Gbps)
+						if sgx {
+							text += fmt.Sprintf(" (%.2f)", c.TransitionsPerRecord)
+						}
+						fmt.Fprintf(&b, " | %13s", text)
 					}
 				}
 			}

@@ -5,9 +5,12 @@
 // firewalls and traffic normalizers of the handshake-viability
 // experiment (Table 2).
 //
-// Unlike net.Pipe, writes are buffered and never block on the peer, so
-// protocol code that sends best-effort messages (alerts, announcements)
-// behaves as it would over a kernel TCP socket.
+// Unlike net.Pipe, writes are buffered: a Write returns once its bytes
+// are queued and parks only at the flow-control window, so protocol
+// code that sends best-effort messages (alerts, announcements) behaves
+// as it would over a kernel TCP socket. Reads are a byte stream, as on
+// a socket: one Read returns everything that has arrived, up to the
+// caller's buffer, however the peer segmented its writes.
 package netsim
 
 import (
@@ -29,23 +32,31 @@ var ErrClosedPipe = fmt.Errorf("netsim: closed pipe: %w", io.ErrClosedPipe)
 // classifies exactly like a kernel-reported reset.
 var ErrReset = fmt.Errorf("netsim: connection reset: %w", syscall.ECONNRESET)
 
-// chunk is a unit of in-flight data with its delivery time.
-type chunk struct {
-	data      []byte
+// mark is where one write ends in the stream (bytesIn after it) and
+// when its bytes become readable.
+type mark struct {
+	end       int64
 	deliverAt time.Time
 }
 
-// stream is one direction of a pipe.
+// stream is one direction of a pipe: a byte ring holding the
+// bytesIn-bytesOut unread bytes from ring[head], which grows to what is
+// queued, and — on a link with latency or a bandwidth cap only — one
+// mark per write still in flight. An ideal link keeps no marks and
+// takes no timestamp: whatever is queued is readable.
 type stream struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	chunks []chunk
-	offset int // read offset into chunks[0].data
+	mu    sync.Mutex
+	cond  *sync.Cond
+	ring  []byte
+	head  int
+	marks []mark
 
 	latency   time.Duration
 	byteDelay time.Duration // per-byte transmission delay (0 = infinite bandwidth)
-	lastAt    time.Time     // arrival time of the most recently queued chunk
+	lastAt    time.Time     // arrival time of the most recently queued write
 	maxBuf    int64         // flow-control window: max unread bytes in flight
+
+	rDeadline, wDeadline time.Time // bound the reader's and the writer's waits
 
 	closed   bool // write side closed: EOF after drain
 	broken   bool // reader gone: writes fail
@@ -68,16 +79,53 @@ func newStream(latency time.Duration, bitsPerSecond float64) *stream {
 	return s
 }
 
+// wake is the timer side of waitUntil. It takes the lock so it cannot
+// fire between the waiter's last check and its cond.Wait.
+func (s *stream) wake() {
+	s.mu.Lock()
+	s.cond.Broadcast()
+	s.mu.Unlock()
+}
+
+// waitUntil parks on the cond (mu held) until a write, read, close,
+// reset or deadline change wakes it, or until t passes; the zero t
+// sets no bound. It is the only way a stream operation waits, so every
+// wait sees Reset, Close and its deadline.
+func (s *stream) waitUntil(t time.Time) {
+	if t.IsZero() {
+		s.cond.Wait()
+		return
+	}
+	timer := time.AfterFunc(time.Until(t), s.wake)
+	s.cond.Wait()
+	timer.Stop()
+}
+
+// expired reports that a deadline is set and has passed.
+func expired(deadline time.Time) bool {
+	return !deadline.IsZero() && !time.Now().Before(deadline)
+}
+
+func (s *stream) setDeadline(which *time.Time, t time.Time) {
+	s.mu.Lock()
+	*which = t
+	s.cond.Broadcast()
+	s.mu.Unlock()
+}
+
 func (s *stream) write(p []byte) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Flow control: wait for window space (a chunk may overshoot the
+	// Flow control: wait for window space (a write may overshoot the
 	// window by up to its own size, like a final TCP segment).
 	for !s.closed && !s.broken && s.bytesIn-s.bytesOut >= s.maxBuf {
-		s.cond.Wait()
+		if expired(s.wDeadline) {
+			return 0, errDeadline
+		}
+		s.waitUntil(s.wDeadline)
 	}
 	if s.closed || s.broken {
 		if s.isReset {
@@ -85,66 +133,99 @@ func (s *stream) write(p []byte) (int, error) {
 		}
 		return 0, ErrClosedPipe
 	}
-	now := time.Now()
-	arrive := now.Add(s.latency)
-	if s.lastAt.After(arrive) {
-		arrive = s.lastAt
+	queued := int(s.bytesIn - s.bytesOut)
+	if need := queued + len(p); need > len(s.ring) {
+		// Grow to what is queued, not to a floor: most streams carry a
+		// handshake's worth of bytes and never need more.
+		grown := make([]byte, max(2*len(s.ring), need))
+		s.peek(grown[:queued])
+		s.ring, s.head = grown, 0
 	}
-	arrive = arrive.Add(time.Duration(len(p)) * s.byteDelay)
-	s.lastAt = arrive
-	s.chunks = append(s.chunks, chunk{data: append([]byte(nil), p...), deliverAt: arrive})
+	tail := (s.head + queued) % len(s.ring)
+	n := copy(s.ring[tail:], p)
+	copy(s.ring, p[n:])
 	s.bytesIn += int64(len(p))
+	if s.latency > 0 || s.byteDelay > 0 {
+		arrive := time.Now().Add(s.latency)
+		if s.lastAt.After(arrive) {
+			arrive = s.lastAt
+		}
+		arrive = arrive.Add(time.Duration(len(p)) * s.byteDelay)
+		s.lastAt = arrive
+		s.marks = append(s.marks, mark{end: s.bytesIn, deliverAt: arrive})
+	}
 	s.cond.Broadcast()
 	return len(p), nil
 }
 
-func (s *stream) read(p []byte, deadline time.Time) (int, error) {
+// peek copies the first len(dst) queued bytes into dst.
+func (s *stream) peek(dst []byte) {
+	n := copy(dst, s.ring[s.head:])
+	copy(dst[n:], s.ring)
+}
+
+// arrived returns how many queued bytes are readable now, or else when
+// the first will be. Delivery times never decrease along the stream,
+// so the writes already delivered merge into the last of them.
+func (s *stream) arrived() (int, time.Time) {
+	if len(s.marks) == 0 {
+		return int(s.bytesIn - s.bytesOut), time.Time{}
+	}
+	now, i := time.Now(), 0
+	for i < len(s.marks) && !s.marks[i].deliverAt.After(now) {
+		i++
+	}
+	if i == 0 {
+		return 0, s.marks[0].deliverAt
+	}
+	s.marks = s.marks[i-1:]
+	return int(s.marks[0].end - s.bytesOut), time.Time{}
+}
+
+func (s *stream) read(p []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
 		if s.isReset {
 			return 0, ErrReset
 		}
-		if len(s.chunks) > 0 {
-			now := time.Now()
-			first := s.chunks[0]
-			if wait := first.deliverAt.Sub(now); wait > 0 {
-				// Latency not yet elapsed: sleep outside the lock,
-				// then re-check (new deadline may apply).
-				s.mu.Unlock()
-				timer := time.NewTimer(wait)
-				<-timer.C
-				s.mu.Lock()
-				continue
+		until := s.rDeadline
+		if s.bytesIn > s.bytesOut {
+			n, at := s.arrived()
+			if n > 0 {
+				p = p[:min(n, len(p))]
+				s.peek(p)
+				s.head = (s.head + len(p)) % len(s.ring)
+				s.bytesOut += int64(len(p))
+				if len(s.marks) > 0 && s.marks[0].end == s.bytesOut {
+					s.marks = s.marks[1:]
+				}
+				if s.bytesOut == s.bytesIn {
+					// Empty: later writes start contiguous, and a
+					// closed stream will take none.
+					s.head = 0
+					if s.closed {
+						s.ring = nil
+					}
+				}
+				// Wake writers blocked on the flow-control window.
+				s.cond.Broadcast()
+				return len(p), nil
 			}
-			n := copy(p, first.data[s.offset:])
-			s.offset += n
-			s.bytesOut += int64(n)
-			if s.offset == len(first.data) {
-				s.chunks = s.chunks[1:]
-				s.offset = 0
+			// In flight: wait out the latency, but no longer than the
+			// deadline.
+			if until.IsZero() || at.Before(until) {
+				until = at
 			}
-			// Wake writers blocked on the flow-control window.
-			s.cond.Broadcast()
-			return n, nil
-		}
-		if s.closed {
+		} else if s.closed {
 			return 0, io.EOF
-		}
-		if s.broken {
+		} else if s.broken {
 			return 0, ErrClosedPipe
 		}
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
+		if expired(s.rDeadline) {
 			return 0, errDeadline
 		}
-		if !deadline.IsZero() {
-			// Wake up at the deadline if nothing arrives.
-			t := time.AfterFunc(time.Until(deadline), s.cond.Broadcast)
-			s.cond.Wait()
-			t.Stop()
-		} else {
-			s.cond.Wait()
-		}
+		s.waitUntil(until)
 	}
 }
 
@@ -153,6 +234,9 @@ func (s *stream) read(p []byte, deadline time.Time) (int, error) {
 func (s *stream) closeWrite() {
 	s.mu.Lock()
 	s.closed = true
+	if s.bytesIn == s.bytesOut {
+		s.ring = nil
+	}
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }
@@ -171,8 +255,7 @@ func (s *stream) reset() {
 	s.mu.Lock()
 	s.isReset = true
 	s.broken = true
-	s.chunks = nil
-	s.offset = 0
+	s.ring, s.marks = nil, nil
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }
@@ -196,26 +279,24 @@ func (a Addr) String() string { return string(a) }
 
 // Conn is one end of a simulated connection.
 type Conn struct {
-	in, out   *stream
-	local     Addr
-	remote    Addr
-	mu        sync.Mutex
-	rDeadline time.Time
-	closed    bool
+	in, out *stream
+	local   Addr
+	remote  Addr
+	mu      sync.Mutex
+	closed  bool
 }
 
 var _ net.Conn = (*Conn)(nil)
 
-// Read reads delivered bytes, honoring latency and read deadlines.
-func (c *Conn) Read(p []byte) (int, error) {
-	c.mu.Lock()
-	dl := c.rDeadline
-	c.mu.Unlock()
-	return c.in.read(p, dl)
-}
+// Read returns the bytes that have arrived — every queued byte whose
+// write's delivery time has passed, up to len(p) — waiting for the
+// first of them no longer than the read deadline.
+func (c *Conn) Read(p []byte) (int, error) { return c.in.read(p) }
 
-// Write queues bytes for delivery after the link latency. It never
-// blocks on the reader.
+// Write queues bytes for delivery after the link latency. It returns
+// without waiting for the reader unless the flow-control window is
+// full; then it parks until the reader drains, the write deadline
+// passes, or the connection is closed or reset.
 func (c *Conn) Write(p []byte) (int, error) { return c.out.write(p) }
 
 // Close closes both directions of this end.
@@ -250,20 +331,27 @@ func (c *Conn) LocalAddr() net.Addr { return c.local }
 // RemoteAddr returns the remote node name.
 func (c *Conn) RemoteAddr() net.Addr { return c.remote }
 
-// SetDeadline sets the read deadline (write never blocks).
-func (c *Conn) SetDeadline(t time.Time) error { return c.SetReadDeadline(t) }
-
-// SetReadDeadline sets the read deadline.
-func (c *Conn) SetReadDeadline(t time.Time) error {
-	c.mu.Lock()
-	c.rDeadline = t
-	c.mu.Unlock()
-	c.in.cond.Broadcast()
+// SetDeadline sets the read and write deadlines.
+func (c *Conn) SetDeadline(t time.Time) error {
+	c.in.setDeadline(&c.in.rDeadline, t)
+	c.out.setDeadline(&c.out.wDeadline, t)
 	return nil
 }
 
-// SetWriteDeadline is a no-op; writes are buffered.
-func (c *Conn) SetWriteDeadline(t time.Time) error { return nil }
+// SetReadDeadline bounds how long a Read, pending or future, waits for
+// bytes to arrive; bytes that have arrived are returned regardless.
+func (c *Conn) SetReadDeadline(t time.Time) error {
+	c.in.setDeadline(&c.in.rDeadline, t)
+	return nil
+}
+
+// SetWriteDeadline bounds how long a Write, pending or future, parks
+// at a full flow-control window; a Write that finds room succeeds
+// regardless.
+func (c *Conn) SetWriteDeadline(t time.Time) error {
+	c.out.setDeadline(&c.out.wDeadline, t)
+	return nil
+}
 
 // Stats reports bytes written to and read from this end's inbound
 // stream (delivered traffic).

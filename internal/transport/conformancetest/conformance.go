@@ -1,9 +1,10 @@
 // Package conformancetest asserts the transport Conn contract
 // (internal/transport's package comment) against a backend. Both the
 // netsim and tcpx test suites call Run with a factory for their
-// backend, so every clause — arbitrary segmentation, flow-controlled
-// bulk transfer, deadline expiry mid-record, Close racing blocked I/O,
-// close-notify drain ordering, goroutine accounting — is enforced on
+// backend, so every clause — arbitrary segmentation, coalescing reads,
+// flow-controlled bulk transfer, read and write deadlines, Close racing
+// blocked I/O, close-notify drain ordering, goroutine accounting — is
+// enforced on
 // the simulated and the real transport by the same code. A semantic
 // difference between the backends is a test failure here, not a
 // production surprise.
@@ -24,10 +25,12 @@ import (
 
 // Pair is one connected conn pair; A is the dialer end. Release (may
 // be nil) tears down any factory-scoped machinery after the conns are
-// closed.
+// closed. Ideal marks an in-memory link with no latency, where what
+// the peer has finished writing has arrived.
 type Pair struct {
 	A, B    net.Conn
 	Release func()
+	Ideal   bool
 }
 
 // Factory mints a fresh Pair for one subtest.
@@ -57,9 +60,11 @@ func Run(t *testing.T, f Factory) {
 	}
 	sub("Echo", testEcho)
 	sub("OneByteSegmentation", testOneByteSegmentation)
+	sub("ReadCoalescesWrites", testCoalescing)
 	sub("BulkTransferPartialWrites", testBulkTransfer)
 	sub("DeadlineExpiresWaitingReads", testDeadlineExpiry)
 	sub("DeadlineMidRecordThenResume", testDeadlineMidRecord)
+	sub("WriteDeadlineThenResume", testWriteDeadline)
 	sub("CloseUnblocksOwnRead", testCloseUnblocksRead)
 	sub("CloseUnblocksOwnWrite", testCloseUnblocksWrite)
 	sub("PeerCloseDrainsThenEOF", testCloseDrain)
@@ -133,6 +138,46 @@ func testOneByteSegmentation(t *testing.T, p Pair) {
 	}
 	if !bytes.Equal(got, msg) {
 		t.Fatalf("reassembled %q, want %q", got, msg)
+	}
+}
+
+// pattern returns n bytes of a stream whose byte at position i is
+// i mod 251, starting at pos: checkable however it was cut.
+func pattern(pos, n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte((pos + i) % 251)
+	}
+	return b
+}
+
+// testCoalescing: a Read returns what has arrived, not what one Write
+// carried. The peer finishes many small writes before the first Read;
+// a buffer with room for all of them must need fewer Reads than there
+// were Writes, and on an ideal link exactly one.
+func testCoalescing(t *testing.T, p Pair) {
+	const writes, size = 64, 100
+	for i := 0; i < writes; i++ {
+		if _, err := p.A.Write(pattern(i*size, size)); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+	buf := make([]byte, 2*writes*size)
+	got, reads := 0, 0
+	for got < writes*size {
+		p.B.SetReadDeadline(time.Now().Add(shortWait)) //nolint:errcheck
+		n, err := p.B.Read(buf[got:])
+		if err != nil {
+			t.Fatalf("read after %d bytes: %v", got, err)
+		}
+		got += n
+		reads++
+	}
+	if !bytes.Equal(buf[:got], pattern(0, writes*size)) {
+		t.Fatalf("coalesced reads returned %d bytes that are not the stream written", got)
+	}
+	if reads >= writes || (p.Ideal && reads != 1) {
+		t.Fatalf("%d writes finished before the first Read took %d Reads to drain (ideal link: %v)", writes, reads, p.Ideal)
 	}
 }
 
@@ -248,6 +293,52 @@ func testDeadlineMidRecord(t *testing.T, p Pair) {
 	readFull(t, p.B, rest)
 	if string(rest) != "lo" {
 		t.Fatalf("suffix read %q, want %q", rest, "lo")
+	}
+}
+
+// testWriteDeadline fills the connection until a Write has to wait for
+// a peer that is not reading: the wait ends at the write deadline with
+// a timeout error, and once the deadline is cleared and the peer reads,
+// the stream continues exactly after the bytes the failed Writes
+// reported.
+func testWriteDeadline(t *testing.T, p Pair) {
+	const chunk = 64 << 10
+	p.A.SetWriteDeadline(time.Now().Add(200 * time.Millisecond)) //nolint:errcheck
+	start := time.Now()
+	sent := 0
+	var err error
+	for err == nil && sent < 1<<30 {
+		var n int
+		n, err = p.A.Write(pattern(sent, chunk))
+		sent += n
+	}
+	if !isTimeout(err) {
+		t.Fatalf("writes against a non-reading peer ended with %v after %d bytes, want a timeout net.Error", err, sent)
+	}
+	if waited := time.Since(start); waited > shortWait {
+		t.Fatalf("write deadline honored after %v, want prompt expiry", waited)
+	}
+	p.A.SetWriteDeadline(time.Time{}) //nolint:errcheck
+	total := sent + chunk
+	done := make(chan error, 1)
+	go func() {
+		_, err := p.A.Write(pattern(sent, chunk))
+		done <- err
+	}()
+	buf := make([]byte, chunk)
+	for got := 0; got < total; {
+		p.B.SetReadDeadline(time.Now().Add(shortWait)) //nolint:errcheck
+		n, err := p.B.Read(buf)
+		if err != nil {
+			t.Fatalf("drain after %d/%d bytes: %v", got, total, err)
+		}
+		if !bytes.Equal(buf[:n], pattern(got, n)) {
+			t.Fatalf("stream diverges within %d bytes of position %d (timed-out writes reported %d sent)", n, got, sent)
+		}
+		got += n
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("write after the deadline was cleared: %v", err)
 	}
 }
 

@@ -17,16 +17,23 @@
 //
 //   - Stream, not records. Read may return any prefix of the bytes
 //     written by the peer, down to a single byte, regardless of how the
-//     peer segmented its writes. Nothing above the transport may assume
-//     record-aligned delivery (netsim happens to preserve write
-//     boundaries under light load; TCP never promises to).
+//     peer segmented its writes, and returns what has arrived: the
+//     bytes of several finished Writes come back from one Read when the
+//     buffer has room. Nothing above the transport may assume
+//     record-aligned delivery; neither backend preserves write
+//     boundaries.
 //
 //   - Deadlines. A Read that has to wait past the read deadline fails
 //     with a net.Error whose Timeout() is true. Data already delivered
 //     to the connection may still be returned after the deadline — the
 //     deadline bounds waiting, not draining. Clearing the deadline
 //     (SetReadDeadline(time.Time{})) restores blocking reads; the
-//     connection remains usable after a timeout.
+//     connection remains usable after a timeout. Likewise a Write that
+//     has to wait for a peer that is not reading (netsim's flow-control
+//     window, the kernel's socket buffers) past the write deadline
+//     fails with a Timeout() error and reports the n < len(p) bytes it
+//     did send (netsim: none); after the deadline is cleared, later
+//     Writes continue the stream right after those n bytes.
 //
 //   - Close vs. blocked I/O. Closing a connection unblocks that end's
 //     own blocked Read and Write promptly; subsequent operations fail

@@ -39,7 +39,7 @@ func TestNetsimConformance(t *testing.T) {
 			a.Close()
 			t.Fatalf("netsim accept: %v", got.err)
 		}
-		return conformancetest.Pair{A: a, B: got.c, Release: func() { ln.Close() }}
+		return conformancetest.Pair{A: a, B: got.c, Release: func() { ln.Close() }, Ideal: true}
 	})
 }
 

@@ -20,6 +20,11 @@ gate go test ./...
 gate go vet ./...
 gate go test -race ./internal/core/ ./internal/tls12/ ./internal/netsim/ ./internal/sessionhost/ ./internal/hsfast/
 gate go test -race ./internal/transport/...
+# Stress slice: netsim's byte stream and the Conn contract, repeated and
+# shuffled at three core counts; a flake is a failure.
+for procs in 1 2 4; do
+	gate env GOMAXPROCS=$procs go test -count=20 -shuffle=on ./internal/netsim/ ./internal/transport/...
+done
 # The frozen benchmark module compiles against core's relay API; catch
 # a break here, not in the bench run.
 gate go build -C benchmark ./...
@@ -33,7 +38,8 @@ gate go test -run 'TestProxySig|TestAccountabilityMismatch' -count=1 ./internal/
 gate go run ./cmd/mbtls-bench handshake -quick
 gate go run ./cmd/mbtls-bench sessions -quick -transport tcp
 # fig7 smoke: the classic matrix plus one workers-sweep cell end-to-end,
-# so the sweep can't rot between full bench runs.
+# so the sweep can't rot between full bench runs; fails when the
+# Encryption + Enclave cell crosses the enclave twice a record or more.
 gate go run ./cmd/mbtls-bench fig7 -quick
 
 echo "== gofmt -l ."
