@@ -183,11 +183,9 @@ func (m *attestMode) annotatePrimary(tcfg *tls12.Config) {
 func (m *attestMode) configureSecondary(cfg *tls12.Config) {
 	if m.require {
 		cfg.RequestAttestation = true
-		if m.verifier != nil {
-			cfg.VerifyQuote = m.verifier.VerifyQuote
-		}
-	} else if m.verifier != nil {
-		// Attestation optional but verified when presented.
+	}
+	if m.verifier != nil {
+		// Verified whenever presented, demanded or not.
 		cfg.VerifyQuote = m.verifier.VerifyQuote
 	}
 }
@@ -203,8 +201,7 @@ func (m *attestMode) establishCredentials(secs []secondaryResult, _ *ChainTicket
 	// Nothing reads an attest-mode secondary session past key
 	// distribution: its secrets and pooled record buffers go now.
 	for _, r := range secs {
-		r.conn.Wipe()
-		r.conn.RecordLayer().Release()
+		retire(r.conn)
 	}
 	return nil, nil
 }
@@ -328,36 +325,19 @@ func hopLeafPub(sum MiddleboxSummary, ct *ChainTicket) []byte {
 	return nil
 }
 
-// newClientAccountability resolves and validates a client config's
-// accountability mode.
-func newClientAccountability(cfg *ClientConfig) (accountabilityMode, error) {
-	switch cfg.Accountability {
+// newAccountability resolves and validates an endpoint config's
+// accountability fields, which ClientConfig and ServerConfig share.
+func newAccountability(kind Accountability, requireAttestation bool, verifier *enclave.Verifier, clock func() time.Time, timeout time.Duration) (accountabilityMode, error) {
+	switch kind {
 	case AccountAttest:
-		return &attestMode{require: cfg.RequireMiddleboxAttestation, verifier: cfg.MiddleboxVerifier}, nil
+		return &attestMode{require: requireAttestation, verifier: verifier}, nil
 	case AccountProxySig:
-		if cfg.RequireMiddleboxAttestation {
+		if requireAttestation {
 			return nil, errors.New("core: RequireMiddleboxAttestation conflicts with the proxysig accountability mode")
 		}
-		if cfg.NeighborKeys {
-			return nil, errors.New("core: neighbor-keys mode does not support proxysig accountability")
-		}
-		return &proxySigMode{clock: cfg.AccountabilityClock, limit: handshakeLimit(cfg.HandshakeTimeout)}, nil
+		return &proxySigMode{clock: clock, limit: handshakeLimit(timeout)}, nil
 	}
-	return nil, fmt.Errorf("core: unknown accountability mode %d", cfg.Accountability)
-}
-
-// newServerAccountability mirrors newClientAccountability for Accept.
-func newServerAccountability(cfg *ServerConfig) (accountabilityMode, error) {
-	switch cfg.Accountability {
-	case AccountAttest:
-		return &attestMode{require: cfg.RequireMiddleboxAttestation, verifier: cfg.MiddleboxVerifier}, nil
-	case AccountProxySig:
-		if cfg.RequireMiddleboxAttestation {
-			return nil, errors.New("core: RequireMiddleboxAttestation conflicts with the proxysig accountability mode")
-		}
-		return &proxySigMode{clock: cfg.AccountabilityClock, limit: handshakeLimit(cfg.HandshakeTimeout)}, nil
-	}
-	return nil, fmt.Errorf("core: unknown accountability mode %d", cfg.Accountability)
+	return nil, fmt.Errorf("core: unknown accountability mode %d", kind)
 }
 
 // sessionAudit is a proxysig session's close-time obligation: the

@@ -41,18 +41,18 @@ func NewBenchHarness(encl *enclave.Enclave, suite uint16, reencrypt bool) (*Benc
 		return nil, err
 	}
 	h := &BenchHarness{reencrypt: reencrypt, encl: encl}
-	if h.srcSeal, err = tls12.NewCipherState(suite, hopA.C2SKey, hopA.C2SIV, 0); err != nil {
+	sinkHop := hopA // a forwarding middlebox: the sink opens hop A directly
+	if reencrypt {
+		sinkHop = hopB
+	}
+	if h.srcSeal, _, err = hopA.cipherStates(); err != nil {
+		return nil, err
+	}
+	if h.sinkOpen, _, err = sinkHop.cipherStates(); err != nil {
 		return nil, err
 	}
 	if !reencrypt {
-		// Forwarding middlebox: the sink opens hop A directly.
-		if h.sinkOpen, err = tls12.NewCipherState(suite, hopA.C2SKey, hopA.C2SIV, 0); err != nil {
-			return nil, err
-		}
 		return h, nil
-	}
-	if h.sinkOpen, err = tls12.NewCipherState(suite, hopB.C2SKey, hopB.C2SIV, 0); err != nil {
-		return nil, err
 	}
 	dp, err := newDataPlane(&KeyMaterial{Version: tls12.VersionTLS12, Down: *hopA, Up: *hopB}, nil)
 	if err != nil {

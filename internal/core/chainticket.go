@@ -47,16 +47,6 @@ func (h *ChainHop) Wipe() {
 	h.MasterSecret = nil
 }
 
-// sessionTicket converts the hop into the tls12 client-side form. The
-// returned ticket aliases the hop's slices; wiping either wipes both.
-func (h *ChainHop) sessionTicket() *tls12.SessionTicket {
-	return &tls12.SessionTicket{
-		Ticket:       h.Ticket,
-		CipherSuite:  h.CipherSuite,
-		MasterSecret: h.MasterSecret,
-	}
-}
-
 // ChainTicket is a whole session chain's resumption state: the primary
 // (end-to-end) session ticket plus one hop ticket per client-side
 // middlebox, in path order from the client outward. A reconnecting
@@ -91,37 +81,27 @@ func (ct *ChainTicket) Hop(name string) *ChainHop {
 	return nil
 }
 
-// offeredHopTickets renders the chain's hop tickets into the wire form
-// carried inside the ClientHello's MiddleboxSupport extension.
-func (ct *ChainTicket) offeredHopTickets() []tls12.HopTicket {
+// redeemable renders the chain's usable hop tickets twice: offer is the
+// wire form carried inside the ClientHello's MiddleboxSupport
+// extension, byName the resumption map a secondary handshake consults
+// when a ServerHello names a resumed hop. The session tickets alias the
+// hops' slices; wiping either wipes both.
+func (ct *ChainTicket) redeemable() (offer []tls12.HopTicket, byName map[string]*tls12.SessionTicket) {
 	if ct == nil {
-		return nil
+		return nil, nil
 	}
-	var out []tls12.HopTicket
 	for i := range ct.Hops {
 		h := &ct.Hops[i]
-		if len(h.Ticket) > 0 && len(h.MasterSecret) > 0 {
-			out = append(out, tls12.HopTicket{Name: h.Name, Ticket: h.Ticket})
+		if len(h.Ticket) == 0 || len(h.MasterSecret) == 0 {
+			continue
 		}
-	}
-	return out
-}
-
-// hopTicketMap renders the chain's hops into the client-side
-// resumption map a secondary handshake consults when a ServerHello
-// names a resumed hop.
-func (ct *ChainTicket) hopTicketMap() map[string]*tls12.SessionTicket {
-	if ct == nil || len(ct.Hops) == 0 {
-		return nil
-	}
-	m := make(map[string]*tls12.SessionTicket, len(ct.Hops))
-	for i := range ct.Hops {
-		h := &ct.Hops[i]
-		if len(h.Ticket) > 0 && len(h.MasterSecret) > 0 {
-			m[h.Name] = h.sessionTicket()
+		if byName == nil {
+			byName = make(map[string]*tls12.SessionTicket, len(ct.Hops))
 		}
+		offer = append(offer, tls12.HopTicket{Name: h.Name, Ticket: h.Ticket})
+		byName[h.Name] = &tls12.SessionTicket{Ticket: h.Ticket, CipherSuite: h.CipherSuite, MasterSecret: h.MasterSecret}
 	}
-	return m
+	return offer, byName
 }
 
 // Wipe zeroizes every master secret in the chain ticket. A client

@@ -597,19 +597,30 @@ func TestAttestationWrongCode(t *testing.T) {
 	}
 }
 
-// TestApproveRejection: the application veto aborts the session.
+// TestApproveRejection: the application veto aborts the session, at
+// whichever endpoint the vetoed middlebox belongs to.
 func TestApproveRejection(t *testing.T) {
 	e := newEnv(t)
-	mb := e.middlebox(t, "unwanted.example", core.ClientSide)
-	clientEnd, serverEnd := buildChain(mb)
-	go func() {
-		core.Accept(serverEnd, e.serverConfig()) //nolint:errcheck
-	}()
-
-	ccfg := e.clientConfig()
-	ccfg.Approve = func(s core.MiddleboxSummary) bool { return false }
-	if _, err := core.Dial(clientEnd, ccfg); err == nil {
-		t.Fatal("session succeeded despite application rejecting the middlebox")
+	veto := func(core.MiddleboxSummary) bool { return false }
+	for _, mode := range []core.Mode{core.ClientSide, core.ServerSide} {
+		t.Run(fmt.Sprint(mode), func(t *testing.T) {
+			mb := e.middlebox(t, "unwanted.example", mode)
+			clientEnd, serverEnd := buildChain(mb)
+			ccfg, scfg := e.clientConfig(), e.serverConfig()
+			var err error
+			if mode == core.ClientSide {
+				go core.Accept(serverEnd, scfg) //nolint:errcheck
+				ccfg.Approve = veto
+				_, err = core.Dial(clientEnd, ccfg)
+			} else {
+				go core.Dial(clientEnd, ccfg) //nolint:errcheck
+				scfg.Approve = veto
+				_, err = core.Accept(serverEnd, scfg)
+			}
+			if err == nil || !strings.Contains(err.Error(), "rejected by application") {
+				t.Fatalf("err = %v, want the application's rejection of the middlebox", err)
+			}
+		})
 	}
 }
 

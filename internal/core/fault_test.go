@@ -345,35 +345,52 @@ func serverTransportOf(t *testing.T, _ *core.Middlebox, server *core.Session) *n
 
 // TestHandshakePhaseDeadline: a peer that goes silent pre-handshake
 // produces a typed HandshakeTimeoutError naming the stuck phase, and
-// the dialer's goroutines unwind.
+// the endpoint's goroutines unwind — dialing or accepting alike.
 func TestHandshakePhaseDeadline(t *testing.T) {
 	e := newEnv(t)
-	base := goleak.Base()
-	clientEnd, serverEnd := netsim.Pipe()
-	defer serverEnd.Close()
+	const limit = 200 * time.Millisecond
+	establish := map[string]func(net.Conn) error{
+		"dial": func(c net.Conn) error {
+			ccfg := e.clientConfig()
+			ccfg.HandshakeTimeout = limit
+			_, err := core.Dial(c, ccfg)
+			return err
+		},
+		"accept": func(c net.Conn) error {
+			scfg := e.serverConfig()
+			scfg.HandshakeTimeout = limit
+			_, err := core.Accept(c, scfg)
+			return err
+		},
+	}
+	for name, run := range establish {
+		t.Run(name, func(t *testing.T) {
+			base := goleak.Base()
+			ownEnd, silentEnd := netsim.Pipe()
+			defer silentEnd.Close()
 
-	ccfg := e.clientConfig()
-	ccfg.HandshakeTimeout = 200 * time.Millisecond
-	start := time.Now()
-	_, err := core.Dial(clientEnd, ccfg)
-	if err == nil {
-		t.Fatal("Dial against a silent peer succeeded")
+			start := time.Now()
+			err := run(ownEnd)
+			if err == nil {
+				t.Fatal("establishment against a silent peer succeeded")
+			}
+			var hte *core.HandshakeTimeoutError
+			if !errors.As(err, &hte) {
+				t.Fatalf("err = %v (%T), want *HandshakeTimeoutError", err, err)
+			}
+			if hte.Phase != core.PhasePrimaryHandshake {
+				t.Fatalf("timed-out phase = %s, want %s", hte.Phase, core.PhasePrimaryHandshake)
+			}
+			if !hte.Timeout() {
+				t.Fatal("HandshakeTimeoutError must satisfy net.Error.Timeout")
+			}
+			if elapsed := time.Since(start); elapsed > 3*time.Second {
+				t.Fatalf("deadline took %v to fire", elapsed)
+			}
+			ownEnd.Close()
+			waitGoroutines(t, base)
+		})
 	}
-	var hte *core.HandshakeTimeoutError
-	if !errors.As(err, &hte) {
-		t.Fatalf("err = %v (%T), want *HandshakeTimeoutError", err, err)
-	}
-	if hte.Phase != core.PhasePrimaryHandshake {
-		t.Fatalf("timed-out phase = %s, want %s", hte.Phase, core.PhasePrimaryHandshake)
-	}
-	if !hte.Timeout() {
-		t.Fatal("HandshakeTimeoutError must satisfy net.Error.Timeout")
-	}
-	if elapsed := time.Since(start); elapsed > 3*time.Second {
-		t.Fatalf("deadline took %v to fire", elapsed)
-	}
-	clientEnd.Close()
-	waitGoroutines(t, base)
 }
 
 // TestDialRetryRecoversFromTransientFaults: reset-class failures are

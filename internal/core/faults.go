@@ -274,8 +274,8 @@ func (e *HandshakeTimeoutError) Temporary() bool { return true }
 // net.Conns); when a phase overruns, the watcher fails the mux and
 // closes the transport, which unblocks every parked read, and err()
 // lets the caller surface the typed timeout instead of the secondary
-// closed-pipe error the unblocking produced. A nil watcher (deadlines
-// disabled) is inert.
+// closed-pipe error the unblocking produced. A watcher with no limit
+// (deadlines disabled) is inert.
 type hsWatch struct {
 	limit     time.Duration
 	m         *mux
@@ -290,20 +290,14 @@ type hsWatch struct {
 
 // watchHandshake starts a watcher; limit <= 0 disables it.
 func watchHandshake(limit time.Duration, m *mux, transport net.Conn) *hsWatch {
-	if limit <= 0 {
-		return nil
-	}
 	return &hsWatch{limit: limit, m: m, transport: transport}
 }
 
 // enter (re)arms the deadline for the next phase.
 func (w *hsWatch) enter(phase HandshakePhase) {
-	if w == nil {
-		return
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.done || w.fired != nil {
+	if w.limit <= 0 || w.done || w.fired != nil {
 		return
 	}
 	w.phase = phase
@@ -327,9 +321,6 @@ func (w *hsWatch) fire() {
 
 // stop disarms the watcher (establishment finished, either way).
 func (w *hsWatch) stop() {
-	if w == nil {
-		return
-	}
 	w.mu.Lock()
 	w.done = true
 	if w.timer != nil {
@@ -340,9 +331,6 @@ func (w *hsWatch) stop() {
 
 // err returns the timeout that fired, or nil.
 func (w *hsWatch) err() error {
-	if w == nil {
-		return nil
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.fired != nil {
@@ -413,31 +401,6 @@ func DialRetry(dial func() (net.Conn, error), cfg *ClientConfig, rp RetryPolicy)
 		}
 		var sess *Session
 		if sess, err = Dial(transport, cfg); err == nil {
-			return sess, nil
-		}
-		if !ClassifyError(err).Transient() {
-			return nil, err
-		}
-	}
-	return nil, err
-}
-
-// AcceptRetry is DialRetry's server-side mirror: it accepts successive
-// transports from accept until a session establishes, a non-transient
-// failure occurs, or attempts run out. A server loop uses it to ride
-// out clients that die mid-handshake without surfacing each corpse.
-func AcceptRetry(accept func() (net.Conn, error), cfg *ServerConfig, rp RetryPolicy) (*Session, error) {
-	var err error
-	for attempt := 0; attempt < rp.attempts(); attempt++ {
-		if attempt > 0 {
-			time.Sleep(rp.Delay(attempt - 1))
-		}
-		var transport net.Conn
-		if transport, err = accept(); err != nil {
-			return nil, err // listener failure: not a per-connection fault
-		}
-		var sess *Session
-		if sess, err = Accept(transport, cfg); err == nil {
 			return sess, nil
 		}
 		if !ClassifyError(err).Transient() {

@@ -1038,6 +1038,16 @@ func (s *mbSession) maybeJoinClientSide() error {
 		return s.writeEncapsulated(s.down, &s.downW, b)
 	})
 	s.secPipe.onFirstWrite = func() { close(firstWrite) }
+	held := []chan struct{}{firstWrite}
+	if s.neighborMode {
+		// The upstream neighbor hello goes out first too: an endpoint
+		// stops looking for new subchannels once its primary handshake
+		// completes, so subchannel 0 must reach the server ahead of
+		// anything the client sends in reply to this ServerHello.
+		neighborHello := make(chan struct{})
+		s.upNPipe.onFirstWrite = func() { close(neighborHello) }
+		held = append(held, neighborHello)
+	}
 	s.joinMu.Unlock()
 
 	go s.runSecondary("")
@@ -1050,12 +1060,14 @@ func (s *mbSession) maybeJoinClientSide() error {
 	// subchannel in use before they self-assign.
 	timeout := time.NewTimer(s.mb.cfg.DataPlaneTimeout)
 	defer timeout.Stop() // go.mod says go 1.22: an unstopped timer lives out its 30 s
-	select {
-	case <-firstWrite:
-		return nil
-	case <-timeout.C:
-		return errors.New("core: secondary handshake failed to start")
+	for _, written := range held {
+		select {
+		case <-written:
+		case <-timeout.C:
+			return errors.New("core: secondary handshake failed to start")
+		}
 	}
+	return nil
 }
 
 // runSecondary performs the middlebox's secondary handshake (always in
@@ -1364,29 +1376,27 @@ func (s *mbSession) runNeighborHops() {
 		err error
 	}
 	downCh := make(chan res, 1)
-	upCh := make(chan res, 1)
 	go func() {
-		hop, err := runNeighborServer(s.downNPipe, downCfg)
+		hop, err := runNeighbor(tls12.Server(tls12.NewRecordLayer(s.downNPipe), downCfg), "server")
 		downCh <- res{hop, err}
 	}()
-	go func() {
-		hop, err := runNeighborClient(s.upNPipe, upCfg)
-		upCh <- res{hop, err}
-	}()
-	down, up := <-downCh, <-upCh
+	up, err := runNeighbor(tls12.Client(tls12.NewRecordLayer(s.upNPipe), upCfg), "client")
+	down := <-downCh
 	if down.err != nil {
-		s.setDataPlane(nil, down.err)
-		return
+		err = down.err
 	}
-	if up.err != nil {
-		s.setDataPlane(nil, up.err)
+	if err != nil {
+		// The hop that did complete must not outlive the failure.
+		down.hop.Wipe()
+		up.Wipe()
+		s.setDataPlane(nil, err)
 		return
 	}
 
-	s.storeHopKeys(down.hop, up.hop)
-	km := &KeyMaterial{Version: tls12.VersionTLS12, Down: *down.hop, Up: *up.hop}
-	// Wiping km also clears down.hop and up.hop: the struct copies
-	// alias the same key slices.
+	s.storeHopKeys(down.hop, up)
+	km := &KeyMaterial{Version: tls12.VersionTLS12, Down: *down.hop, Up: *up}
+	// Wiping km also clears both hops: the struct copies alias the same
+	// key slices.
 	defer km.Wipe()
 	s.installDataPlane(km)
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"sort"
 	"sync"
@@ -40,8 +39,6 @@ type mux struct {
 	closed bool
 	// newSub delivers IDs of subchannels opened by the peer side.
 	newSub chan uint8
-
-	readErr error
 }
 
 func newMux(rw io.ReadWriter) *mux {
@@ -144,7 +141,6 @@ func (m *mux) fail(err error) {
 	m.mu.Lock()
 	if !m.closed {
 		m.closed = true
-		m.readErr = err
 		close(m.newSub)
 	}
 	subs := make([]*pipeBuf, 0, len(m.subs))
@@ -157,7 +153,3 @@ func (m *mux) fail(err error) {
 		p.fail(err)
 	}
 }
-
-// errSubchannelExhausted is returned when the 1-byte subchannel ID
-// space is full.
-var errSubchannelExhausted = fmt.Errorf("core: more than %d subchannels", maxSubchannels)

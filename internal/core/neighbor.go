@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/tls12"
 )
@@ -38,45 +37,24 @@ import (
 // middleboxes are rejected in this mode.
 const neighborSubchannel uint8 = 0
 
-// hopFromSession converts a completed neighbor TLS session into hop
-// keys. The session's client role is the hop's downstream party, so
-// the session's client-write direction is the hop's client→server
-// direction.
+// runNeighbor completes one side of a neighbor hop handshake and
+// converts the session into hop keys. The session's client role is the
+// hop's downstream party, so its client-write direction is the hop's
+// client→server direction. Either way out, the session is retired: it
+// exists only to produce these keys.
+func runNeighbor(conn *tls12.Conn, side string) (*HopKeys, error) {
+	defer retire(conn)
+	if err := conn.Handshake(); err != nil {
+		return nil, fmt.Errorf("core: neighbor handshake (%s role): %w", side, err)
+	}
+	return hopFromSession(conn)
+}
+
+// hopFromSession exports a completed session's record keys as a hop's.
 func hopFromSession(conn *tls12.Conn) (*HopKeys, error) {
 	sk, err := conn.ExportSessionKeys()
 	if err != nil {
 		return nil, err
 	}
-	// The neighbor session exists only to produce these keys; its
-	// master secret has no further use.
-	conn.Wipe()
-	return &HopKeys{
-		Suite:  sk.Suite,
-		C2SKey: sk.ClientWriteKey,
-		C2SIV:  sk.ClientWriteIV,
-		C2SSeq: sk.ClientSeq,
-		S2CKey: sk.ServerWriteKey,
-		S2CIV:  sk.ServerWriteIV,
-		S2CSeq: sk.ServerSeq,
-	}, nil
-}
-
-// runNeighborClient performs the downstream (client-role) side of a
-// neighbor hop handshake.
-func runNeighborClient(rw io.ReadWriter, cfg *tls12.Config) (*HopKeys, error) {
-	conn := tls12.Client(tls12.NewRecordLayer(rw), cfg)
-	if err := conn.Handshake(); err != nil {
-		return nil, fmt.Errorf("core: neighbor handshake (client role): %w", err)
-	}
-	return hopFromSession(conn)
-}
-
-// runNeighborServer performs the upstream (server-role) side of a
-// neighbor hop handshake.
-func runNeighborServer(rw io.ReadWriter, cfg *tls12.Config) (*HopKeys, error) {
-	conn := tls12.Server(tls12.NewRecordLayer(rw), cfg)
-	if err := conn.Handshake(); err != nil {
-		return nil, fmt.Errorf("core: neighbor handshake (server role): %w", err)
-	}
-	return hopFromSession(conn)
+	return BridgeHopKeys(sk), nil
 }

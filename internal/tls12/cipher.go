@@ -49,17 +49,13 @@ type CipherState struct {
 	seq  uint64
 
 	// salt is the 4-byte implicit nonce part, fixed at construction and
-	// never written afterwards. The explicit-sequence variants
-	// (OpenInPlaceAt, SealAppendAt) read it concurrently, so it must stay
-	// immutable; the serial path keeps its own copy in nonceBuf.
+	// never written afterwards: the explicit-sequence variants
+	// (OpenInPlaceAt, SealAppendAt) read it concurrently.
 	salt [gcmImplicitNonceLen]byte
 
-	// nonceBuf holds the assembled 12-byte GCM nonce: the implicit salt
-	// (fixed at construction) followed by the per-record explicit part.
-	nonceBuf [gcmImplicitNonceLen + gcmExplicitNonceLen]byte
-	// adBuf holds the 13-byte AEAD associated data, reused per record so
-	// the steady-state seal/open paths allocate nothing.
-	adBuf [13]byte
+	// scratch serves the serial path (SealAppend, OpenInPlace), so the
+	// steady-state seal/open paths allocate nothing.
+	scratch CryptoScratch
 }
 
 // NewCipherState builds a CipherState for the given suite from raw key
@@ -86,22 +82,11 @@ func NewCipherState(suiteID uint16, key, iv []byte, seq uint64) (*CipherState, e
 	}
 	cs := &CipherState{aead: aead, seq: seq}
 	copy(cs.salt[:], iv)
-	copy(cs.nonceBuf[:gcmImplicitNonceLen], iv)
 	return cs, nil
 }
 
 // Seq returns the next record sequence number to be used.
 func (cs *CipherState) Seq() uint64 { return cs.seq }
-
-// additionalData fills the reusable AEAD associated-data buffer:
-// seq(8) || type(1) || version(2) || plaintext length(2), RFC 5246 §6.2.3.3.
-func (cs *CipherState) additionalData(seq uint64, typ ContentType, plaintextLen int) []byte {
-	binary.BigEndian.PutUint64(cs.adBuf[:8], seq)
-	cs.adBuf[8] = byte(typ)
-	binary.BigEndian.PutUint16(cs.adBuf[9:11], VersionTLS12)
-	binary.BigEndian.PutUint16(cs.adBuf[11:13], uint16(plaintextLen))
-	return cs.adBuf[:]
-}
 
 // SealAppend encrypts a record payload and appends its wire form —
 // explicit_nonce(8) || ciphertext || tag — to dst, advancing the
@@ -109,9 +94,7 @@ func (cs *CipherState) additionalData(seq uint64, typ ContentType, plaintextLen 
 // zero allocations; dst must not overlap plaintext. The explicit nonce
 // is the sequence number, as TLS implementations conventionally do.
 func (cs *CipherState) SealAppend(dst []byte, typ ContentType, plaintext []byte) []byte {
-	binary.BigEndian.PutUint64(cs.nonceBuf[gcmImplicitNonceLen:], cs.seq)
-	dst = append(dst, cs.nonceBuf[gcmImplicitNonceLen:]...)
-	dst = cs.aead.Seal(dst, cs.nonceBuf[:], plaintext, cs.additionalData(cs.seq, typ, len(plaintext)))
+	dst = cs.SealAppendAt(&cs.scratch, dst, cs.seq, typ, plaintext)
 	cs.seq++
 	return dst
 }
@@ -130,37 +113,18 @@ func (cs *CipherState) Seal(typ ContentType, plaintext []byte) []byte {
 // what enforces path integrity, paper P4), so the clobbered buffer is
 // never observed.
 func (cs *CipherState) OpenInPlace(typ ContentType, payload []byte) ([]byte, error) {
-	if len(payload) < sealOverhead {
-		return nil, &AlertError{Description: AlertBadRecordMAC}
-	}
-	copy(cs.nonceBuf[gcmImplicitNonceLen:], payload[:gcmExplicitNonceLen])
-	ciphertext := payload[gcmExplicitNonceLen:]
-	plaintextLen := len(ciphertext) - gcmTagLen
-	plaintext, err := cs.aead.Open(ciphertext[:0], cs.nonceBuf[:], ciphertext, cs.additionalData(cs.seq, typ, plaintextLen))
+	plaintext, err := cs.OpenInPlaceAt(&cs.scratch, cs.seq, typ, payload)
 	if err != nil {
-		return nil, &AlertError{Description: AlertBadRecordMAC}
+		return nil, err
 	}
 	cs.seq++
 	return plaintext, nil
 }
 
-// Open decrypts a record payload in wire form into a fresh buffer,
-// leaving payload intact, and advances the sequence number on success.
-// A failure leaves the sequence number unchanged and returns an error.
+// Open decrypts a record payload in wire form leaving payload intact:
+// OpenInPlace on a copy, kept for callers off the hot path.
 func (cs *CipherState) Open(typ ContentType, payload []byte) ([]byte, error) {
-	if len(payload) < sealOverhead {
-		return nil, &AlertError{Description: AlertBadRecordMAC}
-	}
-	copy(cs.nonceBuf[gcmImplicitNonceLen:], payload[:gcmExplicitNonceLen])
-	ciphertext := payload[gcmExplicitNonceLen:]
-	plaintextLen := len(ciphertext) - gcmTagLen
-	out := make([]byte, 0, plaintextLen)
-	plaintext, err := cs.aead.Open(out, cs.nonceBuf[:], ciphertext, cs.additionalData(cs.seq, typ, plaintextLen))
-	if err != nil {
-		return nil, &AlertError{Description: AlertBadRecordMAC}
-	}
-	cs.seq++
-	return plaintext, nil
+	return cs.OpenInPlace(typ, append([]byte(nil), payload...))
 }
 
 // Overhead returns the number of bytes Seal adds to a plaintext.
@@ -187,17 +151,19 @@ func (cs *CipherState) ReserveSeq(n uint64) uint64 {
 // flight past the new value.
 func (cs *CipherState) SetSeq(seq uint64) { cs.seq = seq }
 
-// CryptoScratch holds the per-call scratch buffers the explicit-sequence
-// variants use instead of the CipherState's own (serial-only) scratch.
-// Each pipeline worker owns one heap-resident scratch: arrays declared
-// on the stack would escape through the cipher.AEAD interface call and
-// cost an allocation per record.
+// CryptoScratch holds the nonce and associated-data buffers of one
+// seal or open call. The serial path uses the CipherState's own; each
+// pipeline worker owns one heap-resident scratch for the
+// explicit-sequence variants: arrays declared on the stack would escape
+// through the cipher.AEAD interface call and cost an allocation per
+// record.
 type CryptoScratch struct {
 	nonceBuf [gcmImplicitNonceLen + gcmExplicitNonceLen]byte
 	adBuf    [13]byte
 }
 
-// additionalDataAt is additionalData against caller-owned scratch.
+// additionalDataAt fills the scratch's AEAD associated data:
+// seq(8) || type(1) || version(2) || plaintext length(2), RFC 5246 §6.2.3.3.
 func additionalDataAt(sc *CryptoScratch, seq uint64, typ ContentType, plaintextLen int) []byte {
 	binary.BigEndian.PutUint64(sc.adBuf[:8], seq)
 	sc.adBuf[8] = byte(typ)
@@ -207,8 +173,8 @@ func additionalDataAt(sc *CryptoScratch, seq uint64, typ ContentType, plaintextL
 }
 
 // SealAppendAt is SealAppend at an explicit sequence number, using
-// caller-owned scratch and leaving the CipherState's own sequence and
-// scratch untouched. It reads only the AEAD and the immutable salt, so
+// caller-owned scratch and leaving the CipherState's own sequence
+// untouched. It reads only the AEAD and the immutable salt, so
 // any number of SealAppendAt/OpenInPlaceAt calls (with distinct scratch)
 // may run concurrently with each other and with the serial path —
 // provided the serial path is not sealing the same direction, which the

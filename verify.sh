@@ -20,10 +20,13 @@ gate go test ./...
 gate go vet ./...
 gate go test -race ./internal/core/ ./internal/tls12/ ./internal/netsim/ ./internal/sessionhost/ ./internal/hsfast/
 gate go test -race ./internal/transport/...
-# Stress slice: netsim's byte stream and the Conn contract, repeated and
-# shuffled at three core counts; a flake is a failure.
+# Stress slice: netsim's byte stream, the Conn contract, and core's
+# session establishment (both roles of establish, every mode), repeated
+# and shuffled at three core counts; a flake is a failure.
 for procs in 1 2 4; do
 	gate env GOMAXPROCS=$procs go test -count=20 -shuffle=on ./internal/netsim/ ./internal/transport/...
+	gate env GOMAXPROCS=$procs go test -count=20 -shuffle=on \
+		-run 'TestSession|TestNeighborKeys|TestProxySig|TestChainTicket|TestHandshakePhaseDeadline|TestApproveRejection|TestGoldenTranscript|TestEstablish' ./internal/core/
 done
 # The frozen benchmark module compiles against core's relay API; catch
 # a break here, not in the bench run.
