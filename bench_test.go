@@ -21,6 +21,7 @@ import (
 
 	mbtls "repro"
 	"repro/internal/certs"
+	"repro/internal/chain"
 	"repro/internal/core"
 	"repro/internal/enclave"
 	"repro/internal/netsim"
@@ -28,99 +29,54 @@ import (
 	"repro/internal/tls12"
 )
 
-// benchPKI is shared, read-only fixture state.
-type benchPKI struct {
-	ca         *certs.CA
-	serverCert *tls12.Certificate
-	mbCert     *tls12.Certificate
-	splitCA    *certs.CA
+// newPKI mints the shared, read-only chain fixture.
+func newPKI(b *testing.B) *chain.PKI {
+	b.Helper()
+	pki, err := chain.NewPKI()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return pki
 }
 
-func newBenchPKI(b *testing.B) *benchPKI {
+// setupSession performs one full mbTLS session establishment through
+// one default middlebox per mode in modes, over link's hops (in-memory
+// pipes when nil), and tears it down.
+func setupSession(b *testing.B, pki *chain.PKI, link chain.Link, modes ...mbtls.Mode) {
 	b.Helper()
-	ca, err := certs.NewCA("bench root")
+	cfgs := make([]mbtls.MiddleboxConfig, len(modes))
+	for i, mode := range modes {
+		cfgs[i].Mode = mode
+	}
+	ch, err := pki.Chain(link, cfgs...)
 	if err != nil {
 		b.Fatal(err)
 	}
-	serverCert, err := ca.Issue("server.example", []string{"server.example"}, nil)
+	defer ch.Close()
+	client, server, err := chain.Establish(ch.Client, ch.Server, pki.ClientConfig(), pki.ServerConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
-	mbCert, err := ca.Issue("mbox.example", []string{"mbox.example"}, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	splitCA, err := certs.NewCA("bench split root")
-	if err != nil {
-		b.Fatal(err)
-	}
-	return &benchPKI{ca: ca, serverCert: serverCert, mbCert: mbCert, splitCA: splitCA}
-}
-
-// buildChain wires client → middleboxes → server over in-memory pipes.
-func buildChain(b *testing.B, pki *benchPKI, clientMboxes, serverMboxes int) (net.Conn, net.Conn) {
-	b.Helper()
-	left, right := netsim.Pipe()
-	prev := net.Conn(right)
-	mk := func(mode core.Mode) {
-		mb, err := mbtls.NewMiddlebox(mbtls.MiddleboxConfig{Mode: mode, Certificate: pki.mbCert})
-		if err != nil {
-			b.Fatal(err)
-		}
-		upL, upR := netsim.Pipe()
-		go mb.Handle(prev, upL) //nolint:errcheck
-		prev = upR
-	}
-	for i := 0; i < clientMboxes; i++ {
-		mk(mbtls.ClientSide)
-	}
-	for i := 0; i < serverMboxes; i++ {
-		mk(mbtls.ServerSide)
-	}
-	return left, prev
-}
-
-// runMbTLSSetup performs one full mbTLS session establishment.
-func runMbTLSSetup(b *testing.B, pki *benchPKI, clientMboxes, serverMboxes int) {
-	b.Helper()
-	clientEnd, serverEnd := buildChain(b, pki, clientMboxes, serverMboxes)
-	sch := make(chan error, 1)
-	var ssess *mbtls.Session
-	go func() {
-		var err error
-		ssess, err = mbtls.Accept(serverEnd, &mbtls.ServerConfig{
-			TLS:               &mbtls.TLSConfig{Certificate: pki.serverCert},
-			AcceptMiddleboxes: true,
-			MiddleboxTLS:      &mbtls.TLSConfig{RootCAs: pki.ca.Pool()},
-		})
-		sch <- err
-	}()
-	csess, err := mbtls.Dial(clientEnd, &mbtls.ClientConfig{
-		TLS:          &mbtls.TLSConfig{RootCAs: pki.ca.Pool(), ServerName: "server.example"},
-		MiddleboxTLS: &mbtls.TLSConfig{RootCAs: pki.ca.Pool()},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := <-sch; err != nil {
-		b.Fatal(err)
-	}
-	csess.Close()
-	ssess.Close()
+	client.Close()
+	server.Close()
 }
 
 // BenchmarkHandshake reproduces Figure 5's configurations as per-op
 // costs of complete session establishment.
 func BenchmarkHandshake(b *testing.B) {
-	pki := newBenchPKI(b)
+	pki := newPKI(b)
+	splitCA, err := certs.NewCA("bench split root")
+	if err != nil {
+		b.Fatal(err)
+	}
 
 	b.Run("TLS", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			cp, sp := netsim.Pipe()
-			server := tls12.NewServerConn(sp, &tls12.Config{Certificate: pki.serverCert})
+			server := tls12.NewServerConn(sp, &tls12.Config{Certificate: pki.Origin})
 			errc := make(chan error, 1)
 			go func() { errc <- server.Handshake() }()
-			client := tls12.NewClientConn(cp, &tls12.Config{RootCAs: pki.ca.Pool(), ServerName: "server.example"})
+			client := tls12.NewClientConn(cp, pki.ClientConfig().TLS)
 			if err := client.Handshake(); err != nil {
 				b.Fatal(err)
 			}
@@ -135,12 +91,12 @@ func BenchmarkHandshake(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			c0a, c0b := netsim.Pipe()
 			c1a, c1b := netsim.Pipe()
-			ic := &splittls.Interceptor{CA: pki.splitCA, Upstream: &tls12.Config{RootCAs: pki.ca.Pool()}, VerifyUpstream: true}
+			ic := &splittls.Interceptor{CA: splitCA, Upstream: &tls12.Config{RootCAs: pki.CA.Pool()}, VerifyUpstream: true}
 			go ic.Handle(c0b, c1a) //nolint:errcheck
-			server := tls12.NewServerConn(c1b, &tls12.Config{Certificate: pki.serverCert})
+			server := tls12.NewServerConn(c1b, &tls12.Config{Certificate: pki.Origin})
 			errc := make(chan error, 1)
 			go func() { errc <- server.Handshake() }()
-			client := tls12.NewClientConn(c0a, &tls12.Config{RootCAs: pki.splitCA.Pool(), ServerName: "server.example"})
+			client := tls12.NewClientConn(c0a, &tls12.Config{RootCAs: splitCA.Pool(), ServerName: chain.OriginName})
 			if err := client.Handshake(); err != nil {
 				b.Fatal(err)
 			}
@@ -152,18 +108,18 @@ func BenchmarkHandshake(b *testing.B) {
 		}
 	})
 	for _, cfg := range []struct {
-		name                       string
-		clientMboxes, serverMboxes int
+		name  string
+		modes []mbtls.Mode
 	}{
-		{"MbTLS_0mbox", 0, 0},
-		{"MbTLS_1clientMbox", 1, 0},
-		{"MbTLS_1serverMbox", 0, 1},
-		{"MbTLS_2serverMboxes", 0, 2},
-		{"MbTLS_3serverMboxes", 0, 3},
+		{"MbTLS_0mbox", nil},
+		{"MbTLS_1clientMbox", []mbtls.Mode{mbtls.ClientSide}},
+		{"MbTLS_1serverMbox", []mbtls.Mode{mbtls.ServerSide}},
+		{"MbTLS_2serverMboxes", []mbtls.Mode{mbtls.ServerSide, mbtls.ServerSide}},
+		{"MbTLS_3serverMboxes", []mbtls.Mode{mbtls.ServerSide, mbtls.ServerSide, mbtls.ServerSide}},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				runMbTLSSetup(b, pki, cfg.clientMboxes, cfg.serverMboxes)
+				setupSession(b, pki, nil, cfg.modes...)
 			}
 		})
 	}
@@ -273,33 +229,11 @@ func BenchmarkDataPlane(b *testing.B) {
 // BenchmarkTable2Site measures one handshake through a typical
 // filtered client network (Table 2's unit of work).
 func BenchmarkTable2Site(b *testing.B) {
-	pki := newBenchPKI(b)
+	pki := newPKI(b)
 	for i := 0; i < b.N; i++ {
-		clientEnd, filteredEnd := netsim.FilteredLink(netsim.SiteFilters(netsim.Enterprise, i)...)
-		mb, err := mbtls.NewMiddlebox(mbtls.MiddleboxConfig{Mode: mbtls.ClientSide, Certificate: pki.mbCert})
-		if err != nil {
-			b.Fatal(err)
-		}
-		upA, upB := netsim.Pipe()
-		go mb.Handle(filteredEnd, upA) //nolint:errcheck
-		sch := make(chan error, 1)
-		var ssess *mbtls.Session
-		go func() {
-			var err error
-			ssess, err = mbtls.Accept(upB, &mbtls.ServerConfig{TLS: &mbtls.TLSConfig{Certificate: pki.serverCert}})
-			sch <- err
-		}()
-		csess, err := mbtls.Dial(clientEnd, &mbtls.ClientConfig{
-			TLS: &mbtls.TLSConfig{RootCAs: pki.ca.Pool(), ServerName: "server.example"},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := <-sch; err != nil {
-			b.Fatal(err)
-		}
-		csess.Close()
-		ssess.Close()
+		setupSession(b, pki, chain.ClientHop(func() (net.Conn, net.Conn) {
+			return netsim.FilteredLink(netsim.SiteFilters(netsim.Enterprise, i)...)
+		}), mbtls.ClientSide)
 	}
 }
 
@@ -310,44 +244,29 @@ func BenchmarkTable2Site(b *testing.B) {
 // quantifying the round trips the optimistic ClientHello reuse saves
 // (DESIGN.md ablation 3).
 func BenchmarkAblationInterleavedHandshake(b *testing.B) {
-	pki := newBenchPKI(b)
+	pki := newPKI(b)
+	mbCert, err := pki.MiddleboxCert(chain.MiddleboxName)
+	if err != nil {
+		b.Fatal(err)
+	}
 	const latency = 5 * time.Millisecond // one-way per hop
 
 	b.Run("mbTLS_interleaved", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			c0a, c0b := netsim.NewLink(netsim.LinkConfig{Latency: latency})
-			c1a, c1b := netsim.NewLink(netsim.LinkConfig{Latency: latency})
-			mb, err := mbtls.NewMiddlebox(mbtls.MiddleboxConfig{Mode: mbtls.ClientSide, Certificate: pki.mbCert})
-			if err != nil {
-				b.Fatal(err)
-			}
-			go mb.Handle(c0b, c1a) //nolint:errcheck
-			sch := make(chan error, 1)
-			var ssess *mbtls.Session
-			go func() {
-				var err error
-				ssess, err = mbtls.Accept(c1b, &mbtls.ServerConfig{TLS: &mbtls.TLSConfig{Certificate: pki.serverCert}})
-				sch <- err
-			}()
-			csess, err := mbtls.Dial(c0a, &mbtls.ClientConfig{
-				TLS: &mbtls.TLSConfig{RootCAs: pki.ca.Pool(), ServerName: "server.example"},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			<-sch
-			csess.Close()
-			ssess.Close()
+			setupSession(b, pki, func(int) (net.Conn, net.Conn, error) {
+				a, z := netsim.NewLink(netsim.LinkConfig{Latency: latency})
+				return a, z, nil
+			}, mbtls.ClientSide)
 		}
 	})
 	b.Run("naive_sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			// End-to-end TLS over the full path (2 hops of latency)...
 			c0a, c0b := netsim.NewLink(netsim.LinkConfig{Latency: 2 * latency})
-			server := tls12.NewServerConn(c0b, &tls12.Config{Certificate: pki.serverCert})
+			server := tls12.NewServerConn(c0b, &tls12.Config{Certificate: pki.Origin})
 			errc := make(chan error, 1)
 			go func() { errc <- server.Handshake() }()
-			client := tls12.NewClientConn(c0a, &tls12.Config{RootCAs: pki.ca.Pool(), ServerName: "server.example"})
+			client := tls12.NewClientConn(c0a, pki.ClientConfig().TLS)
 			if err := client.Handshake(); err != nil {
 				b.Fatal(err)
 			}
@@ -355,9 +274,9 @@ func BenchmarkAblationInterleavedHandshake(b *testing.B) {
 			// ...then a separate, sequential TLS session to the
 			// middlebox (1 hop of latency) to hand it the keys.
 			m0a, m0b := netsim.NewLink(netsim.LinkConfig{Latency: latency})
-			mbServer := tls12.NewServerConn(m0b, &tls12.Config{Certificate: pki.mbCert})
+			mbServer := tls12.NewServerConn(m0b, &tls12.Config{Certificate: mbCert})
 			go func() { errc <- mbServer.Handshake() }()
-			mbClient := tls12.NewClientConn(m0a, &tls12.Config{RootCAs: pki.ca.Pool()})
+			mbClient := tls12.NewClientConn(m0a, &tls12.Config{RootCAs: pki.CA.Pool()})
 			if err := mbClient.Handshake(); err != nil {
 				b.Fatal(err)
 			}

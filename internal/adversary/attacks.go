@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/certs"
+	"repro/internal/chain"
 	"repro/internal/core"
 	"repro/internal/enclave"
 	"repro/internal/netsim"
@@ -475,11 +476,11 @@ func ImpersonateServer() Result {
 		Threat:   "C establishes key with software operated by someone other than S",
 		Defense:  "Certificate",
 	}
-	ca, err := certs.NewCA("honest root")
+	pki, err := chain.NewPKI()
 	if err != nil {
 		return harnessFailure(r, err)
 	}
-	rogueCert, err := certs.SelfSigned("origin.example", []string{"origin.example"})
+	rogueCert, err := certs.SelfSigned(chain.OriginName, []string{chain.OriginName})
 	if err != nil {
 		return harnessFailure(r, err)
 	}
@@ -488,9 +489,7 @@ func ImpersonateServer() Result {
 		conn := tls12.NewServerConn(serverEnd, &tls12.Config{Certificate: rogueCert})
 		conn.Handshake() //nolint:errcheck
 	}()
-	_, err = core.Dial(clientEnd, &core.ClientConfig{
-		TLS: &tls12.Config{RootCAs: ca.Pool(), ServerName: "origin.example"},
-	})
+	_, err = core.Dial(clientEnd, pki.ClientConfig())
 	if err == nil {
 		r.Detail = "client accepted an impostor server"
 		return r
@@ -508,11 +507,7 @@ func ImpersonateMSP() Result {
 		Threat:   "C or S establishes key with MS software operated by someone other than MSP",
 		Defense:  "Certificate",
 	}
-	ca, err := certs.NewCA("honest root")
-	if err != nil {
-		return harnessFailure(r, err)
-	}
-	serverCert, err := ca.Issue("origin.example", []string{"origin.example"}, nil)
+	pki, err := chain.NewPKI()
 	if err != nil {
 		return harnessFailure(r, err)
 	}
@@ -520,19 +515,12 @@ func ImpersonateMSP() Result {
 	if err != nil {
 		return harnessFailure(r, err)
 	}
-	mb, err := core.NewMiddlebox(core.MiddleboxConfig{Mode: core.ClientSide, Certificate: rogueMbCert})
+	ch, err := pki.Chain(nil, core.MiddleboxConfig{Mode: core.ClientSide, Certificate: rogueMbCert})
 	if err != nil {
 		return harnessFailure(r, err)
 	}
-	c0a, c0b := netsim.Pipe()
-	c1a, c1b := netsim.Pipe()
-	go mb.Handle(c0b, c1a) //nolint:errcheck
-	go func() {
-		core.Accept(c1b, &core.ServerConfig{TLS: &tls12.Config{Certificate: serverCert}}) //nolint:errcheck
-	}()
-	_, err = core.Dial(c0a, &core.ClientConfig{
-		TLS: &tls12.Config{RootCAs: ca.Pool(), ServerName: "origin.example"},
-	})
+	defer ch.Close()
+	_, _, err = chain.Establish(ch.Client, ch.Server, pki.ClientConfig(), pki.ServerConfig())
 	if err == nil {
 		r.Detail = "client accepted a middlebox with an untrusted certificate"
 		return r
@@ -549,42 +537,23 @@ func WrongMiddleboxCode() Result {
 		Threat:   "C or S establishes key with wrong MS software",
 		Defense:  "Remote Attestation",
 	}
-	authority, err := enclave.NewAuthority()
-	if err != nil {
-		return harnessFailure(r, err)
-	}
-	platform, err := authority.NewPlatform()
+	pki, err := chain.NewPKI()
 	if err != nil {
 		return harnessFailure(r, err)
 	}
 	expected := enclave.CodeImage{Name: "mbtls-mbox", Version: "1.0"}
 	evil := enclave.CodeImage{Name: "mbtls-mbox", Version: "1.0-backdoored"}
-	encl := platform.CreateEnclave(evil)
-
-	ca, err := certs.NewCA("honest root")
-	if err != nil {
-		return harnessFailure(r, err)
-	}
-	serverCert, _ := ca.Issue("origin.example", []string{"origin.example"}, nil)
-	mbCert, _ := ca.Issue("mbox.example", []string{"mbox.example"}, nil)
-	mb, err := core.NewMiddlebox(core.MiddleboxConfig{Mode: core.ClientSide, Certificate: mbCert, Enclave: encl})
-	if err != nil {
-		return harnessFailure(r, err)
-	}
-	c0a, c0b := netsim.Pipe()
-	c1a, c1b := netsim.Pipe()
-	go mb.Handle(c0b, c1a) //nolint:errcheck
-	go func() {
-		core.Accept(c1b, &core.ServerConfig{TLS: &tls12.Config{Certificate: serverCert}}) //nolint:errcheck
-	}()
-	_, err = core.Dial(c0a, &core.ClientConfig{
-		TLS:                         &tls12.Config{RootCAs: ca.Pool(), ServerName: "origin.example"},
-		RequireMiddleboxAttestation: true,
-		MiddleboxVerifier: &enclave.Verifier{
-			Authority: authority.PublicKey(),
-			Allowed:   []enclave.Measurement{expected.Measurement()},
-		},
+	ch, err := pki.Chain(nil, core.MiddleboxConfig{
+		Name: "mbox.example", Mode: core.ClientSide, Enclave: pki.Platform.CreateEnclave(evil),
 	})
+	if err != nil {
+		return harnessFailure(r, err)
+	}
+	defer ch.Close()
+	ccfg := pki.ClientConfig()
+	ccfg.RequireMiddleboxAttestation = true
+	ccfg.MiddleboxVerifier = pki.Verifier(expected)
+	_, _, err = chain.Establish(ch.Client, ch.Server, ccfg, pki.ServerConfig())
 	if err == nil {
 		r.Detail = "client accepted an enclave running unexpected code"
 		return r
@@ -602,16 +571,12 @@ func ReplayQuote() Result {
 		Threat:   "Stale SGX attestation replayed into a new handshake",
 		Defense:  "Quote binds the handshake transcript hash",
 	}
-	authority, err := enclave.NewAuthority()
-	if err != nil {
-		return harnessFailure(r, err)
-	}
-	platform, err := authority.NewPlatform()
+	pki, err := chain.NewPKI()
 	if err != nil {
 		return harnessFailure(r, err)
 	}
 	image := enclave.CodeImage{Name: "mbtls-mbox", Version: "1.0"}
-	encl := platform.CreateEnclave(image)
+	encl := pki.Platform.CreateEnclave(image)
 
 	oldReport := make([]byte, enclave.ReportDataLen)
 	copy(oldReport, []byte("transcript hash of an old handshake"))
@@ -625,7 +590,7 @@ func ReplayQuote() Result {
 	freshReport := make([]byte, enclave.ReportDataLen)
 	copy(freshReport, []byte("transcript hash of the current handshake"))
 
-	v := &enclave.Verifier{Authority: authority.PublicKey(), Allowed: []enclave.Measurement{image.Measurement()}}
+	v := pki.Verifier(image)
 	if err := v.VerifyQuote(staleQuote.Marshal(), freshReport); err == nil {
 		r.Detail = "verifier accepted a stale quote"
 		return r

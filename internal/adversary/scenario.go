@@ -3,13 +3,13 @@ package adversary
 import (
 	"errors"
 	"fmt"
+	"net"
 	"time"
 
-	"repro/internal/certs"
+	"repro/internal/chain"
 	"repro/internal/core"
 	"repro/internal/enclave"
 	"repro/internal/netsim"
-	"repro/internal/tls12"
 )
 
 // Opts configures a standard attack scenario: an mbTLS client, one
@@ -26,16 +26,14 @@ type Opts struct {
 
 // Scenario is a live session under attack.
 type Scenario struct {
-	CA        *certs.CA
-	Authority *enclave.Authority
-	Enclave   *enclave.Enclave
-	Mbox      *core.Middlebox
-	Client    *core.Session
-	Server    *core.Session
+	Mbox   *core.Middlebox
+	Client *core.Session
+	Server *core.Session
 	// T1 sits between the client and the middlebox (hop key K(C-M)),
 	// T2 between the middlebox and the server (the bridge key K(C-S)).
 	T1, T2 *TamperPoint
 
+	chain      *chain.Chain
 	serverRecv chan []byte
 	serverErr  chan error
 	clientRecv chan []byte
@@ -53,92 +51,45 @@ func NewScenario(opts Opts) (*Scenario, error) {
 		clientRecv: make(chan []byte, 64),
 		clientErr:  make(chan error, 4),
 	}
-	var err error
-	if sc.CA, err = certs.NewCA("adversary harness root"); err != nil {
-		return nil, err
-	}
-	if sc.Authority, err = enclave.NewAuthority(); err != nil {
-		return nil, err
-	}
-	serverCert, err := sc.CA.Issue("origin.example", []string{"origin.example"}, nil)
+	pki, err := chain.NewPKI()
 	if err != nil {
 		return nil, err
 	}
-	mbCert, err := sc.CA.Issue("mbox.example", []string{"mbox.example"}, nil)
-	if err != nil {
-		return nil, err
-	}
-
-	mbCfg := core.MiddleboxConfig{
-		Mode:        core.ClientSide,
-		Certificate: mbCert,
-	}
+	mbCfg := core.MiddleboxConfig{Name: "mbox.example", Mode: core.ClientSide, NewProcessor: opts.Processor}
+	ccfg := pki.ClientConfig()
+	ccfg.NeighborKeys = opts.NeighborKeys
 	if opts.NeighborKeys {
-		mbCfg.NeighborRoots = sc.CA.Pool()
+		mbCfg.NeighborRoots = pki.CA.Pool()
 	}
-	if opts.Processor != nil {
-		mbCfg.NewProcessor = opts.Processor
-	}
-	var image enclave.CodeImage
 	if opts.EnclaveMbox {
-		platform, err := sc.Authority.NewPlatform()
-		if err != nil {
-			return nil, err
-		}
-		image = enclave.CodeImage{Name: "mbtls-mbox", Version: "1.0"}
-		sc.Enclave = platform.CreateEnclave(image)
-		mbCfg.Enclave = sc.Enclave
+		image := enclave.CodeImage{Name: "mbtls-mbox", Version: "1.0"}
+		mbCfg.Enclave = pki.Platform.CreateEnclave(image)
+		ccfg.RequireMiddleboxAttestation = true
+		ccfg.MiddleboxVerifier = pki.Verifier(image)
 	}
-	if sc.Mbox, err = core.NewMiddlebox(mbCfg); err != nil {
+	if sc.Mbox, err = pki.Middlebox(mbCfg); err != nil {
 		return nil, err
 	}
 
-	// client --T1-- mbox --T2-- server
-	c0a, c0b := netsim.Pipe()
-	c1a, c1b := netsim.Pipe()
-	c2a, c2b := netsim.Pipe()
-	c3a, c3b := netsim.Pipe()
-	sc.T1 = NewTamperPoint(c0b, c1a, true)
-	go sc.Mbox.Handle(c1b, c2a) //nolint:errcheck
-	sc.T2 = NewTamperPoint(c2b, c3a, true)
+	// client --T1-- mbox --T2-- server: every hop is two pipes with the
+	// adversary spliced between them.
+	var taps []*TamperPoint
+	sc.chain, err = chain.Wire(func(int) (net.Conn, net.Conn, error) {
+		down, tapDown := netsim.Pipe()
+		tapUp, up := netsim.Pipe()
+		taps = append(taps, NewTamperPoint(tapDown, tapUp, true))
+		return down, up, nil
+	}, sc.Mbox)
+	if err != nil {
+		return nil, err
+	}
+	sc.T1, sc.T2 = taps[0], taps[1]
 
-	ccfg := &core.ClientConfig{
-		TLS:          &tls12.Config{RootCAs: sc.CA.Pool(), ServerName: "origin.example"},
-		NeighborKeys: opts.NeighborKeys,
+	sc.Client, sc.Server, err = chain.Establish(sc.chain.Client, sc.chain.Server, ccfg, pki.ServerConfig())
+	if err != nil {
+		sc.chain.Close()
+		return nil, fmt.Errorf("adversary: setup: %w", err)
 	}
-	if opts.EnclaveMbox {
-		ccfg.RequireMiddleboxAttestation = true
-		ccfg.MiddleboxVerifier = &enclave.Verifier{
-			Authority: sc.Authority.PublicKey(),
-			Allowed:   []enclave.Measurement{image.Measurement()},
-		}
-	}
-	scfg := &core.ServerConfig{TLS: &tls12.Config{Certificate: serverCert}}
-
-	type res struct {
-		sess *core.Session
-		err  error
-	}
-	cch := make(chan res, 1)
-	sch := make(chan res, 1)
-	go func() {
-		s, err := core.Dial(c0a, ccfg)
-		cch <- res{s, err}
-	}()
-	go func() {
-		s, err := core.Accept(c3b, scfg)
-		sch <- res{s, err}
-	}()
-	cr, sr := <-cch, <-sch
-	if cr.err != nil {
-		return nil, fmt.Errorf("adversary: client setup: %w", cr.err)
-	}
-	if sr.err != nil {
-		return nil, fmt.Errorf("adversary: server setup: %w", sr.err)
-	}
-	sc.Client = cr.sess
-	sc.Server = sr.sess
-
 	go pumpReads(sc.Server, sc.serverRecv, sc.serverErr)
 	go pumpReads(sc.Client, sc.clientRecv, sc.clientErr)
 	return sc, nil
@@ -161,15 +112,10 @@ func pumpReads(r interface{ Read([]byte) (int, error) }, recv chan<- []byte, err
 // Close tears the scenario down, wiping the middlebox's vault: probes
 // of what an adversary could read must happen while the session lives.
 func (sc *Scenario) Close() {
-	if sc.Client != nil {
-		sc.Client.Close()
-	}
-	if sc.Server != nil {
-		sc.Server.Close()
-	}
-	if sc.Mbox != nil {
-		sc.Mbox.Vault().Wipe()
-	}
+	sc.Client.Close()
+	sc.Server.Close()
+	sc.chain.Close()
+	sc.Mbox.Vault().Wipe()
 }
 
 // ServerRecv waits for the next chunk the server accepted.

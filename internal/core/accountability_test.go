@@ -135,7 +135,7 @@ func TestProxySigExpiredDelegation(t *testing.T) {
 	// in the past by the time the middlebox validates it.
 	ccfg.AccountabilityClock = func() time.Time { return time.Now().Add(-2 * time.Hour) }
 
-	clientEnd, serverEnd := buildChain(mb)
+	clientEnd, serverEnd := buildChain(t, mb)
 	srvCh := make(chan *core.Session, 1)
 	go func() {
 		s, _ := core.Accept(serverEnd, e.serverConfig())
@@ -261,7 +261,7 @@ func TestAccountabilityMismatch(t *testing.T) {
 					scfg.Accountability = core.AccountProxySig
 				}
 			}
-			clientEnd, serverEnd := buildChain(mb)
+			clientEnd, serverEnd := buildChain(t, mb)
 			type res struct {
 				sess *core.Session
 				err  error
@@ -308,7 +308,7 @@ func TestAccountabilityMismatch(t *testing.T) {
 
 func TestProxySigConfigConflicts(t *testing.T) {
 	e := newEnv(t)
-	clientEnd, serverEnd := buildChain()
+	clientEnd, serverEnd := buildChain(t)
 	defer clientEnd.Close()
 	defer serverEnd.Close()
 

@@ -26,12 +26,8 @@ type chainFixture struct {
 func newChainFixture(t *testing.T) *chainFixture {
 	t.Helper()
 	e := newEnv(t)
-	platform, err := e.authority.NewPlatform()
-	if err != nil {
-		t.Fatal(err)
-	}
 	image := enclave.CodeImage{Name: "mbtls-proxy", Version: "1.0"}
-	encl := platform.CreateEnclave(image)
+	encl := e.Platform.CreateEnclave(image)
 	stek, err := hsfast.NewSTEK(0, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +47,7 @@ func newChainFixture(t *testing.T) *chainFixture {
 func (f *chainFixture) clientConfig(onTicket func(*core.ChainTicket)) *core.ClientConfig {
 	ccfg := f.e.clientConfig()
 	ccfg.RequireMiddleboxAttestation = true
-	ccfg.MiddleboxVerifier = &enclave.Verifier{Authority: f.e.authority.PublicKey()}
+	ccfg.MiddleboxVerifier = f.e.Verifier()
 	ccfg.OnNewChainTicket = onTicket
 	return ccfg
 }
@@ -206,7 +202,7 @@ func TestChainResumeFaultMatrix(t *testing.T) {
 			// Offset 60 lands inside the resuming ClientHello: the hop
 			// dies mid-resume, before any subchannel settles.
 			spec := netsim.FaultSpec{Kind: kind, Offset: 60, Seed: 11, Dir: netsim.DirAToB}
-			clientEnd, serverEnd := buildFaultChain(spec, f.mb)
+			clientEnd, serverEnd := buildFaultChain(t, spec, f.mb)
 
 			ccfg := f.clientConfig(nil)
 			ccfg.ChainTicket = ct

@@ -38,30 +38,13 @@ func (c *chunkedConn) Read(p []byte) (int, error) {
 func TestSessionOverChunkedTransport(t *testing.T) {
 	e := newEnv(t)
 	mb := e.middlebox(t, "mb.example", core.ClientSide)
-	clientEnd, serverEnd := buildChain(mb)
+	clientEnd, serverEnd := buildChain(t, mb)
 	clientConn := &chunkedConn{Conn: clientEnd, n: 3}
 	serverConn := &chunkedConn{Conn: serverEnd, n: 3}
 
-	type acceptResult struct {
-		sess *core.Session
-		err  error
-	}
-	acc := make(chan acceptResult, 1)
-	go func() {
-		sess, err := core.Accept(serverConn, e.serverConfig())
-		acc <- acceptResult{sess, err}
-	}()
-
-	clientSess, err := core.Dial(clientConn, e.clientConfig())
-	if err != nil {
-		t.Fatalf("handshake over 3-byte reads: %v", err)
-	}
+	clientSess, srvSess := dialAccept(t, clientConn, serverConn, e.clientConfig(), e.serverConfig())
 	defer clientSess.Close()
-	srv := <-acc
-	if srv.err != nil {
-		t.Fatalf("accept over 3-byte reads: %v", srv.err)
-	}
-	defer srv.sess.Close()
+	defer srvSess.Close()
 
 	if got := len(clientSess.Middleboxes()); got != 1 {
 		t.Fatalf("client sees %d middleboxes, want 1", got)
@@ -73,15 +56,15 @@ func TestSessionOverChunkedTransport(t *testing.T) {
 	if _, err := clientSess.Write(msg); err != nil {
 		t.Fatalf("client write: %v", err)
 	}
-	srv.sess.SetReadDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
+	srvSess.SetReadDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
 	got := make([]byte, len(msg))
-	if _, err := io.ReadFull(srv.sess, got); err != nil {
+	if _, err := io.ReadFull(srvSess, got); err != nil {
 		t.Fatalf("server read: %v", err)
 	}
 	if !bytes.Equal(got, msg) {
 		t.Fatal("payload corrupted by chunked delivery")
 	}
-	if _, err := srv.sess.Write(got); err != nil {
+	if _, err := srvSess.Write(got); err != nil {
 		t.Fatalf("server write: %v", err)
 	}
 	clientSess.SetReadDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
@@ -106,33 +89,17 @@ func TestSessionOverChunkedTransportOneByte(t *testing.T) {
 	left, right := netsim.Pipe()
 	clientConn := &chunkedConn{Conn: left, n: 1}
 
-	type acceptResult struct {
-		sess *core.Session
-		err  error
-	}
-	acc := make(chan acceptResult, 1)
-	go func() {
-		sess, err := core.Accept(right, e.serverConfig())
-		acc <- acceptResult{sess, err}
-	}()
-	clientSess, err := core.Dial(clientConn, e.clientConfig())
-	if err != nil {
-		t.Fatalf("handshake over 1-byte reads: %v", err)
-	}
+	clientSess, srvSess := dialAccept(t, clientConn, right, e.clientConfig(), e.serverConfig())
 	defer clientSess.Close()
-	srv := <-acc
-	if srv.err != nil {
-		t.Fatalf("accept: %v", srv.err)
-	}
-	defer srv.sess.Close()
+	defer srvSess.Close()
 
 	msg := []byte("one byte at a time")
 	if _, err := clientSess.Write(msg); err != nil {
 		t.Fatal(err)
 	}
-	srv.sess.SetReadDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
+	srvSess.SetReadDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
 	got := make([]byte, len(msg))
-	if _, err := io.ReadFull(srv.sess, got); err != nil {
+	if _, err := io.ReadFull(srvSess, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, msg) {

@@ -8,123 +8,68 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
-	"repro/internal/certs"
+	"repro/internal/chain"
 	"repro/internal/core"
 	"repro/internal/enclave"
-	"repro/internal/netsim"
 	"repro/internal/tls12"
 )
 
-// env bundles the PKI and attestation fixtures shared by the tests.
-type env struct {
-	ca         *certs.CA
-	authority  *enclave.Authority
-	serverCert *tls12.Certificate
-}
+// env is chain's PKI fixture under the method names the tests use.
+type env struct{ *chain.PKI }
 
 func newEnv(t *testing.T) *env {
 	t.Helper()
-	ca, err := certs.NewCA("mbtls test root")
+	pki, err := chain.NewPKI()
 	if err != nil {
 		t.Fatal(err)
 	}
-	authority, err := enclave.NewAuthority()
-	if err != nil {
-		t.Fatal(err)
-	}
-	serverCert, err := ca.Issue("origin.example", []string{"origin.example"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &env{ca: ca, authority: authority, serverCert: serverCert}
+	return &env{pki}
 }
 
-func (e *env) clientConfig() *core.ClientConfig {
-	return &core.ClientConfig{
-		TLS: &tls12.Config{RootCAs: e.ca.Pool(), ServerName: "origin.example"},
-	}
-}
-
-func (e *env) serverConfig() *core.ServerConfig {
-	return &core.ServerConfig{
-		TLS:               &tls12.Config{Certificate: e.serverCert},
-		AcceptMiddleboxes: true,
-		MiddleboxTLS:      &tls12.Config{RootCAs: e.ca.Pool()},
-	}
-}
+func (e *env) clientConfig() *core.ClientConfig { return e.ClientConfig() }
+func (e *env) serverConfig() *core.ServerConfig { return e.ServerConfig() }
 
 func (e *env) middlebox(t *testing.T, name string, mode core.Mode, opts ...func(*core.MiddleboxConfig)) *core.Middlebox {
 	t.Helper()
-	cert, err := e.ca.Issue(name, []string{name}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := core.MiddleboxConfig{Name: name, Mode: mode, Certificate: cert}
+	cfg := core.MiddleboxConfig{Name: name, Mode: mode}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	mb, err := core.NewMiddlebox(cfg)
+	mb, err := e.Middlebox(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return mb
 }
 
-// buildChain wires client → middleboxes → server over in-memory pipes
-// and starts each middlebox's relay.
-func buildChain(mboxes ...*core.Middlebox) (clientEnd, serverEnd net.Conn) {
-	left, right := netsim.Pipe()
-	clientEnd = left
-	prev := right
-	for _, mb := range mboxes {
-		upL, upR := netsim.Pipe()
-		go mb.Handle(prev, upL) //nolint:errcheck
-		prev = upR
+// buildChain wires client → middleboxes → server over in-memory pipes;
+// the chain is torn down with the test.
+func buildChain(t *testing.T, mboxes ...*core.Middlebox) (clientEnd, serverEnd net.Conn) {
+	t.Helper()
+	ch, err := chain.Wire(nil, mboxes...)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return clientEnd, prev
+	t.Cleanup(ch.Close)
+	return ch.Client, ch.Server
 }
 
 // runSession dials and accepts concurrently, returning both sessions.
 func runSession(t *testing.T, ccfg *core.ClientConfig, scfg *core.ServerConfig, mboxes ...*core.Middlebox) (*core.Session, *core.Session) {
 	t.Helper()
-	clientEnd, serverEnd := buildChain(mboxes...)
+	clientEnd, serverEnd := buildChain(t, mboxes...)
 	return dialAccept(t, clientEnd, serverEnd, ccfg, scfg)
 }
 
 // dialAccept dials and accepts concurrently over an already-built chain.
 func dialAccept(t *testing.T, clientEnd, serverEnd net.Conn, ccfg *core.ClientConfig, scfg *core.ServerConfig) (*core.Session, *core.Session) {
 	t.Helper()
-	type res struct {
-		sess *core.Session
-		err  error
+	client, server, err := chain.Establish(clientEnd, serverEnd, ccfg, scfg)
+	if err != nil {
+		t.Fatalf("session setup: %v", err)
 	}
-	cch := make(chan res, 1)
-	sch := make(chan res, 1)
-	go func() {
-		s, err := core.Dial(clientEnd, ccfg)
-		cch <- res{s, err}
-	}()
-	go func() {
-		s, err := core.Accept(serverEnd, scfg)
-		sch <- res{s, err}
-	}()
-	var cr, sr res
-	select {
-	case cr = <-cch:
-	case <-time.After(10 * time.Second):
-		t.Fatal("client handshake timed out")
-	}
-	select {
-	case sr = <-sch:
-	case <-time.After(10 * time.Second):
-		t.Fatal("server handshake timed out")
-	}
-	if cr.err != nil || sr.err != nil {
-		t.Fatalf("session setup: client=%v server=%v", cr.err, sr.err)
-	}
-	return cr.sess, sr.sess
+	return client, server
 }
 
 // exchange verifies bidirectional application data through the session.
@@ -285,10 +230,10 @@ func TestSessionFourMiddleboxes(t *testing.T) {
 func TestLegacyServer(t *testing.T) {
 	e := newEnv(t)
 	mb := e.middlebox(t, "proxy.example", core.ClientSide)
-	clientEnd, serverEnd := buildChain(mb)
+	clientEnd, serverEnd := buildChain(t, mb)
 
 	serverErr := make(chan error, 1)
-	legacy := tls12.NewServerConn(serverEnd, &tls12.Config{Certificate: e.serverCert})
+	legacy := tls12.NewServerConn(serverEnd, &tls12.Config{Certificate: e.Origin})
 	go func() {
 		if err := legacy.Handshake(); err != nil {
 			serverErr <- err
@@ -335,7 +280,7 @@ func TestLegacyServer(t *testing.T) {
 func TestLegacyClient(t *testing.T) {
 	e := newEnv(t)
 	mb := e.middlebox(t, "cdn.example", core.ServerSide)
-	clientEnd, serverEnd := buildChain(mb)
+	clientEnd, serverEnd := buildChain(t, mb)
 
 	type res struct {
 		sess *core.Session
@@ -347,7 +292,7 @@ func TestLegacyClient(t *testing.T) {
 		sch <- res{s, err}
 	}()
 
-	legacy := tls12.NewClientConn(clientEnd, &tls12.Config{RootCAs: e.ca.Pool(), ServerName: "origin.example"})
+	legacy := tls12.NewClientConn(clientEnd, &tls12.Config{RootCAs: e.CA.Pool(), ServerName: "origin.example"})
 	if err := legacy.Handshake(); err != nil {
 		t.Fatalf("legacy client handshake: %v", err)
 	}
@@ -367,10 +312,10 @@ func TestLegacyClient(t *testing.T) {
 func TestLegacyClientTransparent(t *testing.T) {
 	e := newEnv(t)
 	mb := e.middlebox(t, "proxy.example", core.ClientSide)
-	clientEnd, serverEnd := buildChain(mb)
+	clientEnd, serverEnd := buildChain(t, mb)
 
 	serverErr := make(chan error, 1)
-	legacyServer := tls12.NewServerConn(serverEnd, &tls12.Config{Certificate: e.serverCert})
+	legacyServer := tls12.NewServerConn(serverEnd, &tls12.Config{Certificate: e.Origin})
 	go func() {
 		if err := legacyServer.Handshake(); err != nil {
 			serverErr <- err
@@ -385,7 +330,7 @@ func TestLegacyClientTransparent(t *testing.T) {
 		serverErr <- err
 	}()
 
-	legacyClient := tls12.NewClientConn(clientEnd, &tls12.Config{RootCAs: e.ca.Pool(), ServerName: "origin.example"})
+	legacyClient := tls12.NewClientConn(clientEnd, &tls12.Config{RootCAs: e.CA.Pool(), ServerName: "origin.example"})
 	if err := legacyClient.Handshake(); err != nil {
 		t.Fatalf("legacy-to-legacy through middlebox: %v", err)
 	}
@@ -415,11 +360,11 @@ func TestLegacyServerStrict(t *testing.T) {
 	mb := e.middlebox(t, "cdn.example", core.ServerSide)
 
 	dialOnce := func() error {
-		clientEnd, serverEnd := buildChain(mb)
-		legacyServer := tls12.NewServerConn(serverEnd, &tls12.Config{Certificate: e.serverCert})
+		clientEnd, serverEnd := buildChain(t, mb)
+		legacyServer := tls12.NewServerConn(serverEnd, &tls12.Config{Certificate: e.Origin})
 		serverErr := make(chan error, 1)
 		go func() { serverErr <- legacyServer.Handshake() }()
-		legacyClient := tls12.NewClientConn(clientEnd, &tls12.Config{RootCAs: e.ca.Pool(), ServerName: "origin.example"})
+		legacyClient := tls12.NewClientConn(clientEnd, &tls12.Config{RootCAs: e.CA.Pool(), ServerName: "origin.example"})
 		cErr := legacyClient.Handshake()
 		<-serverErr
 		return cErr
@@ -442,10 +387,10 @@ func TestLegacyServerStrict(t *testing.T) {
 func TestLegacyServerLenient(t *testing.T) {
 	e := newEnv(t)
 	mb := e.middlebox(t, "cdn2.example", core.ServerSide)
-	clientEnd, serverEnd := buildChain(mb)
+	clientEnd, serverEnd := buildChain(t, mb)
 
 	legacyServer := tls12.NewServerConn(serverEnd, &tls12.Config{
-		Certificate:           e.serverCert,
+		Certificate:           e.Origin,
 		LenientUnknownRecords: true,
 	})
 	serverErr := make(chan error, 1)
@@ -463,7 +408,7 @@ func TestLegacyServerLenient(t *testing.T) {
 		serverErr <- err
 	}()
 
-	legacyClient := tls12.NewClientConn(clientEnd, &tls12.Config{RootCAs: e.ca.Pool(), ServerName: "origin.example"})
+	legacyClient := tls12.NewClientConn(clientEnd, &tls12.Config{RootCAs: e.CA.Pool(), ServerName: "origin.example"})
 	if err := legacyClient.Handshake(); err != nil {
 		t.Fatalf("handshake with lenient legacy server: %v", err)
 	}
@@ -510,12 +455,8 @@ func TestProcessor(t *testing.T) {
 // secondary handshake and the client's policy accepts it (P3B).
 func TestAttestation(t *testing.T) {
 	e := newEnv(t)
-	platform, err := e.authority.NewPlatform()
-	if err != nil {
-		t.Fatal(err)
-	}
 	image := enclave.CodeImage{Name: "mbtls-proxy", Version: "1.0", Config: "aes256-only"}
-	encl := platform.CreateEnclave(image)
+	encl := e.Platform.CreateEnclave(image)
 
 	mb := e.middlebox(t, "sgx-proxy.example", core.ClientSide, func(cfg *core.MiddleboxConfig) {
 		cfg.Enclave = encl
@@ -523,10 +464,7 @@ func TestAttestation(t *testing.T) {
 
 	ccfg := e.clientConfig()
 	ccfg.RequireMiddleboxAttestation = true
-	ccfg.MiddleboxVerifier = &enclave.Verifier{
-		Authority: e.authority.PublicKey(),
-		Allowed:   []enclave.Measurement{image.Measurement()},
-	}
+	ccfg.MiddleboxVerifier = e.Verifier(image)
 
 	client, server := runSession(t, ccfg, e.serverConfig(), mb)
 	defer client.Close()
@@ -547,7 +485,7 @@ func TestAttestation(t *testing.T) {
 func TestAttestationRequiredButMissing(t *testing.T) {
 	e := newEnv(t)
 	mb := e.middlebox(t, "plain-proxy.example", core.ClientSide)
-	clientEnd, serverEnd := buildChain(mb)
+	clientEnd, serverEnd := buildChain(t, mb)
 
 	go func() {
 		core.Accept(serverEnd, e.serverConfig()) //nolint:errcheck
@@ -566,29 +504,22 @@ func TestAttestationRequiredButMissing(t *testing.T) {
 // rejected by the measurement policy.
 func TestAttestationWrongCode(t *testing.T) {
 	e := newEnv(t)
-	platform, err := e.authority.NewPlatform()
-	if err != nil {
-		t.Fatal(err)
-	}
 	expected := enclave.CodeImage{Name: "mbtls-proxy", Version: "1.0", Config: "aes256-only"}
 	malicious := enclave.CodeImage{Name: "mbtls-proxy", Version: "1.0-evil", Config: "aes256-only"}
-	encl := platform.CreateEnclave(malicious)
+	encl := e.Platform.CreateEnclave(malicious)
 
 	mb := e.middlebox(t, "sgx-proxy.example", core.ClientSide, func(cfg *core.MiddleboxConfig) {
 		cfg.Enclave = encl
 	})
-	clientEnd, serverEnd := buildChain(mb)
+	clientEnd, serverEnd := buildChain(t, mb)
 	go func() {
 		core.Accept(serverEnd, e.serverConfig()) //nolint:errcheck
 	}()
 
 	ccfg := e.clientConfig()
 	ccfg.RequireMiddleboxAttestation = true
-	ccfg.MiddleboxVerifier = &enclave.Verifier{
-		Authority: e.authority.PublicKey(),
-		Allowed:   []enclave.Measurement{expected.Measurement()},
-	}
-	_, err = core.Dial(clientEnd, ccfg)
+	ccfg.MiddleboxVerifier = e.Verifier(expected)
+	_, err := core.Dial(clientEnd, ccfg)
 	if err == nil {
 		t.Fatal("client accepted a middlebox running unexpected code")
 	}
@@ -605,7 +536,7 @@ func TestApproveRejection(t *testing.T) {
 	for _, mode := range []core.Mode{core.ClientSide, core.ServerSide} {
 		t.Run(fmt.Sprint(mode), func(t *testing.T) {
 			mb := e.middlebox(t, "unwanted.example", mode)
-			clientEnd, serverEnd := buildChain(mb)
+			clientEnd, serverEnd := buildChain(t, mb)
 			ccfg, scfg := e.clientConfig(), e.serverConfig()
 			var err error
 			if mode == core.ClientSide {
@@ -727,11 +658,7 @@ func TestVaultExposure(t *testing.T) {
 		t.Fatal("host-memory middlebox should expose keys in a memory dump")
 	}
 
-	platform, err := e.authority.NewPlatform()
-	if err != nil {
-		t.Fatal(err)
-	}
-	encl := platform.CreateEnclave(enclave.CodeImage{Name: "p", Version: "1"})
+	encl := e.Platform.CreateEnclave(enclave.CodeImage{Name: "p", Version: "1"})
 	protected := e.middlebox(t, "sgx.example", core.ClientSide, func(cfg *core.MiddleboxConfig) {
 		cfg.Enclave = encl
 	})

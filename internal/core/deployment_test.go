@@ -3,31 +3,25 @@ package core_test
 import (
 	"fmt"
 	"io"
-	"net"
 	"sync"
 	"testing"
 
+	"repro/internal/chain"
+	"repro/internal/chain/chaintest"
 	"repro/internal/core"
 	"repro/internal/httpx"
-	"repro/internal/netsim"
 	"repro/internal/sessionhost"
 )
 
-// serveMiddlebox runs a middlebox behind a session host (the only
-// accept-loop shape the repo supports) and tears it down with the
-// test.
-func serveMiddlebox(t *testing.T, mb *core.Middlebox, ln net.Listener, dial func() (net.Conn, error)) *sessionhost.Host {
+// hostMiddlebox serves a middlebox called name on node, relaying to next.
+func hostMiddlebox(t *testing.T, h *chain.Hosted, name, node, next string) *chain.Hop {
 	t.Helper()
-	host, err := sessionhost.New(sessionhost.Config{
-		Name:    mb.Name(),
-		Handler: sessionhost.NewMiddleboxHandler(mb, dial),
-	})
+	hop, err := h.Middlebox(node, core.MiddleboxConfig{Name: name, Mode: core.ClientSide},
+		sessionhost.Config{Name: name}, next)
 	if err != nil {
 		t.Fatal(err)
 	}
-	go host.Serve(ln)                  //nolint:errcheck
-	t.Cleanup(func() { host.Close() }) //nolint:errcheck
-	return host
+	return hop
 }
 
 // TestDeploymentPreconfiguredMiddlebox reproduces §3.4's pre-configured
@@ -36,18 +30,12 @@ func serveMiddlebox(t *testing.T, mb *core.Middlebox, ln net.Listener, dial func
 // extension, and opens its connection directly to the proxy, which
 // relays to the origin by address.
 func TestDeploymentPreconfiguredMiddlebox(t *testing.T) {
-	e := newEnv(t)
-	network := netsim.NewNetwork()
+	h := chaintest.NewHosted(t, chain.TransportNetsim)
 
 	// Origin server.
-	serverLn, err := network.Listen("origin.example:443")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer serverLn.Close()
-	originHost, err := sessionhost.New(sessionhost.Config{
+	_, origin, err := h.Serve("origin.example:443", sessionhost.Config{
 		Name: "origin",
-		Handler: sessionhost.NewServerHandler(e.serverConfig(), func(sess *core.Session) error {
+		Handler: sessionhost.NewServerHandler(h.PKI.ServerConfig(), func(sess *core.Session) error {
 			return httpx.Serve(sess, func(req *httpx.Request) *httpx.Response {
 				return &httpx.Response{StatusCode: 200, Header: httpx.Header{}, Body: []byte("origin says hi")}
 			})
@@ -56,19 +44,9 @@ func TestDeploymentPreconfiguredMiddlebox(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go originHost.Serve(serverLn)            //nolint:errcheck
-	t.Cleanup(func() { originHost.Close() }) //nolint:errcheck
 
 	// The configured proxy, serving many clients.
-	proxy := e.middlebox(t, "proxy.example", core.ClientSide)
-	proxyLn, err := network.Listen("proxy.example:3128")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer proxyLn.Close()
-	proxyHost := serveMiddlebox(t, proxy, proxyLn, func() (net.Conn, error) {
-		return network.Dial("proxy.example", "origin.example:443")
-	})
+	proxy := hostMiddlebox(t, h, "proxy.example", "proxy.example:3128", origin)
 
 	// Several clients connect to the proxy they were configured with.
 	var wg sync.WaitGroup
@@ -77,12 +55,12 @@ func TestDeploymentPreconfiguredMiddlebox(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			conn, err := network.Dial(fmt.Sprintf("client-%d", i), "proxy.example:3128")
+			conn, err := proxy.Dial()
 			if err != nil {
 				errs <- err
 				return
 			}
-			ccfg := e.clientConfig()
+			ccfg := h.PKI.ClientConfig()
 			ccfg.KnownMiddleboxes = []string{"proxy.example:3128"}
 			sess, err := core.Dial(conn, ccfg)
 			if err != nil {
@@ -109,10 +87,10 @@ func TestDeploymentPreconfiguredMiddlebox(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if got := proxy.Stats().MbTLSSessions; got != 4 {
+	if got := proxy.Middlebox.Stats().MbTLSSessions; got != 4 {
 		t.Fatalf("proxy served %d mbTLS sessions, want 4", got)
 	}
-	if got := proxyHost.Snapshot().Accepted; got != 4 {
+	if got := proxy.Host.Snapshot().Accepted; got != 4 {
 		t.Fatalf("proxy host admitted %d sessions, want 4", got)
 	}
 }
@@ -120,55 +98,29 @@ func TestDeploymentPreconfiguredMiddlebox(t *testing.T) {
 // TestDeploymentChainedProxies runs two middleboxes as independent
 // Serve processes with a client traversing both.
 func TestDeploymentChainedProxies(t *testing.T) {
-	e := newEnv(t)
-	network := netsim.NewNetwork()
-
-	serverLn, err := network.Listen("origin.example:443")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer serverLn.Close()
-	go func() {
-		conn, err := serverLn.Accept()
-		if err != nil {
-			return
-		}
-		sess, err := core.Accept(conn, e.serverConfig())
-		if err != nil {
-			return
-		}
-		defer sess.Close()
-		buf := make([]byte, 5)
-		if _, err := io.ReadFull(sess, buf); err != nil {
-			return
-		}
-		sess.Write(buf) //nolint:errcheck
-	}()
-
-	outer := e.middlebox(t, "outer.example", core.ClientSide)
-	inner := e.middlebox(t, "inner.example", core.ClientSide)
-	outerLn, err := network.Listen("outer.example:3128")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer outerLn.Close()
-	innerLn, err := network.Listen("inner.example:3128")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer innerLn.Close()
-	serveMiddlebox(t, outer, outerLn, func() (net.Conn, error) {
-		return network.Dial("outer.example", "inner.example:3128")
+	h := chaintest.NewHosted(t, chain.TransportNetsim)
+	_, origin, err := h.Serve("origin.example:443", sessionhost.Config{
+		Name: "origin",
+		Handler: sessionhost.NewServerHandler(h.PKI.ServerConfig(), func(sess *core.Session) error {
+			buf := make([]byte, 5)
+			if _, err := io.ReadFull(sess, buf); err != nil {
+				return err
+			}
+			_, err := sess.Write(buf)
+			return err
+		}),
 	})
-	serveMiddlebox(t, inner, innerLn, func() (net.Conn, error) {
-		return network.Dial("inner.example", "origin.example:443")
-	})
-
-	conn, err := network.Dial("client", "outer.example:3128")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := core.Dial(conn, e.clientConfig())
+	hostMiddlebox(t, h, "inner.example", "inner.example:3128", origin)
+	outer := hostMiddlebox(t, h, "outer.example", "outer.example:3128", "inner.example:3128")
+
+	conn, err := outer.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := core.Dial(conn, h.PKI.ClientConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chain"
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/testutil/goleak"
@@ -36,16 +37,14 @@ func (c *countingConn) Write(p []byte) (int, error) {
 // buildFaultChain is buildChain with spec injected into the client's
 // first hop; the client is fault end A, so DirAToB faults
 // client→middlebox traffic.
-func buildFaultChain(spec netsim.FaultSpec, mboxes ...*core.Middlebox) (clientEnd, serverEnd net.Conn) {
-	left, right := netsim.FaultPipe(spec)
-	clientEnd = left
-	prev := right
-	for _, mb := range mboxes {
-		upL, upR := netsim.Pipe()
-		go mb.Handle(prev, upL) //nolint:errcheck
-		prev = upR
+func buildFaultChain(t *testing.T, spec netsim.FaultSpec, mboxes ...*core.Middlebox) (clientEnd, serverEnd net.Conn) {
+	t.Helper()
+	ch, err := chain.Wire(chain.ClientHop(func() (net.Conn, net.Conn) { return netsim.FaultPipe(spec) }), mboxes...)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return clientEnd, prev
+	t.Cleanup(ch.Close)
+	return ch.Client, ch.Server
 }
 
 // measureClientHandshakeBytes runs one clean session and returns how
@@ -56,26 +55,12 @@ func buildFaultChain(spec netsim.FaultSpec, mboxes ...*core.Middlebox) (clientEn
 // wire byte every run.
 func measureClientHandshakeBytes(t *testing.T, e *env, mkMb func() *core.Middlebox) int64 {
 	t.Helper()
-	left, right := netsim.Pipe()
-	cc := &countingConn{Conn: left}
-	upL, upR := netsim.Pipe()
-	mb := mkMb()
-	go mb.Handle(right, upL) //nolint:errcheck
-
-	srvCh := make(chan *core.Session, 1)
-	go func() {
-		s, _ := core.Accept(upR, e.serverConfig())
-		srvCh <- s
-	}()
-	sess, err := core.Dial(cc, e.clientConfig())
-	if err != nil {
-		t.Fatalf("clean measurement session: %v", err)
-	}
+	clientEnd, serverEnd := buildChain(t, mkMb())
+	cc := &countingConn{Conn: clientEnd}
+	sess, srv := dialAccept(t, cc, serverEnd, e.clientConfig(), e.serverConfig())
 	h := cc.wrote.Load()
 	sess.Close()
-	if srv := <-srvCh; srv != nil {
-		srv.Close()
-	}
+	srv.Close()
 	if h == 0 {
 		t.Fatal("measured zero handshake bytes")
 	}
@@ -141,7 +126,7 @@ func TestFaultMatrix(t *testing.T) {
 				base := goleak.Base()
 				spec := netsim.FaultSpec{Kind: kind, Offset: pt.offset, Seed: 7, Dir: netsim.DirAToB}
 				mb := e.middlebox(t, "mb.example", core.ClientSide)
-				clientEnd, serverEnd := buildFaultChain(spec, mb)
+				clientEnd, serverEnd := buildFaultChain(t, spec, mb)
 
 				ccfg := e.clientConfig()
 				ccfg.HandshakeTimeout = 1500 * time.Millisecond
@@ -235,7 +220,7 @@ func TestFaultDeterministicReplay(t *testing.T) {
 	var outcomes []outcome
 	for run := 0; run < 10; run++ {
 		mb := mkMb()
-		clientEnd, serverEnd := buildFaultChain(spec, mb)
+		clientEnd, serverEnd := buildFaultChain(t, spec, mb)
 		srvCh := make(chan *core.Session, 1)
 		go func() {
 			s, _ := core.Accept(serverEnd, e.serverConfig())
@@ -406,7 +391,7 @@ func TestDialRetryRecoversFromTransientFaults(t *testing.T) {
 			spec = netsim.FaultSpec{Kind: netsim.FaultReset, Dir: netsim.DirAToB}
 		}
 		mb := e.middlebox(t, "mb.example", core.ClientSide)
-		clientEnd, serverEnd := buildFaultChain(spec, mb)
+		clientEnd, serverEnd := buildFaultChain(t, spec, mb)
 		scfg := e.serverConfig()
 		scfg.HandshakeTimeout = 2 * time.Second
 		go func() {
@@ -439,7 +424,7 @@ func TestDialRetryStopsOnDeterministicFailure(t *testing.T) {
 	dial := func() (net.Conn, error) {
 		attempts++
 		mb := e.middlebox(t, "unwanted.example", core.ClientSide)
-		clientEnd, serverEnd := buildFaultChain(netsim.FaultSpec{}, mb)
+		clientEnd, serverEnd := buildFaultChain(t, netsim.FaultSpec{}, mb)
 		go func() {
 			core.Accept(serverEnd, e.serverConfig()) //nolint:errcheck
 		}()

@@ -126,11 +126,7 @@ func (g *gatedConn) Read(p []byte) (int, error) {
 // drained — costs 4 N transitions at 1 record a job.
 func TestBurstRelayCostPerBatch(t *testing.T) {
 	e := newEnv(t)
-	platform, err := e.authority.NewPlatform()
-	if err != nil {
-		t.Fatal(err)
-	}
-	encl := platform.CreateEnclave(enclave.CodeImage{Name: "mbtls-proxy", Version: "1.0"})
+	encl := e.Platform.CreateEnclave(enclave.CodeImage{Name: "mbtls-proxy", Version: "1.0"})
 	pool := core.NewRelayPool(2)
 	defer pool.Close()
 	mb := e.middlebox(t, "sgx-proxy.example", core.ClientSide, func(cfg *core.MiddleboxConfig) {

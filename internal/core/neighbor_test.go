@@ -14,7 +14,7 @@ import (
 func neighborConfigs(e *env) (*core.ClientConfig, *core.ServerConfig) {
 	ccfg := e.clientConfig()
 	ccfg.NeighborKeys = true
-	ccfg.MiddleboxTLS = &tls12.Config{RootCAs: e.ca.Pool()}
+	ccfg.MiddleboxTLS = &tls12.Config{RootCAs: e.CA.Pool()}
 	scfg := e.serverConfig()
 	return ccfg, scfg
 }
@@ -25,7 +25,7 @@ func neighborConfigs(e *env) (*core.ClientConfig, *core.ServerConfig) {
 func TestNeighborKeysSession(t *testing.T) {
 	e := newEnv(t)
 	mb := e.middlebox(t, "proxy.example", core.ClientSide, func(cfg *core.MiddleboxConfig) {
-		cfg.NeighborRoots = e.ca.Pool()
+		cfg.NeighborRoots = e.CA.Pool()
 	})
 	ccfg, scfg := neighborConfigs(e)
 	client, server := runSession(t, ccfg, scfg, mb)
@@ -47,10 +47,10 @@ func TestNeighborKeysSession(t *testing.T) {
 func TestNeighborKeysTwoMiddleboxes(t *testing.T) {
 	e := newEnv(t)
 	mb1 := e.middlebox(t, "m1.example", core.ClientSide, func(cfg *core.MiddleboxConfig) {
-		cfg.NeighborRoots = e.ca.Pool()
+		cfg.NeighborRoots = e.CA.Pool()
 	})
 	mb0 := e.middlebox(t, "m0.example", core.ClientSide, func(cfg *core.MiddleboxConfig) {
-		cfg.NeighborRoots = e.ca.Pool()
+		cfg.NeighborRoots = e.CA.Pool()
 	})
 	ccfg, scfg := neighborConfigs(e)
 	client, server := runSession(t, ccfg, scfg, mb1, mb0)
@@ -78,7 +78,7 @@ func TestNeighborKeysNoMiddlebox(t *testing.T) {
 func TestNeighborKeysEndpointsLackHopKeys(t *testing.T) {
 	e := newEnv(t)
 	mb := e.middlebox(t, "proxy.example", core.ClientSide, func(cfg *core.MiddleboxConfig) {
-		cfg.NeighborRoots = e.ca.Pool()
+		cfg.NeighborRoots = e.CA.Pool()
 	})
 	ccfg, scfg := neighborConfigs(e)
 	client, server := runSession(t, ccfg, scfg, mb)

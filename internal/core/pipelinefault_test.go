@@ -231,24 +231,7 @@ func TestPipelineHopDeathMidStream(t *testing.T) {
 		cfg.RelayPool = pool
 	})
 	clientEnd, serverEnd, handleDone := buildTrackedChain(netsim.FaultSpec{}, mb)
-	type res struct {
-		sess *core.Session
-		err  error
-	}
-	sch := make(chan res, 1)
-	go func() {
-		s, err := core.Accept(serverEnd, e.serverConfig())
-		sch <- res{s, err}
-	}()
-	client, err := core.Dial(clientEnd, e.clientConfig())
-	if err != nil {
-		t.Fatalf("client handshake: %v", err)
-	}
-	sr := <-sch
-	if sr.err != nil {
-		t.Fatalf("server handshake: %v", sr.err)
-	}
-	server := sr.sess
+	client, server := dialAccept(t, clientEnd, serverEnd, e.clientConfig(), e.serverConfig())
 	exchange(t, client, server, "steady state", "ack")
 
 	// Kill the mb→server hop after the pipelines have traffic in

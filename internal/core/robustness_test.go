@@ -45,9 +45,7 @@ func TestMiddleboxSurvivesGarbageConnection(t *testing.T) {
 	mb := e.middlebox(t, "proxy.example", core.ClientSide)
 
 	// Garbage session.
-	down1, down1Peer := netsim.Pipe()
-	up1, up1Peer := netsim.Pipe()
-	go mb.Handle(down1Peer, up1) //nolint:errcheck
+	down1, up1Peer := buildChain(t, mb)
 	garbage := []byte("GET / HTTP/1.1\r\nHost: nothing-tls-here\r\n\r\n")
 	if _, err := down1.Write(garbage); err != nil {
 		t.Fatal(err)
@@ -76,6 +74,8 @@ func TestMiddleboxSurvivesGarbageConnection(t *testing.T) {
 func TestMiddleboxHandlesAbruptClientClose(t *testing.T) {
 	e := newEnv(t)
 	mb := e.middlebox(t, "proxy.example", core.ClientSide)
+	// Wired by hand: the test wants Handle's own return, not a Close
+	// that forces it.
 	down, downPeer := netsim.Pipe()
 	up, upPeer := netsim.Pipe()
 	done := make(chan error, 1)
@@ -116,7 +116,7 @@ func TestServerRejectsBogusAnnouncementSubchannel(t *testing.T) {
 		payload := append([]byte{9}, inner.Marshal()...)
 		bogus := tls12.RawRecord{Type: tls12.TypeEncapsulated, Payload: payload}
 		clientEnd.Write(bogus.Marshal()) //nolint:errcheck
-		conn := tls12.NewClientConn(clientEnd, &tls12.Config{RootCAs: e.ca.Pool(), ServerName: "origin.example"})
+		conn := tls12.NewClientConn(clientEnd, &tls12.Config{RootCAs: e.CA.Pool(), ServerName: "origin.example"})
 		conn.Handshake() //nolint:errcheck
 	}()
 

@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"net"
+	"io"
 	"runtime"
 	"slices"
 	"strings"
@@ -10,12 +10,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/certs"
+	"repro/internal/chain"
 	"repro/internal/core"
-	"repro/internal/enclave"
 	"repro/internal/hsfast"
-	"repro/internal/sessionhost"
-	"repro/internal/tls12"
 )
 
 // The chain sweeps measure one topology — client → hosted middlebox →
@@ -23,7 +20,7 @@ import (
 // `sessions` asks how the session-host runtime holds up as concurrency
 // grows; `handshake` asks what the chain-ticket fast path and each
 // accountability mode cost at establishment. Both are cell tables
-// handed to one builder (newChainEnv) and one driver (runCell).
+// handed to one builder (chain.NewDaemons) and one driver (runCell).
 
 // SessionsLevels is the default concurrency sweep of the sessions
 // table. The high levels (256, 1024) oversubscribe any realistic core
@@ -46,9 +43,9 @@ type ChainOptions struct {
 	SessionsPerWorker int
 	// Shards overrides the hosts' shard count (default GOMAXPROCS).
 	Shards int
-	// Transport selects the byte-moving backend: TransportNetsim
-	// (default) or TransportTCP, the same topology over loopback kernel
-	// sockets with SO_REUSEPORT per-shard listeners.
+	// Transport selects the byte-moving backend: chain.TransportNetsim
+	// (default) or chain.TransportTCP, the same topology over loopback
+	// kernel sockets with SO_REUSEPORT per-shard listeners.
 	Transport string
 	// Quick shrinks the run to a smoke test (one 4-way level, two
 	// sessions per worker) and skips the keyshare hit-rate gate.
@@ -127,228 +124,21 @@ type ChainReport struct {
 	evidenceSigned int64
 }
 
-// echoBufs pools the bench origin's echo buffers. The echo handler is
-// per-session; allocating (and zeroing) a fresh 64 KiB buffer for each
-// of tens of thousands of sessions was a measurable slice of bench CPU
-// that said nothing about the protocol under test.
-var echoBufs = sync.Pool{
-	New: func() any {
-		b := make([]byte, 64<<10)
-		return &b
-	},
-}
-
-// echoSession echoes everything read back to the peer through a pooled
-// buffer until the session ends.
-func echoSession(s *core.Session) error {
-	bp := echoBufs.Get().(*[]byte)
-	defer echoBufs.Put(bp)
-	buf := *bp
-	for {
-		nr, err := s.Read(buf)
-		if err != nil {
-			return err
-		}
-		if _, err := s.Write(buf[:nr]); err != nil {
-			return err
-		}
-	}
-}
-
-// chainHop is one accountability mode's way into the chain: the
-// middlebox serving it and the client's dial func to that middlebox's
-// host.
-type chainHop struct {
-	mb   *core.Middlebox
-	dial func() (net.Conn, error)
-}
-
-// chainEnv is the running topology every cell shares: a ticket-issuing
-// origin host behind one middlebox host per accountability mode, and
-// the client-side caches every worker shares. The attest chain is the
-// one benchmark/ measures: an enclave-hosted middlebox the client
-// requires a quote from, checked through a cached verifier; a
-// shard-sized keyshare pool; a host-scoped record-buffer pool; a STEK
-// per host, registered with it. The proxysig middlebox shares the
-// certificate and both pools but runs outside an enclave —
-// accountability there comes from delegation warrants and signed
-// evidence.
-type chainEnv struct {
-	fab      *fabric
-	ca       *certs.CA
-	verifier *enclave.Verifier
-	chainVC  *hsfast.VerifyCache
-	ksPool   *hsfast.KeySharePool
-	bufPool  *tls12.RecordBufPool
-	hosts    []*sessionhost.Host
-	hops     map[core.Accountability]chainHop
-}
-
-// Close drains every host (which closes its listeners) and stops the
-// keyshare pool. It is the teardown of a running chain and of one whose
-// construction failed partway.
-func (e *chainEnv) Close() {
-	for _, h := range e.hosts {
-		h.Close() //nolint:errcheck
-	}
-	if e.ksPool != nil {
-		e.ksPool.Close()
-	}
-}
-
-// newChainEnv builds the chain with one middlebox host per mode in
-// accts, sized for maxLevel concurrent clients, and starts serving.
-func newChainEnv(accts []core.Accountability, maxLevel, shards int, trName string) (_ *chainEnv, err error) {
-	env := &chainEnv{hops: make(map[core.Accountability]chainHop)}
-	defer func() {
-		if err != nil {
-			env.Close()
-		}
-	}()
-
-	if env.ca, err = certs.NewCA("chain root"); err != nil {
-		return nil, err
-	}
-	serverCert, err := env.ca.Issue("origin.example", []string{"origin.example"}, nil)
-	if err != nil {
-		return nil, err
-	}
-	mbCert, err := env.ca.Issue("mb.example", []string{"mb.example"}, nil)
-	if err != nil {
-		return nil, err
-	}
-	authority, err := enclave.NewAuthority()
-	if err != nil {
-		return nil, err
-	}
-	platform, err := authority.NewPlatform()
-	if err != nil {
-		return nil, err
-	}
-	env.verifier = &enclave.Verifier{
-		Authority: authority.PublicKey(),
-		Cache:     hsfast.NewVerifyCache(64, time.Hour, nil),
-	}
-	env.chainVC = hsfast.NewVerifyCache(64, time.Hour, nil)
-	// Admission cap: the daemons' default, or twice the clients once the
-	// sweep outgrows it. Host teardown lags the client's next dial, so a
-	// cap near the client count refuses the odd session, and a refusal
-	// here is a failed cell, not load shedding.
-	maxSessions := max(2*maxLevel, sessionhost.DefaultMaxSessions)
-	env.bufPool = tls12.NewRecordBufPool(maxSessions)
-	env.ksPool = hsfast.NewKeySharePoolForShards(shards)
-
-	if env.fab, err = newFabric(trName, env.bufPool); err != nil {
-		return nil, err
-	}
-
-	srvSTEK, err := hsfast.NewSTEK(time.Hour, nil)
-	if err != nil {
-		return nil, err
-	}
-	scfg := &core.ServerConfig{
-		TLS:               &tls12.Config{Certificate: serverCert, EnableTickets: true, TicketKeys: srvSTEK},
-		AcceptMiddleboxes: true,
-		MiddleboxTLS:      &tls12.Config{RootCAs: env.ca.Pool()},
-		HandshakeTimeout:  30 * time.Second,
-	}
-	srvAddr, err := env.serve("server", sessionhost.Config{
-		Name:        "chain-origin",
-		MaxSessions: maxSessions,
-		Shards:      shards,
-		Handler:     sessionhost.NewServerHandler(scfg, echoSession),
-		TicketKeys:  srvSTEK,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	for _, acct := range accts {
-		node := "mb-" + acct.String()
-		stek, err := hsfast.NewSTEK(time.Hour, nil)
-		if err != nil {
-			return nil, err
-		}
-		mbCfg := core.MiddleboxConfig{
-			Name:           "mb.example",
-			Mode:           core.ClientSide,
-			Certificate:    mbCert,
-			Accountability: acct,
-			BufPool:        env.bufPool,
-			TicketKeys:     stek,
-			KeyShares:      env.ksPool,
-		}
-		if acct == core.AccountAttest {
-			mbCfg.Enclave = platform.CreateEnclave(enclave.CodeImage{Name: "mbtls-proxy", Version: "1.0"})
-		}
-		mb, err := core.NewMiddlebox(mbCfg)
-		if err != nil {
-			return nil, err
-		}
-		addr, err := env.serve(node, sessionhost.Config{
-			Name:           "chain-" + node,
-			MaxSessions:    maxSessions,
-			Shards:         shards,
-			BufPool:        env.bufPool,
-			Handler:        sessionhost.NewMiddleboxHandler(mb, env.fab.dialer(node, srvAddr)),
-			MiddleboxStats: mb.Stats,
-			KeySharePool:   env.ksPool,
-			TicketKeys:     stek,
-		})
-		if err != nil {
-			return nil, err
-		}
-		env.hops[acct] = chainHop{mb: mb, dial: env.fab.dialer("client", addr)}
-	}
-	return env, nil
-}
-
-// serve binds node's listeners, starts a host on them and returns the
-// address it is reached at. The host is Close's from here on.
-func (e *chainEnv) serve(node string, cfg sessionhost.Config) (string, error) {
-	lns, addr, err := e.fab.listen(node, cfg.Shards)
-	if err != nil {
-		return "", err
-	}
-	h, err := sessionhost.New(cfg)
-	if err != nil {
-		for _, ln := range lns {
-			ln.Close()
-		}
-		return "", err
-	}
-	e.hosts = append(e.hosts, h)
-	go h.ServeListeners(lns) //nolint:errcheck
-	return addr, nil
-}
-
 // session runs one complete client session under acct: establish
 // (timed; redeeming *ct when resume is set), one echo round trip,
 // close — which under proxysig collects and audits the middlebox's
 // evidence. *ct receives the session's reissued chain ticket.
-func (e *chainEnv) session(acct core.Accountability, resume bool, ct **core.ChainTicket,
+func session(env *chain.Daemons, acct core.Accountability, resume bool, ct **core.ChainTicket,
 	payload []byte) (time.Duration, core.SessionStats, error) {
 
-	conn, err := e.hops[acct].dial()
+	conn, err := env.Hops[acct].Dial()
 	if err != nil {
 		return 0, core.SessionStats{}, err
 	}
-	ccfg := &core.ClientConfig{
-		TLS: &tls12.Config{
-			RootCAs:     e.ca.Pool(),
-			ServerName:  "origin.example",
-			VerifyCache: e.chainVC,
-		},
-		Accountability:   acct,
-		HandshakeTimeout: 30 * time.Second,
-		OnNewChainTicket: func(c *core.ChainTicket) { *ct = c },
-	}
+	ccfg := env.ClientConfig(acct)
+	ccfg.OnNewChainTicket = func(c *core.ChainTicket) { *ct = c }
 	if resume {
 		ccfg.ChainTicket = *ct
-	}
-	if acct == core.AccountAttest {
-		ccfg.RequireMiddleboxAttestation = true
-		ccfg.MiddleboxVerifier = e.verifier
 	}
 	start := time.Now()
 	sess, err := core.Dial(conn, ccfg)
@@ -361,13 +151,8 @@ func (e *chainEnv) session(acct core.Accountability, resume bool, ct **core.Chai
 	if _, err := sess.Write(payload); err != nil {
 		return 0, core.SessionStats{}, err
 	}
-	buf := make([]byte, len(payload))
-	for total := 0; total < len(buf); {
-		nr, err := sess.Read(buf[total:])
-		total += nr
-		if err != nil {
-			return 0, core.SessionStats{}, err
-		}
+	if _, err := io.ReadFull(sess, make([]byte, len(payload))); err != nil {
+		return 0, core.SessionStats{}, err
 	}
 	return hs, sess.Stats(), nil
 }
@@ -425,14 +210,14 @@ func hitRate[T int64 | uint64](hits, lookups T) float64 {
 // ticket with one full session before the clock starts; each measured
 // session then redeems the previous one's reissue, the way a
 // production client does.
-func runCell(env *chainEnv, cell chainCell, perWorker int, payload []byte) (ChainRow, error) {
+func runCell(env *chain.Daemons, cell chainCell, perWorker int, payload []byte) (ChainRow, error) {
 	row := ChainRow{Accountability: cell.acct.String(), Mode: cell.mode(), Concurrency: cell.level}
-	ks0, vc0, pool0 := env.ksPool.Stats(), env.chainVC.Stats(), env.bufPool.Stats()
+	ks0, vc0, pool0 := env.KeyShares.Stats(), env.ChainVC.Stats(), env.BufPool.Stats()
 
 	tickets := make([]*core.ChainTicket, cell.level)
 	if cell.resumed {
 		err := eachWorker(cell.level, func(w int) error {
-			_, _, err := env.session(cell.acct, false, &tickets[w], payload)
+			_, _, err := session(env, cell.acct, false, &tickets[w], payload)
 			return err
 		})
 		if err != nil {
@@ -445,7 +230,7 @@ func runCell(env *chainEnv, cell chainCell, perWorker int, payload []byte) (Chai
 	start := time.Now()
 	err := eachWorker(cell.level, func(w int) error {
 		for i := 0; i < perWorker; i++ {
-			hs, st, err := env.session(cell.acct, cell.resumed, &tickets[w], payload)
+			hs, st, err := session(env, cell.acct, cell.resumed, &tickets[w], payload)
 			if err != nil {
 				return fmt.Errorf("session %d: %w", i, err)
 			}
@@ -470,7 +255,7 @@ func runCell(env *chainEnv, cell chainCell, perWorker int, payload []byte) (Chai
 	row.SessionsPerSec = float64(row.Sessions) / elapsed.Seconds()
 	row.HandshakeP50Ms = float64(percentileDuration(latencies, 0.50)) / float64(time.Millisecond)
 	row.HandshakeP99Ms = float64(percentileDuration(latencies, 0.99)) / float64(time.Millisecond)
-	ks1, vc1, pool1 := env.ksPool.Stats(), env.chainVC.Stats(), env.bufPool.Stats()
+	ks1, vc1, pool1 := env.KeyShares.Stats(), env.ChainVC.Stats(), env.BufPool.Stats()
 	row.KeyShareHitRate = hitRate(ks1.Hits-ks0.Hits, ks1.Hits+ks1.Misses-ks0.Hits-ks0.Misses)
 	row.VerifyCacheHitRate = hitRate(vc1.Hits-vc0.Hits, vc1.Hits+vc1.Misses-vc0.Hits-vc0.Misses)
 	row.PoolHitRate = hitRate(pool1.Hits-pool0.Hits, pool1.Gets-pool0.Gets)
@@ -489,13 +274,13 @@ func runChainTable(title string, opts ChainOptions, payloadBytes int, cells []ch
 		}
 		maxLevel = max(maxLevel, c.level)
 	}
-	env, err := newChainEnv(accts, maxLevel, opts.Shards, opts.Transport)
+	env, err := chain.NewDaemons(accts, maxLevel, opts.Shards, opts.Transport)
 	if err != nil {
 		return nil, err
 	}
 	defer env.Close()
 
-	rep := &ChainReport{Title: title, Shards: opts.Shards, Transport: env.fab.name}
+	rep := &ChainReport{Title: title, Shards: opts.Shards, Transport: env.Fabric.Name}
 	payload := core.RandomPlaintext(payloadBytes)
 	for _, cell := range cells {
 		row, err := runCell(env, cell, opts.SessionsPerWorker, payload)
@@ -504,9 +289,9 @@ func runChainTable(title string, opts ChainOptions, payloadBytes int, cells []ch
 		}
 		rep.Rows = append(rep.Rows, row)
 	}
-	rep.keyShares = env.ksPool.Stats()
-	for _, hop := range env.hops {
-		rep.evidenceSigned += hop.mb.Stats().EvidenceSigned
+	rep.keyShares = env.KeyShares.Stats()
+	for _, hop := range env.Hops {
+		rep.evidenceSigned += hop.Middlebox.Stats().EvidenceSigned
 	}
 	return rep, nil
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chain"
 	"repro/internal/core"
 	"repro/internal/testutil/goleak"
 )
@@ -26,22 +27,22 @@ func TestChainCells(t *testing.T) {
 		payload   int
 		cell      chainCell
 	}{
-		{"sessions", TransportNetsim, 4096, chainCell{core.AccountAttest, true, workers}},
-		{"sessions", TransportTCP, 4096, chainCell{core.AccountAttest, true, workers}},
-		{"handshake", TransportNetsim, 256, chainCell{core.AccountAttest, false, workers}},
-		{"handshake", TransportNetsim, 256, chainCell{core.AccountAttest, true, workers}},
-		{"handshake", TransportNetsim, 256, chainCell{core.AccountProxySig, false, workers}},
-		{"handshake", TransportNetsim, 256, chainCell{core.AccountProxySig, true, workers}},
+		{"sessions", chain.TransportNetsim, 4096, chainCell{core.AccountAttest, true, workers}},
+		{"sessions", chain.TransportTCP, 4096, chainCell{core.AccountAttest, true, workers}},
+		{"handshake", chain.TransportNetsim, 256, chainCell{core.AccountAttest, false, workers}},
+		{"handshake", chain.TransportNetsim, 256, chainCell{core.AccountAttest, true, workers}},
+		{"handshake", chain.TransportNetsim, 256, chainCell{core.AccountProxySig, false, workers}},
+		{"handshake", chain.TransportNetsim, 256, chainCell{core.AccountProxySig, true, workers}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.table+"/"+tc.transport+"/"+tc.cell.String(), func(t *testing.T) {
 			base := goleak.Base()
-			env, err := newChainEnv([]core.Accountability{tc.cell.acct}, workers, 2, tc.transport)
+			env, err := chain.NewDaemons([]core.Accountability{tc.cell.acct}, workers, 2, tc.transport)
 			if err != nil {
 				t.Fatal(err)
 			}
 			row, err := runCell(env, tc.cell, perWorker, core.RandomPlaintext(tc.payload))
-			evidence := env.hops[tc.cell.acct].mb.Stats().EvidenceSigned
+			evidence := env.Hops[tc.cell.acct].Middlebox.Stats().EvidenceSigned
 			env.Close()
 			if err != nil {
 				t.Fatal(err)
@@ -68,23 +69,6 @@ func TestChainCells(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestChainBuilderFailsClean makes the builder fail midway — PKI and
-// the keyshare pool's refill workers exist by the time the transport
-// name is rejected — and checks the error path's Close released them:
-// nothing is left running, let alone listening.
-func TestChainBuilderFailsClean(t *testing.T) {
-	base := goleak.Base()
-	env, err := newChainEnv([]core.Accountability{core.AccountAttest}, 2, 2, "carrier-pigeon")
-	if err == nil {
-		env.Close()
-		t.Fatal("builder accepted an unknown transport")
-	}
-	if env != nil {
-		t.Errorf("builder returned a chain alongside %v", err)
-	}
-	goleak.Wait(t, base)
 }
 
 // TestPercentileDuration pins the nearest-rank convention.

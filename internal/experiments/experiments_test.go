@@ -1,11 +1,16 @@
 package experiments
 
 import (
+	"errors"
+	"net"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/chain"
+	"repro/internal/core"
 	"repro/internal/population"
+	"repro/internal/testutil/goleak"
 )
 
 func TestTable1AllDefended(t *testing.T) {
@@ -171,6 +176,30 @@ func TestFig7EnclaveDoesNotDegradeThroughput(t *testing.T) {
 		}
 	}
 	t.Log("\n" + FormatFig7(cells))
+}
+
+// TestFig7CellFailsClean fails the second stream's first link, on an
+// encrypted workers-sweep cell — the first stream's sessions, its
+// Handle goroutine and the cell's dedicated relay pool all exist by
+// then — and checks the cell's one deferred teardown released them.
+func TestFig7CellFailsClean(t *testing.T) {
+	core.SharedRelayPool()
+	pki, err := chain.NewPKI()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := goleak.Base()
+	links := 0
+	_, err = fig7Cell(pki, func(hop int) (net.Conn, net.Conn, error) {
+		if links++; links == 3 { // stream 0 took two
+			return nil, nil, errors.New("link down")
+		}
+		return chain.Pipes(hop)
+	}, true, false, 4096, 2, 2, 10*time.Millisecond)
+	if err == nil || !strings.Contains(err.Error(), "stream 1") {
+		t.Fatalf("fig7Cell = %v, want stream 1's link failure", err)
+	}
+	goleak.Wait(t, base)
 }
 
 func TestLegacyBreakdownMatchesPaper(t *testing.T) {

@@ -2,11 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"net"
 	"strings"
 	"time"
 
 	"repro/internal/certs"
+	"repro/internal/chain"
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/splittls"
@@ -42,15 +42,7 @@ func RunFig5(opts Fig5Options) ([]Fig5Row, error) {
 	if trials <= 0 {
 		trials = 200
 	}
-	ca, err := certs.NewCA("fig5 root")
-	if err != nil {
-		return nil, err
-	}
-	serverCert, err := ca.Issue("server.example", []string{"server.example"}, nil)
-	if err != nil {
-		return nil, err
-	}
-	mbCert, err := ca.Issue("mbox.example", []string{"mbox.example"}, nil)
+	pki, err := chain.NewPKI()
 	if err != nil {
 		return nil, err
 	}
@@ -65,25 +57,25 @@ func RunFig5(opts Fig5Options) ([]Fig5Row, error) {
 		run   func(cSW, mSW, sSW *timing.Stopwatch) error
 	}{
 		{"TLS (no mbox)", false, func(cSW, _, sSW *timing.Stopwatch) error {
-			return runPlainTLS(ca, serverCert, cSW, sSW)
+			return runPlainTLS(pki, cSW, sSW)
 		}},
 		{"mbTLS (no mbox)", false, func(cSW, _, sSW *timing.Stopwatch) error {
-			return runMbTLS(ca, serverCert, mbCert, 0, 0, cSW, nil, sSW)
+			return runMbTLS(pki, 0, 0, cSW, nil, sSW)
 		}},
 		{"\"Split\" TLS (1 mbox)", true, func(cSW, mSW, sSW *timing.Stopwatch) error {
-			return runSplitTLS(ca, interceptCA, serverCert, cSW, mSW, sSW)
+			return runSplitTLS(pki, interceptCA, cSW, mSW, sSW)
 		}},
 		{"mbTLS (1 client mbox)", true, func(cSW, mSW, sSW *timing.Stopwatch) error {
-			return runMbTLS(ca, serverCert, mbCert, 1, 0, cSW, mSW, sSW)
+			return runMbTLS(pki, 1, 0, cSW, mSW, sSW)
 		}},
 		{"mbTLS (1 server mbox)", true, func(cSW, mSW, sSW *timing.Stopwatch) error {
-			return runMbTLS(ca, serverCert, mbCert, 0, 1, cSW, mSW, sSW)
+			return runMbTLS(pki, 0, 1, cSW, mSW, sSW)
 		}},
 		{"mbTLS (2 server mboxes)", true, func(cSW, mSW, sSW *timing.Stopwatch) error {
-			return runMbTLS(ca, serverCert, mbCert, 0, 2, cSW, mSW, sSW)
+			return runMbTLS(pki, 0, 2, cSW, mSW, sSW)
 		}},
 		{"mbTLS (3 server mboxes)", true, func(cSW, mSW, sSW *timing.Stopwatch) error {
-			return runMbTLS(ca, serverCert, mbCert, 0, 3, cSW, mSW, sSW)
+			return runMbTLS(pki, 0, 3, cSW, mSW, sSW)
 		}},
 	}
 
@@ -112,14 +104,14 @@ func RunFig5(opts Fig5Options) ([]Fig5Row, error) {
 
 // runPlainTLS performs one two-party TLS handshake over an in-memory
 // pipe.
-func runPlainTLS(ca *certs.CA, serverCert *tls12.Certificate, cSW, sSW *timing.Stopwatch) error {
+func runPlainTLS(pki *chain.PKI, cSW, sSW *timing.Stopwatch) error {
 	cp, sp := netsim.Pipe()
 	defer cp.Close()
 	defer sp.Close()
 	client := tls12.NewClientConn(cp, &tls12.Config{
-		RootCAs: ca.Pool(), ServerName: "server.example", Stopwatch: cSW,
+		RootCAs: pki.CA.Pool(), ServerName: chain.OriginName, Stopwatch: cSW,
 	})
-	server := tls12.NewServerConn(sp, &tls12.Config{Certificate: serverCert, Stopwatch: sSW})
+	server := tls12.NewServerConn(sp, &tls12.Config{Certificate: pki.Origin, Stopwatch: sSW})
 	errc := make(chan error, 1)
 	go func() { errc <- server.Handshake() }()
 	if err := client.Handshake(); err != nil {
@@ -130,82 +122,44 @@ func runPlainTLS(ca *certs.CA, serverCert *tls12.Certificate, cSW, sSW *timing.S
 
 // runMbTLS performs one mbTLS session setup with the given middlebox
 // counts. mSW, when non-nil, is attached to the first middlebox.
-func runMbTLS(ca *certs.CA, serverCert, mbCert *tls12.Certificate, clientMboxes, serverMboxes int,
-	cSW, mSW, sSW *timing.Stopwatch) error {
-	var mbs []*core.Middlebox
-	mk := func(mode core.Mode, sw *timing.Stopwatch) error {
-		mb, err := core.NewMiddlebox(core.MiddleboxConfig{Mode: mode, Certificate: mbCert, Stopwatch: sw})
-		if err != nil {
-			return err
+func runMbTLS(pki *chain.PKI, clientMboxes, serverMboxes int, cSW, mSW, sSW *timing.Stopwatch) error {
+	var cfgs []core.MiddleboxConfig
+	for i := 0; i < clientMboxes+serverMboxes; i++ {
+		cfg := core.MiddleboxConfig{Mode: core.ClientSide}
+		if i >= clientMboxes {
+			cfg.Mode = core.ServerSide
 		}
-		mbs = append(mbs, mb)
-		return nil
-	}
-	for i := 0; i < clientMboxes; i++ {
-		sw := mSW
-		if i > 0 {
-			sw = nil
+		if i == 0 {
+			cfg.Stopwatch = mSW
 		}
-		if err := mk(core.ClientSide, sw); err != nil {
-			return err
-		}
+		cfgs = append(cfgs, cfg)
 	}
-	for i := 0; i < serverMboxes; i++ {
-		var sw *timing.Stopwatch
-		if i == 0 && clientMboxes == 0 {
-			sw = mSW
-		}
-		if err := mk(core.ServerSide, sw); err != nil {
-			return err
-		}
-	}
-
-	left, right := netsim.Pipe()
-	clientEnd := net.Conn(left)
-	prev := net.Conn(right)
-	for _, mb := range mbs {
-		upL, upR := netsim.Pipe()
-		go mb.Handle(prev, upL) //nolint:errcheck
-		prev = upR
-	}
-
-	type res struct {
-		sess *core.Session
-		err  error
-	}
-	sch := make(chan res, 1)
-	go func() {
-		s, err := core.Accept(prev, &core.ServerConfig{
-			TLS:               &tls12.Config{Certificate: serverCert, Stopwatch: sSW},
-			AcceptMiddleboxes: true,
-			MiddleboxTLS:      &tls12.Config{RootCAs: ca.Pool(), Stopwatch: sSW},
-		})
-		sch <- res{s, err}
-	}()
-	csess, err := core.Dial(clientEnd, &core.ClientConfig{
-		TLS:          &tls12.Config{RootCAs: ca.Pool(), ServerName: "server.example", Stopwatch: cSW},
-		MiddleboxTLS: &tls12.Config{RootCAs: ca.Pool(), Stopwatch: cSW},
-	})
+	ch, err := pki.Chain(nil, cfgs...)
 	if err != nil {
 		return err
 	}
-	sr := <-sch
-	if sr.err != nil {
-		return sr.err
+	defer ch.Close()
+
+	ccfg, scfg := pki.ClientConfig(), pki.ServerConfig()
+	ccfg.TLS.Stopwatch = cSW
+	scfg.TLS.Stopwatch, scfg.MiddleboxTLS.Stopwatch = sSW, sSW
+	client, server, err := chain.Establish(ch.Client, ch.Server, ccfg, scfg)
+	if err != nil {
+		return err
 	}
-	csess.Close()
-	sr.sess.Close()
+	client.Close()
+	server.Close()
 	return nil
 }
 
 // runSplitTLS performs one split-TLS interception: two independent TLS
 // handshakes, with the middlebox paying for both.
-func runSplitTLS(ca, interceptCA *certs.CA, serverCert *tls12.Certificate, cSW, mSW, sSW *timing.Stopwatch) error {
+func runSplitTLS(pki *chain.PKI, interceptCA *certs.CA, cSW, mSW, sSW *timing.Stopwatch) error {
 	c0a, c0b := netsim.Pipe()
 	c1a, c1b := netsim.Pipe()
 	ic := &splittls.Interceptor{
 		CA:             interceptCA,
-		Upstream:       &tls12.Config{RootCAs: ca.Pool()},
+		Upstream:       &tls12.Config{RootCAs: pki.CA.Pool()},
 		VerifyUpstream: true,
 		Stopwatch:      mSW,
 	}
@@ -215,11 +169,11 @@ func runSplitTLS(ca, interceptCA *certs.CA, serverCert *tls12.Certificate, cSW, 
 		close(done)
 	}()
 	serverErr := make(chan error, 1)
-	server := tls12.NewServerConn(c1b, &tls12.Config{Certificate: serverCert, Stopwatch: sSW})
+	server := tls12.NewServerConn(c1b, &tls12.Config{Certificate: pki.Origin, Stopwatch: sSW})
 	go func() { serverErr <- server.Handshake() }()
 
 	client := tls12.NewClientConn(c0a, &tls12.Config{
-		RootCAs: interceptCA.Pool(), ServerName: "server.example", Stopwatch: cSW,
+		RootCAs: interceptCA.Pool(), ServerName: chain.OriginName, Stopwatch: cSW,
 	})
 	if err := client.Handshake(); err != nil {
 		return err

@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"io"
+	"net"
 	"strings"
 	"time"
 
-	"repro/internal/certs"
+	"repro/internal/chain"
 	"repro/internal/core"
 	"repro/internal/httpx"
 	"repro/internal/netsim"
@@ -73,15 +75,7 @@ func RunFig6(opts Fig6Options) ([]Fig6Row, error) {
 		objectSize = 1024
 	}
 
-	ca, err := certs.NewCA("fig6 root")
-	if err != nil {
-		return nil, err
-	}
-	serverCert, err := ca.Issue("server.example", []string{"server.example"}, nil)
-	if err != nil {
-		return nil, err
-	}
-	mbCert, err := ca.Issue("mbox.example", []string{"mbox.example"}, nil)
+	pki, err := chain.NewPKI()
 	if err != nil {
 		return nil, err
 	}
@@ -91,12 +85,12 @@ func RunFig6(opts Fig6Options) ([]Fig6Row, error) {
 		row := Fig6Row{Path: fmt.Sprintf("%s-%s-%s", path[0], path[1], path[2])}
 		var tlsHS, tlsTX, mbHS, mbTX []time.Duration
 		for i := 0; i < trials; i++ {
-			hs, tx, err := fig6Trial(ca, serverCert, mbCert, path, scale, objectSize, false)
+			hs, tx, err := fig6Trial(pki, path, scale, objectSize, false)
 			if err != nil {
 				return nil, fmt.Errorf("%s TLS trial: %w", row.Path, err)
 			}
 			tlsHS, tlsTX = append(tlsHS, hs), append(tlsTX, tx)
-			hs, tx, err = fig6Trial(ca, serverCert, mbCert, path, scale, objectSize, true)
+			hs, tx, err = fig6Trial(pki, path, scale, objectSize, true)
 			if err != nil {
 				return nil, fmt.Errorf("%s mbTLS trial: %w", row.Path, err)
 			}
@@ -114,22 +108,31 @@ func RunFig6(opts Fig6Options) ([]Fig6Row, error) {
 // fig6Trial runs one fetch over a client–middlebox–server path. With
 // useMbTLS the middlebox joins the session; otherwise the client is a
 // plain TLS client and the middlebox relays transparently.
-func fig6Trial(ca *certs.CA, serverCert, mbCert *tls12.Certificate,
-	path [3]netsim.Region, scale float64, objectSize int, useMbTLS bool) (handshake, transfer time.Duration, err error) {
+func fig6Trial(pki *chain.PKI, path [3]netsim.Region, scale float64, objectSize int,
+	useMbTLS bool) (handshake, transfer time.Duration, err error) {
 
-	c0a, c0b, err := netsim.RegionLink(path[0], path[1], scale)
+	// Each hop is the inter-region link its two ends sit in.
+	ch, err := pki.Chain(func(hop int) (net.Conn, net.Conn, error) {
+		return netsim.RegionLink(path[hop], path[hop+1], scale)
+	}, core.MiddleboxConfig{Mode: core.ClientSide})
 	if err != nil {
 		return 0, 0, err
 	}
-	c1a, c1b, err := netsim.RegionLink(path[1], path[2], scale)
-	if err != nil {
-		return 0, 0, err
+	defer ch.Close()
+
+	// The two protocols differ only in how each end handshakes.
+	accept := func() (io.ReadWriteCloser, error) { return core.Accept(ch.Server, pki.ServerConfig()) }
+	dial := func() (io.ReadWriteCloser, error) { return core.Dial(ch.Client, pki.ClientConfig()) }
+	if !useMbTLS {
+		accept = func() (io.ReadWriteCloser, error) {
+			conn := tls12.NewServerConn(ch.Server, pki.ServerConfig().TLS)
+			return conn, conn.Handshake()
+		}
+		dial = func() (io.ReadWriteCloser, error) {
+			conn := tls12.NewClientConn(ch.Client, pki.ClientConfig().TLS)
+			return conn, conn.Handshake()
+		}
 	}
-	mb, err := core.NewMiddlebox(core.MiddleboxConfig{Mode: core.ClientSide, Certificate: mbCert})
-	if err != nil {
-		return 0, 0, err
-	}
-	go mb.Handle(c0b, c1a) //nolint:errcheck
 
 	body := make([]byte, objectSize)
 	for i := range body {
@@ -137,71 +140,33 @@ func fig6Trial(ca *certs.CA, serverCert, mbCert *tls12.Certificate,
 	}
 	serverErr := make(chan error, 1)
 	go func() {
-		serve := func(rw interface {
-			Read([]byte) (int, error)
-			Write([]byte) (int, error)
-		}) error {
-			return httpx.Serve(rw, func(req *httpx.Request) *httpx.Response {
-				return &httpx.Response{StatusCode: 200, Header: httpx.Header{}, Body: body}
-			})
-		}
-		if useMbTLS {
-			sess, err := core.Accept(c1b, &core.ServerConfig{TLS: &tls12.Config{Certificate: serverCert}})
-			if err != nil {
-				serverErr <- err
-				return
-			}
-			defer sess.Close()
-			serverErr <- serve(sess)
-			return
-		}
-		conn := tls12.NewServerConn(c1b, &tls12.Config{Certificate: serverCert})
-		if err := conn.Handshake(); err != nil {
+		srv, err := accept()
+		if err != nil {
 			serverErr <- err
 			return
 		}
-		defer conn.Close()
-		serverErr <- serve(conn)
+		defer srv.Close()
+		serverErr <- httpx.Serve(srv, func(req *httpx.Request) *httpx.Response {
+			return &httpx.Response{StatusCode: 200, Header: httpx.Header{}, Body: body}
+		})
 	}()
 
-	fetch := func(rw interface {
-		Read([]byte) (int, error)
-		Write([]byte) (int, error)
-	}) (time.Duration, error) {
-		start := time.Now()
-		resp, err := httpx.Do(rw, &httpx.Request{Method: "GET", Path: "/object", Host: "server.example", Header: httpx.Header{}})
-		if err != nil {
-			return 0, err
-		}
-		if resp.StatusCode != 200 || len(resp.Body) != objectSize {
-			return 0, fmt.Errorf("bad response: %d, %d bytes", resp.StatusCode, len(resp.Body))
-		}
-		return time.Since(start), nil
-	}
-
-	if useMbTLS {
-		start := time.Now()
-		sess, err := core.Dial(c0a, &core.ClientConfig{
-			TLS: &tls12.Config{RootCAs: ca.Pool(), ServerName: "server.example"},
-		})
-		if err != nil {
-			return 0, 0, err
-		}
-		handshake = time.Since(start)
-		defer sess.Close()
-		transfer, err = fetch(sess)
-		return handshake, transfer, err
-	}
-
-	conn := tls12.NewClientConn(c0a, &tls12.Config{RootCAs: ca.Pool(), ServerName: "server.example"})
 	start := time.Now()
-	if err := conn.Handshake(); err != nil {
+	conn, err := dial()
+	if err != nil {
 		return 0, 0, err
 	}
 	handshake = time.Since(start)
 	defer conn.Close()
-	transfer, err = fetch(conn)
-	return handshake, transfer, err
+	start = time.Now()
+	resp, err := httpx.Do(conn, &httpx.Request{Method: "GET", Path: "/object", Host: chain.OriginName, Header: httpx.Header{}})
+	if err != nil {
+		return 0, 0, err
+	}
+	if resp.StatusCode != 200 || len(resp.Body) != objectSize {
+		return 0, 0, fmt.Errorf("bad response: %d, %d bytes", resp.StatusCode, len(resp.Body))
+	}
+	return handshake, time.Since(start), nil
 }
 
 // FormatFig6 renders the rows as the paper's Figure 6 stacked bars.

@@ -2,14 +2,15 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"repro/internal/certs"
+	"repro/internal/chain"
 	"repro/internal/core"
 	"repro/internal/enclave"
-	"repro/internal/tls12"
 )
 
 // Fig7BufferSizes are the paper's x-axis chunk sizes.
@@ -62,8 +63,8 @@ type Fig7Options struct {
 	// BufSizes overrides the buffer-size sweep.
 	BufSizes []int
 	// Transport selects the byte-moving backend for every stream hop:
-	// TransportNetsim (default, in-memory pipes) or TransportTCP
-	// (loopback kernel sockets).
+	// chain.TransportNetsim (default, in-memory pipes) or
+	// chain.TransportTCP (loopback kernel sockets).
 	Transport string
 	// WorkersAxis overrides the relay-pipeline workers sweep
 	// (Fig7WorkersAxis); an explicit empty non-nil slice skips the
@@ -118,29 +119,12 @@ func RunFig7(opts Fig7Options) ([]Fig7Cell, error) {
 		workersBufs = []int{4096}
 	}
 
-	ca, err := certs.NewCA("fig7 root")
+	pki, err := chain.NewPKI()
 	if err != nil {
 		return nil, err
 	}
-	serverCert, err := ca.Issue("server.example", []string{"server.example"}, nil)
-	if err != nil {
-		return nil, err
-	}
-	mbCert, err := ca.Issue("mbox.example", []string{"mbox.example"}, nil)
-	if err != nil {
-		return nil, err
-	}
-	authority, err := enclave.NewAuthority()
-	if err != nil {
-		return nil, err
-	}
-	platform, err := authority.NewPlatform()
-	if err != nil {
-		return nil, err
-	}
-	platform.SetBoundaryCost(boundaryCost)
-
-	fab, err := newFabric(opts.Transport, nil)
+	pki.Platform.SetBoundaryCost(boundaryCost)
+	fab, err := chain.NewFabric(opts.Transport, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -150,7 +134,7 @@ func RunFig7(opts Fig7Options) ([]Fig7Cell, error) {
 	for _, encryption := range []bool{false, true} {
 		for _, useEnclave := range []bool{false, true} {
 			for _, bufSize := range bufSizes {
-				cell, err := fig7Cell(ca, serverCert, mbCert, platform, fab, encryption, useEnclave, bufSize, 0, streams, window)
+				cell, err := fig7Cell(pki, fab.Pair, encryption, useEnclave, bufSize, 0, streams, window)
 				if err != nil {
 					return nil, fmt.Errorf("fig7 enc=%v sgx=%v buf=%d: %w", encryption, useEnclave, bufSize, err)
 				}
@@ -168,7 +152,7 @@ func RunFig7(opts Fig7Options) ([]Fig7Cell, error) {
 	// pool lifts one bulk session past one core per direction.
 	for _, workers := range workersAxis {
 		for _, bufSize := range workersBufs {
-			cell, err := fig7Cell(ca, serverCert, mbCert, platform, fab, true, false, bufSize, workers, 1, window)
+			cell, err := fig7Cell(pki, fab.Pair, true, false, bufSize, workers, 1, window)
 			if err != nil {
 				return nil, fmt.Errorf("fig7 workers=%d buf=%d: %w", workers, bufSize, err)
 			}
@@ -180,13 +164,15 @@ func RunFig7(opts Fig7Options) ([]Fig7Cell, error) {
 
 // fig7Cell measures one configuration: several client streams pump
 // fixed-size chunks through one middlebox to a sink server for the
-// window duration.
-func fig7Cell(ca *certs.CA, serverCert, mbCert *tls12.Certificate, platform *enclave.Platform,
-	fab *fabric, encryption, useEnclave bool, bufSize, workers, streams int, window time.Duration) (Fig7Cell, error) {
+// window duration. Every stream is its own chain over link's hops
+// through the one shared middlebox; whatever was built is torn down on
+// every return path.
+func fig7Cell(pki *chain.PKI, link chain.Link, encryption, useEnclave bool,
+	bufSize, workers, streams int, window time.Duration) (cell Fig7Cell, err error) {
 
-	cell := Fig7Cell{Encryption: encryption, Enclave: useEnclave, BufSize: bufSize, Workers: workers}
+	cell = Fig7Cell{Encryption: encryption, Enclave: useEnclave, BufSize: bufSize, Workers: workers}
 
-	mbCfg := core.MiddleboxConfig{Mode: core.ClientSide, Certificate: mbCert}
+	mbCfg := core.MiddleboxConfig{Mode: core.ClientSide}
 	// Workers-sweep cells get a dedicated pool so the cell's utilization
 	// and latency are not mixed with other cells'.
 	var cellPool *core.RelayPool
@@ -196,79 +182,72 @@ func fig7Cell(ca *certs.CA, serverCert, mbCert *tls12.Certificate, platform *enc
 	}
 	var encl *enclave.Enclave
 	if useEnclave {
-		encl = platform.CreateEnclave(enclave.CodeImage{Name: "fig7-mbox", Version: "1.0"})
+		encl = pki.Platform.CreateEnclave(enclave.CodeImage{Name: "fig7-mbox", Version: "1.0"})
 		mbCfg.Enclave = encl
 	}
-	mb, err := core.NewMiddlebox(mbCfg)
+	mb, err := pki.Middlebox(mbCfg)
 	if err != nil {
 		return cell, err
 	}
 
-	var delivered int64
-	var deliveredMu sync.Mutex
+	var delivered atomic.Int64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	// handleWG tracks the middlebox session goroutines so a dedicated
-	// cell pool is only closed after every session drained.
-	var handleWG sync.WaitGroup
 
 	// Establish all sessions before opening the measurement window.
 	type endpoints struct {
-		w interface{ Write([]byte) (int, error) }
-		r interface{ Read([]byte) (int, error) }
+		w io.Writer
+		r io.Reader
 		c func()
 	}
-	eps := make([]endpoints, streams)
+	eps := make([]endpoints, 0, streams)
+	// The one teardown, on every return path: end the sources, close
+	// what each stream established, then its chain (Close waits for the
+	// middlebox's Handle), and only then the dedicated pool, once every
+	// session has drained out of it.
+	var chains []*chain.Chain
+	defer func() {
+		close(stop)
+		wg.Wait()
+		for _, ep := range eps {
+			ep.c()
+		}
+		for _, ch := range chains {
+			ch.Close()
+		}
+		if cellPool != nil {
+			st := cellPool.Stats()
+			cell.ResealP50Micros = float64(st.ResealP50) / 1e3
+			cell.ResealP99Micros = float64(st.ResealP99) / 1e3
+			cellPool.Close()
+		}
+	}()
 	for s := 0; s < streams; s++ {
-		c0a, c0b, err := fab.pair()
+		ch, err := chain.Wire(link, mb)
 		if err != nil {
-			return cell, fmt.Errorf("stream %d client hop: %w", s, err)
+			return cell, fmt.Errorf("stream %d: %w", s, err)
 		}
-		c1a, c1b, err := fab.pair()
-		if err != nil {
-			c0a.Close()
-			c0b.Close()
-			return cell, fmt.Errorf("stream %d server hop: %w", s, err)
+		chains = append(chains, ch)
+		ep := endpoints{w: ch.Client, r: ch.Server, c: ch.Close}
+		if encryption {
+			client, server, err := chain.Establish(ch.Client, ch.Server, pki.ClientConfig(), pki.ServerConfig())
+			if err != nil {
+				return cell, fmt.Errorf("stream %d: %w", s, err)
+			}
+			ep = endpoints{w: client, r: server, c: sync.OnceFunc(func() { client.Close(); server.Close() })}
 		}
-		handleWG.Add(1)
-		go func() {
-			defer handleWG.Done()
-			mb.Handle(c0b, c1a) //nolint:errcheck
-		}()
-		if !encryption {
-			eps[s] = endpoints{w: c0a, r: c1b, c: func() { c0a.Close(); c1b.Close() }}
-			continue
-		}
-		type res struct {
-			sess *core.Session
-			err  error
-		}
-		cch := make(chan res, 1)
-		sch := make(chan res, 1)
-		go func() {
-			sess, err := core.Dial(c0a, &core.ClientConfig{
-				TLS: &tls12.Config{RootCAs: ca.Pool(), ServerName: "server.example"},
-			})
-			cch <- res{sess, err}
-		}()
-		go func() {
-			sess, err := core.Accept(c1b, &core.ServerConfig{TLS: &tls12.Config{Certificate: serverCert}})
-			sch <- res{sess, err}
-		}()
-		cr, sr := <-cch, <-sch
-		if cr.err != nil {
-			return cell, fmt.Errorf("stream %d dial: %w", s, cr.err)
-		}
-		if sr.err != nil {
-			return cell, fmt.Errorf("stream %d accept: %w", s, sr.err)
-		}
-		eps[s] = endpoints{w: cr.sess, r: sr.sess, c: func() { cr.sess.Close(); sr.sess.Close() }}
+		eps = append(eps, ep)
 	}
 
 	payload := core.RandomPlaintext(bufSize)
-	errs := make(chan error, 2*streams)
-	for s := 0; s < streams; s++ {
-		ep := eps[s]
+	errs := make(chan error, 1)
+	fail := func(err error) {
+		select {
+		case errs <- err:
+		default:
+		}
+	}
+	for _, ep := range eps {
 		// Sink: counts delivered bytes.
 		wg.Add(1)
 		go func() {
@@ -276,16 +255,9 @@ func fig7Cell(ca *certs.CA, serverCert, mbCert *tls12.Certificate, platform *enc
 			buf := make([]byte, 64<<10)
 			for {
 				n, err := ep.r.Read(buf)
-				if n > 0 {
-					deliveredMu.Lock()
-					delivered += int64(n)
-					deliveredMu.Unlock()
-				}
+				delivered.Add(int64(n))
 				if err != nil {
-					select {
-					case errs <- err:
-					default:
-					}
+					fail(err)
 					return
 				}
 			}
@@ -302,10 +274,7 @@ func fig7Cell(ca *certs.CA, serverCert, mbCert *tls12.Certificate, platform *enc
 				default:
 				}
 				if _, err := ep.w.Write(payload); err != nil {
-					select {
-					case errs <- err:
-					default:
-					}
+					fail(err)
 					return
 				}
 			}
@@ -314,18 +283,14 @@ func fig7Cell(ca *certs.CA, serverCert, mbCert *tls12.Certificate, platform *enc
 
 	// Let the pipeline warm up, then measure a clean window.
 	time.Sleep(30 * time.Millisecond)
-	deliveredMu.Lock()
-	delivered = 0
-	deliveredMu.Unlock()
+	delivered.Store(0)
 	var startTransitions int64
 	if encl != nil {
 		startTransitions = encl.Transitions()
 	}
 	start := time.Now()
 	time.Sleep(window)
-	deliveredMu.Lock()
-	bytes := delivered
-	deliveredMu.Unlock()
+	bytes := delivered.Load()
 	elapsed := time.Since(start)
 	if encl != nil {
 		cell.Transitions = encl.Transitions() - startTransitions
@@ -333,25 +298,11 @@ func fig7Cell(ca *certs.CA, serverCert, mbCert *tls12.Certificate, platform *enc
 	}
 	// A stream dying mid-window invalidates the measurement; report it
 	// before teardown floods the error channel with shutdown noise.
-	teardown := func() {
-		close(stop)
-		wg.Wait()
-		handleWG.Wait()
-		if cellPool != nil {
-			st := cellPool.Stats()
-			cell.ResealP50Micros = float64(st.ResealP50) / 1e3
-			cell.ResealP99Micros = float64(st.ResealP99) / 1e3
-			cellPool.Close()
-		}
-	}
 	select {
 	case err := <-errs:
-		teardown()
 		return cell, fmt.Errorf("stream failed during measurement: %w", err)
 	default:
 	}
-	teardown()
-
 	cell.Gbps = float64(bytes) * 8 / elapsed.Seconds() / 1e9
 	return cell, nil
 }

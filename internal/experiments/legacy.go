@@ -5,11 +5,10 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/certs"
+	"repro/internal/chain"
 	"repro/internal/core"
 	"repro/internal/httpx"
 	"repro/internal/mbapps"
-	"repro/internal/netsim"
 	"repro/internal/population"
 	"repro/internal/tls12"
 )
@@ -33,11 +32,7 @@ type LegacyOptions struct {
 // legacy TLS servers; the population reproduces the paper's failure
 // classes.
 func RunLegacy(opts LegacyOptions) (*LegacyResult, error) {
-	ca, err := certs.NewCA("legacy experiment root")
-	if err != nil {
-		return nil, err
-	}
-	mbCert, err := ca.Issue("proxy.example", []string{"proxy.example"}, nil)
+	pki, err := chain.NewPKI()
 	if err != nil {
 		return nil, err
 	}
@@ -58,7 +53,7 @@ func RunLegacy(opts LegacyOptions) (*LegacyResult, error) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			outcome := fetchSite(ca, mbCert, site)
+			outcome := fetchSite(pki, site)
 			mu.Lock()
 			result.Counts[outcome]++
 			mu.Unlock()
@@ -70,15 +65,15 @@ func RunLegacy(opts LegacyOptions) (*LegacyResult, error) {
 
 // fetchSite performs one fetch through the proxy middlebox and
 // classifies the outcome the way the paper's client did.
-func fetchSite(ca *certs.CA, mbCert *tls12.Certificate, site population.Site) population.Outcome {
-	behavior, err := population.Materialize(ca, site)
+func fetchSite(pki *chain.PKI, site population.Site) population.Outcome {
+	behavior, err := population.Materialize(pki.CA, site)
 	if err != nil {
 		return population.OutcomeUnknown
 	}
 
-	mb, err := core.NewMiddlebox(core.MiddleboxConfig{
-		Mode:        core.ClientSide,
-		Certificate: mbCert,
+	ch, err := pki.Chain(nil, core.MiddleboxConfig{
+		Name: "proxy.example",
+		Mode: core.ClientSide,
 		NewProcessor: func() core.Processor {
 			return mbapps.NewHeaderInserter("Via", "1.1 mbtls-proxy")
 		},
@@ -86,9 +81,8 @@ func fetchSite(ca *certs.CA, mbCert *tls12.Certificate, site population.Site) po
 	if err != nil {
 		return population.OutcomeUnknown
 	}
-	clientEnd, mbDown := netsim.Pipe()
-	mbUp, serverEnd := netsim.Pipe()
-	go mb.Handle(mbDown, mbUp) //nolint:errcheck
+	defer ch.Close()
+	clientEnd, serverEnd := ch.Client, ch.Server
 
 	// The legacy site.
 	go func() {
@@ -120,7 +114,7 @@ func fetchSite(ca *certs.CA, mbCert *tls12.Certificate, site population.Site) po
 	// The paper's prototype client: mbTLS with AES-256-GCM only.
 	sess, err := core.Dial(clientEnd, &core.ClientConfig{
 		TLS: &tls12.Config{
-			RootCAs:      ca.Pool(),
+			RootCAs:      pki.CA.Pool(),
 			ServerName:   site.Name,
 			CipherSuites: []uint16{tls12.TLS_ECDHE_ECDSA_WITH_AES_256_GCM_SHA384},
 		},

@@ -2,13 +2,14 @@ package experiments
 
 import (
 	"fmt"
+	"io"
+	"net"
 	"strings"
 	"sync"
 
-	"repro/internal/certs"
+	"repro/internal/chain"
 	"repro/internal/core"
 	"repro/internal/netsim"
-	"repro/internal/tls12"
 )
 
 // Table2Row is one network-type row of the handshake-viability
@@ -38,15 +39,7 @@ type Table2Options struct {
 // middlebox to a server, with the new record types traversing the
 // filtered client network.
 func RunTable2(opts Table2Options) ([]Table2Row, error) {
-	ca, err := certs.NewCA("table2 root")
-	if err != nil {
-		return nil, err
-	}
-	serverCert, err := ca.Issue("server.example", []string{"server.example"}, nil)
-	if err != nil {
-		return nil, err
-	}
-	mbCert, err := ca.Issue("mbox.example", []string{"mbox.example"}, nil)
+	pki, err := chain.NewPKI()
 	if err != nil {
 		return nil, err
 	}
@@ -68,7 +61,7 @@ func RunTable2(opts Table2Options) ([]Table2Row, error) {
 				defer wg.Done()
 				sem <- struct{}{}
 				defer func() { <-sem }()
-				err := runTable2Site(ca, serverCert, mbCert, nt, i, opts.InjectStrictDPI)
+				err := runTable2Site(pki, nt, i, opts.InjectStrictDPI)
 				mu.Lock()
 				if err == nil {
 					rows[ti].Succeeded++
@@ -85,71 +78,50 @@ func RunTable2(opts Table2Options) ([]Table2Row, error) {
 
 // runTable2Site performs one handshake + echo through the site's
 // filter stack: client —[client network filters]— middlebox — server.
-func runTable2Site(ca *certs.CA, serverCert, mbCert *tls12.Certificate, nt netsim.NetworkType, i int, strictDPI bool) error {
+func runTable2Site(pki *chain.PKI, nt netsim.NetworkType, i int, strictDPI bool) error {
 	specs := netsim.SiteFilters(nt, i)
 	if strictDPI {
 		specs = append(specs, netsim.FilterSpec{Kind: netsim.KindStrictDPI})
 	}
-	clientEnd, filteredEnd := netsim.FilteredLink(specs...)
-
-	mb, err := core.NewMiddlebox(core.MiddleboxConfig{Mode: core.ClientSide, Certificate: mbCert})
+	// The client's hop crosses its network's filter stack.
+	ch, err := pki.Chain(chain.ClientHop(func() (net.Conn, net.Conn) {
+		return netsim.FilteredLink(specs...)
+	}), core.MiddleboxConfig{Mode: core.ClientSide})
 	if err != nil {
 		return err
 	}
-	upA, upB := netsim.Pipe()
-	go mb.Handle(filteredEnd, upA) //nolint:errcheck
+	defer ch.Close()
 
-	serverDone := make(chan error, 1)
-	go func() {
-		sess, err := core.Accept(upB, &core.ServerConfig{TLS: &tls12.Config{Certificate: serverCert}})
-		if err != nil {
-			serverDone <- err
-			return
-		}
-		defer sess.Close()
-		buf := make([]byte, 16)
-		if _, err := readFull(sess, buf); err != nil {
-			serverDone <- err
-			return
-		}
-		_, err = sess.Write(buf)
-		serverDone <- err
-	}()
-
-	sess, err := core.Dial(clientEnd, &core.ClientConfig{
-		TLS: &tls12.Config{RootCAs: ca.Pool(), ServerName: "server.example"},
-	})
+	sess, server, err := chain.Establish(ch.Client, ch.Server, pki.ClientConfig(), pki.ServerConfig())
 	if err != nil {
 		return fmt.Errorf("handshake: %w", err)
 	}
 	defer sess.Close()
+	defer server.Close()
 	if len(sess.Middleboxes()) != 1 {
 		return fmt.Errorf("middlebox did not join")
 	}
+	serverDone := make(chan error, 1)
+	go func() {
+		buf := make([]byte, 16)
+		if _, err := io.ReadFull(server, buf); err != nil {
+			serverDone <- err
+			return
+		}
+		_, err := server.Write(buf)
+		serverDone <- err
+	}()
 	msg := []byte("viability probe!")
 	if _, err := sess.Write(msg); err != nil {
 		return err
 	}
-	buf := make([]byte, len(msg))
-	if _, err := readFull(sess, buf); err != nil {
+	if _, err := io.ReadFull(sess, make([]byte, len(msg))); err != nil {
 		return fmt.Errorf("echo: %w", err)
 	}
 	if err := <-serverDone; err != nil {
 		return fmt.Errorf("server: %w", err)
 	}
 	return nil
-}
-
-func readFull(r interface{ Read([]byte) (int, error) }, buf []byte) (int, error) {
-	total := 0
-	for total < len(buf) {
-		n, err := r.Read(buf[total:])
-		total += n
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
 }
 
 // FormatTable2 renders the rows in the paper's Table 2 shape.

@@ -9,70 +9,39 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/certs"
+	"repro/internal/chain"
 	"repro/internal/core"
-	"repro/internal/netsim"
 	"repro/internal/sessionhost"
 	"repro/internal/testutil/goleak"
 	"repro/internal/tls12"
 )
 
-// hostEnv is the shared fixture: a simulated network and a PKI with a
-// server and a middlebox certificate.
-type hostEnv struct {
-	net        *netsim.Network
-	ca         *certs.CA
-	serverCert *tls12.Certificate
-	mbCert     *tls12.Certificate
-}
+// hostEnv is the shared fixture: chain's hosted topology on a
+// simulated network — its PKI, its fabric, and for the tests that need a
+// whole chain its Serve and Middlebox — with the 10 s handshake bound
+// these tests run under.
+type hostEnv struct{ *chain.Hosted }
 
 func newHostEnv(t *testing.T) *hostEnv {
 	t.Helper()
-	ca, err := certs.NewCA("sessionhost test root")
+	h, err := chain.NewHosted(chain.TransportNetsim, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	serverCert, err := ca.Issue("origin.example", []string{"origin.example"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mbCert, err := ca.Issue("mb.example", []string{"mb.example"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &hostEnv{net: netsim.NewNetwork(), ca: ca, serverCert: serverCert, mbCert: mbCert}
+	return &hostEnv{h}
 }
 
 func (e *hostEnv) clientConfig() *core.ClientConfig {
-	return &core.ClientConfig{
-		TLS:              &tls12.Config{RootCAs: e.ca.Pool(), ServerName: "origin.example"},
-		HandshakeTimeout: 10 * time.Second,
-	}
-}
-
-func (e *hostEnv) serverConfig() *core.ServerConfig {
-	return &core.ServerConfig{
-		TLS:               &tls12.Config{Certificate: e.serverCert},
-		AcceptMiddleboxes: true,
-		MiddleboxTLS:      &tls12.Config{RootCAs: e.ca.Pool()},
-		HandshakeTimeout:  10 * time.Second,
-	}
+	ccfg := e.PKI.ClientConfig()
+	ccfg.HandshakeTimeout = 10 * time.Second
+	return ccfg
 }
 
 // echoHandler serves echo sessions until the peer closes.
 func (e *hostEnv) echoHandler() sessionhost.Handler {
-	return sessionhost.NewServerHandler(e.serverConfig(), func(s *core.Session) error {
-		buf := make([]byte, 256)
-		for {
-			n, err := s.Read(buf)
-			if err != nil {
-				return err
-			}
-			if _, err := s.Write(buf[:n]); err != nil {
-				return err
-			}
-		}
-	})
+	scfg := e.PKI.ServerConfig()
+	scfg.HandshakeTimeout = 10 * time.Second
+	return sessionhost.NewServerHandler(scfg, chain.Echo)
 }
 
 // waitFor polls cond for up to 5s.
@@ -105,7 +74,7 @@ func waitGoroutines(t *testing.T, base int) {
 func TestShutdownDrainsInFlightAndRefusesNew(t *testing.T) {
 	base := goleak.Base()
 	e := newHostEnv(t)
-	ln, err := e.net.Listen("server")
+	ln, err := e.Fabric.Sim.Listen("server")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +85,7 @@ func TestShutdownDrainsInFlightAndRefusesNew(t *testing.T) {
 	go host.Serve(ln) //nolint:errcheck
 
 	// Establish a session and leave it mid-transfer.
-	conn, err := e.net.Dial("client", "server")
+	conn, err := e.Fabric.Sim.Dial("client", "server")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +97,7 @@ func TestShutdownDrainsInFlightAndRefusesNew(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 10)
-	if _, err := readFull(sess, buf); err != nil {
+	if _, err := io.ReadFull(sess, buf); err != nil {
 		t.Fatal(err)
 	}
 
@@ -141,7 +110,7 @@ func TestShutdownDrainsInFlightAndRefusesNew(t *testing.T) {
 
 	// A new remote dial during drain is refused with the draining
 	// alert, which the client's classifier maps to ClassOverload.
-	conn2, err := e.net.Dial("latecomer", "server")
+	conn2, err := e.Fabric.Sim.Dial("latecomer", "server")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +147,7 @@ func TestShutdownDrainsInFlightAndRefusesNew(t *testing.T) {
 		t.Fatalf("mid-transfer write during drain: %v", err)
 	}
 	buf = make([]byte, 11)
-	if _, err := readFull(sess, buf); err != nil {
+	if _, err := io.ReadFull(sess, buf); err != nil {
 		t.Fatalf("mid-transfer read during drain: %v", err)
 	}
 	if string(buf) != "second half" {
@@ -218,7 +187,7 @@ func TestServeListenersPartialFailureClosesSiblings(t *testing.T) {
 	defer host.Close()
 	var lns []net.Listener
 	for i := 0; i < 3; i++ {
-		ln, err := e.net.Listen(fmt.Sprintf("server-%d", i))
+		ln, err := e.Fabric.Sim.Listen(fmt.Sprintf("server-%d", i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +198,7 @@ func TestServeListenersPartialFailureClosesSiblings(t *testing.T) {
 	// Let the loops start, then fail one listener out from under its
 	// Serve loop (the host is not closed, so this is a real failure).
 	waitFor(t, "listeners accepting", func() bool {
-		c, err := e.net.Dial("probe", "server-2")
+		c, err := e.Fabric.Sim.Dial("probe", "server-2")
 		if err != nil {
 			return false
 		}
@@ -246,7 +215,7 @@ func TestServeListenersPartialFailureClosesSiblings(t *testing.T) {
 		t.Fatal("ServeListeners did not return after one listener failed")
 	}
 	// The siblings were closed by the cascade: new dials are refused.
-	if _, err := e.net.Dial("client", "server-1"); err == nil {
+	if _, err := e.Fabric.Sim.Dial("client", "server-1"); err == nil {
 		t.Fatal("sibling listener still accepting after partial failure")
 	}
 }
@@ -300,12 +269,12 @@ func TestOverloadRefusal(t *testing.T) {
 	c2.Close()
 
 	// Remote dial beyond the cap sees the overloaded alert.
-	ln, err := e.net.Listen("tiny")
+	ln, err := e.Fabric.Sim.Listen("tiny")
 	if err != nil {
 		t.Fatal(err)
 	}
 	go host.Serve(ln) //nolint:errcheck
-	conn, err := e.net.Dial("client", "tiny")
+	conn, err := e.Fabric.Sim.Dial("client", "tiny")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,13 +314,13 @@ func TestRefusalOutlivesTheHello(t *testing.T) {
 	base := goleak.Base()
 	e := newHostEnv(t)
 	host, release := fullHost(t)
-	ln, err := e.net.Listen("tiny")
+	ln, err := e.Fabric.Sim.Listen("tiny")
 	if err != nil {
 		t.Fatal(err)
 	}
 	go host.Serve(ln) //nolint:errcheck
 
-	late, err := e.net.Dial("late", "tiny")
+	late, err := e.Fabric.Sim.Dial("late", "tiny")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +330,7 @@ func TestRefusalOutlivesTheHello(t *testing.T) {
 		t.Errorf("late hello: Dial = %v, want remote overloaded alert", err)
 	}
 
-	silent, err := e.net.Dial("silent", "tiny")
+	silent, err := e.Fabric.Sim.Dial("silent", "tiny")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,46 +361,23 @@ func TestForceClosePastDeadlineLeaksNoGoroutines(t *testing.T) {
 	base := goleak.Base()
 	e := newHostEnv(t)
 
-	srvLn, err := e.net.Listen("server")
+	srvHost, srvAddr, err := e.Serve("server", sessionhost.Config{Name: "server", Handler: e.echoHandler()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srvHost, err := sessionhost.New(sessionhost.Config{Name: "server", Handler: e.echoHandler()})
+	hop, err := e.Middlebox("mb", core.MiddleboxConfig{Mode: core.ClientSide, BufPool: tls12.NewRecordBufPool(4)},
+		sessionhost.Config{Name: "mb"}, srvAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	go srvHost.Serve(srvLn) //nolint:errcheck
-
-	pool := tls12.NewRecordBufPool(4)
-	mb, err := core.NewMiddlebox(core.MiddleboxConfig{
-		Name: "mb.example", Mode: core.ClientSide, Certificate: e.mbCert, BufPool: pool,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mbLn, err := e.net.Listen("mb")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mbHost, err := sessionhost.New(sessionhost.Config{
-		Name:    "mb",
-		BufPool: pool,
-		Handler: sessionhost.NewMiddleboxHandler(mb, func() (net.Conn, error) {
-			return e.net.Dial("mb", "server")
-		}),
-		MiddleboxStats: mb.Stats,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go mbHost.Serve(mbLn) //nolint:errcheck
+	mbHost := hop.Host
 
 	// A client that establishes a session and then idles forever: the
 	// session will never drain on its own.
 	clientDone := make(chan error, 1)
 	established := make(chan struct{})
 	go func() {
-		conn, err := e.net.Dial("client", "mb")
+		conn, err := hop.Dial()
 		if err != nil {
 			clientDone <- err
 			return
@@ -533,17 +479,4 @@ func TestControlLifecycle(t *testing.T) {
 	default:
 		t.Error("Draining channel not closed after Close")
 	}
-}
-
-// readFull reads exactly len(buf) bytes from an mbTLS session.
-func readFull(r interface{ Read([]byte) (int, error) }, buf []byte) (int, error) {
-	total := 0
-	for total < len(buf) {
-		n, err := r.Read(buf[total:])
-		total += n
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
 }

@@ -3,138 +3,68 @@ package tcpx_test
 import (
 	"errors"
 	"io"
-	"net"
 	"testing"
 	"time"
 
-	"repro/internal/certs"
+	"repro/internal/chain"
+	"repro/internal/chain/chaintest"
 	"repro/internal/core"
 	"repro/internal/sessionhost"
 	"repro/internal/testutil/goleak"
 	"repro/internal/tls12"
-	"repro/internal/transport/tcpx"
 )
 
 // acctChain is one client→middlebox→server chain over real loopback
-// sockets, mirroring the topology of the netsim accountability
-// failure-path tests (internal/core/accountability_test.go). Every
-// proxysig fault injected there is re-driven here through the kernel,
-// asserting the error class parity DESIGN.md §7 promises: simulator
-// vocabulary == production vocabulary.
+// sockets — chain's hosted topology on the tcp fabric — mirroring the
+// topology of the netsim accountability failure-path tests
+// (internal/core/accountability_test.go). Every proxysig fault injected
+// there is re-driven here through the kernel, asserting the error class
+// parity DESIGN.md §7 promises: simulator vocabulary == production
+// vocabulary.
 type acctChain struct {
-	tr     *tcpx.Transport
-	ca     *certs.CA
-	mbAddr string
+	h   *chain.Hosted
+	hop *chain.Hop
 }
 
-// start builds the chain. mbOpt mutates the middlebox config before it
-// starts (accountability mode, fault injectors); both hosts are torn
-// down by t.Cleanup.
-func startAcctChain(t *testing.T, mbOpt func(*core.MiddleboxConfig)) *acctChain {
+// newAcctChain starts the chain. mbOpt mutates the middlebox config
+// before it starts (accountability mode, fault injectors); both hosts
+// are torn down by t.Cleanup.
+func newAcctChain(t *testing.T, mbOpt func(*core.MiddleboxConfig)) *acctChain {
 	t.Helper()
-	ca, err := certs.NewCA("acct parity root")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serverCert, err := ca.Issue("origin.example", []string{"origin.example"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mbCert, err := ca.Issue("mb.example", []string{"mb.example"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	tr := tcpx.Default()
-	scfg := &core.ServerConfig{
-		TLS:               &tls12.Config{Certificate: serverCert},
-		AcceptMiddleboxes: true,
-		MiddleboxTLS:      &tls12.Config{RootCAs: ca.Pool()},
-		HandshakeTimeout:  30 * time.Second,
-	}
-	srvHost, err := sessionhost.New(sessionhost.Config{
-		Name:        "acct-server",
-		MaxSessions: 4,
-		Shards:      1,
-		// Echo until the client hangs up: the server session must stay
-		// open while the client settles its evidence audit at Close.
-		Handler: sessionhost.NewServerHandler(scfg, func(s *core.Session) error {
-			buf := make([]byte, 256)
-			for {
-				n, err := s.Read(buf)
-				if err != nil {
-					return err
-				}
-				if _, err := s.Write(buf[:n]); err != nil {
-					return err
-				}
-			}
-		}),
+	h := chaintest.NewHosted(t, chain.TransportTCP)
+	// chain.Echo echoes until the client hangs up: the server session
+	// must stay open while the client settles its evidence audit at Close.
+	_, srvAddr, err := h.Serve("server", sessionhost.Config{
+		Name: "acct-server", MaxSessions: 4, Shards: 1,
+		Handler: sessionhost.NewServerHandler(h.PKI.ServerConfig(), chain.Echo),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srvLn, err := tr.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvAddr := srvLn.Addr().String()
-	go srvHost.Serve(srvLn) //nolint:errcheck
-
-	mbCfg := core.MiddleboxConfig{
-		Name: "mb.example", Mode: core.ClientSide, Certificate: mbCert,
-	}
+	mbCfg := core.MiddleboxConfig{Mode: core.ClientSide}
 	if mbOpt != nil {
 		mbOpt(&mbCfg)
 	}
-	mb, err := core.NewMiddlebox(mbCfg)
+	hop, err := h.Middlebox("mb", mbCfg, sessionhost.Config{Name: "acct-mb", MaxSessions: 4, Shards: 1}, srvAddr)
 	if err != nil {
-		srvHost.Close() //nolint:errcheck
 		t.Fatal(err)
 	}
-	mbHost, err := sessionhost.New(sessionhost.Config{
-		Name:        "acct-mb",
-		MaxSessions: 4,
-		Shards:      1,
-		Handler: sessionhost.NewMiddleboxHandler(mb, func() (net.Conn, error) {
-			return tr.Dial(srvAddr)
-		}),
-		MiddleboxStats: mb.Stats,
-	})
-	if err != nil {
-		srvHost.Close() //nolint:errcheck
-		t.Fatal(err)
-	}
-	mbLn, err := tr.Listen("127.0.0.1:0")
-	if err != nil {
-		srvHost.Close() //nolint:errcheck
-		mbHost.Close()  //nolint:errcheck
-		t.Fatal(err)
-	}
-	go mbHost.Serve(mbLn) //nolint:errcheck
-	t.Cleanup(func() {
-		mbHost.Close()  //nolint:errcheck
-		srvHost.Close() //nolint:errcheck
-	})
-	return &acctChain{tr: tr, ca: ca, mbAddr: mbLn.Addr().String()}
+	return &acctChain{h: h, hop: hop}
 }
 
 // clientConfig builds a proxysig client config; clock (optional)
 // overrides the delegation-minting clock.
 func (c *acctChain) clientConfig(clock func() time.Time) *core.ClientConfig {
-	return &core.ClientConfig{
-		TLS:                 &tls12.Config{RootCAs: c.ca.Pool(), ServerName: "origin.example"},
-		MiddleboxTLS:        &tls12.Config{RootCAs: c.ca.Pool()},
-		Accountability:      core.AccountProxySig,
-		AccountabilityClock: clock,
-		HandshakeTimeout:    30 * time.Second,
-	}
+	ccfg := c.h.PKI.ClientConfig()
+	ccfg.Accountability = core.AccountProxySig
+	ccfg.AccountabilityClock = clock
+	return ccfg
 }
 
 // dial runs the client handshake over a fresh loopback connection.
 func (c *acctChain) dial(t *testing.T, ccfg *core.ClientConfig) (*core.Session, error) {
 	t.Helper()
-	conn, err := c.tr.Dial(c.mbAddr)
+	conn, err := c.hop.Dial()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +98,7 @@ func echo(t *testing.T, sess *core.Session, msg string) {
 func TestProxySigParityOverTCP(t *testing.T) {
 	t.Run("ExpiredDelegation", func(t *testing.T) {
 		goleak.Check(t)
-		c := startAcctChain(t, func(cfg *core.MiddleboxConfig) {
+		c := newAcctChain(t, func(cfg *core.MiddleboxConfig) {
 			cfg.Accountability = core.AccountProxySig
 		})
 		// A client whose delegation clock is two hours slow mints
@@ -191,7 +121,7 @@ func TestProxySigParityOverTCP(t *testing.T) {
 
 	t.Run("TamperedDelegation", func(t *testing.T) {
 		goleak.Check(t)
-		c := startAcctChain(t, func(cfg *core.MiddleboxConfig) {
+		c := newAcctChain(t, func(cfg *core.MiddleboxConfig) {
 			cfg.Accountability = core.AccountProxySig
 			cfg.AccountabilityFaults = &core.AccountabilityFaults{
 				MutateDelegation: func(d []byte) []byte {
@@ -218,7 +148,7 @@ func TestProxySigParityOverTCP(t *testing.T) {
 
 	t.Run("ForgedEvidence", func(t *testing.T) {
 		goleak.Check(t)
-		c := startAcctChain(t, func(cfg *core.MiddleboxConfig) {
+		c := newAcctChain(t, func(cfg *core.MiddleboxConfig) {
 			cfg.Accountability = core.AccountProxySig
 			cfg.AccountabilityFaults = &core.AccountabilityFaults{
 				MutateEvidence: func(ev []byte) []byte {
@@ -247,7 +177,7 @@ func TestProxySigParityOverTCP(t *testing.T) {
 		goleak.Check(t)
 		// Middlebox stays in attest mode; the proxysig client's offer is
 		// refused with a fatal accountability_mismatch alert.
-		c := startAcctChain(t, nil)
+		c := newAcctChain(t, nil)
 		sess, err := c.dial(t, c.clientConfig(nil))
 		if err == nil {
 			sess.Close()

@@ -2,174 +2,40 @@ package tcpx_test
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"net"
-	"sync"
 	"syscall"
 	"testing"
 	"time"
 
-	"repro/internal/certs"
+	"repro/internal/chain"
+	"repro/internal/chain/chaintest"
 	"repro/internal/core"
-	"repro/internal/sessionhost"
 	"repro/internal/tls12"
 	"repro/internal/transport/tcpx"
 )
 
-// raceSessions mirrors the netsim concurrent-sessions test: 64 clean
-// sessions at once through one shared middlebox host, over real
-// loopback sockets instead of simulated pipes.
-const raceSessions = 64
-
-// raceShards fixes the hosts' shard count so cross-shard admission and
-// the SO_REUSEPORT listener fan-out are exercised even on single-core
-// machines.
-const raceShards = 8
-
-// TestConcurrentSessionsOverTCP is the loopback-TCP re-run of netsim's
-// TestConcurrentSessionsThroughFaultyNetwork: a fleet of 64 complete
-// mbTLS sessions through one shared middlebox and server host pair,
-// plus one connection that dies by a real kernel RST (SO_LINGER=0 +
-// Close) mid-handshake. Every clean session must stay fully functional
-// while the host observes and absorbs the reset — the same
+// TestConcurrentSessionsOverTCP runs the shared concurrent-sessions
+// body (chaintest.ConcurrentSessions, the one netsim's
+// TestConcurrentSessionsThroughFaultyNetwork runs) over real loopback
+// sockets with per-shard SO_REUSEPORT listeners. The doomed client dies
+// by a real kernel RST (SO_LINGER=0 + Close) mid-handshake: the same
 // fault-isolation property the simulator asserts, demonstrated against
-// real ECONNRESET instead of an injected one.
+// real ECONNRESET instead of an injected one — and the host must count
+// the failure.
 func TestConcurrentSessionsOverTCP(t *testing.T) {
-	ca, err := certs.NewCA("tcp race root")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serverCert, err := ca.Issue("origin.example", []string{"origin.example"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mbCert, err := ca.Issue("mb.example", []string{"mb.example"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	pool := tls12.NewRecordBufPool(2 * raceSessions)
-	tr := tcpx.New(tcpx.Config{ReusePort: true, Pool: pool})
-
-	scfg := &core.ServerConfig{
-		TLS:               &tls12.Config{Certificate: serverCert},
-		AcceptMiddleboxes: true,
-		MiddleboxTLS:      &tls12.Config{RootCAs: ca.Pool()},
-		HandshakeTimeout:  30 * time.Second,
-	}
-	srvHost, err := sessionhost.New(sessionhost.Config{
-		Name:        "server",
-		MaxSessions: 2 * raceSessions,
-		Shards:      raceShards,
-		Handler: sessionhost.NewServerHandler(scfg, func(s *core.Session) error {
-			buf := make([]byte, 256)
-			nr, err := s.Read(buf)
-			if err != nil {
-				return err
-			}
-			_, err = s.Write(buf[:nr])
-			return err
-		}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvLns, err := tr.ListenShards("127.0.0.1:0", srvHost.Shards())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvAddr := srvLns[0].Addr().String()
-	go srvHost.ServeListeners(srvLns) //nolint:errcheck
-	defer srvHost.Close()             //nolint:errcheck
-
-	mb, err := core.NewMiddlebox(core.MiddleboxConfig{
-		Name: "mb.example", Mode: core.ClientSide, Certificate: mbCert,
-		BufPool: pool,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mbHost, err := sessionhost.New(sessionhost.Config{
-		Name:        "mb",
-		MaxSessions: 2 * raceSessions,
-		Shards:      raceShards,
-		BufPool:     pool,
-		Handler: sessionhost.NewMiddleboxHandler(mb, func() (net.Conn, error) {
-			return tr.Dial(srvAddr)
-		}),
-		MiddleboxStats: mb.Stats,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mbLns, err := tr.ListenShards("127.0.0.1:0", mbHost.Shards())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mbAddr := mbLns[0].Addr().String()
-	go mbHost.ServeListeners(mbLns) //nolint:errcheck
-	defer mbHost.Close()            //nolint:errcheck
-
-	ccfg := func() *core.ClientConfig {
-		return &core.ClientConfig{
-			TLS:              &tls12.Config{RootCAs: ca.Pool(), ServerName: "origin.example"},
-			HandshakeTimeout: 30 * time.Second,
-		}
-	}
-
-	var wg sync.WaitGroup
-	okErrs := make(chan error, raceSessions)
-	for i := 0; i < raceSessions; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			conn, err := tr.Dial(mbAddr)
-			if err != nil {
-				okErrs <- fmt.Errorf("client %d dial: %w", i, err)
-				return
-			}
-			sess, err := core.Dial(conn, ccfg())
-			if err != nil {
-				conn.Close()
-				okErrs <- fmt.Errorf("client %d handshake: %w", i, err)
-				return
-			}
-			defer sess.Close()
-			msg := []byte(fmt.Sprintf("over loopback tcp %d", i))
-			if _, err := sess.Write(msg); err != nil {
-				okErrs <- fmt.Errorf("client %d write: %w", i, err)
-				return
-			}
-			sess.SetReadDeadline(time.Now().Add(30 * time.Second)) //nolint:errcheck
-			buf := make([]byte, len(msg))
-			if _, err := io.ReadFull(sess, buf); err != nil {
-				okErrs <- fmt.Errorf("client %d read: %w", i, err)
-				return
-			}
-			if string(buf) != string(msg) {
-				okErrs <- fmt.Errorf("client %d echo = %q, want %q", i, buf, msg)
-			}
-		}(i)
-	}
-
+	h := chaintest.NewHosted(t, chain.TransportTCP)
 	// The bad client: a genuine mbTLS dial whose reads are stalled, so
 	// the middlebox sniffs a real ClientHello, joins, and is parked
 	// mid-handshake waiting for the client's next flight — then the
 	// client aborts with a real kernel RST (SO_LINGER=0 + Close emits
 	// RST instead of FIN), and the host's reader surfaces ECONNRESET
 	// exactly where netsim's FaultReset-at-offset-300 injects one.
-	badDone := make(chan error, 1)
-	go func() {
-		conn, err := tr.Dial(mbAddr)
-		if err != nil {
-			badDone <- err
-			return
-		}
+	mbHost := chaintest.ConcurrentSessions(t, h, func(conn net.Conn, ccfg *core.ClientConfig) error {
 		stalled := &stallRead{Conn: conn, unblock: make(chan struct{})}
 		dialErr := make(chan error, 1)
 		go func() {
-			sess, err := core.Dial(stalled, ccfg())
+			sess, err := core.Dial(stalled, ccfg)
 			if err == nil {
 				sess.Close()
 			}
@@ -187,53 +53,18 @@ func TestConcurrentSessionsOverTCP(t *testing.T) {
 		conn.(*tcpx.Conn).SetLinger(0)                         //nolint:errcheck
 		conn.Close()
 		close(stalled.unblock)
-		badDone <- <-dialErr
-	}()
+		return <-dialErr
+	})
 
-	fleetDone := make(chan struct{})
-	go func() { wg.Wait(); close(fleetDone) }()
-	select {
-	case <-fleetDone:
-	case <-time.After(60 * time.Second):
-		t.Fatal("clean-path fleet wedged")
-	}
-	close(okErrs)
-	for err := range okErrs {
-		t.Errorf("clean session failed beside the RST one: %v", err)
-	}
-	select {
-	case err := <-badDone:
-		if err == nil {
-			t.Error("RST-mid-handshake path produced a working session")
-		} else if cls := core.ClassifyError(err); !cls.Transient() && cls != core.ClassCleanClose {
-			t.Errorf("RST path surfaced class %s (%v), want a transport-failure class", cls, err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("bad client wedged")
-	}
-
-	// The host must have seen the aborted connection fail; the clean
-	// fleet must all have completed. Failure accounting is asynchronous
-	// with the client's Close, so poll briefly.
+	// The host must have seen the aborted connection fail. Failure
+	// accounting is asynchronous with the client's Close, so poll
+	// briefly.
 	deadline := time.Now().Add(10 * time.Second)
-	for {
-		m := mbHost.Snapshot()
-		if m.Failed >= 1 || time.Now().After(deadline) {
-			if m.Accepted < raceSessions+1 {
-				t.Errorf("middlebox host admitted %d sessions, want >= %d", m.Accepted, raceSessions+1)
-			}
-			if m.Failed < 1 {
-				t.Errorf("middlebox host recorded %d failed sessions, want >= 1 (the RST one)", m.Failed)
-			}
-			if len(m.PerShard) != raceShards {
-				t.Errorf("metrics carry %d shards, want %d", len(m.PerShard), raceShards)
-			}
-			break
-		}
+	for mbHost.Snapshot().Failed < 1 && time.Now().Before(deadline) {
 		time.Sleep(20 * time.Millisecond)
 	}
-	if st := pool.Stats(); st.Gets == 0 {
-		t.Error("shared buffer pool was never used (relay and tcpx read path both feed from it)")
+	if failed := mbHost.Snapshot().Failed; failed < 1 {
+		t.Errorf("middlebox host recorded %d failed sessions, want >= 1 (the RST one)", failed)
 	}
 }
 

@@ -18,13 +18,15 @@ cd "$(dirname "$0")"
 gate go build ./...
 gate go test ./...
 gate go vet ./...
-gate go test -race ./internal/core/ ./internal/tls12/ ./internal/netsim/ ./internal/sessionhost/ ./internal/hsfast/
+gate go test -race ./internal/core/ ./internal/tls12/ ./internal/netsim/ ./internal/sessionhost/ ./internal/hsfast/ ./internal/chain/
 gate go test -race ./internal/transport/...
-# Stress slice: netsim's byte stream, the Conn contract, and core's
-# session establishment (both roles of establish, every mode), repeated
-# and shuffled at three core counts; a flake is a failure.
+# Stress slice: netsim's byte stream, the Conn contract, the chain
+# builder's own contract (the shared concurrent-sessions body runs from
+# netsim and tcpx), and core's session establishment (both roles of
+# establish, every mode), repeated and shuffled at three core counts; a
+# flake is a failure.
 for procs in 1 2 4; do
-	gate env GOMAXPROCS=$procs go test -count=20 -shuffle=on ./internal/netsim/ ./internal/transport/...
+	gate env GOMAXPROCS=$procs go test -count=20 -shuffle=on ./internal/netsim/ ./internal/transport/... ./internal/chain/
 	gate env GOMAXPROCS=$procs go test -count=20 -shuffle=on \
 		-run 'TestSession|TestNeighborKeys|TestProxySig|TestChainTicket|TestHandshakePhaseDeadline|TestApproveRejection|TestGoldenTranscript|TestEstablish' ./internal/core/
 done
