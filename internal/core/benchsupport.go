@@ -25,6 +25,11 @@ type BenchHarness struct {
 	encl      *enclave.Enclave
 	dp        dataPlaneHandler
 	sc        *tls12.CryptoScratch // heap-resident, like a relay's
+
+	// The harness is its own commit gate: the client's next sealing
+	// sequence, and the positions the next batch opens and reseals at
+	// (fresh hop keys start at zero).
+	srcSeq, openSeq, sealSeq uint64
 }
 
 // NewBenchHarness builds the harness. reencrypt selects the paper's
@@ -40,7 +45,7 @@ func NewBenchHarness(encl *enclave.Enclave, suite uint16, reencrypt bool) (*Benc
 	if err != nil {
 		return nil, err
 	}
-	h := &BenchHarness{reencrypt: reencrypt, encl: encl}
+	h := &BenchHarness{reencrypt: reencrypt, encl: encl, sc: new(tls12.CryptoScratch)}
 	sinkHop := hopA // a forwarding middlebox: the sink opens hop A directly
 	if reencrypt {
 		sinkHop = hopB
@@ -58,7 +63,7 @@ func NewBenchHarness(encl *enclave.Enclave, suite uint16, reencrypt bool) (*Benc
 	if err != nil {
 		return nil, err
 	}
-	h.dp, h.sc = dp, new(tls12.CryptoScratch)
+	h.dp = dp
 	if encl != nil {
 		h.dp = installEnclaveDataPlane(encl, dp)
 	}
@@ -70,7 +75,8 @@ func NewBenchHarness(encl *enclave.Enclave, suite uint16, reencrypt bool) (*Benc
 // aliases it.
 func (h *BenchHarness) SealInto(buf, plaintext []byte) ([]byte, tls12.RawRecord) {
 	start := len(buf)
-	buf = appendSealedRecord(buf, h.srcSeal, tls12.TypeApplicationData, plaintext)
+	buf = appendSealedRecordAt(buf, h.srcSeal, h.sc, h.srcSeq, tls12.TypeApplicationData, plaintext)
+	h.srcSeq++
 	return buf, tls12.RawRecord{
 		Type:    tls12.TypeApplicationData,
 		Payload: buf[start+tls12.RecordHeaderLen : len(buf)],
@@ -84,7 +90,10 @@ func (h *BenchHarness) SealInto(buf, plaintext []byte) ([]byte, tls12.RawRecord)
 // inline job minus the commit).
 func (h *BenchHarness) ProcessBatch(recs []tls12.RawRecord, dst []byte) ([]byte, int, error) {
 	if h.reencrypt {
-		out, _, res, err := h.dp.processInline(DirClientToServer, recs, h.sc, dst)
+		rsv := batchReservation{openStart: h.openSeq, sealStart: h.sealSeq}
+		out, res, err := h.dp.process(DirClientToServer, recs, rsv, h.sc, dst)
+		h.openSeq += uint64(res.opened)
+		h.sealSeq += uint64(res.appended)
 		return out, res.appended, err
 	}
 	// Forwarding only. With an enclave, the batch still traverses the

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/enclave"
@@ -28,75 +27,52 @@ type batchResult struct {
 
 // dataPlaneHandler is a middlebox's per-session data plane: it opens
 // protected records arriving on one hop, optionally transforms
-// application data, and reseals for the next hop (paper Figure 4).
-// Every record crosses it the same way (DESIGN.md §14): a reservation
-// fixes the batch's sequence numbers, processBatchAt does the work, and
-// the session's commit gate releases the output in arrival order.
+// application data, and reseals for the next hop (paper Figure 4). It
+// is immutable once built — keys and the Processor, no sequence
+// position: the session's commit gates (pipeline.go) own those, and
+// every call is told the positions it works at (DESIGN.md §14).
 //
-// reserveBatch runs on the relay goroutine and claims the sequence
-// numbers the batch will consume — the open range from arrival order,
-// the seal range from the predicted output geometry.
-//
-// processBatchAt runs on any goroutine, any number concurrently, using
-// only the reservation and caller-owned scratch. It appends the
-// resealed records in wire form (header included) to dst and returns
-// the extended buffer plus the batch accounting. Input payloads are
+// process runs on any goroutine, any number concurrently, using only
+// the reservation and caller-owned scratch. It appends the resealed
+// records in wire form (header included) to dst and returns the
+// extended buffer plus the batch accounting. Input payloads are
 // decrypted in place and destroyed; the appended bytes never alias
 // them. On error, dst still carries the records resealed before the
 // failure — the caller must release them, because their sealing
 // sequence numbers are spent.
 //
-// processInline is reserveBatch followed by processBatchAt for a job
-// the relay goroutine runs itself. It exists so the enclave plane pays
-// one boundary crossing for the pair, which is what lets Figure 7's
-// enclave configuration track the no-enclave one.
-//
-// appendAlert seals an alert under the given direction's sealing
-// state and appends its wire form to dst. A relay uses it fatally to
-// tell the next hop the path died (DESIGN.md §7), and at warning level
-// to seal the close_notify a force-closed session sends at the drain
-// deadline; either way it must go through the data plane because a
-// plaintext alert would be a MAC failure for a peer holding hop keys.
-// sealSeq/resetSealSeq let the commit gate read the sealing position
-// and move it to the committed one — back over an abandoned
-// reservation, or forward over an open-ended one — so a subsequently
-// sealed record or alert still verifies at the peer.
+// appendAlertAt seals an alert at the given sequence of a direction's
+// sealing key and appends its wire form to dst. A relay uses it fatally
+// to tell the next hop the path died (DESIGN.md §7), and at warning
+// level to seal the close_notify a force-closed session sends at the
+// drain deadline; either way it must go through the data plane because
+// a plaintext alert would be a MAC failure for a peer holding hop keys.
 type dataPlaneHandler interface {
-	reserveBatch(dir Direction, recs []tls12.RawRecord) batchReservation
-	processBatchAt(dir Direction, recs []tls12.RawRecord, rsv batchReservation, sc *tls12.CryptoScratch, dst []byte) ([]byte, batchResult, error)
-	processInline(dir Direction, recs []tls12.RawRecord, sc *tls12.CryptoScratch, dst []byte) ([]byte, batchReservation, batchResult, error)
-	appendAlert(dir Direction, level tls12.AlertLevel, desc tls12.AlertDescription, dst []byte) ([]byte, error)
-	sealSeq(dir Direction) uint64
-	resetSealSeq(dir Direction, seq uint64)
+	process(dir Direction, recs []tls12.RawRecord, rsv batchReservation, sc *tls12.CryptoScratch, dst []byte) ([]byte, batchResult, error)
+	appendAlertAt(dir Direction, seq uint64, level tls12.AlertLevel, desc tls12.AlertDescription, sc *tls12.CryptoScratch, dst []byte) ([]byte, error)
 }
 
-// batchReservation is the sequence-number claim reserveBatch hands to
-// processBatchAt: the first open sequence (arrival order), the first
-// seal sequence, and the number of sealing sequences claimed. Without a
+// batchReservation is the sequence-number claim a commit gate hands to
+// process: the first open sequence (arrival order), the first seal
+// sequence, and the number of sealing sequences claimed. Without a
 // Processor the claim is exact: every inbound record reseals to
 // ceil(plaintextLen/maxRecordPlaintext) records (minimum one), and
 // plaintext length is determined by wire length. A Processor makes the
 // geometry unpredictable, so the seal range is open-ended — outCount is
-// zero, nothing past sealStart is claimed, and the commit gate moves
-// the sealing position once the output is known. That is only sound
-// with no other job in flight, which holds because a session with a
-// Processor runs every job inline.
+// zero, nothing past sealStart is claimed, and the commit moves the
+// gate once the output is known. That is only sound with no other job
+// in flight, which holds because a session with a Processor runs every
+// job inline.
 type batchReservation struct {
 	openStart uint64
 	sealStart uint64
 	outCount  int
 }
 
-// dataPlane is the host-memory implementation.
+// dataPlane is the host-memory implementation. Nothing in it is written
+// after newDataPlane returns: the cipher states are used through their
+// explicit-sequence methods only, so any goroutine may call it.
 type dataPlane struct {
-	// Per-direction locks. Each direction is normally driven by its own
-	// single relay goroutine, but fault propagation seals an alert in
-	// both directions from whichever goroutine saw the failure, so the
-	// sealing states need protection. One uncontended lock per batch is
-	// free next to the AEAD work.
-	c2sMu sync.Mutex
-	s2cMu sync.Mutex
-
 	// Opening states for inbound records and sealing states for
 	// outbound records, per direction. For a middlebox, client→server
 	// records are opened with the downstream (client-side) hop key and
@@ -128,19 +104,10 @@ func newDataPlane(km *KeyMaterial, proc Processor) (*dataPlane, error) {
 	}, nil
 }
 
-// appendSealedRecord seals one outbound fragment and appends its full
-// wire form (header, explicit nonce, ciphertext, tag) to dst with no
+// appendSealedRecordAt seals one outbound fragment at an explicit
+// sequence number with caller-owned scratch and appends its full wire
+// form (header, explicit nonce, ciphertext, tag) to dst with no
 // intermediate copy.
-func appendSealedRecord(dst []byte, cs *tls12.CipherState, typ tls12.ContentType, plaintext []byte) []byte {
-	start := len(dst)
-	dst = append(dst, byte(typ), byte(tls12.VersionTLS12>>8), byte(tls12.VersionTLS12&0xff), 0, 0)
-	dst = cs.SealAppend(dst, typ, plaintext)
-	binary.BigEndian.PutUint16(dst[start+3:start+5], uint16(len(dst)-start-tls12.RecordHeaderLen))
-	return dst
-}
-
-// appendSealedRecordAt is appendSealedRecord at an explicit sequence
-// number with caller-owned scratch — the pipeline-worker variant.
 func appendSealedRecordAt(dst []byte, cs *tls12.CipherState, sc *tls12.CryptoScratch, seq uint64, typ tls12.ContentType, plaintext []byte) []byte {
 	start := len(dst)
 	dst = append(dst, byte(typ), byte(tls12.VersionTLS12>>8), byte(tls12.VersionTLS12&0xff), 0, 0)
@@ -149,17 +116,7 @@ func appendSealedRecordAt(dst []byte, cs *tls12.CipherState, sc *tls12.CryptoScr
 	return dst
 }
 
-// dirLock returns the lock guarding a direction's cipher states.
-func (dp *dataPlane) dirLock(dir Direction) *sync.Mutex {
-	if dir == DirServerToClient {
-		return &dp.s2cMu
-	}
-	return &dp.c2sMu
-}
-
-// states returns the open/seal cipher states for a direction. Callers
-// must hold the direction's lock unless using only the explicit-
-// sequence methods on the returned states.
+// states returns the open/seal cipher states for a direction.
 func (dp *dataPlane) states(dir Direction) (openCS, sealCS *tls12.CipherState) {
 	if dir == DirServerToClient {
 		return dp.openS2C, dp.sealS2C
@@ -170,8 +127,8 @@ func (dp *dataPlane) states(dir Direction) (openCS, sealCS *tls12.CipherState) {
 // predictOutRecords returns the number of records resealing one inbound
 // payload produces when no Processor is installed: at least one, and
 // one more per full fragment beyond maxRecordPlaintext. A payload too
-// short to open predicts one — the open will fail, and the fault path
-// rewinds the over-reserved seal range.
+// short to open predicts one — the open will fail, and the failed
+// commit abandons the over-reserved seal range.
 func predictOutRecords(payloadLen, overhead int) int {
 	pt := payloadLen - overhead
 	if pt <= maxRecordPlaintext {
@@ -180,37 +137,13 @@ func predictOutRecords(payloadLen, overhead int) int {
 	return (pt + maxRecordPlaintext - 1) / maxRecordPlaintext
 }
 
-// reserveBatch implements dataPlaneHandler. The open range is one
-// sequence per inbound record; the seal range is the output geometry
-// predicted from wire lengths, or open-ended when a Processor makes it
-// unpredictable. Reservation happens under the direction lock so it
-// serializes against alert sealing and the gate's repositioning, but
-// the claimed ranges are then consumed with no lock at all.
-func (dp *dataPlane) reserveBatch(dir Direction, recs []tls12.RawRecord) batchReservation {
-	mu := dp.dirLock(dir)
-	mu.Lock()
-	defer mu.Unlock()
-	openCS, sealCS := dp.states(dir)
-	rsv := batchReservation{openStart: openCS.ReserveSeq(uint64(len(recs)))}
-	if dp.proc != nil {
-		rsv.sealStart = sealCS.Seq()
-		return rsv
-	}
-	overhead := sealCS.Overhead()
-	for _, rec := range recs {
-		rsv.outCount += predictOutRecords(len(rec.Payload), overhead)
-	}
-	rsv.sealStart = sealCS.ReserveSeq(uint64(rsv.outCount))
-	return rsv
-}
-
-// processBatchAt implements dataPlaneHandler. It takes no lock — any
-// number of workers may run it concurrently for the same direction,
-// each with its own scratch. A MAC failure is fatal for the session:
+// process implements dataPlaneHandler. It takes no lock — any number
+// of workers may run it concurrently for the same direction, each with
+// its own scratch. A MAC failure is fatal for the session:
 // per-hop keys are what enforce path integrity (P4), so a record
 // arriving under the wrong key must kill the connection, not be
 // forwarded.
-func (dp *dataPlane) processBatchAt(dir Direction, recs []tls12.RawRecord, rsv batchReservation, sc *tls12.CryptoScratch, dst []byte) ([]byte, batchResult, error) {
+func (dp *dataPlane) process(dir Direction, recs []tls12.RawRecord, rsv batchReservation, sc *tls12.CryptoScratch, dst []byte) ([]byte, batchResult, error) {
 	openCS, sealCS := dp.states(dir)
 	var res batchResult
 	openSeq, sealSeq := rsv.openStart, rsv.sealStart
@@ -247,40 +180,11 @@ func (dp *dataPlane) processBatchAt(dir Direction, recs []tls12.RawRecord, rsv b
 	return dst, res, nil
 }
 
-// processInline implements dataPlaneHandler.
-func (dp *dataPlane) processInline(dir Direction, recs []tls12.RawRecord, sc *tls12.CryptoScratch, dst []byte) ([]byte, batchReservation, batchResult, error) {
-	rsv := dp.reserveBatch(dir, recs)
-	out, res, err := dp.processBatchAt(dir, recs, rsv, sc, dst)
-	return out, rsv, res, err
-}
-
-// sealSeq implements dataPlaneHandler.
-func (dp *dataPlane) sealSeq(dir Direction) uint64 {
-	mu := dp.dirLock(dir)
-	mu.Lock()
-	defer mu.Unlock()
-	_, sealCS := dp.states(dir)
-	return sealCS.Seq()
-}
-
-// resetSealSeq implements dataPlaneHandler: the fault-path rewind over
-// reserved-but-uncommitted sealing sequences.
-func (dp *dataPlane) resetSealSeq(dir Direction, seq uint64) {
-	mu := dp.dirLock(dir)
-	mu.Lock()
-	defer mu.Unlock()
-	_, sealCS := dp.states(dir)
-	sealCS.SetSeq(seq)
-}
-
-// appendAlert implements dataPlaneHandler.
-func (dp *dataPlane) appendAlert(dir Direction, level tls12.AlertLevel, desc tls12.AlertDescription, dst []byte) ([]byte, error) {
-	mu := dp.dirLock(dir)
-	mu.Lock()
-	defer mu.Unlock()
+// appendAlertAt implements dataPlaneHandler.
+func (dp *dataPlane) appendAlertAt(dir Direction, seq uint64, level tls12.AlertLevel, desc tls12.AlertDescription, sc *tls12.CryptoScratch, dst []byte) ([]byte, error) {
 	_, sealCS := dp.states(dir)
 	body := [2]byte{byte(level), byte(desc)}
-	return appendSealedRecord(dst, sealCS, tls12.TypeAlert, body[:]), nil
+	return appendSealedRecordAt(dst, sealCS, sc, seq, tls12.TypeAlert, body[:]), nil
 }
 
 // enclaveDataPlane keeps the cipher states and processor inside an SGX
@@ -310,9 +214,7 @@ func installEnclaveDataPlane(e *enclave.Enclave, dp *dataPlane) *enclaveDataPlan
 // enter runs f on the inner plane inside the enclave: one boundary
 // crossing. Enclave.Enter does not serialize callers, so workers
 // processing different batches of one session proceed concurrently
-// inside the enclave — safe because processBatchAt touches only
-// immutable state plus the reservation, and everything else is
-// protected by the inner plane's per-direction locks.
+// inside the enclave — safe because the inner plane is immutable.
 func (edp *enclaveDataPlane) enter(f func(dp *dataPlane) error) (err error) {
 	edp.e.Enter(func(mem enclave.Memory) {
 		dp, ok := mem.Get(edp.key).(*dataPlane)
@@ -325,67 +227,24 @@ func (edp *enclaveDataPlane) enter(f func(dp *dataPlane) error) (err error) {
 	return err
 }
 
-// reserveBatch implements dataPlaneHandler: one ecall claims the
-// batch's sequence ranges. Together with processBatchAt a pipelined
-// batch costs two boundary crossings instead of an inline one's single
-// crossing — the price of letting a worker run the crypto off the relay
-// goroutine — but the per-record amortization Figure 7 depends on is
-// preserved: crossings stay O(batches), never O(records).
-func (edp *enclaveDataPlane) reserveBatch(dir Direction, recs []tls12.RawRecord) (rsv batchReservation) {
-	//nolint:errcheck // a missing plane fails the processBatchAt that follows
-	edp.enter(func(dp *dataPlane) error {
-		rsv = dp.reserveBatch(dir, recs)
-		return nil
-	})
-	return rsv
-}
-
-// processBatchAt implements dataPlaneHandler: the whole batch crosses
-// the boundary as the worker's single ecall.
-func (edp *enclaveDataPlane) processBatchAt(dir Direction, recs []tls12.RawRecord, rsv batchReservation, sc *tls12.CryptoScratch, dst []byte) (out []byte, res batchResult, err error) {
+// process implements dataPlaneHandler: the whole batch crosses the
+// boundary as the job's single ecall, inline or pipelined — crossings
+// stay O(batches), never O(records), which is what lets Figure 7's
+// enclave configuration track the no-enclave one.
+func (edp *enclaveDataPlane) process(dir Direction, recs []tls12.RawRecord, rsv batchReservation, sc *tls12.CryptoScratch, dst []byte) (out []byte, res batchResult, err error) {
 	out = dst
 	err = edp.enter(func(dp *dataPlane) (err error) {
-		out, res, err = dp.processBatchAt(dir, recs, rsv, sc, dst)
+		out, res, err = dp.process(dir, recs, rsv, sc, dst)
 		return err
 	})
 	return out, res, err
 }
 
-// processInline implements dataPlaneHandler: reservation and batch in
-// one ecall.
-func (edp *enclaveDataPlane) processInline(dir Direction, recs []tls12.RawRecord, sc *tls12.CryptoScratch, dst []byte) (out []byte, rsv batchReservation, res batchResult, err error) {
+// appendAlertAt implements dataPlaneHandler inside the enclave.
+func (edp *enclaveDataPlane) appendAlertAt(dir Direction, seq uint64, level tls12.AlertLevel, desc tls12.AlertDescription, sc *tls12.CryptoScratch, dst []byte) (out []byte, err error) {
 	out = dst
 	err = edp.enter(func(dp *dataPlane) (err error) {
-		out, rsv, res, err = dp.processInline(dir, recs, sc, dst)
-		return err
-	})
-	return out, rsv, res, err
-}
-
-// sealSeq implements dataPlaneHandler inside the enclave.
-func (edp *enclaveDataPlane) sealSeq(dir Direction) (seq uint64) {
-	//nolint:errcheck // a missing plane has no position to report
-	edp.enter(func(dp *dataPlane) error {
-		seq = dp.sealSeq(dir)
-		return nil
-	})
-	return seq
-}
-
-// resetSealSeq implements dataPlaneHandler inside the enclave.
-func (edp *enclaveDataPlane) resetSealSeq(dir Direction, seq uint64) {
-	//nolint:errcheck // a missing plane has no position to move
-	edp.enter(func(dp *dataPlane) error {
-		dp.resetSealSeq(dir, seq)
-		return nil
-	})
-}
-
-// appendAlert implements dataPlaneHandler inside the enclave.
-func (edp *enclaveDataPlane) appendAlert(dir Direction, level tls12.AlertLevel, desc tls12.AlertDescription, dst []byte) (out []byte, err error) {
-	out = dst
-	err = edp.enter(func(dp *dataPlane) (err error) {
-		out, err = dp.appendAlert(dir, level, desc, dst)
+		out, err = dp.appendAlertAt(dir, seq, level, desc, sc, dst)
 		return err
 	})
 	return out, err

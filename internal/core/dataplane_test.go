@@ -102,20 +102,28 @@ func cloneRecords(recs []tls12.RawRecord) []tls12.RawRecord {
 	return out
 }
 
+// testPlane is a data plane plus the positions its next batch works
+// at — what a commit gate keeps for the relay.
+type testPlane struct {
+	*dataPlane
+	openSeq, sealSeq uint64
+}
+
 // testDataPlaneKit builds a data plane, its reference model, and cipher
 // states playing the adjacent hops: src seals what the plane opens on
 // hop A, sink opens what it reseals onto hop B.
-func testDataPlaneKit(t *testing.T, newProc func() Processor) (dp *dataPlane, ref *refPlane, src, sink *tls12.CipherState) {
+func testDataPlaneKit(t *testing.T, newProc func() Processor) (dp *testPlane, ref *refPlane, src, sink *tls12.CipherState) {
 	t.Helper()
 	km := testKeyMaterial(t)
 	var proc, refProc Processor
 	if newProc != nil {
 		proc, refProc = newProc(), newProc()
 	}
-	dp, err := newDataPlane(km, proc)
+	host, err := newDataPlane(km, proc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	dp = &testPlane{dataPlane: host}
 	ref = newRefPlane(t, km, refProc)
 	if src, err = tls12.NewCipherState(testSuite, km.Down.C2SKey, km.Down.C2SIV, 0); err != nil {
 		t.Fatal(err)
@@ -128,10 +136,13 @@ func testDataPlaneKit(t *testing.T, newProc func() Processor) (dp *dataPlane, re
 
 // runPlane runs one batch through the plane the way the relay's inline
 // job does, and checks it against the reference.
-func runPlane(t *testing.T, dp *dataPlane, ref *refPlane, recs []tls12.RawRecord) ([]byte, batchResult, error) {
+func runPlane(t *testing.T, dp *testPlane, ref *refPlane, recs []tls12.RawRecord) ([]byte, batchResult, error) {
 	t.Helper()
 	want, wantRes, wantErr := ref.reseal(DirClientToServer, cloneRecords(recs), nil)
-	out, _, res, err := dp.processInline(DirClientToServer, recs, new(tls12.CryptoScratch), nil)
+	rsv := batchReservation{openStart: dp.openSeq, sealStart: dp.sealSeq}
+	out, res, err := dp.process(DirClientToServer, recs, rsv, new(tls12.CryptoScratch), nil)
+	dp.openSeq += uint64(res.opened)
+	dp.sealSeq += uint64(res.appended)
 	if !bytes.Equal(out, want) {
 		t.Fatalf("plane output diverges from the reference: %d bytes vs %d", len(out), len(want))
 	}

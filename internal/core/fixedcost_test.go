@@ -6,6 +6,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -64,10 +65,11 @@ func TestResumedSessionFixedCost(t *testing.T) {
 
 	// What a resumed session enters the enclave for, two transitions an
 	// Enter: the secondary-key store, the hop-key store and the
-	// data-plane install (1 each), ping and pong reserved by the relay
-	// and processed by a worker (2 each), the client's close_notify
-	// inline (1), and the vault-namespace wipe at teardown (1).
-	const wantTransitions = 2 * (1 + 1 + 1 + 2 + 2 + 1 + 1)
+	// data-plane install (1 each), one per data-plane job — ping and
+	// pong on a worker, the client's close_notify inline (1 each) —
+	// and the vault-namespace wipe at teardown (1). Reserving a job's
+	// sequences is gate arithmetic on the host and enters nothing.
+	const wantTransitions = 2 * (1 + 1 + 1 + 1 + 1 + 1 + 1)
 	const n = 200
 	const ceilingKiB = 120
 
@@ -116,22 +118,57 @@ func (g *gatedConn) Read(p []byte) (int, error) {
 	return g.Conn.Read(p)
 }
 
+// jobCounter is an identity Processor that counts the client→server
+// data-plane jobs calling it. A job is one Enter, so the enclave's
+// transition count holds still within a job and differs between jobs
+// (nothing else enters the enclave while the burst drains).
+type jobCounter struct {
+	encl *enclave.Enclave
+	last int64
+	jobs atomic.Int64
+}
+
+func (p *jobCounter) Process(dir core.Direction, chunk []byte) ([]byte, error) {
+	if at := p.encl.Transitions(); dir == core.DirClientToServer && at != p.last {
+		p.last = at
+		p.jobs.Add(1)
+	}
+	return chunk, nil
+}
+
 // TestBurstRelayCostPerBatch pins what a backlog of small records costs
 // an enclave middlebox (DESIGN.md §14): per-record costs are per-batch
 // costs. N 512-byte records are queued ahead of the relay while its
 // source is gated, so batch sizes follow from the read buffer and
 // maxRelayBatch, not from scheduling: a read drains what has arrived, a
-// job carries up to 32 records, and the enclave is entered twice a job.
-// One record per read and per job — the relay before netsim reads
-// drained — costs 4 N transitions at 1 record a job.
+// job carries up to 32 records, and the enclave is entered once a job —
+// pipelined to a worker, or inline because a Processor lives in the
+// enclave with the keys. One record per read and per job — the relay
+// before netsim reads drained — is 2 N transitions (and was 4 N then).
 func TestBurstRelayCostPerBatch(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		processor bool
+	}{
+		{"pipelined", false},
+		{"processor in enclave", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) { burstRelayCost(t, tc.processor) })
+	}
+}
+
+func burstRelayCost(t *testing.T, processor bool) {
 	e := newEnv(t)
 	encl := e.Platform.CreateEnclave(enclave.CodeImage{Name: "mbtls-proxy", Version: "1.0"})
 	pool := core.NewRelayPool(2)
 	defer pool.Close()
+	inlineJobs := &jobCounter{encl: encl}
 	mb := e.middlebox(t, "sgx-proxy.example", core.ClientSide, func(cfg *core.MiddleboxConfig) {
 		cfg.Enclave = encl
 		cfg.RelayPool = pool
+		if processor {
+			cfg.NewProcessor = func() core.Processor { return inlineJobs }
+		}
 	})
 
 	left, right := netsim.Pipe()
@@ -160,7 +197,7 @@ func TestBurstRelayCostPerBatch(t *testing.T) {
 
 	const n, size = 1024, 512 // 554 KB of records: inside netsim's window
 	payload := core.RandomPlaintext(size)
-	before, crossed := pool.Stats(), encl.Transitions()
+	before, inlineBefore, crossed := pool.Stats(), inlineJobs.jobs.Load(), encl.Transitions()
 	for i := 0; i < n; i++ {
 		if _, err := client.Write(payload); err != nil {
 			t.Fatalf("write %d: %v", i, err)
@@ -176,16 +213,23 @@ func TestBurstRelayCostPerBatch(t *testing.T) {
 	}
 	crossed = encl.Transitions() - crossed
 	after := pool.Stats()
-	records, jobs := after.RecordsProcessed-before.RecordsProcessed, after.JobsProcessed-before.JobsProcessed
-	t.Logf("%d records: %d jobs (%.1f records a job), %d enclave transitions", records, jobs, float64(records)/float64(jobs), crossed)
-	if records != n {
-		t.Fatalf("pool processed %d records, want all %d pipelined", records, n)
+	pooled, jobs := after.RecordsProcessed-before.RecordsProcessed, after.JobsProcessed-before.JobsProcessed
+	if processor {
+		// A Processor needs stream order: every job ran on the relay
+		// goroutine and the pool saw none of them.
+		if pooled != 0 {
+			t.Fatalf("pool processed %d records of a Processor session, want every job inline", pooled)
+		}
+		jobs = inlineJobs.jobs.Load() - inlineBefore
+	} else if pooled != n {
+		t.Fatalf("pool processed %d records, want all %d pipelined", pooled, n)
 	}
-	if records < 16*jobs {
-		t.Errorf("%d records took %d jobs, want at least 16 records a job", records, jobs)
+	t.Logf("%d records: %d jobs (%.1f records a job), %d enclave transitions", n, jobs, float64(n)/float64(jobs), crossed)
+	if n < 16*jobs {
+		t.Errorf("%d records took %d jobs, want at least 16 records a job", n, jobs)
 	}
-	if crossed > n/4 {
-		t.Errorf("%d records cost %d enclave transitions, want at most %d", n, crossed, n/4)
+	if crossed != 2*jobs {
+		t.Errorf("%d jobs cost %d enclave transitions, want %d: one Enter a job", jobs, crossed, 2*jobs)
 	}
 
 	client.Close()

@@ -342,10 +342,10 @@ type mbSession struct {
 	dp     dataPlaneHandler
 	dpErr  error
 
-	// Relay state (DESIGN.md §14). gates carry each direction's
-	// committed sealing position and poison error; bg tracks background
-	// reapers run must wait out after closeAll; faultHandled dedups the
-	// fault sequence when a commit already ran it.
+	// Relay state (DESIGN.md §14). gates own each direction's sequence
+	// positions and poison error; bg tracks background reapers run must
+	// wait out after closeAll; faultHandled is claimed by the one caller
+	// of fail that runs the fault sequence.
 	gates        [2]commitGate
 	bg           sync.WaitGroup
 	faultHandled atomic.Bool
@@ -393,14 +393,24 @@ func (s *mbSession) notifyEstablished() {
 // unwinds the relay goroutines.
 func (s *mbSession) forceClose() {
 	if s.mbtls && !s.degraded.Load() {
-		if dp := s.dataPlaneIfReady(); dp != nil {
-			var buf [64]byte
-			for _, dir := range []Direction{DirClientToServer, DirServerToClient} {
-				s.sealAlertOrdered(dp, dir, tls12.AlertLevelWarning, tls12.AlertCloseNotify, buf[:0]) //nolint:errcheck
-			}
-		}
+		s.alertBoth(tls12.AlertLevelWarning, tls12.AlertCloseNotify)
 	}
 	s.closeAll()
+}
+
+// alertBoth seals an alert toward both neighbors, each at its
+// direction's committed position (sealAlertOrdered), and reports
+// whether per-hop keys existed to seal it under. Best effort: the
+// writes race the dying transports by design.
+func (s *mbSession) alertBoth(level tls12.AlertLevel, desc tls12.AlertDescription) bool {
+	dp := s.dataPlaneIfReady()
+	if dp == nil {
+		return false
+	}
+	for _, dir := range bothDirections {
+		s.sealAlertOrdered(dp, dir, level, desc) //nolint:errcheck
+	}
+	return true
 }
 
 func (s *mbSession) closeAll() {
@@ -494,17 +504,24 @@ func (s *mbSession) run() error {
 		// The client went away (or sent garbage then closed) before a
 		// decision; flush what we saw and relay whatever remains.
 		if len(raw) > 0 {
-			return s.transparentRaw(raw)
+			return s.splice(raw)
 		}
 		return err
 	}
 	if helloRaw == nil {
 		// Not TLS at all: a middlebox must not break unrelated
 		// traffic — relay bytes transparently.
-		return s.transparentRaw(raw)
+		return s.splice(raw)
 	}
 	s.helloRaw = helloRaw
 	hello, _ := tls12.ParseClientHello(helloRaw)
+	// A TLS session this middlebox stays out of (a legacy client, or a
+	// server on the announcement negative-cache): the records sniffed go
+	// on as they arrived, then bytes.
+	transparent := func() error {
+		s.mb.recordsRelayed.Add(int64(len(buffered)))
+		return s.splice(raw)
+	}
 
 	switch s.mb.cfg.Mode {
 	case ClientSide:
@@ -513,7 +530,7 @@ func (s *mbSession) run() error {
 		// "optimistically split the TCP connection and, upon seeing
 		// the extension, join the handshake").
 		if hello == nil || hello.MiddleboxSupport == nil {
-			return s.transparent(buffered)
+			return transparent()
 		}
 		s.mbtls = true
 		s.neighborMode = hello.MiddleboxSupport.NeighborKeys
@@ -547,13 +564,13 @@ func (s *mbSession) run() error {
 	case ServerSide:
 		serverAddr := s.up.RemoteAddr().String()
 		if hello == nil || !s.mb.shouldAnnounce(serverAddr) {
-			return s.transparent(buffered)
+			return transparent()
 		}
 		if hello.MiddleboxSupport != nil && hello.MiddleboxSupport.NeighborKeys {
 			// Server-side middleboxes are out of scope for the
 			// neighbor-keys mode; stay transparent rather than break
 			// the session.
-			return s.transparent(buffered)
+			return transparent()
 		}
 		s.mbtls = true
 		s.mb.mbtlsSessions.Add(1)
@@ -595,18 +612,7 @@ func (s *mbSession) relayBoth() error {
 	go func() { errc <- s.relay(DirClientToServer) }()
 	go func() { errc <- s.relay(DirServerToClient) }()
 	err := <-errc
-	// The first relay error decides the session's fate. A fault-
-	// classified one (reset, MAC damage, protocol violation — anything
-	// but a clean EOF) means a hop died: tell both neighbors with a
-	// fatal alert before tearing down, so endpoints blocked mid-read
-	// fail fast on a protocol-level signal instead of waiting out their
-	// deadlines. A commit may already have run this sequence for a fault
-	// it detected (faultHandled); don't count or propagate twice.
-	if cls := ClassifyError(err); cls.isFault() && !s.faultHandled.Load() {
-		s.mb.faultsObserved.Add(1)
-		s.propagateFault(alertForClass(cls))
-	}
-	s.closeAll()
+	s.fail(err) // the first relay error decides the session's fate
 	<-errc
 	if err == io.EOF || errors.Is(err, io.ErrClosedPipe) || errors.Is(err, net.ErrClosed) {
 		return nil
@@ -614,27 +620,37 @@ func (s *mbSession) relayBoth() error {
 	return err
 }
 
+// fail ends the session on err, from whichever goroutine met it first —
+// a relay returning, or a commit (the relay goroutine may be blocked
+// reading a healthy transport, so the committer must act itself). A
+// fault-classified error (reset, MAC damage, protocol violation —
+// anything but a clean EOF) means a hop died: both neighbors are told
+// with a fatal alert before the transports drop, so endpoints blocked
+// mid-read fail fast on a protocol-level signal instead of waiting out
+// their deadlines. That half runs at most once a session, however many
+// directions and goroutines report.
+func (s *mbSession) fail(err error) {
+	if cls := ClassifyError(err); cls.isFault() && s.faultHandled.CompareAndSwap(false, true) {
+		s.mb.faultsObserved.Add(1)
+		s.propagateFault(alertForClass(cls))
+	}
+	s.closeAll()
+}
+
 // propagateFault best-effort notifies both sides that the path died.
 // After key material the alert must be hop-sealed — a plaintext alert
 // would be a MAC failure for a peer holding hop keys — and ordered
-// behind any pipelined reseals: sealAlertOrdered rewinds each
-// direction's reserved-but-uncommitted sequence range to the committed
-// position before sealing, so the alert verifies at the peer, and
-// poisons the direction so in-flight commits drop their output instead
-// of sealing past it. Before key material a plaintext fatal alert is
-// the best available signal (the endpoints are still in their
-// plaintext or primary-protected handshake). The writes race the dying
-// transports by design; losing that race just means the deadline path
-// fires instead.
+// behind any pipelined reseals: sealAlertOrdered seals at each
+// direction's committed position, abandoning the reserved-but-
+// uncommitted range, so the alert verifies at the peer, and poisons the
+// direction so in-flight commits drop their output instead of sealing
+// past it. Before key material a plaintext fatal alert is the best
+// available signal (the endpoints are still in their plaintext or
+// primary-protected handshake). The writes race the dying transports
+// by design; losing that race just means the deadline path fires
+// instead.
 func (s *mbSession) propagateFault(desc tls12.AlertDescription) {
-	if !s.mbtls || s.degraded.Load() {
-		return
-	}
-	if dp := s.dataPlaneIfReady(); dp != nil {
-		var buf [64]byte
-		for _, dir := range []Direction{DirClientToServer, DirServerToClient} {
-			s.sealAlertOrdered(dp, dir, tls12.AlertLevelFatal, desc, buf[:0]) //nolint:errcheck
-		}
+	if !s.mbtls || s.degraded.Load() || s.alertBoth(tls12.AlertLevelFatal, desc) {
 		return
 	}
 	plain := tls12.RawRecord{
@@ -665,8 +681,9 @@ func plausibleRecordHeader(typ uint8, version uint16, length int) bool {
 // everything read so far; buffered the records parsed from it.
 // Encapsulated records (announcements from middleboxes closer to the
 // client, in server-side mode) are counted for subchannel assignment.
-// On success, unconsumed bytes beyond the last parsed record are
-// re-attached to the downstream reader.
+// On success raw ends with the last parsed record — it is buffered's
+// wire form — and the bytes read beyond it are re-attached to the
+// downstream reader.
 func (s *mbSession) collectClientHello() (raw []byte, buffered []tls12.RawRecord, helloRaw []byte, maxSub int, err error) {
 	var hsBuf []byte
 	offset := 0
@@ -694,13 +711,17 @@ func (s *mbSession) collectClientHello() (raw []byte, buffered []tls12.RawRecord
 				}
 			case tls12.TypeHandshake:
 				hsBuf = append(hsBuf, payload...)
-				if len(hsBuf) >= 4 {
-					n := int(hsBuf[1])<<16 | int(hsBuf[2])<<8 | int(hsBuf[3])
-					if len(hsBuf) >= 4+n {
-						// Leftover bytes belong to the relay phase.
-						s.setDownLeftover(raw[offset:])
-						return raw, buffered, hsBuf[:4+n], maxSub, nil
-					}
+				hello, herr := tls12.SplitHandshakeMsg(hsBuf)
+				if herr != nil {
+					// No hello this middlebox will join is that large;
+					// stop buffering toward it and leave the stream to
+					// its endpoints.
+					return raw, nil, nil, maxSub, nil
+				}
+				if hello != nil {
+					// Leftover bytes belong to the relay phase.
+					s.setDownLeftover(raw[offset:])
+					return raw[:offset], buffered, hello, maxSub, nil
 				}
 			default:
 				// TLS framing but not a handshake opening; treat as
@@ -731,16 +752,14 @@ func (s *mbSession) setDownLeftover(leftover []byte) {
 	s.downR = io.MultiReader(bytes.NewReader(append([]byte(nil), leftover...)), s.down)
 }
 
-// transparentRaw splices the two sides at byte level after flushing
-// already-read bytes (non-TLS traffic, legacy clients, or servers on
-// the announcement negative-cache).
-func (s *mbSession) transparentRaw(initial []byte) error {
+// splice relays the two sides at byte level, without interpreting
+// records, after flushing the bytes already read from the client
+// (non-TLS traffic, legacy clients, or servers on the announcement
+// negative-cache).
+func (s *mbSession) splice(initial []byte) error {
 	s.notifyEstablished()
 	if len(initial) > 0 {
-		s.upW.Lock()
-		_, err := s.up.Write(initial)
-		s.upW.Unlock()
-		if err != nil {
+		if err := s.writeWire(s.up, &s.upW, initial); err != nil {
 			return err
 		}
 	}
@@ -753,24 +772,6 @@ func (s *mbSession) transparentRaw(initial []byte) error {
 	if err == io.EOF {
 		return nil
 	}
-	return err
-}
-
-// transparent splices the two sides without interpreting records
-// (legacy traffic, or a server on the announcement negative-cache).
-func (s *mbSession) transparent(buffered []tls12.RawRecord) error {
-	s.notifyEstablished()
-	for _, rec := range buffered {
-		if err := s.forward(DirClientToServer, rec); err != nil {
-			return err
-		}
-	}
-	errc := make(chan error, 2)
-	go func() { errc <- s.spliceOneWay(s.up, s.downR) }()
-	go func() { errc <- s.spliceOneWay(s.down, s.up) }()
-	err := <-errc
-	s.closeAll()
-	<-errc
 	return err
 }
 
@@ -1218,11 +1219,8 @@ func readHelloMessage(rl *tls12.RecordLayer) ([]byte, error) {
 			return nil, fmt.Errorf("core: expected handshake record, got %s", rec.Type)
 		}
 		buf = append(buf, rec.Payload...)
-		if len(buf) >= 4 {
-			n := int(buf[1])<<16 | int(buf[2])<<8 | int(buf[3])
-			if len(buf) >= 4+n {
-				return buf[:4+n], nil
-			}
+		if msg, err := tls12.SplitHandshakeMsg(buf); msg != nil || err != nil {
+			return msg, err
 		}
 	}
 }
@@ -1414,11 +1412,7 @@ func (s *mbSession) installDataPlane(km *KeyMaterial) bool {
 		s.setDataPlane(nil, err)
 		return false
 	}
-	// Seed the commit gates from the plane's starting sealing sequences
-	// (key material carries arbitrary ones) before any observer can see
-	// the plane, and while it is still host-side: reading them back out
-	// of the enclave would cost two crossings.
-	s.initGates(host)
+	s.seedGates(host)
 	var dp dataPlaneHandler = host
 	if e := s.mb.cfg.Enclave; e != nil {
 		dp = installEnclaveDataPlane(e, host)

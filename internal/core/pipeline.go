@@ -5,8 +5,10 @@
 // crypto can run on any worker while the relay keeps reading. Every
 // batch is one job through the same three steps per direction:
 //
-//	reserve  claim the job's sequence ranges, in arrival order
-//	process  open/reseal against the reservation, lock-free
+//	reserve  claim the job's sequence ranges, in arrival order —
+//	         arithmetic on the direction's commit gate
+//	process  open/reseal against the reservation, lock-free — the
+//	         job's one data-plane call
 //	commit   release the resealed output, account stats, and fold
 //	         proxysig digests in strict arrival order
 //
@@ -14,9 +16,10 @@
 // RelayPool worker, and committed by the direction's commit goroutine,
 // while the relay reads ahead. A job that must be ordered runs all
 // three steps inline on the relay goroutine, after the jobs in flight
-// have committed. The commit gate tracks the committed sealing position
-// per direction so fault paths can rewind reserved-but-uncommitted
-// sequences and seal an alert that still verifies at the peer.
+// have committed. The commit gate is the only holder of a direction's
+// sequence positions, so a fault path abandons reserved-but-uncommitted
+// sequences by assignment and seals an alert that still verifies at
+// the peer.
 package core
 
 import (
@@ -37,7 +40,7 @@ const (
 	// pipelineDepth bounds in-flight jobs per direction: the relay
 	// blocks submitting once this many are uncommitted, which bounds
 	// both memory (each job owns one read buffer and one reseal
-	// buffer) and the rewind window on faults.
+	// buffer) and the range a fault abandons.
 	pipelineDepth = 8
 	// latSamples sizes the reseal-latency reservoir (power of two).
 	latSamples = 4096
@@ -147,7 +150,7 @@ func (p *RelayPool) worker() {
 		for j := range p.jobs {
 			p.queued.Add(-1)
 			start := time.Now()
-			j.out, j.res, j.err = j.dp.processBatchAt(j.dir, j.recs, j.rsv, sc, j.out[:0])
+			j.out, j.res, j.err = j.dp.process(j.dir, j.recs, j.rsv, sc, j.out[:0])
 			p.busyNanos.Add(time.Since(start).Nanoseconds())
 			p.jobsDone.Add(1)
 			p.recordsDone.Add(int64(len(j.recs)))
@@ -233,20 +236,44 @@ func (p *RelayPool) Stats() RelayPoolStats {
 	return s
 }
 
-// commitGate is one direction's seal-position bookkeeping. sealSeq is
+// commitGate owns one direction's sequence positions; the data plane
+// keeps none. openSeq is the next arrival sequence to open at, sealSeq
 // the committed sealing sequence (everything below it is on the wire),
-// reserved the reservation high-water; they differ only while
-// pipelined jobs are in flight. err poisons the direction: data
-// commits drop their output (the session is dying and an alert may
-// already hold the next sequence number). The mutex is held only for
-// bookkeeping plus alert sealing, never across a conn write.
+// reserved the reservation high-water, where the next job's seal range
+// starts; the last two differ only while pipelined jobs are in flight.
+// err poisons the direction: data commits drop their output (the
+// session is dying and an alert may already hold the next sequence
+// number). The mutex is held only for bookkeeping plus alert sealing,
+// never across a conn write.
 type commitGate struct {
 	flushMu   sync.Mutex
-	inited    bool
+	openSeq   uint64
 	sealSeq   uint64
 	reserved  uint64
+	overhead  int // bytes sealing adds to a plaintext
 	err       error
 	alertSent bool
+}
+
+// reserve claims a batch's sequence ranges: one open sequence per
+// inbound record, and the seal range its output geometry predicts from
+// wire lengths — or, when a Processor makes that unpredictable
+// (openEnded), nothing past its start. Relay-goroutine only:
+// reservation order is arrival order is commit order. It is arithmetic
+// on host-held values, no data-plane call, so it never crosses into an
+// enclave.
+func (g *commitGate) reserve(recs []tls12.RawRecord, openEnded bool) batchReservation {
+	g.flushMu.Lock()
+	defer g.flushMu.Unlock()
+	rsv := batchReservation{openStart: g.openSeq, sealStart: g.reserved}
+	g.openSeq += uint64(len(recs))
+	if !openEnded {
+		for _, rec := range recs {
+			rsv.outCount += predictOutRecords(len(rec.Payload), g.overhead)
+		}
+		g.reserved += uint64(rsv.outCount)
+	}
+	return rsv
 }
 
 // dirPipeline is one relay direction's job state, owned by the relay
@@ -269,9 +296,11 @@ type dirPipeline struct {
 
 	// inline is the slot of the jobs the relay goroutine runs itself,
 	// inlineSc their crypto scratch (heap-resident with the pipeline,
-	// like a worker's).
-	inline   relayJob
-	inlineSc tls12.CryptoScratch
+	// like a worker's). openEnded: the session has a Processor, so those
+	// jobs' output geometry is unknown until they have run.
+	inline    relayJob
+	inlineSc  tls12.CryptoScratch
+	openEnded bool
 }
 
 func newDirPipeline(s *mbSession, dir Direction) *dirPipeline {
@@ -284,6 +313,7 @@ func newDirPipeline(s *mbSession, dir Direction) *dirPipeline {
 		freeCh:        make(chan *relayJob, pipelineDepth),
 		committerDone: make(chan struct{}),
 		inline:        relayJob{out: s.mb.bufs.GetRecordBuf()},
+		openEnded:     s.mb.cfg.NewProcessor != nil,
 	}
 }
 
@@ -324,13 +354,7 @@ func (pl *dirPipeline) submit(dp dataPlaneHandler, rr *recordReader, batch []tls
 	}
 	j := pl.slot()
 	j.dir, j.dp = pl.dir, dp
-	j.rsv = dp.reserveBatch(pl.dir, batch)
-	// Tell the gate how far the plane's sealing position has moved, so a
-	// fault alert sealed before this job commits rewinds first.
-	g := pl.gate
-	g.flushMu.Lock()
-	g.reserved = j.rsv.sealStart + uint64(j.rsv.outCount)
-	g.flushMu.Unlock()
+	j.rsv = pl.gate.reserve(batch, false)
 	j.recs = append(j.recs[:0], batch...)
 	j.readBuf = rr.detach()
 	j.submitted = time.Now()
@@ -351,7 +375,7 @@ func (pl *dirPipeline) submit(dp dataPlaneHandler, rr *recordReader, batch []tls
 }
 
 // runInline runs a batch as a job on the relay goroutine: wait out the
-// jobs in flight, reserve and process in one data-plane call, commit.
+// jobs in flight, reserve, process, commit.
 // It is the path of every batch that must be ordered — a Processor
 // needs its input in stream order; a batch ended by a non-data record
 // or a framing error has the relay waiting for it anyway — and of the
@@ -365,8 +389,8 @@ func (pl *dirPipeline) runInline(dp dataPlaneHandler, batch []tls12.RawRecord) e
 		return err
 	}
 	j := &pl.inline
-	j.dp = dp
-	j.out, j.rsv, j.res, j.err = dp.processInline(pl.dir, batch, &pl.inlineSc, j.out[:0])
+	j.rsv = pl.gate.reserve(batch, pl.openEnded)
+	j.out, j.res, j.err = dp.process(pl.dir, batch, j.rsv, &pl.inlineSc, j.out[:0])
 	return pl.commit(j)
 }
 
@@ -417,36 +441,40 @@ func (pl *dirPipeline) commitLoop() {
 // write the wire bytes. It is the only place any of that happens, for
 // pipelined and inline jobs alike, so digest order is wire order by
 // construction. One caller at a time per direction: the commit
-// goroutine, or the relay goroutine once flush has seen it idle. A
-// failed job releases its partial output (those records consumed
-// sealing sequence numbers), poisons the direction, and tears the
-// session down. The returned error is the direction's poison, if any.
+// goroutine, or the relay goroutine once flush has seen it idle.
+//
+// The outbound write lock brackets the settling and the write, so wire
+// order is sequence order too: an alert sealed at the next position
+// (sealAlertOrdered takes the same lock first) queues behind this job's
+// bytes instead of overtaking them. The gate's own mutex is still held
+// for the bookkeeping only, never across the write.
+//
+// A failed job releases its partial output (those records consumed
+// sealing sequence numbers), poisons the direction, and fails the
+// session — the relay goroutine may be blocked reading a healthy
+// transport, so the committer cannot leave that to it. The returned
+// error is the direction's poison, if any.
 func (pl *dirPipeline) commit(j *relayJob) error {
 	s, dir, g := pl.s, pl.dir, pl.gate
+	conn, mu := s.outbound(dir)
+	mu.Lock()
 	g.flushMu.Lock()
 	if err := g.err; err != nil {
 		// Poisoned (a fault alert may already hold the next sequence
 		// number): drop the output.
 		g.flushMu.Unlock()
+		mu.Unlock()
 		return err
 	}
-	committed := j.rsv.sealStart + uint64(j.res.appended)
-	g.sealSeq = committed
-	if g.reserved < committed {
-		g.reserved = committed // an inline job: submit never announced it
+	g.sealSeq = j.rsv.sealStart + uint64(j.res.appended)
+	if g.sealSeq != j.rsv.sealStart+uint64(j.rsv.outCount) {
+		// The claim is not what was sealed: a failed job stopped short of
+		// its reservation (abandoning it and every later one), or an
+		// open-ended one claimed nothing. The next range starts here.
+		g.reserved = g.sealSeq
 	}
-	if committed != j.rsv.sealStart+uint64(j.rsv.outCount) {
-		// The plane's claim is not what was sealed: a failed job stopped
-		// short of its reservation, or an open-ended one claimed nothing.
-		// Move the plane under the gate, so a racing alert seals
-		// contiguously after the records this job did commit.
-		j.dp.resetSealSeq(dir, committed)
-		g.reserved = committed
-	}
-	if j.err != nil {
-		g.err = j.err
-		s.faultHandled.Store(true)
-	}
+	err := j.err
+	g.err = err // a failed job poisons the direction
 	g.flushMu.Unlock()
 
 	out := j.out
@@ -457,39 +485,28 @@ func (pl *dirPipeline) commit(j *relayJob) error {
 	}
 	var werr error
 	if len(out) > 0 {
-		conn, mu := s.outbound(dir)
-		werr = s.writeWire(conn, mu, out)
+		_, werr = conn.Write(out)
 	}
-	if j.err != nil {
-		pl.failSession(j.err)
-		return j.err
-	}
-	if werr != nil {
+	mu.Unlock()
+	if err == nil && werr != nil {
 		g.flushMu.Lock()
 		fresh := g.err == nil
 		if fresh {
 			g.err = werr
-			s.faultHandled.Store(true)
 		}
 		werr = g.err
 		g.flushMu.Unlock()
-		if fresh {
-			pl.failSession(werr)
+		if !fresh {
+			// An alert ended the direction while the write was failing:
+			// that is the teardown, not a new fault.
+			return werr
 		}
+		err = werr
 	}
-	return werr
-}
-
-// failSession runs the session-fatal sequence for an error detected at
-// commit time — the relay goroutine may be blocked reading a healthy
-// transport, so the committer must classify, propagate, and close
-// itself (run dedups via faultHandled).
-func (pl *dirPipeline) failSession(err error) {
-	if cls := ClassifyError(err); cls.isFault() {
-		pl.s.mb.faultsObserved.Add(1)
-		pl.s.propagateFault(alertForClass(cls))
+	if err != nil {
+		s.fail(err)
 	}
-	pl.s.closeAll()
+	return err
 }
 
 // shutdown ends the pipeline at relay exit. It must not block on the
@@ -526,6 +543,10 @@ func (pl *dirPipeline) reclaim() {
 	pl.free = pl.free[:0]
 }
 
+// bothDirections is what a session-wide step (seeding the gates,
+// alerting both neighbors) ranges over.
+var bothDirections = [2]Direction{DirClientToServer, DirServerToClient}
+
 // dirIndex maps a Direction to a dense array index.
 func dirIndex(dir Direction) int {
 	if dir == DirServerToClient {
@@ -539,53 +560,57 @@ func (s *mbSession) gate(dir Direction) *commitGate {
 	return &s.gates[dirIndex(dir)]
 }
 
-// initGates seeds both gates' seal positions from the freshly built
-// data plane (key material carries arbitrary starting sequence
-// numbers). Runs before the plane is published, so every observer of
-// dp sees initialized gates.
-func (s *mbSession) initGates(dp dataPlaneHandler) {
-	for _, dir := range []Direction{DirClientToServer, DirServerToClient} {
+// seedGates gives both gates their starting positions — key material
+// carries arbitrary ones — from the freshly built plane, while it is
+// still host-side. Runs before the plane is published, so every
+// observer of dp sees seeded gates.
+func (s *mbSession) seedGates(host *dataPlane) {
+	for _, dir := range bothDirections {
+		openCS, sealCS := host.states(dir)
 		g := s.gate(dir)
 		g.flushMu.Lock()
-		if !g.inited {
-			g.sealSeq = dp.sealSeq(dir)
-			g.reserved = g.sealSeq
-			g.inited = true
-		}
+		g.openSeq, g.sealSeq, g.reserved = openCS.Seq(), sealCS.Seq(), sealCS.Seq()
+		g.overhead = sealCS.Overhead()
 		g.flushMu.Unlock()
 	}
 }
 
 // sealAlertOrdered seals an alert at the committed sealing position,
-// rewinding any reserved-but-uncommitted range first so the alert
-// verifies at the peer, and poisons the direction so later data
-// commits drop their (now out-of-sequence) output. It replaces the
-// direct appendAlert calls on the fault and force-close paths.
-func (s *mbSession) sealAlertOrdered(dp dataPlaneHandler, dir Direction, level tls12.AlertLevel, desc tls12.AlertDescription, buf []byte) error {
+// abandoning any reserved-but-uncommitted range so the alert verifies
+// at the peer, and poisons the direction so later data commits drop
+// their (now out-of-sequence) output. At most one alert per direction:
+// fault and force-close paths race, and the first claims it. The claim
+// and the poison come before the wait for the outbound write lock, so
+// a second caller never queues behind a wedged transport (it goes on
+// to close it); the position is read once that lock is held, behind
+// whatever commit was mid-write.
+func (s *mbSession) sealAlertOrdered(dp dataPlaneHandler, dir Direction, level tls12.AlertLevel, desc tls12.AlertDescription) error {
 	g := s.gate(dir)
 	g.flushMu.Lock()
-	if g.alertSent {
-		g.flushMu.Unlock()
-		return nil
-	}
-	if g.inited && g.reserved != g.sealSeq {
-		dp.resetSealSeq(dir, g.sealSeq)
-		g.reserved = g.sealSeq
-	}
-	wire, err := dp.appendAlert(dir, level, desc, buf)
-	if err != nil {
-		g.flushMu.Unlock()
-		return err
-	}
-	g.sealSeq++
-	g.reserved++
+	claimed := !g.alertSent
 	g.alertSent = true
 	if g.err == nil {
 		g.err = io.ErrClosedPipe
 	}
 	g.flushMu.Unlock()
+	if !claimed {
+		return nil
+	}
 	conn, mu := s.outbound(dir)
-	return s.writeWire(conn, mu, wire)
+	mu.Lock()
+	defer mu.Unlock()
+	g.flushMu.Lock()
+	wire, err := dp.appendAlertAt(dir, g.sealSeq, level, desc, new(tls12.CryptoScratch), make([]byte, 0, 64))
+	if err == nil {
+		g.sealSeq++
+		g.reserved = g.sealSeq
+	}
+	g.flushMu.Unlock()
+	if err != nil {
+		return err
+	}
+	_, err = conn.Write(wire)
+	return err
 }
 
 // relay wraps the relay loop in pprof labels so -cpuprofile output

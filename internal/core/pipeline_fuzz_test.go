@@ -295,7 +295,7 @@ func FuzzParallelReseal(f *testing.F) {
 		s.dpCond = sync.NewCond(&s.dpMu)
 		s.proxySig.Store(true)
 		s.evC2S, s.evS2C = sha256.New(), sha256.New()
-		s.initGates(dp)
+		s.seedGates(dp)
 		s.setDataPlane(dp, nil)
 		s.relayBoth() //nolint:errcheck // which direction reports first is a race; the wire and the counters are the oracle
 		s.bg.Wait()

@@ -218,10 +218,10 @@ func TestPipelineCorruptMidBatch(t *testing.T) {
 
 // TestPipelineHopDeathMidStream: the middlebox→server hop resets while
 // bulk traffic is pipelined in both directions. The committer detects
-// the dead upstream, the fault path rewinds reserved-but-uncommitted
+// the dead upstream, the fault path abandons reserved-but-uncommitted
 // seal sequences, and the alert sealed toward the client must still
-// verify — a client-side integrity error here would mean the rewind
-// put the alert at the wrong sequence number.
+// verify — a client-side integrity error here would mean the alert
+// went out at the wrong sequence number, or ahead of committed data.
 func TestPipelineHopDeathMidStream(t *testing.T) {
 	e := newEnv(t)
 	pool := core.NewRelayPool(4)

@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"io"
+	"net"
 	"testing"
 	"time"
 
@@ -65,6 +66,39 @@ func TestMiddleboxSurvivesGarbageConnection(t *testing.T) {
 	defer client.Close()
 	defer server.Close()
 	exchange(t, client, server, "after garbage", "fine")
+}
+
+// TestMiddleboxSplicesOversizedHello: a "ClientHello" announcing a
+// 16 MiB body is not a hello this middlebox will join. It must not sit
+// on the connection buffering toward the announced length — memory an
+// unauthenticated peer gets to reserve per connection — nor break it:
+// the bytes go on as they came, and the stream is spliced both ways.
+func TestMiddleboxSplicesOversizedHello(t *testing.T) {
+	e := newEnv(t)
+	for _, mode := range []core.Mode{core.ClientSide, core.ServerSide} {
+		t.Run(mode.String(), func(t *testing.T) {
+			mb := e.middlebox(t, "proxy.example", mode)
+			down, upPeer := buildChain(t, mb)
+			relayed := func(from, to net.Conn, data []byte) {
+				t.Helper()
+				if _, err := from.Write(data); err != nil {
+					t.Fatal(err)
+				}
+				got := make([]byte, len(data))
+				to.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+				if _, err := io.ReadFull(to, got); err != nil {
+					t.Fatalf("not relayed: %v", err)
+				}
+				if !bytes.Equal(got, data) {
+					t.Fatal("corrupted in transit")
+				}
+			}
+			body := append([]byte{1, 0xFF, 0xFF, 0xFF}, bytes.Repeat([]byte{0xEE}, 300)...)
+			relayed(down, upPeer, tls12.RawRecord{Type: tls12.TypeHandshake, Payload: body}.Marshal())
+			relayed(down, upPeer, []byte("and whatever follows"))
+			relayed(upPeer, down, []byte("in both directions"))
+		})
+	}
 }
 
 // TestMiddleboxHandlesAbruptClientClose: a client vanishing

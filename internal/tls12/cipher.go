@@ -130,27 +130,6 @@ func (cs *CipherState) Open(typ ContentType, payload []byte) ([]byte, error) {
 // Overhead returns the number of bytes Seal adds to a plaintext.
 func (cs *CipherState) Overhead() int { return sealOverhead }
 
-// ReserveSeq atomically-with-respect-to-its-caller claims the next n
-// sequence numbers and returns the first. It must be called from the
-// single goroutine that owns the serial path (the relay's intake
-// stage); after reservation the claimed range may be consumed
-// concurrently via the At variants. Interleaving serial Seal/Open calls
-// with outstanding reservations would double-spend sequence numbers, so
-// callers must not mix the two for the same range.
-func (cs *CipherState) ReserveSeq(n uint64) uint64 {
-	seq := cs.seq
-	cs.seq += n
-	return seq
-}
-
-// SetSeq rewinds (or advances) the next sequence number. It exists for
-// the fault path: when a reserved range is abandoned mid-batch, the
-// owner rewinds to the last committed sequence so a subsequently sealed
-// alert verifies at the peer. Like ReserveSeq it must be called from
-// the goroutine that owns the serial path, with no reservations in
-// flight past the new value.
-func (cs *CipherState) SetSeq(seq uint64) { cs.seq = seq }
-
 // CryptoScratch holds the nonce and associated-data buffers of one
 // seal or open call. The serial path uses the CipherState's own; each
 // pipeline worker owns one heap-resident scratch for the
@@ -176,10 +155,9 @@ func additionalDataAt(sc *CryptoScratch, seq uint64, typ ContentType, plaintextL
 // caller-owned scratch and leaving the CipherState's own sequence
 // untouched. It reads only the AEAD and the immutable salt, so
 // any number of SealAppendAt/OpenInPlaceAt calls (with distinct scratch)
-// may run concurrently with each other and with the serial path —
-// provided the serial path is not sealing the same direction, which the
-// relay's reservation discipline guarantees. Output is byte-identical
-// to SealAppend at the same sequence number.
+// may run concurrently with each other. The caller owns the sequence
+// space: the relay's commit gate hands each position out once. Output
+// is byte-identical to SealAppend at the same sequence number.
 func (cs *CipherState) SealAppendAt(sc *CryptoScratch, dst []byte, seq uint64, typ ContentType, plaintext []byte) []byte {
 	copy(sc.nonceBuf[:gcmImplicitNonceLen], cs.salt[:])
 	binary.BigEndian.PutUint64(sc.nonceBuf[gcmImplicitNonceLen:], seq)

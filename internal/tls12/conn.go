@@ -295,15 +295,14 @@ func (c *Conn) RecordCounts() (in, out int64) { return c.rl.Counters() }
 // boundary, it returns ccs=true with no message.
 func (c *Conn) readHandshakeMsg(allowCCS bool) (typ HandshakeType, body, raw []byte, ccs bool, err error) {
 	for {
-		if len(c.hsBuf) >= 4 {
-			n := int(c.hsBuf[1])<<16 | int(c.hsBuf[2])<<8 | int(c.hsBuf[3])
-			if len(c.hsBuf) >= 4+n {
-				raw = c.hsBuf[:4+n]
-				c.hsBuf = c.hsBuf[4+n:]
-				typ = HandshakeType(raw[0])
-				body = raw[4 : 4+n]
-				return typ, body, raw, false, nil
-			}
+		raw, err = SplitHandshakeMsg(c.hsBuf)
+		if err != nil {
+			c.sendAlert(AlertLevelFatal, AlertDecodeError)
+			return 0, nil, nil, false, err
+		}
+		if raw != nil {
+			c.hsBuf = c.hsBuf[len(raw):]
+			return HandshakeType(raw[0]), raw[4:], raw, false, nil
 		}
 		c.sw().Pause()
 		rec, err := c.readRecord()

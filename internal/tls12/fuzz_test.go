@@ -196,3 +196,69 @@ func FuzzRecordReader(f *testing.F) {
 		}
 	})
 }
+
+// splitAll drives SplitHandshakeMsg the way every reassembler does:
+// feed handshake bytes in chunks of at most n, take each message as
+// soon as it is complete, stop at the first error.
+func splitAll(stream []byte, n int) (msgs [][]byte, held int, err error) {
+	var buf []byte
+	for {
+		msg, err := SplitHandshakeMsg(buf)
+		switch {
+		case err != nil:
+			return msgs, len(buf), err
+		case msg != nil:
+			msgs = append(msgs, append([]byte(nil), msg...))
+			buf = buf[len(msg):]
+		case len(stream) == 0:
+			return msgs, len(buf), nil
+		default:
+			if n > len(stream) {
+				n = len(stream)
+			}
+			buf, stream = append(buf, stream[:n]...), stream[n:]
+		}
+	}
+}
+
+// FuzzHandshakeReassembly is FuzzRecordReader one layer up: an arbitrary
+// handshake byte stream reassembles to the same messages and the same
+// terminal error however it was segmented, the messages concatenate
+// back to the bytes they came from, and a header announcing more than
+// maxHandshakeMsg is refused once its four bytes are in — the
+// reassembler never holds more than one legal message plus a chunk.
+func FuzzHandshakeReassembly(f *testing.F) {
+	hello := handshakeHeader(TypeClientHello, bytes.Repeat([]byte{7}, 70))
+	f.Add([]byte{}, byte(0))
+	f.Add(hello, byte(0))
+	f.Add(append(append([]byte{}, hello...), hello...), byte(6))
+	f.Add(hello[:len(hello)-1], byte(3))                                       // truncated body
+	f.Add([]byte{1, 0, 0}, byte(0))                                            // truncated header
+	f.Add(handshakeHeader(TypeServerHelloDone, nil), byte(1))                  // empty body
+	f.Add(append([]byte{1, 0xFF, 0xFF, 0xFF}, make([]byte, 100)...), byte(30)) // the 16 MiB announcement
+	f.Add(append(append([]byte{}, hello...), 11, 0x01, 0x00, 0x01), byte(2))   // one past the limit, mid-stream
+
+	f.Fuzz(func(t *testing.T, stream []byte, chunk byte) {
+		size := int(chunk)%32 + 1
+		want, _, wantErr := splitAll(stream, len(stream)+1)
+		got, held, gotErr := splitAll(stream, size)
+		if fuzzErrKey(gotErr) != fuzzErrKey(wantErr) || len(got) != len(want) {
+			t.Fatalf("%d-byte chunks: %d messages / %v, whole stream %d / %v", size, len(got), gotErr, len(want), wantErr)
+		}
+		if held >= 4+maxHandshakeMsg+size {
+			t.Fatalf("reassembler held %d bytes", held)
+		}
+		var ae *AlertError
+		if gotErr != nil && (!errors.As(gotErr, &ae) || ae.Description != AlertDecodeError || ae.Remote) {
+			t.Fatalf("refusal is not a local decode_error: %v", gotErr)
+		}
+		if joined := bytes.Join(got, nil); !bytes.HasPrefix(stream, joined) {
+			t.Fatal("messages do not concatenate back to the stream")
+		}
+		for i, msg := range got {
+			if !bytes.Equal(msg, want[i]) || len(msg) > 4+maxHandshakeMsg {
+				t.Fatalf("message %d: %d bytes, whole-stream pass %d", i, len(msg), len(want[i]))
+			}
+		}
+	})
+}

@@ -373,3 +373,47 @@ func TestCloseNotify(t *testing.T) {
 	}
 	server.Close()
 }
+
+// TestOversizedHandshakeHeader: a peer announcing a 16 MiB handshake
+// message before anything is authenticated is refused at the header —
+// a fatal decode_error on the wire and as the local error — from both
+// roles, without the connection waiting for (or buffering) the body.
+func TestOversizedHandshakeHeader(t *testing.T) {
+	_, clientCfg, serverCfg := testPKI(t, "example.com")
+	for _, tc := range []struct {
+		name string
+		conn func(c *netsim.Conn) *tls12.Conn
+	}{
+		{"server", func(c *netsim.Conn) *tls12.Conn { return tls12.NewServerConn(c, serverCfg) }},
+		{"client", func(c *netsim.Conn) *tls12.Conn { return tls12.NewClientConn(c, clientCfg) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			peer, end := netsim.Pipe()
+			defer peer.Close()
+			defer end.Close()
+			errc := make(chan error, 1)
+			go func() { errc <- tc.conn(end).Handshake() }()
+			header := tls12.RawRecord{Type: tls12.TypeHandshake, Payload: []byte{1, 0xFF, 0xFF, 0xFF}}
+			if _, err := peer.Write(header.Marshal()); err != nil {
+				t.Fatal(err)
+			}
+			var ae *tls12.AlertError
+			if err := <-errc; !errors.As(err, &ae) || ae.Description != tls12.AlertDecodeError || ae.Remote {
+				t.Fatalf("handshake error %v, want a local decode_error", err)
+			}
+			for {
+				rec, err := tls12.ReadRawRecord(peer)
+				if err != nil {
+					t.Fatalf("no alert reached the peer: %v", err)
+				}
+				if rec.Type != tls12.TypeAlert {
+					continue // the client's own hello
+				}
+				if want := []byte{byte(tls12.AlertLevelFatal), byte(tls12.AlertDecodeError)}; !bytes.Equal(rec.Payload, want) {
+					t.Fatalf("alert %v, want %v", rec.Payload, want)
+				}
+				return
+			}
+		})
+	}
+}

@@ -17,6 +17,35 @@ func handshakeHeader(typ HandshakeType, body []byte) []byte {
 	return b.Bytes()
 }
 
+// maxHandshakeMsg bounds the body length a handshake header may
+// announce (crypto/tls's maxHandshake). The 24-bit field allows 16 MiB,
+// and a reassembler that trusts it buffers that much for any peer that
+// asks, before anything is authenticated. The largest messages this
+// stack produces — a certificate chain, an attestation carrying a quote
+// of under 16 KiB — fit several times over.
+const maxHandshakeMsg = 65536
+
+// SplitHandshakeMsg is the one step of handshake-message reassembly:
+// given the handshake bytes buffered so far, it returns the first
+// complete message, header included, or nil when more bytes are needed.
+// A header announcing more than maxHandshakeMsg is a decode_error,
+// reported as soon as its four bytes are in, so no caller buffers
+// toward it.
+func SplitHandshakeMsg(buf []byte) ([]byte, error) {
+	if len(buf) < 4 {
+		return nil, nil
+	}
+	n := int(buf[1])<<16 | int(buf[2])<<8 | int(buf[3])
+	if n > maxHandshakeMsg {
+		return nil, fmt.Errorf("tls12: handshake message of %d bytes exceeds the %d limit: %w",
+			n, maxHandshakeMsg, &AlertError{Description: AlertDecodeError})
+	}
+	if len(buf) < 4+n {
+		return nil, nil
+	}
+	return buf[:4+n], nil
+}
+
 // splitHandshake splits a marshaled handshake message into its type and
 // body, verifying the length.
 func splitHandshake(msg []byte) (HandshakeType, []byte, error) {

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"net"
 	"sync"
 	"sync/atomic"
 )
@@ -208,13 +207,6 @@ type RecordLayer struct {
 	// writeBuf coalesces framed records between flushes so one transport
 	// Write carries as many records as size limits allow.
 	writeBuf []byte
-	// bw is non-nil when the write stream supports vectored flushes
-	// (transport.BuffersWriter, e.g. a tcpx conn). Full write chunks
-	// are then parked in wqueue instead of flushed eagerly, and one
-	// writev carries the whole batch; vbufs is the reused iovec slice.
-	bw     buffersWriter
-	wqueue [][]byte
-	vbufs  net.Buffers
 
 	// Cipher-state pointers are atomic, separate from the I/O mutexes,
 	// so key export and rekeying never wait behind a reader blocked on
@@ -232,27 +224,16 @@ type RecordLayer struct {
 	recordsOut atomic.Int64
 }
 
-// buffersWriter mirrors transport.BuffersWriter structurally so the
-// record layer can use vectored flushes without importing the
-// transport package.
-type buffersWriter interface {
-	WriteBuffers(bufs net.Buffers) (int64, error)
-}
-
 // NewRecordLayer returns a RecordLayer over the given stream. Both
 // directions start unprotected.
 func NewRecordLayer(rw io.ReadWriter) *RecordLayer {
-	rl := &RecordLayer{r: rw, w: rw}
-	rl.bw, _ = rw.(buffersWriter)
-	return rl
+	return &RecordLayer{r: rw, w: rw}
 }
 
 // NewRecordLayerRW returns a RecordLayer with distinct read and write
 // streams (used by middlebox relays and tests).
 func NewRecordLayerRW(r io.Reader, w io.Writer) *RecordLayer {
-	rl := &RecordLayer{r: r, w: w}
-	rl.bw, _ = w.(buffersWriter)
-	return rl
+	return &RecordLayer{r: r, w: w}
 }
 
 // SetReadCipher installs (or clears) record protection for inbound
@@ -348,13 +329,6 @@ func (rl *RecordLayer) Unread(rec Record) {
 // the subchannel ID), still fits an outer record body.
 const writeFlushLimit = maxCiphertext - 1
 
-// maxWriteChunks caps how many full write chunks a vectored flush
-// batches into one writev before falling back to an eager flush; with
-// chunks near writeFlushLimit this bounds a single syscall's payload
-// to ~144 KiB while still amortizing syscall cost across a large
-// WriteRecords batch.
-const maxWriteChunks = 8
-
 // WriteRecord frames, protects, and writes a record. Oversized payloads
 // are split into maximum-size fragments (only legal for stream types;
 // handshake and application data both are). Fragments are coalesced
@@ -389,8 +363,7 @@ func (rl *RecordLayer) TryWriteRecord(typ ContentType, payload []byte) bool {
 
 // WriteRecords frames and protects several payloads of the same content
 // type, coalescing them into as few transport Writes as the record-size
-// limits allow — a net.Buffers-style vectored write path for callers
-// that produce records in batches.
+// limits allow, for callers that produce records in batches.
 func (rl *RecordLayer) WriteRecords(typ ContentType, payloads [][]byte) error {
 	rl.writeMu.Lock()
 	defer rl.writeMu.Unlock()
@@ -421,13 +394,7 @@ func (rl *RecordLayer) appendRecordLocked(typ ContentType, payload []byte) error
 func (rl *RecordLayer) appendFragmentLocked(typ ContentType, frag []byte) error {
 	projected := recordHeaderLen + len(frag) + sealOverhead
 	if len(rl.writeBuf) > 0 && len(rl.writeBuf)+projected > writeFlushLimit {
-		// A vectored writer lets us park the full chunk and keep
-		// framing into a fresh buffer; the whole batch goes out in one
-		// writev at flush time instead of one Write per chunk.
-		if rl.bw != nil && len(rl.wqueue) < maxWriteChunks {
-			rl.wqueue = append(rl.wqueue, rl.writeBuf)
-			rl.writeBuf = nil
-		} else if err := rl.flushLocked(); err != nil {
+		if err := rl.flushLocked(); err != nil {
 			return err
 		}
 	}
@@ -451,38 +418,13 @@ func (rl *RecordLayer) appendFragmentLocked(typ ContentType, frag []byte) error 
 	return nil
 }
 
-// flushLocked writes the coalesced records in one transport operation:
-// a single Write for one chunk, one vectored writev when chunks were
-// parked for a BuffersWriter.
+// flushLocked writes the coalesced records in one transport Write.
 func (rl *RecordLayer) flushLocked() error {
-	if len(rl.wqueue) == 0 {
-		if len(rl.writeBuf) == 0 {
-			return nil
-		}
-		_, err := rl.w.Write(rl.writeBuf)
-		rl.writeBuf = rl.writeBuf[:0]
-		return err
+	if len(rl.writeBuf) == 0 {
+		return nil
 	}
-	rl.vbufs = append(rl.vbufs[:0], rl.wqueue...)
-	if len(rl.writeBuf) > 0 {
-		rl.vbufs = append(rl.vbufs, rl.writeBuf)
-	}
-	_, err := rl.bw.WriteBuffers(rl.vbufs)
-	// WriteBuffers consumed the iovec; the byte slices are ours again.
-	// Parked chunks go back to the pool, the live buffer is reused, and
-	// the iovec slice drops its aliases so the pool stays single-owner.
-	for i, b := range rl.wqueue {
-		PutRecordBuf(b)
-		rl.wqueue[i] = nil
-	}
-	rl.wqueue = rl.wqueue[:0]
-	if rl.writeBuf != nil {
-		rl.writeBuf = rl.writeBuf[:0]
-	}
-	for i := range rl.vbufs {
-		rl.vbufs[i] = nil
-	}
-	rl.vbufs = rl.vbufs[:0]
+	_, err := rl.w.Write(rl.writeBuf)
+	rl.writeBuf = rl.writeBuf[:0]
 	return err
 }
 
@@ -497,17 +439,11 @@ func (rl *RecordLayer) Release() {
 	rl.ReleaseRead()
 }
 
-// ReleaseWrite returns the write-side pooled buffers (the coalescing
-// buffer and any chunks parked for a vectored flush). Safe whenever no
-// further writes will flush them; a writer still parked on dead
-// transport I/O keeps its buffer (left to the GC).
+// ReleaseWrite returns the write-side coalescing buffer to the pool.
+// Safe whenever no further write will flush it; a writer still parked
+// on dead transport I/O keeps its buffer (left to the GC).
 func (rl *RecordLayer) ReleaseWrite() {
 	if rl.writeMu.TryLock() {
-		for i, b := range rl.wqueue {
-			PutRecordBuf(b)
-			rl.wqueue[i] = nil
-		}
-		rl.wqueue = rl.wqueue[:0]
 		if rl.writeBuf != nil {
 			PutRecordBuf(rl.writeBuf)
 			rl.writeBuf = nil

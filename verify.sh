@@ -22,13 +22,16 @@ gate go test -race ./internal/core/ ./internal/tls12/ ./internal/netsim/ ./inter
 gate go test -race ./internal/transport/...
 # Stress slice: netsim's byte stream, the Conn contract, the chain
 # builder's own contract (the shared concurrent-sessions body runs from
-# netsim and tcpx), and core's session establishment (both roles of
-# establish, every mode), repeated and shuffled at three core counts; a
-# flake is a failure.
+# netsim and tcpx), core's session establishment (both roles of
+# establish, every mode), and the relay's fence — the pipeline fault
+# tests, the per-batch and per-session cost pins, the data plane and
+# commit gate against their in-order reference, FuzzParallelReseal's
+# seed corpus — repeated and shuffled at three core counts; a flake is
+# a failure to fix, not to retry.
 for procs in 1 2 4; do
 	gate env GOMAXPROCS=$procs go test -count=20 -shuffle=on ./internal/netsim/ ./internal/transport/... ./internal/chain/
 	gate env GOMAXPROCS=$procs go test -count=20 -shuffle=on \
-		-run 'TestSession|TestNeighborKeys|TestProxySig|TestChainTicket|TestHandshakePhaseDeadline|TestApproveRejection|TestGoldenTranscript|TestEstablish' ./internal/core/
+		-run 'TestSession|TestNeighborKeys|TestProxySig|TestChainTicket|TestHandshakePhaseDeadline|TestApproveRejection|TestGoldenTranscript|TestEstablish|TestPipeline|TestBurst|TestDataPlane|TestCommitGate|TestResumedSessionFixedCost|FuzzParallelReseal' ./internal/core/
 done
 # The frozen benchmark module compiles against core's relay API; catch
 # a break here, not in the bench run.
