@@ -138,10 +138,9 @@ func main() {
 	if err != nil {
 		log.Fatalf("mbtls-proxy: %v", err)
 	}
-	// Listeners, accepted connections, and next-hop dials all ride the
-	// batched-I/O TCP transport, sharing the host's record-buffer pool
-	// for read-path reuse.
-	tr := mbtls.NewTCPTransport(mbtls.TCPTransportConfig{ReusePort: *reusePort, Pool: pool})
+	// Listeners and next-hop dials go through the TCP transport; with
+	// -reuseport the host gets one kernel-spread accept loop per shard.
+	tr := mbtls.NewTCPTransport(mbtls.TCPTransportConfig{ReusePort: *reusePort})
 	host, err := mbtls.NewSessionHost(mbtls.SessionHostConfig{
 		Name:         "mbtls-proxy",
 		MaxSessions:  sessions,

@@ -69,7 +69,7 @@ func main() {
 		log.Fatalf("mbtls-server: %v", err)
 	}
 
-	// Listen through the batched-I/O TCP transport; with -reuseport the
+	// Listen through the TCP transport; with -reuseport the
 	// host gets one kernel-spread accept loop per shard.
 	tr := mbtls.NewTCPTransport(mbtls.TCPTransportConfig{ReusePort: *reusePort})
 	lns, err := tr.ListenShards(*listen, host.Shards())

@@ -17,13 +17,13 @@ import (
 // get-use-put / get-defer-put shapes the data plane uses.
 //
 // Buffers that live in struct fields (the tls12 record layer's
-// readBuf/writeBuf, the tcpx conn's pooled read buffer) outlive any
-// single function, so the per-function check cannot see their Put. For
-// those the analyzer applies a package-level rule instead: every field
-// ever assigned from GetRecordBuf must be released by a
-// PutRecordBuf(owner.field) somewhere in the same package — the
-// single-owner lifetime is then Get-on-init / Put-on-Close, with the
-// release path's reachability left to the close-semantics tests.
+// readBuf/writeBuf) outlive any single function, so the per-function
+// check cannot see their Put. For those the analyzer applies a
+// package-level rule instead: every field ever assigned from
+// GetRecordBuf must be released by a PutRecordBuf(owner.field)
+// somewhere in the same package — the single-owner lifetime is then
+// Get-on-init / Put-on-Close, with the release path's reachability
+// left to the close-semantics tests.
 var BufOwnership = &Analyzer{
 	Name: "bufownership",
 	Doc:  "pooled record buffers: pair every Get with a Put, never touch a buffer after Put",

@@ -2,6 +2,7 @@ package chain
 
 import (
 	"errors"
+	"io"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -9,7 +10,9 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/sessionhost"
 	"repro/internal/testutil/goleak"
+	"repro/internal/tls12"
 )
 
 // TestChainBuilderFailsClean makes the hosted builder fail midway — PKI
@@ -165,4 +168,60 @@ func TestCloseWaitsForHandles(t *testing.T) {
 		t.Fatal("Close still waiting 5s after every Handle could return")
 	}
 	ch.Close()
+}
+
+// TestHostPoolDrawsMatchAcrossFabrics: the same scripted hosted session
+// draws the same number of buffers from the host-scoped pool on tcp as
+// on netsim — the transport keeps none, so the pool bounds the relay's
+// reseal buffers and nothing else. A Processor makes every relay job
+// inline and the script is a ping-pong, so the count does not depend
+// on how reads coalesce or goroutines interleave.
+func TestHostPoolDrawsMatchAcrossFabrics(t *testing.T) {
+	draws := func(transport string) uint64 {
+		pool := tls12.NewRecordBufPool(8)
+		h, err := NewHosted(transport, pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.Close()
+		hcfg := sessionhost.Config{Name: "server", Shards: 1,
+			Handler: sessionhost.NewServerHandler(h.PKI.ServerConfig(), Echo)}
+		_, srvAddr, err := h.Serve("server", hcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hcfg.Name = "mb"
+		identity := core.ProcessorFunc(func(_ core.Direction, chunk []byte) ([]byte, error) { return chunk, nil })
+		hop, err := h.Middlebox("mb", core.MiddleboxConfig{Mode: core.ClientSide, BufPool: pool,
+			NewProcessor: func() core.Processor { return identity }}, hcfg, srvAddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn, err := hop.Dial()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := core.Dial(conn, h.PKI.ClientConfig())
+		if err != nil {
+			conn.Close()
+			t.Fatalf("%s handshake: %v", transport, err)
+		}
+		sess.SetReadDeadline(time.Now().Add(30 * time.Second)) //nolint:errcheck
+		msg, echo := make([]byte, 1024), make([]byte, 1024)
+		for i := 0; i < 16; i++ {
+			if _, err := sess.Write(msg); err != nil {
+				t.Fatalf("%s write %d: %v", transport, i, err)
+			}
+			if _, err := io.ReadFull(sess, echo); err != nil {
+				t.Fatalf("%s echo %d: %v", transport, i, err)
+			}
+		}
+		sess.Close()
+		h.Close() // returns once every handler has: no draw is still to come
+		return pool.Stats().Gets
+	}
+	sim, tcp := draws(TransportNetsim), draws(TransportTCP)
+	if sim == 0 || tcp != sim {
+		t.Fatalf("host pool draws for one scripted session: netsim %d, tcp %d; want equal and non-zero", sim, tcp)
+	}
 }

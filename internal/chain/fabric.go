@@ -5,7 +5,6 @@ import (
 	"net"
 
 	"repro/internal/netsim"
-	"repro/internal/tls12"
 	"repro/internal/transport"
 	"repro/internal/transport/tcpx"
 )
@@ -33,14 +32,13 @@ type Fabric struct {
 	pairLn net.Listener
 }
 
-// NewFabric selects the backend. pool (optional) supplies the tcp
-// backend's read buffers, so a host-scoped pool bounds them too.
-func NewFabric(trName string, pool *tls12.RecordBufPool) (*Fabric, error) {
+// NewFabric selects the backend.
+func NewFabric(trName string) (*Fabric, error) {
 	switch trName {
 	case "", TransportNetsim:
 		return &Fabric{Name: TransportNetsim, Sim: netsim.NewNetwork()}, nil
 	case TransportTCP:
-		return &Fabric{Name: TransportTCP, tcp: tcpx.New(tcpx.Config{ReusePort: true, Pool: pool})}, nil
+		return &Fabric{Name: TransportTCP, tcp: tcpx.New(tcpx.Config{ReusePort: true})}, nil
 	default:
 		return nil, fmt.Errorf("chain: unknown transport %q (want %s or %s)",
 			trName, TransportNetsim, TransportTCP)

@@ -24,14 +24,14 @@ type Hosted struct {
 }
 
 // NewHosted mints the PKI and selects the transport. pool (optional)
-// is the host-scoped record-buffer pool: the tcp backend reads into
-// it, and callers hand it to their middleboxes.
+// is the host-scoped record-buffer pool callers hand to their
+// middleboxes.
 func NewHosted(transport string, pool *tls12.RecordBufPool) (*Hosted, error) {
 	pki, err := NewPKI()
 	if err != nil {
 		return nil, err
 	}
-	fab, err := NewFabric(transport, pool)
+	fab, err := NewFabric(transport)
 	if err != nil {
 		return nil, err
 	}

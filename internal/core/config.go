@@ -24,9 +24,10 @@ import (
 // receives each plaintext chunk traveling in the given direction and
 // returns the bytes to forward (which may be empty to withhold output,
 // or larger than the input — the relay refragments into records).
-// Implementations are per-session and need not be safe for concurrent
-// use from both directions... they are called from two goroutines, one
-// per direction, so implementations sharing state must lock.
+// An instance serves one session. It is called from two goroutines,
+// one per direction: calls for one direction never overlap and arrive
+// in stream order, calls for opposite directions run concurrently, so
+// state the two directions share must be locked.
 type Processor interface {
 	Process(dir Direction, chunk []byte) ([]byte, error)
 }

@@ -378,70 +378,8 @@ func TestHandshakePhaseDeadline(t *testing.T) {
 	}
 }
 
-// TestDialRetryRecoversFromTransientFaults: reset-class failures are
-// retried with backoff; the third, clean path succeeds.
-func TestDialRetryRecoversFromTransientFaults(t *testing.T) {
-	e := newEnv(t)
-	srvSessions := make(chan *core.Session, 8)
-	attempts := 0
-	dial := func() (net.Conn, error) {
-		attempts++
-		var spec netsim.FaultSpec
-		if attempts < 3 {
-			spec = netsim.FaultSpec{Kind: netsim.FaultReset, Dir: netsim.DirAToB}
-		}
-		mb := e.middlebox(t, "mb.example", core.ClientSide)
-		clientEnd, serverEnd := buildFaultChain(t, spec, mb)
-		scfg := e.serverConfig()
-		scfg.HandshakeTimeout = 2 * time.Second
-		go func() {
-			if s, err := core.Accept(serverEnd, scfg); err == nil {
-				srvSessions <- s
-			}
-		}()
-		return clientEnd, nil
-	}
-	ccfg := e.clientConfig()
-	ccfg.HandshakeTimeout = 2 * time.Second
-	sess, err := core.DialRetry(dial, ccfg, core.RetryPolicy{Attempts: 5, Backoff: time.Millisecond})
-	if err != nil {
-		t.Fatalf("DialRetry: %v", err)
-	}
-	defer sess.Close()
-	if attempts != 3 {
-		t.Fatalf("attempts = %d, want 3 (two resets, one success)", attempts)
-	}
-	srv := <-srvSessions
-	defer srv.Close()
-	exchange(t, sess, srv, "after retry", "ok")
-}
-
-// TestDialRetryStopsOnDeterministicFailure: a failure retrying cannot
-// fix (the application vetoing the middlebox) aborts on attempt one.
-func TestDialRetryStopsOnDeterministicFailure(t *testing.T) {
-	e := newEnv(t)
-	attempts := 0
-	dial := func() (net.Conn, error) {
-		attempts++
-		mb := e.middlebox(t, "unwanted.example", core.ClientSide)
-		clientEnd, serverEnd := buildFaultChain(t, netsim.FaultSpec{}, mb)
-		go func() {
-			core.Accept(serverEnd, e.serverConfig()) //nolint:errcheck
-		}()
-		return clientEnd, nil
-	}
-	ccfg := e.clientConfig()
-	ccfg.Approve = func(core.MiddleboxSummary) bool { return false }
-	if _, err := core.DialRetry(dial, ccfg, core.RetryPolicy{Attempts: 5, Backoff: time.Millisecond}); err == nil {
-		t.Fatal("DialRetry succeeded past an application veto")
-	}
-	if attempts != 1 {
-		t.Fatalf("attempts = %d, want 1 (deterministic failures must not retry)", attempts)
-	}
-}
-
 // TestClassifyError pins the classification table the teardown paths
-// and retry predicates depend on.
+// depend on.
 func TestClassifyError(t *testing.T) {
 	_, closed := netsim.Pipe()
 	closed.Close()
@@ -470,17 +408,5 @@ func TestClassifyError(t *testing.T) {
 	}
 	if core.ClassIntegrity.Transient() || core.ClassRemoteAlert.Transient() || core.ClassCleanClose.Transient() {
 		t.Error("deterministic failure classes must not be transient")
-	}
-}
-
-// TestRetryPolicyDeterministicBackoff: the backoff schedule is a pure
-// function of the policy — reproducibility over jitter.
-func TestRetryPolicyDeterministicBackoff(t *testing.T) {
-	rp := core.RetryPolicy{Attempts: 5, Backoff: 100 * time.Millisecond, MaxBackoff: 300 * time.Millisecond}
-	want := []time.Duration{100, 200, 300, 300} // ms, capped
-	for i, w := range want {
-		if got := rp.Delay(i); got != w*time.Millisecond {
-			t.Errorf("delay(%d) = %v, want %v", i, got, w*time.Millisecond)
-		}
 	}
 }

@@ -13,11 +13,11 @@ import (
 )
 
 // This file is the failure-path vocabulary of the session chain: a
-// classification of every error the chain can surface, per-phase
-// handshake deadlines, and bounded retry. Together with the netsim
-// fault substrate it makes failure behavior deterministic — each fault
-// class maps to a defined error class at each layer (DESIGN.md §7)
-// rather than to whichever goroutine happened to lose a race.
+// classification of every error the chain can surface and per-phase
+// handshake deadlines. Together with the netsim fault substrate it
+// makes failure behavior deterministic — each fault class maps to a
+// defined error class at each layer (DESIGN.md §7) rather than to
+// whichever goroutine happened to lose a race.
 
 // ErrorClass buckets session-chain errors by operational meaning:
 // what a caller (or a relay deciding which alert to propagate) should
@@ -337,75 +337,4 @@ func (w *hsWatch) err() error {
 		return w.fired
 	}
 	return nil
-}
-
-// RetryPolicy bounds session-establishment retries.
-type RetryPolicy struct {
-	// Attempts is the total number of tries; values below 1 mean 1.
-	Attempts int
-	// Backoff is the delay before the first retry, doubling on each
-	// subsequent one. Zero means 100ms.
-	Backoff time.Duration
-	// MaxBackoff caps the delay; zero means 5s.
-	MaxBackoff time.Duration
-}
-
-func (rp RetryPolicy) attempts() int {
-	if rp.Attempts < 1 {
-		return 1
-	}
-	return rp.Attempts
-}
-
-// Delay returns the backoff before retry number retry (0-based),
-// deterministically: exponential, capped, no jitter — reproducibility
-// is worth more to this codebase than thundering-herd protection.
-func (rp RetryPolicy) Delay(retry int) time.Duration {
-	d := rp.Backoff
-	if d <= 0 {
-		d = 100 * time.Millisecond
-	}
-	maxD := rp.MaxBackoff
-	if maxD <= 0 {
-		maxD = 5 * time.Second
-	}
-	for i := 0; i < retry; i++ {
-		d *= 2
-		if d >= maxD {
-			return maxD
-		}
-	}
-	if d > maxD {
-		return maxD
-	}
-	return d
-}
-
-// DialRetry establishes a client session over transports from dial,
-// retrying with exponential backoff while the failure is transient
-// (ClassTimeout, ClassReset — the classes a fresh path can fix).
-// Deterministic failures (alerts, MAC damage, rejected middleboxes)
-// abort immediately.
-func DialRetry(dial func() (net.Conn, error), cfg *ClientConfig, rp RetryPolicy) (*Session, error) {
-	var err error
-	for attempt := 0; attempt < rp.attempts(); attempt++ {
-		if attempt > 0 {
-			time.Sleep(rp.Delay(attempt - 1))
-		}
-		var transport net.Conn
-		if transport, err = dial(); err != nil {
-			if !ClassifyError(err).Transient() {
-				return nil, err
-			}
-			continue
-		}
-		var sess *Session
-		if sess, err = Dial(transport, cfg); err == nil {
-			return sess, nil
-		}
-		if !ClassifyError(err).Transient() {
-			return nil, err
-		}
-	}
-	return nil, err
 }

@@ -29,7 +29,7 @@ var relayReadBufs = sync.Pool{
 // recordReader incrementally parses TLS records out of a byte stream
 // through one reused buffer, so the relay loop can drain every record
 // already buffered — the unit that becomes one data-plane batch and one
-// vectored write — without an allocation or an extra Read per record.
+// write — without an allocation or an extra Read per record.
 //
 // Ownership: the RawRecord returned by next aliases the internal
 // buffer. It stays valid until the first next call that finds no

@@ -124,7 +124,7 @@ func RunFig7(opts Fig7Options) ([]Fig7Cell, error) {
 		return nil, err
 	}
 	pki.Platform.SetBoundaryCost(boundaryCost)
-	fab, err := chain.NewFabric(opts.Transport, nil)
+	fab, err := chain.NewFabric(opts.Transport)
 	if err != nil {
 		return nil, err
 	}

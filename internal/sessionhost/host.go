@@ -12,8 +12,9 @@
 //     without a global lock). Connections beyond the cap are refused
 //     with a typed OverloadError (and an overloaded alert on the wire)
 //     rather than queued without bound;
-//   - a handshake gate: at most MaxHandshakes sessions run their
-//     establishment concurrently; later admissions queue FIFO, which
+//   - a handshake gate: at most DefaultHandshakesPerShard sessions a
+//     shard run their establishment concurrently; later admissions
+//     queue FIFO, which
 //     bounds handshake tail latency under bursts instead of letting
 //     every admitted session contend at once;
 //   - a session registry: shard-local monotonic session IDs with
@@ -95,10 +96,13 @@ func (f HandlerFunc) Serve(ctl *Control, conn net.Conn) error { return f(ctl, co
 const (
 	DefaultMaxSessions  = 256
 	DefaultDrainTimeout = 10 * time.Second
-	// DefaultHandshakesPerShard sizes the handshake gate when
-	// Config.MaxHandshakes is zero: enough concurrency to keep every
-	// core busy through a handshake's round trips, small enough that a
-	// burst of admissions queues instead of thrashing.
+	// DefaultHandshakesPerShard sizes each shard's handshake gate:
+	// sessions concurrently running establishment (admitted sessions
+	// beyond it queue FIFO before their handler starts). Enough
+	// concurrency to keep every core busy through a handshake's round
+	// trips, small enough that a burst of admissions queues instead of
+	// thrashing. The gate relies on the configured handshake timeouts
+	// to reclaim slots from wedged peers.
 	DefaultHandshakesPerShard = 8
 )
 
@@ -114,12 +118,6 @@ type Config struct {
 	// host runs. Zero means runtime.GOMAXPROCS(0); values are clamped
 	// to [1, MaxShards].
 	Shards int
-	// MaxHandshakes caps sessions concurrently running establishment
-	// (admitted sessions beyond it queue FIFO before their handler
-	// starts). Zero means DefaultHandshakesPerShard per shard;
-	// negative disables the gate. The gate relies on the configured
-	// handshake timeouts to reclaim slots from wedged peers.
-	MaxHandshakes int
 	// DrainTimeout bounds Close's implicit drain. Zero means
 	// DefaultDrainTimeout. (Shutdown takes its deadline from its
 	// context instead.)
@@ -196,9 +194,11 @@ func New(cfg Config) (*Host, error) {
 	}
 	bufs := cfg.BufPool
 	if bufs == nil {
-		// Two directions' worth of relay buffers per concurrent
-		// session is the steady-state working set; everything beyond
-		// that is allocation the GC reclaims.
+		// The pool retains two buffers per concurrent session. That is
+		// not a session's peak: a relay direction holds up to
+		// pipelineDepth+1 reseal buffers (core/pipeline.go) while a
+		// burst is in flight, and what exceeds the pool's capacity is
+		// allocation the GC reclaims.
 		bufs = tls12.NewRecordBufPool(2 * cfg.MaxSessions)
 	}
 	h := &Host{
@@ -206,13 +206,6 @@ func New(cfg Config) (*Host, error) {
 		bufs:      bufs,
 		drainCh:   make(chan struct{}),
 		listeners: make(map[net.Listener]struct{}),
-	}
-	gatePerShard := 0
-	switch {
-	case cfg.MaxHandshakes == 0:
-		gatePerShard = DefaultHandshakesPerShard
-	case cfg.MaxHandshakes > 0:
-		gatePerShard = (cfg.MaxHandshakes + cfg.Shards - 1) / cfg.Shards
 	}
 	h.shards = make([]*shard, cfg.Shards)
 	for i := range h.shards {
@@ -224,16 +217,13 @@ func New(cfg Config) (*Host, error) {
 		if i < cfg.MaxSessions%cfg.Shards {
 			slots++
 		}
-		sh := &shard{
+		h.shards[i] = &shard{
 			host:     h,
 			idx:      i,
 			sem:      make(chan struct{}, slots),
+			gate:     make(chan struct{}, DefaultHandshakesPerShard),
 			sessions: make(map[uint64]*session),
 		}
-		if gatePerShard > 0 {
-			sh.gate = make(chan struct{}, gatePerShard)
-		}
-		h.shards[i] = sh
 	}
 	return h, nil
 }

@@ -37,8 +37,8 @@ type shard struct {
 	idx  int
 	// sem holds this shard's share of MaxSessions admission slots.
 	sem chan struct{}
-	// gate bounds concurrent handshakes on this shard (nil when the
-	// host runs ungated). Sessions queue here FIFO before their
+	// gate bounds concurrent handshakes on this shard
+	// (DefaultHandshakesPerShard). Sessions queue here FIFO before their
 	// handler starts, which keeps handshake latency ordered instead of
 	// letting every admitted session thrash the CPU at once.
 	gate chan struct{}
@@ -100,16 +100,14 @@ func (sh *shard) register(s *session) bool {
 func (sh *shard) run(s *session) {
 	defer sh.wg.Done()
 	h := sh.host
-	if sh.gate != nil {
-		// FIFO handshake gate: the expensive establishment work starts
-		// only when a gate slot frees. During drain the gate is
-		// bypassed — the handler fails fast against a closing session
-		// and must not queue behind the deadline.
-		select {
-		case sh.gate <- struct{}{}:
-			s.gated.Store(true)
-		case <-h.drainCh:
-		}
+	// FIFO handshake gate: the expensive establishment work starts
+	// only when a gate slot frees. During drain the gate is bypassed —
+	// the handler fails fast against a closing session and must not
+	// queue behind the deadline.
+	select {
+	case sh.gate <- struct{}{}:
+		s.gated.Store(true)
+	case <-h.drainCh:
 	}
 	err := h.cfg.Handler.Serve(&Control{s: s}, s.conn)
 	s.conn.Close()

@@ -186,20 +186,13 @@ type Record struct {
 // Buffer ownership: ReadRecord decrypts into an internal pooled buffer
 // and the returned payload aliases it. The payload is valid until the
 // next ReadRecord call on this layer; callers that retain a payload
-// across reads must copy it. Unread-ing the most recently read record
-// is safe (the buffer is not touched while the record sits in the
-// pending queue at the front).
+// across reads must copy it.
 type RecordLayer struct {
 	r io.Reader
 	w io.Writer
 
 	readMu sync.Mutex
 	hdr    [recordHeaderLen]byte
-	// pending is a deque of records decoded but not yet returned;
-	// pendingHead indexes its first live entry so Unread never copies
-	// the whole queue.
-	pending     []Record
-	pendingHead int
 	// readBuf is the pooled buffer records are read and decrypted into.
 	readBuf []byte
 
@@ -216,10 +209,9 @@ type RecordLayer struct {
 	write atomic.Pointer[CipherState]
 
 	// Record counters, feeding the SessionStats surface. recordsIn
-	// counts records successfully read off the wire (an Unread record
-	// is not recounted when replayed); recordsOut counts records
-	// framed for the wire. Both depend only on the record stream, not
-	// on write coalescing or batch boundaries.
+	// counts records successfully read off the wire; recordsOut counts
+	// records framed for the wire. Both depend only on the record
+	// stream, not on write coalescing or batch boundaries.
 	recordsIn  atomic.Int64
 	recordsOut atomic.Int64
 }
@@ -228,12 +220,6 @@ type RecordLayer struct {
 // directions start unprotected.
 func NewRecordLayer(rw io.ReadWriter) *RecordLayer {
 	return &RecordLayer{r: rw, w: rw}
-}
-
-// NewRecordLayerRW returns a RecordLayer with distinct read and write
-// streams (used by middlebox relays and tests).
-func NewRecordLayerRW(r io.Reader, w io.Writer) *RecordLayer {
-	return &RecordLayer{r: r, w: w}
 }
 
 // SetReadCipher installs (or clears) record protection for inbound
@@ -256,20 +242,6 @@ func (rl *RecordLayer) WriteCipher() *CipherState { return rl.write.Load() }
 func (rl *RecordLayer) ReadRecord() (Record, error) {
 	rl.readMu.Lock()
 	defer rl.readMu.Unlock()
-	return rl.readRecordLocked()
-}
-
-func (rl *RecordLayer) readRecordLocked() (Record, error) {
-	if rl.pendingHead < len(rl.pending) {
-		rec := rl.pending[rl.pendingHead]
-		rl.pending[rl.pendingHead] = Record{}
-		rl.pendingHead++
-		if rl.pendingHead == len(rl.pending) {
-			rl.pending = rl.pending[:0]
-			rl.pendingHead = 0
-		}
-		return rec, nil
-	}
 	if _, err := io.ReadFull(rl.r, rl.hdr[:]); err != nil {
 		return Record{}, err
 	}
@@ -298,29 +270,6 @@ func (rl *RecordLayer) readRecordLocked() (Record, error) {
 // and framed for it since creation.
 func (rl *RecordLayer) Counters() (in, out int64) {
 	return rl.recordsIn.Load(), rl.recordsOut.Load()
-}
-
-// Unread pushes a record back so the next ReadRecord returns it first.
-// Middleboxes use this after peeking at handshake traffic. Consecutive
-// Unreads replay in LIFO order. The caller keeps ownership of the
-// payload; unread-ing the record ReadRecord just returned is safe.
-func (rl *RecordLayer) Unread(rec Record) {
-	rl.readMu.Lock()
-	defer rl.readMu.Unlock()
-	if rl.pendingHead > 0 {
-		rl.pendingHead--
-		rl.pending[rl.pendingHead] = rec
-		return
-	}
-	if len(rl.pending) == 0 {
-		rl.pending = append(rl.pending, rec)
-		return
-	}
-	// Front of a dense queue: shift once (rare — requires interleaving
-	// Unreads with queued records, which no steady-state path does).
-	rl.pending = append(rl.pending, Record{})
-	copy(rl.pending[1:], rl.pending)
-	rl.pending[0] = rec
 }
 
 // writeFlushLimit caps how many framed bytes accumulate before a flush.
@@ -359,20 +308,6 @@ func (rl *RecordLayer) TryWriteRecord(typ ContentType, payload []byte) bool {
 		return false
 	}
 	return rl.flushLocked() == nil
-}
-
-// WriteRecords frames and protects several payloads of the same content
-// type, coalescing them into as few transport Writes as the record-size
-// limits allow, for callers that produce records in batches.
-func (rl *RecordLayer) WriteRecords(typ ContentType, payloads [][]byte) error {
-	rl.writeMu.Lock()
-	defer rl.writeMu.Unlock()
-	for _, p := range payloads {
-		if err := rl.appendRecordLocked(typ, p); err != nil {
-			return err
-		}
-	}
-	return rl.flushLocked()
 }
 
 // appendRecordLocked fragments one payload into the write buffer,
@@ -476,9 +411,6 @@ type RawRecord struct {
 	Payload []byte // record body, still protected if the sender protects it
 }
 
-// WireSize returns the full on-the-wire size of the raw record.
-func (r RawRecord) WireSize() int { return recordHeaderLen + len(r.Payload) }
-
 // AppendWire appends the wire form of the raw record to dst.
 func (r RawRecord) AppendWire(dst []byte) []byte {
 	var hdr [recordHeaderLen]byte
@@ -494,11 +426,10 @@ func (r RawRecord) Marshal() []byte {
 	return r.AppendWire(make([]byte, 0, recordHeaderLen+len(r.Payload)))
 }
 
-// ReadRawRecord reads the next record without applying record
+// ReadRawRecord reads the next record off r without applying record
 // protection, returning the body exactly as received in a freshly
-// allocated buffer. It shares the pending queue and read lock with
-// ReadRecord; the two must not be mixed on the same stream except by
-// tests.
+// allocated buffer. It reads r directly and touches no RecordLayer
+// state.
 func ReadRawRecord(r io.Reader) (RawRecord, error) {
 	var hdr [recordHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -509,26 +440,6 @@ func ReadRawRecord(r io.Reader) (RawRecord, error) {
 		return RawRecord{}, err
 	}
 	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return RawRecord{}, err
-	}
-	return RawRecord{Type: typ, Payload: payload}, nil
-}
-
-// ReadRawRecordInto reads the next record into buf, which must have
-// capacity for a maximum-size record (e.g. from GetRecordBuf). The
-// returned payload aliases buf; the caller owns both and decides when
-// the buffer may be reused.
-func ReadRawRecordInto(r io.Reader, buf []byte) (RawRecord, error) {
-	hdr := buf[:recordHeaderLen:recordHeaderLen]
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return RawRecord{}, err
-	}
-	typ, length, err := ParseRecordHeader(hdr)
-	if err != nil {
-		return RawRecord{}, err
-	}
-	payload := buf[recordHeaderLen : recordHeaderLen+length]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return RawRecord{}, err
 	}

@@ -161,7 +161,7 @@ func TestRecordLayerFragmentsLargeWrites(t *testing.T) {
 func TestRecordLayerEncryptedRoundTrip(t *testing.T) {
 	rw := &pipeRW{}
 	sender := NewRecordLayer(rw)
-	receiver := NewRecordLayerRW(rw, io.Discard)
+	receiver := newRecordLayerRW(rw, io.Discard)
 
 	key := make([]byte, 32)
 	iv := make([]byte, 4)
@@ -230,23 +230,6 @@ func TestRecordLayerRejectsGarbage(t *testing.T) {
 	rl2 := NewRecordLayer(rw2)
 	if _, err := rl2.ReadRecord(); err == nil {
 		t.Fatal("bad version accepted")
-	}
-}
-
-func TestRecordUnread(t *testing.T) {
-	rw := &pipeRW{}
-	rl := NewRecordLayer(rw)
-	rl.WriteRecord(TypeHandshake, []byte("one")) //nolint:errcheck
-	rl.WriteRecord(TypeHandshake, []byte("two")) //nolint:errcheck
-	rec, _ := rl.ReadRecord()
-	rl.Unread(rec)
-	again, err := rl.ReadRecord()
-	if err != nil || string(again.Payload) != "one" {
-		t.Fatalf("unread record not replayed: %v %q", err, again.Payload)
-	}
-	next, _ := rl.ReadRecord()
-	if string(next.Payload) != "two" {
-		t.Fatalf("stream order broken: %q", next.Payload)
 	}
 }
 

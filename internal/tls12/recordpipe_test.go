@@ -25,11 +25,17 @@ func (w *countingWriter) all() []byte {
 	return out
 }
 
+// newRecordLayerRW pairs a reader with a writer; NewRecordLayer takes
+// one stream for both.
+func newRecordLayerRW(r io.Reader, w io.Writer) *RecordLayer {
+	return &RecordLayer{r: r, w: w}
+}
+
 // readAllRecords decodes every record from a byte stream, optionally
 // decrypting with open.
 func readAllRecords(t *testing.T, data []byte, open *CipherState) []Record {
 	t.Helper()
-	rl := NewRecordLayerRW(bytes.NewReader(data), io.Discard)
+	rl := newRecordLayerRW(bytes.NewReader(data), io.Discard)
 	if open != nil {
 		rl.SetReadCipher(open)
 	}
@@ -72,7 +78,7 @@ func TestWriteRecordFragmentBoundaries(t *testing.T) {
 					payload[i] = byte(i)
 				}
 				w := &countingWriter{}
-				rl := NewRecordLayerRW(bytes.NewReader(nil), w)
+				rl := newRecordLayerRW(bytes.NewReader(nil), w)
 				var open *CipherState
 				if encrypted {
 					var seal *CipherState
@@ -101,41 +107,6 @@ func TestWriteRecordFragmentBoundaries(t *testing.T) {
 	}
 }
 
-// TestWriteRecordsVectored: the batched write path must deliver all
-// payloads intact while coalescing records into few transport writes,
-// none exceeding the Encapsulated-wrappability limit.
-func TestWriteRecordsVectored(t *testing.T) {
-	seal, open := testCipherPair(t, TLS_ECDHE_ECDSA_WITH_AES_256_GCM_SHA384)
-	w := &countingWriter{}
-	rl := NewRecordLayerRW(bytes.NewReader(nil), w)
-	rl.SetWriteCipher(seal)
-
-	payloads := make([][]byte, 40)
-	for i := range payloads {
-		payloads[i] = bytes.Repeat([]byte{byte(i)}, 100+i)
-	}
-	if err := rl.WriteRecords(TypeApplicationData, payloads); err != nil {
-		t.Fatal(err)
-	}
-	if len(w.writes) >= len(payloads) {
-		t.Fatalf("no coalescing: %d writes for %d records", len(w.writes), len(payloads))
-	}
-	for i, wr := range w.writes {
-		if len(wr) > writeFlushLimit {
-			t.Fatalf("write %d is %d bytes, exceeding the %d-byte flush limit", i, len(wr), writeFlushLimit)
-		}
-	}
-	recs := readAllRecords(t, w.all(), open)
-	if len(recs) != len(payloads) {
-		t.Fatalf("got %d records, want %d", len(recs), len(payloads))
-	}
-	for i, rec := range recs {
-		if !bytes.Equal(rec.Payload, payloads[i]) {
-			t.Fatalf("record %d corrupted", i)
-		}
-	}
-}
-
 // TestWriteRecordCoalescesFragments: when an oversized WriteRecord
 // fragments and the tail fragment fits under the flush limit alongside
 // its predecessor, both ship in a single transport write. Full-size
@@ -143,7 +114,7 @@ func TestWriteRecordsVectored(t *testing.T) {
 // limit, so the small-tail case is the coalescing opportunity.
 func TestWriteRecordCoalescesFragments(t *testing.T) {
 	w := &countingWriter{}
-	rl := NewRecordLayerRW(bytes.NewReader(nil), w)
+	rl := newRecordLayerRW(bytes.NewReader(nil), w)
 	payload := make([]byte, maxPlaintext+100) // fragments: 16384 + 100
 	if err := rl.WriteRecord(TypeApplicationData, payload); err != nil {
 		t.Fatal(err)
@@ -221,25 +192,6 @@ func TestOpenDoesNotDestroyInput(t *testing.T) {
 	}
 }
 
-// TestRecordUnreadLIFO: consecutive Unreads replay in LIFO order (the
-// contract middlebox peeking depends on).
-func TestRecordUnreadLIFO(t *testing.T) {
-	rl := NewRecordLayerRW(bytes.NewReader(nil), io.Discard)
-	rl.Unread(Record{Type: TypeHandshake, Payload: []byte("first-unread")})
-	rl.Unread(Record{Type: TypeHandshake, Payload: []byte("second-unread")})
-	r1, err := rl.ReadRecord()
-	if err != nil || string(r1.Payload) != "second-unread" {
-		t.Fatalf("LIFO broken: %v %q", err, r1.Payload)
-	}
-	r2, err := rl.ReadRecord()
-	if err != nil || string(r2.Payload) != "first-unread" {
-		t.Fatalf("LIFO broken: %v %q", err, r2.Payload)
-	}
-	if _, err := rl.ReadRecord(); err != io.EOF {
-		t.Fatalf("queue not drained: %v", err)
-	}
-}
-
 // TestRecordBufPool: pooled buffers have full record capacity and
 // undersized buffers are rejected rather than pooled.
 func TestRecordBufPool(t *testing.T) {
@@ -254,19 +206,4 @@ func TestRecordBufPool(t *testing.T) {
 		t.Fatalf("pool returned undersized buffer: cap=%d", cap(b2))
 	}
 	PutRecordBuf(b2)
-}
-
-// TestReadRawRecordInto: reading into a caller buffer matches the
-// allocating path and aliases the buffer.
-func TestReadRawRecordInto(t *testing.T) {
-	rec := RawRecord{Type: TypeApplicationData, Payload: []byte("hello, world")}
-	buf := GetRecordBuf()
-	defer PutRecordBuf(buf)
-	got, err := ReadRawRecordInto(bytes.NewReader(rec.Marshal()), buf[:cap(buf)])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Type != rec.Type || !bytes.Equal(got.Payload, rec.Payload) {
-		t.Fatalf("got %+v", got)
-	}
 }

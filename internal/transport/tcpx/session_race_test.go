@@ -50,7 +50,7 @@ func TestConcurrentSessionsOverTCP(t *testing.T) {
 		// count as a session fault, so a fixed sleep here is a race.
 		conn.SetReadDeadline(time.Now().Add(30 * time.Second)) //nolint:errcheck
 		io.ReadFull(conn, make([]byte, 1))                     //nolint:errcheck
-		conn.(*tcpx.Conn).SetLinger(0)                         //nolint:errcheck
+		conn.(*net.TCPConn).SetLinger(0)                       //nolint:errcheck
 		conn.Close()
 		close(stalled.unblock)
 		return <-dialErr
@@ -120,7 +120,7 @@ func TestClassifyErrorParityOverTCP(t *testing.T) {
 	t.Run("RSTClassifiesReset", func(t *testing.T) {
 		a, b, done := pair(t)
 		defer done()
-		a.(*tcpx.Conn).SetLinger(0) //nolint:errcheck
+		a.(*net.TCPConn).SetLinger(0) //nolint:errcheck
 		a.Close()
 		b.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
 		_, err := io.ReadFull(b, make([]byte, 1))

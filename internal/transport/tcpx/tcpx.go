@@ -1,24 +1,16 @@
-// Package tcpx is the real-socket transport backend: kernel TCP with
-// the syscall patterns the zero-alloc data plane wants. Accepted and
-// dialed connections wrap *net.TCPConn with
+// Package tcpx is the real-socket transport backend: kernel TCP, as the
+// paper's prototype ran it. Listeners and Dial hand out plain
+// *net.TCPConn — Go sets TCP_NODELAY on every TCP connection, which is
+// what a record layer that does its own coalescing wants — so the
+// connection has one read path (the caller's buffer) and one write
+// path (Write). Every bulk reader above it (the relay's and the mux's
+// recordReader, the transparent splice) already offers the kernel a
+// buffer larger than a wire record, so a user-space read buffer here
+// would only be bypassed.
 //
-//   - a pooled read buffer (from a tls12.RecordBufPool) that drains
-//     whatever the kernel has accumulated in one read syscall and then
-//     serves record-layer reads from user space,
-//   - a vectored write path (WriteBuffers → writev) so a coalesced
-//     record batch spanning several pooled buffers hits the wire in
-//     one syscall,
-//   - TCP_NODELAY on by default, with Cork/Uncork toggling it around
-//     multi-write batches (uncorking re-enables NODELAY, which flushes
-//     any segment the kernel is still holding), and
-//   - optional SO_REUSEPORT listeners, so a sharded sessionhost can
-//     run one accept loop per shard on the same address with the
-//     kernel spreading connections across them.
-//
-// The pooled read buffer is single-owner: acquired by the conn on
-// first Read, released exactly once by Close. mbtls-lint bufownership
-// checks this lifetime (a field assigned from GetRecordBuf must have a
-// release path calling PutRecordBuf).
+// What the package adds to net is optional SO_REUSEPORT listeners, so
+// a sharded sessionhost can run one accept loop per shard on the same
+// address with the kernel spreading connections across them.
 package tcpx
 
 import (
@@ -27,19 +19,14 @@ import (
 	"repro/internal/tls12"
 )
 
-// Config shapes the transport. The zero value is production defaults:
-// NODELAY enabled, the process-wide record-buffer pool, no reuseport.
+// Config shapes the transport. The zero value is production defaults.
 type Config struct {
-	// NoDelayOff disables TCP_NODELAY on new connections (i.e. leaves
-	// Nagle's algorithm on). The flag is inverted so the zero value
-	// keeps NODELAY enabled — the record layer already coalesces, so
-	// Nagle only adds latency on top of our own batching.
-	NoDelayOff bool
 	// ReusePort sets SO_REUSEPORT on listeners, letting ListenShards
 	// bind one listener per shard on the same address. Ignored (with a
 	// single shared listener as fallback) where unsupported.
 	ReusePort bool
-	// Pool supplies read buffers; nil uses the shared process pool.
+	// Pool is unused; goes when benchmark/ reopens (the frozen module
+	// sets it). The transport keeps no buffers.
 	Pool *tls12.RecordBufPool
 }
 
@@ -49,12 +36,7 @@ type Transport struct {
 }
 
 // New returns a TCP transport with the given config.
-func New(cfg Config) *Transport {
-	if cfg.Pool == nil {
-		cfg.Pool = tls12.SharedRecordBufPool()
-	}
-	return &Transport{cfg: cfg}
-}
+func New(cfg Config) *Transport { return &Transport{cfg: cfg} }
 
 // Default returns a TCP transport with production defaults.
 func Default() *Transport { return New(Config{}) }
@@ -62,14 +44,10 @@ func Default() *Transport { return New(Config{}) }
 // Name reports the backend name used in benchmark rows.
 func (t *Transport) Name() string { return "tcp" }
 
-// Listen binds addr (host:port; ":0" picks a free port) and wraps
-// accepted connections in the batched-I/O Conn.
+// Listen binds addr (host:port; ":0" picks a free port); accepted
+// connections are *net.TCPConn.
 func (t *Transport) Listen(addr string) (net.Listener, error) {
-	ln, err := listenTCP(addr, t.cfg.ReusePort)
-	if err != nil {
-		return nil, err
-	}
-	return &listener{Listener: ln, t: t}, nil
+	return listenTCP(addr, t.cfg.ReusePort)
 }
 
 // ListenShards binds n listeners on the same addr when SO_REUSEPORT is
@@ -80,15 +58,8 @@ func (t *Transport) Listen(addr string) (net.Listener, error) {
 // wildcard port (":0"), the first bind picks the port and the
 // remaining shards bind the same one.
 func (t *Transport) ListenShards(addr string, n int) ([]net.Listener, error) {
-	if n < 1 {
+	if n < 1 || !t.cfg.ReusePort || !reusePortSupported {
 		n = 1
-	}
-	if n == 1 || !t.cfg.ReusePort || !reusePortSupported {
-		ln, err := t.Listen(addr)
-		if err != nil {
-			return nil, err
-		}
-		return []net.Listener{ln}, nil
 	}
 	lns := make([]net.Listener, 0, n)
 	for i := 0; i < n; i++ {
@@ -107,30 +78,7 @@ func (t *Transport) ListenShards(addr string, n int) ([]net.Listener, error) {
 	return lns, nil
 }
 
-// Dial connects to addr and returns a batched-I/O Conn.
+// Dial connects to addr; the connection is a *net.TCPConn.
 func (t *Transport) Dial(addr string) (net.Conn, error) {
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return t.wrap(nc.(*net.TCPConn)), nil
-}
-
-func (t *Transport) wrap(tcp *net.TCPConn) *Conn {
-	tcp.SetNoDelay(!t.cfg.NoDelayOff) //nolint:errcheck
-	return &Conn{tcp: tcp, pool: t.cfg.Pool, noDelay: !t.cfg.NoDelayOff}
-}
-
-// listener wraps accepted sockets into Conns.
-type listener struct {
-	net.Listener
-	t *Transport
-}
-
-func (l *listener) Accept() (net.Conn, error) {
-	nc, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return l.t.wrap(nc.(*net.TCPConn)), nil
+	return net.Dial("tcp", addr)
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/tls12"
 	"repro/internal/transport/conformancetest"
 	"repro/internal/transport/tcpx"
 )
@@ -43,18 +42,10 @@ func loopbackFactory(tr *tcpx.Transport) conformancetest.Factory {
 }
 
 // TestTCPConformance runs the full transport conformance suite over
-// real loopback sockets with the default configuration (NODELAY on,
-// shared record-buffer pool).
+// real loopback sockets: the *net.TCPConn the transport hands out,
+// NODELAY on as Go sets it.
 func TestTCPConformance(t *testing.T) {
 	conformancetest.Run(t, loopbackFactory(tcpx.Default()))
-}
-
-// TestTCPConformancePooledReads re-runs the suite with a private
-// record-buffer pool, exercising the pooled read path's single-owner
-// lifetime (buffer acquired lazily on first Read, released on Close).
-func TestTCPConformancePooledReads(t *testing.T) {
-	tr := tcpx.New(tcpx.Config{Pool: tls12.NewRecordBufPool(64)})
-	conformancetest.Run(t, loopbackFactory(tr))
 }
 
 // TestListenShards covers the SO_REUSEPORT fan-out: n listeners must
@@ -126,22 +117,15 @@ func TestTransportName(t *testing.T) {
 }
 
 // TestTCPDataPlaneAllocFree pins the acceptance bar that the tcpx
-// data plane allocates nothing per operation once warm: Write forwards
-// straight to the socket, Read serves from the conn's pooled buffer.
+// data plane allocates nothing per operation: Write and Read go
+// straight to the socket with the caller's buffer.
 func TestTCPDataPlaneAllocFree(t *testing.T) {
 	p := loopbackFactory(tcpx.Default())(t)
 	defer func() { p.A.Close(); p.B.Close(); p.Release() }()
 
 	msg := make([]byte, 1024)
 	buf := make([]byte, 2048)
-	// Warm-up: the first Read lazily acquires the pooled refill buffer.
-	if _, err := p.A.Write(msg); err != nil {
-		t.Fatal(err)
-	}
-	p.B.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
-	if _, err := p.B.Read(buf); err != nil {
-		t.Fatal(err)
-	}
+	p.B.SetReadDeadline(time.Now().Add(30 * time.Second)) //nolint:errcheck
 
 	allocs := testing.AllocsPerRun(200, func() {
 		if _, err := p.A.Write(msg); err != nil {
@@ -161,7 +145,7 @@ func TestTCPDataPlaneAllocFree(t *testing.T) {
 	}
 }
 
-// BenchmarkTCPConnReadWrite measures the batched-I/O conn's round-trip
+// BenchmarkTCPConnReadWrite measures the conn's round-trip
 // cost over loopback; run with -benchmem to watch the 0 B/op floor.
 func BenchmarkTCPConnReadWrite(b *testing.B) {
 	tr := tcpx.Default()

@@ -5,8 +5,8 @@
 //
 //   - the netsim backend (in-memory pipes with latency/bandwidth/fault
 //     injection), used by the experiment harness and most tests, and
-//   - the tcpx backend (real kernel TCP sockets with batched syscall
-//     I/O), used by the daemons and the loopback-TCP benchmarks.
+//   - the tcpx backend (real kernel TCP sockets: *net.TCPConn,
+//     unwrapped), used by the daemons and the loopback-TCP benchmarks.
 //
 // # Conn contract
 //
@@ -48,15 +48,10 @@
 //   - Buffer ownership. Read(p) only ever writes into p and never
 //     retains it. Write(p) does not retain p after returning; callers
 //     may recycle the buffer (e.g. into tls12's record-buffer pool)
-//     immediately. Internal read buffering must be single-owner: a
-//     pooled buffer acquired by a conn is released exactly once, on
-//     Close (the tcpx backend's pooled read path is checked by
-//     mbtls-lint bufownership).
+//     immediately.
 //
-// # Optional capabilities
-//
-// Backends advertise syscall-level batching through the capability
-// interfaces below; callers type-assert and fall back to plain Write.
+// The contract is all there is: no backend offers a capability beyond
+// net.Conn.
 package transport
 
 import "net"
@@ -75,21 +70,16 @@ type Transport interface {
 	Dial(addr string) (net.Conn, error)
 }
 
-// BuffersWriter is implemented by conns that can flush a batch of
-// record buffers in one vectored syscall (writev). The callee consumes
-// bufs (net.Buffers advances its slice as it writes); callers must not
-// reuse the slice header afterwards, but regain ownership of the
-// underlying byte slices once the call returns.
+// BuffersWriter is unused; goes when benchmark/ reopens (the frozen
+// benchmark/wrap.go names it). No conn implements it: a vectored write
+// is net.Buffers.WriteTo, which an unwrapped *net.TCPConn turns into
+// writev with no capability interface.
 type BuffersWriter interface {
 	WriteBuffers(bufs net.Buffers) (int64, error)
 }
 
-// Corker is implemented by conns that can delay small-segment
-// transmission across a multi-write batch. Cork before writing a batch
-// that spans several Writes, Uncork to flush; Uncork must always be
-// called (defer-safe). On tcpx this toggles TCP_NODELAY: corking lets
-// the kernel coalesce the batch, uncorking restores
-// latency-over-throughput for the steady state.
+// Corker is unused; goes when benchmark/ reopens (the frozen
+// benchmark/wrap.go names it). No conn implements it.
 type Corker interface {
 	Cork() error
 	Uncork() error

@@ -102,9 +102,9 @@ type (
 	// or real TCP sockets); see internal/transport for the Conn
 	// contract both backends satisfy.
 	Transport = transport.Transport
-	// TCPTransport is the real-socket backend with batched syscall I/O
-	// (pooled read buffers, vectored writes, NODELAY management,
-	// optional SO_REUSEPORT per-shard listeners).
+	// TCPTransport is the real-socket backend: plain kernel TCP
+	// connections (NODELAY on, as Go sets it) with optional
+	// SO_REUSEPORT per-shard listeners.
 	TCPTransport = tcpx.Transport
 	// TCPTransportConfig configures NewTCPTransport.
 	TCPTransportConfig = tcpx.Config

@@ -33,10 +33,12 @@ for procs in 1 2 4; do
 	gate env GOMAXPROCS=$procs go test -count=20 -shuffle=on \
 		-run 'TestSession|TestNeighborKeys|TestProxySig|TestChainTicket|TestHandshakePhaseDeadline|TestApproveRejection|TestGoldenTranscript|TestEstablish|TestPipeline|TestBurst|TestDataPlane|TestCommitGate|TestResumedSessionFixedCost|FuzzParallelReseal' ./internal/core/
 done
-# The frozen benchmark module compiles against core's relay API; catch
-# a break here, not in the bench run.
+# The frozen benchmark module compiles against core's relay API and
+# type-asserts on the transport's conns; catch a break here, not in the
+# bench run. Its tests include a 7 s smoke of all seven workloads.
 gate go build -C benchmark ./...
 gate go vet -C benchmark ./...
+gate go test -C benchmark ./...
 gate go run ./cmd/mbtls-lint ./...
 # proxysig smoke: the full proxysig session/audit/failure-path suite on
 # netsim, then the quick handshake cells, which run both accountability
