@@ -39,7 +39,6 @@ func main() {
 	boundary := flag.Duration("boundary-cost", time.Microsecond, "simulated SGX transition cost for fig7")
 	perWorker := flag.Int("sessions-per-worker", 0, "sessions each worker runs per concurrency level (0 = default)")
 	quick := flag.Bool("quick", false, "for handshake/sessions/fig7: shrink to a smoke-test run (CI gate)")
-	shards := flag.Int("shards", 0, "for sessions: session-host shard count (0 = GOMAXPROCS)")
 	transportName := flag.String("transport", "", "for sessions/fig7: byte-moving backend, netsim (default) or tcp")
 	soak := flag.Bool("soak", false, "for sessions: also run the idle-session soak")
 	soakSessions := flag.Int("soak-sessions", 0, "for sessions -soak: live idle sessions to hold (0 = 20000)")
@@ -122,16 +121,12 @@ func main() {
 		case "sessions":
 			rep, err := experiments.RunSessions(experiments.ChainOptions{
 				SessionsPerWorker: *perWorker,
-				Shards:            *shards,
 				Transport:         *transportName,
 				Quick:             *quick,
 			})
 			exitOn(err)
 			if *soak {
-				rep.Soak, err = experiments.RunSoak(experiments.SoakOptions{
-					Sessions: *soakSessions,
-					Shards:   *shards,
-				})
+				rep.Soak, err = experiments.RunSoak(experiments.SoakOptions{Sessions: *soakSessions})
 				exitOn(err)
 			}
 			fmt.Print(experiments.FormatChain(rep))

@@ -39,11 +39,10 @@ func main() {
 	header := flag.String("header", "1.1 mbtls-proxy", "Via header value to insert")
 	statsEvery := flag.Duration("stats", 0, "log cumulative session/fault counters at this interval (0 disables)")
 	maxSessions := flag.Int("max-sessions", 0, "max concurrent sessions (0 = default)")
-	shards := flag.Int("shards", 0, "session-host shards (0 = one per core)")
-	reusePort := flag.Bool("reuseport", false, "bind one SO_REUSEPORT listener per shard (Linux)")
+	reusePort := flag.Bool("reuseport", false, "bind one SO_REUSEPORT listener per core (Linux)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-drain deadline on SIGINT/SIGTERM")
 	stekRotate := flag.Duration("stek-rotate", time.Hour, "session-ticket key rotation interval (0 disables resumption)")
-	keyshares := flag.Int("keyshares", 0, "precomputed X25519 keyshare pool size (0 = sized from shard count, negative disables)")
+	keyshares := flag.Int("keyshares", 0, "precomputed X25519 keyshare pool size (0 = sized from the core count, negative disables)")
 	relayWorkers := flag.Int("relay-workers", 0, "relay crypto workers (0 = one per core)")
 	flag.Parse()
 	if *relayWorkers < 0 {
@@ -110,17 +109,13 @@ func main() {
 		}
 		cfg.TicketKeys = stek
 	}
-	// The keyshare pool's refill workers and capacity track the host's
-	// shard count by default, so precompute throughput scales with the
-	// admission path instead of sagging at high concurrency.
-	shardCount := *shards
-	if shardCount <= 0 {
-		shardCount = runtime.GOMAXPROCS(0)
-	}
+	// The keyshare pool's refill workers and capacity track the core
+	// count by default, so precompute throughput scales with the host
+	// instead of sagging at high concurrency.
 	var ksPool *mbtls.KeySharePool
 	switch {
 	case *keyshares == 0:
-		ksPool = mbtls.NewKeySharePoolForShards(shardCount)
+		ksPool = mbtls.NewKeySharePoolForShards(runtime.GOMAXPROCS(0))
 	case *keyshares > 0:
 		ksPool = mbtls.NewKeySharePool(*keyshares, 0)
 	}
@@ -139,12 +134,11 @@ func main() {
 		log.Fatalf("mbtls-proxy: %v", err)
 	}
 	// Listeners and next-hop dials go through the TCP transport; with
-	// -reuseport the host gets one kernel-spread accept loop per shard.
+	// -reuseport the host gets one kernel-spread accept loop per core.
 	tr := mbtls.NewTCPTransport(mbtls.TCPTransportConfig{ReusePort: *reusePort})
 	host, err := mbtls.NewSessionHost(mbtls.SessionHostConfig{
 		Name:         "mbtls-proxy",
 		MaxSessions:  sessions,
-		Shards:       *shards,
 		DrainTimeout: *drain,
 		BufPool:      pool,
 		Handler: mbtls.NewMiddleboxHandler(mb, func() (net.Conn, error) {
@@ -159,12 +153,12 @@ func main() {
 		log.Fatalf("mbtls-proxy: %v", err)
 	}
 
-	lns, err := tr.ListenShards(*listen, host.Shards())
+	lns, err := tr.ListenShards(*listen, runtime.GOMAXPROCS(0))
 	if err != nil {
 		log.Fatalf("mbtls-proxy: %v", err)
 	}
-	log.Printf("mbtls-proxy: %s middlebox on %s → %s (sgx=%v, accountability=%s, shards=%d, listeners=%d)",
-		*mode, *listen, *next, *sgx, acct, host.Shards(), len(lns))
+	log.Printf("mbtls-proxy: %s middlebox on %s → %s (sgx=%v, accountability=%s, listeners=%d)",
+		*mode, *listen, *next, *sgx, acct, len(lns))
 	if *statsEvery > 0 {
 		go func() {
 			for range time.Tick(*statsEvery) {

@@ -19,6 +19,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -35,8 +36,7 @@ func main() {
 	accountability := flag.String("accountability", "attest", "accountability mode: attest or proxysig")
 	statsEvery := flag.Duration("stats", 0, "log cumulative session/fault counters at this interval (0 disables)")
 	maxSessions := flag.Int("max-sessions", 0, "max concurrent sessions (0 = default)")
-	shards := flag.Int("shards", 0, "session-host shards (0 = one per core)")
-	reusePort := flag.Bool("reuseport", false, "bind one SO_REUSEPORT listener per shard (Linux)")
+	reusePort := flag.Bool("reuseport", false, "bind one SO_REUSEPORT listener per core (Linux)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-drain deadline on SIGINT/SIGTERM")
 	flag.Parse()
 
@@ -61,7 +61,6 @@ func main() {
 	host, err := mbtls.NewSessionHost(mbtls.SessionHostConfig{
 		Name:         "mbtls-server",
 		MaxSessions:  *maxSessions,
-		Shards:       *shards,
 		DrainTimeout: *drain,
 		Handler:      mbtls.NewServerHandler(cfg, serveSession(*serverName)),
 	})
@@ -70,14 +69,14 @@ func main() {
 	}
 
 	// Listen through the TCP transport; with -reuseport the
-	// host gets one kernel-spread accept loop per shard.
+	// host gets one kernel-spread accept loop per core.
 	tr := mbtls.NewTCPTransport(mbtls.TCPTransportConfig{ReusePort: *reusePort})
-	lns, err := tr.ListenShards(*listen, host.Shards())
+	lns, err := tr.ListenShards(*listen, runtime.GOMAXPROCS(0))
 	if err != nil {
 		log.Fatalf("mbtls-server: %v", err)
 	}
-	log.Printf("mbtls-server: serving https(mbTLS)://%s on %s (pki: %s, accountability=%s, shards=%d, listeners=%d)",
-		*serverName, *listen, *pkiDir, acct, host.Shards(), len(lns))
+	log.Printf("mbtls-server: serving https(mbTLS)://%s on %s (pki: %s, accountability=%s, listeners=%d)",
+		*serverName, *listen, *pkiDir, acct, len(lns))
 
 	if *statsEvery > 0 {
 		go func() {

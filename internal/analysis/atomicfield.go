@@ -10,7 +10,7 @@ import (
 // must be accessed atomically everywhere. A single plain read racing an
 // atomic.AddUint64 is a data race the race detector only catches when a
 // test happens to interleave it; the analyzer catches it structurally.
-// This is the discipline behind the sharded session-host metrics
+// This is the discipline behind the session host's lock-free metrics
 // counters and the cipher-state swap — the typed sync/atomic.Uint64
 // wrappers make violations unrepresentable, and this analyzer holds the
 // remaining &field-style uses to the same bar.

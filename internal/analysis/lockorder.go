@@ -18,11 +18,11 @@ import (
 //     reports any cycle. Order inversions are the classic deadlock: two
 //     goroutines each holding what the other wants.
 //
-//  2. No blocking under a state mutex. A shard or session mutex held
+//  2. No blocking under a state mutex. A registry or session mutex held
 //     across a channel operation, a defaultless select, a Vault wipe,
 //     connection I/O, time.Sleep, or a blocking module call stalls
 //     every other goroutine that needs the lock — the exact shape of
-//     the drain regression fixed in the session-host sharding work.
+//     a drain regression the session host once had.
 //     Mutexes whose names mark them as I/O-serialization locks (wmu,
 //     writeMu, the per-direction downW/upW, the handshake mutex) are
 //     exempt: being held across the I/O they serialize is their job.
@@ -33,7 +33,7 @@ import (
 //     reentrant).
 //
 // Lock identity is the engine's lockKey: "(pkg.Type).field" or
-// "pkg.var". Two distinct instances of the same field (two shards)
+// "pkg.var". Two distinct instances of the same field (two hosts)
 // share a key, so same-key re-acquisition is only reported when the
 // receiver expression is textually identical; locks reached through
 // locals or parameters have no stable identity and are not tracked.

@@ -21,7 +21,7 @@ import (
 // released them: nothing is left running, let alone listening.
 func TestChainBuilderFailsClean(t *testing.T) {
 	base := goleak.Base()
-	d, err := NewDaemons([]core.Accountability{core.AccountAttest}, 2, 2, "carrier-pigeon")
+	d, err := NewDaemons([]core.Accountability{core.AccountAttest}, 2, "carrier-pigeon")
 	if err == nil {
 		d.Close()
 		t.Fatal("builder accepted an unknown transport")
@@ -184,7 +184,7 @@ func TestHostPoolDrawsMatchAcrossFabrics(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer h.Close()
-		hcfg := sessionhost.Config{Name: "server", Shards: 1,
+		hcfg := sessionhost.Config{Name: "server",
 			Handler: sessionhost.NewServerHandler(h.PKI.ServerConfig(), Echo)}
 		_, srvAddr, err := h.Serve("server", hcfg)
 		if err != nil {

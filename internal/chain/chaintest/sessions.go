@@ -18,15 +18,9 @@ import (
 	"repro/internal/tls12"
 )
 
-const (
-	// Sessions is how many clean concurrent sessions the body drives
-	// through one shared middlebox host (the acceptance floor is 64).
-	Sessions = 64
-	// Shards fixes the hosts' shard count, so cross-shard admission, the
-	// per-shard listeners and the merged metrics path are exercised even
-	// where GOMAXPROCS would give a single shard.
-	Shards = 8
-)
+// Sessions is how many clean concurrent sessions the body drives
+// through one shared middlebox host (the acceptance floor is 64).
+const Sessions = 64
 
 // NewHosted starts an empty hosted topology on transport, torn down
 // with the test; its host-scoped buffer pool is sized for
@@ -56,7 +50,7 @@ func NewHosted(t *testing.T, transport string) *chain.Hosted {
 // middlebox's host is returned for what more a transport asserts of it.
 func ConcurrentSessions(t *testing.T, h *chain.Hosted, kill func(conn net.Conn, ccfg *core.ClientConfig) error) *sessionhost.Host {
 	t.Helper()
-	hcfg := sessionhost.Config{Name: "server", MaxSessions: 2 * Sessions, Shards: Shards,
+	hcfg := sessionhost.Config{Name: "server", MaxSessions: 2 * Sessions,
 		Handler: sessionhost.NewServerHandler(h.PKI.ServerConfig(), chain.Echo)}
 	_, srvAddr, err := h.Serve("server", hcfg)
 	if err != nil {
@@ -137,23 +131,6 @@ func ConcurrentSessions(t *testing.T, h *chain.Hosted, kill func(conn net.Conn, 
 	m := hop.Host.Snapshot()
 	if m.Accepted < Sessions+1 {
 		t.Errorf("middlebox host admitted %d sessions, want >= %d", m.Accepted, Sessions+1)
-	}
-	if len(m.PerShard) != Shards {
-		t.Fatalf("metrics carry %d shards, want %d", len(m.PerShard), Shards)
-	}
-	var perShardSum uint64
-	busy := 0
-	for _, sm := range m.PerShard {
-		perShardSum += sm.Accepted
-		if sm.Accepted > 0 {
-			busy++
-		}
-	}
-	if perShardSum != m.Accepted {
-		t.Errorf("per-shard accepted sums to %d, merged total is %d", perShardSum, m.Accepted)
-	}
-	if busy != Shards {
-		t.Errorf("round-robin admission used %d/%d shards", busy, Shards)
 	}
 	if st := h.BufPool.Stats(); st.Gets == 0 {
 		t.Error("host-scoped buffer pool was never used by the relay")

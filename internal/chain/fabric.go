@@ -3,6 +3,7 @@ package chain
 import (
 	"fmt"
 	"net"
+	"runtime"
 
 	"repro/internal/netsim"
 	"repro/internal/transport"
@@ -47,9 +48,9 @@ func NewFabric(trName string) (*Fabric, error) {
 
 // Listen binds the listeners of the host called node and returns them
 // with the address dialers reach it at. Netsim claims the node name;
-// tcp binds one SO_REUSEPORT loopback listener per shard, so kernel
-// connection spreading pairs with the sharded admission path.
-func (f *Fabric) Listen(node string, shards int) ([]net.Listener, string, error) {
+// tcp binds one SO_REUSEPORT loopback listener per core, so the kernel
+// spreads connections over that many accept loops.
+func (f *Fabric) Listen(node string) ([]net.Listener, string, error) {
 	if f.Sim != nil {
 		ln, err := f.Sim.Listen(node)
 		if err != nil {
@@ -57,7 +58,7 @@ func (f *Fabric) Listen(node string, shards int) ([]net.Listener, string, error)
 		}
 		return []net.Listener{ln}, node, nil
 	}
-	lns, err := f.tcp.ListenShards("127.0.0.1:0", shards)
+	lns, err := f.tcp.ListenShards("127.0.0.1:0", runtime.GOMAXPROCS(0))
 	if err != nil {
 		return nil, "", err
 	}

@@ -2,6 +2,7 @@ package chain
 
 import (
 	"net"
+	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -41,7 +42,7 @@ func NewHosted(transport string, pool *tls12.RecordBufPool) (*Hosted, error) {
 // Serve binds node's listeners, starts a host on them and returns it
 // with the address it is reached at. The host is Close's from here on.
 func (h *Hosted) Serve(node string, cfg sessionhost.Config) (*sessionhost.Host, string, error) {
-	lns, addr, err := h.Fabric.Listen(node, cfg.Shards)
+	lns, addr, err := h.Fabric.Listen(node)
 	if err != nil {
 		return nil, "", err
 	}
@@ -99,11 +100,11 @@ func (h *Hosted) Close() {
 // measure: a ticket-issuing echo origin behind one middlebox host per
 // accountability mode, and the client-side caches every worker shares.
 // The attest middlebox runs in an enclave the client requires a quote
-// from, checked through a cached verifier; a shard-sized keyshare
-// pool; a host-scoped record-buffer pool; a STEK per host, registered
-// with it. The proxysig middlebox shares the certificate and both
-// pools but runs outside an enclave: accountability there comes from
-// delegation warrants and signed evidence.
+// from, checked through a cached verifier; a keyshare pool sized from
+// GOMAXPROCS; a host-scoped record-buffer pool; a STEK per host,
+// registered with it. The proxysig middlebox shares the certificate and
+// both pools but runs outside an enclave: accountability there comes
+// from delegation warrants and signed evidence.
 type Daemons struct {
 	*Hosted
 	Verifier  *enclave.Verifier
@@ -122,10 +123,10 @@ func (d *Daemons) Close() {
 
 // NewDaemons builds the chain with one middlebox host per mode in
 // accts, sized for maxLevel concurrent clients, and starts serving.
-func NewDaemons(accts []core.Accountability, maxLevel, shards int, transport string) (_ *Daemons, err error) {
+func NewDaemons(accts []core.Accountability, maxLevel int, transport string) (_ *Daemons, err error) {
 	d := &Daemons{
 		ChainVC:   hsfast.NewVerifyCache(64, time.Hour, nil),
-		KeyShares: hsfast.NewKeySharePoolForShards(shards),
+		KeyShares: hsfast.NewKeySharePoolForShards(runtime.GOMAXPROCS(0)),
 		Hops:      make(map[core.Accountability]*Hop),
 	}
 	defer func() {
@@ -153,7 +154,6 @@ func NewDaemons(accts []core.Accountability, maxLevel, shards int, transport str
 	_, srvAddr, err := d.Serve("server", sessionhost.Config{
 		Name:        "chain-origin",
 		MaxSessions: maxSessions,
-		Shards:      shards,
 		Handler:     sessionhost.NewServerHandler(scfg, Echo),
 		TicketKeys:  srvSTEK,
 	})
@@ -181,7 +181,6 @@ func NewDaemons(accts []core.Accountability, maxLevel, shards int, transport str
 		d.Hops[acct], err = d.Middlebox(node, mbCfg, sessionhost.Config{
 			Name:         "chain-" + node,
 			MaxSessions:  maxSessions,
-			Shards:       shards,
 			KeySharePool: d.KeyShares,
 			TicketKeys:   stek,
 		}, srvAddr)

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -24,9 +23,8 @@ import (
 
 // SessionsLevels is the default concurrency sweep of the sessions
 // table. The high levels (256, 1024) oversubscribe any realistic core
-// count, so they measure how the sharded admission path and the
-// handshake gate behave when the host is the bottleneck, not the
-// clients.
+// count, so they measure how admission and the handshake gate behave
+// when the host is the bottleneck, not the clients.
 var SessionsLevels = []int{4, 16, 64, 256, 1024}
 
 // HandshakeLevels is the default concurrency sweep of the handshake
@@ -41,11 +39,9 @@ type ChainOptions struct {
 	// SessionsPerWorker is how many sequential sessions each worker
 	// runs per cell (default 8 for sessions, 16 for handshake).
 	SessionsPerWorker int
-	// Shards overrides the hosts' shard count (default GOMAXPROCS).
-	Shards int
 	// Transport selects the byte-moving backend: chain.TransportNetsim
 	// (default) or chain.TransportTCP, the same topology over loopback
-	// kernel sockets with SO_REUSEPORT per-shard listeners.
+	// kernel sockets with one SO_REUSEPORT listener per core.
 	Transport string
 	// Quick shrinks the run to a smoke test (one 4-way level, two
 	// sessions per worker) and skips the keyshare hit-rate gate.
@@ -59,9 +55,6 @@ func (o ChainOptions) resolve(levels []int, perWorker int) ChainOptions {
 	}
 	if o.SessionsPerWorker <= 0 {
 		o.SessionsPerWorker = perWorker
-	}
-	if o.Shards <= 0 {
-		o.Shards = runtime.GOMAXPROCS(0)
 	}
 	if o.Quick {
 		o.Levels, o.SessionsPerWorker = []int{4}, 2
@@ -111,9 +104,7 @@ type ChainRow struct {
 type ChainReport struct {
 	// Title heads the formatted table.
 	Title string
-	// Shards and Transport are the hosts' shard count and the backend
-	// the sweep ran over.
-	Shards    int
+	// Transport is the backend the sweep ran over.
 	Transport string
 	Rows      []ChainRow
 	// Soak is the idle-session soak result (`sessions -soak` only).
@@ -274,13 +265,13 @@ func runChainTable(title string, opts ChainOptions, payloadBytes int, cells []ch
 		}
 		maxLevel = max(maxLevel, c.level)
 	}
-	env, err := chain.NewDaemons(accts, maxLevel, opts.Shards, opts.Transport)
+	env, err := chain.NewDaemons(accts, maxLevel, opts.Transport)
 	if err != nil {
 		return nil, err
 	}
 	defer env.Close()
 
-	rep := &ChainReport{Title: title, Shards: opts.Shards, Transport: env.Fabric.Name}
+	rep := &ChainReport{Title: title, Transport: env.Fabric.Name}
 	payload := core.RandomPlaintext(payloadBytes)
 	for _, cell := range cells {
 		row, err := runCell(env, cell, opts.SessionsPerWorker, payload)
@@ -301,7 +292,7 @@ func runChainTable(title string, opts ChainOptions, payloadBytes int, cells []ch
 // 4 KiB echo, so the rows exercise admission, the handshake gate,
 // resumption and teardown together. The keyshare pool's whole-run hit
 // rate gates the result: a sag there means the pool is
-// under-provisioned for the shard count.
+// under-provisioned for the core count.
 func RunSessions(opts ChainOptions) (*ChainReport, error) {
 	opts = opts.resolve(SessionsLevels, 8)
 	var cells []chainCell
@@ -314,8 +305,8 @@ func RunSessions(opts ChainOptions) (*ChainReport, error) {
 	}
 	if st := rep.keyShares; !opts.Quick && st.Hits+st.Misses > 0 && st.HitRate() < 0.90 {
 		return nil, fmt.Errorf("sessions: keyshare pool hit rate %.3f below the 0.90 gate "+
-			"(capacity %d, workers %d — pool under-provisioned for %d shard(s))",
-			st.HitRate(), st.Capacity, st.Workers, opts.Shards)
+			"(capacity %d, workers %d — pool under-provisioned)",
+			st.HitRate(), st.Capacity, st.Workers)
 	}
 	return rep, nil
 }
@@ -370,7 +361,7 @@ func percentileDuration(sorted []time.Duration, p float64) time.Duration {
 // FormatChain renders a chain sweep.
 func FormatChain(rep *ChainReport) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s (%d shard(s), %s transport)\n", rep.Title, rep.Shards, rep.Transport)
+	fmt.Fprintf(&b, "%s (%s transport)\n", rep.Title, rep.Transport)
 	fmt.Fprintf(&b, "%-8s | %-7s | %-11s | %8s | %12s | %9s | %9s | %7s | %6s | %6s | %8s | %7s\n",
 		"Acct", "Mode", "Concurrency", "Sessions", "Sessions/sec", "HS p50", "HS p99",
 		"Resumed", "KS hit", "VC hit", "Pool hit", "Speedup")

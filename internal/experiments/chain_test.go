@@ -37,7 +37,7 @@ func TestChainCells(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.table+"/"+tc.transport+"/"+tc.cell.String(), func(t *testing.T) {
 			base := goleak.Base()
-			env, err := chain.NewDaemons([]core.Accountability{tc.cell.acct}, workers, 2, tc.transport)
+			env, err := chain.NewDaemons([]core.Accountability{tc.cell.acct}, workers, tc.transport)
 			if err != nil {
 				t.Fatal(err)
 			}

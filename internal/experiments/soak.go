@@ -18,18 +18,14 @@ import (
 type SoakOptions struct {
 	// Sessions is how many live idle sessions to hold (default 20000).
 	Sessions int
-	// Shards overrides the host's shard count (default GOMAXPROCS).
-	Shards int
 }
 
-// SoakRow is the soak's result: can the sharded host hold tens of
+// SoakRow is the soak's result: can the host hold tens of
 // thousands of live idle sessions with flat admission latency and
 // bounded per-session memory, and then drain them all promptly?
 type SoakRow struct {
 	// Sessions is how many sessions were admitted and held live.
 	Sessions int
-	// Shards is the host's shard count.
-	Shards int
 	// AdmitP50Us / AdmitP99Us are per-Submit admission latency
 	// percentiles in microseconds, measured across every admission
 	// while the registry grows to its full size.
@@ -49,7 +45,7 @@ type SoakRow struct {
 }
 
 // soakConn is the cheapest possible net.Conn: the soak measures the
-// host's registry, admission path, and drain fan-out, so the transport
+// host's registry, admission path, and drain, so the transport
 // under each session is deliberately inert.
 type soakConn struct{}
 
@@ -69,7 +65,7 @@ func (soakConn) SetWriteDeadline(time.Time) error {
 	return nil
 }
 
-// RunSoak admits opts.Sessions idle sessions into one sharded host and
+// RunSoak admits opts.Sessions idle sessions into one host and
 // holds them all live: each handler establishes immediately and then
 // parks until released or draining, standing in for the long-lived
 // mostly-idle sessions (§5) a deployed middlebox accumulates. It
@@ -82,10 +78,6 @@ func RunSoak(opts SoakOptions) (*SoakRow, error) {
 	count := opts.Sessions
 	if count <= 0 {
 		count = 20000
-	}
-	shards := opts.Shards
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
 	}
 
 	release := make(chan struct{})
@@ -102,7 +94,6 @@ func RunSoak(opts SoakOptions) (*SoakRow, error) {
 	host, err := sessionhost.New(sessionhost.Config{
 		Name:        "soak",
 		MaxSessions: count,
-		Shards:      shards,
 		Handler:     handler,
 	})
 	if err != nil {
@@ -166,7 +157,6 @@ func RunSoak(opts SoakOptions) (*SoakRow, error) {
 	sort.Slice(admits, func(i, j int) bool { return admits[i] < admits[j] })
 	row := &SoakRow{
 		Sessions:     count,
-		Shards:       host.Shards(),
 		AdmitP50Us:   float64(percentileDuration(admits, 0.50)) / float64(time.Microsecond),
 		AdmitP99Us:   float64(percentileDuration(admits, 0.99)) / float64(time.Microsecond),
 		HeapSteadyMB: float64(steady.HeapAlloc) / (1 << 20),
@@ -193,7 +183,7 @@ func gcSettle() {
 // FormatSoak renders the soak result.
 func FormatSoak(r *SoakRow) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Session host: idle-session soak (%d shard(s))\n", r.Shards)
+	b.WriteString("Session host: idle-session soak\n")
 	fmt.Fprintf(&b, "%-10s | %10s | %10s | %10s | %10s | %9s\n",
 		"Sessions", "Admit p50", "Admit p99", "B/session", "Heap", "Drain")
 	fmt.Fprintf(&b, "%s\n", strings.Repeat("-", 74))

@@ -75,10 +75,10 @@ type KeySharePool struct {
 	wiped  atomic.Int64
 }
 
-// DefaultSharesPerShard sizes NewKeySharePoolForShards: enough stock
-// per shard to absorb an admission burst while that shard's refill
-// worker catches up.
-const DefaultSharesPerShard = 64
+// sharesPerWorker sizes NewKeySharePoolForShards: enough stock per
+// refill worker to absorb an admission burst while the worker catches
+// up.
+const sharesPerWorker = 64
 
 // NewKeySharePool starts a pool holding up to size shares, refilled by
 // workers background goroutines. size and workers default to 64 and 1
@@ -104,16 +104,17 @@ func NewKeySharePool(size, workers int) *KeySharePool {
 	return p
 }
 
-// NewKeySharePoolForShards sizes a pool from a session host's shard
-// count: one refill worker and DefaultSharesPerShard of capacity per
-// shard, so refill throughput and burst stock scale with the host
-// instead of a fixed single-worker default (which is what let the hit
-// rate sag at high concurrency).
-func NewKeySharePoolForShards(shards int) *KeySharePool {
-	if shards < 1 {
-		shards = 1
+// NewKeySharePoolForShards sizes a pool for n refill workers
+// (callers pass GOMAXPROCS): one worker and sharesPerWorker of
+// capacity each, so refill throughput and burst stock scale with the
+// cores instead of a fixed single-worker default (which is what let
+// the hit rate sag at high concurrency). The name renames to say
+// "n workers" when benchmark/ reopens (the frozen module calls it).
+func NewKeySharePoolForShards(n int) *KeySharePool {
+	if n < 1 {
+		n = 1
 	}
-	return NewKeySharePool(DefaultSharesPerShard*shards, shards)
+	return NewKeySharePool(sharesPerWorker*n, n)
 }
 
 // fill generates shares until the pool closes, parking on the channel

@@ -7,11 +7,10 @@ import (
 	"repro/internal/core"
 )
 
-// session is one registered connection's lifecycle record. It lives in
-// exactly one shard's map; the shard index rides in the ID's low bits.
+// session is one registered connection's lifecycle record.
 type session struct {
 	id   uint64
-	sh   *shard
+	host *Host
 	conn net.Conn
 
 	state  atomic.Int32 // State
@@ -19,14 +18,24 @@ type session struct {
 	closer atomic.Value // func(): handler-registered force-closer
 }
 
+// transition moves the session from one state to another if it is
+// still in from, keeping the host's handshakes-in-flight gauge equal to
+// the number of sessions in StateHandshaking.
+func (s *session) transition(from, to State) bool {
+	if !s.state.CompareAndSwap(int32(from), int32(to)) {
+		return false
+	}
+	if from == StateHandshaking {
+		s.host.handshaking.Add(-1)
+	}
+	return true
+}
+
 // markDraining moves a live session into StateDraining.
 func (s *session) markDraining() {
 	for {
-		cur := s.state.Load()
-		if State(cur) == StateClosed || State(cur) == StateDraining {
-			return
-		}
-		if s.state.CompareAndSwap(cur, int32(StateDraining)) {
+		cur := State(s.state.Load())
+		if cur == StateClosed || cur == StateDraining || s.transition(cur, StateDraining) {
 			return
 		}
 	}
@@ -37,7 +46,7 @@ func (s *session) markDraining() {
 // unconditionally at teardown; the CAS makes the release exactly-once.
 func (s *session) releaseGate() {
 	if s.gated.CompareAndSwap(true, false) {
-		<-s.sh.gate
+		<-s.host.gate
 	}
 }
 
@@ -61,12 +70,9 @@ type Control struct {
 
 var _ core.HostHooks = (*Control)(nil)
 
-// ID returns the session's registry ID (shard-local sequence number in
-// the high bits, owning shard index in the low shardIDBits).
+// ID returns the session's registry ID: unique on the host and
+// strictly increasing in admission order.
 func (c *Control) ID() uint64 { return c.s.id }
-
-// Shard returns the index of the shard that owns the session.
-func (c *Control) Shard() int { return ShardOfID(c.s.id) }
 
 // State returns the session's current lifecycle state.
 func (c *Control) State() State { return State(c.s.state.Load()) }
@@ -76,7 +82,7 @@ func (c *Control) State() State { return State(c.s.state.Load()) }
 // draining or closed keeps that state. Establishment releases the
 // session's handshake-gate slot.
 func (c *Control) SessionEstablished() {
-	c.s.state.CompareAndSwap(int32(StateHandshaking), int32(StateEstablished))
+	c.s.transition(StateHandshaking, StateEstablished)
 	c.s.releaseGate()
 }
 
@@ -91,18 +97,18 @@ func (c *Control) RegisterForceClose(f func()) {
 
 // Draining returns a channel closed when the host begins draining;
 // long-running handlers select on it to stop accepting new work.
-func (c *Control) Draining() <-chan struct{} { return c.s.sh.host.drainCh }
+func (c *Control) Draining() <-chan struct{} { return c.s.host.drainCh }
 
-// ReportStats folds a finished session's endpoint counters into its
-// shard's lock-free aggregate (TeardownReason, a per-session string,
+// ReportStats folds a finished session's endpoint counters into the
+// host's lock-free aggregate (TeardownReason, a per-session string,
 // is not aggregated).
 func (c *Control) ReportStats(st core.SessionStats) {
-	sh := c.s.sh
-	sh.recordsRelayed.Add(st.RecordsRelayed)
-	sh.reseals.Add(st.Reseals)
-	sh.faultsObserved.Add(st.FaultsObserved)
-	sh.resumedPrimary.Add(st.ResumedPrimary)
-	sh.resumedHops.Add(st.ResumedHops)
-	sh.attestSessions.Add(st.AttestSessions)
-	sh.proxySigSessions.Add(st.ProxySigSessions)
+	h := c.s.host
+	h.recordsRelayed.Add(st.RecordsRelayed)
+	h.reseals.Add(st.Reseals)
+	h.faultsObserved.Add(st.FaultsObserved)
+	h.resumedPrimary.Add(st.ResumedPrimary)
+	h.resumedHops.Add(st.ResumedHops)
+	h.attestSessions.Add(st.AttestSessions)
+	h.proxySigSessions.Add(st.ProxySigSessions)
 }

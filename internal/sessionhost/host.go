@@ -5,29 +5,24 @@
 // cmd/mbtls-proxy, cmd/mbtls-server, and the netsim-driven tests stop
 // duplicating accept loops and instead share one implementation of:
 //
-//   - sharded bounded admission: the host is split into N shards
-//     (default GOMAXPROCS), each owning its share of the MaxSessions
-//     slots, its own session map, and its own ID space (the shard
-//     index rides in the session ID's low bits, so lookups route
-//     without a global lock). Connections beyond the cap are refused
-//     with a typed OverloadError (and an overloaded alert on the wire)
-//     rather than queued without bound;
-//   - a handshake gate: at most DefaultHandshakesPerShard sessions a
-//     shard run their establishment concurrently; later admissions
-//     queue FIFO, which
-//     bounds handshake tail latency under bursts instead of letting
-//     every admitted session contend at once;
-//   - a session registry: shard-local monotonic session IDs with
-//     per-session state (handshaking → established → draining →
-//     closed);
-//   - graceful fan-out drain: Shutdown drains every shard
-//     independently under one force-close deadline, so a wedged
-//     session on one shard cannot delay the others; survivors are
-//     force-closed at the deadline (sealed close_notify when hop keys
-//     exist, so endpoints see an orderly close instead of a reset);
-//   - lock-free metrics: every counter is a per-shard atomic, merged
-//     by Snapshot into one Metrics value (plus the SessionStats /
-//     MiddleboxStats surfaces and the host gauges);
+//   - bounded admission: one semaphore of MaxSessions slots.
+//     Connections beyond the cap are refused with a typed OverloadError
+//     (and an overloaded alert on the wire) rather than queued without
+//     bound;
+//   - a handshake gate: at most 8 × GOMAXPROCS sessions run their
+//     establishment concurrently; later admissions queue FIFO,
+//     host-wide, which bounds handshake tail latency under bursts
+//     instead of letting every admitted session contend at once;
+//   - a session registry: one mutex-guarded map, IDs strictly
+//     increasing in admission order, per-session state (handshaking →
+//     established → draining → closed);
+//   - graceful drain: Shutdown refuses new admissions, waits for the
+//     in-flight sessions, and force-closes survivors at the deadline
+//     (sealed close_notify when hop keys exist, so endpoints see an
+//     orderly close instead of a reset);
+//   - lock-free metrics: every counter and gauge is a host-level
+//     atomic that Snapshot reads without taking the registry lock
+//     (plus the SessionStats / MiddleboxStats surfaces);
 //   - a host-scoped record-buffer pool, bounding relay memory by the
 //     pool rather than by session count.
 package sessionhost
@@ -96,27 +91,25 @@ func (f HandlerFunc) Serve(ctl *Control, conn net.Conn) error { return f(ctl, co
 const (
 	DefaultMaxSessions  = 256
 	DefaultDrainTimeout = 10 * time.Second
-	// DefaultHandshakesPerShard sizes each shard's handshake gate:
-	// sessions concurrently running establishment (admitted sessions
-	// beyond it queue FIFO before their handler starts). Enough
-	// concurrency to keep every core busy through a handshake's round
-	// trips, small enough that a burst of admissions queues instead of
-	// thrashing. The gate relies on the configured handshake timeouts
-	// to reclaim slots from wedged peers.
-	DefaultHandshakesPerShard = 8
 )
+
+// handshakesPerProc sizes the handshake gate, per GOMAXPROCS: sessions
+// concurrently running establishment (admitted sessions beyond it queue
+// FIFO before their handler starts). Enough concurrency to keep every
+// core busy through a handshake's round trips, small enough that a
+// burst of admissions queues instead of thrashing. The gate relies on
+// the configured handshake timeouts to reclaim slots from wedged peers.
+const handshakesPerProc = 8
 
 // Config configures a Host.
 type Config struct {
 	// Name identifies the host in typed rejection errors and metrics.
 	Name string
-	// MaxSessions caps concurrent sessions across all shards;
-	// connections beyond the cap are refused with OverloadError. Zero
-	// means DefaultMaxSessions.
+	// MaxSessions caps concurrent sessions; connections beyond the cap
+	// are refused with OverloadError. Zero means DefaultMaxSessions.
 	MaxSessions int
-	// Shards is how many independent admission/registry shards the
-	// host runs. Zero means runtime.GOMAXPROCS(0); values are clamped
-	// to [1, MaxShards].
+	// Shards is unused; goes when benchmark/ reopens (the frozen module
+	// sets it). The host keeps one registry.
 	Shards int
 	// DrainTimeout bounds Close's implicit drain. Zero means
 	// DefaultDrainTimeout. (Shutdown takes its deadline from its
@@ -156,16 +149,50 @@ type Config struct {
 // with Serve (own the accept loop) or Submit (bring your own), stop
 // with Shutdown or Close.
 type Host struct {
-	cfg    Config
-	shards []*shard
-	bufs   *tls12.RecordBufPool
-	// rr rotates the home shard for admissions.
-	rr atomic.Uint64
+	cfg  Config
+	bufs *tls12.RecordBufPool
+	// sem holds the MaxSessions admission slots.
+	sem chan struct{}
+	// gate bounds concurrent handshakes. Sessions queue here FIFO before
+	// their handler starts, which keeps handshake latency ordered
+	// instead of letting every admitted session thrash the CPU at once.
+	gate chan struct{}
 
 	// draining flips when drain begins; drainCh closes at the same
 	// moment so handlers can select on it.
 	draining atomic.Bool
 	drainCh  chan struct{}
+
+	// mu guards the session map, the ID counter and wg admission
+	// ordering; the counters and gauges below are atomics Snapshot
+	// reads without it.
+	mu       sync.Mutex
+	sessions map[uint64]*session
+	lastID   uint64
+	wg       sync.WaitGroup
+
+	accepted        atomic.Uint64
+	completed       atomic.Uint64
+	failed          atomic.Uint64
+	overloaded      atomic.Uint64
+	refusedDraining atomic.Uint64
+	forceClosed     atomic.Uint64
+	// Gauges, moved at the state transitions: active from register to
+	// teardown, handshaking while a session's state is StateHandshaking.
+	active      atomic.Int64
+	handshaking atomic.Int64
+	// drainTime is the first Shutdown's duration in nanoseconds.
+	drainTime atomic.Int64
+
+	// Aggregated core.SessionStats deltas reported via
+	// Control.ReportStats.
+	recordsRelayed   atomic.Int64
+	reseals          atomic.Int64
+	faultsObserved   atomic.Int64
+	resumedPrimary   atomic.Int64
+	resumedHops      atomic.Int64
+	attestSessions   atomic.Int64
+	proxySigSessions atomic.Int64
 
 	lmu       sync.Mutex
 	listeners map[net.Listener]struct{}
@@ -183,12 +210,6 @@ func New(cfg Config) (*Host, error) {
 	if cfg.MaxSessions <= 0 {
 		cfg.MaxSessions = DefaultMaxSessions
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Shards > MaxShards {
-		cfg.Shards = MaxShards
-	}
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = DefaultDrainTimeout
 	}
@@ -201,38 +222,19 @@ func New(cfg Config) (*Host, error) {
 		// allocation the GC reclaims.
 		bufs = tls12.NewRecordBufPool(2 * cfg.MaxSessions)
 	}
-	h := &Host{
+	return &Host{
 		cfg:       cfg,
 		bufs:      bufs,
+		sem:       make(chan struct{}, cfg.MaxSessions),
+		gate:      make(chan struct{}, handshakesPerProc*runtime.GOMAXPROCS(0)),
 		drainCh:   make(chan struct{}),
+		sessions:  make(map[uint64]*session),
 		listeners: make(map[net.Listener]struct{}),
-	}
-	h.shards = make([]*shard, cfg.Shards)
-	for i := range h.shards {
-		// MaxSessions slots split exactly across shards (the first
-		// MaxSessions%Shards shards take the remainder); admission
-		// steals from sibling shards before refusing, so the host
-		// refuses only when the whole cap is in use.
-		slots := cfg.MaxSessions / cfg.Shards
-		if i < cfg.MaxSessions%cfg.Shards {
-			slots++
-		}
-		h.shards[i] = &shard{
-			host:     h,
-			idx:      i,
-			sem:      make(chan struct{}, slots),
-			gate:     make(chan struct{}, DefaultHandshakesPerShard),
-			sessions: make(map[uint64]*session),
-		}
-	}
-	return h, nil
+	}, nil
 }
 
 // Name returns the configured host name.
 func (h *Host) Name() string { return h.cfg.Name }
-
-// Shards returns how many shards the host runs.
-func (h *Host) Shards() int { return len(h.shards) }
 
 // BufPool returns the host-scoped record-buffer pool. Middleboxes
 // served by this host should be built with MiddleboxConfig.BufPool set
@@ -267,6 +269,7 @@ func (h *Host) Serve(ln net.Listener) error {
 		conn, err := ln.Accept()
 		if err != nil {
 			h.lmu.Lock()
+			delete(h.listeners, ln)
 			closed := h.closed
 			h.lmu.Unlock()
 			if closed {
@@ -282,12 +285,11 @@ func (h *Host) Serve(ln net.Listener) error {
 
 // ServeListeners runs one Serve loop per listener and waits for all of
 // them, returning the errors of the loops that failed. It pairs with
-// tcpx.Transport.ListenShards: a host with N shards accepting on N
-// SO_REUSEPORT listeners gets kernel-spread admission with no shared
-// accept lock. Any listener count works — the slice does not have to
-// match the shard count. If one loop fails while the host is still up,
-// the sibling listeners are closed so the failure surfaces immediately
-// instead of the host serving half-sharded indefinitely.
+// tcpx.Transport.ListenShards: a host accepting on N SO_REUSEPORT
+// listeners gets kernel-spread accept loops with no shared accept
+// lock. If one loop fails while the host is still up, the sibling
+// listeners are closed so the failure surfaces immediately instead of
+// the host serving on part of its listeners indefinitely.
 func (h *Host) ServeListeners(lns []net.Listener) error {
 	var wg sync.WaitGroup
 	var failed atomic.Bool
@@ -322,55 +324,79 @@ func (h *Host) ServeListeners(lns []net.Listener) error {
 // OverloadError (both ClassOverload) when the connection is refused,
 // in which case the caller keeps ownership of conn.
 func (h *Host) Submit(conn net.Conn) error {
-	home := h.shards[int(h.rr.Add(1)-1)%len(h.shards)]
 	if h.draining.Load() {
-		home.refusedDraining.Add(1)
+		h.refusedDraining.Add(1)
 		return &core.DrainingError{Host: h.cfg.Name}
 	}
-	sh, ok := h.reserve(home)
-	if !ok {
-		home.overloaded.Add(1)
+	select {
+	case h.sem <- struct{}{}:
+	default:
+		h.overloaded.Add(1)
 		return &core.OverloadError{Host: h.cfg.Name, Active: h.cfg.MaxSessions, Max: h.cfg.MaxSessions}
 	}
-	s := &session{conn: conn}
-	if !sh.register(s) {
+	s := &session{host: h, conn: conn}
+	if !h.register(s) {
 		// Raced with Shutdown between the slot claim and registration.
 		return &core.DrainingError{Host: h.cfg.Name}
 	}
-	go sh.run(s)
+	go h.run(s)
 	return nil
 }
 
-// reserve claims an admission slot, preferring the home shard and
-// stealing from siblings before giving up, so the host only refuses
-// when every slot across every shard is in use.
-func (h *Host) reserve(home *shard) (*shard, bool) {
-	for i := 0; i < len(h.shards); i++ {
-		sh := h.shards[(home.idx+i)%len(h.shards)]
-		select {
-		case sh.sem <- struct{}{}:
-			return sh, true
-		default:
-		}
+// register admits s into the registry under a claimed slot. It returns
+// false when the host began draining, in which case the slot is
+// released and the session was never registered.
+func (h *Host) register(s *session) bool {
+	h.mu.Lock()
+	if h.draining.Load() {
+		h.mu.Unlock()
+		h.refusedDraining.Add(1)
+		<-h.sem
+		return false
 	}
-	return nil, false
+	h.lastID++
+	s.id = h.lastID
+	h.active.Add(1)
+	h.handshaking.Add(1)
+	h.sessions[s.id] = s
+	h.wg.Add(1)
+	h.mu.Unlock()
+	h.accepted.Add(1)
+	return true
 }
 
-// Lookup returns a Control for a live session by ID. The shard index
-// encoded in the ID routes the lookup to one shard's map.
-func (h *Host) Lookup(id uint64) (*Control, bool) {
-	idx := ShardOfID(id)
-	if idx >= len(h.shards) {
-		return nil, false
+// run drives one admitted session to completion on its own goroutine.
+func (h *Host) run(s *session) {
+	defer h.wg.Done()
+	// FIFO handshake gate: the expensive establishment work starts
+	// only when a gate slot frees. During drain the gate is bypassed —
+	// the handler fails fast against a closing session and must not
+	// queue behind the deadline.
+	select {
+	case h.gate <- struct{}{}:
+		s.gated.Store(true)
+	case <-h.drainCh:
 	}
-	sh := h.shards[idx]
-	sh.mu.Lock()
-	s := sh.sessions[id]
-	sh.mu.Unlock()
-	if s == nil {
-		return nil, false
+	err := h.cfg.Handler.Serve(&Control{s: s}, s.conn)
+	s.conn.Close()
+	s.releaseGate()
+	if State(s.state.Swap(int32(StateClosed))) == StateHandshaking {
+		h.handshaking.Add(-1)
 	}
-	return &Control{s: s}, true
+	cls := core.ClassifyError(err)
+	h.mu.Lock()
+	delete(h.sessions, s.id)
+	h.mu.Unlock()
+	h.active.Add(-1)
+	if cls == core.ClassOK || cls == core.ClassCleanClose {
+		h.completed.Add(1)
+	} else {
+		h.failed.Add(1)
+	}
+	<-h.sem
+	if cls != core.ClassOK {
+		h.logf("sessionhost %s: session %d closed: %s (%v)", h.cfg.Name, s.id, cls, err)
+	}
 }
 
 // Refusal limits: a refused connection is kept for at most
@@ -416,30 +442,47 @@ func (h *Host) reject(conn net.Conn, err error) {
 // Shutdown gracefully drains the host: new admissions are refused with
 // DrainingError, in-flight sessions run to completion, and sessions
 // still alive when ctx expires are force-closed (a hosted middlebox
-// seals a close_notify toward both neighbors first). The drain fans
-// out per shard under the one deadline — a wedged session on one
-// shard delays only that shard's completion, never the others'.
-// Listeners registered via Serve are closed once every shard drained.
-// Shutdown returns ctx.Err() if the deadline forced any shard, nil
+// seals a close_notify toward both neighbors first). Listeners
+// registered via Serve are closed once every handler has returned.
+// Shutdown returns ctx.Err() if the deadline forced any session, nil
 // after a clean drain.
 func (h *Host) Shutdown(ctx context.Context) error {
 	if h.draining.CompareAndSwap(false, true) {
 		close(h.drainCh)
 	}
-
 	start := time.Now()
-	var wg sync.WaitGroup
-	var deadline atomic.Bool
-	for _, sh := range h.shards {
-		wg.Add(1)
-		go func(sh *shard) {
-			defer wg.Done()
-			if sh.drain(ctx, start) {
-				deadline.Store(true)
-			}
-		}(sh)
+	h.mu.Lock()
+	for _, s := range h.sessions {
+		s.markDraining()
 	}
-	wg.Wait()
+	h.mu.Unlock()
+
+	done := make(chan struct{})
+	go func() {
+		h.wg.Wait()
+		close(done)
+	}()
+	var err error
+	select {
+	case <-done:
+	case <-ctx.Done():
+		err = ctx.Err()
+		h.mu.Lock()
+		forced := make([]*session, 0, len(h.sessions))
+		for _, s := range h.sessions {
+			forced = append(forced, s)
+		}
+		h.mu.Unlock()
+		h.forceClosed.Add(uint64(len(forced)))
+		for _, s := range forced {
+			s.forceClose()
+		}
+		// Force-closing killed the transports, which unwinds the
+		// handler goroutines; wait for them so no session outlives the
+		// drain.
+		<-done
+	}
+	drained := time.Since(start)
 
 	h.lmu.Lock()
 	firstClose := !h.closed
@@ -453,14 +496,9 @@ func (h *Host) Shutdown(ctx context.Context) error {
 	for _, ln := range lns {
 		ln.Close()
 	}
-	var err error
-	if deadline.Load() {
-		err = ctx.Err()
-	}
 	if firstClose {
-		m := h.Snapshot()
-		h.logf("sessionhost %s: drained %d shard(s) in %v (forced %d)",
-			h.cfg.Name, len(h.shards), time.Since(start), m.ForceClosed)
+		h.drainTime.Store(int64(drained))
+		h.logf("sessionhost %s: drained in %v (forced %d)", h.cfg.Name, drained, h.forceClosed.Load())
 	}
 	return err
 }
@@ -472,33 +510,10 @@ func (h *Host) Close() error {
 	return h.Shutdown(ctx)
 }
 
-// ShardMetrics is one shard's slice of a Metrics snapshot.
-type ShardMetrics struct {
-	Index           int
-	Accepted        uint64
-	Completed       uint64
-	Failed          uint64
-	Overloaded      uint64
-	RefusedDraining uint64
-	ForceClosed     uint64
-
-	ActiveSessions     int
-	HandshakesInFlight int
-
-	// Sessions is this shard's slice of the SessionStats aggregate.
-	Sessions core.SessionStats
-
-	// Drained reports that this shard's drain completed (all handlers
-	// returned); DrainTime is how long that took from Shutdown entry.
-	Drained   bool
-	DrainTime time.Duration
-}
-
-// Metrics is a point-in-time snapshot of a Host, merged across shards.
+// Metrics is a point-in-time snapshot of a Host.
 type Metrics struct {
-	Name   string
-	Shards int
-	// Admission counters (sums of the per-shard atomics).
+	Name string
+	// Admission counters.
 	Accepted        uint64 // sessions admitted
 	Completed       uint64 // sessions ended clean (ok / clean close)
 	Failed          uint64 // sessions ended by a fault-classified error
@@ -509,11 +524,9 @@ type Metrics struct {
 	ActiveSessions     int
 	HandshakesInFlight int
 	Draining           bool
-	// DrainTime is the slowest shard's drain duration for the last
-	// Shutdown (zero before one).
+	// DrainTime is how long the first Shutdown took to drain every
+	// session (zero before one).
 	DrainTime time.Duration
-	// PerShard is the unmerged breakdown, one entry per shard.
-	PerShard []ShardMetrics
 	// Sessions aggregates the SessionStats handlers reported via
 	// Control.ReportStats.
 	Sessions core.SessionStats
@@ -533,19 +546,32 @@ type Metrics struct {
 	TicketKeyRotations int64
 }
 
-// Snapshot merges every shard's lock-free counters into one Metrics
-// value. The sums are per-counter consistent (each counter is an
-// atomic) but the snapshot is not a cross-counter fence: counters
-// advancing mid-snapshot may land on either side.
+// Snapshot reads the host's counters and gauges into one Metrics
+// value without taking the registry lock. Each value is an atomic, but
+// the snapshot is not a cross-counter fence: counters advancing
+// mid-snapshot may land on either side.
 func (h *Host) Snapshot() Metrics {
 	m := Metrics{
-		Name:     h.cfg.Name,
-		Shards:   len(h.shards),
-		Draining: h.draining.Load(),
-		PerShard: make([]ShardMetrics, 0, len(h.shards)),
-	}
-	for _, sh := range h.shards {
-		sh.snapshotInto(&m)
+		Name:               h.cfg.Name,
+		Accepted:           h.accepted.Load(),
+		Completed:          h.completed.Load(),
+		Failed:             h.failed.Load(),
+		Overloaded:         h.overloaded.Load(),
+		RefusedDraining:    h.refusedDraining.Load(),
+		ForceClosed:        h.forceClosed.Load(),
+		ActiveSessions:     int(h.active.Load()),
+		HandshakesInFlight: int(h.handshaking.Load()),
+		Draining:           h.draining.Load(),
+		DrainTime:          time.Duration(h.drainTime.Load()),
+		Sessions: core.SessionStats{
+			RecordsRelayed:   h.recordsRelayed.Load(),
+			Reseals:          h.reseals.Load(),
+			FaultsObserved:   h.faultsObserved.Load(),
+			ResumedPrimary:   h.resumedPrimary.Load(),
+			ResumedHops:      h.resumedHops.Load(),
+			AttestSessions:   h.attestSessions.Load(),
+			ProxySigSessions: h.proxySigSessions.Load(),
+		},
 	}
 	if h.cfg.MiddleboxStats != nil {
 		st := h.cfg.MiddleboxStats()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -176,8 +177,9 @@ func TestShutdownDrainsInFlightAndRefusesNew(t *testing.T) {
 // both feeding ClassOverload, and counts each refusal.
 // TestServeListenersPartialFailureClosesSiblings: when one accept loop
 // fails while the host is still up, ServeListeners must tear down the
-// sibling listeners and return, instead of serving half-sharded
-// forever with the failure invisible.
+// sibling listeners and return, instead of serving on the rest forever
+// with the failure invisible. A Serve loop that returned has also let
+// go of its listener: Shutdown does not close it a second time.
 func TestServeListenersPartialFailureClosesSiblings(t *testing.T) {
 	e := newHostEnv(t)
 	host, err := sessionhost.New(sessionhost.Config{Name: "partial", Handler: e.echoHandler()})
@@ -186,12 +188,13 @@ func TestServeListenersPartialFailureClosesSiblings(t *testing.T) {
 	}
 	defer host.Close()
 	var lns []net.Listener
-	for i := 0; i < 3; i++ {
+	var closes [3]atomic.Int32
+	for i := range closes {
 		ln, err := e.Fabric.Sim.Listen(fmt.Sprintf("server-%d", i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		lns = append(lns, ln)
+		lns = append(lns, &countedListener{Listener: ln, closes: &closes[i]})
 	}
 	done := make(chan error, 1)
 	go func() { done <- host.ServeListeners(lns) }()
@@ -218,6 +221,25 @@ func TestServeListenersPartialFailureClosesSiblings(t *testing.T) {
 	if _, err := e.Fabric.Sim.Dial("client", "server-1"); err == nil {
 		t.Fatal("sibling listener still accepting after partial failure")
 	}
+	if err := host.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range closes {
+		if n := closes[i].Load(); n != 1 {
+			t.Errorf("listener %d closed %d times, want once (a returned Serve loop forgets its listener)", i, n)
+		}
+	}
+}
+
+// countedListener counts its Close calls.
+type countedListener struct {
+	net.Listener
+	closes *atomic.Int32
+}
+
+func (l *countedListener) Close() error {
+	l.closes.Add(1)
+	return l.Listener.Close()
 }
 
 // fullHost returns a one-slot host ("tiny") whose slot is occupied by a
@@ -356,7 +378,11 @@ func TestRefusalOutlivesTheHello(t *testing.T) {
 // session never ends on its own is force-closed when the Shutdown
 // deadline expires — the middlebox seals a close_notify toward both
 // neighbors, the transports drop, every relay and handler goroutine
-// unwinds, and nothing leaks.
+// unwinds, and nothing leaks. One wedged session does not hold the
+// others back: the sessions that end during the drain have all returned
+// before the deadline, and the deadline forces exactly the wedged one.
+// The deadline is a cancel the test fires once they have, so "before"
+// is an ordering, not a timing.
 func TestForceClosePastDeadlineLeaksNoGoroutines(t *testing.T) {
 	base := goleak.Base()
 	e := newHostEnv(t)
@@ -395,19 +421,48 @@ func TestForceClosePastDeadlineLeaksNoGoroutines(t *testing.T) {
 		clientDone <- fmt.Errorf("read after force-close: %w", err)
 	}()
 	<-established
-	waitFor(t, "session registered on both hosts", func() bool {
-		return mbHost.Snapshot().ActiveSessions == 1 && srvHost.Snapshot().ActiveSessions == 1
+
+	// Three more sessions, live when the drain begins and ended by their
+	// clients once it has.
+	const others = 3
+	for i := 0; i < others; i++ {
+		conn, err := hop.Dial()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := core.Dial(conn, e.clientConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			<-mbHost.Draining()
+			sess.Close()
+		}()
+	}
+	waitFor(t, "sessions registered on both hosts", func() bool {
+		return mbHost.Snapshot().ActiveSessions == 1+others && srvHost.Snapshot().ActiveSessions == 1+others
 	})
 
-	// Drain the middlebox host with a deadline the idle session cannot
-	// meet: Shutdown must force-close it and report the deadline.
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
-	if err := mbHost.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("Shutdown past deadline = %v, want deadline exceeded", err)
+	// Drain the middlebox host. The idle session cannot meet any
+	// deadline; the others finish on their own, and only then does the
+	// deadline fire: Shutdown must force-close the one survivor and
+	// report the deadline.
+	ctx, deadline := context.WithCancel(context.Background())
+	defer deadline()
+	shutdownErr := make(chan error, 1)
+	go func() { shutdownErr <- mbHost.Shutdown(ctx) }()
+	waitFor(t, "every other session's handler returned", func() bool {
+		return mbHost.Snapshot().ActiveSessions == 1
+	})
+	if m := mbHost.Snapshot(); m.ForceClosed != 0 || m.Completed+m.Failed != others {
+		t.Errorf("before the deadline: forceClosed=%d ended=%d, want 0/%d", m.ForceClosed, m.Completed+m.Failed, others)
+	}
+	deadline()
+	if err := <-shutdownErr; !errors.Is(err, context.Canceled) {
+		t.Errorf("Shutdown past deadline = %v, want the context's error", err)
 	}
 	if got := mbHost.Snapshot().ForceClosed; got != 1 {
-		t.Errorf("forceClosed = %d, want 1", got)
+		t.Errorf("forceClosed = %d, want exactly the wedged session", got)
 	}
 
 	// The force-close unwound the chain: the client's blocked read
@@ -431,14 +486,15 @@ func TestForceClosePastDeadlineLeaksNoGoroutines(t *testing.T) {
 }
 
 // TestControlLifecycle pins the registry semantics handlers observe:
-// monotonic session IDs, the handshaking → established transition, and
-// the draining channel.
+// session IDs unique and strictly increasing in admission order, the
+// handshaking → established transition, and the draining channel.
 func TestControlLifecycle(t *testing.T) {
 	type obs struct {
 		id            uint64
 		before, after sessionhost.State
 	}
-	seen := make(chan obs, 2)
+	const sessions = 4
+	seen := make(chan obs, sessions)
 	host, err := sessionhost.New(sessionhost.Config{
 		Name: "ctl",
 		Handler: sessionhost.HandlerFunc(func(ctl *sessionhost.Control, conn net.Conn) error {
@@ -453,7 +509,7 @@ func TestControlLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ids []uint64
-	for i := 0; i < 2; i++ {
+	for i := 0; i < sessions; i++ {
 		c, peer := net.Pipe()
 		defer peer.Close()
 		if err := host.Submit(c); err != nil {
@@ -463,16 +519,16 @@ func TestControlLifecycle(t *testing.T) {
 		if o.before != sessionhost.StateHandshaking || o.after != sessionhost.StateEstablished {
 			t.Errorf("session %d states = %s → %s, want handshaking → established", o.id, o.before, o.after)
 		}
+		if len(ids) > 0 && o.id <= ids[len(ids)-1] {
+			t.Errorf("session ID %d admitted after %v: IDs must strictly increase", o.id, ids)
+		}
 		ids = append(ids, o.id)
-	}
-	if ids[1] <= ids[0] {
-		t.Errorf("session IDs not monotonic: %v", ids)
 	}
 	if err := host.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if m := host.Snapshot(); m.Completed != 2 || m.ActiveSessions != 0 {
-		t.Errorf("completed=%d active=%d, want 2/0", m.Completed, m.ActiveSessions)
+	if m := host.Snapshot(); m.Completed != sessions || m.ActiveSessions != 0 {
+		t.Errorf("completed=%d active=%d, want %d/0", m.Completed, m.ActiveSessions, sessions)
 	}
 	select {
 	case <-host.Draining():

@@ -35,7 +35,7 @@ func newAcctChain(t *testing.T, mbOpt func(*core.MiddleboxConfig)) *acctChain {
 	// chain.Echo echoes until the client hangs up: the server session
 	// must stay open while the client settles its evidence audit at Close.
 	_, srvAddr, err := h.Serve("server", sessionhost.Config{
-		Name: "acct-server", MaxSessions: 4, Shards: 1,
+		Name: "acct-server", MaxSessions: 4,
 		Handler: sessionhost.NewServerHandler(h.PKI.ServerConfig(), chain.Echo),
 	})
 	if err != nil {
@@ -45,7 +45,7 @@ func newAcctChain(t *testing.T, mbOpt func(*core.MiddleboxConfig)) *acctChain {
 	if mbOpt != nil {
 		mbOpt(&mbCfg)
 	}
-	hop, err := h.Middlebox("mb", mbCfg, sessionhost.Config{Name: "acct-mb", MaxSessions: 4, Shards: 1}, srvAddr)
+	hop, err := h.Middlebox("mb", mbCfg, sessionhost.Config{Name: "acct-mb", MaxSessions: 4}, srvAddr)
 	if err != nil {
 		t.Fatal(err)
 	}

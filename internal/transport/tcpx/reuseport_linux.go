@@ -12,8 +12,8 @@ import (
 // the value has been 15 since the option appeared in Linux 3.9.
 const soReusePort = 0xf
 
-// reusePortSupported reports that ListenShards can bind one listener
-// per shard on this platform.
+// reusePortSupported reports that ListenShards can bind several
+// listeners on one address on this platform.
 const reusePortSupported = true
 
 // listenTCP binds addr, setting SO_REUSEPORT before bind when asked so

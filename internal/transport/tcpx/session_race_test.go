@@ -18,7 +18,7 @@ import (
 // TestConcurrentSessionsOverTCP runs the shared concurrent-sessions
 // body (chaintest.ConcurrentSessions, the one netsim's
 // TestConcurrentSessionsThroughFaultyNetwork runs) over real loopback
-// sockets with per-shard SO_REUSEPORT listeners. The doomed client dies
+// sockets with SO_REUSEPORT listeners. The doomed client dies
 // by a real kernel RST (SO_LINGER=0 + Close) mid-handshake: the same
 // fault-isolation property the simulator asserts, demonstrated against
 // real ECONNRESET instead of an injected one — and the host must count

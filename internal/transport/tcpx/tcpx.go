@@ -9,8 +9,8 @@
 // would only be bypassed.
 //
 // What the package adds to net is optional SO_REUSEPORT listeners, so
-// a sharded sessionhost can run one accept loop per shard on the same
-// address with the kernel spreading connections across them.
+// a sessionhost can run several accept loops on the same address with
+// the kernel spreading connections across them.
 package tcpx
 
 import (
@@ -22,8 +22,8 @@ import (
 // Config shapes the transport. The zero value is production defaults.
 type Config struct {
 	// ReusePort sets SO_REUSEPORT on listeners, letting ListenShards
-	// bind one listener per shard on the same address. Ignored (with a
-	// single shared listener as fallback) where unsupported.
+	// bind n listeners on the same address. Ignored (with a single
+	// shared listener as fallback) where unsupported.
 	ReusePort bool
 	// Pool is unused; goes when benchmark/ reopens (the frozen module
 	// sets it). The transport keeps no buffers.
@@ -51,12 +51,14 @@ func (t *Transport) Listen(addr string) (net.Listener, error) {
 }
 
 // ListenShards binds n listeners on the same addr when SO_REUSEPORT is
-// enabled and supported, so each sessionhost shard can own an accept
-// loop with kernel-level connection spreading. Without reuseport (or
-// on platforms lacking it) it returns a single listener; callers must
-// size their accept loops by the returned slice, not by n. For a
-// wildcard port (":0"), the first bind picks the port and the
-// remaining shards bind the same one.
+// enabled and supported, so a sessionhost can run n accept loops
+// (sessionhost.Host.ServeListeners) with kernel-level connection
+// spreading. Without reuseport (or on platforms lacking it) it returns
+// a single listener; callers must size their accept loops by the
+// returned slice, not by n. For a wildcard port (":0"), the first bind
+// picks the port and the rest bind the same one. The name renames to
+// say "n listeners" when benchmark/ reopens (the frozen module calls
+// it).
 func (t *Transport) ListenShards(addr string, n int) ([]net.Listener, error) {
 	if n < 1 || !t.cfg.ReusePort || !reusePortSupported {
 		n = 1

@@ -104,7 +104,7 @@ type (
 	Transport = transport.Transport
 	// TCPTransport is the real-socket backend: plain kernel TCP
 	// connections (NODELAY on, as Go sets it) with optional
-	// SO_REUSEPORT per-shard listeners.
+	// SO_REUSEPORT listeners (several accept loops on one address).
 	TCPTransport = tcpx.Transport
 	// TCPTransportConfig configures NewTCPTransport.
 	TCPTransportConfig = tcpx.Config
@@ -213,11 +213,12 @@ func NewKeySharePool(size, workers int) *KeySharePool {
 	return hsfast.NewKeySharePool(size, workers)
 }
 
-// NewKeySharePoolForShards sizes a keyshare pool from a session host's
-// shard count: one refill worker and a fixed slab of capacity per
-// shard, so precompute throughput scales with the host.
-func NewKeySharePoolForShards(shards int) *KeySharePool {
-	return hsfast.NewKeySharePoolForShards(shards)
+// NewKeySharePoolForShards sizes a keyshare pool for n refill workers
+// (daemons pass GOMAXPROCS): one worker and a fixed slab of capacity
+// each, so precompute throughput scales with the cores. The name
+// renames with hsfast's when benchmark/ reopens.
+func NewKeySharePoolForShards(n int) *KeySharePool {
+	return hsfast.NewKeySharePoolForShards(n)
 }
 
 // NewSTEK builds a rotating session-ticket encryption key. A zero
@@ -249,8 +250,8 @@ func NewServerHandler(cfg *ServerConfig, serve func(*Session) error) SessionHand
 
 // NewTCPTransport builds the real-socket TCP transport. Daemons use it
 // for listeners and next-hop dials; pair Config.ReusePort with
-// SessionHost.ServeListeners and ListenShards for per-shard accept
-// loops.
+// SessionHost.ServeListeners and ListenShards for several
+// kernel-spread accept loops.
 func NewTCPTransport(cfg TCPTransportConfig) *TCPTransport {
 	return tcpx.New(cfg)
 }

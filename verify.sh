@@ -22,14 +22,15 @@ gate go test -race ./internal/core/ ./internal/tls12/ ./internal/netsim/ ./inter
 gate go test -race ./internal/transport/...
 # Stress slice: netsim's byte stream, the Conn contract, the chain
 # builder's own contract (the shared concurrent-sessions body runs from
-# netsim and tcpx), core's session establishment (both roles of
+# netsim and tcpx), the session host (admission, the handshake gate,
+# drain, snapshots), core's session establishment (both roles of
 # establish, every mode), and the relay's fence — the pipeline fault
 # tests, the per-batch and per-session cost pins, the data plane and
 # commit gate against their in-order reference, FuzzParallelReseal's
 # seed corpus — repeated and shuffled at three core counts; a flake is
 # a failure to fix, not to retry.
 for procs in 1 2 4; do
-	gate env GOMAXPROCS=$procs go test -count=20 -shuffle=on ./internal/netsim/ ./internal/transport/... ./internal/chain/
+	gate env GOMAXPROCS=$procs go test -count=20 -shuffle=on ./internal/netsim/ ./internal/transport/... ./internal/chain/ ./internal/sessionhost/
 	gate env GOMAXPROCS=$procs go test -count=20 -shuffle=on \
 		-run 'TestSession|TestNeighborKeys|TestProxySig|TestChainTicket|TestHandshakePhaseDeadline|TestApproveRejection|TestGoldenTranscript|TestEstablish|TestPipeline|TestBurst|TestDataPlane|TestCommitGate|TestResumedSessionFixedCost|FuzzParallelReseal' ./internal/core/
 done
@@ -43,10 +44,12 @@ gate go run ./cmd/mbtls-lint ./...
 # proxysig smoke: the full proxysig session/audit/failure-path suite on
 # netsim, then the quick handshake cells, which run both accountability
 # modes end-to-end and fail if no middlebox evidence was signed; then
-# the same chain harness over loopback TCP.
+# the same chain harness over loopback TCP, with the idle-session soak:
+# 20 000 sessions admitted into one host, failing on admit p99 >= 5 ms, a
+# force-closed session, or a goroutine outliving the drain.
 gate go test -run 'TestProxySig|TestAccountabilityMismatch' -count=1 ./internal/core/
 gate go run ./cmd/mbtls-bench handshake -quick
-gate go run ./cmd/mbtls-bench sessions -quick -transport tcp
+gate go run ./cmd/mbtls-bench sessions -quick -transport tcp -soak
 # fig7 smoke: the classic matrix plus one workers-sweep cell end-to-end,
 # so the sweep can't rot between full bench runs; fails when the
 # Encryption + Enclave cell crosses the enclave twice a record or more.
