@@ -43,12 +43,7 @@ func main() {
 	drain := flag.Duration("drain", 10*time.Second, "graceful-drain deadline on SIGINT/SIGTERM")
 	stekRotate := flag.Duration("stek-rotate", time.Hour, "session-ticket key rotation interval (0 disables resumption)")
 	keyshares := flag.Int("keyshares", 0, "precomputed X25519 keyshare pool size (0 = sized from the core count, negative disables)")
-	relayWorkers := flag.Int("relay-workers", 0, "relay crypto workers (0 = one per core)")
 	flag.Parse()
-	if *relayWorkers < 0 {
-		fmt.Fprintf(os.Stderr, "mbtls-proxy: invalid -relay-workers %d (must be 0 or positive)\n", *relayWorkers)
-		os.Exit(2)
-	}
 
 	cfg := mbtls.MiddleboxConfig{
 		NewProcessor: func() mbtls.Processor {
@@ -124,11 +119,6 @@ func main() {
 		cfg.KeyShares = ksPool
 	}
 
-	// Relay crypto workers: the pool is host-scoped so one bulk session
-	// can use every configured core.
-	relayPool := mbtls.NewRelayPool(*relayWorkers)
-	cfg.RelayPool = relayPool
-
 	mb, err := mbtls.NewMiddlebox(cfg)
 	if err != nil {
 		log.Fatalf("mbtls-proxy: %v", err)
@@ -147,7 +137,6 @@ func main() {
 		MiddleboxStats: mb.Stats,
 		KeySharePool:   ksPool,
 		TicketKeys:     stek,
-		RelayPool:      relayPool,
 	})
 	if err != nil {
 		log.Fatalf("mbtls-proxy: %v", err)
@@ -196,18 +185,12 @@ func main() {
 func logStats(m mbtls.SessionHostMetrics) {
 	s := m.Middlebox
 	log.Printf("mbtls-proxy: stats active=%d handshaking=%d accepted=%d completed=%d failed=%d overloaded=%d "+
-		"sessions=%d mbtls=%d relayed=%d rekeyed=%d bytes=%d announce_skipped=%d faults=%d resumed=%d",
+		"sessions=%d mbtls=%d relayed=%d rekeyed=%d pipelined=%d bytes=%d announce_skipped=%d faults=%d resumed=%d",
 		m.ActiveSessions, m.HandshakesInFlight, m.Accepted, m.Completed, m.Failed, m.Overloaded,
-		s.Sessions, s.MbTLSSessions, s.RecordsRelayed, s.RecordsRekeyed,
+		s.Sessions, s.MbTLSSessions, s.RecordsRelayed, s.RecordsRekeyed, s.RecordsPipelined,
 		s.BytesProcessed, s.AnnounceSkipped, s.FaultsObserved, s.SessionsResumed)
 	if p := m.KeySharePool; p != nil {
 		log.Printf("mbtls-proxy: fastpath keyshares hit=%d miss=%d hit_rate=%.2f wiped=%d stek_rotations=%d",
 			p.Hits, p.Misses, p.HitRate(), p.Wiped, m.TicketKeyRotations)
-	}
-	if rp := m.RelayPool; rp != nil {
-		log.Printf("mbtls-proxy: relaypool workers=%d jobs=%d records=%d util=%.2f depth=%d max_depth=%d "+
-			"submit_stalls=%d window_stalls=%d reseal_p50=%s reseal_p99=%s",
-			rp.Workers, rp.JobsProcessed, rp.RecordsProcessed, rp.Utilization, rp.InFlight, rp.MaxInFlight,
-			rp.SubmitStalls, rp.WindowStalls, rp.ResealP50, rp.ResealP99)
 	}
 }

@@ -67,7 +67,6 @@ func (c *closeCounter) link(hop int) (net.Conn, net.Conn, error) {
 // TestWireFailsClean: a bare chain whose k-th link constructor errors
 // leaves no goroutine and no open conn, whichever hop k is.
 func TestWireFailsClean(t *testing.T) {
-	core.SharedRelayPool() // process-lifetime workers: start them before the baseline
 	pki, err := NewPKI()
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +89,6 @@ func TestWireFailsClean(t *testing.T) {
 // Establish returns the client's error, only after the server's Accept
 // has returned too, with both transports closed.
 func TestEstablishVeto(t *testing.T) {
-	core.SharedRelayPool()
 	pki, err := NewPKI()
 	if err != nil {
 		t.Fatal(err)

@@ -24,8 +24,8 @@ func (c *captureConn) Write(p []byte) (int, error) {
 func (*captureConn) Close() error { return nil }
 
 // TestCommitGateOwnsSequence drives a direction's commit gate by hand:
-// three jobs are reserved up front (as the relay does while its workers
-// are busy), processed against their reservations, and committed — or
+// three jobs are reserved up front (as the relay does while its commit
+// goroutine is busy), processed against their reservations, and committed — or
 // not — around a sealAlertOrdered. The gate is the only holder of the
 // positions, seeded from key material that starts both hops away from
 // zero, so whatever reached the wire must be what the in-order
@@ -35,8 +35,6 @@ func (*captureConn) Close() error { return nil }
 // sequences.
 func TestCommitGateOwnsSequence(t *testing.T) {
 	const jobs, perJob = 3, 3
-	pool := NewRelayPool(1)
-	defer pool.Close()
 	for _, tc := range []struct {
 		name      string
 		corrupt   int // job whose second record fails its MAC check; -1 for none
@@ -74,7 +72,7 @@ func TestCommitGateOwnsSequence(t *testing.T) {
 				ref := newRefPlane(t, km, nil)
 
 				wire := &captureConn{}
-				mb := &Middlebox{bufs: tls12.SharedRecordBufPool(), relayPool: pool}
+				mb := &Middlebox{bufs: tls12.SharedRecordBufPool()}
 				// Not joined (mbtls unset): a failed commit counts its fault
 				// but leaves the alert to this test.
 				s := &mbSession{mb: mb, id: 1, down: wire, downR: wire, up: wire}

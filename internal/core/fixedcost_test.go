@@ -66,7 +66,7 @@ func TestResumedSessionFixedCost(t *testing.T) {
 	// What a resumed session enters the enclave for, two transitions an
 	// Enter: the secondary-key store, the hop-key store and the
 	// data-plane install (1 each), one per data-plane job — ping and
-	// pong on a worker, the client's close_notify inline (1 each) —
+	// pong pipelined, the client's close_notify inline (1 each) —
 	// and the vault-namespace wipe at teardown (1). Reserving a job's
 	// sequences is gate arithmetic on the host and enters nothing.
 	const wantTransitions = 2 * (1 + 1 + 1 + 1 + 1 + 1 + 1)
@@ -118,22 +118,17 @@ func (g *gatedConn) Read(p []byte) (int, error) {
 	return g.Conn.Read(p)
 }
 
-// jobCounter is an identity Processor that counts the client→server
-// data-plane jobs calling it. A job is one Enter, so the enclave's
-// transition count holds still within a job and differs between jobs
-// (nothing else enters the enclave while the burst drains).
-type jobCounter struct {
-	encl *enclave.Enclave
-	last int64
-	jobs atomic.Int64
+// writeCounter counts the Writes through a conn. Every data-plane job
+// commits with exactly one outbound write, so on the middlebox's
+// upstream conn it counts client→server jobs without asking the relay.
+type writeCounter struct {
+	net.Conn
+	writes atomic.Int64
 }
 
-func (p *jobCounter) Process(dir core.Direction, chunk []byte) ([]byte, error) {
-	if at := p.encl.Transitions(); dir == core.DirClientToServer && at != p.last {
-		p.last = at
-		p.jobs.Add(1)
-	}
-	return chunk, nil
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes.Add(1)
+	return w.Conn.Write(p)
 }
 
 // TestBurstRelayCostPerBatch pins what a backlog of small records costs
@@ -142,9 +137,10 @@ func (p *jobCounter) Process(dir core.Direction, chunk []byte) ([]byte, error) {
 // source is gated, so batch sizes follow from the read buffer and
 // maxRelayBatch, not from scheduling: a read drains what has arrived, a
 // job carries up to 32 records, and the enclave is entered once a job —
-// pipelined to a worker, or inline because a Processor lives in the
-// enclave with the keys. One record per read and per job — the relay
-// before netsim reads drained — is 2 N transitions (and was 4 N then).
+// pipelined to the direction's commit goroutine, or inline because a
+// Processor lives in the enclave with the keys. One record per read and
+// per job — the relay before netsim reads drained — is 2 N transitions
+// (and was 4 N then).
 func TestBurstRelayCostPerBatch(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -160,14 +156,12 @@ func TestBurstRelayCostPerBatch(t *testing.T) {
 func burstRelayCost(t *testing.T, processor bool) {
 	e := newEnv(t)
 	encl := e.Platform.CreateEnclave(enclave.CodeImage{Name: "mbtls-proxy", Version: "1.0"})
-	pool := core.NewRelayPool(2)
-	defer pool.Close()
-	inlineJobs := &jobCounter{encl: encl}
 	mb := e.middlebox(t, "sgx-proxy.example", core.ClientSide, func(cfg *core.MiddleboxConfig) {
 		cfg.Enclave = encl
-		cfg.RelayPool = pool
 		if processor {
-			cfg.NewProcessor = func() core.Processor { return inlineJobs }
+			cfg.NewProcessor = func() core.Processor {
+				return core.ProcessorFunc(func(_ core.Direction, chunk []byte) ([]byte, error) { return chunk, nil })
+			}
 		}
 	})
 
@@ -175,10 +169,11 @@ func burstRelayCost(t *testing.T, processor bool) {
 	upL, upR := netsim.Pipe()
 	src := &gatedConn{Conn: right}
 	src.open = sync.NewCond(&src.mu)
+	up := &writeCounter{Conn: upL}
 	host := hostedOnce{make(chan struct{}), make(chan struct{})}
 	go func() {
 		defer close(host.done)
-		mb.HandleHosted(src, upL, &host) //nolint:errcheck
+		mb.HandleHosted(src, up, &host) //nolint:errcheck
 	}()
 	client, server := dialAccept(t, left, upR, e.clientConfig(), e.serverConfig())
 	<-host.established
@@ -196,8 +191,9 @@ func burstRelayCost(t *testing.T, processor bool) {
 	}
 
 	const n, size = 1024, 512 // 554 KB of records: inside netsim's window
+	const wantJobs = 38       // what the 72 KiB read buffer and the 32-record cap make of them
 	payload := core.RandomPlaintext(size)
-	before, inlineBefore, crossed := pool.Stats(), inlineJobs.jobs.Load(), encl.Transitions()
+	before, writes, crossed := mb.Stats(), up.writes.Load(), encl.Transitions()
 	for i := 0; i < n; i++ {
 		if _, err := client.Write(payload); err != nil {
 			t.Fatalf("write %d: %v", i, err)
@@ -211,22 +207,20 @@ func burstRelayCost(t *testing.T, processor bool) {
 	if !bytes.Equal(got, bytes.Repeat(payload, n)) {
 		t.Fatal("burst corrupted in the relay")
 	}
-	crossed = encl.Transitions() - crossed
-	after := pool.Stats()
-	pooled, jobs := after.RecordsProcessed-before.RecordsProcessed, after.JobsProcessed-before.JobsProcessed
+	jobs, crossed := up.writes.Load()-writes, encl.Transitions()-crossed
+	pipelined := mb.Stats().RecordsPipelined - before.RecordsPipelined
+	t.Logf("%d records: %d jobs (%.1f records a job), %d enclave transitions, %d pipelined", n, jobs, float64(n)/float64(jobs), crossed, pipelined)
+	// A Processor needs stream order: every job runs on the relay
+	// goroutine. Without one, every job is the commit goroutine's.
+	wantPipelined := int64(n)
 	if processor {
-		// A Processor needs stream order: every job ran on the relay
-		// goroutine and the pool saw none of them.
-		if pooled != 0 {
-			t.Fatalf("pool processed %d records of a Processor session, want every job inline", pooled)
-		}
-		jobs = inlineJobs.jobs.Load() - inlineBefore
-	} else if pooled != n {
-		t.Fatalf("pool processed %d records, want all %d pipelined", pooled, n)
+		wantPipelined = 0
 	}
-	t.Logf("%d records: %d jobs (%.1f records a job), %d enclave transitions", n, jobs, float64(n)/float64(jobs), crossed)
-	if n < 16*jobs {
-		t.Errorf("%d records took %d jobs, want at least 16 records a job", n, jobs)
+	if pipelined != wantPipelined {
+		t.Errorf("%d records pipelined, want %d", pipelined, wantPipelined)
+	}
+	if jobs != wantJobs {
+		t.Errorf("%d records took %d jobs, want %d", n, jobs, wantJobs)
 	}
 	if crossed != 2*jobs {
 		t.Errorf("%d jobs cost %d enclave transitions, want %d: one Enter a job", jobs, crossed, 2*jobs)

@@ -77,9 +77,9 @@ type MiddleboxConfig struct {
 	// bounded host-scoped pool, so relay memory is bounded by the pool
 	// rather than by session count. Nil uses the process-wide pool.
 	BufPool *tls12.RecordBufPool
-	// RelayPool, when set, supplies the crypto workers the relay hands
-	// its pipelined jobs to (DESIGN.md §14). Nil uses the process-wide
-	// shared pool.
+	// RelayPool is unused; goes when benchmark/ reopens (the frozen
+	// module sets it). A pipelined job runs on its direction's commit
+	// goroutine (DESIGN.md §14).
 	RelayPool *RelayPool
 	// TicketKeys, when set, enables chain-ticket resumption for the
 	// middlebox's secondary sessions: it issues STEK-sealed hop tickets
@@ -103,16 +103,17 @@ type MiddleboxConfig struct {
 
 // MiddleboxStats are cumulative data-plane counters.
 type MiddleboxStats struct {
-	Sessions        int64 // connections handled
-	MbTLSSessions   int64 // of which joined as an mbTLS middlebox
-	RecordsRelayed  int64 // records forwarded verbatim
-	RecordsRekeyed  int64 // records opened and resealed on the data plane
-	BytesProcessed  int64 // plaintext bytes through the Processor
-	AnnounceSkipped int64 // announcements suppressed by the negative cache
-	FaultsObserved  int64 // sessions torn down by a fault-classified error
-	SessionsResumed int64 // secondary handshakes resumed from hop tickets
-	ProxySig        int64 // sessions joined under proxysig accountability
-	EvidenceSigned  int64 // evidence statements signed for endpoints
+	Sessions         int64 // connections handled
+	MbTLSSessions    int64 // of which joined as an mbTLS middlebox
+	RecordsRelayed   int64 // records forwarded verbatim
+	RecordsRekeyed   int64 // records opened and resealed on the data plane
+	RecordsPipelined int64 // of those, processed by a direction's commit goroutine (the rest ran inline)
+	BytesProcessed   int64 // plaintext bytes through the Processor
+	AnnounceSkipped  int64 // announcements suppressed by the negative cache
+	FaultsObserved   int64 // sessions torn down by a fault-classified error
+	SessionsResumed  int64 // secondary handshakes resumed from hop tickets
+	ProxySig         int64 // sessions joined under proxysig accountability
+	EvidenceSigned   int64 // evidence statements signed for endpoints
 }
 
 // Middlebox is an mbTLS application-layer middlebox: it relays a TCP
@@ -122,9 +123,6 @@ type Middlebox struct {
 	cfg   MiddleboxConfig
 	vault enclave.Vault
 	bufs  *tls12.RecordBufPool
-	// relayPool is the resolved crypto worker pool for pipelined relay
-	// jobs.
-	relayPool *RelayPool
 
 	// sessionSeq allocates monotonic per-session IDs; each session's
 	// vault secrets are namespaced under "session/<id>/" so concurrent
@@ -134,16 +132,17 @@ type Middlebox struct {
 	annMu    sync.Mutex
 	annCache map[string]bool // server address -> do not announce again
 
-	sessions        atomic.Int64
-	mbtlsSessions   atomic.Int64
-	recordsRelayed  atomic.Int64
-	recordsRekeyed  atomic.Int64
-	bytesProcessed  atomic.Int64
-	annSkipped      atomic.Int64
-	faultsObserved  atomic.Int64
-	sessionsResumed atomic.Int64
-	proxySig        atomic.Int64
-	evidenceSigned  atomic.Int64
+	sessions         atomic.Int64
+	mbtlsSessions    atomic.Int64
+	recordsRelayed   atomic.Int64
+	recordsRekeyed   atomic.Int64
+	recordsPipelined atomic.Int64
+	bytesProcessed   atomic.Int64
+	annSkipped       atomic.Int64
+	faultsObserved   atomic.Int64
+	sessionsResumed  atomic.Int64
+	proxySig         atomic.Int64
+	evidenceSigned   atomic.Int64
 }
 
 // NewMiddlebox builds a middlebox. Key material is stored in an
@@ -164,10 +163,6 @@ func NewMiddlebox(cfg MiddleboxConfig) (*Middlebox, error) {
 	if mb.bufs == nil {
 		mb.bufs = tls12.SharedRecordBufPool()
 	}
-	mb.relayPool = cfg.RelayPool
-	if mb.relayPool == nil {
-		mb.relayPool = SharedRelayPool()
-	}
 	if cfg.Enclave != nil {
 		mb.vault = enclave.NewEnclaveVault(cfg.Enclave)
 	} else {
@@ -186,16 +181,17 @@ func (mb *Middlebox) Name() string { return mb.cfg.Name }
 // Stats snapshots the cumulative counters.
 func (mb *Middlebox) Stats() MiddleboxStats {
 	return MiddleboxStats{
-		Sessions:        mb.sessions.Load(),
-		MbTLSSessions:   mb.mbtlsSessions.Load(),
-		RecordsRelayed:  mb.recordsRelayed.Load(),
-		RecordsRekeyed:  mb.recordsRekeyed.Load(),
-		BytesProcessed:  mb.bytesProcessed.Load(),
-		AnnounceSkipped: mb.annSkipped.Load(),
-		FaultsObserved:  mb.faultsObserved.Load(),
-		SessionsResumed: mb.sessionsResumed.Load(),
-		ProxySig:        mb.proxySig.Load(),
-		EvidenceSigned:  mb.evidenceSigned.Load(),
+		Sessions:         mb.sessions.Load(),
+		MbTLSSessions:    mb.mbtlsSessions.Load(),
+		RecordsRelayed:   mb.recordsRelayed.Load(),
+		RecordsRekeyed:   mb.recordsRekeyed.Load(),
+		RecordsPipelined: mb.recordsPipelined.Load(),
+		BytesProcessed:   mb.bytesProcessed.Load(),
+		AnnounceSkipped:  mb.annSkipped.Load(),
+		FaultsObserved:   mb.faultsObserved.Load(),
+		SessionsResumed:  mb.sessionsResumed.Load(),
+		ProxySig:         mb.proxySig.Load(),
+		EvidenceSigned:   mb.evidenceSigned.Load(),
 	}
 }
 
@@ -806,16 +802,16 @@ func (s *mbSession) spliceOneWay(dst net.Conn, src io.Reader) error {
 // maxRelayBatch caps how many records one data-plane job, inline or
 // pipelined (and thus one pair of ecalls and one outbound write), may
 // carry, bounding latency and the size of the reseal buffer. A full
-// read buffer of small records still splits into several jobs for the
-// workers; records of 2 KiB and up are bounded by the buffer first.
+// read buffer of small records still splits into several jobs; records
+// of 2 KiB and up are bounded by the buffer first.
 const maxRelayBatch = 32
 
 // relayLoop pumps records in one direction, participating in the mbTLS
 // handshake and data plane as required. Steady-state application data
 // is drained in batches: every buffered record headed for the data
 // plane is collected and crosses it as one job (pipeline.go) — handed
-// to the RelayPool while the relay reads ahead, or run inline on this
-// goroutine when the job must be ordered. Everything else (handshake,
+// to the direction's commit goroutine while the relay reads ahead, or
+// run inline on this goroutine when the job must be ordered. Everything else (handshake,
 // discovery, pre-key alerts) is forwarded record by record, always
 // behind a flush so forwarded bytes never overtake pipelined output.
 func (s *mbSession) relayLoop(dir Direction) error {

@@ -1,9 +1,9 @@
 // The middlebox relay's one data path (DESIGN.md §14). Per-record
-// open/reseal is embarrassingly parallel once sequence numbers are
-// assigned at intake: the open nonce is the arrival sequence and the
-// seal nonce the commit sequence, both deterministic, so a batch's
-// crypto can run on any worker while the relay keeps reading. Every
-// batch is one job through the same three steps per direction:
+// open/reseal needs no shared state once sequence numbers are assigned
+// at intake: the open nonce is the arrival sequence and the seal nonce
+// the commit sequence, both deterministic, so a batch's crypto can run
+// off the relay goroutine while the relay keeps reading. Every batch is
+// one job through the same three steps per direction:
 //
 //	reserve  claim the job's sequence ranges, in arrival order —
 //	         arithmetic on the direction's commit gate
@@ -12,228 +12,50 @@
 //	commit   release the resealed output, account stats, and fold
 //	         proxysig digests in strict arrival order
 //
-// A pipelined job is reserved on the relay goroutine, processed by a
-// RelayPool worker, and committed by the direction's commit goroutine,
-// while the relay reads ahead. A job that must be ordered runs all
-// three steps inline on the relay goroutine, after the jobs in flight
-// have committed. The commit gate is the only holder of a direction's
-// sequence positions, so a fault path abandons reserved-but-uncommitted
-// sequences by assignment and seals an alert that still verifies at
-// the peer.
+// A pipelined job is reserved on the relay goroutine and processed and
+// committed by the direction's commit goroutine, while the relay reads
+// ahead. A job that must be ordered runs all three steps inline on the
+// relay goroutine, after the jobs in flight have committed. The commit
+// gate is the only holder of a direction's sequence positions, so a
+// fault path abandons reserved-but-uncommitted sequences by assignment
+// and seals an alert that still verifies at the peer.
 package core
 
 import (
 	"context"
 	"io"
-	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/tls12"
 )
 
-const (
-	// pipelineDepth bounds in-flight jobs per direction: the relay
-	// blocks submitting once this many are uncommitted, which bounds
-	// both memory (each job owns one read buffer and one reseal
-	// buffer) and the range a fault abandons.
-	pipelineDepth = 8
-	// latSamples sizes the reseal-latency reservoir (power of two).
-	latSamples = 4096
-)
-
-// token signals job completion through a reused one-slot channel.
-type token struct{}
+// pipelineDepth bounds queued jobs per direction: the relay blocks
+// taking a slot once this many are uncommitted, which bounds both memory
+// (each job owns one read buffer and one reseal buffer) and the range a
+// fault abandons. With one consumer per direction it buys read-ahead,
+// not parallel work (EXPERIMENTS.md, "One consumer per direction").
+const pipelineDepth = 8
 
 // relayJob is one unit of relay work: a sequence reservation, a
 // persistent reseal buffer, and — when pipelined — up to maxRelayBatch
 // records sharing a detached read buffer. Jobs are slot-recycled per
 // direction, so the steady state allocates nothing.
 type relayJob struct {
-	dir  Direction
 	dp   dataPlaneHandler
 	recs []tls12.RawRecord // grows to the largest batch the slot has carried
 	rsv  batchReservation
 
 	// readBuf is the relay read buffer the records' payloads alias,
-	// detached from the recordReader at submit; the commit stage
+	// detached from the recordReader at submit; the commit goroutine
 	// returns it to relayReadBufs once the output is on the wire.
 	readBuf *[]byte
 	// out is the reseal buffer, owned by the slot for its lifetime.
 	out []byte
 
-	res       batchResult
-	err       error
-	submitted time.Time
-	done      chan token // buffered(1): worker signals, committer waits
-}
-
-// RelayPool is a host-scoped crypto worker pool. Sessions submit
-// record batches; workers run the open/reseal against pre-reserved
-// sequence ranges. One pool serves every session of a host (or the
-// whole process, via SharedRelayPool), so parallelism is bounded by
-// configuration rather than by session count.
-type RelayPool struct {
-	jobs    chan *relayJob
-	workers int
-	wg      sync.WaitGroup
-	once    sync.Once
-	started time.Time
-
-	jobsDone     atomic.Int64
-	recordsDone  atomic.Int64
-	busyNanos    atomic.Int64
-	queued       atomic.Int64
-	inFlight     atomic.Int64
-	maxInFlight  atomic.Int64
-	submitStalls atomic.Int64
-	windowStalls atomic.Int64
-
-	latIdx atomic.Uint64
-	lat    [latSamples]atomic.Int64
-}
-
-// NewRelayPool starts a pool with the given worker count; workers <= 0
-// derives the count from GOMAXPROCS. Close the pool only after every
-// session that can submit to it has drained.
-func NewRelayPool(workers int) *RelayPool {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	p := &RelayPool{
-		jobs:    make(chan *relayJob, 4*workers),
-		workers: workers,
-		started: time.Now(),
-	}
-	p.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go p.worker()
-	}
-	return p
-}
-
-var (
-	sharedRelayPoolOnce sync.Once
-	sharedRelayPool     *RelayPool
-)
-
-// SharedRelayPool returns the process-wide pool, created on first use
-// with one worker per GOMAXPROCS. It is never closed.
-func SharedRelayPool() *RelayPool {
-	sharedRelayPoolOnce.Do(func() { sharedRelayPool = NewRelayPool(0) })
-	return sharedRelayPool
-}
-
-// Close stops the workers. Submitting after Close panics; hosts close
-// their pool only after the session drain completes.
-func (p *RelayPool) Close() {
-	p.once.Do(func() {
-		close(p.jobs)
-		p.wg.Wait()
-	})
-}
-
-// Workers returns the pool's worker count.
-func (p *RelayPool) Workers() int { return p.workers }
-
-// worker runs crypto jobs until the pool closes. Each worker owns one
-// heap-resident scratch — per-call stack buffers would escape through
-// the cipher.AEAD interface and cost an allocation per record.
-func (p *RelayPool) worker() {
-	defer p.wg.Done()
-	sc := new(tls12.CryptoScratch)
-	pprof.Do(context.Background(), pprof.Labels("mbtls_stage", "pipeline-worker"), func(context.Context) {
-		for j := range p.jobs {
-			p.queued.Add(-1)
-			start := time.Now()
-			j.out, j.res, j.err = j.dp.process(j.dir, j.recs, j.rsv, sc, j.out[:0])
-			p.busyNanos.Add(time.Since(start).Nanoseconds())
-			p.jobsDone.Add(1)
-			p.recordsDone.Add(int64(len(j.recs)))
-			j.done <- token{}
-		}
-	})
-}
-
-// enqueue hands a job to the workers, counting a stall when every
-// worker is busy and the queue is full.
-func (p *RelayPool) enqueue(j *relayJob) {
-	p.queued.Add(1)
-	select {
-	case p.jobs <- j:
-	default:
-		p.submitStalls.Add(1)
-		p.jobs <- j
-	}
-}
-
-// noteLatency records one job's submit→commit latency in the
-// reservoir.
-func (p *RelayPool) noteLatency(d time.Duration) {
-	idx := (p.latIdx.Add(1) - 1) % latSamples
-	p.lat[idx].Store(int64(d))
-}
-
-// RelayPoolStats is a point-in-time snapshot of pool activity.
-type RelayPoolStats struct {
-	Workers          int
-	JobsProcessed    int64
-	RecordsProcessed int64
-	// Utilization is the busy fraction across all workers since the
-	// pool started (1.0 = every worker always busy).
-	Utilization float64
-	// QueueDepth is the jobs enqueued but not yet picked up;
-	// InFlight counts submitted-but-uncommitted jobs (pipeline depth)
-	// and MaxInFlight its high-water mark.
-	QueueDepth  int64
-	InFlight    int64
-	MaxInFlight int64
-	// SubmitStalls counts jobs that found every worker busy;
-	// WindowStalls counts submissions that waited for a commit to free
-	// a pipeline slot.
-	SubmitStalls int64
-	WindowStalls int64
-	// ResealP50/P99 are per-job submit→commit latency quantiles over a
-	// sliding reservoir.
-	ResealP50 time.Duration
-	ResealP99 time.Duration
-}
-
-// Stats snapshots the pool counters.
-func (p *RelayPool) Stats() RelayPoolStats {
-	s := RelayPoolStats{
-		Workers:          p.workers,
-		JobsProcessed:    p.jobsDone.Load(),
-		RecordsProcessed: p.recordsDone.Load(),
-		QueueDepth:       p.queued.Load(),
-		InFlight:         p.inFlight.Load(),
-		MaxInFlight:      p.maxInFlight.Load(),
-		SubmitStalls:     p.submitStalls.Load(),
-		WindowStalls:     p.windowStalls.Load(),
-	}
-	if elapsed := time.Since(p.started); elapsed > 0 && p.workers > 0 {
-		s.Utilization = float64(p.busyNanos.Load()) / (float64(elapsed) * float64(p.workers))
-	}
-	n := p.latIdx.Load()
-	if n > latSamples {
-		n = latSamples
-	}
-	samples := make([]int64, 0, n)
-	for i := uint64(0); i < n; i++ {
-		if v := p.lat[i].Load(); v > 0 {
-			samples = append(samples, v)
-		}
-	}
-	if len(samples) > 0 {
-		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-		s.ResealP50 = time.Duration(samples[len(samples)/2])
-		s.ResealP99 = time.Duration(samples[len(samples)*99/100])
-	}
-	return s
+	res batchResult
+	err error
 }
 
 // commitGate owns one direction's sequence positions; the data plane
@@ -283,7 +105,6 @@ func (g *commitGate) reserve(recs []tls12.RawRecord, openEnded bool) batchReserv
 type dirPipeline struct {
 	s    *mbSession
 	dir  Direction
-	pool *RelayPool
 	gate *commitGate
 
 	free  []*relayJob
@@ -294,20 +115,23 @@ type dirPipeline struct {
 	committerUp   bool
 	committerDone chan struct{}
 
-	// inline is the slot of the jobs the relay goroutine runs itself,
-	// inlineSc their crypto scratch (heap-resident with the pipeline,
-	// like a worker's). openEnded: the session has a Processor, so those
-	// jobs' output geometry is unknown until they have run.
+	// inline is the slot of the jobs the relay goroutine runs itself.
+	// openEnded: the session has a Processor, so those jobs' output
+	// geometry is unknown until they have run.
 	inline    relayJob
-	inlineSc  tls12.CryptoScratch
 	openEnded bool
+	// sc is the direction's crypto scratch, heap-resident with the
+	// pipeline (per-call stack buffers would escape through the
+	// cipher.AEAD interface and cost an allocation per record). The
+	// commit goroutine and inline jobs share it: runInline flushes
+	// first, so they never overlap.
+	sc tls12.CryptoScratch
 }
 
 func newDirPipeline(s *mbSession, dir Direction) *dirPipeline {
 	return &dirPipeline{
 		s:             s,
 		dir:           dir,
-		pool:          s.mb.relayPool,
 		gate:          s.gate(dir),
 		submitCh:      make(chan *relayJob, pipelineDepth),
 		freeCh:        make(chan *relayJob, pipelineDepth),
@@ -319,7 +143,7 @@ func newDirPipeline(s *mbSession, dir Direction) *dirPipeline {
 
 // slot returns a job slot to submit into: a recycled one when
 // available, a fresh one while ramping up to pipelineDepth, else it
-// blocks until the commit stage frees one (the pipeline's
+// blocks until the commit goroutine frees one (the pipeline's
 // backpressure).
 func (pl *dirPipeline) slot() *relayJob {
 	for {
@@ -338,39 +162,29 @@ func (pl *dirPipeline) slot() *relayJob {
 	}
 	if pl.total < pipelineDepth {
 		pl.total++
-		return &relayJob{out: pl.s.mb.bufs.GetRecordBuf(), done: make(chan token, 1)}
+		return &relayJob{out: pl.s.mb.bufs.GetRecordBuf()}
 	}
-	pl.pool.windowStalls.Add(1)
 	return <-pl.freeCh
 }
 
 // submit reserves the batch's sequence ranges and hands it to the
-// worker pool, detaching the reader's buffer so the records stay valid
-// while the relay reads ahead. Relay-goroutine only: reservation order
-// is commit order.
+// direction's commit goroutine, detaching the reader's buffer so the
+// records stay valid while the relay reads ahead. Relay-goroutine only:
+// reservation order is commit order.
 func (pl *dirPipeline) submit(dp dataPlaneHandler, rr *recordReader, batch []tls12.RawRecord) error {
 	if err := pl.takeErr(); err != nil {
 		return err
 	}
 	j := pl.slot()
-	j.dir, j.dp = pl.dir, dp
+	j.dp = dp
 	j.rsv = pl.gate.reserve(batch, false)
 	j.recs = append(j.recs[:0], batch...)
 	j.readBuf = rr.detach()
-	j.submitted = time.Now()
 	if !pl.committerUp {
 		pl.committerUp = true
 		go pl.commitLoop()
 	}
-	d := pl.pool.inFlight.Add(1)
-	for {
-		m := pl.pool.maxInFlight.Load()
-		if d <= m || pl.pool.maxInFlight.CompareAndSwap(m, d) {
-			break
-		}
-	}
 	pl.submitCh <- j
-	pl.pool.enqueue(j)
 	return nil
 }
 
@@ -381,16 +195,16 @@ func (pl *dirPipeline) submit(dp dataPlaneHandler, rr *recordReader, batch []tls
 // or a framing error has the relay waiting for it anyway — and of the
 // single records of the slow path (hop-protected alerts, the
 // False-Start window). Same reservation, same loop, same commit as a
-// pipelined job; it only skips the hand-offs, so it touches no pool
-// counter and needs no buffer detach: the records stay valid in the
-// reader because the relay reads nothing until the job has committed.
+// pipelined job; it only skips the hand-off, so it needs no buffer
+// detach: the records stay valid in the reader because the relay reads
+// nothing until the job has committed.
 func (pl *dirPipeline) runInline(dp dataPlaneHandler, batch []tls12.RawRecord) error {
 	if err := pl.flush(); err != nil {
 		return err
 	}
 	j := &pl.inline
 	j.rsv = pl.gate.reserve(batch, pl.openEnded)
-	j.out, j.res, j.err = dp.process(pl.dir, batch, j.rsv, &pl.inlineSc, j.out[:0])
+	j.out, j.res, j.err = dp.process(pl.dir, batch, j.rsv, &pl.sc, j.out[:0])
 	return pl.commit(j)
 }
 
@@ -414,9 +228,10 @@ func (pl *dirPipeline) takeErr() error {
 	return err
 }
 
-// commitLoop is the per-direction commit goroutine: it waits for each
-// pipelined job in ticket order, commits it, and recycles the slot and
-// its read buffer. It exits when the relay closes submitCh at teardown.
+// commitLoop is the per-direction commit goroutine: it takes each
+// pipelined job in ticket order, processes and commits it, and recycles
+// the slot and its read buffer. It exits when the relay closes submitCh
+// at teardown.
 func (pl *dirPipeline) commitLoop() {
 	pprof.Do(context.Background(), pprof.Labels(
 		"mbtls_session", strconv.FormatUint(pl.s.id, 10),
@@ -424,12 +239,11 @@ func (pl *dirPipeline) commitLoop() {
 		"mbtls_stage", "commit",
 	), func(context.Context) {
 		for j := range pl.submitCh {
-			<-j.done
-			pl.pool.noteLatency(time.Since(j.submitted))
+			j.out, j.res, j.err = j.dp.process(pl.dir, j.recs, j.rsv, &pl.sc, j.out[:0])
+			pl.s.mb.recordsPipelined.Add(int64(len(j.recs)))
 			pl.commit(j) //nolint:errcheck // commit acted on it; the relay reads it from the gate
 			relayReadBufs.Put(j.readBuf)
 			j.readBuf = nil
-			pl.pool.inFlight.Add(-1)
 			pl.freeCh <- j
 		}
 	})

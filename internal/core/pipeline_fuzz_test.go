@@ -15,9 +15,9 @@ import (
 // path (DESIGN.md §14). For an arbitrary record stream — sizes, read
 // boundaries, alert records, mid-stream corruption, a header that does
 // not parse, with or without a stateful Processor, all fuzzer chosen —
-// a real middlebox session relays the stream (relayLoop, the RelayPool,
-// the commit gate; pipelined and inline jobs as the relay itself routes
-// them) and everything it puts on the wire must be byte-identical to
+// a real middlebox session relays the stream (relayLoop, the commit
+// goroutine, the commit gate; pipelined and inline jobs as the relay
+// itself routes them) and everything it puts on the wire must be byte-identical to
 // what the independent reference (refPlane, dataplane_test.go) produces
 // walking the same records strictly in order: the resealed stream up to
 // the first failure, then the fatal alert at the very next sealing
@@ -191,8 +191,6 @@ func FuzzParallelReseal(f *testing.F) {
 		fuzzRecSpec{size: 8}, fuzzRecSpec{size: 8}, fuzzRecSpec{size: 8}, fuzzRecSpec{size: 8}, fuzzRecSpec{size: 8},
 		fuzzRecSpec{size: 8, badHeader: true}))
 
-	pool := NewRelayPool(4)
-	f.Cleanup(pool.Close)
 	badHeader := []byte{byte(tls12.TypeApplicationData), 9, 9, 0, 0}
 	_, _, headerErr := tls12.ParseRecordHeader(badHeader)
 
@@ -286,7 +284,7 @@ func FuzzParallelReseal(f *testing.F) {
 		// The session under test: data plane installed, the fuzzed
 		// direction scripted, the other one silent.
 		in, out := newScriptConn(reads, false), newScriptConn(nil, true)
-		mb := &Middlebox{bufs: tls12.SharedRecordBufPool(), relayPool: pool}
+		mb := &Middlebox{bufs: tls12.SharedRecordBufPool()}
 		mb.cfg.NewProcessor = newProc
 		s := &mbSession{mb: mb, id: 1, down: in, downR: in, up: out, mbtls: true}
 		if dir == DirServerToClient {

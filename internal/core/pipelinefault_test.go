@@ -5,44 +5,83 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chain"
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/testutil/goleak"
 )
 
 // Race coverage for the relay pipeline: both directions of a
-// pipelined session (dedicated multi-worker pool, bulk traffic in
-// flight both ways) hit netsim faults — ciphertext corruption landing
+// pipelined session (bulk traffic in flight both ways) hit netsim
+// faults at fixed byte offsets — ciphertext corruption landing
 // mid-batch and a hop dying mid-pipeline — and must surface typed
 // errors at the endpoints, keep alert ordering intact (the client must
 // never see a MAC failure caused by our own out-of-sequence alert),
 // and leak no goroutines. Run under -race, this is the pipeline's
 // concurrency gate.
 
-// buildTrackedChain is buildFaultChain for a single middlebox with the
-// Handle goroutine tracked: tests that own a RelayPool must not Close
-// it until Handle has returned — the relay submits to the pool, and
-// only Handle's return gives a happens-before edge past the last
-// submit. (The count-based goleak accounting provides no such edge.)
-func buildTrackedChain(spec netsim.FaultSpec, mb *core.Middlebox) (clientEnd, serverEnd net.Conn, done chan struct{}) {
-	left, right := netsim.FaultPipe(spec)
-	upL, upR := netsim.Pipe()
-	done = make(chan struct{})
-	go func() {
-		defer close(done)
-		mb.Handle(right, upL) //nolint:errcheck
-	}()
-	return left, upR, done
+// onHop is a Link that builds hop `at` (0: client→middlebox, 1:
+// middlebox→server) with build and every other hop as a clean pipe.
+func onHop(at int, build func() (down, up net.Conn)) chain.Link {
+	return func(hop int) (net.Conn, net.Conn, error) {
+		if hop != at {
+			return chain.Pipes(hop)
+		}
+		down, up := build()
+		return down, up, nil
+	}
 }
 
-// awaitHandle waits for a tracked middlebox Handle to return.
-func awaitHandle(t *testing.T, done chan struct{}) {
+const steadyState = "steady state"
+
+// bulkStart runs one clean session and returns how many client→server
+// bytes have crossed the given hop once the handshake and the
+// steady-state exchange are done: where pumpBothDirections' bulk stream
+// starts on that hop. The count is deterministic for a fixed env
+// (measureClientHandshakeBytes says why), and a relay without a
+// Processor keeps record boundaries, so an offset past it names the
+// same bulk byte on either hop, run after run.
+func bulkStart(t *testing.T, e *env, hop int) int64 {
 	t.Helper()
-	select {
-	case <-done:
-	case <-time.After(8 * time.Second):
-		t.Fatal("middlebox Handle still running 8s after session teardown")
+	var cc *countingConn
+	ch, err := chain.Wire(onHop(hop, func() (net.Conn, net.Conn) {
+		down, up := netsim.Pipe()
+		cc = &countingConn{Conn: down}
+		return cc, up
+	}), e.middlebox(t, "mb.example", core.ClientSide))
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer ch.Close()
+	client, server := dialAccept(t, ch.Client, ch.Server, e.clientConfig(), e.serverConfig())
+	exchange(t, client, server, steadyState, "ack")
+	n := cc.wrote.Load()
+	client.Close()
+	server.Close()
+	return n
+}
+
+// pipelinedSession wires a fresh middlebox with spec on one hop (the
+// client-side end is fault end A), establishes a session over it and
+// exchanges one record each way. The reply crosses a data plane the
+// request has already waited for, so it is a pipelined job whatever the
+// scheduling: the test fails here if the pipeline never engaged.
+func pipelinedSession(t *testing.T, e *env, hop int, spec netsim.FaultSpec) (mb *core.Middlebox, ch *chain.Chain, client, server *core.Session) {
+	t.Helper()
+	mb = e.middlebox(t, "mb.example", core.ClientSide)
+	ch, err := chain.Wire(onHop(hop, func() (net.Conn, net.Conn) { return netsim.FaultPipe(spec) }), mb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ch.Close)
+	if client, server, err = chain.Establish(ch.Client, ch.Server, e.clientConfig(), e.serverConfig()); err != nil {
+		t.Fatalf("handshake must clear a mid-data fault: %v", err)
+	}
+	exchange(t, client, server, steadyState, "ack")
+	if mb.Stats().RecordsPipelined == 0 {
+		t.Fatal("no record was pipelined — the pipeline never engaged")
+	}
+	return mb, ch, client, server
 }
 
 // pumpOutcome collects one endpoint pair's bulk-traffic terminal state.
@@ -63,8 +102,7 @@ func pumpBothDirections(t *testing.T, client, server *core.Session) pumpOutcome 
 	})
 	defer watchdog.Stop()
 
-	// Writers stop at an error only: a byte budget would let a fast
-	// relay finish it before a timed fault lands.
+	// Writers stop at an error only, so every fault offset is reached.
 	writer := func(s *core.Session, ch chan<- error) {
 		buf := make([]byte, 32*1024)
 		for {
@@ -134,21 +172,9 @@ func requireFaultClass(t *testing.T, name string, err error, allowed ...core.Err
 // version of that is a FuzzParallelReseal seed). Either way both
 // endpoints unwind on a typed error and nothing leaks.
 func TestPipelineCorruptMidBatch(t *testing.T) {
-	const (
-		recordOverhead = 5 + 8 + 16 // header, explicit nonce, tag
-		steadyState    = "steady state"
-		fullRecord     = 16384 + recordOverhead
-	)
+	const fullRecord = 16384 + 5 + 8 + 16 // header, explicit nonce, tag
 	e := newEnv(t)
-	// Handshake bytes don't depend on the relay configuration, so the
-	// measurement session runs on the shared pool — it must not touch
-	// the pool this test closes.
-	h := measureClientHandshakeBytes(t, e, func() *core.Middlebox {
-		return e.middlebox(t, "mb.example", core.ClientSide)
-	})
-	// Offsets count from the start of the bulk stream, which follows the
-	// handshake and the steady-state exchange's one small record.
-	bulk := h + int64(len(steadyState)+recordOverhead)
+	bulk := bulkStart(t, e, 0)
 	for _, tc := range []struct {
 		name   string
 		offset int64
@@ -160,35 +186,9 @@ func TestPipelineCorruptMidBatch(t *testing.T) {
 		{"header", fullRecord + 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			pool := core.NewRelayPool(4)
-			defer pool.Close()
 			base := goleak.Base()
 			spec := netsim.FaultSpec{Kind: netsim.FaultCorrupt, Offset: bulk + tc.offset, Seed: 11, Dir: netsim.DirAToB}
-			mb := e.middlebox(t, "mb.example", core.ClientSide, func(cfg *core.MiddleboxConfig) {
-				cfg.RelayPool = pool
-			})
-			clientEnd, serverEnd, handleDone := buildTrackedChain(spec, mb)
-
-			srvCh := make(chan *core.Session, 1)
-			go func() {
-				s, _ := core.Accept(serverEnd, e.serverConfig())
-				srvCh <- s
-			}()
-			client, err := core.Dial(clientEnd, e.clientConfig())
-			if err != nil {
-				t.Fatalf("handshake must clear a mid-data fault: %v", err)
-			}
-			server := <-srvCh
-			if server == nil {
-				t.Fatal("server handshake failed")
-			}
-			// Prove the pipeline engaged before the fault can land: the
-			// reply crosses a data plane the request has already waited
-			// for, so it is a pool job whatever the scheduling.
-			exchange(t, client, server, steadyState, "ack")
-			if st := pool.Stats(); st.RecordsProcessed == 0 {
-				t.Fatal("relay pool processed no records — the pipeline never engaged")
-			}
+			mb, ch, client, server := pipelinedSession(t, e, 0, spec)
 
 			out := pumpBothDirections(t, client, server)
 			// The corruption is detected by the middlebox's hop-MAC check
@@ -208,44 +208,26 @@ func TestPipelineCorruptMidBatch(t *testing.T) {
 
 			client.Close()
 			server.Close()
-			clientEnd.Close()
-			serverEnd.Close()
-			awaitHandle(t, handleDone)
+			ch.Close()
 			waitGoroutines(t, base)
 		})
 	}
 }
 
-// TestPipelineHopDeathMidStream: the middlebox→server hop resets while
-// bulk traffic is pipelined in both directions. The committer detects
-// the dead upstream, the fault path abandons reserved-but-uncommitted
-// seal sequences, and the alert sealed toward the client must still
-// verify — a client-side integrity error here would mean the alert
-// went out at the wrong sequence number, or ahead of committed data.
+// TestPipelineHopDeathMidStream: the middlebox→server hop resets 24 KiB
+// into the bulk stream, while bulk traffic is pipelined in both
+// directions: the commit goroutine's write is the one that finds the
+// dead upstream, the fault path abandons reserved-but-uncommitted seal
+// sequences, and the alert sealed toward the client must still verify —
+// a client-side integrity error here would mean the alert went out at
+// the wrong sequence number, or ahead of committed data.
 func TestPipelineHopDeathMidStream(t *testing.T) {
 	e := newEnv(t)
-	pool := core.NewRelayPool(4)
-	defer pool.Close()
+	spec := netsim.FaultSpec{Kind: netsim.FaultReset, Offset: bulkStart(t, e, 1) + 24*1024, Dir: netsim.DirAToB}
 	base := goleak.Base()
-	mb := e.middlebox(t, "mb.example", core.ClientSide, func(cfg *core.MiddleboxConfig) {
-		cfg.RelayPool = pool
-	})
-	clientEnd, serverEnd, handleDone := buildTrackedChain(netsim.FaultSpec{}, mb)
-	client, server := dialAccept(t, clientEnd, serverEnd, e.clientConfig(), e.serverConfig())
-	exchange(t, client, server, "steady state", "ack")
-
-	// Kill the mb→server hop after the pipelines have traffic in
-	// flight.
-	killed := make(chan struct{})
-	hop := serverTransportOf(t, mb, server)
-	go func() {
-		defer close(killed)
-		time.Sleep(20 * time.Millisecond)
-		hop.Reset()
-	}()
+	mb, ch, client, server := pipelinedSession(t, e, 1, spec)
 
 	out := pumpBothDirections(t, client, server)
-	<-killed
 	// The client-facing hop stayed healthy, so the client must see a
 	// protocol-level signal (the propagated alert) or the teardown's
 	// close — never a MAC failure, which would mean a mis-sequenced
@@ -258,12 +240,9 @@ func TestPipelineHopDeathMidStream(t *testing.T) {
 	if mb.Stats().FaultsObserved < 1 {
 		t.Fatalf("middlebox observed no fault: %+v", mb.Stats())
 	}
-	if st := pool.Stats(); st.RecordsProcessed == 0 {
-		t.Fatal("relay pool processed no records — the pipeline never engaged")
-	}
 
 	client.Close()
 	server.Close()
-	awaitHandle(t, handleDone)
+	ch.Close()
 	waitGoroutines(t, base)
 }

@@ -16,10 +16,6 @@ import (
 // the row is well formed, the fast path was (or was not) taken,
 // proxysig sessions were audited, and Close leaves nothing running.
 func TestChainCells(t *testing.T) {
-	// The shared relay pool's workers are process-lifetime; start them
-	// before the goroutine baselines below.
-	core.SharedRelayPool()
-
 	const workers, perWorker = 2, 2
 	cases := []struct {
 		table     string

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/chain"
-	"repro/internal/core"
 	"repro/internal/population"
 	"repro/internal/testutil/goleak"
 )
@@ -179,11 +178,10 @@ func TestFig7EnclaveDoesNotDegradeThroughput(t *testing.T) {
 }
 
 // TestFig7CellFailsClean fails the second stream's first link, on an
-// encrypted workers-sweep cell — the first stream's sessions, its
-// Handle goroutine and the cell's dedicated relay pool all exist by
-// then — and checks the cell's one deferred teardown released them.
+// encrypted cell — the first stream's sessions and its Handle goroutine
+// exist by then — and checks the cell's one deferred teardown released
+// them.
 func TestFig7CellFailsClean(t *testing.T) {
-	core.SharedRelayPool()
 	pki, err := chain.NewPKI()
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +193,7 @@ func TestFig7CellFailsClean(t *testing.T) {
 			return nil, nil, errors.New("link down")
 		}
 		return chain.Pipes(hop)
-	}, true, false, 4096, 2, 2, 10*time.Millisecond)
+	}, true, false, 4096, 2, 10*time.Millisecond)
 	if err == nil || !strings.Contains(err.Error(), "stream 1") {
 		t.Fatalf("fig7Cell = %v, want stream 1's link failure", err)
 	}

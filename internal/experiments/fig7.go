@@ -16,23 +16,11 @@ import (
 // Fig7BufferSizes are the paper's x-axis chunk sizes.
 var Fig7BufferSizes = []int{512, 1024, 2048, 4096, 8192, 12288}
 
-// Fig7WorkersAxis is the relay-pipeline workers sweep: 1/2/4/8 crypto
-// workers.
-var Fig7WorkersAxis = []int{1, 2, 4, 8}
-
-// Fig7WorkersBufSizes are the chunk sizes the workers sweep runs at;
-// 16 KiB (a full TLS record per chunk) is where crypto dominates and
-// parallel scaling is most visible.
-var Fig7WorkersBufSizes = []int{4096, 16384}
-
 // Fig7Cell is one configuration × buffer-size measurement.
 type Fig7Cell struct {
 	Encryption bool
 	Enclave    bool
 	BufSize    int
-	// Workers distinguishes relay-pipeline sweep cells: 0 is a classic
-	// matrix cell (the shared pool), N>0 a dedicated N-worker pool.
-	Workers int
 	// Gbps is the delivered application throughput through the
 	// middlebox.
 	Gbps float64
@@ -42,12 +30,6 @@ type Fig7Cell struct {
 	// how far the relay amortises the boundary over its batches.
 	Transitions          int64
 	TransitionsPerRecord float64
-	// ResealP50Micros/ResealP99Micros are per-job submit→commit reseal
-	// latency quantiles in microseconds, present on workers-sweep cells
-	// with a dedicated pool (the throughput-vs-latency tradeoff of
-	// deeper pipelines).
-	ResealP50Micros float64
-	ResealP99Micros float64
 }
 
 // Fig7Options tunes the run.
@@ -66,14 +48,10 @@ type Fig7Options struct {
 	// chain.TransportNetsim (default, in-memory pipes) or
 	// chain.TransportTCP (loopback kernel sockets).
 	Transport string
-	// WorkersAxis overrides the relay-pipeline workers sweep
-	// (Fig7WorkersAxis); an explicit empty non-nil slice skips the
-	// sweep.
-	WorkersAxis []int
 	// Quick shrinks the run to a smoke test (the CI gate): one buffer
-	// size, a short window, and a one-point workers sweep. It fails when
-	// an Encryption + Enclave cell crosses the boundary twice a record
-	// or more — the relay's batches are not filling.
+	// size and a short window. It fails when an Encryption + Enclave
+	// cell crosses the boundary twice a record or more — the relay's
+	// batches are not filling.
 	Quick bool
 }
 
@@ -101,11 +79,6 @@ func RunFig7(opts Fig7Options) ([]Fig7Cell, error) {
 	if len(bufSizes) == 0 {
 		bufSizes = Fig7BufferSizes
 	}
-	workersAxis := opts.WorkersAxis
-	if workersAxis == nil {
-		workersAxis = Fig7WorkersAxis
-	}
-	workersBufs := Fig7WorkersBufSizes
 	if opts.Quick {
 		if opts.Window <= 0 {
 			window = 50 * time.Millisecond
@@ -113,10 +86,6 @@ func RunFig7(opts Fig7Options) ([]Fig7Cell, error) {
 		if len(opts.BufSizes) == 0 {
 			bufSizes = []int{4096}
 		}
-		if opts.WorkersAxis == nil {
-			workersAxis = []int{2}
-		}
-		workersBufs = []int{4096}
 	}
 
 	pki, err := chain.NewPKI()
@@ -134,7 +103,7 @@ func RunFig7(opts Fig7Options) ([]Fig7Cell, error) {
 	for _, encryption := range []bool{false, true} {
 		for _, useEnclave := range []bool{false, true} {
 			for _, bufSize := range bufSizes {
-				cell, err := fig7Cell(pki, fab.Pair, encryption, useEnclave, bufSize, 0, streams, window)
+				cell, err := fig7Cell(pki, fab.Pair, encryption, useEnclave, bufSize, streams, window)
 				if err != nil {
 					return nil, fmt.Errorf("fig7 enc=%v sgx=%v buf=%d: %w", encryption, useEnclave, bufSize, err)
 				}
@@ -143,20 +112,6 @@ func RunFig7(opts Fig7Options) ([]Fig7Cell, error) {
 				}
 				cells = append(cells, cell)
 			}
-		}
-	}
-	// Relay-pipeline workers sweep: encrypted, no enclave (the crypto
-	// scaling axis — the enclave rows would measure boundary crossings,
-	// which the classic matrix already covers). One stream, because the
-	// question the sweep answers is single-session scaling: how far the
-	// pool lifts one bulk session past one core per direction.
-	for _, workers := range workersAxis {
-		for _, bufSize := range workersBufs {
-			cell, err := fig7Cell(pki, fab.Pair, true, false, bufSize, workers, 1, window)
-			if err != nil {
-				return nil, fmt.Errorf("fig7 workers=%d buf=%d: %w", workers, bufSize, err)
-			}
-			cells = append(cells, cell)
 		}
 	}
 	return cells, nil
@@ -168,18 +123,11 @@ func RunFig7(opts Fig7Options) ([]Fig7Cell, error) {
 // through the one shared middlebox; whatever was built is torn down on
 // every return path.
 func fig7Cell(pki *chain.PKI, link chain.Link, encryption, useEnclave bool,
-	bufSize, workers, streams int, window time.Duration) (cell Fig7Cell, err error) {
+	bufSize, streams int, window time.Duration) (cell Fig7Cell, err error) {
 
-	cell = Fig7Cell{Encryption: encryption, Enclave: useEnclave, BufSize: bufSize, Workers: workers}
+	cell = Fig7Cell{Encryption: encryption, Enclave: useEnclave, BufSize: bufSize}
 
 	mbCfg := core.MiddleboxConfig{Mode: core.ClientSide}
-	// Workers-sweep cells get a dedicated pool so the cell's utilization
-	// and latency are not mixed with other cells'.
-	var cellPool *core.RelayPool
-	if workers > 0 {
-		cellPool = core.NewRelayPool(workers)
-		mbCfg.RelayPool = cellPool
-	}
 	var encl *enclave.Enclave
 	if useEnclave {
 		encl = pki.Platform.CreateEnclave(enclave.CodeImage{Name: "fig7-mbox", Version: "1.0"})
@@ -203,8 +151,7 @@ func fig7Cell(pki *chain.PKI, link chain.Link, encryption, useEnclave bool,
 	eps := make([]endpoints, 0, streams)
 	// The one teardown, on every return path: end the sources, close
 	// what each stream established, then its chain (Close waits for the
-	// middlebox's Handle), and only then the dedicated pool, once every
-	// session has drained out of it.
+	// middlebox's Handle).
 	var chains []*chain.Chain
 	defer func() {
 		close(stop)
@@ -214,12 +161,6 @@ func fig7Cell(pki *chain.PKI, link chain.Link, encryption, useEnclave bool,
 		}
 		for _, ch := range chains {
 			ch.Close()
-		}
-		if cellPool != nil {
-			st := cellPool.Stats()
-			cell.ResealP50Micros = float64(st.ResealP50) / 1e3
-			cell.ResealP99Micros = float64(st.ResealP99) / 1e3
-			cellPool.Close()
 		}
 	}()
 	for s := 0; s < streams; s++ {
@@ -307,24 +248,15 @@ func fig7Cell(pki *chain.PKI, link chain.Link, encryption, useEnclave bool,
 	return cell, nil
 }
 
-// FormatFig7 renders the cells as the paper's Figure 7 series, followed
-// by the relay-pipeline workers sweep when present.
+// FormatFig7 renders the cells as the paper's Figure 7 series.
 func FormatFig7(cells []Fig7Cell) string {
-	var classic, sweep []Fig7Cell
-	for _, c := range cells {
-		if c.Workers == 0 {
-			classic = append(classic, c)
-		} else {
-			sweep = append(sweep, c)
-		}
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 7: SGX (Non-)Overhead — middlebox throughput (Gbps)\n")
 	fmt.Fprintf(&b, "(in brackets: enclave transitions per record)\n")
 	fmt.Fprintf(&b, "%-32s", "Configuration \\ Buffer")
 	sizes := []int{}
 	seen := map[int]bool{}
-	for _, c := range classic {
+	for _, c := range cells {
 		if !seen[c.BufSize] {
 			seen[c.BufSize] = true
 			sizes = append(sizes, c.BufSize)
@@ -338,7 +270,7 @@ func FormatFig7(cells []Fig7Cell) string {
 				map[bool]string{false: " + No Enclave", true: " + Enclave"}[sgx]
 			fmt.Fprintf(&b, "%-32s", label)
 			for _, size := range sizes {
-				for _, c := range classic {
+				for _, c := range cells {
 					if c.Encryption == enc && c.Enclave == sgx && c.BufSize == size {
 						text := fmt.Sprintf("%.2f", c.Gbps)
 						if sgx {
@@ -349,20 +281,6 @@ func FormatFig7(cells []Fig7Cell) string {
 				}
 			}
 			fmt.Fprintf(&b, "\n")
-		}
-	}
-	if len(sweep) > 0 {
-		fmt.Fprintf(&b, "\nParallel relay pipeline — workers sweep (encrypted, no enclave)\n")
-		fmt.Fprintf(&b, "%-10s | %8s | %8s | %12s | %12s\n", "Workers", "Buffer", "Gbps", "reseal p50", "reseal p99")
-		fmt.Fprintf(&b, "%s\n", strings.Repeat("-", 62))
-		for _, c := range sweep {
-			lat50, lat99 := "-", "-"
-			if c.ResealP50Micros > 0 {
-				lat50 = fmt.Sprintf("%.1fµs", c.ResealP50Micros)
-				lat99 = fmt.Sprintf("%.1fµs", c.ResealP99Micros)
-			}
-			fmt.Fprintf(&b, "%-10d | %8s | %8.2f | %12s | %12s\n",
-				c.Workers, byteSize(c.BufSize), c.Gbps, lat50, lat99)
 		}
 	}
 	return b.String()

@@ -121,11 +121,8 @@ type Config struct {
 	// code (see Host.BufPool). Nil allocates a bounded pool sized to
 	// MaxSessions.
 	BufPool *tls12.RecordBufPool
-	// RelayPool registers the relay crypto worker pool the host's
-	// middleboxes were built with, so its utilization/depth/stall
-	// counters merge into Metrics. The caller keeps ownership of its
-	// lifecycle. Nil registers none (middleboxes built without one use
-	// the process-wide shared pool).
+	// RelayPool is unused; goes when benchmark/ reopens (the frozen
+	// module sets it). The relay has no worker pool.
 	RelayPool *core.RelayPool
 	// MiddleboxStats, when set, is snapshotted into Metrics so a host
 	// fronting a Middlebox aggregates both stats surfaces in one
@@ -535,10 +532,6 @@ type Metrics struct {
 	Middlebox *core.MiddleboxStats
 	// BufPool snapshots the host-scoped record-buffer pool.
 	BufPool tls12.RecordBufPoolStats
-	// RelayPool snapshots the relay crypto worker pool (worker
-	// utilization, pipeline depth, stalls, reseal latency quantiles)
-	// when the host has one registered.
-	RelayPool *core.RelayPoolStats
 	// Handshake fast-path surfaces, present when the Config registered
 	// the corresponding resource.
 	KeySharePool       *hsfast.KeySharePoolStats
@@ -578,10 +571,6 @@ func (h *Host) Snapshot() Metrics {
 		m.Middlebox = &st
 	}
 	m.BufPool = h.bufs.Stats()
-	if h.cfg.RelayPool != nil {
-		st := h.cfg.RelayPool.Stats()
-		m.RelayPool = &st
-	}
 	if p := h.cfg.KeySharePool; p != nil {
 		st := p.Stats()
 		m.KeySharePool = &st

@@ -158,7 +158,7 @@ func (c *Conn) clientHandshake() error {
 				return c.fatal(AlertAttestationFailure, err)
 			}
 		}
-		c.state.AttestationQuote = append([]byte(nil), att.quote...)
+		c.state.AttestationQuote = att.quote
 		typ, body, raw, _, err = c.readHandshakeMsg(false)
 		if err != nil {
 			return err
@@ -282,7 +282,7 @@ func (c *Conn) deliverTicket(cfg *Config, suite uint16, ticket []byte) {
 		return
 	}
 	cfg.OnNewTicket(&SessionTicket{
-		Ticket:       append([]byte(nil), ticket...),
+		Ticket:       ticket,
 		CipherSuite:  suite,
 		MasterSecret: append([]byte(nil), c.masterSecret...),
 	})

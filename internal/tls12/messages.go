@@ -161,7 +161,7 @@ func parseMiddleboxSupport(data []byte) (*MiddleboxSupport, error) {
 		if !p.ReadBytes(&h, int(n)) {
 			return nil, errors.New("tls12: malformed MiddleboxSupport extension")
 		}
-		m.OptimisticHellos = append(m.OptimisticHellos, h)
+		m.OptimisticHellos = append(m.OptimisticHellos, append([]byte(nil), h...))
 	}
 	var numMboxes uint8
 	if !p.ReadUint8(&numMboxes) {
@@ -448,7 +448,7 @@ func parseCertificateMsg(body []byte) (*certificateMsg, error) {
 		if !list.ReadUint24Prefixed(&cert) {
 			return nil, errors.New("tls12: malformed certificate entry")
 		}
-		m.chain = append(m.chain, cert)
+		m.chain = append(m.chain, append([]byte(nil), cert...))
 	}
 	return &m, nil
 }
@@ -496,6 +496,8 @@ func parseServerKeyExchange(body []byte) (*serverKeyExchange, error) {
 	if scheme != sigSchemeEd25519 {
 		return nil, &AlertError{Description: AlertIllegalParameter}
 	}
+	m.publicKey = append([]byte(nil), m.publicKey...)
+	m.signature = append([]byte(nil), m.signature...)
 	return &m, nil
 }
 
@@ -516,6 +518,7 @@ func parseClientKeyExchange(body []byte) (*clientKeyExchange, error) {
 	if !p.ReadUint8Prefixed(&m.publicKey) || !p.Empty() {
 		return nil, errors.New("tls12: malformed client_key_exchange")
 	}
+	m.publicKey = append([]byte(nil), m.publicKey...)
 	return &m, nil
 }
 
@@ -532,7 +535,7 @@ func parseFinished(body []byte) (*finishedMsg, error) {
 	if len(body) != finishedVerifyLen {
 		return nil, errors.New("tls12: malformed finished message")
 	}
-	return &finishedMsg{verifyData: body}, nil
+	return &finishedMsg{verifyData: append([]byte(nil), body...)}, nil
 }
 
 // newSessionTicketMsg carries a session ticket (RFC 5077).
@@ -554,6 +557,7 @@ func parseNewSessionTicket(body []byte) (*newSessionTicketMsg, error) {
 	if !p.ReadUint32(&m.lifetimeHint) || !p.ReadUint16Prefixed(&m.ticket) || !p.Empty() {
 		return nil, errors.New("tls12: malformed new_session_ticket")
 	}
+	m.ticket = append([]byte(nil), m.ticket...)
 	return &m, nil
 }
 
@@ -578,5 +582,6 @@ func parseSGXAttestation(body []byte) (*sgxAttestationMsg, error) {
 	if len(m.quote) >= 1<<14 {
 		return nil, errors.New("tls12: oversized sgx quote")
 	}
+	m.quote = append([]byte(nil), m.quote...)
 	return &m, nil
 }

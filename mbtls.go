@@ -69,13 +69,6 @@ type (
 	// SessionHost and the middlebox it fronts.
 	RecordBufPool = tls12.RecordBufPool
 
-	// RelayPool is the host-scoped crypto worker pool a middlebox
-	// relay's pipelined jobs run on; RelayPoolStats is its metrics
-	// snapshot (utilization, pipeline depth, stalls, reseal latency
-	// quantiles).
-	RelayPool      = core.RelayPool
-	RelayPoolStats = core.RelayPoolStats
-
 	// TLSConfig configures the underlying TLS 1.2 engine.
 	TLSConfig = tls12.Config
 	// Certificate is an Ed25519 certificate chain with its key.
@@ -197,13 +190,6 @@ func NewSessionHost(cfg SessionHostConfig) (*SessionHost, error) {
 // most maxRetained buffers.
 func NewRecordBufPool(maxRetained int) *RecordBufPool {
 	return tls12.NewRecordBufPool(maxRetained)
-}
-
-// NewRelayPool starts a relay crypto worker pool; workers <= 0 derives
-// the count from GOMAXPROCS. Close it only after the sessions using it
-// have drained.
-func NewRelayPool(workers int) *RelayPool {
-	return core.NewRelayPool(workers)
 }
 
 // NewKeySharePool builds a host-scoped X25519 precompute pool holding

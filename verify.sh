@@ -50,10 +50,12 @@ gate go run ./cmd/mbtls-lint ./...
 gate go test -run 'TestProxySig|TestAccountabilityMismatch' -count=1 ./internal/core/
 gate go run ./cmd/mbtls-bench handshake -quick
 gate go run ./cmd/mbtls-bench sessions -quick -transport tcp -soak
-# fig7 smoke: the classic matrix plus one workers-sweep cell end-to-end,
-# so the sweep can't rot between full bench runs; fails when the
-# Encryption + Enclave cell crosses the enclave twice a record or more.
+# fig7 smoke: the classic matrix end-to-end, on netsim and over loopback
+# TCP, so the pipelined relay route runs over real sockets outside the
+# frozen benchmark too; fails when the Encryption + Enclave cell crosses
+# the enclave twice a record or more.
 gate go run ./cmd/mbtls-bench fig7 -quick
+gate go run ./cmd/mbtls-bench fig7 -quick -transport tcp
 
 echo "== gofmt -l ."
 unformatted=$(gofmt -l .)
