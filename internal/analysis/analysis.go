@@ -96,6 +96,7 @@ func Analyzers() []*Analyzer {
 		BufOwnership,
 		EnclaveBoundary,
 		CryptoRand,
+		BareTime,
 		SecretFlow,
 		AtomicField,
 		LockOrder,

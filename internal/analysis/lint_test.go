@@ -91,6 +91,8 @@ func TestLockOrderFixture(t *testing.T) { runFixture(t, "lockorder", LockOrder) 
 
 func TestErrorClassFixture(t *testing.T) { runFixture(t, "errorclass", ErrorClass) }
 
+func TestBareTimeFixture(t *testing.T) { runFixture(t, "baretime", BareTime) }
+
 // TestLintDirectiveFixture pins that malformed suppressions are
 // themselves findings, whatever analyzers run.
 func TestLintDirectiveFixture(t *testing.T) {

@@ -270,21 +270,19 @@ func Load(root string) ([]*Package, []*PackageError, error) {
 }
 
 // LoadDir type-checks a single standalone directory (a test fixture):
-// imports resolve against the standard library only.
+// imports resolve against the standard library and the module the
+// directory sits in.
 func LoadDir(dir string) (*Package, error) {
 	absDir, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
 	}
 	l := newLoader(token.NewFileSet())
-	return l.checkDir(absDir, "fixture/"+filepath.Base(absDir), stdlibOnly{l})
-}
-
-// stdlibOnly restricts an importer to standard-library paths.
-type stdlibOnly struct{ l *loader }
-
-func (s stdlibOnly) Import(path string) (*types.Package, error) {
-	return s.l.importStdlib(path)
+	for root := absDir; l.modPath == "" && root != filepath.Dir(root); root = filepath.Dir(root) {
+		l.modPath, _ = modulePath(root)
+		l.modRoot = root
+	}
+	return l.checkDir(absDir, "fixture/"+filepath.Base(absDir), l)
 }
 
 // packageDirs walks the module and returns every directory holding

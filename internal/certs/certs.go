@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/secmem"
 	"repro/internal/tls12"
 )
@@ -25,7 +26,6 @@ type CA struct {
 	Cert *x509.Certificate
 	Key  ed25519.PrivateKey
 	rand io.Reader
-	now  func() time.Time
 	// serial is incremented per issued certificate; CAs issue
 	// concurrently (the experiment harnesses provision in parallel).
 	serial atomic.Int64
@@ -47,12 +47,9 @@ type Option func(*CA)
 // WithRand sets the entropy source (tests use deterministic readers).
 func WithRand(r io.Reader) Option { return func(ca *CA) { ca.rand = r } }
 
-// WithClock sets the time source used for validity windows.
-func WithClock(now func() time.Time) Option { return func(ca *CA) { ca.now = now } }
-
 // NewCA creates a self-signed root CA with the given common name.
 func NewCA(commonName string, opts ...Option) (*CA, error) {
-	ca := &CA{rand: rand.Reader, now: time.Now}
+	ca := &CA{rand: rand.Reader}
 	ca.serial.Store(1)
 	for _, o := range opts {
 		o(ca)
@@ -64,8 +61,8 @@ func NewCA(commonName string, opts ...Option) (*CA, error) {
 	tmpl := &x509.Certificate{
 		SerialNumber:          big.NewInt(1),
 		Subject:               pkix.Name{CommonName: commonName, Organization: []string{"mbTLS repro"}},
-		NotBefore:             ca.now().Add(-time.Hour),
-		NotAfter:              ca.now().Add(10 * 365 * 24 * time.Hour),
+		NotBefore:             clock.Real{}.Now().Add(-time.Hour),
+		NotAfter:              clock.Real{}.Now().Add(10 * 365 * 24 * time.Hour),
 		KeyUsage:              x509.KeyUsageCertSign | x509.KeyUsageDigitalSignature,
 		BasicConstraintsValid: true,
 		IsCA:                  true,
@@ -111,8 +108,8 @@ func (ca *CA) Issue(commonName string, dnsNames []string, opts *IssueOptions) (*
 func (ca *CA) issueFor(commonName string, dnsNames []string, opts *IssueOptions,
 	pub ed25519.PublicKey, priv ed25519.PrivateKey) (*tls12.Certificate, error) {
 	serial := ca.serial.Add(1)
-	notBefore := ca.now().Add(-time.Hour)
-	notAfter := ca.now().Add(365 * 24 * time.Hour)
+	notBefore := clock.Real{}.Now().Add(-time.Hour)
+	notAfter := clock.Real{}.Now().Add(365 * 24 * time.Hour)
 	if opts != nil {
 		if !opts.NotBefore.IsZero() {
 			notBefore = opts.NotBefore
@@ -156,8 +153,8 @@ func (ca *CA) Forge(serverName string) (*tls12.Certificate, error) {
 // the past, for the legacy-interop failure population.
 func (ca *CA) IssueExpired(commonName string, dnsNames []string) (*tls12.Certificate, error) {
 	return ca.Issue(commonName, dnsNames, &IssueOptions{
-		NotBefore: ca.now().Add(-48 * time.Hour),
-		NotAfter:  ca.now().Add(-24 * time.Hour),
+		NotBefore: clock.Real{}.Now().Add(-48 * time.Hour),
+		NotAfter:  clock.Real{}.Now().Add(-24 * time.Hour),
 	})
 }
 

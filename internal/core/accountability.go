@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/certs"
+	"repro/internal/clock"
 	"repro/internal/enclave"
 	"repro/internal/tls12"
 	"repro/internal/wire"
@@ -158,10 +159,10 @@ type accountabilityMode interface {
 	// the application's Approve callback runs.
 	checkHop(sum MiddleboxSummary) error
 	// establishCredentials runs after key distribution, delivering
-	// per-hop credentials over the retained secondary connections. It
-	// returns the audit state the session settles at close, or nil
-	// when the mode needs none.
-	establishCredentials(secs []secondaryResult, ct *ChainTicket) (*sessionAudit, error)
+	// per-hop credentials over the retained secondary connections on
+	// the endpoint's clock. It returns the audit state the session
+	// settles at close, or nil when the mode needs none.
+	establishCredentials(secs []secondaryResult, ct *ChainTicket, clk clock.Clock) (*sessionAudit, error)
 }
 
 // attestMode is the paper's enclave/attestation path, extracted from
@@ -197,7 +198,7 @@ func (m *attestMode) checkHop(sum MiddleboxSummary) error {
 	return nil
 }
 
-func (m *attestMode) establishCredentials(secs []secondaryResult, _ *ChainTicket) (*sessionAudit, error) {
+func (m *attestMode) establishCredentials(secs []secondaryResult, _ *ChainTicket, _ clock.Clock) (*sessionAudit, error) {
 	// Nothing reads an attest-mode secondary session past key
 	// distribution: its secrets and pooled record buffers go now.
 	for _, r := range secs {
@@ -208,22 +209,12 @@ func (m *attestMode) establishCredentials(secs []secondaryResult, _ *ChainTicket
 
 // proxySigMode is the mdTLS-style proxy-signature path.
 type proxySigMode struct {
-	// clock overrides time.Now for delegation validity windows (test
-	// and fault-injection surface; see ClientConfig.AccountabilityClock).
-	clock func() time.Time
 	// limit bounds close-time evidence collection (the resolved
 	// HandshakeTimeout).
 	limit time.Duration
 }
 
 func (m *proxySigMode) kind() Accountability { return AccountProxySig }
-
-func (m *proxySigMode) now() time.Time {
-	if m.clock != nil {
-		return m.clock()
-	}
-	return time.Now()
-}
 
 func (m *proxySigMode) annotatePrimary(tcfg *tls12.Config) {
 	tcfg.MiddleboxSupport.ProxySig = true
@@ -239,7 +230,7 @@ func (m *proxySigMode) configureSecondary(cfg *tls12.Config) {
 
 func (m *proxySigMode) checkHop(MiddleboxSummary) error { return nil }
 
-func (m *proxySigMode) establishCredentials(secs []secondaryResult, ct *ChainTicket) (*sessionAudit, error) {
+func (m *proxySigMode) establishCredentials(secs []secondaryResult, ct *ChainTicket, clk clock.Clock) (*sessionAudit, error) {
 	if len(secs) == 0 {
 		return nil, nil
 	}
@@ -252,7 +243,7 @@ func (m *proxySigMode) establishCredentials(secs []secondaryResult, ct *ChainTic
 		key.Wipe()
 		return nil, err
 	}
-	now := m.now()
+	now := clk.Now()
 	for _, r := range secs {
 		leaf, err := hopLeafKey(r.summary, ct)
 		if err != nil {
@@ -327,7 +318,7 @@ func hopLeafPub(sum MiddleboxSummary, ct *ChainTicket) []byte {
 
 // newAccountability resolves and validates an endpoint config's
 // accountability fields, which ClientConfig and ServerConfig share.
-func newAccountability(kind Accountability, requireAttestation bool, verifier *enclave.Verifier, clock func() time.Time, timeout time.Duration) (accountabilityMode, error) {
+func newAccountability(kind Accountability, requireAttestation bool, verifier *enclave.Verifier, timeout time.Duration) (accountabilityMode, error) {
 	switch kind {
 	case AccountAttest:
 		return &attestMode{require: requireAttestation, verifier: verifier}, nil
@@ -335,7 +326,7 @@ func newAccountability(kind Accountability, requireAttestation bool, verifier *e
 		if requireAttestation {
 			return nil, errors.New("core: RequireMiddleboxAttestation conflicts with the proxysig accountability mode")
 		}
-		return &proxySigMode{clock: clock, limit: handshakeLimit(timeout)}, nil
+		return &proxySigMode{limit: handshakeLimit(timeout)}, nil
 	}
 	return nil, fmt.Errorf("core: unknown accountability mode %d", kind)
 }
@@ -373,7 +364,7 @@ func (s *Session) collectEvidence() error {
 	a.done = true
 	defer a.key.Wipe()
 	if a.limit > 0 {
-		timeout := time.AfterFunc(a.limit, func() {
+		timeout := clock.Of(s.transport).AfterFunc(a.limit, func() {
 			s.m.fail(&HandshakeTimeoutError{Phase: PhaseEvidenceCollection, Limit: a.limit})
 		})
 		defer timeout.Stop()

@@ -2,12 +2,14 @@ package core_test
 
 import (
 	"errors"
+	"net"
 	"strings"
 	"testing"
-	"time"
 
+	"repro/internal/chain"
 	"repro/internal/core"
 	"repro/internal/hsfast"
+	"repro/internal/netsim"
 	"repro/internal/testutil/goleak"
 	"repro/internal/tls12"
 )
@@ -126,38 +128,87 @@ func TestProxySigEvidenceCountsTraffic(t *testing.T) {
 	}
 }
 
+// TestProxySigExpiredDelegation: each party judges a warrant on its own
+// transport's clock, so a clock two hours fast at either end of the hop
+// fails the delegation — a fast middlebox finds the endpoint's warrant
+// expired, a fast endpoint mints one not yet valid — and the middlebox
+// refuses it with a certificate_expired alert, whichever side of the
+// chain it serves. A slow endpoint clock cannot stand in for an expired
+// warrant: the endpoint checks certificates on the same clock, and the
+// chain's certificates start only an hour back, so such an endpoint
+// fails its own certificate check before it mints anything.
 func TestProxySigExpiredDelegation(t *testing.T) {
-	e := newEnv(t)
-	base := goleak.Base()
-	mb := e.middlebox(t, "mb.example", core.ClientSide, proxySigOpt)
-	ccfg := proxySigClient(e)
-	// Back-date the endpoint clock so the warrant's NotAfter is an hour
-	// in the past by the time the middlebox validates it.
-	ccfg.AccountabilityClock = func() time.Time { return time.Now().Add(-2 * time.Hour) }
-
-	clientEnd, serverEnd := buildChain(t, mb)
-	srvCh := make(chan *core.Session, 1)
-	go func() {
-		s, _ := core.Accept(serverEnd, e.serverConfig())
-		srvCh <- s
-	}()
-	_, err := core.Dial(clientEnd, ccfg)
-	if err == nil {
-		t.Fatal("Dial with an expired delegation succeeded")
+	for _, placement := range []core.Mode{core.ClientSide, core.ServerSide} {
+		for _, fast := range []string{"endpoint", "middlebox"} {
+			t.Run(placement.String()+"/fast-"+fast, func(t *testing.T) {
+				e := newEnv(t)
+				base := goleak.Base()
+				mb := e.middlebox(t, "mb.example", placement, proxySigOpt)
+				ccfg, scfg := e.clientConfig(), e.serverConfig()
+				// The endpoint on the middlebox's side mints its warrant:
+				// the client on hop 0, the server on hop 1.
+				auditHop := 0
+				if placement == core.ClientSide {
+					ccfg.Accountability = core.AccountProxySig
+				} else {
+					scfg.Accountability = core.AccountProxySig
+					auditHop = 1
+				}
+				// A Link's ends run client-side first; the middlebox's own
+				// clock is that of its downstream conn, hop 0's far end.
+				ch, err := chain.Wire(func(hop int) (net.Conn, net.Conn, error) {
+					down, up := netsim.Pipe()
+					switch {
+					case fast == "middlebox" && hop == 0:
+						return down, clockedConn{up, aheadClock{}}, nil
+					case fast == "endpoint" && hop == auditHop && hop == 0:
+						return clockedConn{down, aheadClock{}}, up, nil
+					case fast == "endpoint" && hop == auditHop:
+						return down, clockedConn{up, aheadClock{}}, nil
+					}
+					return down, up, nil
+				}, mb)
+				if err != nil {
+					t.Fatal(err)
+				}
+				type res struct {
+					sess *core.Session
+					err  error
+				}
+				cch, sch := make(chan res, 1), make(chan res, 1)
+				go func() {
+					s, err := core.Dial(ch.Client, ccfg)
+					cch <- res{s, err}
+				}()
+				go func() {
+					s, err := core.Accept(ch.Server, scfg)
+					sch <- res{s, err}
+				}()
+				cr, sr := <-cch, <-sch
+				refused := cr.err
+				if placement == core.ServerSide {
+					refused = sr.err
+				}
+				if refused == nil {
+					t.Fatal("a warrant outside its validity window was accepted")
+				}
+				if cls := core.ClassifyError(refused); cls != core.ClassRemoteAlert {
+					t.Fatalf("skewed delegation classified as %s (err: %v), want %s", cls, refused, core.ClassRemoteAlert)
+				}
+				var ae *tls12.AlertError
+				if !errors.As(refused, &ae) || ae.Description != tls12.AlertCertificateExpired {
+					t.Fatalf("err = %v, want a remote certificate_expired alert", refused)
+				}
+				for _, r := range []res{cr, sr} {
+					if r.sess != nil {
+						r.sess.Close()
+					}
+				}
+				ch.Close()
+				waitGoroutines(t, base)
+			})
+		}
 	}
-	if cls := core.ClassifyError(err); cls != core.ClassRemoteAlert {
-		t.Fatalf("expired delegation classified as %s (err: %v), want %s", cls, err, core.ClassRemoteAlert)
-	}
-	var ae *tls12.AlertError
-	if !errors.As(err, &ae) || ae.Description != tls12.AlertCertificateExpired {
-		t.Fatalf("err = %v, want a remote certificate_expired alert", err)
-	}
-	clientEnd.Close()
-	serverEnd.Close()
-	if s := <-srvCh; s != nil {
-		s.Close()
-	}
-	waitGoroutines(t, base)
 }
 
 func TestProxySigTamperedDelegation(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 
+	"repro/internal/clock"
 	"repro/internal/tls12"
 )
 
@@ -18,29 +19,29 @@ import (
 // still succeeds, with client-side middleboxes bridging to it over the
 // primary session key (property P5).
 func Dial(transport net.Conn, cfg *ClientConfig) (*Session, error) {
-	r, err := clientRole(cfg)
+	r, err := clientRole(cfg, clock.Of(transport))
 	if err != nil {
 		return nil, err
 	}
 	return establish(transport, r)
 }
 
-// clientRole describes the client end of establish: it frames and
-// writes the ClientHello itself, because the primary and every
-// client-side secondary handshake share those bytes.
-func clientRole(cfg *ClientConfig) (*role, error) {
+// clientRole describes the client end of establish on the transport's
+// clock: it frames and writes the ClientHello itself, because the
+// primary and every client-side secondary handshake share those bytes.
+func clientRole(cfg *ClientConfig, clk clock.Clock) (*role, error) {
 	if cfg == nil || cfg.TLS == nil {
 		return nil, errors.New("core: ClientConfig.TLS is required")
 	}
 	if cfg.NeighborKeys && cfg.Accountability == AccountProxySig {
 		return nil, errors.New("core: neighbor-keys mode does not support proxysig accountability")
 	}
-	acct, err := newAccountability(cfg.Accountability, cfg.RequireMiddleboxAttestation, cfg.MiddleboxVerifier,
-		cfg.AccountabilityClock, cfg.HandshakeTimeout)
+	acct, err := newAccountability(cfg.Accountability, cfg.RequireMiddleboxAttestation, cfg.MiddleboxVerifier, cfg.HandshakeTimeout)
 	if err != nil {
 		return nil, err
 	}
 	tcfg := *cfg.TLS
+	tcfg.Clock = clk
 	ct := cfg.ChainTicket
 	if ct != nil && tcfg.SessionTicket == nil {
 		tcfg.SessionTicket = ct.Primary
@@ -75,7 +76,7 @@ func clientRole(cfg *ClientConfig) (*role, error) {
 	if err != nil {
 		return nil, err
 	}
-	secCfg := secondaryClientConfig(cfg.TLS, cfg.MiddleboxTLS, acct)
+	secCfg := secondaryClientConfig(cfg.TLS, cfg.MiddleboxTLS, acct, clk)
 	secCfg.HopTickets = hopTickets
 
 	r := &role{

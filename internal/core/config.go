@@ -16,6 +16,7 @@ import (
 	"crypto/x509"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/enclave"
 	"repro/internal/tls12"
 )
@@ -90,10 +91,6 @@ type ClientConfig struct {
 	// attestation path) or AccountProxySig (mdTLS-style delegation
 	// warrants and close-time signed evidence). See accountability.go.
 	Accountability Accountability
-	// AccountabilityClock overrides time.Now for delegation validity
-	// windows in proxysig mode. Nil means time.Now. A fault-injection
-	// surface: tests mint expired warrants by back-dating the clock.
-	AccountabilityClock func() time.Time
 	// NeighborKeys selects neighbor-negotiated hop keys instead of
 	// endpoint-distributed ones (§4.2's state-poisoning mitigation;
 	// see internal/core/neighbor.go). Requires an mbTLS server and
@@ -137,10 +134,9 @@ type ServerConfig struct {
 	// client-side fields.
 	RequireMiddleboxAttestation bool
 	MiddleboxVerifier           *enclave.Verifier
-	// Accountability and AccountabilityClock mirror the client-side
-	// fields for the server's own (server-side) middleboxes.
-	Accountability      Accountability
-	AccountabilityClock func() time.Time
+	// Accountability mirrors the client-side field for the server's own
+	// (server-side) middleboxes.
+	Accountability Accountability
 	// Approve is consulted for each announced middlebox; nil approves
 	// all verified middleboxes.
 	Approve func(MiddleboxSummary) bool
@@ -154,7 +150,7 @@ type ServerConfig struct {
 // accountability mode contributes its per-hop credential hooks
 // (attestation request/verification, or the proxysig negotiation
 // flag) after the common scrubbing.
-func secondaryClientConfig(primary, template *tls12.Config, acct accountabilityMode) *tls12.Config {
+func secondaryClientConfig(primary, template *tls12.Config, acct accountabilityMode, clk clock.Clock) *tls12.Config {
 	var cfg tls12.Config
 	if template != nil {
 		cfg = *template
@@ -169,6 +165,7 @@ func secondaryClientConfig(primary, template *tls12.Config, acct accountabilityM
 	// primary's ticket callback must not fire for hop tickets.
 	cfg.HopTickets = nil
 	cfg.OnNewTicket = nil
+	cfg.Clock = clk
 	acct.configureSecondary(&cfg)
 	return &cfg
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/secmem"
 	"repro/internal/tls12"
 )
@@ -246,7 +247,7 @@ func establish(transport net.Conn, r *role) (*Session, error) {
 	// Per-hop accountability credentials (proxysig delegation warrants)
 	// ride the same retained secondary connections, still under the
 	// key-distribution phase deadline.
-	audit, err := r.acct.establishCredentials(secs, r.chain)
+	audit, err := r.acct.establishCredentials(secs, r.chain, clock.Of(transport))
 	if err != nil {
 		return fail(err)
 	}

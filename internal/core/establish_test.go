@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/certs"
+	"repro/internal/clock"
 	"repro/internal/enclave"
 	"repro/internal/netsim"
 	"repro/internal/testutil/goleak"
@@ -26,9 +27,10 @@ const (
 
 // faultConn is a transport whose writes can be made to fail or to park
 // until Close, from inside an Approve callback — the last application
-// hook before key distribution.
+// hook before key distribution — and whose clock the test moves.
 type faultConn struct {
 	net.Conn
+	clk       *clock.Manual
 	writes    atomic.Int32
 	closed    chan struct{}
 	closeOnce sync.Once
@@ -45,6 +47,8 @@ func (c *faultConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
+func (c *faultConn) Clock() clock.Clock { return c.clk }
+
 func (c *faultConn) Close() error {
 	c.closeOnce.Do(func() { close(c.closed) })
 	return c.Conn.Close()
@@ -56,14 +60,21 @@ type endpointKnobs struct {
 	approve            func(MiddleboxSummary) bool
 	middleboxTLS       *tls12.Config
 	requireAttestation bool
-	timeout            time.Duration
 }
+
+// phaseTimers is how many phase timers establish's watcher has armed
+// once it is in a phase.
+var phaseTimers = map[HandshakePhase]int{PhasePrimaryHandshake: 1, PhaseSecondaryHandshakes: 2, PhaseKeyDistribution: 3}
 
 // TestEstablishRoleSymmetry drives one failure matrix through both
 // roles of establish on a one-middlebox chain. A row must fail with the
 // same ErrorClass and the same typed timeout phase whichever end runs
 // it, leak no goroutine, and leave no secret live: every connection
-// that completed its handshake reports "already wiped".
+// that completed its handshake reports "already wiped". The endpoint
+// under test runs on a manual clock at the default phase deadline: a
+// deadline row moves it only once the watcher has armed the row's
+// phase, so no earlier phase can be the one that fires, and checks the
+// deadline fires at exactly DefaultHandshakeTimeout.
 func TestEstablishRoleSymmetry(t *testing.T) {
 	ca, err := certs.NewCA("mbtls test root")
 	if err != nil {
@@ -81,11 +92,10 @@ func TestEstablishRoleSymmetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const phaseLimit = 200 * time.Millisecond
-
 	cases := []struct {
 		name string
-		// tune configures the endpoint under test; fc is its transport.
+		// tune, if set, configures the endpoint under test; fc is its
+		// transport.
 		tune func(k *endpointKnobs, fc *faultConn)
 		// silentPeer replaces the chain with a peer that never speaks.
 		silentPeer bool
@@ -111,14 +121,11 @@ func TestEstablishRoleSymmetry(t *testing.T) {
 				k.approve = func(MiddleboxSummary) bool { fc.writes.Store(writesFail); return true }
 			}},
 		{name: "deadline in primary handshake", class: ClassTimeout, phase: PhasePrimaryHandshake,
-			silentPeer: true,
-			tune:       func(k *endpointKnobs, _ *faultConn) { k.timeout = phaseLimit }},
+			silentPeer: true},
 		{name: "deadline in secondary handshakes", class: ClassTimeout, phase: PhaseSecondaryHandshakes,
-			stallSecondary: true, completed: 1,
-			tune: func(k *endpointKnobs, _ *faultConn) { k.timeout = phaseLimit }},
+			stallSecondary: true, completed: 1},
 		{name: "deadline in key distribution", class: ClassTimeout, phase: PhaseKeyDistribution, completed: 2,
 			tune: func(k *endpointKnobs, fc *faultConn) {
-				k.timeout = phaseLimit
 				k.approve = func(MiddleboxSummary) bool { fc.writes.Store(writesStall); return true }
 			}},
 	}
@@ -149,24 +156,28 @@ func TestEstablishRoleSymmetry(t *testing.T) {
 				if !clientEnd {
 					own, peer = srvEnd, cliEnd
 				}
-				fc := &faultConn{Conn: own, closed: make(chan struct{})}
-				k := endpointKnobs{timeout: 10 * time.Second}
-				tc.tune(&k, fc)
+				// The clock starts at the wall clock's now: the chain's
+				// certificates are checked against it.
+				fc := &faultConn{Conn: own, clk: clock.NewManual(time.Now()), closed: make(chan struct{})}
+				var k endpointKnobs
+				if tc.tune != nil {
+					tc.tune(&k, fc)
+				}
 
 				var r *role
 				if clientEnd {
-					ccfg.Approve, ccfg.HandshakeTimeout = k.approve, k.timeout
+					ccfg.Approve = k.approve
 					ccfg.MiddleboxTLS, ccfg.RequireMiddleboxAttestation = k.middleboxTLS, k.requireAttestation
 					ccfg.MiddleboxVerifier = &enclave.Verifier{Authority: make([]byte, 32)}
-					r, err = clientRole(ccfg)
+					r, err = clientRole(ccfg, clock.Of(fc))
 				} else {
-					scfg.Approve, scfg.HandshakeTimeout = k.approve, k.timeout
+					scfg.Approve = k.approve
 					scfg.RequireMiddleboxAttestation = k.requireAttestation
 					scfg.MiddleboxVerifier = &enclave.Verifier{Authority: make([]byte, 32)}
 					if k.middleboxTLS != nil {
 						scfg.MiddleboxTLS = k.middleboxTLS
 					}
-					r, err = serverRole(scfg)
+					r, err = serverRole(scfg, clock.Of(fc))
 				}
 				if err != nil {
 					t.Fatal(err)
@@ -222,9 +233,28 @@ func TestEstablishRoleSymmetry(t *testing.T) {
 					}
 				}()
 
-				sess, err := establish(fc, r)
-				if err == nil {
-					sess.Close()
+				type result struct {
+					sess *Session
+					err  error
+				}
+				done := make(chan result, 1)
+				go func() {
+					sess, err := establish(fc, r)
+					done <- result{sess, err}
+				}()
+				if tc.phase != "" {
+					fc.clk.AwaitTimers(phaseTimers[tc.phase])
+					fc.clk.Advance(DefaultHandshakeTimeout - time.Nanosecond)
+					select {
+					case res := <-done:
+						t.Fatalf("establish returned (%v) 1ns before the %s deadline", res.err, tc.phase)
+					default:
+					}
+					fc.clk.Advance(time.Nanosecond)
+				}
+				res := <-done
+				if err = res.err; err == nil {
+					res.sess.Close()
 					t.Fatal("establish succeeded")
 				}
 				if got := ClassifyError(err); got != tc.class {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/chain"
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/testutil/goleak"
@@ -329,36 +330,39 @@ func serverTransportOf(t *testing.T, _ *core.Middlebox, server *core.Session) *n
 }
 
 // TestHandshakePhaseDeadline: a peer that goes silent pre-handshake
-// produces a typed HandshakeTimeoutError naming the stuck phase, and
-// the endpoint's goroutines unwind — dialing or accepting alike.
+// produces a typed HandshakeTimeoutError naming the stuck phase at
+// exactly the default phase deadline on the transport's clock, and the
+// endpoint's goroutines unwind — dialing or accepting alike.
 func TestHandshakePhaseDeadline(t *testing.T) {
 	e := newEnv(t)
-	const limit = 200 * time.Millisecond
 	establish := map[string]func(net.Conn) error{
 		"dial": func(c net.Conn) error {
-			ccfg := e.clientConfig()
-			ccfg.HandshakeTimeout = limit
-			_, err := core.Dial(c, ccfg)
+			_, err := core.Dial(c, e.clientConfig())
 			return err
 		},
 		"accept": func(c net.Conn) error {
-			scfg := e.serverConfig()
-			scfg.HandshakeTimeout = limit
-			_, err := core.Accept(c, scfg)
+			_, err := core.Accept(c, e.serverConfig())
 			return err
 		},
 	}
 	for name, run := range establish {
 		t.Run(name, func(t *testing.T) {
 			base := goleak.Base()
-			ownEnd, silentEnd := netsim.Pipe()
+			clk := clock.NewManual(time.Now())
+			ownEnd, silentEnd := netsim.NewLink(netsim.LinkConfig{Clock: clk})
 			defer silentEnd.Close()
 
-			start := time.Now()
-			err := run(ownEnd)
-			if err == nil {
-				t.Fatal("establishment against a silent peer succeeded")
+			done := make(chan error, 1)
+			go func() { done <- run(ownEnd) }()
+			clk.AwaitTimers(1) // the primary handshake's deadline
+			clk.Advance(core.DefaultHandshakeTimeout - time.Nanosecond)
+			select {
+			case err := <-done:
+				t.Fatalf("establishment returned (%v) 1ns before its deadline", err)
+			default:
 			}
+			clk.Advance(time.Nanosecond)
+			err := <-done
 			var hte *core.HandshakeTimeoutError
 			if !errors.As(err, &hte) {
 				t.Fatalf("err = %v (%T), want *HandshakeTimeoutError", err, err)
@@ -368,9 +372,6 @@ func TestHandshakePhaseDeadline(t *testing.T) {
 			}
 			if !hte.Timeout() {
 				t.Fatal("HandshakeTimeoutError must satisfy net.Error.Timeout")
-			}
-			if elapsed := time.Since(start); elapsed > 3*time.Second {
-				t.Fatalf("deadline took %v to fire", elapsed)
 			}
 			ownEnd.Close()
 			waitGoroutines(t, base)

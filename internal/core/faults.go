@@ -9,6 +9,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/tls12"
 )
 
@@ -282,7 +283,7 @@ type hsWatch struct {
 	transport net.Conn
 
 	mu    sync.Mutex
-	timer *time.Timer
+	timer clock.Timer
 	phase HandshakePhase
 	fired *HandshakeTimeoutError
 	done  bool
@@ -304,7 +305,7 @@ func (w *hsWatch) enter(phase HandshakePhase) {
 	if w.timer != nil {
 		w.timer.Stop()
 	}
-	w.timer = time.AfterFunc(w.limit, w.fire)
+	w.timer = clock.Of(w.transport).AfterFunc(w.limit, w.fire)
 }
 
 func (w *hsWatch) fire() {

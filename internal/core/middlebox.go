@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/certs"
+	"repro/internal/clock"
 	"repro/internal/enclave"
 	"repro/internal/secmem"
 	"repro/internal/timing"
@@ -60,10 +61,6 @@ type MiddleboxConfig struct {
 	// NewProcessor builds the per-session application-data transformer.
 	// Nil forwards data unchanged.
 	NewProcessor func() Processor
-	// DataPlaneTimeout bounds how long application data arriving
-	// before the key material is held (the False-Start-like scenario
-	// of §3.5). Defaults to 30 seconds.
-	DataPlaneTimeout time.Duration
 	// Stopwatch, when set, accumulates the middlebox's handshake
 	// compute time (Figure 5: an mbTLS middlebox performs one TLS
 	// handshake where split TLS performs two).
@@ -155,9 +152,6 @@ func NewMiddlebox(cfg MiddleboxConfig) (*Middlebox, error) {
 	if cfg.Name == "" && cfg.Certificate.Leaf != nil {
 		cfg.Name = cfg.Certificate.Leaf.Subject.CommonName
 	}
-	if cfg.DataPlaneTimeout == 0 {
-		cfg.DataPlaneTimeout = 30 * time.Second
-	}
 	mb := &Middlebox{cfg: cfg, annCache: make(map[string]bool)}
 	mb.bufs = cfg.BufPool
 	if mb.bufs == nil {
@@ -214,6 +208,10 @@ func (mb *Middlebox) markNoAnnounce(serverAddr string) {
 	mb.annMu.Unlock()
 }
 
+// dataPlaneTimeout bounds each wait of a joined session for its key
+// material: data that arrives first (§3.5), and the primary ServerHello.
+const dataPlaneTimeout = 30 * time.Second
+
 // HostHooks is implemented by a hosting runtime (internal/sessionhost)
 // to observe a hosted session's lifecycle. Accept loops live in the
 // runtime, not here: a middlebox only ever handles connections it is
@@ -232,10 +230,10 @@ type HostHooks interface {
 }
 
 // Handle relays one connection pair until either side closes. down
-// faces the client, up faces the server. Per-session vault secrets are
-// retained after the session for post-mortem inspection (the adversary
-// harness depends on this); hosted sessions use HandleHosted, which
-// wipes them.
+// faces the client, up faces the server; the session runs on down's
+// clock (clock.Of). Per-session vault secrets are retained after the
+// session for post-mortem inspection (the adversary harness depends on
+// this); hosted sessions use HandleHosted, which wipes them.
 func (mb *Middlebox) Handle(down, up net.Conn) error {
 	return mb.handle(down, up, nil)
 }
@@ -255,6 +253,7 @@ func (mb *Middlebox) handle(down, up net.Conn, hooks HostHooks) error {
 	s := &mbSession{
 		mb:          mb,
 		id:          id,
+		clock:       clock.Of(down),
 		down:        down,
 		downR:       down,
 		up:          up,
@@ -283,6 +282,7 @@ type mbSession struct {
 	// enclave.
 	vaultPrefix string
 	estOnce     sync.Once
+	clock       clock.Clock // down's: key-material waits and warrant checks read it
 
 	down net.Conn
 	// downR is the downstream read side: s.down, possibly preceded by
@@ -1055,12 +1055,12 @@ func (s *mbSession) maybeJoinClientSide() error {
 	// Hold the primary ServerHello until our secondary ServerHello is
 	// on the wire, so middleboxes closer to the client see our
 	// subchannel in use before they self-assign.
-	timeout := time.NewTimer(s.mb.cfg.DataPlaneTimeout)
-	defer timeout.Stop() // go.mod says go 1.22: an unstopped timer lives out its 30 s
+	expired := make(chan struct{})
+	defer s.clock.AfterFunc(dataPlaneTimeout, func() { close(expired) }).Stop()
 	for _, written := range held {
 		select {
 		case <-written:
-		case <-timeout.C:
+		case <-expired:
 			return errors.New("core: secondary handshake failed to start")
 		}
 	}
@@ -1078,6 +1078,7 @@ func (s *mbSession) runSecondary(serverAddr string) {
 		CipherSuites: s.mb.cfg.CipherSuites,
 		Stopwatch:    s.mb.cfg.Stopwatch,
 		KeyShares:    s.mb.cfg.KeyShares,
+		Clock:        s.clock,
 	}
 	if s.mb.cfg.TicketKeys != nil && s.mb.cfg.Mode == ClientSide {
 		// Issue and redeem hop tickets under this middlebox's name.
@@ -1257,7 +1258,7 @@ func (s *mbSession) receiveDelegation(conn *tls12.Conn) error {
 		conn.SendAlert(tls12.AlertBadCertificate)
 		return errors.New("core: delegation authorizes a different key")
 	}
-	if err := d.ValidAt(time.Now()); err != nil {
+	if err := d.ValidAt(s.clock.Now()); err != nil {
 		conn.SendAlert(tls12.AlertCertificateExpired)
 		return fmt.Errorf("core: delegation: %w", err)
 	}
@@ -1354,10 +1355,12 @@ func (s *mbSession) runNeighborHops() {
 		Certificate:  s.mb.cfg.Certificate,
 		CipherSuites: s.mb.cfg.CipherSuites,
 		Stopwatch:    s.mb.cfg.Stopwatch,
+		Clock:        s.clock,
 	}
 	upCfg := &tls12.Config{
 		CipherSuites: s.mb.cfg.CipherSuites,
 		Stopwatch:    s.mb.cfg.Stopwatch,
+		Clock:        s.clock,
 	}
 	if s.mb.cfg.NeighborRoots != nil {
 		upCfg.RootCAs = s.mb.cfg.NeighborRoots
@@ -1449,7 +1452,7 @@ func (s *mbSession) waitDataPlane() (dataPlaneHandler, error) {
 	s.dpMu.Lock()
 	defer s.dpMu.Unlock()
 	if s.dp == nil && s.dpErr == nil {
-		timeout := time.AfterFunc(s.mb.cfg.DataPlaneTimeout, func() {
+		timeout := s.clock.AfterFunc(dataPlaneTimeout, func() {
 			s.dpMu.Lock()
 			if s.dp == nil && s.dpErr == nil {
 				s.dpErr = errors.New("core: timed out waiting for key material")

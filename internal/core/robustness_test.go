@@ -4,13 +4,30 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/netsim"
+	"repro/internal/testutil/goleak"
 	"repro/internal/tls12"
 )
+
+// clockedConn is a transport that carries its own clock: the clock a
+// party running over it reads.
+type clockedConn struct {
+	net.Conn
+	clk clock.Clock
+}
+
+func (c clockedConn) Clock() clock.Clock { return c.clk }
+
+// aheadClock is the wall clock two hours fast.
+type aheadClock struct{ clock.Real }
+
+func (aheadClock) Now() time.Time { return time.Now().Add(2 * time.Hour) }
 
 // TestEarlyDataHeldUntilKeys reproduces the False-Start-like scenario
 // of §3.5: application data can reach a server-side middlebox before
@@ -36,6 +53,124 @@ func TestEarlyDataHeldUntilKeys(t *testing.T) {
 	if !bytes.Equal(buf, payload) {
 		t.Fatalf("early data corrupted: %q", buf)
 	}
+}
+
+// keyMaterialWait wires client → client-side middlebox → server by hand,
+// with the middlebox on a manual clock, and returns the clock and
+// Handle's result; the endpoints run on the wall clock.
+func keyMaterialWait(t *testing.T, mb *core.Middlebox) (clk *clock.Manual, cliEnd, srvEnd net.Conn, handled <-chan error) {
+	t.Helper()
+	cliEnd, mbDown := netsim.Pipe()
+	mbUp, srvEnd := netsim.Pipe()
+	clk = clock.NewManual(time.Now()) // certificates are checked against it
+	done := make(chan error, 1)
+	go func() { done <- mb.Handle(clockedConn{mbDown, clk}, mbUp) }()
+	t.Cleanup(func() {
+		for _, c := range []net.Conn{cliEnd, mbDown, mbUp, srvEnd} {
+			c.Close()
+		}
+	})
+	return clk, cliEnd, srvEnd, done
+}
+
+// expireAt advances clk to 1ns before the middlebox's 30 s key-material
+// deadline, checks Handle is still waiting, then to the deadline, and
+// returns Handle's error.
+func expireAt(t *testing.T, clk *clock.Manual, handled <-chan error) error {
+	t.Helper()
+	const deadline = 30 * time.Second
+	clk.Advance(deadline - time.Nanosecond)
+	select {
+	case err := <-handled:
+		t.Fatalf("Handle returned (%v) 1ns before the key-material deadline", err)
+	default:
+	}
+	clk.Advance(time.Nanosecond)
+	return <-handled
+}
+
+// TestKeyMaterialWaitTimesOut: application data that reaches a joined
+// middlebox while its key material is withheld (the client sits in
+// Approve, before key distribution) is held — and the session fails at
+// exactly 30 s on the middlebox's clock, not a nanosecond sooner.
+func TestKeyMaterialWaitTimesOut(t *testing.T) {
+	e := newEnv(t)
+	base := goleak.Base()
+	mb := e.middlebox(t, "mb.example", core.ClientSide)
+	clk, cliEnd, srvEnd, handled := keyMaterialWait(t, mb)
+
+	release := make(chan struct{})
+	ccfg := e.clientConfig()
+	ccfg.Approve = func(core.MiddleboxSummary) bool { <-release; return false }
+	dialed := make(chan error, 1)
+	go func() {
+		_, err := core.Dial(cliEnd, ccfg)
+		dialed <- err
+	}()
+	srv, err := core.Accept(srvEnd, e.serverConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Write([]byte("ahead of the key material")); err != nil {
+		t.Fatal(err)
+	}
+	clk.AwaitTimers(2) // the ServerHello hold's (stopped), then the data's wait
+	if err := expireAt(t, clk, handled); err == nil || !strings.Contains(err.Error(), "timed out waiting for key material") {
+		t.Fatalf("Handle = %v, want a key-material timeout", err)
+	}
+	close(release)
+	if err := <-dialed; err == nil {
+		t.Fatal("Dial succeeded through a middlebox that gave up")
+	}
+	srv.Close()
+	goleak.Wait(t, base)
+}
+
+// stalledKeys is a ticket-key source whose OpenKeys blocks until
+// released: a middlebox resuming a hop ticket stalls before its
+// secondary ServerHello.
+type stalledKeys struct{ release chan struct{} }
+
+func (k stalledKeys) SealKey() [32]byte    { return [32]byte{} }
+func (k stalledKeys) OpenKeys() [][32]byte { <-k.release; return [][32]byte{{}} }
+
+// TestServerHelloHoldTimesOut: a client-side middlebox holds the
+// primary ServerHello until its own secondary ServerHello is on the
+// wire. When its secondary handshake stalls first, the session fails
+// at exactly 30 s on the middlebox's clock.
+func TestServerHelloHoldTimesOut(t *testing.T) {
+	e := newEnv(t)
+	base := goleak.Base()
+	keys := stalledKeys{release: make(chan struct{})}
+	mb := e.middlebox(t, "mb.example", core.ClientSide, func(cfg *core.MiddleboxConfig) { cfg.TicketKeys = keys })
+	clk, cliEnd, srvEnd, handled := keyMaterialWait(t, mb)
+
+	ccfg := e.clientConfig()
+	// A hop ticket for the middlebox sends its secondary handshake to
+	// the ticket keys before it writes its ServerHello.
+	ccfg.ChainTicket = &core.ChainTicket{Hops: []core.ChainHop{{
+		Name: "mb.example", Ticket: []byte("stale"), CipherSuite: tls12.TLS_ECDHE_ECDSA_WITH_AES_128_GCM_SHA256,
+		MasterSecret: make([]byte, 48),
+	}}}
+	dialed, accepted := make(chan error, 1), make(chan error, 1)
+	go func() {
+		_, err := core.Dial(cliEnd, ccfg)
+		dialed <- err
+	}()
+	go func() {
+		_, err := core.Accept(srvEnd, e.serverConfig())
+		accepted <- err
+	}()
+	clk.AwaitTimers(1) // the ServerHello hold
+	if err := expireAt(t, clk, handled); err == nil || !strings.Contains(err.Error(), "secondary handshake failed to start") {
+		t.Fatalf("Handle = %v, want the ServerHello hold to expire", err)
+	}
+	close(keys.release)
+	if err := <-dialed; err == nil {
+		t.Fatal("Dial succeeded through a middlebox that gave up")
+	}
+	<-accepted
+	goleak.Wait(t, base)
 }
 
 // TestMiddleboxSurvivesGarbageConnection: random bytes (a port scan, a

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 
+	"repro/internal/clock"
 	"repro/internal/tls12"
 )
 
@@ -18,7 +19,7 @@ import (
 // fail or are skipped according to cfg.TLS.LenientUnknownRecords —
 // the two legacy-server behaviors the paper observes.
 func Accept(transport net.Conn, cfg *ServerConfig) (*Session, error) {
-	r, err := serverRole(cfg)
+	r, err := serverRole(cfg, clock.Of(transport))
 	if err != nil {
 		return nil, err
 	}
@@ -26,16 +27,17 @@ func Accept(transport net.Conn, cfg *ServerConfig) (*Session, error) {
 }
 
 // serverRole describes the server end of establish.
-func serverRole(cfg *ServerConfig) (*role, error) {
+func serverRole(cfg *ServerConfig, clk clock.Clock) (*role, error) {
 	if cfg == nil || cfg.TLS == nil {
 		return nil, errors.New("core: ServerConfig.TLS is required")
 	}
-	acct, err := newAccountability(cfg.Accountability, cfg.RequireMiddleboxAttestation, cfg.MiddleboxVerifier,
-		cfg.AccountabilityClock, cfg.HandshakeTimeout)
+	acct, err := newAccountability(cfg.Accountability, cfg.RequireMiddleboxAttestation, cfg.MiddleboxVerifier, cfg.HandshakeTimeout)
 	if err != nil {
 		return nil, err
 	}
-	secCfg := secondaryClientConfig(cfg.TLS, cfg.MiddleboxTLS, acct)
+	tcfg := *cfg.TLS
+	tcfg.Clock = clk
+	secCfg := secondaryClientConfig(cfg.TLS, cfg.MiddleboxTLS, acct, clk)
 	// The secondary handshakes toward middleboxes must not carry the
 	// server's SNI or offer tickets.
 	secCfg.ServerName = ""
@@ -46,7 +48,7 @@ func serverRole(cfg *ServerConfig) (*role, error) {
 		timeout: cfg.HandshakeTimeout,
 		approve: cfg.Approve,
 		start: func(rl *tls12.RecordLayer) (*tls12.Conn, error) {
-			return tls12.Server(rl, cfg.TLS), nil
+			return tls12.Server(rl, &tcfg), nil
 		},
 		answer: func(m *mux, sub uint8) secondaryResult {
 			rl := tls12.NewRecordLayer(m.subchannel(sub, false))
@@ -58,6 +60,7 @@ func serverRole(cfg *ServerConfig) (*role, error) {
 					Certificate:  cfg.TLS.Certificate,
 					CipherSuites: cfg.TLS.CipherSuites,
 					Stopwatch:    cfg.TLS.Stopwatch,
+					Clock:        clk,
 				}
 				hop, err := runNeighbor(tls12.Server(rl, ncfg), "server")
 				return secondaryResult{sub: sub, neighbor: true, hop: hop, err: err}

@@ -33,6 +33,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/secmem"
 	"repro/internal/wire"
 )
@@ -181,8 +182,8 @@ func spin(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
+	deadline := clock.Real{}.Now().Add(d)
+	for (clock.Real{}).Now().Before(deadline) {
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // TestKeySharePoolHit pins that a pooled share round-trips into a
@@ -86,15 +88,14 @@ func TestKeySharePoolCloseWipes(t *testing.T) {
 // generation N open during generation N+1 (grace) and are refused at
 // generation N+2.
 func TestSTEKGraceWindow(t *testing.T) {
-	now := time.Unix(1000, 0)
-	clock := func() time.Time { return now }
-	s, err := NewSTEK(time.Minute, clock)
+	clk := clock.NewManual(time.Unix(1000, 0))
+	s, err := NewSTEK(time.Minute, clk)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gen0 := s.SealKey()
 
-	now = now.Add(61 * time.Second) // one interval: gen0 in grace
+	clk.Advance(61 * time.Second) // one interval: gen0 in grace
 	keys := s.OpenKeys()
 	if len(keys) != 2 || keys[1] != gen0 {
 		t.Fatalf("after one rotation OpenKeys = %d keys, want [gen1 gen0]", len(keys))
@@ -103,7 +104,7 @@ func TestSTEKGraceWindow(t *testing.T) {
 		t.Fatal("seal key did not rotate")
 	}
 
-	now = now.Add(61 * time.Second) // second interval: gen0 retired
+	clk.Advance(61 * time.Second) // second interval: gen0 retired
 	for _, k := range s.OpenKeys() {
 		if k == gen0 {
 			t.Fatal("gen0 still accepted after grace window")
@@ -114,14 +115,13 @@ func TestSTEKGraceWindow(t *testing.T) {
 // TestSTEKBigGap pins that a gap of many intervals retires both
 // generations at once instead of looping per missed interval.
 func TestSTEKBigGap(t *testing.T) {
-	now := time.Unix(1000, 0)
-	clock := func() time.Time { return now }
-	s, err := NewSTEK(time.Minute, clock)
+	clk := clock.NewManual(time.Unix(1000, 0))
+	s, err := NewSTEK(time.Minute, clk)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gen0 := s.SealKey()
-	now = now.Add(1000 * time.Minute)
+	clk.Advance(1000 * time.Minute)
 	keys := s.OpenKeys()
 	if len(keys) != 1 {
 		t.Fatalf("after big gap OpenKeys = %d keys, want 1", len(keys))
@@ -216,8 +216,8 @@ func TestVerifyCacheFailureNotCached(t *testing.T) {
 
 // TestVerifyCacheTTLAndInvalidate covers expiry, Invalidate, and Flush.
 func TestVerifyCacheTTLAndInvalidate(t *testing.T) {
-	now := time.Unix(1000, 0)
-	c := NewVerifyCache(16, time.Minute, func() time.Time { return now })
+	clk := clock.NewManual(time.Unix(1000, 0))
+	c := NewVerifyCache(16, time.Minute, clk)
 	key := [32]byte{3}
 	verify := func() error { return nil }
 	if cached, _ := c.Do(key, verify); cached {
@@ -226,7 +226,7 @@ func TestVerifyCacheTTLAndInvalidate(t *testing.T) {
 	if cached, _ := c.Do(key, verify); !cached {
 		t.Fatal("second lookup missed")
 	}
-	now = now.Add(2 * time.Minute)
+	clk.Advance(2 * time.Minute)
 	if cached, _ := c.Do(key, verify); cached {
 		t.Fatal("expired verdict served")
 	}

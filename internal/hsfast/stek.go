@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/secmem"
 )
 
@@ -23,7 +24,7 @@ import (
 type STEK struct {
 	mu       sync.Mutex
 	interval time.Duration
-	now      func() time.Time
+	clock    clock.Clock
 	rand     io.Reader
 
 	rotatedAt   time.Time
@@ -33,18 +34,15 @@ type STEK struct {
 	rotations   int64
 }
 
-// NewSTEK creates a STEK that rotates every interval. interval <= 0
-// disables time-based rotation (Rotate still works). now is the clock;
-// nil means time.Now.
-func NewSTEK(interval time.Duration, now func() time.Time) (*STEK, error) {
-	if now == nil {
-		now = time.Now
-	}
-	s := &STEK{interval: interval, now: now, rand: rand.Reader}
+// NewSTEK creates a STEK that rotates every interval on clk (nil means
+// the wall clock). interval <= 0 disables time-based rotation (Rotate
+// still works).
+func NewSTEK(interval time.Duration, clk clock.Clock) (*STEK, error) {
+	s := &STEK{interval: interval, clock: clock.Or(clk), rand: rand.Reader}
 	if _, err := io.ReadFull(s.rand, s.currentKey[:]); err != nil {
 		return nil, err
 	}
-	s.rotatedAt = now()
+	s.rotatedAt = s.clock.Now()
 	return s, nil
 }
 
@@ -79,7 +77,7 @@ func (s *STEK) Rotate() error {
 	if err := s.rotateLocked(); err != nil {
 		return err
 	}
-	s.rotatedAt = s.now()
+	s.rotatedAt = s.clock.Now()
 	return nil
 }
 
@@ -97,7 +95,7 @@ func (s *STEK) advanceLocked() {
 	if s.interval <= 0 {
 		return
 	}
-	elapsed := s.now().Sub(s.rotatedAt)
+	elapsed := s.clock.Now().Sub(s.rotatedAt)
 	if elapsed < s.interval {
 		return
 	}
@@ -111,7 +109,7 @@ func (s *STEK) advanceLocked() {
 		s.currentKey = fresh
 		secmem.Wipe(fresh[:])
 		s.rotations++
-		s.rotatedAt = s.now()
+		s.rotatedAt = s.clock.Now()
 		return
 	}
 	if err := s.rotateLocked(); err == nil {

@@ -4,6 +4,8 @@ import (
 	"container/list"
 	"sync"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // VerifyCacheStats is a point-in-time snapshot of a cache's counters.
@@ -64,7 +66,7 @@ type VerifyCache struct {
 	mu      sync.Mutex
 	max     int
 	ttl     time.Duration
-	now     func() time.Time
+	clock   clock.Clock
 	entries map[[32]byte]*vcEntry
 	order   *list.List // front = most recently used
 
@@ -77,20 +79,17 @@ type VerifyCache struct {
 }
 
 // NewVerifyCache creates a cache holding up to max verdicts for at
-// most ttl each. max defaults to 1024 when non-positive; ttl <= 0
-// means verdicts never expire (invalidation only). now is the clock;
-// nil means time.Now.
-func NewVerifyCache(max int, ttl time.Duration, now func() time.Time) *VerifyCache {
+// most ttl each on clk (nil means the wall clock). max defaults to 1024
+// when non-positive; ttl <= 0 means verdicts never expire
+// (invalidation only).
+func NewVerifyCache(max int, ttl time.Duration, clk clock.Clock) *VerifyCache {
 	if max <= 0 {
 		max = 1024
-	}
-	if now == nil {
-		now = time.Now
 	}
 	return &VerifyCache{
 		max:     max,
 		ttl:     ttl,
-		now:     now,
+		clock:   clock.Or(clk),
 		entries: make(map[[32]byte]*vcEntry),
 		order:   list.New(),
 	}
@@ -107,7 +106,7 @@ func (c *VerifyCache) Do(key [32]byte, verify func() error) (cached bool, err er
 		case <-e.done:
 			// Completed entry: only successes stay in the map, so a
 			// non-expired entry is a valid verdict.
-			if c.ttl <= 0 || c.now().Sub(e.at) <= c.ttl {
+			if c.ttl <= 0 || c.clock.Now().Sub(e.at) <= c.ttl {
 				c.hits++
 				c.order.MoveToFront(e.elem)
 				c.mu.Unlock()
@@ -138,7 +137,7 @@ func (c *VerifyCache) Do(key [32]byte, verify func() error) (cached bool, err er
 
 	c.mu.Lock()
 	e.err = err
-	e.at = c.now()
+	e.at = c.clock.Now()
 	if err != nil {
 		// Share the failure with in-flight waiters, then forget it.
 		if c.entries[key] == e {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/testutil/goleak"
 )
 
@@ -15,8 +16,8 @@ import (
 // one tick past it, with the expiry counted.
 func TestVerifyCacheTTLExpiry(t *testing.T) {
 	goleak.Check(t)
-	now := time.Unix(5000, 0)
-	c := NewVerifyCache(8, 10*time.Second, func() time.Time { return now })
+	clk := clock.NewManual(time.Unix(5000, 0))
+	c := NewVerifyCache(8, 10*time.Second, clk)
 	key := [32]byte{7}
 	var runs int
 	verify := func() error { runs++; return nil }
@@ -24,11 +25,11 @@ func TestVerifyCacheTTLExpiry(t *testing.T) {
 	if cached, _ := c.Do(key, verify); cached {
 		t.Fatal("empty cache served a verdict")
 	}
-	now = now.Add(10 * time.Second) // exactly at the deadline: still valid
+	clk.Advance(10 * time.Second) // exactly at the deadline: still valid
 	if cached, _ := c.Do(key, verify); !cached {
 		t.Fatal("verdict expired before its TTL elapsed")
 	}
-	now = now.Add(time.Nanosecond) // one tick past: expired
+	clk.Advance(time.Nanosecond) // one tick past: expired
 	if cached, _ := c.Do(key, verify); cached {
 		t.Fatal("verdict served past its TTL")
 	}

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+
+	"repro/internal/clock"
 )
 
 // This file is the deterministic fault-injection substrate. A
@@ -125,6 +127,9 @@ type faultConn struct {
 	closeOnce sync.Once
 	closedCh  chan struct{}
 }
+
+// Clock forwards the inner conn's clock.
+func (f *faultConn) Clock() clock.Clock { return clock.Of(f.Conn) }
 
 // Close unblocks any stalled writer, then closes the inner conn.
 func (f *faultConn) Close() error {

@@ -8,6 +8,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/clock"
 )
 
 func TestPipeRoundTrip(t *testing.T) {
@@ -75,42 +77,55 @@ func TestPipeEOFAfterClose(t *testing.T) {
 	}
 }
 
+// TestLinkLatency: a write is unreadable one nanosecond before the link
+// latency has passed and readable at exactly that instant, and a Read
+// parked on the latency returns then and not before.
 func TestLinkLatency(t *testing.T) {
-	a, b := NewLink(LinkConfig{Latency: 30 * time.Millisecond})
+	const latency = 30 * time.Millisecond
+	m := clock.NewManual(epoch)
+	a, b := NewLink(LinkConfig{Latency: latency, Clock: m})
 	defer a.Close()
 	defer b.Close()
-	start := time.Now()
 	a.Write([]byte("x")) //nolint:errcheck
-	buf := make([]byte, 1)
-	if _, err := io.ReadFull(b, buf); err != nil {
-		t.Fatal(err)
+	got := make(chan []byte, 1)
+	go func() {
+		buf := make([]byte, 8)
+		n, _ := b.Read(buf)
+		got <- buf[:n]
+	}()
+	m.AwaitTimers(1) // the Read is parked until the delivery time
+	m.Advance(latency - time.Nanosecond)
+	select {
+	case p := <-got:
+		t.Fatalf("read returned %q 1ns before the latency passed", p)
+	default:
 	}
-	elapsed := time.Since(start)
-	if elapsed < 25*time.Millisecond {
-		t.Fatalf("latency not applied: %v", elapsed)
-	}
-	if elapsed > 300*time.Millisecond {
-		t.Fatalf("latency wildly exceeded: %v", elapsed)
+	m.Advance(time.Nanosecond)
+	if p := <-got; string(p) != "x" {
+		t.Fatalf("read at the delivery time = %q, want \"x\"", p)
 	}
 }
 
+// TestLinkBandwidth: at 1 Mbit/s a 25 KiB write is clocked out in
+// exactly 204.8 ms (8 µs a byte); none of it is readable a nanosecond
+// earlier.
 func TestLinkBandwidth(t *testing.T) {
-	// 1 Mbit/s: 25 KiB should take ≈200 ms.
-	a, b := NewLink(LinkConfig{Bandwidth: 1e6})
+	m := clock.NewManual(epoch)
+	a, b := NewLink(LinkConfig{Bandwidth: 1e6, Clock: m})
 	defer a.Close()
 	defer b.Close()
-	payload := make([]byte, 25<<10)
-	go func() {
-		a.Write(payload) //nolint:errcheck
-	}()
-	start := time.Now()
-	buf := make([]byte, len(payload))
-	if _, err := io.ReadFull(b, buf); err != nil {
+	payload := pattern(0, 25<<10)
+	if _, err := a.Write(payload); err != nil {
 		t.Fatal(err)
 	}
-	elapsed := time.Since(start)
-	if elapsed < 100*time.Millisecond {
-		t.Fatalf("bandwidth not enforced: %d bytes in %v", len(payload), elapsed)
+	const due = 25 << 10 * 8 * time.Microsecond
+	m.Advance(due - time.Nanosecond)
+	if got := poll(t, b, len(payload)); len(got) != 0 {
+		t.Fatalf("%d bytes readable before the write was clocked out", len(got))
+	}
+	m.Advance(time.Nanosecond)
+	if got := poll(t, b, len(payload)); !bytes.Equal(got, payload) {
+		t.Fatalf("read %d bytes at the delivery time, want all %d", len(got), len(payload))
 	}
 }
 

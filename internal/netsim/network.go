@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // Network is an in-memory address space: nodes Listen on names and
@@ -143,8 +145,8 @@ func (l *Listener) deliver(c net.Conn) error {
 	}
 	l.mu.Unlock()
 	// Backlog full: wait outside the lock so Close stays responsive.
-	timeout := time.NewTimer(5 * time.Second)
-	defer timeout.Stop()
+	full := make(chan struct{})
+	defer clock.Of(c).AfterFunc(5*time.Second, func() { close(full) }).Stop()
 	select {
 	case l.backlog <- c:
 		l.mu.Lock()
@@ -163,7 +165,7 @@ func (l *Listener) deliver(c net.Conn) error {
 		return refused
 	case <-l.closed:
 		return refused
-	case <-timeout.C:
+	case <-full:
 		return fmt.Errorf("netsim: accept backlog full at %q", l.addr)
 	}
 }

@@ -20,6 +20,8 @@ import (
 	"sync"
 	"syscall"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // ErrClosedPipe is returned for operations on a closed pipe end. It
@@ -63,6 +65,7 @@ type stream struct {
 	isReset  bool // connection reset: both sides fail, in-flight data discarded
 	bytesIn  int64
 	bytesOut int64
+	clk      clock.Clock // the link's time base: marks, deadlines and waits read it
 }
 
 // defaultWindow is the per-direction flow-control window, playing the
@@ -70,8 +73,8 @@ type stream struct {
 // are queued unread, so a fast sender cannot balloon memory.
 const defaultWindow = 1 << 20
 
-func newStream(latency time.Duration, bitsPerSecond float64) *stream {
-	s := &stream{latency: latency, maxBuf: defaultWindow}
+func newStream(clk clock.Clock, latency time.Duration, bitsPerSecond float64) *stream {
+	s := &stream{clk: clk, latency: latency, maxBuf: defaultWindow}
 	if bitsPerSecond > 0 {
 		s.byteDelay = time.Duration(8 * float64(time.Second) / bitsPerSecond)
 	}
@@ -96,14 +99,14 @@ func (s *stream) waitUntil(t time.Time) {
 		s.cond.Wait()
 		return
 	}
-	timer := time.AfterFunc(time.Until(t), s.wake)
+	timer := s.clk.AfterFunc(t.Sub(s.clk.Now()), s.wake)
 	s.cond.Wait()
 	timer.Stop()
 }
 
 // expired reports that a deadline is set and has passed.
-func expired(deadline time.Time) bool {
-	return !deadline.IsZero() && !time.Now().Before(deadline)
+func (s *stream) expired(deadline time.Time) bool {
+	return !deadline.IsZero() && !s.clk.Now().Before(deadline)
 }
 
 func (s *stream) setDeadline(which *time.Time, t time.Time) {
@@ -122,7 +125,7 @@ func (s *stream) write(p []byte) (int, error) {
 	// Flow control: wait for window space (a write may overshoot the
 	// window by up to its own size, like a final TCP segment).
 	for !s.closed && !s.broken && s.bytesIn-s.bytesOut >= s.maxBuf {
-		if expired(s.wDeadline) {
+		if s.expired(s.wDeadline) {
 			return 0, errDeadline
 		}
 		s.waitUntil(s.wDeadline)
@@ -146,7 +149,7 @@ func (s *stream) write(p []byte) (int, error) {
 	copy(s.ring, p[n:])
 	s.bytesIn += int64(len(p))
 	if s.latency > 0 || s.byteDelay > 0 {
-		arrive := time.Now().Add(s.latency)
+		arrive := s.clk.Now().Add(s.latency)
 		if s.lastAt.After(arrive) {
 			arrive = s.lastAt
 		}
@@ -171,7 +174,7 @@ func (s *stream) arrived() (int, time.Time) {
 	if len(s.marks) == 0 {
 		return int(s.bytesIn - s.bytesOut), time.Time{}
 	}
-	now, i := time.Now(), 0
+	now, i := s.clk.Now(), 0
 	for i < len(s.marks) && !s.marks[i].deliverAt.After(now) {
 		i++
 	}
@@ -222,7 +225,7 @@ func (s *stream) read(p []byte) (int, error) {
 		} else if s.broken {
 			return 0, ErrClosedPipe
 		}
-		if expired(s.rDeadline) {
+		if s.expired(s.rDeadline) {
 			return 0, errDeadline
 		}
 		s.waitUntil(until)
@@ -353,6 +356,9 @@ func (c *Conn) SetWriteDeadline(t time.Time) error {
 	return nil
 }
 
+// Clock returns the link's clock, the time base of its deadlines.
+func (c *Conn) Clock() clock.Clock { return c.in.clk }
+
 // Stats reports bytes written to and read from this end's inbound
 // stream (delivered traffic).
 func (c *Conn) Stats() (queued, delivered int64) {
@@ -368,6 +374,9 @@ type LinkConfig struct {
 	// Bandwidth is the link rate in bits per second; 0 means
 	// unlimited.
 	Bandwidth float64
+	// Clock is the link's time base, read by its latency, pacing and
+	// deadlines and by the parties on it (clock.Of); nil is wall time.
+	Clock clock.Clock
 	// NameA and NameB label the two ends.
 	NameA, NameB string
 }
@@ -380,8 +389,9 @@ func NewLink(cfg LinkConfig) (*Conn, *Conn) {
 	if cfg.NameB == "" {
 		cfg.NameB = "b"
 	}
-	ab := newStream(cfg.Latency, cfg.Bandwidth)
-	ba := newStream(cfg.Latency, cfg.Bandwidth)
+	clk := clock.Or(cfg.Clock)
+	ab := newStream(clk, cfg.Latency, cfg.Bandwidth)
+	ba := newStream(clk, cfg.Latency, cfg.Bandwidth)
 	a := &Conn{in: ba, out: ab, local: Addr(cfg.NameA), remote: Addr(cfg.NameB)}
 	b := &Conn{in: ab, out: ba, local: Addr(cfg.NameB), remote: Addr(cfg.NameA)}
 	return a, b

@@ -3,11 +3,17 @@ package netsim
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
+
+// epoch is where the tests' manual clocks start.
+var epoch = time.Unix(1_700_000_000, 0)
 
 // pattern returns n bytes of the stream that starts at position pos, so
 // a reader can check any slice of it without knowing how it was cut.
@@ -25,6 +31,19 @@ func readSome(t *testing.T, c *Conn, n int) []byte {
 	buf := make([]byte, n)
 	got, err := c.Read(buf)
 	if err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	return buf[:got]
+}
+
+// poll reads once without waiting — its deadline is the link clock's
+// now — and returns what had arrived, nothing on a timeout.
+func poll(t *testing.T, c *Conn, n int) []byte {
+	t.Helper()
+	c.SetReadDeadline(c.Clock().Now()) //nolint:errcheck
+	buf := make([]byte, n)
+	got, err := c.Read(buf)
+	if err != nil && !isTimeout(err) {
 		t.Fatalf("read: %v", err)
 	}
 	return buf[:got]
@@ -196,89 +215,109 @@ func TestClosedStreamFreesRingOnceDrained(t *testing.T) {
 	b.Close()
 }
 
-// TestLatencyIsALowerBoundPerWrite: a coalescing reader never sees a
-// write's bytes before that write's time plus the link latency. Only
-// lower bounds are asserted, so a slow box cannot fail it.
-func TestLatencyIsALowerBoundPerWrite(t *testing.T) {
+// TestLatencyDelaysEachWriteExactly: on a link with latency each
+// write's bytes become readable at exactly that write's time plus the
+// latency — not a nanosecond before, and without waiting for the writes
+// queued behind it.
+func TestLatencyDelaysEachWriteExactly(t *testing.T) {
 	const latency = 40 * time.Millisecond
-	a, b := NewLink(LinkConfig{Latency: latency})
+	m := clock.NewManual(epoch)
+	a, b := NewLink(LinkConfig{Latency: latency, Clock: m})
 	defer a.Close()
 	defer b.Close()
-	var wrote [2]time.Time
-	for i := range wrote {
-		if i > 0 {
-			time.Sleep(latency / 2)
+	a.Write(bytes.Repeat([]byte{0}, 500)) //nolint:errcheck
+	m.Advance(latency / 2)
+	a.Write(bytes.Repeat([]byte{1}, 500)) //nolint:errcheck
+	for i, at := range []time.Duration{latency, latency + latency/2} {
+		m.Advance(at - time.Nanosecond - m.Now().Sub(epoch))
+		if got := poll(t, b, 4096); len(got) != 0 {
+			t.Fatalf("%d bytes readable 1ns before write %d's delivery time", len(got), i)
 		}
-		wrote[i] = time.Now()
-		if _, err := a.Write(bytes.Repeat([]byte{byte(i)}, 500)); err != nil {
-			t.Fatal(err)
+		m.Advance(time.Nanosecond)
+		if got := poll(t, b, 4096); !bytes.Equal(got, bytes.Repeat([]byte{byte(i)}, 500)) {
+			t.Fatalf("read at write %d's delivery time = %d bytes %v..., want its 500", i, len(got), got[:min(len(got), 4)])
 		}
-	}
-	buf := make([]byte, 4096)
-	for got := 0; got < 1000; {
-		n, err := b.Read(buf)
-		at := time.Now()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range buf[:n] {
-			if early := wrote[w].Add(latency).Sub(at); early > 0 {
-				t.Fatalf("a byte of write %d was readable %v before its delivery time", w, early)
-			}
-		}
-		got += n
 	}
 }
 
 // TestBandwidthPacesCoalescedWrites: on a capped link a write's bytes
-// are not readable before every byte ahead of them and its own have
-// been clocked out, however the reader batches.
+// are readable exactly when every byte ahead of them and its own have
+// been clocked out, however the reader batches: a reader that comes
+// late takes every write delivered by then in one Read.
 func TestBandwidthPacesCoalescedWrites(t *testing.T) {
 	const size = 2500 // 20 ms a write at 1 Mbit/s
-	a, b := NewLink(LinkConfig{Bandwidth: 1e6})
+	const perWrite = size * 8 * time.Microsecond
+	m := clock.NewManual(epoch)
+	a, b := NewLink(LinkConfig{Bandwidth: 1e6, Clock: m})
 	defer a.Close()
 	defer b.Close()
-	start := time.Now()
 	for i := 0; i < 3; i++ {
 		if _, err := a.Write(bytes.Repeat([]byte{byte(i)}, size)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	buf := make([]byte, 4*size)
-	for got := 0; got < 3*size; {
-		n, err := b.Read(buf)
-		elapsed := time.Since(start)
-		if err != nil {
-			t.Fatal(err)
+	// At each instant, the writes whose bytes the reader sees: a
+	// nanosecond before write 0 is out, none; then write 0; a nanosecond
+	// before write 2 is out, write 1 alone; then write 2.
+	for _, step := range []struct {
+		at     time.Duration
+		writes []byte
+	}{
+		{perWrite - time.Nanosecond, nil},
+		{perWrite, []byte{0}},
+		{3*perWrite - time.Nanosecond, []byte{1}},
+		{3 * perWrite, []byte{2}},
+	} {
+		m.Advance(step.at - m.Now().Sub(epoch))
+		var want []byte
+		for _, w := range step.writes {
+			want = append(want, bytes.Repeat([]byte{w}, size)...)
 		}
-		last := int(buf[n-1])
-		if due := time.Duration(last+1) * size * 8 * time.Microsecond; elapsed < due {
-			t.Fatalf("write %d readable after %v, before its %v of transmission", last, elapsed, due)
+		if got := poll(t, b, 4*size); !bytes.Equal(got, want) {
+			t.Fatalf("at %v read %d bytes, want writes %v (%d bytes)", step.at, len(got), step.writes, len(want))
 		}
-		got += n
 	}
 }
 
 // TestDeadlineBoundsLatencyWait: a read deadline earlier than the
-// delivery time ends the wait (it used to be noticed only after the
-// full latency); so does one set while the Read is parked.
+// delivery time ends the wait at exactly the deadline (it used to be
+// noticed only after the full latency); so does one set while the Read
+// is parked.
 func TestDeadlineBoundsLatencyWait(t *testing.T) {
-	a, b := NewLink(LinkConfig{Latency: time.Hour})
+	m := clock.NewManual(epoch)
+	a, b := NewLink(LinkConfig{Latency: time.Hour, Clock: m})
 	defer a.Close()
 	defer b.Close()
-	a.Write([]byte("in flight for an hour"))                 //nolint:errcheck
-	b.SetReadDeadline(time.Now().Add(10 * time.Millisecond)) //nolint:errcheck
-	if n, err := b.Read(make([]byte, 64)); n != 0 || !isTimeout(err) {
-		t.Fatalf("read = (%d, %v), want a timeout before delivery", n, err)
+	a.Write([]byte("in flight for an hour")) //nolint:errcheck
+	read := func() <-chan error {
+		res := make(chan error, 1)
+		go func() {
+			n, err := b.Read(make([]byte, 64))
+			if n != 0 {
+				err = fmt.Errorf("read %d bytes before their delivery time", n)
+			}
+			res <- err
+		}()
+		return res
 	}
+	b.SetReadDeadline(m.Now().Add(10 * time.Millisecond)) //nolint:errcheck
+	res := read()
+	m.AwaitTimers(1) // parked until the deadline, the earlier of the two
+	m.Advance(10*time.Millisecond - time.Nanosecond)
+	select {
+	case err := <-res:
+		t.Fatalf("read returned %v 1ns before its deadline", err)
+	default:
+	}
+	m.Advance(time.Nanosecond)
+	if err := <-res; !isTimeout(err) {
+		t.Fatalf("read at its deadline = %v, want a timeout", err)
+	}
+
 	b.SetReadDeadline(time.Time{}) //nolint:errcheck
-	res := make(chan error, 1)
-	go func() {
-		_, err := b.Read(make([]byte, 64))
-		res <- err
-	}()
-	time.Sleep(10 * time.Millisecond) // let it park (either order passes)
-	b.SetDeadline(time.Now())         //nolint:errcheck
+	res = read()
+	m.AwaitTimers(2)       // parked until the delivery time
+	b.SetDeadline(m.Now()) //nolint:errcheck
 	if err := <-res; !isTimeout(err) {
 		t.Fatalf("parked read after SetDeadline(now) = %v, want a timeout", err)
 	}

@@ -36,6 +36,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/hsfast"
 	"repro/internal/tls12"
@@ -421,8 +422,8 @@ func (h *Host) reject(conn net.Conn, err error) {
 		Type:    tls12.TypeAlert,
 		Payload: []byte{byte(tls12.AlertLevelFatal), byte(desc)},
 	}
-	conn.SetDeadline(time.Now().Add(rejectLinger)) //nolint:errcheck
-	conn.Write(rec.Marshal())                      //nolint:errcheck
+	conn.SetDeadline(clock.Of(conn).Now().Add(rejectLinger)) //nolint:errcheck
+	conn.Write(rec.Marshal())                                //nolint:errcheck
 	h.logf("sessionhost %s: refused connection: %v", h.cfg.Name, err)
 	if h.lingering.Add(1) > maxLingering {
 		h.lingering.Add(-1)
@@ -447,7 +448,7 @@ func (h *Host) Shutdown(ctx context.Context) error {
 	if h.draining.CompareAndSwap(false, true) {
 		close(h.drainCh)
 	}
-	start := time.Now()
+	start := clock.Real{}.Now()
 	h.mu.Lock()
 	for _, s := range h.sessions {
 		s.markDraining()
@@ -479,7 +480,7 @@ func (h *Host) Shutdown(ctx context.Context) error {
 		// drain.
 		<-done
 	}
-	drained := time.Since(start)
+	drained := clock.Real{}.Now().Sub(start)
 
 	h.lmu.Lock()
 	firstClose := !h.closed

@@ -7,8 +7,8 @@ import (
 	"crypto/x509"
 	"errors"
 	"io"
-	"time"
 
+	"repro/internal/clock"
 	"repro/internal/secmem"
 	"repro/internal/timing"
 )
@@ -85,9 +85,9 @@ type ChainCache interface {
 type Config struct {
 	// Rand is the entropy source; nil means crypto/rand.Reader.
 	Rand io.Reader
-	// Time returns the current time for certificate validation; nil
-	// means time.Now.
-	Time func() time.Time
+	// Clock tells the time for certificate checks and ticket lifetimes;
+	// nil is the wall clock. mbTLS parties set their transport's.
+	Clock clock.Clock
 
 	// Certificate authenticates the server side of a handshake.
 	Certificate *Certificate
@@ -185,13 +185,6 @@ func (c *Config) rand() io.Reader {
 		return rand.Reader
 	}
 	return c.Rand
-}
-
-func (c *Config) time() time.Time {
-	if c == nil || c.Time == nil {
-		return time.Now()
-	}
-	return c.Time()
 }
 
 func (c *Config) cipherSuites() []uint16 {

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/clock"
 	"repro/internal/secmem"
 )
 
@@ -355,7 +356,7 @@ func (c *Conn) verifyServerChain(cfg *Config, der [][]byte) ([]*x509.Certificate
 			opts := x509.VerifyOptions{
 				Roots:         cfg.RootCAs,
 				DNSName:       cfg.ServerName,
-				CurrentTime:   cfg.time(),
+				CurrentTime:   clock.Or(cfg.Clock).Now(),
 				Intermediates: x509.NewCertPool(),
 			}
 			for _, ic := range chain[1:] {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/clock"
 	"repro/internal/secmem"
 )
 
@@ -245,7 +246,7 @@ func (c *Conn) sendNewTicket(cfg *Config, suite uint16, ts *transcript) error {
 		// connection's slice lives on (key export, more tickets) while
 		// this one is wiped once the ticket is sealed.
 		master:    append([]byte(nil), c.masterSecret...),
-		createdAt: uint64(cfg.time().Unix()),
+		createdAt: uint64(clock.Or(cfg.Clock).Now().Unix()),
 	}
 	ticket, err := sealTicket(cfg, state)
 	state.wipe()

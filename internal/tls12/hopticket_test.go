@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
 func TestMiddleboxSupportHopTicketsRoundTrip(t *testing.T) {
@@ -86,7 +88,8 @@ func TestTicketKeySourceGrace(t *testing.T) {
 	var genA, genB [32]byte
 	genA[0], genB[0] = 0xA, 0xB
 
-	sealer := &Config{EnableTickets: true, Time: func() time.Time { return now },
+	clk := clock.NewManual(now)
+	sealer := &Config{EnableTickets: true, Clock: clk,
 		TicketKeys: &fakeSTEK{seal: genA, open: [][32]byte{genA}}}
 	state := &sessionState{suite: TLS_ECDHE_ECDSA_WITH_AES_256_GCM_SHA384, master: make([]byte, 48), createdAt: uint64(now.Unix())}
 	ticket, err := sealTicket(sealer, state)
@@ -94,13 +97,13 @@ func TestTicketKeySourceGrace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	grace := &Config{EnableTickets: true, Time: func() time.Time { return now },
+	grace := &Config{EnableTickets: true, Clock: clk,
 		TicketKeys: &fakeSTEK{seal: genB, open: [][32]byte{genB, genA}}}
 	if openTicket(grace, ticket) == nil {
 		t.Fatal("ticket refused during the grace window")
 	}
 
-	retired := &Config{EnableTickets: true, Time: func() time.Time { return now },
+	retired := &Config{EnableTickets: true, Clock: clk,
 		TicketKeys: &fakeSTEK{seal: genB, open: [][32]byte{genB}}}
 	if openTicket(retired, ticket) != nil {
 		t.Fatal("ticket accepted after its key generation was retired")

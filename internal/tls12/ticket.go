@@ -7,6 +7,7 @@ import (
 	"io"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/secmem"
 	"repro/internal/wire"
 )
@@ -109,7 +110,7 @@ func openTicket(cfg *Config, ticket []byte) *sessionState {
 		return nil
 	}
 	created := time.Unix(int64(state.createdAt), 0)
-	now := cfg.time()
+	now := clock.Or(cfg.Clock).Now()
 	if now.Before(created) || now.Sub(created) > ticketLifetime {
 		state.wipe()
 		return nil

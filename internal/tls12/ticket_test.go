@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
 func ticketConfig(now time.Time) *Config {
-	cfg := &Config{EnableTickets: true, Time: func() time.Time { return now }}
+	cfg := &Config{EnableTickets: true, Clock: clock.NewManual(now)}
 	copy(cfg.TicketKey[:], bytes.Repeat([]byte{0x42}, 32))
 	return cfg
 }

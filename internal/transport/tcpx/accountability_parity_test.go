@@ -3,11 +3,13 @@ package tcpx_test
 import (
 	"errors"
 	"io"
+	"net"
 	"testing"
 	"time"
 
 	"repro/internal/chain"
 	"repro/internal/chain/chaintest"
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/sessionhost"
 	"repro/internal/testutil/goleak"
@@ -52,21 +54,32 @@ func newAcctChain(t *testing.T, mbOpt func(*core.MiddleboxConfig)) *acctChain {
 	return &acctChain{h: h, hop: hop}
 }
 
-// clientConfig builds a proxysig client config; clock (optional)
-// overrides the delegation-minting clock.
-func (c *acctChain) clientConfig(clock func() time.Time) *core.ClientConfig {
+// clientConfig builds a proxysig client config.
+func (c *acctChain) clientConfig() *core.ClientConfig {
 	ccfg := c.h.PKI.ClientConfig()
 	ccfg.Accountability = core.AccountProxySig
-	ccfg.AccountabilityClock = clock
 	return ccfg
 }
 
-// dial runs the client handshake over a fresh loopback connection.
-func (c *acctChain) dial(t *testing.T, ccfg *core.ClientConfig) (*core.Session, error) {
+// aheadConn is a connection whose clock runs two hours fast.
+type aheadConn struct{ net.Conn }
+
+func (aheadConn) Clock() clock.Clock { return aheadClock{} }
+
+type aheadClock struct{ clock.Real }
+
+func (aheadClock) Now() time.Time { return time.Now().Add(2 * time.Hour) }
+
+// dial runs the client handshake over a fresh loopback connection,
+// wrapped by wrap when it is non-nil.
+func (c *acctChain) dial(t *testing.T, ccfg *core.ClientConfig, wrap func(net.Conn) net.Conn) (*core.Session, error) {
 	t.Helper()
 	conn, err := c.hop.Dial()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if wrap != nil {
+		conn = wrap(conn)
 	}
 	sess, err := core.Dial(conn, ccfg)
 	if err != nil {
@@ -101,11 +114,10 @@ func TestProxySigParityOverTCP(t *testing.T) {
 		c := newAcctChain(t, func(cfg *core.MiddleboxConfig) {
 			cfg.Accountability = core.AccountProxySig
 		})
-		// A client whose delegation clock is two hours slow mints
-		// warrants already outside their validity window; the middlebox
+		// A client whose connection's clock runs two hours fast mints
+		// warrants not yet valid by the middlebox's clock; the middlebox
 		// refuses with certificate_expired at establishment.
-		skewed := c.clientConfig(func() time.Time { return time.Now().Add(-2 * time.Hour) })
-		sess, err := c.dial(t, skewed)
+		sess, err := c.dial(t, c.clientConfig(), func(conn net.Conn) net.Conn { return aheadConn{conn} })
 		if err == nil {
 			sess.Close()
 			t.Fatal("handshake with an expired delegation succeeded")
@@ -131,7 +143,7 @@ func TestProxySigParityOverTCP(t *testing.T) {
 				},
 			}
 		})
-		sess, err := c.dial(t, c.clientConfig(nil))
+		sess, err := c.dial(t, c.clientConfig(), nil)
 		if err != nil {
 			t.Fatalf("dial: %v", err)
 		}
@@ -158,7 +170,7 @@ func TestProxySigParityOverTCP(t *testing.T) {
 				},
 			}
 		})
-		sess, err := c.dial(t, c.clientConfig(nil))
+		sess, err := c.dial(t, c.clientConfig(), nil)
 		if err != nil {
 			t.Fatalf("dial: %v", err)
 		}
@@ -178,7 +190,7 @@ func TestProxySigParityOverTCP(t *testing.T) {
 		// Middlebox stays in attest mode; the proxysig client's offer is
 		// refused with a fatal accountability_mismatch alert.
 		c := newAcctChain(t, nil)
-		sess, err := c.dial(t, c.clientConfig(nil))
+		sess, err := c.dial(t, c.clientConfig(), nil)
 		if err == nil {
 			sess.Close()
 			t.Fatal("handshake across an accountability mismatch succeeded")

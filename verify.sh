@@ -18,21 +18,22 @@ cd "$(dirname "$0")"
 gate go build ./...
 gate go test ./...
 gate go vet ./...
-gate go test -race ./internal/core/ ./internal/tls12/ ./internal/netsim/ ./internal/sessionhost/ ./internal/hsfast/ ./internal/chain/
+gate go test -race ./internal/core/ ./internal/tls12/ ./internal/netsim/ ./internal/sessionhost/ ./internal/hsfast/ ./internal/chain/ ./internal/clock/
 gate go test -race ./internal/transport/...
-# Stress slice: netsim's byte stream, the Conn contract, the chain
-# builder's own contract (the shared concurrent-sessions body runs from
-# netsim and tcpx), the session host (admission, the handshake gate,
-# drain, snapshots), core's session establishment (both roles of
-# establish, every mode), and the relay's fence — the pipeline fault
-# tests, the per-batch and per-session cost pins, the data plane and
-# commit gate against their in-order reference, FuzzParallelReseal's
-# seed corpus — repeated and shuffled at three core counts; a flake is
-# a failure to fix, not to retry.
+# Stress slice: the manual clock, netsim's byte stream, the Conn
+# contract, the chain builder's own contract (the shared
+# concurrent-sessions body runs from netsim and tcpx), the session host
+# (admission, the handshake gate, drain, snapshots), core's session
+# establishment (both roles of establish, every mode, the deadlines and
+# the middlebox's key-material waits on a manual clock), and the relay's
+# fence — the pipeline fault tests, the per-batch and per-session cost
+# pins, the data plane and commit gate against their in-order
+# reference, FuzzParallelReseal's seed corpus — repeated and shuffled at
+# three core counts; a flake is a failure to fix, not to retry.
 for procs in 1 2 4; do
-	gate env GOMAXPROCS=$procs go test -count=20 -shuffle=on ./internal/netsim/ ./internal/transport/... ./internal/chain/ ./internal/sessionhost/
+	gate env GOMAXPROCS=$procs go test -count=20 -shuffle=on ./internal/clock/ ./internal/netsim/ ./internal/transport/... ./internal/chain/ ./internal/sessionhost/
 	gate env GOMAXPROCS=$procs go test -count=20 -shuffle=on \
-		-run 'TestSession|TestNeighborKeys|TestProxySig|TestChainTicket|TestHandshakePhaseDeadline|TestApproveRejection|TestGoldenTranscript|TestEstablish|TestPipeline|TestBurst|TestDataPlane|TestCommitGate|TestResumedSessionFixedCost|FuzzParallelReseal' ./internal/core/
+		-run 'TestSession|TestNeighborKeys|TestProxySig|TestChainTicket|TestHandshakePhaseDeadline|TestKeyMaterialWait|TestServerHelloHold|TestApproveRejection|TestGoldenTranscript|TestEstablish|TestPipeline|TestBurst|TestDataPlane|TestCommitGate|TestResumedSessionFixedCost|FuzzParallelReseal' ./internal/core/
 done
 # The frozen benchmark module compiles against core's relay API and
 # type-asserts on the transport's conns; catch a break here, not in the
