@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"net"
-	"sync"
 	"testing"
 
 	"repro/internal/tls12"
@@ -73,10 +72,9 @@ func TestCommitGateOwnsSequence(t *testing.T) {
 
 				wire := &captureConn{}
 				mb := &Middlebox{bufs: tls12.SharedRecordBufPool()}
-				// Not joined (mbtls unset): a failed commit counts its fault
-				// but leaves the alert to this test.
-				s := &mbSession{mb: mb, id: 1, down: wire, downR: wire, up: wire}
-				s.dpCond = sync.NewCond(&s.dpMu)
+				// Not joined (no role): a failed commit counts its fault but
+				// leaves the alert to this test.
+				s := mb.newSession(wire, wire, nil)
 				s.seedGates(dp)
 				pl := newDirPipeline(s, dir)
 				defer pl.reclaim()

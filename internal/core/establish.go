@@ -131,7 +131,10 @@ func watchSubchannels(m *mux, stop <-chan struct{}, results chan<- *secondaryRes
 // per-hop keys minted, distributed, and the adjacent hop's installed.
 func establish(transport net.Conn, r *role) (*Session, error) {
 	m := newMux(transport)
-	hw := watchHandshake(handshakeLimit(r.timeout), m, transport)
+	hw := watchHandshake(handshakeLimit(r.timeout), clock.Of(transport), func(err error) {
+		m.fail(err)
+		transport.Close()
+	})
 	defer hw.stop()
 
 	// Middleboxes inject their secondary flight before forwarding the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -30,10 +31,17 @@ const (
 // hook before key distribution — and whose clock the test moves.
 type faultConn struct {
 	net.Conn
-	clk       *clock.Manual
-	writes    atomic.Int32
-	closed    chan struct{}
-	closeOnce sync.Once
+	clk        *clock.Manual
+	writes     atomic.Int32
+	stallReads bool
+	closed     chan struct{}
+	closeOnce  sync.Once
+}
+
+func newFaultConn(c net.Conn) *faultConn {
+	// The clock starts at the wall clock's now: the chain's certificates
+	// are checked against it.
+	return &faultConn{Conn: c, clk: clock.NewManual(time.Now()), closed: make(chan struct{})}
 }
 
 func (c *faultConn) Write(p []byte) (int, error) {
@@ -45,6 +53,16 @@ func (c *faultConn) Write(p []byte) (int, error) {
 		return 0, net.ErrClosed
 	}
 	return c.Conn.Write(p)
+}
+
+// Read parks until Close when stallReads is set: nothing the peer sends
+// arrives.
+func (c *faultConn) Read(p []byte) (int, error) {
+	if c.stallReads {
+		<-c.closed
+		return 0, net.ErrClosed
+	}
+	return c.Conn.Read(p)
 }
 
 func (c *faultConn) Clock() clock.Clock { return c.clk }
@@ -156,9 +174,7 @@ func TestEstablishRoleSymmetry(t *testing.T) {
 				if !clientEnd {
 					own, peer = srvEnd, cliEnd
 				}
-				// The clock starts at the wall clock's now: the chain's
-				// certificates are checked against it.
-				fc := &faultConn{Conn: own, clk: clock.NewManual(time.Now()), closed: make(chan struct{})}
+				fc := newFaultConn(own)
 				var k endpointKnobs
 				if tc.tune != nil {
 					tc.tune(&k, fc)
@@ -289,4 +305,227 @@ func TestEstablishRoleSymmetry(t *testing.T) {
 			})
 		}
 	}
+	middleboxJoinStalls(t, ca, serverCert, mbCert)
+}
+
+// mbJoinClasses is what the endpoints of a middlebox join that stalled
+// in a phase report (DESIGN.md §7): the endpoint the middlebox converses
+// with — the client of a client-side middlebox, the server of a
+// server-side one — and the other endpoint, whose session (past the
+// hello sniff) is already established and fails its first Read.
+var mbJoinClasses = map[HandshakePhase]struct{ owner, far ErrorClass }{
+	PhaseHelloSniff:         {ClassCleanClose, ClassCleanClose},
+	PhaseSecondaryHandshake: {ClassCleanClose, ClassIntegrity},
+	PhaseKeyMaterial:        {ClassReset, ClassIntegrity},
+	PhaseDelegation:         {ClassReset, ClassIntegrity},
+}
+
+// stalledCredentials holds an endpoint's proxysig credential delivery
+// until released, then delivers as usual.
+type stalledCredentials struct {
+	accountabilityMode
+	entered func()
+	release <-chan struct{}
+}
+
+func (s stalledCredentials) establishCredentials(secs []secondaryResult, ct *ChainTicket, clk clock.Clock) (*sessionAudit, error) {
+	s.entered()
+	<-s.release
+	return s.accountabilityMode.establishCredentials(secs, ct, clk)
+}
+
+// middleboxJoinStalls is TestEstablishRoleSymmetry's middlebox half: a
+// one-middlebox chain stalls at each join phase × placement × keying
+// (attest, proxysig, neighbor-keys), generated from the axes. The
+// endpoint the middlebox converses with (the owner) stalls the step the
+// phase waits for; the middlebox, on a manual clock, must fail at
+// exactly DefaultHandshakeTimeout with a HandshakeTimeoutError naming
+// the phase; each endpoint must report its mbJoinClasses class, the
+// same on both placements; no goroutine may leak, and every connection
+// that completed its handshake must answer "already wiped".
+func middleboxJoinStalls(t *testing.T, ca *certs.CA, serverCert, mbCert *tls12.Certificate) {
+	phases := []HandshakePhase{PhaseHelloSniff, PhaseSecondaryHandshake, PhaseKeyMaterial, PhaseDelegation}
+	for i, phase := range phases {
+		for _, mode := range []Mode{ClientSide, ServerSide} {
+			for _, keying := range []string{"attest", "proxysig", "neighbor-keys"} {
+				// Cells that cannot exist: a warrant outside proxysig, and a
+				// server-side middlebox joining a neighbor-keys session.
+				if phase == PhaseDelegation && keying != "proxysig" || keying == "neighbor-keys" && mode == ServerSide {
+					continue
+				}
+				t.Run(fmt.Sprintf("middlebox stalls in %s/%s/%s", phase, mode, keying), func(t *testing.T) {
+					middleboxJoinStall(t, ca, serverCert, mbCert, phase, i+1, mode, keying)
+				})
+			}
+		}
+	}
+}
+
+func middleboxJoinStall(t *testing.T, ca *certs.CA, serverCert, mbCert *tls12.Certificate, phase HandshakePhase, armed int, mode Mode, keying string) {
+	acct := AccountAttest
+	if keying == "proxysig" {
+		acct = AccountProxySig
+	}
+	mb, err := NewMiddlebox(MiddleboxConfig{Name: "mb.example", Mode: mode, Certificate: mbCert, Accountability: acct})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := goleak.Base()
+	ccfg := &ClientConfig{
+		TLS:            &tls12.Config{RootCAs: ca.Pool(), ServerName: "origin.example"},
+		Accountability: acct,
+		NeighborKeys:   keying == "neighbor-keys",
+	}
+	scfg := &ServerConfig{
+		TLS:               &tls12.Config{Certificate: serverCert},
+		AcceptMiddleboxes: true,
+		MiddleboxTLS:      &tls12.Config{RootCAs: ca.Pool()},
+		Accountability:    acct,
+	}
+	cliEnd, mbDown := netsim.Pipe()
+	mbUp, srvEnd := netsim.Pipe()
+	cli, srv, down := newFaultConn(cliEnd), newFaultConn(srvEnd), newFaultConn(mbDown)
+	down.stallReads = phase == PhaseHelloSniff // the client's hello never arrives
+	cr, err := clientRole(ccfg, clock.Of(cli))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := serverRole(scfg, clock.Of(srv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner, far, ownerConn, farConn := cr, sr, cli, srv
+	if mode == ServerSide {
+		owner, far, ownerConn, farConn = sr, cr, srv, cli
+	}
+
+	// Both roles' hooks record every connection establish creates, and
+	// report once start has sent (or awaits) the primary hello.
+	var mu sync.Mutex
+	var conns []*tls12.Conn
+	capture := func(c *tls12.Conn) {
+		if c != nil {
+			mu.Lock()
+			conns = append(conns, c)
+			mu.Unlock()
+		}
+	}
+	var started sync.WaitGroup
+	for _, r := range []*role{cr, sr} {
+		start, answer := r.start, r.answer
+		started.Add(1)
+		r.start = func(rl *tls12.RecordLayer) (*tls12.Conn, error) {
+			defer started.Done()
+			c, err := start(rl)
+			capture(c)
+			return c, err
+		}
+		r.answer = func(m *mux, sub uint8) secondaryResult {
+			res := answer(m, sub)
+			capture(res.conn)
+			return res
+		}
+	}
+
+	// The owner stalls the step the phase waits for: it answers the
+	// middlebox's subchannel only by reading until the transport dies,
+	// or holds approval or the warrant until the middlebox gave up.
+	stalled, gaveUp := make(chan struct{}), make(chan struct{})
+	var stallOnce sync.Once
+	entered := func() { stallOnce.Do(func() { close(stalled) }) }
+	switch phase {
+	case PhaseSecondaryHandshake:
+		answer := owner.answer
+		owner.answer = func(m *mux, sub uint8) secondaryResult {
+			if sub == neighborSubchannel {
+				return answer(m, sub)
+			}
+			entered()
+			_, err := io.Copy(io.Discard, m.subchannel(sub, false))
+			if err == nil {
+				err = io.EOF
+			}
+			return secondaryResult{sub: sub, err: err}
+		}
+	case PhaseKeyMaterial:
+		owner.approve = func(MiddleboxSummary) bool { entered(); <-gaveUp; return true }
+	case PhaseDelegation:
+		owner.acct = stalledCredentials{owner.acct, entered, gaveUp}
+	}
+
+	type result struct {
+		sess *Session
+		err  error
+	}
+	mbDone := make(chan error, 1)
+	go func() { mbDone <- mb.Handle(down, mbUp) }()
+	ownerDone, farDone := make(chan result, 1), make(chan result, 1)
+	go func() {
+		sess, err := establish(ownerConn, owner)
+		ownerDone <- result{sess, err}
+	}()
+	go func() {
+		sess, err := establish(farConn, far)
+		farDone <- result{sess, err}
+	}()
+
+	// Move the middlebox's clock only once the chain sits where the
+	// phase says: both primaries waiting at the hello sniff; afterwards
+	// the far endpoint established, the owner parked in its stall (and
+	// past its primary handshake), the middlebox in the phase.
+	var farRes result
+	if phase == PhaseHelloSniff {
+		started.Wait()
+	} else {
+		if farRes = <-farDone; farRes.err != nil {
+			t.Fatalf("far endpoint: %v", farRes.err)
+		}
+		<-stalled
+		ownerConn.clk.AwaitTimers(phaseTimers[PhaseSecondaryHandshakes])
+	}
+	down.clk.AwaitTimers(armed) // the middlebox's phases so far, one timer each
+	down.clk.Advance(DefaultHandshakeTimeout - time.Nanosecond)
+	select {
+	case err := <-mbDone:
+		t.Fatalf("Handle returned (%v) 1ns before the %s deadline", err, phase)
+	default:
+	}
+	down.clk.Advance(time.Nanosecond)
+	err = <-mbDone
+	var hte *HandshakeTimeoutError
+	if !errors.As(err, &hte) || hte.Phase != phase || ClassifyError(err) != ClassTimeout {
+		t.Fatalf("Handle = %v, want a timeout in phase %s", err, phase)
+	}
+	close(gaveUp)
+
+	want := mbJoinClasses[phase]
+	ownerRes := <-ownerDone
+	if ownerRes.err == nil {
+		ownerRes.sess.Close()
+		t.Fatal("the owner established through a middlebox that gave up")
+	}
+	if got := ClassifyError(ownerRes.err); got != want.owner {
+		t.Errorf("owner error class = %s (%v), want %s", got, ownerRes.err, want.owner)
+	}
+	farErr := farRes.err
+	if phase == PhaseHelloSniff {
+		farErr = (<-farDone).err
+	} else {
+		_, farErr = farRes.sess.Read(make([]byte, 1))
+		farRes.sess.Close()
+	}
+	if got := ClassifyError(farErr); got != want.far {
+		t.Errorf("far endpoint error class = %s (%v), want %s", got, farErr, want.far)
+	}
+
+	for _, c := range []net.Conn{cli, srv, down, mbUp} {
+		c.Close()
+	}
+	for _, c := range conns {
+		_, err := c.ExportSessionKeys()
+		if c.ConnectionState().HandshakeComplete && (err == nil || !strings.Contains(err.Error(), "already wiped")) {
+			t.Errorf("a completed connection's keys outlived the failed join (export err = %v)", err)
+		}
+	}
+	goleak.Wait(t, base)
 }

@@ -31,8 +31,8 @@ const (
 	ClassOK ErrorClass = iota
 	// ClassCleanClose is an orderly shutdown: close_notify, EOF.
 	ClassCleanClose
-	// ClassTimeout is a deadline expiry — a read deadline, a handshake
-	// phase deadline, or a data-plane wait.
+	// ClassTimeout is a deadline expiry — a read deadline, or a phase
+	// deadline of an endpoint's establishment or a middlebox's join.
 	ClassTimeout
 	// ClassReset is an abrupt transport death: connection reset, write
 	// on a closed pipe, unexpected EOF mid-record.
@@ -227,11 +227,21 @@ func (e *DrainingError) Temporary() bool { return true }
 // establishment.
 type HandshakePhase string
 
-// Establishment phases, in order.
+// An endpoint's establishment phases, in order.
 const (
 	PhasePrimaryHandshake    HandshakePhase = "primary-handshake"
 	PhaseSecondaryHandshakes HandshakePhase = "secondary-handshakes"
 	PhaseKeyDistribution     HandshakePhase = "key-distribution"
+)
+
+// A middlebox's join phases, in order (paper §3.4): reading the
+// ClientHello it decides on, its secondary handshake, the wait for its
+// hop keys, and — under proxysig — the wait for its delegation warrant.
+const (
+	PhaseHelloSniff         HandshakePhase = "hello-sniff"
+	PhaseSecondaryHandshake HandshakePhase = "secondary-handshake"
+	PhaseKeyMaterial        HandshakePhase = "key-material"
+	PhaseDelegation         HandshakePhase = "delegation"
 )
 
 // DefaultHandshakeTimeout bounds each establishment phase when a
@@ -269,18 +279,19 @@ func (e *HandshakeTimeoutError) Timeout() bool { return true }
 // Temporary implements net.Error.
 func (e *HandshakeTimeoutError) Temporary() bool { return true }
 
-// hsWatch arms a per-phase deadline over session establishment. The
-// endpoint goroutines spend establishment parked in reads on mux
-// pipes, where no read deadline can reach (the pipes are not
-// net.Conns); when a phase overruns, the watcher fails the mux and
-// closes the transport, which unblocks every parked read, and err()
-// lets the caller surface the typed timeout instead of the secondary
+// hsWatch arms a per-phase deadline over session establishment: an
+// endpoint's (establish) or a middlebox's join. Both spend it parked in
+// reads on pipes, where no read deadline can reach (the pipes are not
+// net.Conns); when a phase overruns, the watcher runs its kill action —
+// the endpoint fails its mux and closes the transport, the middlebox
+// fails its session — which unblocks every parked read, and err() lets
+// the caller surface the typed timeout instead of the secondary
 // closed-pipe error the unblocking produced. A watcher with no limit
 // (deadlines disabled) is inert.
 type hsWatch struct {
-	limit     time.Duration
-	m         *mux
-	transport net.Conn
+	limit time.Duration
+	clk   clock.Clock
+	kill  func(error)
 
 	mu    sync.Mutex
 	timer clock.Timer
@@ -289,9 +300,9 @@ type hsWatch struct {
 	done  bool
 }
 
-// watchHandshake starts a watcher; limit <= 0 disables it.
-func watchHandshake(limit time.Duration, m *mux, transport net.Conn) *hsWatch {
-	return &hsWatch{limit: limit, m: m, transport: transport}
+// watchHandshake starts a watcher on clk; limit <= 0 disables it.
+func watchHandshake(limit time.Duration, clk clock.Clock, kill func(error)) *hsWatch {
+	return &hsWatch{limit: limit, clk: clk, kill: kill}
 }
 
 // enter (re)arms the deadline for the next phase.
@@ -305,7 +316,7 @@ func (w *hsWatch) enter(phase HandshakePhase) {
 	if w.timer != nil {
 		w.timer.Stop()
 	}
-	w.timer = clock.Of(w.transport).AfterFunc(w.limit, w.fire)
+	w.timer = w.clk.AfterFunc(w.limit, w.fire)
 }
 
 func (w *hsWatch) fire() {
@@ -316,8 +327,7 @@ func (w *hsWatch) fire() {
 	}
 	w.fired = &HandshakeTimeoutError{Phase: w.phase, Limit: w.limit}
 	w.mu.Unlock()
-	w.m.fail(w.fired)
-	w.transport.Close()
+	w.kill(w.fired)
 }
 
 // stop disarms the watcher (establishment finished, either way).

@@ -23,14 +23,8 @@ type pipeBuf struct {
 	err   error
 
 	writeFn func([]byte) error
-
-	firstWrite sync.Once
-	// onFirstWrite, if set, runs after the first write has reached the
-	// transport. Middleboxes use it to order their injected secondary
-	// ServerHello ahead of the forwarded primary ServerHello (paper
-	// §3.4: "inject their own secondary ServerHello ... and finally
-	// forward the primary ServerHello").
-	onFirstWrite func()
+	// wrote is set once a write has reached writeFn's transport.
+	wrote bool
 }
 
 func newPipeBuf(writeFn func([]byte) error) *pipeBuf {
@@ -63,10 +57,28 @@ func (p *pipeBuf) Write(b []byte) (int, error) {
 	if err := p.writeFn(b); err != nil {
 		return 0, err
 	}
-	if p.onFirstWrite != nil {
-		p.firstWrite.Do(p.onFirstWrite)
-	}
+	p.mu.Lock()
+	p.wrote = true
+	p.cond.Broadcast()
+	p.mu.Unlock()
 	return len(b), nil
+}
+
+// awaitWrite blocks until a write has reached the transport, or the
+// pipe fails first. Middleboxes use it to order their injected secondary
+// ServerHello ahead of the forwarded primary ServerHello (paper §3.4:
+// "inject their own secondary ServerHello ... and finally forward the
+// primary ServerHello").
+func (p *pipeBuf) awaitWrite() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for !p.wrote && p.err == nil {
+		p.cond.Wait()
+	}
+	if p.wrote {
+		return nil
+	}
+	return p.err
 }
 
 // feed appends a copy of the received bytes for Read (b may alias a

@@ -294,8 +294,8 @@ func (pl *dirPipeline) commit(j *relayJob) error {
 	out := j.out
 	s.mb.recordsRekeyed.Add(int64(j.res.opened))
 	s.mb.bytesProcessed.Add(int64(len(out) - j.res.appended*recordHeaderLen))
-	if s.proxySig.Load() && len(out) > 0 {
-		s.noteResealed(dir, out, j.res.appended)
+	if len(out) > 0 && s.acct != nil {
+		s.acct.noteResealed(dir, out, j.res.appended)
 	}
 	var werr error
 	if len(out) > 0 {

@@ -286,13 +286,14 @@ func FuzzParallelReseal(f *testing.F) {
 		in, out := newScriptConn(reads, false), newScriptConn(nil, true)
 		mb := &Middlebox{bufs: tls12.SharedRecordBufPool()}
 		mb.cfg.NewProcessor = newProc
-		s := &mbSession{mb: mb, id: 1, down: in, downR: in, up: out, mbtls: true}
+		down, up := in, out
 		if dir == DirServerToClient {
-			s.down, s.downR, s.up = out, out, in
+			down, up = out, in
 		}
-		s.dpCond = sync.NewCond(&s.dpMu)
-		s.proxySig.Store(true)
-		s.evC2S, s.evS2C = sha256.New(), sha256.New()
+		s := mb.newSession(down, up, nil)
+		s.role.Store(&mbRole{mine: DirClientToServer})
+		ev := &mbProxySig{s: s, c2s: sha256.New(), s2c: sha256.New()}
+		s.acct = ev
 		s.seedGates(dp)
 		s.setDataPlane(dp, nil)
 		s.relayBoth() //nolint:errcheck // which direction reports first is a race; the wire and the counters are the oracle
@@ -319,9 +320,9 @@ func FuzzParallelReseal(f *testing.F) {
 		if (st.FaultsObserved == 1) != (failure != nil) || st.FaultsObserved > 1 {
 			t.Fatalf("FaultsObserved = %d (failure: %v)", st.FaultsObserved, failure)
 		}
-		digest, records := s.evC2S, s.evC2SRecords
+		digest, records := ev.c2s, ev.c2sRecords
 		if dir == DirServerToClient {
-			digest, records = s.evS2C, s.evS2CRecords
+			digest, records = ev.s2c, ev.s2cRecords
 		}
 		if sum := sha256.Sum256(want[:wantData]); !bytes.Equal(digest.Sum(nil), sum[:]) || records != uint64(wantRes.appended) {
 			t.Fatalf("proxysig evidence covers %d records, reference %d; digest match %v",

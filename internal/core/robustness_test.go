@@ -2,12 +2,13 @@ package core_test
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"net"
-	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/chain"
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/netsim"
@@ -73,75 +74,102 @@ func keyMaterialWait(t *testing.T, mb *core.Middlebox) (clk *clock.Manual, cliEn
 	return clk, cliEnd, srvEnd, done
 }
 
-// expireAt advances clk to 1ns before the middlebox's 30 s key-material
+// expireAt advances clk to 1ns before the middlebox's 30 s join-phase
 // deadline, checks Handle is still waiting, then to the deadline, and
-// returns Handle's error.
-func expireAt(t *testing.T, clk *clock.Manual, handled <-chan error) error {
+// checks Handle failed with a timeout naming phase.
+func expireAt(t *testing.T, clk *clock.Manual, handled <-chan error, phase core.HandshakePhase) {
 	t.Helper()
-	const deadline = 30 * time.Second
-	clk.Advance(deadline - time.Nanosecond)
+	clk.Advance(core.DefaultHandshakeTimeout - time.Nanosecond)
 	select {
 	case err := <-handled:
-		t.Fatalf("Handle returned (%v) 1ns before the key-material deadline", err)
+		t.Fatalf("Handle returned (%v) 1ns before the %s deadline", err, phase)
 	default:
 	}
 	clk.Advance(time.Nanosecond)
-	return <-handled
+	err := <-handled
+	var hte *core.HandshakeTimeoutError
+	if !errors.As(err, &hte) || hte.Phase != phase || core.ClassifyError(err) != core.ClassTimeout {
+		t.Fatalf("Handle = %v, want a timeout in phase %s", err, phase)
+	}
 }
 
-// TestKeyMaterialWaitTimesOut: application data that reaches a joined
-// middlebox while its key material is withheld (the client sits in
-// Approve, before key distribution) is held — and the session fails at
-// exactly 30 s on the middlebox's clock, not a nanosecond sooner.
+// TestKeyMaterialWaitTimesOut: a joined middlebox whose key material is
+// withheld (the client sits in Approve, before key distribution) fails
+// at exactly 30 s on its clock, not a nanosecond sooner, in the
+// key-material phase — with application data held waiting for the keys
+// (§3.5) or without. A client that connects and sends nothing fails
+// the same way in hello-sniff.
 func TestKeyMaterialWaitTimesOut(t *testing.T) {
 	e := newEnv(t)
-	base := goleak.Base()
-	mb := e.middlebox(t, "mb.example", core.ClientSide)
-	clk, cliEnd, srvEnd, handled := keyMaterialWait(t, mb)
+	for _, tc := range []struct {
+		name      string
+		silent    bool // the client never sends its hello
+		earlyData bool // the server writes ahead of the key material
+	}{
+		{name: "early data", earlyData: true},
+		{name: "no early data"},
+		{name: "silent client", silent: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := goleak.Base()
+			mb := e.middlebox(t, "mb.example", core.ClientSide)
+			clk, cliEnd, srvEnd, handled := keyMaterialWait(t, mb)
+			if tc.silent {
+				clk.AwaitTimers(1) // hello-sniff
+				expireAt(t, clk, handled, core.PhaseHelloSniff)
+				goleak.Wait(t, base)
+				return
+			}
 
-	release := make(chan struct{})
-	ccfg := e.clientConfig()
-	ccfg.Approve = func(core.MiddleboxSummary) bool { <-release; return false }
-	dialed := make(chan error, 1)
-	go func() {
-		_, err := core.Dial(cliEnd, ccfg)
-		dialed <- err
-	}()
-	srv, err := core.Accept(srvEnd, e.serverConfig())
-	if err != nil {
-		t.Fatal(err)
+			release := make(chan struct{})
+			ccfg := e.clientConfig()
+			ccfg.Approve = func(core.MiddleboxSummary) bool { <-release; return false }
+			dialed := make(chan error, 1)
+			go func() {
+				_, err := core.Dial(cliEnd, ccfg)
+				dialed <- err
+			}()
+			srv, err := core.Accept(srvEnd, e.serverConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.earlyData {
+				if _, err := srv.Write([]byte("ahead of the key material")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			clk.AwaitTimers(3) // hello-sniff, secondary-handshake, key-material
+			expireAt(t, clk, handled, core.PhaseKeyMaterial)
+			close(release)
+			if err := <-dialed; err == nil {
+				t.Fatal("Dial succeeded through a middlebox that gave up")
+			}
+			srv.Close()
+			goleak.Wait(t, base)
+		})
 	}
-	if _, err := srv.Write([]byte("ahead of the key material")); err != nil {
-		t.Fatal(err)
-	}
-	clk.AwaitTimers(2) // the ServerHello hold's (stopped), then the data's wait
-	if err := expireAt(t, clk, handled); err == nil || !strings.Contains(err.Error(), "timed out waiting for key material") {
-		t.Fatalf("Handle = %v, want a key-material timeout", err)
-	}
-	close(release)
-	if err := <-dialed; err == nil {
-		t.Fatal("Dial succeeded through a middlebox that gave up")
-	}
-	srv.Close()
-	goleak.Wait(t, base)
 }
 
 // stalledKeys is a ticket-key source whose OpenKeys blocks until
 // released: a middlebox resuming a hop ticket stalls before its
-// secondary ServerHello.
-type stalledKeys struct{ release chan struct{} }
+// secondary ServerHello. entered is closed once it does.
+type stalledKeys struct{ entered, release chan struct{} }
 
-func (k stalledKeys) SealKey() [32]byte    { return [32]byte{} }
-func (k stalledKeys) OpenKeys() [][32]byte { <-k.release; return [][32]byte{{}} }
+func (k stalledKeys) SealKey() [32]byte { return [32]byte{} }
+func (k stalledKeys) OpenKeys() [][32]byte {
+	close(k.entered)
+	<-k.release
+	return [][32]byte{{}}
+}
 
 // TestServerHelloHoldTimesOut: a client-side middlebox holds the
 // primary ServerHello until its own secondary ServerHello is on the
 // wire. When its secondary handshake stalls first, the session fails
-// at exactly 30 s on the middlebox's clock.
+// at exactly 30 s on the middlebox's clock, in secondary-handshake.
 func TestServerHelloHoldTimesOut(t *testing.T) {
 	e := newEnv(t)
 	base := goleak.Base()
-	keys := stalledKeys{release: make(chan struct{})}
+	keys := stalledKeys{entered: make(chan struct{}), release: make(chan struct{})}
 	mb := e.middlebox(t, "mb.example", core.ClientSide, func(cfg *core.MiddleboxConfig) { cfg.TicketKeys = keys })
 	clk, cliEnd, srvEnd, handled := keyMaterialWait(t, mb)
 
@@ -161,15 +189,42 @@ func TestServerHelloHoldTimesOut(t *testing.T) {
 		_, err := core.Accept(srvEnd, e.serverConfig())
 		accepted <- err
 	}()
-	clk.AwaitTimers(1) // the ServerHello hold
-	if err := expireAt(t, clk, handled); err == nil || !strings.Contains(err.Error(), "secondary handshake failed to start") {
-		t.Fatalf("Handle = %v, want the ServerHello hold to expire", err)
-	}
+	<-keys.entered     // the ServerHello has passed: the hold is on
+	clk.AwaitTimers(2) // hello-sniff, secondary-handshake
+	expireAt(t, clk, handled, core.PhaseSecondaryHandshake)
 	close(keys.release)
 	if err := <-dialed; err == nil {
 		t.Fatal("Dial succeeded through a middlebox that gave up")
 	}
 	<-accepted
+	goleak.Wait(t, base)
+}
+
+// TestServerHelloHoldMeetsReset: the client link resets at the first
+// byte the middlebox writes toward the client — its secondary
+// ServerHello, written when the primary ServerHello passes it — so the
+// reset lands inside the ServerHello hold while the other relay
+// direction reads the same dying link. Teardown then runs from both
+// relays (and the hold) at once; every pipe it fails was built with the
+// session, so there is nothing to race on (run under -race). The
+// session must fail and leave nothing running, and the middlebox count
+// at most one fault (it may read the client's close before the reset).
+func TestServerHelloHoldMeetsReset(t *testing.T) {
+	e := newEnv(t)
+	base := goleak.Base()
+	mb := e.middlebox(t, "mb.example", core.ClientSide)
+	spec := netsim.FaultSpec{Kind: netsim.FaultReset, Dir: netsim.DirBToA}
+	ch, err := chain.Wire(onHop(0, func() (net.Conn, net.Conn) { return netsim.FaultPipe(spec) }), mb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := chain.Establish(ch.Client, ch.Server, e.clientConfig(), e.serverConfig()); !errors.Is(err, netsim.ErrReset) {
+		t.Fatalf("Establish = %v, want the client link's reset", err)
+	}
+	ch.Close() // waits for Handle
+	if st := mb.Stats(); st.MbTLSSessions != 1 || st.FaultsObserved > 1 {
+		t.Fatalf("joined %d sessions, observed %d faults; want 1 and at most 1", st.MbTLSSessions, st.FaultsObserved)
+	}
 	goleak.Wait(t, base)
 }
 
