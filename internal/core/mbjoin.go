@@ -110,20 +110,32 @@ func (s *mbSession) run() error {
 		s.mySub, s.assigned = uint8(maxSub+1), true
 		s.joinMu.Unlock()
 	}
+	// The sniffed records go on as one run — two, around a server-side
+	// announcement.
+	fr := fwdRun{s: s, dir: DirClientToServer}
 	announced := !r.announce
+	off := 0
 	for _, rec := range buffered {
 		if rec.Type == tls12.TypeHandshake && !announced {
 			// Ahead of the ClientHello, so middleboxes closer to the
 			// server count us before they self-assign.
 			announced = true
+			if err := fr.flush(); err != nil {
+				return err
+			}
 			ann := tls12.RawRecord{Type: tls12.TypeMiddleboxAnnouncement}
 			if err := s.writeSub(DirClientToServer, s.mySub, ann.Marshal()); err != nil {
 				return err
 			}
 		}
-		if err := s.forward(DirClientToServer, rec.Marshal()); err != nil {
+		end := off + recordHeaderLen + len(rec.Payload)
+		if err := fr.add(raw[off:end]); err != nil {
 			return err
 		}
+		off = end
+	}
+	if err := fr.flush(); err != nil {
+		return err
 	}
 	if r.announce {
 		go s.runSecondary(r)
@@ -215,7 +227,7 @@ const recordHeaderLen = 5
 // use before they self-assign. In neighbor-keys mode the upstream
 // neighbor hello goes first too: the server stops looking for new
 // subchannels once its primary handshake completes.
-func (s *mbSession) holdServerHello(r *mbRole) error {
+func (s *mbSession) holdServerHello(r *mbRole, fr *fwdRun) error {
 	s.joinMu.Lock()
 	first := !s.assigned
 	if first {
@@ -224,6 +236,10 @@ func (s *mbSession) holdServerHello(r *mbRole) error {
 	s.joinMu.Unlock()
 	if !first {
 		return nil
+	}
+	// What arrived ahead of the ServerHello leaves ahead of our flight.
+	if err := fr.flush(); err != nil {
+		return err
 	}
 	go s.runSecondary(r)
 	if r.neighbor {

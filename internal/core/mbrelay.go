@@ -30,14 +30,59 @@ func (s *mbSession) relayBoth() error {
 // of 2 KiB and up are bounded by the buffer first.
 const maxRelayBatch = 32
 
+// fwdRun is a run of pass-through records parsed but not yet forwarded
+// in one direction. Its records are consecutive in one buffer — the
+// relay's recordReader, or the sniffed hello bytes — so the run is one
+// slice of it and leaves in one write, without a copy. In the relay the
+// slice stays valid until the reader next compacts, which it does only
+// when no complete record remains buffered; so the relay flushes the
+// run then, before anything it writes, feeds or waits on itself, and on
+// every return.
+type fwdRun struct {
+	s    *mbSession
+	dir  Direction
+	wire []byte
+	n    int64 // records in wire
+}
+
+// add appends one record's wire bytes to the run. Bytes that do not
+// continue the run's slice start a new run, behind a flush.
+func (fr *fwdRun) add(wire []byte) error {
+	if n := len(fr.wire); n > 0 {
+		if n+len(wire) <= cap(fr.wire) && &fr.wire[:n+1][n] == &wire[0] {
+			fr.wire = fr.wire[:n+len(wire)]
+			fr.n++
+			return nil
+		}
+		if err := fr.flush(); err != nil {
+			return err
+		}
+	}
+	fr.wire, fr.n = wire, 1
+	return nil
+}
+
+// flush forwards the run in one write; it does nothing when the run is
+// empty.
+func (fr *fwdRun) flush() error {
+	if len(fr.wire) == 0 {
+		return nil
+	}
+	fr.s.mb.recordsRelayed.Add(fr.n)
+	err := fr.s.write(fr.dir, fr.wire)
+	fr.wire, fr.n = nil, 0
+	return err
+}
+
 // relayLoop pumps records in one direction, participating in the mbTLS
 // handshake and data plane as required. Steady-state application data
 // is drained in batches: every buffered record headed for the data
 // plane is collected and crosses it as one job (pipeline.go) — handed
 // to the direction's commit goroutine while the relay reads ahead, or
 // run inline on this goroutine when the job must be ordered. Everything
-// else (handshake, discovery, pre-key alerts) is forwarded record by
-// record, behind a flush so it never overtakes pipelined output.
+// else (handshake, discovery, pre-key alerts) is forwarded in runs
+// (fwdRun): every such record already buffered leaves in one write,
+// behind a flush of the pipeline so it never overtakes pipelined output.
 func (s *mbSession) relayLoop(dir Direction) error {
 	src := s.downR
 	if dir == DirServerToClient {
@@ -45,6 +90,9 @@ func (s *mbSession) relayLoop(dir Direction) error {
 	}
 	rr := newRecordReader(src)
 	defer rr.release()
+	fr := &fwdRun{s: s, dir: dir}
+	// Whatever ends the relay, the records read ahead of it go on.
+	defer fr.flush() //nolint:errcheck // the relay is failing already
 	// Job state, created at the first record that crosses the data plane
 	// so handshake-only and non-mbTLS sessions pay nothing.
 	var pl *dirPipeline
@@ -60,6 +108,12 @@ func (s *mbSession) relayLoop(dir Direction) error {
 	// direction is driven by exactly one goroutine, so no locking here.
 	var batch []tls12.RawRecord
 	for {
+		if len(fr.wire) > 0 && !rr.ready() {
+			// The next read may compact the buffer under the run.
+			if err := fr.flush(); err != nil {
+				return err
+			}
+		}
 		rec, wire, err := rr.next()
 		if err != nil {
 			// The read error may be the echo of a fault this direction's
@@ -77,12 +131,15 @@ func (s *mbSession) relayLoop(dir Direction) error {
 		inline, collect := inlineOnly, true
 		dp := s.batchReady(rec.Type)
 		if dp == nil {
+			// A pending run never waits here: its first record came
+			// through this flush, and every job since would have flushed
+			// the run, so nothing is in flight behind it.
 			if pl != nil {
 				if err := pl.flush(); err != nil {
 					return err
 				}
 			}
-			if dp, err = s.handleRecordWire(dir, rec, wire); err != nil {
+			if dp, err = s.handleRecordWire(fr, rec, wire); err != nil {
 				return err
 			}
 			if dp == nil {
@@ -112,6 +169,9 @@ func (s *mbSession) relayLoop(dir Direction) error {
 			}
 			next, _, _ := rr.next() //nolint:errcheck // peekHeader just parsed this record
 			batch = append(batch, next)
+		}
+		if err := fr.flush(); err != nil {
+			return err
 		}
 		if pl == nil {
 			pl = newDirPipeline(s, dir)
@@ -145,12 +205,14 @@ func (s *mbSession) batchReady(typ tls12.ContentType) dataPlaneHandler {
 }
 
 // handleRecordWire is the per-record slow path. wire is the record's
-// original framing, forwarded directly when the record passes through
-// unmodified; it aliases the relay's read buffer and must not be
-// retained. A hop-protected record cannot be forwarded: the data plane
-// is returned instead, and the caller runs the record through it.
-func (s *mbSession) handleRecordWire(dir Direction, rec tls12.RawRecord, wire []byte) (dataPlaneHandler, error) {
-	r := s.role.Load()
+// original framing, added to the direction's run (fr) when the record
+// passes through unmodified; it aliases the relay's read buffer and
+// must not be retained. The run is flushed before a record the
+// middlebox consumes itself and before anything that waits. A
+// hop-protected record cannot be forwarded: the data plane is returned
+// instead, and the caller runs the record through it.
+func (s *mbSession) handleRecordWire(fr *fwdRun, rec tls12.RawRecord, wire []byte) (dataPlaneHandler, error) {
+	r, dir := s.role.Load(), fr.dir
 	switch rec.Type {
 	case tls12.TypeEncapsulated:
 		if len(rec.Payload) < 1 {
@@ -158,6 +220,9 @@ func (s *mbSession) handleRecordWire(dir Direction, rec tls12.RawRecord, wire []
 		}
 		sub := rec.Payload[0]
 		if sub == neighborSubchannel && r.neighbor {
+			if err := fr.flush(); err != nil {
+				return nil, err
+			}
 			// Hop-local: each hop has its own subchannel 0.
 			if dir == DirClientToServer {
 				s.downNPipe.feed(rec.Payload[1:])
@@ -174,23 +239,26 @@ func (s *mbSession) handleRecordWire(dir Direction, rec tls12.RawRecord, wire []
 		}
 		s.joinMu.Unlock()
 		if mine {
+			if err := fr.flush(); err != nil {
+				return nil, err
+			}
 			s.secGotData.Store(true)
 			s.secPipe.feed(rec.Payload[1:])
 			return nil, nil
 		}
-		return nil, s.forward(dir, wire)
+		return nil, fr.add(wire)
 
 	case tls12.TypeHandshake:
 		if dir == DirServerToClient && !r.announce {
-			if err := s.holdServerHello(r); err != nil {
+			if err := s.holdServerHello(r, fr); err != nil {
 				return nil, err
 			}
 		}
-		return nil, s.forward(dir, wire)
+		return nil, fr.add(wire)
 
 	case tls12.TypeApplicationData:
 		if s.degraded.Load() {
-			return nil, s.forward(dir, wire)
+			return nil, fr.add(wire)
 		}
 		if r.announce && !s.secGotData.Load() && s.dataPlaneIfReady() == nil {
 			// Data flows, but the server never spoke on our subchannel:
@@ -199,7 +267,10 @@ func (s *mbSession) handleRecordWire(dir Direction, rec tls12.RawRecord, wire []
 			s.degraded.Store(true)
 			s.notifyEstablished()
 			s.mb.markNoAnnounce(s.up.RemoteAddr().String())
-			return nil, s.forward(dir, wire)
+			return nil, fr.add(wire)
+		}
+		if err := fr.flush(); err != nil {
+			return nil, err
 		}
 		return s.waitDataPlane()
 
@@ -214,9 +285,9 @@ func (s *mbSession) handleRecordWire(dir Direction, rec tls12.RawRecord, wire []
 			// before forwarding, so a client retry finds us transparent.
 			s.mb.markNoAnnounce(s.up.RemoteAddr().String())
 		}
-		return nil, s.forward(dir, wire)
+		return nil, fr.add(wire)
 
 	default:
-		return nil, s.forward(dir, wire)
+		return nil, fr.add(wire)
 	}
 }

@@ -282,6 +282,9 @@ type mbSession struct {
 
 	downW sync.Mutex
 	upW   sync.Mutex
+	// subBufs are writeSub's Encapsulated framing buffers, one per
+	// direction (dirIndex), each under that direction's write lock.
+	subBufs [2][]byte
 
 	// role is how the session joined, published after the hello sniff;
 	// nil while sniffing and when the middlebox stays out.
@@ -461,15 +464,15 @@ func (s *mbSession) write(dir Direction, wire []byte) error {
 	return err
 }
 
-// forward relays a record unchanged in a direction.
-func (s *mbSession) forward(dir Direction, wire []byte) error {
-	s.mb.recordsRelayed.Add(1)
-	return s.write(dir, wire)
-}
-
-// writeSub wraps an inner record for a subchannel (paper §3.4,
-// "Control Messaging") and sends it in a direction.
+// writeSub wraps inner records — a whole flight of a secondary
+// session — for a subchannel and sends them in a direction, framing
+// into the direction's reused buffer under its write lock.
 func (s *mbSession) writeSub(dir Direction, sub uint8, inner []byte) error {
-	payload := append([]byte{sub}, inner...)
-	return s.write(dir, tls12.RawRecord{Type: tls12.TypeEncapsulated, Payload: payload}.Marshal())
+	conn, mu := s.outbound(dir)
+	mu.Lock()
+	defer mu.Unlock()
+	b := &s.subBufs[dirIndex(dir)]
+	*b = appendEncapsulated((*b)[:0], sub, inner)
+	_, err := conn.Write(*b)
+	return err
 }

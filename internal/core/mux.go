@@ -56,19 +56,28 @@ func (m *mux) writeRaw(b []byte) error {
 	return err
 }
 
-// writeEncapsulated wraps one inner record into an Encapsulated outer
-// record for the given subchannel, framing into a reused scratch buffer
-// so steady-state subchannel writes do not allocate.
+// writeEncapsulated wraps inner records — one record layer write, a
+// whole flight during a handshake — into an Encapsulated outer record
+// for the given subchannel, framing into a reused scratch buffer so
+// steady-state subchannel writes do not allocate.
 func (m *mux) writeEncapsulated(sub uint8, inner []byte) error {
 	m.wmu.Lock()
 	defer m.wmu.Unlock()
-	b := append(m.encBuf[:0],
-		byte(tls12.TypeEncapsulated), byte(tls12.VersionTLS12>>8), byte(tls12.VersionTLS12&0xff), 0, 0, sub)
-	b = append(b, inner...)
-	binary.BigEndian.PutUint16(b[3:5], uint16(1+len(inner)))
-	m.encBuf = b
-	_, err := m.rw.Write(b)
+	m.encBuf = appendEncapsulated(m.encBuf[:0], sub, inner)
+	_, err := m.rw.Write(m.encBuf)
 	return err
+}
+
+// appendEncapsulated appends to dst the Encapsulated record that
+// carries inner on subchannel sub (paper §3.4, "Control Messaging").
+// inner is a byte stream of whole inner records, at most
+// tls12.MaxCiphertext-1 bytes: a record layer never writes more at once.
+func appendEncapsulated(dst []byte, sub uint8, inner []byte) []byte {
+	start := len(dst)
+	dst = append(dst, byte(tls12.TypeEncapsulated), byte(tls12.VersionTLS12>>8), byte(tls12.VersionTLS12&0xff), 0, 0, sub)
+	dst = append(dst, inner...)
+	binary.BigEndian.PutUint16(dst[start+3:start+5], uint16(1+len(inner)))
+	return dst
 }
 
 // subchannel returns the pipe for a subchannel, creating it if needed.

@@ -101,6 +101,14 @@ func (rr *recordReader) peekHeader() (typ tls12.ContentType, length int, ok bool
 	return typ, length, true, nil
 }
 
+// ready reports whether next will return without reading from the
+// transport (and so without compacting): a complete record, or a header
+// that does not parse, is buffered.
+func (rr *recordReader) ready() bool {
+	_, _, ok, err := rr.peekHeader()
+	return ok || err != nil
+}
+
 // next returns the next record. The returned record and wire slices
 // alias the internal buffer; see the type comment for lifetime rules.
 // wire is the record's full framing (header plus body), for forwarding

@@ -206,6 +206,10 @@ func (c *Conn) handshakeLocked() error {
 	} else {
 		c.handshakeErr = c.serverHandshake()
 	}
+	// The last flight is still buffered (writeHandshakeMsg).
+	if err := c.rl.Flush(); c.handshakeErr == nil {
+		c.handshakeErr = err
+	}
 	c.masterMAC = nil
 	if c.handshakeErr == nil {
 		c.state.HandshakeComplete = true
@@ -304,6 +308,11 @@ func (c *Conn) readHandshakeMsg(allowCCS bool) (typ HandshakeType, body, raw []b
 			c.hsBuf = c.hsBuf[len(raw):]
 			return HandshakeType(raw[0]), raw[4:], raw, false, nil
 		}
+		// Our flight is complete when we wait for the peer's: one
+		// transport write.
+		if err := c.rl.Flush(); err != nil {
+			return 0, nil, nil, false, err
+		}
 		c.sw().Pause()
 		rec, err := c.readRecord()
 		c.sw().Resume()
@@ -369,12 +378,15 @@ func (c *Conn) readChangeCipherSpec() error {
 	return nil
 }
 
+// writeHandshakeMsg and writeChangeCipherSpec buffer their record: a
+// flight leaves in one transport write, flushed when the engine next
+// waits for the peer (readHandshakeMsg) or the handshake returns.
 func (c *Conn) writeHandshakeMsg(raw []byte) error {
-	return c.rl.WriteRecord(TypeHandshake, raw)
+	return c.rl.BufferRecord(TypeHandshake, raw)
 }
 
 func (c *Conn) writeChangeCipherSpec() error {
-	return c.rl.WriteRecord(TypeChangeCipherSpec, []byte{1})
+	return c.rl.BufferRecord(TypeChangeCipherSpec, []byte{1})
 }
 
 // Read reads application data, running the handshake first if needed.

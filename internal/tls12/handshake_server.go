@@ -107,6 +107,13 @@ func (c *Conn) serverHandshake() error {
 		return err
 	}
 	ts.add(certRaw)
+	// [ServerHello, Certificate] leave now, not behind the signature
+	// (and quote) below: the peer starts verifying the chain while we
+	// sign, and a client-side middlebox holding the primary ServerHello
+	// for ours (paper §3.4) releases it as soon as these are out.
+	if err := c.rl.Flush(); err != nil {
+		return err
+	}
 
 	// ServerKeyExchange: ephemeral X25519 (precomputed when the config
 	// has a keyshare pool), Ed25519-signed.

@@ -273,22 +273,45 @@ func (rl *RecordLayer) Counters() (in, out int64) {
 }
 
 // writeFlushLimit caps how many framed bytes accumulate before a flush.
-// It must stay below maxCiphertext so a coalesced Write, wrapped into a
-// single Encapsulated record by a subchannel pipe (one extra byte for
-// the subchannel ID), still fits an outer record body.
+// It must stay below maxCiphertext so a coalesced Write — a record's
+// fragments, or a buffered handshake flight — wrapped into a single
+// Encapsulated record by a subchannel pipe (one extra byte for the
+// subchannel ID), still fits an outer record body.
 const writeFlushLimit = maxCiphertext - 1
 
 // WriteRecord frames, protects, and writes a record. Oversized payloads
 // are split into maximum-size fragments (only legal for stream types;
 // handshake and application data both are). Fragments are coalesced
 // into as few transport Writes as the record-size limits allow, and
-// everything is flushed before WriteRecord returns.
+// everything is flushed before WriteRecord returns — including records
+// BufferRecord left in the buffer, which go out ahead of this one in
+// the same Write.
 func (rl *RecordLayer) WriteRecord(typ ContentType, payload []byte) error {
 	rl.writeMu.Lock()
 	defer rl.writeMu.Unlock()
 	if err := rl.appendRecordLocked(typ, payload); err != nil {
 		return err
 	}
+	return rl.flushLocked()
+}
+
+// BufferRecord frames and protects a record like WriteRecord but leaves
+// it in the write buffer, so the records of one handshake flight leave
+// in one transport Write at the next Flush (or WriteRecord). The record
+// is sealed now, under the write cipher installed now. The buffer is
+// flushed early only when the next record would push it past
+// writeFlushLimit.
+func (rl *RecordLayer) BufferRecord(typ ContentType, payload []byte) error {
+	rl.writeMu.Lock()
+	defer rl.writeMu.Unlock()
+	return rl.appendRecordLocked(typ, payload)
+}
+
+// Flush writes whatever BufferRecord has buffered, in one transport
+// Write; it does nothing when the buffer is empty.
+func (rl *RecordLayer) Flush() error {
+	rl.writeMu.Lock()
+	defer rl.writeMu.Unlock()
 	return rl.flushLocked()
 }
 
