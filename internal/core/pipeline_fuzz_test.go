@@ -14,15 +14,18 @@ import (
 // FuzzParallelReseal is the differential oracle for the relay's data
 // path (DESIGN.md §14). For an arbitrary record stream — sizes, read
 // boundaries, alert records, mid-stream corruption, a header that does
-// not parse, with or without a stateful Processor, all fuzzer chosen —
+// not parse, records for another middlebox's subchannel that pass
+// through verbatim, with or without a stateful Processor, all fuzzer
+// chosen —
 // a real middlebox session relays the stream (relayLoop, the commit
 // goroutine, the commit gate; pipelined and inline jobs as the relay
 // itself routes them) and everything it puts on the wire must be byte-identical to
 // what the independent reference (refPlane, dataplane_test.go) produces
 // walking the same records strictly in order: the resealed stream up to
 // the first failure, then the fatal alert at the very next sealing
-// sequence. Stats and the proxysig digest must account for exactly the
-// reference's records. The seed corpus is deterministic to the byte;
+// sequence; pass-through records in stream order between them. Stats
+// and the proxysig digest must account for exactly the reference's
+// records. The seed corpus is deterministic to the byte;
 // see the teardown race noted at the comparison for fuzzer-found
 // inputs.
 
@@ -33,6 +36,7 @@ type fuzzRecSpec struct {
 	corrupt   bool // flip one ciphertext byte after sealing
 	endRead   bool // read boundary after this record
 	badHeader bool // an unparsable header follows in the same read; the stream ends there
+	pass      bool // an Encapsulated record of size bytes for another subchannel, relayed verbatim
 }
 
 const (
@@ -56,6 +60,7 @@ func decodeRecSpecs(data []byte) []fuzzRecSpec {
 			corrupt:   flags&2 != 0,
 			endRead:   flags&4 != 0,
 			badHeader: flags&8 != 0,
+			pass:      flags&16 != 0,
 		})
 		data = data[3:]
 	}
@@ -157,6 +162,9 @@ func FuzzParallelReseal(f *testing.F) {
 			if s.badHeader {
 				flags |= 8
 			}
+			if s.pass {
+				flags |= 16
+			}
 			b = append(b, byte(s.size), byte(s.size>>8), flags)
 		}
 		return b
@@ -190,6 +198,20 @@ func FuzzParallelReseal(f *testing.F) {
 	f.Add(byte(1), enc(fuzzRecSpec{size: 600, endRead: true}, fuzzRecSpec{size: 8}, fuzzRecSpec{size: 8},
 		fuzzRecSpec{size: 8}, fuzzRecSpec{size: 8}, fuzzRecSpec{size: 8}, fuzzRecSpec{size: 8}, fuzzRecSpec{size: 8},
 		fuzzRecSpec{size: 8, badHeader: true}))
+	// Pass-through records between data, in one read and across reads:
+	// each run leaves in one write, in stream order with the resealed
+	// jobs around it, and a run that ends a read leaves before the next
+	// read refills the buffer under it.
+	f.Add(byte(0), enc(fuzzRecSpec{size: 40, pass: true}, fuzzRecSpec{size: 300}, fuzzRecSpec{size: 9, pass: true},
+		fuzzRecSpec{size: 1000, pass: true, endRead: true}, fuzzRecSpec{size: 2000}, fuzzRecSpec{size: 5, pass: true},
+		fuzzRecSpec{size: 70}))
+	// A framing error behind buffered pass-through records: the records
+	// read ahead of it are relayed before the fault alert.
+	f.Add(byte(1), enc(fuzzRecSpec{size: 50}, fuzzRecSpec{size: 20, pass: true}, fuzzRecSpec{size: 30, pass: true},
+		fuzzRecSpec{size: 40, pass: true, badHeader: true}))
+	// Corruption behind a pass-through record, Processor on.
+	f.Add(byte(2), enc(fuzzRecSpec{size: 30, pass: true}, fuzzRecSpec{size: 100, corrupt: true},
+		fuzzRecSpec{size: 30, pass: true}))
 
 	badHeader := []byte{byte(tls12.TypeApplicationData), 9, 9, 0, 0}
 	_, _, headerErr := tls12.ParseRecordHeader(badHeader)
@@ -230,24 +252,33 @@ func FuzzParallelReseal(f *testing.F) {
 		ref := newRefPlane(t, km, refProc)
 
 		// Seal the stream once. The relay gets it as scripted reads, the
-		// reference as records; a clean stream ends the way TLS does, with
-		// a close_notify, which is also what makes the relay wait for its
-		// pipelined jobs before the transport reports EOF.
+		// reference as records (a pass-through one as its wire bytes); a
+		// clean stream ends the way TLS does, with a close_notify, which is
+		// also what makes the relay wait for its pipelined jobs before the
+		// transport reports EOF.
 		var reads [][]byte
 		var read []byte
-		var recs []tls12.RawRecord
+		type item struct {
+			rec  tls12.RawRecord
+			pass []byte // a pass-through record's wire bytes
+		}
+		var items []item
 		add := func(typ tls12.ContentType, plain []byte, corrupt bool) {
 			sealed := src.Seal(typ, plain)
 			if corrupt {
 				sealed[len(sealed)/2] ^= 0x80
 			}
-			recs = append(recs, tls12.RawRecord{Type: typ, Payload: append([]byte(nil), sealed...)})
+			items = append(items, item{rec: tls12.RawRecord{Type: typ, Payload: append([]byte(nil), sealed...)}})
 			read = tls12.RawRecord{Type: typ, Payload: sealed}.AppendWire(read)
 		}
 		closeNotify := []byte{byte(tls12.AlertLevelWarning), byte(tls12.AlertCloseNotify)}
 		framingErr := false
 		for _, spec := range specs {
-			if spec.alert {
+			if spec.pass {
+				wire := tls12.RawRecord{Type: tls12.TypeEncapsulated, Payload: append([]byte{7}, bytes.Repeat([]byte{0xA5}, spec.size)...)}.Marshal()
+				items = append(items, item{pass: wire})
+				read = append(read, wire...)
+			} else if spec.alert {
 				add(tls12.TypeAlert, closeNotify, spec.corrupt)
 			} else {
 				add(tls12.TypeApplicationData, bytes.Repeat([]byte{0x5A}, spec.size), spec.corrupt)
@@ -266,14 +297,36 @@ func FuzzParallelReseal(f *testing.F) {
 		}
 		reads = append(reads, read)
 
-		// Reference: everything in stream order; a failure (or the
-		// framing error) is followed by the fatal alert, toward both
-		// neighbors, at each direction's next sealing sequence.
-		want, wantRes, failure := ref.reseal(dir, recs, nil)
+		// Reference: everything in stream order — runs of sealed records
+		// through the reference plane, pass-through records verbatim — up
+		// to the first failure; a failure (or the framing error) is
+		// followed by the fatal alert, toward both neighbors, at each
+		// direction's next sealing sequence.
+		var want, resealed []byte
+		var wantRes batchResult
+		var wantRelayed int64
+		var failure error
+		for i := 0; i < len(items) && failure == nil; {
+			if items[i].pass != nil {
+				want = append(want, items[i].pass...)
+				wantRelayed++
+				i++
+				continue
+			}
+			var recs []tls12.RawRecord
+			for ; i < len(items) && items[i].pass == nil; i++ {
+				recs = append(recs, items[i].rec)
+			}
+			start := len(want)
+			var res batchResult
+			want, res, failure = ref.reseal(dir, recs, want)
+			resealed = append(resealed, want[start:]...)
+			wantRes.opened += res.opened
+			wantRes.appended += res.appended
+		}
 		if failure == nil && framingErr {
 			failure = headerErr
 		}
-		wantData := len(want)
 		var wantOther []byte
 		if failure != nil {
 			alert := []byte{byte(tls12.AlertLevelFatal), byte(alertForClass(ClassifyError(failure)))}
@@ -314,8 +367,11 @@ func FuzzParallelReseal(f *testing.F) {
 			t.Fatalf("reverse direction carries %d bytes, reference %d (failure: %v)", len(in.wrote), len(wantOther), failure)
 		}
 		st := mb.Stats()
-		if st.RecordsRekeyed != int64(wantRes.opened) || st.BytesProcessed != int64(wantData-wantRes.appended*recordHeaderLen) {
-			t.Fatalf("stats %+v, reference opened %d records into %d bytes of %d records", st, wantRes.opened, wantData, wantRes.appended)
+		if st.RecordsRekeyed != int64(wantRes.opened) || st.BytesProcessed != int64(len(resealed)-wantRes.appended*recordHeaderLen) {
+			t.Fatalf("stats %+v, reference opened %d records into %d bytes of %d records", st, wantRes.opened, len(resealed), wantRes.appended)
+		}
+		if st.RecordsRelayed != wantRelayed {
+			t.Fatalf("%d records relayed verbatim, reference %d", st.RecordsRelayed, wantRelayed)
 		}
 		if (st.FaultsObserved == 1) != (failure != nil) || st.FaultsObserved > 1 {
 			t.Fatalf("FaultsObserved = %d (failure: %v)", st.FaultsObserved, failure)
@@ -324,7 +380,7 @@ func FuzzParallelReseal(f *testing.F) {
 		if dir == DirServerToClient {
 			digest, records = ev.s2c, ev.s2cRecords
 		}
-		if sum := sha256.Sum256(want[:wantData]); !bytes.Equal(digest.Sum(nil), sum[:]) || records != uint64(wantRes.appended) {
+		if sum := sha256.Sum256(resealed); !bytes.Equal(digest.Sum(nil), sum[:]) || records != uint64(wantRes.appended) {
 			t.Fatalf("proxysig evidence covers %d records, reference %d; digest match %v",
 				records, wantRes.appended, bytes.Equal(digest.Sum(nil), sum[:]))
 		}
