@@ -29,6 +29,12 @@ import (
 // one per direction: calls for one direction never overlap and arrive
 // in stream order, calls for opposite directions run concurrently, so
 // state the two directions share must be locked.
+//
+// The returned slice is read only until the next Process call for the
+// same direction: the data plane seals it into outbound records before
+// it calls Process again in that direction. A Processor may therefore
+// return the same buffer, refilled, from every call (mbapps'
+// transformers do), or return chunk itself.
 type Processor interface {
 	Process(dir Direction, chunk []byte) ([]byte, error)
 }

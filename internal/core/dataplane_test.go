@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/enclave"
 	"repro/internal/tls12"
 )
 
@@ -272,6 +273,72 @@ func TestDataPlaneProcessorExpansion(t *testing.T) {
 	}
 	if !bytes.Equal(got, bytes.Repeat(payload, 3)) {
 		t.Fatal("expanded payload corrupted")
+	}
+}
+
+// TestDataPlaneProcessorReusesOutput: a Processor may return one
+// buffer from every call, overwriting its previous output (Processor's
+// output contract). Here each call writes its chunk three times into
+// the same buffer, so an output read after the next call would carry
+// the next record's bytes; what the host plane and the enclave plane
+// seal must still equal the reference's, record for record, across one
+// multi-record batch that refragments.
+func TestDataPlaneProcessorReusesOutput(t *testing.T) {
+	reuse := func() Processor {
+		var out []byte
+		return ProcessorFunc(func(dir Direction, chunk []byte) ([]byte, error) {
+			out = out[:0]
+			for i := 0; i < 3; i++ {
+				out = append(out, chunk...)
+			}
+			return out, nil
+		})
+	}
+	authority, err := enclave.NewAuthority()
+	if err != nil {
+		t.Fatal(err)
+	}
+	platform, err := authority.NewPlatform()
+	if err != nil {
+		t.Fatal(err)
+	}
+	km := testKeyMaterial(t)
+	src, err := tls12.NewCipherState(testSuite, km.Down.C2SKey, km.Down.C2SIV, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []tls12.RawRecord
+	for i, n := range []int{6000, 100, 6000, 0, 2500} { // ×3: two fragments, one, two, one, one
+		recs = append(recs, tls12.RawRecord{
+			Type:    tls12.TypeApplicationData,
+			Payload: src.Seal(tls12.TypeApplicationData, bytes.Repeat([]byte{byte('a' + i)}, n)),
+		})
+	}
+	want, wantRes, err := newRefPlane(t, km, reuse()).reseal(DirClientToServer, cloneRecords(recs), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	host, err := newDataPlane(km, reuse())
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := newDataPlane(km, reuse())
+	if err != nil {
+		t.Fatal(err)
+	}
+	encl := platform.CreateEnclave(enclave.CodeImage{Name: "reuse-output", Version: "1.0"})
+	planes := map[string]dataPlaneHandler{"host": host, "enclave": installEnclaveDataPlane(encl, inner)}
+	for name, dp := range planes {
+		out, res, err := dp.process(DirClientToServer, cloneRecords(recs), batchReservation{}, new(tls12.CryptoScratch), nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res != wantRes || res.appended != 7 {
+			t.Fatalf("%s: %+v, reference %+v, want 7 appended", name, res, wantRes)
+		}
+		if !bytes.Equal(out, want) {
+			t.Fatalf("%s plane's output diverges from the reference: a reused processor buffer was read late", name)
+		}
 	}
 }
 

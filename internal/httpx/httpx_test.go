@@ -3,6 +3,8 @@ package httpx
 import (
 	"bufio"
 	"bytes"
+	"errors"
+	"io"
 	"strings"
 	"testing"
 
@@ -146,5 +148,143 @@ func TestLargeBody(t *testing.T) {
 	}
 	if !bytes.Equal(got.Body, body) {
 		t.Fatal("large body corrupted")
+	}
+}
+
+// TestWriteBytes pins Write's output byte for byte, as the codec wrote
+// it when it went through a bufio.Writer and fmt: the request line,
+// Host inserted only when the header has none, every spelling of
+// Content-Length replaced, sorted fields, and the reason phrase
+// falling back to StatusText.
+func TestWriteBytes(t *testing.T) {
+	cases := []struct {
+		name string
+		msg  interface{ Write(io.Writer) error }
+		want string
+	}{
+		{"nil header, Host inserted", &Request{Method: "GET", Path: "/obj/7", Host: "origin.example"},
+			"GET /obj/7 HTTP/1.1\r\nHost: origin.example\r\n\r\n"},
+		{"Host inserted among sorted fields", &Request{Method: "GET", Path: "/a", Host: "origin.example", Header: Header{"Via": "1.1 p", "Accept": "*/*"}},
+			"GET /a HTTP/1.1\r\nAccept: */*\r\nHost: origin.example\r\nVia: 1.1 p\r\n\r\n"},
+		{"header's own host kept", &Request{Method: "GET", Path: "/b", Host: "ignored.example", Header: Header{"host": "kept.example"}},
+			"GET /b HTTP/1.1\r\nhost: kept.example\r\n\r\n"},
+		{"other-cased Content-Length replaced", &Request{Method: "PUT", Path: "/c", Header: Header{"content-length": "99", "X-A": "1"}, Body: []byte("abc")},
+			"PUT /c HTTP/1.1\r\nContent-Length: 3\r\nX-A: 1\r\n\r\nabc"},
+		{"POST with an empty body", &Request{Method: "POST", Path: "/d", Host: "h", Header: Header{}},
+			"POST /d HTTP/1.1\r\nContent-Length: 0\r\nHost: h\r\n\r\n"},
+		{"response, nil header", &Response{StatusCode: 200, Body: []byte("ok")},
+			"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"},
+		{"response Content-Length replaced", &Response{StatusCode: 404, Header: Header{"Content-LENGTH": "7"}},
+			"HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n"},
+		{"response sorted fields", &Response{StatusCode: 302, Header: Header{"Location": "https://x/"}, Body: []byte("moved")},
+			"HTTP/1.1 302 Found\r\nContent-Length: 5\r\nLocation: https://x/\r\n\r\nmoved"},
+		{"custom reason", &Response{StatusCode: 299, Reason: "Custom Reason", Header: Header{"B": "2", "A": "1"}},
+			"HTTP/1.1 299 Custom Reason\r\nA: 1\r\nB: 2\r\nContent-Length: 0\r\n\r\n"},
+		{"empty reason, unknown code", &Response{StatusCode: 418},
+			"HTTP/1.1 418 Status\r\nContent-Length: 0\r\n\r\n"},
+	}
+	for _, c := range cases {
+		var buf bytes.Buffer
+		if err := c.msg.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if buf.String() != c.want {
+			t.Errorf("%s: Write = %q, want %q", c.name, buf.String(), c.want)
+		}
+	}
+}
+
+// countingConn counts the Write calls that reach a connection.
+type countingConn struct {
+	io.ReadWriter
+	writes int
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes++
+	return c.ReadWriter.Write(p)
+}
+
+// TestOneWritePerMessage: a message is one Write on its connection, a
+// body larger than a bufio.Writer's 4 KiB included — from Write, from
+// Client.Do, and from Serve.
+func TestOneWritePerMessage(t *testing.T) {
+	big := bytes.Repeat([]byte("x"), 10<<10)
+	var w countingConn
+	w.ReadWriter = new(bytes.Buffer)
+	for _, msg := range []interface{ Write(io.Writer) error }{
+		&Request{Method: "POST", Path: "/", Host: "h", Body: big},
+		&Response{StatusCode: 200, Body: big},
+	} {
+		w.writes = 0
+		if err := msg.Write(&w); err != nil || w.writes != 1 {
+			t.Fatalf("%T.Write made %d writes (%v), want 1", msg, w.writes, err)
+		}
+	}
+
+	a, b := netsim.Pipe()
+	defer a.Close()
+	defer b.Close()
+	server := &countingConn{ReadWriter: b}
+	go Serve(server, func(req *Request) *Response { //nolint:errcheck
+		return &Response{StatusCode: 200, Body: big}
+	})
+	clientConn := &countingConn{ReadWriter: a}
+	client := NewClient(clientConn)
+	for i := 1; i <= 3; i++ {
+		resp, err := client.Do(&Request{Method: "POST", Path: "/", Host: "h", Body: big})
+		if err != nil || !bytes.Equal(resp.Body, big) {
+			t.Fatalf("exchange %d: %v", i, err)
+		}
+		if clientConn.writes != i || server.writes != i {
+			t.Fatalf("after %d exchanges: client wrote %d times, server %d", i, clientConn.writes, server.writes)
+		}
+	}
+}
+
+// TestLongHeaderLines: a header line longer than the reader's buffer
+// is read whole up to the 64 KiB line bound, and one past it fails
+// with errLineTooLong.
+func TestLongHeaderLines(t *testing.T) {
+	for _, n := range []int{4 << 10, 5000, 32 << 10, maxLineLen - len("X: \r\n")} {
+		value := strings.Repeat("v", n)
+		in := "GET / HTTP/1.1\r\nX: " + value + "\r\nHost: h\r\n\r\n"
+		req, err := ReadRequest(bufio.NewReader(strings.NewReader(in)))
+		if err != nil || req.Header.Get("X") != value || req.Host != "h" {
+			t.Fatalf("%d-byte header value: %v", n, err)
+		}
+	}
+	for _, n := range []int{maxLineLen - len("X: \r\n") + 1, 100 << 10} {
+		in := "GET / HTTP/1.1\r\nX: " + strings.Repeat("v", n) + "\r\n\r\n"
+		if _, err := ReadRequest(bufio.NewReader(strings.NewReader(in))); !errors.Is(err, errLineTooLong) {
+			t.Fatalf("%d-byte header value: err = %v, want %v", n, err, errLineTooLong)
+		}
+	}
+}
+
+// TestExchangeAllocs pins one Client.Do/Serve exchange over a
+// netsim.Pipe, both ends counted: what is left is the two parsed
+// messages, the response the handler builds, and the pipe's own
+// delivery; neither end allocates a write buffer per message.
+func TestExchangeAllocs(t *testing.T) {
+	const bound = 18
+	a, b := netsim.Pipe()
+	defer a.Close()
+	defer b.Close()
+	body := bytes.Repeat([]byte{0x5A}, 1024)
+	go Serve(b, func(req *Request) *Response { //nolint:errcheck
+		return &Response{StatusCode: 200, Header: Header{"X-Via-Seen": req.Header.Get("Via")}, Body: body}
+	})
+	client := NewClient(a)
+	req := &Request{Method: "GET", Path: "/obj/12345", Host: "origin.example"}
+	allocs := testing.AllocsPerRun(200, func() {
+		resp, err := client.Do(req)
+		if err != nil || len(resp.Body) != len(body) {
+			t.Fatalf("exchange: %v", err)
+		}
+	})
+	t.Logf("%.1f allocations an exchange", allocs)
+	if allocs > bound {
+		t.Fatalf("one exchange allocates %.1f times, want <= %d", allocs, bound)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -197,5 +198,109 @@ func TestTransformerHoldsIncompleteMessage(t *testing.T) {
 	}
 	if len(out) == 0 {
 		t.Fatal("completed message produced no output")
+	}
+}
+
+// rrRequest is an rr_http-shaped request: the benchmark client's GET,
+// as httpx.Client writes it.
+func rrRequest() []byte {
+	return (&httpx.Request{Method: "GET", Path: "/obj/12345", Host: "origin.example"}).AppendTo(nil)
+}
+
+// TestHeaderInserterAllocs pins the proxy's per-message cost on an
+// rr_http-shaped request. What is left is the parsed request itself
+// (the Request, its method and path, its header map and the Host
+// field's strings); the framer, the reader pair and the output buffer are the
+// processor's own and are reused.
+func TestHeaderInserterAllocs(t *testing.T) {
+	const bound = 7 // 25 before the processor kept its scratch
+	msg := rrRequest()
+	p := NewHeaderInserter("Via", "1.1 mbtls-benchmark")
+	allocs := testing.AllocsPerRun(100, func() {
+		out, err := p.Process(core.DirClientToServer, msg)
+		if err != nil || len(out) <= len(msg) {
+			t.Fatalf("Process = %d bytes, %v", len(out), err)
+		}
+	})
+	t.Logf("%.1f allocations a message", allocs)
+	if allocs > bound {
+		t.Fatalf("HeaderInserter.Process allocates %.1f times a message, want <= %d", allocs, bound)
+	}
+}
+
+// TestFramerAgreesWithParser: the middlebox's framer and an endpoint's
+// parser apply one Content-Length rule (httpx.ContentLength), so on
+// every row they both accept, cutting and consuming the same length,
+// or both reject. Before they shared it, the framer took the first
+// Content-Length and read it with Sscanf, the parser the last with
+// Atoi: the first row was cut after its headers by the framer and
+// given a 5-byte body by the parser.
+func TestFramerAgreesWithParser(t *testing.T) {
+	const body = "helloworld"
+	rows := []struct {
+		fields string
+		body   int // body length both accept; -1: both reject
+	}{
+		{"Content-Length: 0\r\nContent-length: 5\r\n", -1},
+		{"Content-Length: 5\r\n", 5},
+		{"Content-Length: 5\r\nContent-Length: 5\r\n", 5},
+		{"Content-Length: 5\r\nCONTENT-LENGTH: 005\r\n", 5},
+		{"content-length :  3  \r\n", 3},
+		{"X-Other: 7\r\n", 0},
+		{"Content-Length: 5, 5\r\n", -1},
+		{"Content-Length: +5\r\n", -1},
+		{"Content-Length: 5abc\r\n", -1},
+		{"Content-Length: -1\r\n", -1},
+		{"Content-Length:\r\n", -1},
+		{"Content-Length: 67108865\r\n", -1},
+		{"Content-Length: 99999999999999999999999\r\n", -1},
+		{"Content-Length 5\r\n", -1},
+	}
+	for _, row := range rows {
+		head := "POST /p HTTP/1.1\r\nHost: h\r\n" + row.fields + "\r\n"
+		raw := []byte(head + body)
+		want := len(head) + row.body
+		mb := messageBuffer{buf: append([]byte(nil), raw...)}
+		cut, cutErr := mb.next()
+		br := bufio.NewReader(bytes.NewReader(raw))
+		_, parseErr := httpx.ReadRequest(br)
+		consumed := len(raw) - br.Buffered()
+		switch {
+		case row.body < 0 && (cutErr == nil || parseErr == nil):
+			t.Errorf("%q: framer %v, parser %v; want both to reject", row.fields, cutErr, parseErr)
+		case row.body >= 0 && (cutErr != nil || parseErr != nil):
+			t.Errorf("%q: framer %v, parser %v; want both to accept", row.fields, cutErr, parseErr)
+		case row.body >= 0 && (len(cut) != want || consumed != want):
+			t.Errorf("%q: framer cut %d bytes, parser consumed %d; want %d", row.fields, len(cut), consumed, want)
+		}
+	}
+}
+
+// TestTransformerDirectionsConcurrently drives both directions of one
+// processor at once, as the relay's two goroutines do; under -race it
+// checks that the scratch a transformer keeps is its own direction's.
+func TestTransformerDirectionsConcurrently(t *testing.T) {
+	req := rrRequest()
+	resp := marshalResponse(t, &httpx.Response{StatusCode: 200, Header: httpx.Header{}, Body: []byte("ok")})
+	for _, p := range []core.Processor{NewHeaderInserter("Via", "v"), NewCompressor(1)} {
+		var wg sync.WaitGroup
+		for _, dir := range []core.Direction{core.DirClientToServer, core.DirServerToClient} {
+			msg := req
+			if dir == core.DirServerToClient {
+				msg = resp
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 200; i++ {
+					out, err := p.Process(dir, msg)
+					if err != nil || len(out) == 0 {
+						t.Errorf("%v: Process = %d bytes, %v", dir, len(out), err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

@@ -18,7 +18,10 @@ cd "$(dirname "$0")"
 gate go build ./...
 gate go test ./...
 gate go vet ./...
-gate go test -race ./internal/core/ ./internal/tls12/ ./internal/netsim/ ./internal/sessionhost/ ./internal/hsfast/ ./internal/chain/ ./internal/clock/
+# Race detector over the concurrent packages; mbapps and httpx are on it
+# because a transformer keeps per-direction scratch and the relay calls
+# one Processor from two goroutines, one per direction.
+gate go test -race ./internal/core/ ./internal/tls12/ ./internal/netsim/ ./internal/sessionhost/ ./internal/hsfast/ ./internal/chain/ ./internal/clock/ ./internal/mbapps/ ./internal/httpx/
 gate go test -race ./internal/transport/...
 # Stress slice: the manual clock, netsim's byte stream, the Conn
 # contract, the chain builder's own contract (the shared
