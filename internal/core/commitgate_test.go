@@ -22,16 +22,16 @@ func (c *captureConn) Write(p []byte) (int, error) {
 
 func (*captureConn) Close() error { return nil }
 
-// TestCommitGateOwnsSequence drives a direction's commit gate by hand:
-// three jobs are reserved up front (as the relay does while its commit
-// goroutine is busy), processed against their reservations, and committed — or
-// not — around a sealAlertOrdered. The gate is the only holder of the
-// positions, seeded from key material that starts both hops away from
-// zero, so whatever reached the wire must be what the in-order
-// reference (refPlane: tls12's live-sequence SealAppend from the same
-// seeds) produces for the committed records followed directly by the
-// alert, and an in-order peer must open all of it at consecutive
-// sequences.
+// TestCommitGateOwnsSequence drives a direction's commit gate by hand,
+// as its one consumer does: each of three jobs is started, processed at
+// the positions the gate hands it, and committed, with a
+// sealAlertOrdered between two of them or after the last. The gate is
+// the only holder of the positions, seeded from key material that
+// starts both hops away from zero, so whatever reached the wire must be
+// what the in-order reference (refPlane: tls12's live-sequence
+// SealAppend from the same seeds) produces for the committed records
+// followed directly by the alert, and an in-order peer must open all of
+// it at consecutive sequences.
 func TestCommitGateOwnsSequence(t *testing.T) {
 	const jobs, perJob = 3, 3
 	for _, tc := range []struct {
@@ -41,10 +41,11 @@ func TestCommitGateOwnsSequence(t *testing.T) {
 		wantData  int // records that must precede the alert on the wire
 	}{
 		// Job 1 stops after one record: its partial output is released
-		// (those sequences are spent), job 2's claim is abandoned.
+		// (those sequences are spent) and poisons the gate, so job 2,
+		// started behind it, commits nothing.
 		{"failed job mid-stream", 1, 3, perJob + 1},
-		// A force-close with two jobs still in flight: their claims are
-		// abandoned and their late commits dropped.
+		// A force-close with two jobs still queued: they are started and
+		// processed behind the alert, and their commits dropped.
 		{"alert over jobs in flight", -1, 1, perJob},
 		{"alert behind every commit", -1, 3, jobs * perJob},
 	} {
@@ -79,10 +80,17 @@ func TestCommitGateOwnsSequence(t *testing.T) {
 				pl := newDirPipeline(s, dir)
 				defer pl.reclaim()
 
-				var js [jobs]relayJob
+				alert := func() {
+					if err := s.sealAlertOrdered(dp, dir, tls12.AlertLevelFatal, tls12.AlertInternalError); err != nil {
+						t.Fatal(err)
+					}
+				}
 				var inOrder []tls12.RawRecord // what the reference walks: the committed jobs' records
-				for i := range js {
-					j := &js[i]
+				for i := 0; i < jobs; i++ {
+					if i == tc.committed {
+						alert()
+					}
+					var j relayJob
 					for r := 0; r < perJob; r++ {
 						sealed := src.Seal(tls12.TypeApplicationData, bytes.Repeat([]byte{byte(i)}, 100*(r+1)))
 						if i == tc.corrupt && r == 1 {
@@ -93,34 +101,23 @@ func TestCommitGateOwnsSequence(t *testing.T) {
 					if i < tc.committed {
 						inOrder = append(inOrder, cloneRecords(j.recs)...)
 					}
-					j.rsv = pl.gate.reserve(j.recs, false)
-					want := batchReservation{openStart: openSeed + uint64(i*perJob), sealStart: sealSeed + uint64(i*perJob), outCount: perJob}
-					if j.rsv != want {
-						t.Fatalf("job %d reserved %+v, want %+v", i, j.rsv, want)
+					rsv := pl.gate.start(len(j.recs))
+					if want := openSeed + uint64(i*perJob); rsv.openStart != want {
+						t.Fatalf("job %d starts opening at %d, want %d", i, rsv.openStart, want)
 					}
-				}
-				for i := range js {
-					j := &js[i]
-					j.out, j.res, j.err = dp.process(dir, j.recs, j.rsv, new(tls12.CryptoScratch), nil)
+					j.out, j.res, j.err = dp.process(dir, j.recs, rsv, new(tls12.CryptoScratch), nil)
 					if (j.err != nil) != (i == tc.corrupt) {
 						t.Fatalf("job %d: err = %v", i, j.err)
 					}
-				}
-
-				for i := 0; i < tc.committed; i++ {
-					pl.commit(&js[i]) //nolint:errcheck // the wire is the oracle
-				}
-				if err := s.sealAlertOrdered(dp, dir, tls12.AlertLevelFatal, tls12.AlertInternalError); err != nil {
-					t.Fatal(err)
-				}
-				for i := tc.committed; i < jobs; i++ {
-					if err := pl.commit(&js[i]); err == nil {
+					err := pl.commit(&j)
+					if i >= tc.committed && err == nil {
 						t.Fatalf("job %d committed behind the alert", i)
 					}
 				}
-				if err := s.sealAlertOrdered(dp, dir, tls12.AlertLevelFatal, tls12.AlertInternalError); err != nil {
-					t.Fatal(err) // a second alert is a no-op, not a second record
+				if tc.committed == jobs {
+					alert()
 				}
+				alert() // a second alert is a no-op, not a second record
 
 				want, _, _ := ref.reseal(dir, inOrder, nil)
 				want = ref.appendRecord(dir, want, tls12.TypeAlert, []byte{byte(tls12.AlertLevelFatal), byte(tls12.AlertInternalError)})
@@ -139,9 +136,8 @@ func TestCommitGateOwnsSequence(t *testing.T) {
 				if recs[len(recs)-1].Type != tls12.TypeAlert {
 					t.Fatal("the alert is not the last record on the wire")
 				}
-				g := pl.gate
-				if end := sealSeed + uint64(len(recs)); g.sealSeq != end || g.reserved != end {
-					t.Fatalf("gate ends at sealSeq %d / reserved %d, want both %d", g.sealSeq, g.reserved, end)
+				if end := sealSeed + uint64(len(recs)); pl.gate.sealSeq != end {
+					t.Fatalf("gate ends at sealSeq %d, want %d", pl.gate.sealSeq, end)
 				}
 				wantFaults := int64(0)
 				if tc.corrupt >= 0 {

@@ -33,9 +33,9 @@ type batchResult struct {
 // every call is told the positions it works at (DESIGN.md §14).
 //
 // process runs on any goroutine, any number concurrently, using only
-// the reservation and caller-owned scratch. It appends the resealed
-// records in wire form (header included) to dst and returns the
-// extended buffer plus the batch accounting. Input payloads are
+// the sequence starts it is handed and caller-owned scratch. It appends
+// the resealed records in wire form (header included) to dst and
+// returns the extended buffer plus the batch accounting. Input payloads are
 // decrypted in place and destroyed; the appended bytes never alias
 // them. On error, dst still carries the records resealed before the
 // failure — the caller must release them, because their sealing
@@ -52,21 +52,15 @@ type dataPlaneHandler interface {
 	appendAlertAt(dir Direction, seq uint64, level tls12.AlertLevel, desc tls12.AlertDescription, sc *tls12.CryptoScratch, dst []byte) ([]byte, error)
 }
 
-// batchReservation is the sequence-number claim a commit gate hands to
-// process: the first open sequence (arrival order), the first seal
-// sequence, and the number of sealing sequences claimed. Without a
-// Processor the claim is exact: every inbound record reseals to
-// ceil(plaintextLen/maxRecordPlaintext) records (minimum one), and
-// plaintext length is determined by wire length. A Processor makes the
-// geometry unpredictable, so the seal range is open-ended — outCount is
-// zero, nothing past sealStart is claimed, and the commit moves the
-// gate once the output is known. That is only sound with no other job
-// in flight, which holds because a session with a Processor runs every
-// job inline.
+// batchReservation is the pair of sequence starts a commit gate hands a
+// job right before it is processed (commitGate.start): the first open
+// sequence (arrival order) and the first seal sequence. The job seals
+// as many records as its output takes from sealStart on; no range is
+// claimed ahead, because the job's commit moves the gate past them
+// before the direction's next job starts.
 type batchReservation struct {
 	openStart uint64
 	sealStart uint64
-	outCount  int
 }
 
 // dataPlane is the host-memory implementation. Nothing in it is written
@@ -122,19 +116,6 @@ func (dp *dataPlane) states(dir Direction) (openCS, sealCS *tls12.CipherState) {
 		return dp.openS2C, dp.sealS2C
 	}
 	return dp.openC2S, dp.sealC2S
-}
-
-// predictOutRecords returns the number of records resealing one inbound
-// payload produces when no Processor is installed: at least one, and
-// one more per full fragment beyond maxRecordPlaintext. A payload too
-// short to open predicts one — the open will fail, and the failed
-// commit abandons the over-reserved seal range.
-func predictOutRecords(payloadLen, overhead int) int {
-	pt := payloadLen - overhead
-	if pt <= maxRecordPlaintext {
-		return 1
-	}
-	return (pt + maxRecordPlaintext - 1) / maxRecordPlaintext
 }
 
 // process implements dataPlaneHandler. It takes no lock — any number

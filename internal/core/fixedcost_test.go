@@ -210,8 +210,10 @@ func burstRelayCost(t *testing.T, processor bool) {
 	jobs, crossed := up.writes.Load()-writes, encl.Transitions()-crossed
 	pipelined := mb.Stats().RecordsPipelined - before.RecordsPipelined
 	t.Logf("%d records: %d jobs (%.1f records a job), %d enclave transitions, %d pipelined", n, jobs, float64(n)/float64(jobs), crossed, pipelined)
-	// A Processor needs stream order: every job runs on the relay
-	// goroutine. Without one, every job is the commit goroutine's.
+	// A Processor session runs every job on the relay goroutine: the
+	// hand-off to the commit goroutine measured slower on rr_http
+	// (EXPERIMENTS.md, "Processor sessions stay inline"). Without one,
+	// every job is the commit goroutine's.
 	wantPipelined := int64(n)
 	if processor {
 		wantPipelined = 0

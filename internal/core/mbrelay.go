@@ -79,10 +79,11 @@ func (fr *fwdRun) flush() error {
 // is drained in batches: every buffered record headed for the data
 // plane is collected and crosses it as one job (pipeline.go) — handed
 // to the direction's commit goroutine while the relay reads ahead, or
-// run inline on this goroutine when the job must be ordered. Everything
-// else (handshake, discovery, pre-key alerts) is forwarded in runs
-// (fwdRun): every such record already buffered leaves in one write,
-// behind a flush of the pipeline so it never overtakes pipelined output.
+// run inline on this goroutine when the relay waits for it anyway or
+// the session has a Processor. Everything else (handshake, discovery,
+// pre-key alerts) is forwarded in runs (fwdRun): every such record
+// already buffered leaves in one write, behind a flush of the pipeline
+// so it never overtakes pipelined output.
 func (s *mbSession) relayLoop(dir Direction) error {
 	src := s.downR
 	if dir == DirServerToClient {
@@ -101,8 +102,13 @@ func (s *mbSession) relayLoop(dir Direction) error {
 			pl.shutdown()
 		}
 	}()
-	// A Processor needs its input in stream order (and makes the output
-	// geometry unpredictable), so its sessions run every job inline.
+	// A session with a Processor runs every job inline. That is measured,
+	// not needed for order (the commit goroutine takes jobs first in,
+	// first out): on rr_http, one small record a turn, pipelining those
+	// jobs costs a hand-off to the commit goroutine each way, and lost
+	// to inline in 11 of 14 rounds on ops_per_s and cpu_us_per_op and 10
+	// of 14 on latency_p50_us (EXPERIMENTS.md, "Processor sessions stay
+	// inline").
 	inlineOnly := s.mb.cfg.NewProcessor != nil
 	// Reused per-direction batch, grown to the largest one seen; each
 	// direction is driven by exactly one goroutine, so no locking here.

@@ -1,24 +1,28 @@
 // The middlebox relay's one data path (DESIGN.md §14). Per-record
-// open/reseal needs no shared state once sequence numbers are assigned
-// at intake: the open nonce is the arrival sequence and the seal nonce
-// the commit sequence, both deterministic, so a batch's crypto can run
-// off the relay goroutine while the relay keeps reading. Every batch is
-// one job through the same three steps per direction:
+// open/reseal needs no shared state once a job is told its sequence
+// positions: the open nonce is the arrival sequence and the seal nonce
+// the commit sequence. Each direction has one consumer of jobs, taking
+// them in arrival order, so a job's positions are exactly where the
+// direction's commit gate stands when the job is processed, and a
+// batch's crypto can still run off the relay goroutine while the relay
+// keeps reading. Every batch is one job through the same three steps:
 //
-//	reserve  claim the job's sequence ranges, in arrival order —
-//	         arithmetic on the direction's commit gate
-//	process  open/reseal against the reservation, lock-free — the
-//	         job's one data-plane call
-//	commit   release the resealed output, account stats, and fold
-//	         proxysig digests in strict arrival order
+//	start    take the job's sequence starts from the direction's
+//	         commit gate — arithmetic, no data-plane call
+//	process  open/reseal at those positions, lock-free — the job's
+//	         one data-plane call
+//	commit   release the resealed output, move the sealing position
+//	         past it, account stats, and fold proxysig digests in
+//	         strict arrival order
 //
-// A pipelined job is reserved on the relay goroutine and processed and
-// committed by the direction's commit goroutine, while the relay reads
-// ahead. A job that must be ordered runs all three steps inline on the
-// relay goroutine, after the jobs in flight have committed. The commit
-// gate is the only holder of a direction's sequence positions, so a
-// fault path abandons reserved-but-uncommitted sequences by assignment
-// and seals an alert that still verifies at the peer.
+// A pipelined job is queued by the relay goroutine and started,
+// processed and committed by the direction's commit goroutine while the
+// relay reads ahead. A job that must be ordered runs all three steps
+// inline on the relay goroutine, after the jobs in flight have
+// committed. The commit gate is the only holder of a direction's
+// sequence positions, so a fault path seals its alert at the committed
+// position and poisons the gate: the alert verifies at the peer, and
+// every later commit drops its output.
 package core
 
 import (
@@ -38,14 +42,13 @@ import (
 // not parallel work (EXPERIMENTS.md, "One consumer per direction").
 const pipelineDepth = 8
 
-// relayJob is one unit of relay work: a sequence reservation, a
-// persistent reseal buffer, and — when pipelined — up to maxRelayBatch
-// records sharing a detached read buffer. Jobs are slot-recycled per
-// direction, so the steady state allocates nothing.
+// relayJob is one unit of relay work: a persistent reseal buffer and —
+// when pipelined — up to maxRelayBatch records sharing a detached read
+// buffer. Jobs are slot-recycled per direction, so the steady state
+// allocates nothing.
 type relayJob struct {
 	dp   dataPlaneHandler
 	recs []tls12.RawRecord // grows to the largest batch the slot has carried
-	rsv  batchReservation
 
 	// readBuf is the relay read buffer the records' payloads alias,
 	// detached from the recordReader at submit; the commit goroutine
@@ -60,9 +63,7 @@ type relayJob struct {
 
 // commitGate owns one direction's sequence positions; the data plane
 // keeps none. openSeq is the next arrival sequence to open at, sealSeq
-// the committed sealing sequence (everything below it is on the wire),
-// reserved the reservation high-water, where the next job's seal range
-// starts; the last two differ only while pipelined jobs are in flight.
+// the next sealing sequence: everything below it is on the wire.
 // err poisons the direction: data commits drop their output (the
 // session is dying and an alert may already hold the next sequence
 // number). The mutex is held only for bookkeeping plus alert sealing,
@@ -71,30 +72,24 @@ type commitGate struct {
 	flushMu   sync.Mutex
 	openSeq   uint64
 	sealSeq   uint64
-	reserved  uint64
-	overhead  int // bytes sealing adds to a plaintext
 	err       error
 	alertSent bool
 }
 
-// reserve claims a batch's sequence ranges: one open sequence per
-// inbound record, and the seal range its output geometry predicts from
-// wire lengths — or, when a Processor makes that unpredictable
-// (openEnded), nothing past its start. Relay-goroutine only:
-// reservation order is arrival order is commit order. It is arithmetic
-// on host-held values, no data-plane call, so it never crosses into an
-// enclave.
-func (g *commitGate) reserve(recs []tls12.RawRecord, openEnded bool) batchReservation {
+// start hands a job of n inbound records its sequence starts and moves
+// the open position past them. It is called right before the job is
+// processed, by the direction's one consumer — the commit goroutine,
+// or the relay goroutine once flush has seen that idle — so every
+// earlier job has committed and sealSeq is exactly where this job's
+// output begins; its commit moves sealSeq by what it sealed. A job
+// started behind a fault or an alert needs no special case: the
+// poisoned gate drops its commit. It is arithmetic on host-held values,
+// no data-plane call, so it never crosses into an enclave.
+func (g *commitGate) start(n int) batchReservation {
 	g.flushMu.Lock()
 	defer g.flushMu.Unlock()
-	rsv := batchReservation{openStart: g.openSeq, sealStart: g.reserved}
-	g.openSeq += uint64(len(recs))
-	if !openEnded {
-		for _, rec := range recs {
-			rsv.outCount += predictOutRecords(len(rec.Payload), g.overhead)
-		}
-		g.reserved += uint64(rsv.outCount)
-	}
+	rsv := batchReservation{openStart: g.openSeq, sealStart: g.sealSeq}
+	g.openSeq += uint64(n)
 	return rsv
 }
 
@@ -116,10 +111,7 @@ type dirPipeline struct {
 	committerDone chan struct{}
 
 	// inline is the slot of the jobs the relay goroutine runs itself.
-	// openEnded: the session has a Processor, so those jobs' output
-	// geometry is unknown until they have run.
-	inline    relayJob
-	openEnded bool
+	inline relayJob
 	// sc is the direction's crypto scratch, heap-resident with the
 	// pipeline (per-call stack buffers would escape through the
 	// cipher.AEAD interface and cost an allocation per record). The
@@ -137,7 +129,6 @@ func newDirPipeline(s *mbSession, dir Direction) *dirPipeline {
 		freeCh:        make(chan *relayJob, pipelineDepth),
 		committerDone: make(chan struct{}),
 		inline:        relayJob{out: s.mb.bufs.GetRecordBuf()},
-		openEnded:     s.mb.cfg.NewProcessor != nil,
 	}
 }
 
@@ -167,17 +158,16 @@ func (pl *dirPipeline) slot() *relayJob {
 	return <-pl.freeCh
 }
 
-// submit reserves the batch's sequence ranges and hands it to the
-// direction's commit goroutine, detaching the reader's buffer so the
-// records stay valid while the relay reads ahead. Relay-goroutine only:
-// reservation order is commit order.
+// submit hands the batch to the direction's commit goroutine,
+// detaching the reader's buffer so the records stay valid while the
+// relay reads ahead. Relay-goroutine only: submission order is arrival
+// order is commit order.
 func (pl *dirPipeline) submit(dp dataPlaneHandler, rr *recordReader, batch []tls12.RawRecord) error {
 	if err := pl.takeErr(); err != nil {
 		return err
 	}
 	j := pl.slot()
 	j.dp = dp
-	j.rsv = pl.gate.reserve(batch, false)
 	j.recs = append(j.recs[:0], batch...)
 	j.readBuf = rr.detach()
 	if !pl.committerUp {
@@ -189,22 +179,20 @@ func (pl *dirPipeline) submit(dp dataPlaneHandler, rr *recordReader, batch []tls
 }
 
 // runInline runs a batch as a job on the relay goroutine: wait out the
-// jobs in flight, reserve, process, commit.
-// It is the path of every batch that must be ordered — a Processor
-// needs its input in stream order; a batch ended by a non-data record
-// or a framing error has the relay waiting for it anyway — and of the
-// single records of the slow path (hop-protected alerts, the
-// False-Start window). Same reservation, same loop, same commit as a
-// pipelined job; it only skips the hand-off, so it needs no buffer
-// detach: the records stay valid in the reader because the relay reads
-// nothing until the job has committed.
+// jobs in flight, start, process, commit.
+// It is the path of every batch the relay waits for anyway — one ended
+// by a non-data record or a framing error — of every job of a session
+// with a Processor (relayLoop says why), and of the single records of
+// the slow path (hop-protected alerts, the False-Start window). Same
+// start, same loop, same commit as a pipelined job; it only skips the
+// hand-off, so it needs no buffer detach: the records stay valid in the
+// reader because the relay reads nothing until the job has committed.
 func (pl *dirPipeline) runInline(dp dataPlaneHandler, batch []tls12.RawRecord) error {
 	if err := pl.flush(); err != nil {
 		return err
 	}
 	j := &pl.inline
-	j.rsv = pl.gate.reserve(batch, pl.openEnded)
-	j.out, j.res, j.err = dp.process(pl.dir, batch, j.rsv, &pl.sc, j.out[:0])
+	j.out, j.res, j.err = dp.process(pl.dir, batch, pl.gate.start(len(batch)), &pl.sc, j.out[:0])
 	return pl.commit(j)
 }
 
@@ -229,9 +217,9 @@ func (pl *dirPipeline) takeErr() error {
 }
 
 // commitLoop is the per-direction commit goroutine: it takes each
-// pipelined job in ticket order, processes and commits it, and recycles
-// the slot and its read buffer. It exits when the relay closes submitCh
-// at teardown.
+// pipelined job in ticket order, starts, processes and commits it, and
+// recycles the slot and its read buffer. It exits when the relay closes
+// submitCh at teardown.
 func (pl *dirPipeline) commitLoop() {
 	pprof.Do(context.Background(), pprof.Labels(
 		"mbtls_session", strconv.FormatUint(pl.s.id, 10),
@@ -239,7 +227,7 @@ func (pl *dirPipeline) commitLoop() {
 		"mbtls_stage", "commit",
 	), func(context.Context) {
 		for j := range pl.submitCh {
-			j.out, j.res, j.err = j.dp.process(pl.dir, j.recs, j.rsv, &pl.sc, j.out[:0])
+			j.out, j.res, j.err = j.dp.process(pl.dir, j.recs, pl.gate.start(len(j.recs)), &pl.sc, j.out[:0])
 			pl.s.mb.recordsPipelined.Add(int64(len(j.recs)))
 			pl.commit(j) //nolint:errcheck // commit acted on it; the relay reads it from the gate
 			relayReadBufs.Put(j.readBuf)
@@ -250,9 +238,9 @@ func (pl *dirPipeline) commitLoop() {
 	close(pl.committerDone)
 }
 
-// commit releases one job's resealed output in arrival order: settle
-// the sealing position, account stats, fold the proxysig digest, and
-// write the wire bytes. It is the only place any of that happens, for
+// commit releases one job's resealed output in arrival order: move the
+// sealing position past it, account stats, fold the proxysig digest,
+// and write the wire bytes. It is the only place any of that happens, for
 // pipelined and inline jobs alike, so digest order is wire order by
 // construction. One caller at a time per direction: the commit
 // goroutine, or the relay goroutine once flush has seen it idle.
@@ -264,10 +252,11 @@ func (pl *dirPipeline) commitLoop() {
 // for the bookkeeping only, never across the write.
 //
 // A failed job releases its partial output (those records consumed
-// sealing sequence numbers), poisons the direction, and fails the
-// session — the relay goroutine may be blocked reading a healthy
-// transport, so the committer cannot leave that to it. The returned
-// error is the direction's poison, if any.
+// sealing sequence numbers), poisons the direction, so the jobs started
+// behind it commit nothing, and fails the session: the relay goroutine
+// may be blocked reading a healthy transport, so the committer cannot
+// leave that to it. The returned error is the direction's poison, if
+// any.
 func (pl *dirPipeline) commit(j *relayJob) error {
 	s, dir, g := pl.s, pl.dir, pl.gate
 	conn, mu := s.outbound(dir)
@@ -280,13 +269,7 @@ func (pl *dirPipeline) commit(j *relayJob) error {
 		mu.Unlock()
 		return err
 	}
-	g.sealSeq = j.rsv.sealStart + uint64(j.res.appended)
-	if g.sealSeq != j.rsv.sealStart+uint64(j.rsv.outCount) {
-		// The claim is not what was sealed: a failed job stopped short of
-		// its reservation (abandoning it and every later one), or an
-		// open-ended one claimed nothing. The next range starts here.
-		g.reserved = g.sealSeq
-	}
+	g.sealSeq += uint64(j.res.appended)
 	err := j.err
 	g.err = err // a failed job poisons the direction
 	g.flushMu.Unlock()
@@ -383,21 +366,20 @@ func (s *mbSession) seedGates(host *dataPlane) {
 		openCS, sealCS := host.states(dir)
 		g := s.gate(dir)
 		g.flushMu.Lock()
-		g.openSeq, g.sealSeq, g.reserved = openCS.Seq(), sealCS.Seq(), sealCS.Seq()
-		g.overhead = sealCS.Overhead()
+		g.openSeq, g.sealSeq = openCS.Seq(), sealCS.Seq()
 		g.flushMu.Unlock()
 	}
 }
 
-// sealAlertOrdered seals an alert at the committed sealing position,
-// abandoning any reserved-but-uncommitted range so the alert verifies
-// at the peer, and poisons the direction so later data commits drop
-// their (now out-of-sequence) output. At most one alert per direction:
-// fault and force-close paths race, and the first claims it. The claim
-// and the poison come before the wait for the outbound write lock, so
-// a second caller never queues behind a wedged transport (it goes on
-// to close it); the position is read once that lock is held, behind
-// whatever commit was mid-write.
+// sealAlertOrdered seals an alert at the committed sealing position —
+// the next sequence the peer opens at, whatever jobs are in flight, so
+// the alert verifies there — and poisons the direction so later data
+// commits drop their (now out-of-sequence) output. At most one alert
+// per direction: fault and force-close paths race, and the first claims
+// it. The claim and the poison come before the wait for the outbound
+// write lock, so a second caller never queues behind a wedged transport
+// (it goes on to close it); the position is read once that lock is
+// held, behind whatever commit was mid-write.
 func (s *mbSession) sealAlertOrdered(dp dataPlaneHandler, dir Direction, level tls12.AlertLevel, desc tls12.AlertDescription) error {
 	g := s.gate(dir)
 	g.flushMu.Lock()
@@ -417,7 +399,6 @@ func (s *mbSession) sealAlertOrdered(dp dataPlaneHandler, dir Direction, level t
 	wire, err := dp.appendAlertAt(dir, g.sealSeq, level, desc, new(tls12.CryptoScratch), make([]byte, 0, 64))
 	if err == nil {
 		g.sealSeq++
-		g.reserved = g.sealSeq
 	}
 	g.flushMu.Unlock()
 	if err != nil {

@@ -183,8 +183,9 @@ func FuzzParallelReseal(f *testing.F) {
 	// non-data tail, then a single (corrupt) alert on its own.
 	f.Add(byte(1), enc(fuzzRecSpec{size: 2, alert: true}, fuzzRecSpec{size: 1200},
 		fuzzRecSpec{size: 2, alert: true, endRead: true}, fuzzRecSpec{size: 2, alert: true, corrupt: true}))
-	// Processor: every job inline, payloads emptied, grown past the
-	// fragment limit, shrunk and stamped, across read boundaries.
+	// Processor: every job inline (the hand-off costs such sessions
+	// latency, not order), payloads emptied, grown past the fragment
+	// limit, shrunk and stamped, across read boundaries.
 	f.Add(byte(2), enc(fuzzRecSpec{size: 300}, fuzzRecSpec{size: 1900}, fuzzRecSpec{size: 1000, endRead: true},
 		fuzzRecSpec{size: 40}, fuzzRecSpec{size: 0}, fuzzRecSpec{size: 2000}, fuzzRecSpec{size: 2, alert: true},
 		fuzzRecSpec{size: 77}))
@@ -212,6 +213,12 @@ func FuzzParallelReseal(f *testing.F) {
 	// Corruption behind a pass-through record, Processor on.
 	f.Add(byte(2), enc(fuzzRecSpec{size: 30, pass: true}, fuzzRecSpec{size: 100, corrupt: true},
 		fuzzRecSpec{size: 30, pass: true}))
+	// A failing first job with three pipelined jobs queued behind it, one
+	// per read: each one the relay submits before it sees the poison is
+	// started and processed behind it, and commits nothing.
+	f.Add(byte(0), enc(fuzzRecSpec{size: 64}, fuzzRecSpec{size: 64, corrupt: true, endRead: true},
+		fuzzRecSpec{size: 300, endRead: true}, fuzzRecSpec{size: 1000}, fuzzRecSpec{size: 20, endRead: true},
+		fuzzRecSpec{size: 700, endRead: true}, fuzzRecSpec{size: 9}))
 
 	badHeader := []byte{byte(tls12.TypeApplicationData), 9, 9, 0, 0}
 	_, _, headerErr := tls12.ParseRecordHeader(badHeader)

@@ -211,14 +211,26 @@ func readHeaders(br *bufio.Reader) (Header, int, error) {
 }
 
 // readBody reads an n-byte body into its own slice (nil for n < 0: the
-// message declared no length).
+// message declared no length). A body that fits the reader's buffer
+// gets an exact-size slice; a longer one grows as its bytes arrive, so
+// a declared length commits no memory the peer has not sent.
 func readBody(br *bufio.Reader, n int) ([]byte, error) {
 	if n < 0 {
 		return nil, nil
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(br, body); err != nil {
+	if n <= br.Size() {
+		body := make([]byte, n)
+		if _, err := io.ReadFull(br, body); err != nil {
+			return nil, err
+		}
+		return body, nil
+	}
+	body, err := io.ReadAll(io.LimitReader(br, int64(n)))
+	if err != nil {
 		return nil, err
+	}
+	if len(body) < n {
+		return nil, io.ErrUnexpectedEOF
 	}
 	return body, nil
 }

@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -148,6 +150,42 @@ func TestLargeBody(t *testing.T) {
 	}
 	if !bytes.Equal(got.Body, body) {
 		t.Fatal("large body corrupted")
+	}
+}
+
+// TestDeclaredLengthCommitsNoMemory: a Content-Length is the peer's
+// claim, not bytes it has sent. A message declaring the largest body
+// the parser accepts and then ending must fail as truncated without
+// the parser having allocated anywhere near that length.
+func TestDeclaredLengthCommitsNoMemory(t *testing.T) {
+	tail := "Content-Length: " + strconv.Itoa(maxBodyLen) + "\r\n\r\npartial body"
+	for _, tc := range []struct {
+		name, head string
+		read       func(*bufio.Reader) error
+	}{
+		{"request", "POST /upload HTTP/1.1\r\nHost: origin.example\r\n", func(br *bufio.Reader) error {
+			_, err := ReadRequest(br)
+			return err
+		}},
+		{"response", "HTTP/1.1 200 OK\r\n", func(br *bufio.Reader) error {
+			_, err := ReadResponse(br)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			msg := tc.head + tail
+			br := bufio.NewReader(strings.NewReader(msg))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := tc.read(br)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("err = %v, want a truncated body", err)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+				t.Fatalf("parsing a %d-byte message allocated %d bytes", len(msg), got)
+			}
+		})
 	}
 }
 

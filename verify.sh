@@ -65,6 +65,13 @@ gate go run ./cmd/mbtls-bench sessions -quick -transport tcp -soak
 # the enclave twice a record or more.
 gate go run ./cmd/mbtls-bench fig7 -quick
 gate go run ./cmd/mbtls-bench fig7 -quick -transport tcp
+# examples smoke: each program builds its own chain on netsim and exits
+# non-zero when its story does not hold. Every one installs a
+# Processor, so together they run Processor sessions through the relay's
+# inline path end to end.
+for example in examples/*/; do
+	gate go run "./$example"
+done
 
 echo "== gofmt -l ."
 unformatted=$(gofmt -l .)
