@@ -10,6 +10,12 @@
 // Usage:
 //
 //	mbtls-lint [-checks name,name] [-json] [./...]
+//	mbtls-lint -reach allowlist
+//
+// With -reach it checks the reachability ledger instead (DESIGN.md §8):
+// it builds every program with the linker's -dumpdep and fails on a
+// declaration no program reaches that the allowlist does not name, and
+// on an allowlist entry that names no such declaration.
 //
 // With -json each finding is one JSON object per line (see DESIGN.md
 // §8 for the schema), for editors and CI annotators; the human
@@ -48,6 +54,7 @@ func main() {
 	ignoreBudget := flag.Int("ignore-budget", analysis.DefaultIgnoreBudget,
 		"max //lint:ignore suppressions allowed module-wide (-1 disables the check)")
 	list := flag.Bool("list", false, "list available analyzers and exit")
+	reach := flag.String("reach", "", "check the reachability ledger against this allowlist instead of running the analyzers")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: mbtls-lint [-checks name,name] [./...]\n\nAnalyzers:\n")
 		for _, a := range analysis.Analyzers() {
@@ -90,6 +97,10 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mbtls-lint: load:", err)
 		os.Exit(2)
+	}
+	if *reach != "" {
+		checkLedger(root, pkgs, *reach)
+		return
 	}
 	// A package that fails to parse or type-check cannot be analyzed
 	// honestly: report each one on a line of its own, still analyze the
@@ -225,4 +236,26 @@ func (f *pathFilter) match(file string) bool {
 		}
 	}
 	return false
+}
+
+// checkLedger runs the -reach mode and exits non-zero on any problem.
+func checkLedger(root string, pkgs []*analysis.Package, allowlist string) {
+	allow, err := os.ReadFile(allowlist)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mbtls-lint:", err)
+		os.Exit(2)
+	}
+	unreached, err := analysis.Unreached(root, pkgs)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mbtls-lint:", err)
+		os.Exit(2)
+	}
+	problems := analysis.CheckLedger(unreached, allow)
+	for _, p := range problems {
+		fmt.Println(p)
+	}
+	if len(problems) > 0 {
+		fmt.Fprintf(os.Stderr, "mbtls-lint: %d reachability ledger problem(s)\n", len(problems))
+		os.Exit(1)
+	}
 }

@@ -81,6 +81,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("mbtls-proxy: %v", err)
 		}
+		authority.Wipe() // its one endorsement is made
 		encl := platform.CreateEnclave(mbtls.CodeImage{Name: "mbtls-proxy", Version: "1.0"})
 		cfg.Enclave = encl
 		log.Printf("mbtls-proxy: enclave measurement %s", encl.Measurement())

@@ -40,6 +40,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	authority.Wipe() // its one endorsement is made; clients need only its public key
 	proxyImage := mbtls.CodeImage{Name: "flywheel-proxy", Version: "2.3.1", Config: "deflate,best-speed"}
 	encl := platform.CreateEnclave(proxyImage)
 

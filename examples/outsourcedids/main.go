@@ -35,6 +35,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	authority.Wipe() // its one endorsement is made; clients need only its public key
 	idsImage := mbtls.CodeImage{Name: "sgx-ids", Version: "4.2.0", Config: "ruleset=2026-07"}
 	encl := platform.CreateEnclave(idsImage)
 

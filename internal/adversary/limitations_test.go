@@ -3,6 +3,7 @@ package adversary
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"repro/internal/tls12"
 )
@@ -165,4 +166,22 @@ func TestFilterBypassArgument(t *testing.T) {
 	if err == nil || err == ErrTimeout {
 		t.Fatal("third-party injection beyond the filter was accepted")
 	}
+}
+
+// ClientRecv waits for the next chunk the client accepted.
+func (sc *Scenario) ClientRecv(timeout time.Duration) ([]byte, error) {
+	select {
+	case b := <-sc.clientRecv:
+		return b, nil
+	case err := <-sc.clientErr:
+		return nil, err
+	case <-time.After(timeout):
+		return nil, ErrTimeout
+	}
+}
+
+// InjectS2C writes an attacker-crafted record toward the client side.
+func (tp *TamperPoint) InjectS2C(rec tls12.RawRecord) error {
+	_, err := tp.a.Write(rec.Marshal())
+	return err
 }

@@ -143,17 +143,5 @@ func (sc *Scenario) ServerReadErr(timeout time.Duration) error {
 	}
 }
 
-// ClientRecv waits for the next chunk the client accepted.
-func (sc *Scenario) ClientRecv(timeout time.Duration) ([]byte, error) {
-	select {
-	case b := <-sc.clientRecv:
-		return b, nil
-	case err := <-sc.clientErr:
-		return nil, err
-	case <-time.After(timeout):
-		return nil, ErrTimeout
-	}
-}
-
 // Suite returns the negotiated primary cipher suite.
 func (sc *Scenario) Suite() uint16 { return sc.Client.ConnectionState().CipherSuite }

@@ -53,12 +53,6 @@ func (tp *TamperPoint) InjectC2S(rec tls12.RawRecord) error {
 	return err
 }
 
-// InjectS2C writes an attacker-crafted record toward the client side.
-func (tp *TamperPoint) InjectS2C(rec tls12.RawRecord) error {
-	_, err := tp.a.Write(rec.Marshal())
-	return err
-}
-
 // SetHooks installs (or replaces) the tamper hooks.
 func (tp *TamperPoint) SetHooks(c2s, s2c Hook) {
 	tp.mu.Lock()
@@ -107,13 +101,6 @@ func (tp *TamperPoint) pump(src, dst net.Conn, c2s bool) {
 			}
 		}
 	}
-}
-
-// Inject writes an attacker-crafted record toward the given side,
-// bypassing the hooks (active injection capability).
-func Inject(conn net.Conn, rec tls12.RawRecord) error {
-	_, err := conn.Write(rec.Marshal())
-	return err
 }
 
 // nthOfType returns a hook helper: calls f on the nth record (0-based)
@@ -181,12 +168,4 @@ func SwapPair(typ tls12.ContentType) Hook {
 			return PassThrough(rec)
 		}
 	}
-}
-
-// InjectForged returns a hook that inserts a forged record before the
-// nth record of the given type.
-func InjectForged(typ tls12.ContentType, n int, forged tls12.RawRecord) Hook {
-	return nthOfType(typ, n, func(rec tls12.RawRecord) []tls12.RawRecord {
-		return []tls12.RawRecord{forged, rec}
-	})
 }

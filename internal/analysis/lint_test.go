@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"go/token"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -216,4 +217,20 @@ func TestLoaderSkipsTests(t *testing.T) {
 			t.Errorf("loader included test file %s", name)
 		}
 	}
+}
+
+// LoadDir type-checks a single standalone directory (a test fixture):
+// imports resolve against the standard library and the module the
+// directory sits in.
+func LoadDir(dir string) (*Package, error) {
+	absDir, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
+	l := newLoader(token.NewFileSet())
+	for root := absDir; l.modPath == "" && root != filepath.Dir(root); root = filepath.Dir(root) {
+		l.modPath, _ = modulePath(root)
+		l.modRoot = root
+	}
+	return l.checkDir(absDir, "fixture/"+filepath.Base(absDir), l)
 }

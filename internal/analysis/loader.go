@@ -269,22 +269,6 @@ func Load(root string) ([]*Package, []*PackageError, error) {
 	return pkgs, broken, nil
 }
 
-// LoadDir type-checks a single standalone directory (a test fixture):
-// imports resolve against the standard library and the module the
-// directory sits in.
-func LoadDir(dir string) (*Package, error) {
-	absDir, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	l := newLoader(token.NewFileSet())
-	for root := absDir; l.modPath == "" && root != filepath.Dir(root); root = filepath.Dir(root) {
-		l.modPath, _ = modulePath(root)
-		l.modRoot = root
-	}
-	return l.checkDir(absDir, "fixture/"+filepath.Base(absDir), l)
-}
-
 // packageDirs walks the module and returns every directory holding
 // non-test Go sources, skipping hidden directories and testdata trees.
 func packageDirs(root string) ([]string, error) {

@@ -10,8 +10,6 @@ import (
 	"crypto/rand"
 	"crypto/x509"
 	"crypto/x509/pkix"
-	"fmt"
-	"io"
 	"math/big"
 	"sync/atomic"
 	"time"
@@ -25,7 +23,6 @@ import (
 type CA struct {
 	Cert *x509.Certificate
 	Key  ed25519.PrivateKey
-	rand io.Reader
 	// serial is incremented per issued certificate; CAs issue
 	// concurrently (the experiment harnesses provision in parallel).
 	serial atomic.Int64
@@ -41,20 +38,11 @@ func (ca *CA) Wipe() {
 	ca.Key = nil
 }
 
-// Option customizes a CA.
-type Option func(*CA)
-
-// WithRand sets the entropy source (tests use deterministic readers).
-func WithRand(r io.Reader) Option { return func(ca *CA) { ca.rand = r } }
-
 // NewCA creates a self-signed root CA with the given common name.
-func NewCA(commonName string, opts ...Option) (*CA, error) {
-	ca := &CA{rand: rand.Reader}
+func NewCA(commonName string) (*CA, error) {
+	ca := &CA{}
 	ca.serial.Store(1)
-	for _, o := range opts {
-		o(ca)
-	}
-	pub, priv, err := ed25519.GenerateKey(ca.rand)
+	pub, priv, err := ed25519.GenerateKey(rand.Reader)
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +55,7 @@ func NewCA(commonName string, opts ...Option) (*CA, error) {
 		BasicConstraintsValid: true,
 		IsCA:                  true,
 	}
-	der, err := x509.CreateCertificate(ca.rand, tmpl, tmpl, pub, priv)
+	der, err := x509.CreateCertificate(rand.Reader, tmpl, tmpl, pub, priv)
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +86,7 @@ type IssueOptions struct {
 // Issue creates a leaf certificate for the given DNS names, returning a
 // tls12.Certificate ready for a server or middlebox config.
 func (ca *CA) Issue(commonName string, dnsNames []string, opts *IssueOptions) (*tls12.Certificate, error) {
-	pub, priv, err := ed25519.GenerateKey(ca.rand)
+	pub, priv, err := ed25519.GenerateKey(rand.Reader)
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +115,7 @@ func (ca *CA) issueFor(commonName string, dnsNames []string, opts *IssueOptions,
 		ExtKeyUsage:  []x509.ExtKeyUsage{x509.ExtKeyUsageServerAuth, x509.ExtKeyUsageClientAuth},
 		DNSNames:     dnsNames,
 	}
-	der, err := x509.CreateCertificate(ca.rand, tmpl, ca.Cert, pub, ca.Key)
+	der, err := x509.CreateCertificate(rand.Reader, tmpl, ca.Cert, pub, ca.Key)
 	if err != nil {
 		return nil, err
 	}
@@ -173,14 +161,4 @@ func SelfSigned(commonName string, dnsNames []string) (*tls12.Certificate, error
 	// even permissively.
 	cert.Chain = cert.Chain[:1]
 	return cert, nil
-}
-
-// MustIssue is Issue for test and example setup code that cannot fail
-// meaningfully.
-func (ca *CA) MustIssue(commonName string, dnsNames ...string) *tls12.Certificate {
-	cert, err := ca.Issue(commonName, dnsNames, nil)
-	if err != nil {
-		panic(fmt.Sprintf("certs: issue %s: %v", commonName, err))
-	}
-	return cert
 }

@@ -99,7 +99,10 @@ func TestUniqueSerials(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for i := 0; i < 10; i++ {
-		cert := ca.MustIssue("x.example", "x.example")
+		cert, err := ca.Issue("x.example", []string{"x.example"}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		s := cert.Leaf.SerialNumber.String()
 		if seen[s] {
 			t.Fatalf("serial %s reused", s)

@@ -121,7 +121,7 @@ func ConcurrentSessions(t *testing.T, h *chain.Hosted, kill func(conn net.Conn, 
 	case err := <-badDone:
 		if err == nil {
 			t.Error("the doomed path produced a working session")
-		} else if cls := core.ClassifyError(err); !cls.Transient() && cls != core.ClassCleanClose {
+		} else if cls := core.ClassifyError(err); cls != core.ClassTimeout && cls != core.ClassReset && cls != core.ClassCleanClose {
 			t.Errorf("doomed path surfaced class %s (%v), want a transport-failure class", cls, err)
 		}
 	case <-time.After(30 * time.Second):

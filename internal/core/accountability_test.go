@@ -414,7 +414,7 @@ func TestProxySigChainResumption(t *testing.T) {
 	})
 	scfg := e.serverConfig()
 	scfg.TLS.EnableTickets = true
-	copy(scfg.TLS.TicketKey[:], "proxysig-chain-resume-stek-12345")
+	scfg.TLS.TicketKeys = newSTEK(t)
 
 	var ct *core.ChainTicket
 	ccfg := proxySigClient(e)
@@ -469,7 +469,7 @@ func TestAttestResumptionStillWorks(t *testing.T) {
 	})
 	scfg := e.serverConfig()
 	scfg.TLS.EnableTickets = true
-	copy(scfg.TLS.TicketKey[:], "attest-chain-resume-stek-1234567")
+	scfg.TLS.TicketKeys = newSTEK(t)
 
 	var ct *core.ChainTicket
 	ccfg := e.clientConfig()

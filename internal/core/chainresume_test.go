@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/enclave"
 	"repro/internal/hsfast"
@@ -14,11 +15,12 @@ import (
 // chainFixture bundles the attested-middlebox-with-STEK setup the
 // chain-resumption tests share: a server that issues primary tickets,
 // an enclave middlebox that issues hop tickets, and a client that
-// requires attestation and collects chain tickets.
+// requires attestation and collects chain tickets. The middlebox's
+// STEK rotates hourly on clk.
 type chainFixture struct {
 	e    *env
 	encl *enclave.Enclave
-	stek *hsfast.STEK
+	clk  *clock.Manual
 	mb   *core.Middlebox
 	scfg *core.ServerConfig
 }
@@ -28,7 +30,8 @@ func newChainFixture(t *testing.T) *chainFixture {
 	e := newEnv(t)
 	image := enclave.CodeImage{Name: "mbtls-proxy", Version: "1.0"}
 	encl := e.Platform.CreateEnclave(image)
-	stek, err := hsfast.NewSTEK(0, nil)
+	clk := clock.NewManual(time.Unix(1_700_000_000, 0))
+	stek, err := hsfast.NewSTEK(time.Hour, clk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,8 +41,8 @@ func newChainFixture(t *testing.T) *chainFixture {
 	})
 	scfg := e.serverConfig()
 	scfg.TLS.EnableTickets = true
-	copy(scfg.TLS.TicketKey[:], "chain-resumption-primary-stek-00")
-	return &chainFixture{e: e, encl: encl, stek: stek, mb: mb, scfg: scfg}
+	scfg.TLS.TicketKeys = newSTEK(t)
+	return &chainFixture{e: e, encl: encl, clk: clk, mb: mb, scfg: scfg}
 }
 
 // clientConfig builds a chain-collecting client config; onTicket
@@ -121,11 +124,7 @@ func TestChainTicketStaleSTEKFallsBack(t *testing.T) {
 	f := newChainFixture(t)
 	ct := f.establish(t)
 
-	for i := 0; i < 2; i++ {
-		if err := f.stek.Rotate(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	f.clk.Advance(2 * time.Hour)
 	ccfg := f.clientConfig(nil)
 	ccfg.ChainTicket = ct
 	client, server := runSession(t, ccfg, f.scfg, f.mb)

@@ -41,11 +41,11 @@ func TestCommitGateOwnsSequence(t *testing.T) {
 		wantData  int // records that must precede the alert on the wire
 	}{
 		// Job 1 stops after one record: its partial output is released
-		// (those sequences are spent) and poisons the gate, so job 2,
-		// started behind it, commits nothing.
+		// (those sequences are spent) and poisons the gate, so job 2
+		// behind it is refused its start and never processed.
 		{"failed job mid-stream", 1, 3, perJob + 1},
-		// A force-close with two jobs still queued: they are started and
-		// processed behind the alert, and their commits dropped.
+		// A force-close with two jobs still queued: the gate refuses
+		// both their starts.
 		{"alert over jobs in flight", -1, 1, perJob},
 		{"alert behind every commit", -1, 3, jobs * perJob},
 	} {
@@ -101,7 +101,16 @@ func TestCommitGateOwnsSequence(t *testing.T) {
 					if i < tc.committed {
 						inOrder = append(inOrder, cloneRecords(j.recs)...)
 					}
-					rsv := pl.gate.start(len(j.recs))
+					rsv, err := pl.gate.start(len(j.recs))
+					if poisoned := (tc.corrupt >= 0 && i > tc.corrupt) || i >= tc.committed; poisoned {
+						if err == nil {
+							t.Fatalf("job %d started behind the poison", i)
+						}
+						continue
+					}
+					if err != nil {
+						t.Fatalf("job %d refused a start on a clean gate: %v", i, err)
+					}
 					if want := openSeed + uint64(i*perJob); rsv.openStart != want {
 						t.Fatalf("job %d starts opening at %d, want %d", i, rsv.openStart, want)
 					}
@@ -109,9 +118,8 @@ func TestCommitGateOwnsSequence(t *testing.T) {
 					if (j.err != nil) != (i == tc.corrupt) {
 						t.Fatalf("job %d: err = %v", i, j.err)
 					}
-					err := pl.commit(&j)
-					if i >= tc.committed && err == nil {
-						t.Fatalf("job %d committed behind the alert", i)
+					if err := pl.commit(&j); (err == nil) != (i != tc.corrupt) {
+						t.Fatalf("job %d: commit = %v", i, err)
 					}
 				}
 				if tc.committed == jobs {

@@ -404,10 +404,4 @@ func TestClassifyError(t *testing.T) {
 	if got := core.ClassifyError(err); got != core.ClassCleanClose && got != core.ClassReset {
 		t.Errorf("closed-pipe read classified as %s", got)
 	}
-	if core.ClassTimeout.Transient() != true || core.ClassReset.Transient() != true {
-		t.Error("timeout and reset must be transient")
-	}
-	if core.ClassIntegrity.Transient() || core.ClassRemoteAlert.Transient() || core.ClassCleanClose.Transient() {
-		t.Error("deterministic failure classes must not be transient")
-	}
 }

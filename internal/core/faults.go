@@ -80,14 +80,6 @@ func (c ErrorClass) String() string {
 	return "class(?)"
 }
 
-// Transient reports whether retrying over a fresh transport could
-// plausibly succeed. Integrity and protocol failures are
-// deterministic; retrying only re-runs them. Overload is transient by
-// nature: the host's admission pressure changes as sessions finish.
-func (c ErrorClass) Transient() bool {
-	return c == ClassTimeout || c == ClassReset || c == ClassOverload
-}
-
 // isFault reports whether the class represents a path fault rather
 // than a clean shutdown.
 func (c ErrorClass) isFault() bool { return c != ClassOK && c != ClassCleanClose }

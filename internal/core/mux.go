@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
-	"sort"
 	"sync"
 
 	"repro/internal/tls12"
@@ -98,18 +97,6 @@ func (m *mux) subchannel(id uint8, announce bool) *pipeBuf {
 		}
 	}
 	return p
-}
-
-// subchannelIDs returns the currently known subchannel IDs, ascending.
-func (m *mux) subchannelIDs() []uint8 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ids := make([]uint8, 0, len(m.subs))
-	for id := range m.subs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 // readLoop demultiplexes inbound records until the transport fails. It

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"io"
+	"sort"
 	"testing"
 	"time"
 
@@ -182,4 +183,16 @@ func TestNewMiddleboxValidation(t *testing.T) {
 	if _, err := NewMiddlebox(MiddleboxConfig{}); err == nil {
 		t.Fatal("middlebox without certificate accepted")
 	}
+}
+
+// subchannelIDs returns the currently known subchannel IDs, ascending.
+func (m *mux) subchannelIDs() []uint8 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	ids := make([]uint8, 0, len(m.subs))
+	for id := range m.subs {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
 }

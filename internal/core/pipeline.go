@@ -81,16 +81,20 @@ type commitGate struct {
 // processed, by the direction's one consumer — the commit goroutine,
 // or the relay goroutine once flush has seen that idle — so every
 // earlier job has committed and sealSeq is exactly where this job's
-// output begins; its commit moves sealSeq by what it sealed. A job
-// started behind a fault or an alert needs no special case: the
-// poisoned gate drops its commit. It is arithmetic on host-held values,
-// no data-plane call, so it never crosses into an enclave.
-func (g *commitGate) start(n int) batchReservation {
+// output begins; its commit moves sealSeq by what it sealed. On a
+// poisoned gate it returns the poison instead: a job queued behind a
+// fault or an alert is never processed, so it costs no enclave
+// crossing. It is arithmetic on host-held values, no data-plane call,
+// so it never crosses into an enclave itself.
+func (g *commitGate) start(n int) (batchReservation, error) {
 	g.flushMu.Lock()
 	defer g.flushMu.Unlock()
+	if g.err != nil {
+		return batchReservation{}, g.err
+	}
 	rsv := batchReservation{openStart: g.openSeq, sealStart: g.sealSeq}
 	g.openSeq += uint64(n)
-	return rsv
+	return rsv, nil
 }
 
 // dirPipeline is one relay direction's job state, owned by the relay
@@ -191,8 +195,12 @@ func (pl *dirPipeline) runInline(dp dataPlaneHandler, batch []tls12.RawRecord) e
 	if err := pl.flush(); err != nil {
 		return err
 	}
+	rsv, err := pl.gate.start(len(batch))
+	if err != nil {
+		return err
+	}
 	j := &pl.inline
-	j.out, j.res, j.err = dp.process(pl.dir, batch, pl.gate.start(len(batch)), &pl.sc, j.out[:0])
+	j.out, j.res, j.err = dp.process(pl.dir, batch, rsv, &pl.sc, j.out[:0])
 	return pl.commit(j)
 }
 
@@ -217,9 +225,9 @@ func (pl *dirPipeline) takeErr() error {
 }
 
 // commitLoop is the per-direction commit goroutine: it takes each
-// pipelined job in ticket order, starts, processes and commits it, and
-// recycles the slot and its read buffer. It exits when the relay closes
-// submitCh at teardown.
+// pipelined job in ticket order, starts, processes and commits it —
+// or, behind a poisoned gate, skips it — and recycles the slot and its
+// read buffer. It exits when the relay closes submitCh at teardown.
 func (pl *dirPipeline) commitLoop() {
 	pprof.Do(context.Background(), pprof.Labels(
 		"mbtls_session", strconv.FormatUint(pl.s.id, 10),
@@ -227,9 +235,11 @@ func (pl *dirPipeline) commitLoop() {
 		"mbtls_stage", "commit",
 	), func(context.Context) {
 		for j := range pl.submitCh {
-			j.out, j.res, j.err = j.dp.process(pl.dir, j.recs, pl.gate.start(len(j.recs)), &pl.sc, j.out[:0])
-			pl.s.mb.recordsPipelined.Add(int64(len(j.recs)))
-			pl.commit(j) //nolint:errcheck // commit acted on it; the relay reads it from the gate
+			if rsv, err := pl.gate.start(len(j.recs)); err == nil {
+				j.out, j.res, j.err = j.dp.process(pl.dir, j.recs, rsv, &pl.sc, j.out[:0])
+				pl.s.mb.recordsPipelined.Add(int64(len(j.recs)))
+				pl.commit(j) //nolint:errcheck // commit acted on it; the relay reads it from the gate
+			}
 			relayReadBufs.Put(j.readBuf)
 			j.readBuf = nil
 			pl.freeCh <- j

@@ -4,8 +4,19 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/hsfast"
 	"repro/internal/tls12"
 )
+
+// newSTEK returns a ticket key source that never rotates.
+func newSTEK(t *testing.T) *hsfast.STEK {
+	t.Helper()
+	stek, err := hsfast.NewSTEK(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stek
+}
 
 // TestSessionResumptionWithMiddlebox reproduces §3.5 "Session
 // Resumption": the primary handshake becomes an abbreviated
@@ -17,7 +28,7 @@ func TestSessionResumptionWithMiddlebox(t *testing.T) {
 
 	scfg := e.serverConfig()
 	scfg.TLS.EnableTickets = true
-	copy(scfg.TLS.TicketKey[:], "0123456789abcdef0123456789abcdef")
+	scfg.TLS.TicketKeys = newSTEK(t)
 
 	var ticket *tls12.SessionTicket
 	ccfg := e.clientConfig()
@@ -59,7 +70,7 @@ func TestResumptionWithServerSideMiddlebox(t *testing.T) {
 
 	scfg := e.serverConfig()
 	scfg.TLS.EnableTickets = true
-	copy(scfg.TLS.TicketKey[:], "fedcba9876543210fedcba9876543210")
+	scfg.TLS.TicketKeys = newSTEK(t)
 
 	var ticket *tls12.SessionTicket
 	ccfg := e.clientConfig()

@@ -126,11 +126,6 @@ func (s *Session) Close() error {
 	return err
 }
 
-// Transport returns the session's underlying transport conn, letting
-// connection managers (and fault-injection harnesses) reach below the
-// session — e.g. to inspect or kill the first hop.
-func (s *Session) Transport() net.Conn { return s.transport }
-
 // SetDeadline bounds both directions, like net.Conn.
 func (s *Session) SetDeadline(t time.Time) error { return s.transport.SetDeadline(t) }
 

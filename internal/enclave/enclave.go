@@ -296,15 +296,6 @@ func ParseQuote(data []byte) (*Quote, error) {
 	return &q, nil
 }
 
-// Verify checks the quote's signature chain against the authority key
-// and that it binds the expected report data.
-func (q *Quote) Verify(authority ed25519.PublicKey, reportData []byte) error {
-	if err := q.verifyEndorsement(authority); err != nil {
-		return err
-	}
-	return q.verifyBinding(reportData)
-}
-
 // verifyEndorsement checks the platform link of the chain: the
 // authority endorsed this platform key. The verdict depends only on
 // (authority, platform key, endorsement), so it is safe to memoize

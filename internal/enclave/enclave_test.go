@@ -2,6 +2,7 @@ package enclave
 
 import (
 	"bytes"
+	"crypto/ed25519"
 	"fmt"
 	"testing"
 	"time"
@@ -46,6 +47,12 @@ func TestMeasurementDeterministic(t *testing.T) {
 	}
 }
 
+// verifyQuote checks q the way a client does: through a Verifier with
+// no measurement policy.
+func verifyQuote(q *Quote, authority ed25519.PublicKey, reportData []byte) error {
+	return (&Verifier{Authority: authority}).VerifyQuote(q.Marshal(), reportData)
+}
+
 func TestQuoteRoundTripAndVerify(t *testing.T) {
 	a := mustAuthority(t)
 	p := mustPlatform(t, a)
@@ -68,7 +75,7 @@ func TestQuoteRoundTripAndVerify(t *testing.T) {
 	if parsed.Measurement != img.Measurement() {
 		t.Fatal("measurement corrupted in transit")
 	}
-	if err := parsed.Verify(a.PublicKey(), report); err != nil {
+	if err := verifyQuote(parsed, a.PublicKey(), report); err != nil {
 		t.Fatalf("valid quote rejected: %v", err)
 	}
 }
@@ -84,26 +91,26 @@ func TestQuoteRejections(t *testing.T) {
 	e.Enter(func(mem Memory) { q, _ = mem.Quote(report) })
 
 	// Wrong authority: the platform key is not endorsed.
-	if err := q.Verify(other.PublicKey(), report); err == nil {
+	if err := verifyQuote(q, other.PublicKey(), report); err == nil {
 		t.Fatal("quote verified against the wrong authority")
 	}
 	// Wrong report data: stale/replayed quote.
 	badReport := make([]byte, ReportDataLen)
 	badReport[0] = 1
-	if err := q.Verify(a.PublicKey(), badReport); err == nil {
+	if err := verifyQuote(q, a.PublicKey(), badReport); err == nil {
 		t.Fatal("quote verified against different report data")
 	}
 	// Tampered measurement: the platform signature breaks.
 	tampered := *q
 	tampered.Measurement[0] ^= 0xFF
-	if err := tampered.Verify(a.PublicKey(), report); err == nil {
+	if err := verifyQuote(&tampered, a.PublicKey(), report); err == nil {
 		t.Fatal("tampered measurement verified")
 	}
 	// Tampered signature.
 	tampered = *q
 	tampered.Signature = append([]byte(nil), q.Signature...)
 	tampered.Signature[0] ^= 1
-	if err := tampered.Verify(a.PublicKey(), report); err == nil {
+	if err := verifyQuote(&tampered, a.PublicKey(), report); err == nil {
 		t.Fatal("tampered signature verified")
 	}
 	// Forged endorsement from a rogue "platform".
@@ -111,7 +118,7 @@ func TestQuoteRejections(t *testing.T) {
 	forged := *q
 	forged.PlatformKey = rogue.quotePub
 	forged.Endorsement = rogue.endorsement
-	if err := forged.Verify(a.PublicKey(), report); err == nil {
+	if err := verifyQuote(&forged, a.PublicKey(), report); err == nil {
 		t.Fatal("quote with foreign platform key verified")
 	}
 }

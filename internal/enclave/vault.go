@@ -121,9 +121,6 @@ func NewEnclaveVault(e *Enclave) *EnclaveVault {
 	return &EnclaveVault{enclave: e, names: make(map[string]bool)}
 }
 
-// Enclave returns the backing enclave (for attestation plumbing).
-func (v *EnclaveVault) Enclave() *Enclave { return v.enclave }
-
 // StoreSecrets implements Vault, paying one enclave entry for the
 // whole batch.
 func (v *EnclaveVault) StoreSecrets(secrets ...Secret) {

@@ -178,6 +178,7 @@ func probeMcTLSAccessControl() (bool, string) {
 	if err != nil {
 		return false, err.Error()
 	}
+	defer keys.Wipe() // revokes every grant below with it
 	rec, err := keys.Seal(0, []byte("context payload"))
 	if err != nil {
 		return false, err.Error()
@@ -193,8 +194,12 @@ func probeMcTLSAccessControl() (bool, string) {
 		return false, "no-access grant can read"
 	}
 	rw := keys.Grant(mctls.ReadWrite)
-	if _, err := rw.Rewrite(rec, []byte("rewritten")); err != nil {
+	rewritten, err := rw.Rewrite(rec, []byte("rewritten"))
+	if err != nil {
 		return false, "read-write grant cannot rewrite: " + err.Error()
+	}
+	if !keys.VerifyEndpointOriginal(rec) || keys.VerifyEndpointOriginal(rewritten) {
+		return false, "endpoint cannot tell a writer's record from its own"
 	}
 	return true, "RW/RO/None enforced cryptographically (mcTLS-lite)"
 }
@@ -218,6 +223,7 @@ func probeBlindBoxDetection() (bool, string) {
 	if err != nil {
 		return false, err.Error()
 	}
+	defer sess.Wipe()
 	insp, err := sess.RuleTokens([]string{"attack-signature"})
 	if err != nil {
 		return false, err.Error()
@@ -242,6 +248,7 @@ func probeBlindBoxLimitedComputation() (bool, string) {
 	if err != nil {
 		return false, err.Error()
 	}
+	defer sess.Wipe()
 	insp, err := sess.RuleTokens([]string{"whatever-rule"})
 	if err != nil {
 		return false, err.Error()

@@ -12,7 +12,7 @@
 //     terminates.
 //   - VerifyCache memoizes expensive verification verdicts (Ed25519
 //     certificate chains, attestation endorsement chains) under an LRU
-//     with TTL expiry, explicit invalidation, and single-flight dedup
+//     with TTL expiry and single-flight dedup
 //     so concurrent handshakes for the same peer verify once.
 //
 // None of these change what is verified — only how often the same

@@ -134,19 +134,19 @@ func TestSTEKBigGap(t *testing.T) {
 	}
 }
 
-// TestSTEKManualRotateAndWipe covers Rotate and Wipe.
+// TestSTEKManualRotateAndWipe covers a rotation on the manual clock,
+// then Wipe.
 func TestSTEKManualRotateAndWipe(t *testing.T) {
-	s, err := NewSTEK(0, nil)
+	clk := clock.NewManual(time.Unix(1000, 0))
+	s, err := NewSTEK(time.Hour, clk)
 	if err != nil {
 		t.Fatal(err)
 	}
 	k0 := s.SealKey()
-	if err := s.Rotate(); err != nil {
-		t.Fatal(err)
-	}
+	clk.Advance(time.Hour)
 	keys := s.OpenKeys()
 	if len(keys) != 2 || keys[1] != k0 {
-		t.Fatalf("after Rotate OpenKeys = %v keys, want previous retained", len(keys))
+		t.Fatalf("after one interval OpenKeys = %v keys, want previous retained", len(keys))
 	}
 	s.Wipe()
 	var zero [32]byte
@@ -211,35 +211,6 @@ func TestVerifyCacheFailureNotCached(t *testing.T) {
 	}
 	if cached, _ := c.Do(key, func() error { t.Fatal("success not cached"); return nil }); !cached {
 		t.Fatal("success verdict not served from cache")
-	}
-}
-
-// TestVerifyCacheTTLAndInvalidate covers expiry, Invalidate, and Flush.
-func TestVerifyCacheTTLAndInvalidate(t *testing.T) {
-	clk := clock.NewManual(time.Unix(1000, 0))
-	c := NewVerifyCache(16, time.Minute, clk)
-	key := [32]byte{3}
-	verify := func() error { return nil }
-	if cached, _ := c.Do(key, verify); cached {
-		t.Fatal("first lookup served from cache")
-	}
-	if cached, _ := c.Do(key, verify); !cached {
-		t.Fatal("second lookup missed")
-	}
-	clk.Advance(2 * time.Minute)
-	if cached, _ := c.Do(key, verify); cached {
-		t.Fatal("expired verdict served")
-	}
-	if s := c.Stats(); s.Expired != 1 {
-		t.Fatalf("expired = %d, want 1", s.Expired)
-	}
-	c.Invalidate(key)
-	if cached, _ := c.Do(key, verify); cached {
-		t.Fatal("invalidated verdict served")
-	}
-	c.Flush()
-	if s := c.Stats(); s.Entries != 0 {
-		t.Fatalf("entries after Flush = %d, want 0", s.Entries)
 	}
 }
 

@@ -35,8 +35,7 @@ type STEK struct {
 }
 
 // NewSTEK creates a STEK that rotates every interval on clk (nil means
-// the wall clock). interval <= 0 disables time-based rotation (Rotate
-// still works).
+// the wall clock). interval <= 0 disables rotation.
 func NewSTEK(interval time.Duration, clk clock.Clock) (*STEK, error) {
 	s := &STEK{interval: interval, clock: clock.Or(clk), rand: rand.Reader}
 	if _, err := io.ReadFull(s.rand, s.currentKey[:]); err != nil {
@@ -67,18 +66,6 @@ func (s *STEK) OpenKeys() [][32]byte {
 		keys = append(keys, s.previousKey)
 	}
 	return keys
-}
-
-// Rotate forces a rotation: the current key becomes the grace-window
-// previous key and a fresh current key is generated.
-func (s *STEK) Rotate() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.rotateLocked(); err != nil {
-		return err
-	}
-	s.rotatedAt = s.clock.Now()
-	return nil
 }
 
 // Rotations reports how many rotations have happened.

@@ -24,18 +24,6 @@ type VerifyCacheStats struct {
 	Expired int64
 	// Evicted counts verdicts dropped by LRU capacity pressure.
 	Evicted int64
-	// Invalidated counts verdicts dropped by Invalidate/Flush.
-	Invalidated int64
-}
-
-// HitRate is (Hits+Waits)/(Hits+Waits+Misses), or 0 before any lookup.
-func (s VerifyCacheStats) HitRate() float64 {
-	served := s.Hits + s.Waits
-	total := served + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(served) / float64(total)
 }
 
 // vcEntry is one cached verdict. done is closed when the verification
@@ -60,8 +48,7 @@ type vcEntry struct {
 // name; for attestation endorsements, a hash of the authority,
 // platform key, and endorsement signature. Time is deliberately not
 // part of the key: the TTL bounds how long a verdict may outlive a
-// certificate expiring or a measurement being revoked, and Invalidate
-// or Flush drop verdicts immediately when trust changes.
+// certificate expiring or a measurement being revoked.
 type VerifyCache struct {
 	mu      sync.Mutex
 	max     int
@@ -70,18 +57,17 @@ type VerifyCache struct {
 	entries map[[32]byte]*vcEntry
 	order   *list.List // front = most recently used
 
-	hits        int64
-	misses      int64
-	waits       int64
-	expired     int64
-	evicted     int64
-	invalidated int64
+	hits    int64
+	misses  int64
+	waits   int64
+	expired int64
+	evicted int64
 }
 
 // NewVerifyCache creates a cache holding up to max verdicts for at
 // most ttl each on clk (nil means the wall clock). max defaults to 1024
 // when non-positive; ttl <= 0 means verdicts never expire
-// (invalidation only).
+// (they leave by LRU eviction only).
 func NewVerifyCache(max int, ttl time.Duration, clk clock.Clock) *VerifyCache {
 	if max <= 0 {
 		max = 1024
@@ -149,39 +135,17 @@ func (c *VerifyCache) Do(key [32]byte, verify func() error) (cached bool, err er
 	return false, err
 }
 
-// Invalidate drops the verdict for key, if any. An in-flight
-// verification removed here still completes and its waiters share the
-// result, but the verdict is not cached for later lookups.
-func (c *VerifyCache) Invalidate(key [32]byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok {
-		c.removeLocked(e)
-		c.invalidated++
-	}
-}
-
-// Flush drops every cached verdict.
-func (c *VerifyCache) Flush() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.invalidated += int64(len(c.entries))
-	c.entries = make(map[[32]byte]*vcEntry)
-	c.order.Init()
-}
-
 // Stats snapshots the cache's counters.
 func (c *VerifyCache) Stats() VerifyCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return VerifyCacheStats{
-		Entries:     len(c.entries),
-		Hits:        c.hits,
-		Misses:      c.misses,
-		Waits:       c.waits,
-		Expired:     c.expired,
-		Evicted:     c.evicted,
-		Invalidated: c.invalidated,
+		Entries: len(c.entries),
+		Hits:    c.hits,
+		Misses:  c.misses,
+		Waits:   c.waits,
+		Expired: c.expired,
+		Evicted: c.evicted,
 	}
 }
 

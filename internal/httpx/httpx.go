@@ -333,12 +333,6 @@ func (r *Response) AppendTo(dst []byte) []byte {
 	return append(dst, r.Body...)
 }
 
-// Write serializes the response in one w.Write.
-func (r *Response) Write(w io.Writer) error {
-	_, err := w.Write(r.AppendTo(nil))
-	return err
-}
-
 // StatusText returns a reason phrase for common status codes.
 func StatusText(code int) string {
 	switch code {

@@ -46,11 +46,7 @@ func TestResponseRoundTrip(t *testing.T) {
 		Header:     Header{"Location": "https://elsewhere.example/"},
 		Body:       []byte("moved"),
 	}
-	var buf bytes.Buffer
-	if err := resp.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadResponse(bufio.NewReader(&buf))
+	got, err := ReadResponse(bufio.NewReader(bytes.NewReader(resp.AppendTo(nil))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,9 +63,7 @@ func TestResponseRoundTrip(t *testing.T) {
 
 func TestEmptyBody(t *testing.T) {
 	resp := &Response{StatusCode: 404, Header: Header{}}
-	var buf bytes.Buffer
-	resp.Write(&buf) //nolint:errcheck
-	got, err := ReadResponse(bufio.NewReader(&buf))
+	got, err := ReadResponse(bufio.NewReader(bytes.NewReader(resp.AppendTo(nil))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +134,7 @@ func TestServeNilResponse(t *testing.T) {
 func TestLargeBody(t *testing.T) {
 	body := bytes.Repeat([]byte("abcdefgh"), 1<<16) // 512 KiB
 	resp := &Response{StatusCode: 200, Header: Header{}, Body: body}
-	var buf bytes.Buffer
-	if err := resp.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadResponse(bufio.NewReader(&buf))
+	got, err := ReadResponse(bufio.NewReader(bytes.NewReader(resp.AppendTo(nil))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +179,7 @@ func TestDeclaredLengthCommitsNoMemory(t *testing.T) {
 	}
 }
 
-// TestWriteBytes pins Write's output byte for byte, as the codec wrote
+// TestWriteBytes pins AppendTo's output byte for byte, as the codec wrote
 // it when it went through a bufio.Writer and fmt: the request line,
 // Host inserted only when the header has none, every spelling of
 // Content-Length replaced, sorted fields, and the reason phrase
@@ -197,7 +187,7 @@ func TestDeclaredLengthCommitsNoMemory(t *testing.T) {
 func TestWriteBytes(t *testing.T) {
 	cases := []struct {
 		name string
-		msg  interface{ Write(io.Writer) error }
+		msg  interface{ AppendTo([]byte) []byte }
 		want string
 	}{
 		{"nil header, Host inserted", &Request{Method: "GET", Path: "/obj/7", Host: "origin.example"},
@@ -222,12 +212,8 @@ func TestWriteBytes(t *testing.T) {
 			"HTTP/1.1 418 Status\r\nContent-Length: 0\r\n\r\n"},
 	}
 	for _, c := range cases {
-		var buf bytes.Buffer
-		if err := c.msg.Write(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if buf.String() != c.want {
-			t.Errorf("%s: Write = %q, want %q", c.name, buf.String(), c.want)
+		if got := string(c.msg.AppendTo(nil)); got != c.want {
+			t.Errorf("%s: AppendTo = %q, want %q", c.name, got, c.want)
 		}
 	}
 }
@@ -250,14 +236,9 @@ func TestOneWritePerMessage(t *testing.T) {
 	big := bytes.Repeat([]byte("x"), 10<<10)
 	var w countingConn
 	w.ReadWriter = new(bytes.Buffer)
-	for _, msg := range []interface{ Write(io.Writer) error }{
-		&Request{Method: "POST", Path: "/", Host: "h", Body: big},
-		&Response{StatusCode: 200, Body: big},
-	} {
-		w.writes = 0
-		if err := msg.Write(&w); err != nil || w.writes != 1 {
-			t.Fatalf("%T.Write made %d writes (%v), want 1", msg, w.writes, err)
-		}
+	req := &Request{Method: "POST", Path: "/", Host: "h", Body: big}
+	if err := req.Write(&w); err != nil || w.writes != 1 {
+		t.Fatalf("Request.Write made %d writes (%v), want 1", w.writes, err)
 	}
 
 	a, b := netsim.Pipe()

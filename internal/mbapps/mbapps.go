@@ -200,20 +200,3 @@ func NewWordFilter(blocked ...string) core.Processor {
 		return nil
 	})
 }
-
-// NewByteCounter passes data through while counting plaintext bytes per
-// direction; the Figure 7 throughput harness uses it as the cheapest
-// possible "inspect" workload.
-type ByteCounter struct {
-	C2S, S2C int64
-}
-
-// Process implements core.Processor.
-func (bc *ByteCounter) Process(dir core.Direction, chunk []byte) ([]byte, error) {
-	if dir == core.DirClientToServer {
-		bc.C2S += int64(len(chunk))
-	} else {
-		bc.S2C += int64(len(chunk))
-	}
-	return chunk, nil
-}

@@ -292,13 +292,8 @@ func WrapFaultPair(a, b net.Conn, spec FaultSpec) (net.Conn, net.Conn) {
 	return fa, fb
 }
 
-// FaultLink is NewLink plus WrapFaultPair.
-func FaultLink(cfg LinkConfig, spec FaultSpec) (net.Conn, net.Conn) {
-	a, b := NewLink(cfg)
-	return WrapFaultPair(a, b, spec)
-}
-
 // FaultPipe is Pipe plus WrapFaultPair.
 func FaultPipe(spec FaultSpec) (net.Conn, net.Conn) {
-	return FaultLink(LinkConfig{}, spec)
+	a, b := Pipe()
+	return WrapFaultPair(a, b, spec)
 }

@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"encoding/binary"
-	"fmt"
 	"io"
 	"net"
 )
@@ -115,23 +114,6 @@ const (
 	KindPolicer
 	KindStrictDPI
 )
-
-// String names the kind.
-func (k FilterKind) String() string {
-	switch k {
-	case KindNone:
-		return "none"
-	case KindFramingValidator:
-		return "framing-validator"
-	case KindResegmenter:
-		return "resegmenter"
-	case KindPolicer:
-		return "rate-policer"
-	case KindStrictDPI:
-		return "strict-dpi"
-	}
-	return fmt.Sprintf("filter(%d)", int(k))
-}
 
 // FilterSpec describes one on-path entity.
 type FilterSpec struct {

@@ -359,14 +359,6 @@ func (c *Conn) SetWriteDeadline(t time.Time) error {
 // Clock returns the link's clock, the time base of its deadlines.
 func (c *Conn) Clock() clock.Clock { return c.in.clk }
 
-// Stats reports bytes written to and read from this end's inbound
-// stream (delivered traffic).
-func (c *Conn) Stats() (queued, delivered int64) {
-	c.in.mu.Lock()
-	defer c.in.mu.Unlock()
-	return c.in.bytesIn, c.in.bytesOut
-}
-
 // LinkConfig describes one simulated link.
 type LinkConfig struct {
 	// Latency is the one-way propagation delay in each direction.

@@ -375,3 +375,11 @@ func TestWriteDeadlineBoundsWindowWait(t *testing.T) {
 		t.Fatalf("parked write across a reset = %v, want ErrReset", err)
 	}
 }
+
+// Stats reports bytes written to and read from this end's inbound
+// stream (delivered traffic).
+func (c *Conn) Stats() (queued, delivered int64) {
+	c.in.mu.Lock()
+	defer c.in.mu.Unlock()
+	return c.in.bytesIn, c.in.bytesOut
+}

@@ -70,13 +70,6 @@ type Control struct {
 
 var _ core.HostHooks = (*Control)(nil)
 
-// ID returns the session's registry ID: unique on the host and
-// strictly increasing in admission order.
-func (c *Control) ID() uint64 { return c.s.id }
-
-// State returns the session's current lifecycle state.
-func (c *Control) State() State { return State(c.s.state.Load()) }
-
 // SessionEstablished implements core.HostHooks: the session finished
 // establishing (handshaking → established). A session already marked
 // draining or closed keeps that state. Establishment releases the

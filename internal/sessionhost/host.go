@@ -59,21 +59,6 @@ const (
 	StateClosed
 )
 
-// String names the state.
-func (s State) String() string {
-	switch s {
-	case StateHandshaking:
-		return "handshaking"
-	case StateEstablished:
-		return "established"
-	case StateDraining:
-		return "draining"
-	case StateClosed:
-		return "closed"
-	}
-	return "state(?)"
-}
-
 // Handler runs one admitted connection to completion. The connection
 // is closed by the host when Serve returns; Serve should use ctl to
 // report establishment and register a force-closer so graceful drain
@@ -233,14 +218,6 @@ func New(cfg Config) (*Host, error) {
 
 // Name returns the configured host name.
 func (h *Host) Name() string { return h.cfg.Name }
-
-// BufPool returns the host-scoped record-buffer pool. Middleboxes
-// served by this host should be built with MiddleboxConfig.BufPool set
-// to it so relay memory is bounded by the pool, not by session count.
-func (h *Host) BufPool() *tls12.RecordBufPool { return h.bufs }
-
-// Draining returns a channel closed when drain begins.
-func (h *Host) Draining() <-chan struct{} { return h.drainCh }
 
 func (h *Host) logf(format string, args ...any) {
 	if h.cfg.Logf != nil {

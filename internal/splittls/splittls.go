@@ -213,21 +213,3 @@ func relay(src, dst *tls12.Conn, dir core.Direction, proc core.Processor) error 
 		}
 	}
 }
-
-// Serve accepts client connections and intercepts each toward dial.
-func (ic *Interceptor) Serve(ln net.Listener, dial func() (net.Conn, error)) error {
-	for {
-		down, err := ln.Accept()
-		if err != nil {
-			return err
-		}
-		go func() {
-			up, err := dial()
-			if err != nil {
-				down.Close()
-				return
-			}
-			_ = ic.Handle(down, up)
-		}()
-	}
-}

@@ -118,10 +118,3 @@ func (e *AlertError) Error() string {
 	}
 	return fmt.Sprintf("tls12: %s alert: %s", side, e.Description)
 }
-
-// IsRemoteAlert reports whether err is an AlertError received from the
-// peer with the given description.
-func IsRemoteAlert(err error, d AlertDescription) bool {
-	ae, ok := err.(*AlertError)
-	return ok && ae.Remote && ae.Description == d
-}

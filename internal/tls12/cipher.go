@@ -121,15 +121,6 @@ func (cs *CipherState) OpenInPlace(typ ContentType, payload []byte) ([]byte, err
 	return plaintext, nil
 }
 
-// Open decrypts a record payload in wire form leaving payload intact:
-// OpenInPlace on a copy, kept for callers off the hot path.
-func (cs *CipherState) Open(typ ContentType, payload []byte) ([]byte, error) {
-	return cs.OpenInPlace(typ, append([]byte(nil), payload...))
-}
-
-// Overhead returns the number of bytes Seal adds to a plaintext.
-func (cs *CipherState) Overhead() int { return sealOverhead }
-
 // CryptoScratch holds the nonce and associated-data buffers of one
 // seal or open call. The serial path uses the CipherState's own; each
 // pipeline worker owns one heap-resident scratch for the

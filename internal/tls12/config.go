@@ -6,7 +6,6 @@ import (
 	"crypto/rand"
 	"crypto/x509"
 	"errors"
-	"io"
 
 	"repro/internal/clock"
 	"repro/internal/secmem"
@@ -83,8 +82,6 @@ type ChainCache interface {
 // The zero value is not usable; at minimum CipherSuites defaults are
 // applied by the connection.
 type Config struct {
-	// Rand is the entropy source; nil means crypto/rand.Reader.
-	Rand io.Reader
 	// Clock tells the time for certificate checks and ticket lifetimes;
 	// nil is the wall clock. mbTLS parties set their transport's.
 	Clock clock.Clock
@@ -99,10 +96,6 @@ type Config struct {
 	// InsecureSkipVerify disables certificate verification. Used only
 	// in tests and attack demonstrations.
 	InsecureSkipVerify bool
-	// VerifyPeerCertificate, if set, runs after standard verification
-	// with the verified chain (or the raw leaf when verification is
-	// skipped).
-	VerifyPeerCertificate func(chain []*x509.Certificate) error
 
 	// CipherSuites restricts the offered/accepted suites; nil means
 	// both supported AES-GCM suites. The paper's prototype supported
@@ -111,13 +104,11 @@ type Config struct {
 	CipherSuites []uint16
 
 	// EnableTickets makes a server issue session tickets and a client
-	// request them.
+	// request them. A server with EnableTickets needs TicketKeys; its
+	// handshake fails before writing a byte without them.
 	EnableTickets bool
-	// TicketKey encrypts server-issued tickets. Required when
-	// EnableTickets is set on a server and TicketKeys is nil.
-	TicketKey [32]byte
-	// TicketKeys, when set, supplies rotating ticket keys and takes
-	// precedence over TicketKey.
+	// TicketKeys supplies the rotating keys server-issued tickets are
+	// sealed and opened under.
 	TicketKeys TicketKeySource
 	// SessionTicket, when set on a client, attempts an abbreviated
 	// resumption handshake.
@@ -164,8 +155,7 @@ type Config struct {
 	KeyShares KeyShareSource
 	// VerifyCache, when set on a client, memoizes certificate-chain
 	// verification verdicts across connections (keyed by a hash of the
-	// DER chain and the expected name). The VerifyPeerCertificate hook
-	// still runs on every connection.
+	// DER chain and the expected name).
 	VerifyCache ChainCache
 
 	// Stopwatch, when set, accumulates this connection's handshake
@@ -180,13 +170,6 @@ type Config struct {
 	LenientUnknownRecords bool
 }
 
-func (c *Config) rand() io.Reader {
-	if c == nil || c.Rand == nil {
-		return rand.Reader
-	}
-	return c.Rand
-}
-
 func (c *Config) cipherSuites() []uint16 {
 	if c != nil && len(c.CipherSuites) > 0 {
 		return c.CipherSuites
@@ -197,43 +180,17 @@ func (c *Config) cipherSuites() []uint16 {
 	}
 }
 
-// sealTicketKey returns the key new tickets are sealed under.
-func (c *Config) sealTicketKey() [32]byte {
-	if c.TicketKeys != nil {
-		return c.TicketKeys.SealKey()
-	}
-	return c.TicketKey
-}
-
-// openTicketKeys returns every key a received ticket may open under.
-func (c *Config) openTicketKeys() [][32]byte {
-	if c.TicketKeys != nil {
-		return c.TicketKeys.OpenKeys()
-	}
-	return [][32]byte{c.TicketKey}
-}
-
 // keyShare returns an ephemeral X25519 key for this handshake, from
 // the precompute pool when one is configured.
 func (c *Config) keyShare() (*ecdh.PrivateKey, []byte, error) {
 	if c.KeyShares != nil {
 		return c.KeyShares.X25519KeyShare()
 	}
-	priv, err := ecdh.X25519().GenerateKey(c.rand())
+	priv, err := ecdh.X25519().GenerateKey(rand.Reader)
 	if err != nil {
 		return nil, nil, err
 	}
 	return priv, priv.PublicKey().Bytes(), nil
-}
-
-// Wipe zeroizes the config's static ticket key. An application wipes
-// a server config when retiring it; rotating keys live behind
-// TicketKeys and are wiped by their source.
-func (c *Config) Wipe() {
-	if c == nil {
-		return
-	}
-	secmem.Wipe(c.TicketKey[:])
 }
 
 func (c *Config) supportsSuite(id uint16) bool {
@@ -247,3 +204,7 @@ func (c *Config) supportsSuite(id uint16) bool {
 
 // errNoCertificate is returned when a server config lacks a certificate.
 var errNoCertificate = errors.New("tls12: server config has no certificate")
+
+// errNoTicketKeys is returned when a server config enables tickets
+// without keys to seal them under.
+var errNoTicketKeys = errors.New("tls12: server config enables tickets without TicketKeys")

@@ -165,9 +165,6 @@ func NewServerConn(nc net.Conn, config *Config) *Conn {
 	return c
 }
 
-// SetCloser attaches an io.Closer closed alongside the Conn.
-func (c *Conn) SetCloser(cl io.Closer) { c.closer = cl }
-
 // RecordLayer exposes the connection's record layer so mbTLS can
 // install per-hop data-plane ciphers after key distribution.
 func (c *Conn) RecordLayer() *RecordLayer { return c.rl }

@@ -1,5 +1,12 @@
 package tls12
 
+// FixedTicketKeys is a TicketKeySource whose one key never rotates, for
+// tests that need two configs to share a ticket key.
+type FixedTicketKeys [32]byte
+
+func (k FixedTicketKeys) SealKey() [32]byte    { return k }
+func (k FixedTicketKeys) OpenKeys() [][32]byte { return [][32]byte{k} }
+
 // KeyScheduleForTest exposes the connection's key-schedule inputs and
 // its cached key block (aliased, not copied, so a test can watch Wipe
 // zeroize it) to the external test package.

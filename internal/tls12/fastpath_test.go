@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/hsfast"
 	"repro/internal/tls12"
 )
@@ -15,13 +16,14 @@ var (
 	_ tls12.ChainCache      = (*hsfast.VerifyCache)(nil)
 )
 
-// hopSetup runs a full handshake against a named-hop server with a
-// rotating STEK and returns both configs (sharing one CA) plus the
-// issued ticket.
-func hopSetup(t *testing.T) (*tls12.Config, *tls12.Config, *hsfast.STEK, *tls12.SessionTicket) {
+// hopSetup runs a full handshake against a named-hop server with an
+// hourly STEK on a manual clock and returns both configs (sharing one
+// CA), the clock and the issued ticket.
+func hopSetup(t *testing.T) (*tls12.Config, *tls12.Config, *clock.Manual, *tls12.SessionTicket) {
 	t.Helper()
 	_, clientCfg, serverCfg := testPKI(t, "mb1")
-	stek, err := hsfast.NewSTEK(0, nil)
+	clk := clock.NewManual(time.Unix(1_700_000_000, 0))
+	stek, err := hsfast.NewSTEK(time.Hour, clk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +41,7 @@ func hopSetup(t *testing.T) (*tls12.Config, *tls12.Config, *hsfast.STEK, *tls12.
 	if issued == nil {
 		t.Fatal("no ticket issued")
 	}
-	return clientCfg, serverCfg, stek, issued
+	return clientCfg, serverCfg, clk, issued
 }
 
 // hopResumeClient clones a client config into one that offers the hop
@@ -88,12 +90,10 @@ func TestHopTicketResumption(t *testing.T) {
 // to end: after the issuing generation leaves the grace window the hop
 // ticket dies quietly — the handshake completes as a full one.
 func TestHopResumptionStaleSTEKFallsBack(t *testing.T) {
-	baseCfg, serverCfg, stek, issued := hopSetup(t)
+	baseCfg, serverCfg, clk, issued := hopSetup(t)
 
 	// One rotation: grace window, still resumes.
-	if err := stek.Rotate(); err != nil {
-		t.Fatal(err)
-	}
+	clk.Advance(time.Hour)
 	client, _, cErr, sErr := runHandshake(t, hopResumeClient(baseCfg, issued), serverCfg)
 	if cErr != nil || sErr != nil {
 		t.Fatalf("grace-window handshake: client=%v server=%v", cErr, sErr)
@@ -104,9 +104,7 @@ func TestHopResumptionStaleSTEKFallsBack(t *testing.T) {
 
 	// Second rotation: retired. Falls back to a full handshake, never
 	// an error.
-	if err := stek.Rotate(); err != nil {
-		t.Fatal(err)
-	}
+	clk.Advance(time.Hour)
 	client, _, cErr, sErr = runHandshake(t, hopResumeClient(baseCfg, issued), serverCfg)
 	if cErr != nil || sErr != nil {
 		t.Fatalf("post-grace handshake: client=%v server=%v", cErr, sErr)

@@ -62,7 +62,7 @@ func (f *flightConn) flights() []string {
 func TestFlightIsOneWrite(t *testing.T) {
 	_, clientCfg, serverCfg := testPKI(t, "example.com")
 	serverCfg.EnableTickets = true
-	copy(serverCfg.TicketKey[:], "flight-test-ticket-key-000000000")
+	serverCfg.TicketKeys = newSTEK(t)
 	clientCfg.EnableTickets = true
 	clientCfg.OnNewTicket = func(tk *tls12.SessionTicket) { clientCfg.SessionTicket = tk }
 

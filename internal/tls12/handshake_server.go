@@ -3,6 +3,7 @@ package tls12
 import (
 	"crypto/ecdh"
 	"crypto/ed25519"
+	"crypto/rand"
 	"errors"
 	"fmt"
 	"io"
@@ -15,6 +16,9 @@ func (c *Conn) serverHandshake() error {
 	cfg := c.config
 	if cfg == nil {
 		cfg = &Config{}
+	}
+	if cfg.EnableTickets && cfg.TicketKeys == nil {
+		return errNoTicketKeys
 	}
 
 	// ClientHello: either already received (middlebox secondary
@@ -79,7 +83,7 @@ func (c *Conn) serverHandshake() error {
 		ResumedHop:     resumedHop,
 	}
 	c.state.ResumedHop = resumedHop
-	if _, err := io.ReadFull(cfg.rand(), sh.Random[:]); err != nil {
+	if _, err := io.ReadFull(rand.Reader, sh.Random[:]); err != nil {
 		return c.fatal(AlertInternalError, err)
 	}
 	c.serverRandom = sh.Random

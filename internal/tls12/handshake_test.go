@@ -2,7 +2,6 @@ package tls12_test
 
 import (
 	"bytes"
-	"crypto/x509"
 	"errors"
 	"io"
 	"net"
@@ -10,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/certs"
+	"repro/internal/hsfast"
 	"repro/internal/netsim"
 	"repro/internal/tls12"
 )
@@ -28,6 +28,16 @@ func testPKI(t *testing.T, serverName string) (*certs.CA, *tls12.Config, *tls12.
 	clientCfg := &tls12.Config{RootCAs: ca.Pool(), ServerName: serverName}
 	serverCfg := &tls12.Config{Certificate: cert}
 	return ca, clientCfg, serverCfg
+}
+
+// newSTEK returns a ticket key source that never rotates.
+func newSTEK(t *testing.T) *hsfast.STEK {
+	t.Helper()
+	stek, err := hsfast.NewSTEK(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stek
 }
 
 // runHandshake performs a full handshake over net.Pipe and returns both
@@ -162,7 +172,7 @@ func TestNoCommonCipherSuite(t *testing.T) {
 	if cErr == nil {
 		t.Fatal("client did not observe the failure")
 	}
-	if !tls12.IsRemoteAlert(cErr, tls12.AlertHandshakeFailure) {
+	if ae, ok := cErr.(*tls12.AlertError); !ok || !ae.Remote || ae.Description != tls12.AlertHandshakeFailure {
 		t.Fatalf("client error = %v, want remote handshake_failure alert", cErr)
 	}
 }
@@ -209,9 +219,7 @@ func TestExpiredCertificate(t *testing.T) {
 func TestSessionResumption(t *testing.T) {
 	_, clientCfg, serverCfg := testPKI(t, "example.com")
 	serverCfg.EnableTickets = true
-	if _, err := io.ReadFull(bytes.NewReader(bytes.Repeat([]byte{7}, 32)), serverCfg.TicketKey[:]); err != nil {
-		t.Fatal(err)
-	}
+	serverCfg.TicketKeys = newSTEK(t)
 	var ticket *tls12.SessionTicket
 	clientCfg.EnableTickets = true
 	clientCfg.OnNewTicket = func(tk *tls12.SessionTicket) { ticket = tk }
@@ -258,6 +266,7 @@ func TestSessionResumption(t *testing.T) {
 func TestResumptionWithBogusTicketFallsBack(t *testing.T) {
 	_, clientCfg, serverCfg := testPKI(t, "example.com")
 	serverCfg.EnableTickets = true
+	serverCfg.TicketKeys = newSTEK(t)
 	clientCfg.EnableTickets = true
 	clientCfg.SessionTicket = &tls12.SessionTicket{
 		Ticket:       []byte("not a real ticket"),
@@ -272,6 +281,44 @@ func TestResumptionWithBogusTicketFallsBack(t *testing.T) {
 	defer server.Close()
 	if client.ConnectionState().Resumed {
 		t.Fatal("session resumed from a bogus ticket")
+	}
+}
+
+// TestZeroTicketKeyRefused pins the ticket-key rule: a server with
+// EnableTickets and no TicketKeys fails before it writes a byte, so a
+// ticket sealed under the all-zero key, which anyone can forge, never
+// resumes a session there.
+func TestZeroTicketKeyRefused(t *testing.T) {
+	_, clientCfg, serverCfg := testPKI(t, "example.com")
+	serverCfg.EnableTickets = true
+	serverCfg.TicketKeys = tls12.FixedTicketKeys{} // the forger's key
+	clientCfg.EnableTickets = true
+	clientCfg.OnNewTicket = func(tk *tls12.SessionTicket) { clientCfg.SessionTicket = tk }
+	if _, _, cErr, sErr := runHandshake(t, clientCfg, serverCfg); cErr != nil || sErr != nil {
+		t.Fatalf("issuing handshake: client=%v server=%v", cErr, sErr)
+	}
+	if clientCfg.SessionTicket == nil {
+		t.Fatal("no ticket issued under the zero key")
+	}
+
+	serverCfg.TicketKeys = nil
+	cp, sp := netsim.Pipe()
+	wire := &flightConn{Conn: sp}
+	client := tls12.NewClientConn(cp, clientCfg)
+	server := tls12.NewServerConn(wire, serverCfg)
+	cDone := make(chan error, 1)
+	go func() { cDone <- client.Handshake() }()
+	sErr := server.Handshake()
+	wire.mu.Lock()
+	writes := len(wire.writes)
+	wire.mu.Unlock()
+	sp.Close()
+	<-cDone
+	if sErr == nil || server.ConnectionState().Resumed {
+		t.Fatalf("server without TicketKeys: err=%v resumed=%v, want a config error", sErr, server.ConnectionState().Resumed)
+	}
+	if writes != 0 {
+		t.Fatalf("server wrote %d times before failing, want 0", writes)
 	}
 }
 
@@ -305,22 +352,6 @@ func TestExportSessionKeys(t *testing.T) {
 	// Exactly one protected record (Finished) has flowed each way.
 	if ck.ClientSeq != 1 || ck.ServerSeq != 1 {
 		t.Fatalf("unexpected starting sequences: (%d,%d)", ck.ClientSeq, ck.ServerSeq)
-	}
-}
-
-func TestVerifyPeerCertificateHook(t *testing.T) {
-	called := false
-	_, clientCfg, serverCfg := testPKI(t, "example.com")
-	clientCfg.VerifyPeerCertificate = func(chain []*x509.Certificate) error {
-		called = true
-		return nil
-	}
-	_, _, cErr, sErr := runHandshake(t, clientCfg, serverCfg)
-	if cErr != nil || sErr != nil {
-		t.Fatalf("handshake: client=%v server=%v", cErr, sErr)
-	}
-	if !called {
-		t.Fatal("VerifyPeerCertificate was not called")
 	}
 }
 

@@ -43,7 +43,7 @@ func resumablePair(t *testing.T, suite uint16) (clientCfg, serverCfg *tls12.Conf
 	_, clientCfg, serverCfg = testPKI(t, "example.com")
 	clientCfg.CipherSuites = []uint16{suite}
 	serverCfg.EnableTickets = true
-	copy(serverCfg.TicketKey[:], bytes.Repeat([]byte{7}, 32))
+	serverCfg.TicketKeys = newSTEK(t)
 	clientCfg.EnableTickets = true
 	clientCfg.OnNewTicket = func(tk *tls12.SessionTicket) { clientCfg.SessionTicket = tk }
 	return clientCfg, serverCfg

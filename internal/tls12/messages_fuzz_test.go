@@ -118,6 +118,7 @@ func recordHandshakes(tb testing.TB) [][]byte {
 	server := &Config{
 		Certificate:   &Certificate{Chain: [][]byte{der}, PrivateKey: priv},
 		EnableTickets: true,
+		TicketKeys:    FixedTicketKeys{0x42},
 		Quoter:        func(reportData []byte) ([]byte, error) { return append([]byte("quote:"), reportData...), nil },
 	}
 	var ticket *SessionTicket

@@ -39,7 +39,7 @@ func TestPropertyCipherRoundTrip(t *testing.T) {
 		seal, open := testCipherPair(t, suite)
 		f := func(payload []byte) bool {
 			sealed := seal.Seal(TypeApplicationData, payload)
-			plain, err := open.Open(TypeApplicationData, sealed)
+			plain, err := open.OpenInPlace(TypeApplicationData, bytes.Clone(sealed))
 			return err == nil && bytes.Equal(plain, payload)
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -61,7 +61,7 @@ func TestPropertyCipherTamperDetected(t *testing.T) {
 		opener, _ := NewCipherState(TLS_ECDHE_ECDSA_WITH_AES_256_GCM_SHA384, key, iv, 0)
 		tampered := append([]byte(nil), sealed...)
 		tampered[i] ^= 0x01
-		if _, err := opener.Open(TypeApplicationData, tampered); err == nil {
+		if _, err := opener.OpenInPlace(TypeApplicationData, bytes.Clone(tampered)); err == nil {
 			t.Fatalf("byte %d flip went undetected", i)
 		}
 	}
@@ -72,18 +72,18 @@ func TestCipherSequenceBinding(t *testing.T) {
 	r1 := seal.Seal(TypeApplicationData, []byte("first"))
 	r2 := seal.Seal(TypeApplicationData, []byte("second"))
 	// Delivering r2 before r1 must fail: the AAD binds seq numbers.
-	if _, err := open.Open(TypeApplicationData, r2); err == nil {
+	if _, err := open.OpenInPlace(TypeApplicationData, bytes.Clone(r2)); err == nil {
 		t.Fatal("out-of-order record accepted")
 	}
 	// The failed Open must not advance state: r1 then r2 still works.
-	if _, err := open.Open(TypeApplicationData, r1); err != nil {
+	if _, err := open.OpenInPlace(TypeApplicationData, bytes.Clone(r1)); err != nil {
 		t.Fatalf("in-order record rejected after failed attempt: %v", err)
 	}
-	if _, err := open.Open(TypeApplicationData, r2); err != nil {
+	if _, err := open.OpenInPlace(TypeApplicationData, bytes.Clone(r2)); err != nil {
 		t.Fatalf("second record rejected: %v", err)
 	}
 	// Replay of r2 fails.
-	if _, err := open.Open(TypeApplicationData, r2); err == nil {
+	if _, err := open.OpenInPlace(TypeApplicationData, bytes.Clone(r2)); err == nil {
 		t.Fatal("replayed record accepted")
 	}
 }
@@ -92,7 +92,7 @@ func TestCipherTypeBinding(t *testing.T) {
 	seal, open := testCipherPair(t, TLS_ECDHE_ECDSA_WITH_AES_128_GCM_SHA256)
 	sealed := seal.Seal(TypeApplicationData, []byte("data"))
 	// Re-labeling the record as an alert must fail: AAD binds the type.
-	if _, err := open.Open(TypeAlert, sealed); err == nil {
+	if _, err := open.OpenInPlace(TypeAlert, bytes.Clone(sealed)); err == nil {
 		t.Fatal("type confusion accepted")
 	}
 }

@@ -180,7 +180,7 @@ func TestOpenDoesNotDestroyInput(t *testing.T) {
 	seal, open := testCipherPair(t, TLS_ECDHE_ECDSA_WITH_AES_256_GCM_SHA384)
 	sealed := seal.Seal(TypeApplicationData, []byte("payload"))
 	orig := append([]byte(nil), sealed...)
-	plain, err := open.Open(TypeApplicationData, sealed)
+	plain, err := open.OpenInPlace(TypeApplicationData, bytes.Clone(sealed))
 	if err != nil {
 		t.Fatal(err)
 	}

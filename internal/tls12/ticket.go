@@ -3,6 +3,7 @@ package tls12
 import (
 	"crypto/aes"
 	"crypto/cipher"
+	"crypto/rand"
 	"errors"
 	"io"
 	"time"
@@ -62,15 +63,14 @@ func ticketAEAD(key [32]byte) (cipher.AEAD, error) {
 }
 
 // sealTicket encrypts session state under the config's current ticket
-// key (the rotating STEK's seal generation when TicketKeys is set)
-// using AES-256-GCM with a random nonce prepended.
+// key (TicketKeys' seal generation) using AES-256-GCM with a random nonce prepended.
 func sealTicket(cfg *Config, state *sessionState) ([]byte, error) {
-	aead, err := ticketAEAD(cfg.sealTicketKey())
+	aead, err := ticketAEAD(cfg.TicketKeys.SealKey())
 	if err != nil {
 		return nil, err
 	}
 	nonce := make([]byte, aead.NonceSize())
-	if _, err := io.ReadFull(cfg.rand(), nonce); err != nil {
+	if _, err := io.ReadFull(rand.Reader, nonce); err != nil {
 		return nil, err
 	}
 	plain := state.marshal()
@@ -87,7 +87,7 @@ func sealTicket(cfg *Config, state *sessionState) ([]byte, error) {
 // sealed under a retired STEK generation die quietly.
 func openTicket(cfg *Config, ticket []byte) *sessionState {
 	var plain []byte
-	for _, key := range cfg.openTicketKeys() {
+	for _, key := range cfg.TicketKeys.OpenKeys() {
 		aead, err := ticketAEAD(key)
 		if err != nil {
 			continue

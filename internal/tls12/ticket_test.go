@@ -9,9 +9,7 @@ import (
 )
 
 func ticketConfig(now time.Time) *Config {
-	cfg := &Config{EnableTickets: true, Clock: clock.NewManual(now)}
-	copy(cfg.TicketKey[:], bytes.Repeat([]byte{0x42}, 32))
-	return cfg
+	return &Config{EnableTickets: true, Clock: clock.NewManual(now), TicketKeys: FixedTicketKeys{0x42}}
 }
 
 func TestTicketSealOpenRoundTrip(t *testing.T) {
@@ -44,7 +42,7 @@ func TestTicketWrongKeyRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := ticketConfig(now)
-	copy(other.TicketKey[:], bytes.Repeat([]byte{0x43}, 32))
+	other.TicketKeys = FixedTicketKeys{0x43}
 	if openTicket(other, ticket) != nil {
 		t.Fatal("ticket decrypted under the wrong STEK")
 	}

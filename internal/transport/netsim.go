@@ -28,10 +28,6 @@ func NewNetsim(n *netsim.Network, local string) *Netsim {
 // Name reports the backend name used in benchmark rows.
 func (t *Netsim) Name() string { return "netsim" }
 
-// Network returns the underlying simulated network (tests reach
-// through for fault policies).
-func (t *Netsim) Network() *netsim.Network { return t.net }
-
 // Listen claims the node name addr on the simulated network.
 func (t *Netsim) Listen(addr string) (net.Listener, error) {
 	return t.net.Listen(addr)

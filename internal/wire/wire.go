@@ -31,9 +31,6 @@ func NewBuilder(buf []byte) *Builder {
 // Builder's internal buffer and is invalidated by further writes.
 func (b *Builder) Bytes() []byte { return b.buf }
 
-// Len returns the number of bytes written so far.
-func (b *Builder) Len() int { return len(b.buf) }
-
 // AddUint8 appends a single byte.
 func (b *Builder) AddUint8(v uint8) { b.buf = append(b.buf, v) }
 
@@ -115,9 +112,6 @@ func (p *Parser) Empty() bool { return !p.failed && len(p.buf) == 0 }
 // Len returns the number of unread bytes.
 func (p *Parser) Len() int { return len(p.buf) }
 
-// Failed reports whether any read has failed.
-func (p *Parser) Failed() bool { return p.failed }
-
 // Err returns ErrTruncated if any read has failed, or an error if
 // trailing garbage remains; otherwise nil.
 func (p *Parser) Err() error {
@@ -157,16 +151,6 @@ func (p *Parser) ReadUint16(v *uint16) bool {
 		return false
 	}
 	*v = binary.BigEndian.Uint16(b)
-	return true
-}
-
-// ReadUint24 reads a big-endian 24-bit integer into a uint32.
-func (p *Parser) ReadUint24(v *uint32) bool {
-	b, ok := p.take(3)
-	if !ok {
-		return false
-	}
-	*v = uint32(b[0])<<16 | uint32(b[1])<<8 | uint32(b[2])
 	return true
 }
 
@@ -247,11 +231,4 @@ func (p *Parser) ReadParser(prefixLen int, sub **Parser) bool {
 	}
 	*sub = NewParser(b)
 	return true
-}
-
-// Rest consumes and returns all remaining bytes.
-func (p *Parser) Rest() []byte {
-	b := p.buf
-	p.buf = nil
-	return b
 }

@@ -19,14 +19,14 @@ func TestScalarRoundTrip(t *testing.T) {
 	p := NewParser(b.Bytes())
 	var v8 uint8
 	var v16 uint16
-	var v24, v32 uint32
+	var v32 uint32
 	var v64 uint64
-	var raw []byte
-	if !p.ReadUint8(&v8) || !p.ReadUint16(&v16) || !p.ReadUint24(&v24) ||
+	var v24, raw []byte
+	if !p.ReadUint8(&v8) || !p.ReadUint16(&v16) || !p.ReadBytes(&v24, 3) ||
 		!p.ReadUint32(&v32) || !p.ReadUint64(&v64) || !p.ReadBytes(&raw, 3) {
 		t.Fatal("parse failed")
 	}
-	if v8 != 0x12 || v16 != 0x3456 || v24 != 0x789ABC || v32 != 0xDEF01234 || v64 != 0x56789ABCDEF01234 {
+	if v8 != 0x12 || v16 != 0x3456 || !bytes.Equal(v24, []byte{0x78, 0x9A, 0xBC}) || v32 != 0xDEF01234 || v64 != 0x56789ABCDEF01234 {
 		t.Fatalf("got %x %x %x %x %x", v8, v16, v24, v32, v64)
 	}
 	if !bytes.Equal(raw, []byte{1, 2, 3}) {
@@ -50,11 +50,13 @@ func TestPropertyUintRoundTrip(t *testing.T) {
 		p := NewParser(b.Bytes())
 		var ra uint8
 		var rb uint16
-		var rc24, rc32 uint32
+		var rc24 []byte
+		var rc32 uint32
 		var rd uint64
-		return p.ReadUint8(&ra) && p.ReadUint16(&rb) && p.ReadUint24(&rc24) &&
+		return p.ReadUint8(&ra) && p.ReadUint16(&rb) && p.ReadBytes(&rc24, 3) &&
 			p.ReadUint32(&rc32) && p.ReadUint64(&rd) && p.Empty() &&
-			ra == a && rb == b16 && rc24 == c32&0xFFFFFF && rc32 == c32 && rd == d64
+			ra == a && rb == b16 && bytes.Equal(rc24, []byte{byte(c32 >> 16), byte(c32 >> 8), byte(c32)}) &&
+			rc32 == c32 && rd == d64
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -99,7 +101,7 @@ func TestPropertyTruncationNeverPanics(t *testing.T) {
 		if ok {
 			t.Fatalf("truncated parse at %d succeeded", cut)
 		}
-		if !p.Failed() && p.Len() == 0 {
+		if p.Empty() {
 			continue // consumed exactly at a boundary; fine
 		}
 		if p.Err() == nil {
@@ -128,7 +130,6 @@ func TestPropertyRandomBytesNeverPanic(t *testing.T) {
 		p.ReadUint16(&v16)
 		p.ReadUint32(&v32)
 		p.ReadUint64(&v64)
-		_ = p.Rest()
 		_ = p.Err()
 	}
 }
@@ -164,7 +165,7 @@ func TestFailedParserStaysFailed(t *testing.T) {
 	if p.ReadUint8(&v8) {
 		t.Fatal("read after failure succeeded")
 	}
-	if !p.Failed() {
+	if p.Err() != ErrTruncated {
 		t.Fatal("parser not marked failed")
 	}
 }
