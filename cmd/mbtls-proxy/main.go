@@ -172,6 +172,9 @@ func main() {
 		err := host.Shutdown(ctx)
 		m := host.Snapshot()
 		log.Printf("mbtls-proxy: drained in %v (forced %d): %v", m.DrainTime, m.ForceClosed, err)
+		if stek != nil {
+			stek.Wipe() // no session is left to seal or open a ticket
+		}
 	}()
 
 	if err := host.ServeListeners(lns); err != nil {

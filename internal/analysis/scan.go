@@ -30,7 +30,7 @@ var plaintextWriteSinkNames = map[string]bool{
 // vaultWipeMethods are the Vault teardown entry points: an enclave
 // transition (EnclaveVault) or a full zeroization sweep, neither of
 // which belongs under a state mutex.
-var vaultWipeMethods = map[string]bool{"Wipe": true, "WipePrefix": true}
+var vaultWipeMethods = map[string]bool{"Wipe": true, "WipeNamespace": true}
 
 // scan walks the body once after taint convergence, recording sinks,
 // returns, blocking operations, and lock acquisitions into st.sum.

@@ -119,7 +119,7 @@ var enclaveEntryMethods = map[string]bool{"UseSecret": true, "Enter": true}
 // the key — ticket names, cache keys), constant-time compares (public
 // verdict), and wipes (no output at all).
 var sanitizerNames = map[string]bool{
-	"Wipe": true, "WipePrefix": true,
+	"Wipe": true, "WipeNamespace": true,
 	"Seal": true, "SealAppend": true, "SealedBox": true,
 	"ConstantTimeCompare": true, "ConstantTimeSelect": true, "ConstantTimeByteEq": true,
 	"Sum": true, "Sum224": true, "Sum256": true, "Sum384": true, "Sum512": true,

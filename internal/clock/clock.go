@@ -21,8 +21,12 @@ type Clock interface {
 }
 
 // Timer is a callback armed by AfterFunc. Stop reports whether it kept
-// the callback from running. A *time.Timer is one.
-type Timer interface{ Stop() bool }
+// the callback from running; Reset re-arms the callback d from now,
+// reporting whether it was still pending. A *time.Timer is one.
+type Timer interface {
+	Stop() bool
+	Reset(d time.Duration) bool
+}
 
 // Real is the wall clock: time.Now and time.AfterFunc.
 type Real struct{}
@@ -85,27 +89,47 @@ func (m *Manual) Now() time.Time {
 func (m *Manual) AfterFunc(d time.Duration, f func()) Timer {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	t := &manualTimer{m: m, f: f}
+	m.armLocked(t, d)
+	return t
+}
+
+// armLocked arms t d from now; each arming counts for AwaitTimers.
+func (m *Manual) armLocked(t *manualTimer, d time.Duration) {
 	m.armed++
 	m.armedCh.Broadcast()
-	t := &manualTimer{m: m, when: m.now.Add(d), f: f}
+	t.when = m.now.Add(d)
 	if d <= 0 {
-		go f()
+		go t.f()
 	} else {
 		m.pending = append(m.pending, t)
 	}
-	return t
 }
 
 // Stop disarms the timer, reporting whether it was still pending.
 func (t *manualTimer) Stop() bool {
 	t.m.mu.Lock()
 	defer t.m.mu.Unlock()
+	return t.stopLocked()
+}
+
+func (t *manualTimer) stopLocked() bool {
 	i := slices.Index(t.m.pending, t)
 	if i < 0 {
 		return false
 	}
 	t.m.pending = slices.Delete(t.m.pending, i, i+1)
 	return true
+}
+
+// Reset re-arms the timer d from now, as a fresh AfterFunc would,
+// reporting whether it was still pending.
+func (t *manualTimer) Reset(d time.Duration) bool {
+	t.m.mu.Lock()
+	defer t.m.mu.Unlock()
+	pending := t.stopLocked()
+	t.m.armLocked(t, d)
+	return pending
 }
 
 // Advance moves the clock forward by d and runs every callback that
@@ -137,8 +161,9 @@ func (m *Manual) Advance(d time.Duration) {
 	m.now = end
 }
 
-// AwaitTimers blocks until n timers have been armed on the clock since
-// it was made, stopped and fired ones included. A test calls it before
+// AwaitTimers blocks until timers have been armed n times on the clock
+// since it was made — AfterFunc and Reset each arm once — stopped and
+// fired ones included. A test calls it before
 // Advance, so the clock moves only after the code under test has set
 // the deadline the test is about.
 func (m *Manual) AwaitTimers(n int) {

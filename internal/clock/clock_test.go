@@ -2,6 +2,7 @@ package clock
 
 import (
 	"net"
+	"slices"
 	"testing"
 	"time"
 )
@@ -71,6 +72,33 @@ func TestStopDisarms(t *testing.T) {
 	if fired.Stop() {
 		t.Fatal("Stop after the timer ran = true")
 	}
+}
+
+// TestResetRearms: Reset moves a pending timer's deadline to d from now,
+// re-arms one that already ran, and counts as an arming for
+// AwaitTimers; a real *time.Timer is a Timer too.
+func TestResetRearms(t *testing.T) {
+	var _ Timer = (*time.Timer)(nil)
+	m := NewManual(epoch)
+	var fired []time.Duration
+	tm := m.AfterFunc(time.Second, func() { fired = append(fired, m.Now().Sub(epoch)) })
+	m.Advance(500 * time.Millisecond)
+	if !tm.Reset(time.Second) {
+		t.Fatal("Reset of a pending timer = false")
+	}
+	m.Advance(900 * time.Millisecond)
+	if len(fired) != 0 {
+		t.Fatalf("timer ran at %v, before its reset deadline", fired)
+	}
+	m.Advance(100 * time.Millisecond)
+	if tm.Reset(time.Second) {
+		t.Fatal("Reset after the timer ran = true")
+	}
+	m.Advance(time.Second)
+	if want := []time.Duration{1500 * time.Millisecond, 2500 * time.Millisecond}; !slices.Equal(fired, want) {
+		t.Fatalf("timer ran at %v, want %v", fired, want)
+	}
+	m.AwaitTimers(3) // AfterFunc and two Resets
 }
 
 // TestAwaitTimersCountsArmings: AwaitTimers returns once the n-th timer

@@ -86,7 +86,12 @@ func clientRole(cfg *ClientConfig, clk clock.Clock) (*role, error) {
 		clientEnd: true,
 		chain:     ct,
 		start: func(rl *tls12.RecordLayer) (*tls12.Conn, error) {
-			if err := rl.WriteRecord(tls12.TypeHandshake, helloRaw); err != nil {
+			// The hello waits for the peer's reply, so nothing could join
+			// it in the cork: it leaves now.
+			if err := rl.BufferRecord(tls12.TypeHandshake, helloRaw); err != nil {
+				return nil, err
+			}
+			if err := rl.Push(); err != nil {
 				return nil, err
 			}
 			return tls12.ClientWithSentHello(rl, &tcfg, hello, helloRaw), nil
@@ -108,7 +113,7 @@ func clientRole(cfg *ClientConfig, clk clock.Clock) (*role, error) {
 		},
 		// The client opens the neighbor handshake with its first
 		// middlebox over subchannel 0; with no middleboxes there is none.
-		neighborHop: func(m *mux, _ *tls12.Conn, secs int, _ *secondaryResult) (*HopKeys, bool, error) {
+		neighborHop: func(m *mux, _ *tls12.Conn, secs int, _ secondaryResult) (*HopKeys, bool, error) {
 			if !cfg.NeighborKeys || secs == 0 {
 				return nil, cfg.NeighborKeys, nil
 			}

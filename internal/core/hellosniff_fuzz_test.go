@@ -22,7 +22,7 @@ func sniff(t testing.TB, reads [][]byte) sniffResult {
 	t.Helper()
 	down := newScriptConn(reads, false)
 	s := (&Middlebox{}).newSession(down, newScriptConn(nil, false), nil)
-	raw, _, helloRaw, maxSub, err := s.collectClientHello()
+	raw, _, helloRaw, maxSub, err := s.collectClientHello(make([]byte, 0, tls12.MaxRecordWireSize))
 	res := sniffResult{decision: "not-tls", raw: raw, helloRaw: helloRaw, maxSub: maxSub}
 	switch {
 	case err != nil:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/enclave"
 	"repro/internal/secmem"
@@ -78,13 +79,33 @@ func (s *mbSession) run() error {
 	defer s.bg.Wait()
 	defer s.closeAll()
 
-	raw, buffered, helloRaw, maxSub, err := s.collectClientHello()
-	if err != nil {
-		// The client went away before a decision: flush what we saw.
-		if len(raw) > 0 {
-			return s.splice(raw)
-		}
+	r, err := s.join()
+	switch {
+	case err != nil:
 		return err
+	case r == nil:
+		return s.splice()
+	case r.announce:
+		go s.runSecondary(r)
+	}
+	return s.relayBoth() // a client-side join goes on in holdServerHello
+}
+
+// join is the session's start: the hello sniff, the role, and the
+// sniffed bytes sent on. It returns the role the middlebox joined in,
+// or nil to splice (the bytes read are forwarded already). The sniff
+// reads into a pooled record buffer, back in the pool when join
+// returns: the relay reads through its own.
+func (s *mbSession) join() (*mbRole, error) {
+	buf := s.mb.bufs.GetRecordBuf()
+	defer s.mb.bufs.PutRecordBuf(buf)
+	raw, buffered, helloRaw, maxSub, err := s.collectClientHello(buf)
+	if err != nil {
+		if len(raw) == 0 {
+			return nil, err
+		}
+		// The client went away before a decision: flush what we saw.
+		return nil, s.forwardSniffed(raw)
 	}
 	var hello *tls12.ClientHello
 	if helloRaw != nil {
@@ -95,7 +116,7 @@ func (s *mbSession) run() error {
 		// Not TLS, or a TLS session this middlebox stays out of: the
 		// records sniffed go on as they arrived, then bytes.
 		s.mb.recordsRelayed.Add(int64(len(buffered)))
-		return s.splice(raw)
+		return nil, s.forwardSniffed(raw)
 	}
 	s.helloRaw = helloRaw
 	s.role.Store(r)
@@ -121,26 +142,27 @@ func (s *mbSession) run() error {
 			// server count us before they self-assign.
 			announced = true
 			if err := fr.flush(); err != nil {
-				return err
+				return nil, err
 			}
 			ann := tls12.RawRecord{Type: tls12.TypeMiddleboxAnnouncement}
 			if err := s.writeSub(DirClientToServer, s.mySub, ann.Marshal()); err != nil {
-				return err
+				return nil, err
 			}
 		}
 		end := off + recordHeaderLen + len(rec.Payload)
 		if err := fr.add(raw[off:end]); err != nil {
-			return err
+			return nil, err
 		}
 		off = end
 	}
-	if err := fr.flush(); err != nil {
-		return err
-	}
-	if r.announce {
-		go s.runSecondary(r)
-	}
-	return s.relayBoth() // a client-side join goes on in holdServerHello
+	return r, fr.flush()
+}
+
+// forwardSniffed ends the join of a session the middlebox splices: the
+// session counts as established, and the bytes the sniff read go on.
+func (s *mbSession) forwardSniffed(raw []byte) error {
+	s.notifyEstablished()
+	return s.write(DirClientToServer, raw)
 }
 
 // plausibleRecordHeader reports whether a 5-byte prefix looks like a
@@ -157,16 +179,16 @@ func plausibleRecordHeader(typ uint8, version uint16, length int) bool {
 }
 
 // collectClientHello is the hello-sniff phase: it reads the client side
-// until a ClientHello message is complete (helloRaw non-nil) or the
-// stream is not one to join (helloRaw nil, err nil). raw is everything
-// read; buffered the records parsed from it, with the highest
-// subchannel announced by middleboxes closer to the client in maxSub.
-// On success raw is exactly buffered's wire form, and the bytes read
-// past it go back in front of downR.
-func (s *mbSession) collectClientHello() (raw []byte, buffered []tls12.RawRecord, helloRaw []byte, maxSub int, err error) {
+// into buf until a ClientHello message is complete (helloRaw non-nil)
+// or the stream is not one to join (helloRaw nil, err nil). raw is
+// everything read, in buf while it fits; buffered the records parsed
+// from it, with the highest subchannel announced by middleboxes closer
+// to the client in maxSub. On success raw is exactly buffered's wire
+// form, and the bytes read past it go back in front of downR.
+func (s *mbSession) collectClientHello(buf []byte) (raw []byte, buffered []tls12.RawRecord, helloRaw []byte, maxSub int, err error) {
 	var hsBuf []byte
 	offset := 0
-	buf := make([]byte, 4096)
+	raw = buf[:0]
 	for {
 		// Parse as many complete records as the buffer holds.
 		for len(raw)-offset >= recordHeaderLen {
@@ -206,10 +228,11 @@ func (s *mbSession) collectClientHello() (raw []byte, buffered []tls12.RawRecord
 				return raw, nil, nil, maxSub, nil
 			}
 		}
-		n, rerr := s.down.Read(buf)
-		if n > 0 {
-			raw = append(raw, buf[:n]...)
+		if len(raw) == cap(raw) {
+			raw = slices.Grow(raw, len(raw)) // a hello past one record
 		}
+		n, rerr := s.down.Read(raw[len(raw):cap(raw)])
+		raw = raw[:len(raw)+n]
 		if rerr != nil {
 			return raw, nil, nil, maxSub, rerr
 		}
@@ -222,9 +245,11 @@ const recordHeaderLen = 5
 // holdServerHello is the client-side join (paper §3.4: buffer the
 // ServerHello, take the next available subchannel ID, inject, then
 // forward): at the first primary ServerHello it starts the secondary
-// handshake and holds the ServerHello until the secondary one is on
-// the wire, so middleboxes closer to the client see the subchannel in
-// use before they self-assign. In neighbor-keys mode the upstream
+// handshake and holds the ServerHello until the secondary one is
+// written, so middleboxes closer to the client see the subchannel in
+// use before they self-assign. The secondary flight is held too: it
+// leaves in front of the forwarded run that carries the ServerHello, in
+// one write (fr's next flush). In neighbor-keys mode the upstream
 // neighbor hello goes first too: the server stops looking for new
 // subchannels once its primary handshake completes.
 func (s *mbSession) holdServerHello(r *mbRole, fr *fwdRun) error {
@@ -241,6 +266,7 @@ func (s *mbSession) holdServerHello(r *mbRole, fr *fwdRun) error {
 	if err := fr.flush(); err != nil {
 		return err
 	}
+	s.hold(fr.dir)
 	go s.runSecondary(r)
 	if r.neighbor {
 		go s.runNeighborHops()

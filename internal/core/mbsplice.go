@@ -8,16 +8,10 @@ import (
 )
 
 // splice relays the two sides at byte level, without interpreting
-// records, after flushing the bytes already read from the client
+// records, once join has forwarded the bytes it read from the client
 // (non-TLS traffic, legacy clients, or servers on the announcement
 // negative-cache).
-func (s *mbSession) splice(initial []byte) error {
-	s.notifyEstablished()
-	if len(initial) > 0 {
-		if err := s.write(DirClientToServer, initial); err != nil {
-			return err
-		}
-	}
+func (s *mbSession) splice() error {
 	errc := make(chan error, 2)
 	go func() { errc <- s.spliceOneWay(s.up, s.downR) }()
 	go func() { errc <- s.spliceOneWay(s.down, s.up) }()

@@ -80,7 +80,7 @@ func serverRole(cfg *ServerConfig, clk clock.Clock) (*role, error) {
 			}
 			return completeSecondary(sub, tls12.Client(rl, secCfg))
 		},
-		neighborHop: func(_ *mux, pconn *tls12.Conn, secs int, answered *secondaryResult) (*HopKeys, bool, error) {
+		neighborHop: func(_ *mux, pconn *tls12.Conn, secs int, answered secondaryResult) (*HopKeys, bool, error) {
 			hello := pconn.ConnectionState().ClientHello
 			if hello == nil || hello.MiddleboxSupport == nil || !hello.MiddleboxSupport.NeighborKeys {
 				return nil, false, nil

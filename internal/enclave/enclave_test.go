@@ -221,22 +221,22 @@ func TestBoundaryCostApplied(t *testing.T) {
 
 func TestVaults(t *testing.T) {
 	host := NewHostVault()
-	host.StoreSecrets(Secret{"k", []byte("sensitive")})
+	host.StoreSecrets(3, Secret{"k", []byte("sensitive")})
 	var seen []byte
-	host.UseSecret("k", func(s []byte) { seen = append([]byte(nil), s...) })
+	host.UseSecret(3, "k", func(s []byte) { seen = append([]byte(nil), s...) })
 	if !bytes.Equal(seen, []byte("sensitive")) {
 		t.Fatal("host vault did not return the secret")
 	}
-	if dump := host.DumpHostMemory(); !bytes.Equal(dump["k"], []byte("sensitive")) {
+	if dump := host.DumpHostMemory(); !bytes.Equal(dump["session/3/k"], []byte("sensitive")) {
 		t.Fatal("host vault dump must expose secrets")
 	}
 
 	a := mustAuthority(t)
 	p := mustPlatform(t, a)
 	ev := NewEnclaveVault(p.CreateEnclave(CodeImage{Name: "v"}))
-	ev.StoreSecrets(Secret{"k", []byte("sensitive")})
+	ev.StoreSecrets(3, Secret{"k", []byte("sensitive")})
 	seen = nil
-	ev.UseSecret("k", func(s []byte) { seen = append([]byte(nil), s...) })
+	ev.UseSecret(3, "k", func(s []byte) { seen = append([]byte(nil), s...) })
 	if !bytes.Equal(seen, []byte("sensitive")) {
 		t.Fatal("enclave vault did not return the secret inside the enclave")
 	}
@@ -248,64 +248,75 @@ func TestVaults(t *testing.T) {
 // TestVaultBatch pins what a batched store costs and keeps: N secrets
 // are one enclave entry (two transitions) and invisible to the host on
 // an EnclaveVault, all host-visible on a HostVault; both clone the
-// values; WipePrefix zeroizes and removes the whole batch and nothing
-// else.
+// values; WipeNamespace zeroizes and removes the whole namespace and
+// nothing else.
 func TestVaultBatch(t *testing.T) {
 	const n = 8
+	const session, other = 7, 8
 	batch := func() []Secret {
-		secrets := []Secret{{"other/k", []byte("kept")}}
+		var secrets []Secret
 		for i := 0; i < n; i++ {
-			secrets = append(secrets, Secret{fmt.Sprintf("session/7/hop-%d", i), bytes.Repeat([]byte{byte(i + 1)}, 16)})
+			secrets = append(secrets, Secret{fmt.Sprintf("hop-%d", i), bytes.Repeat([]byte{byte(i + 1)}, 16)})
 		}
 		return secrets
 	}
 	e := mustPlatform(t, mustAuthority(t)).CreateEnclave(CodeImage{Name: "v"})
 	for name, v := range map[string]Vault{"host": NewHostVault(), "enclave": NewEnclaveVault(e)} {
+		v.StoreSecrets(other, Secret{"hop-0", []byte("kept")})
 		in := batch()
 		before := e.Transitions()
-		v.StoreSecrets(in...)
+		v.StoreSecrets(session, in...)
 		crossed := e.Transitions() - before
 		dump := v.DumpHostMemory()
 		if name == "enclave" {
 			if crossed != 2 || len(dump) != 0 {
 				t.Fatalf("enclave batch of %d: %d transitions (want 2), %d host-visible secrets (want 0)", len(in), crossed, len(dump))
 			}
-		} else if crossed != 0 || len(dump) != len(in) {
+		} else if crossed != 0 || len(dump) != len(in)+1 {
 			t.Fatalf("host batch of %d: %d transitions, %d host-visible secrets", len(in), crossed, len(dump))
 		}
 
 		// The vault holds clones: the caller wiping its copy (as every
 		// caller does) must not reach them, and each stored value must be
-		// zeroized in place by WipePrefix.
+		// zeroized in place by WipeNamespace.
 		stored := make(map[string][]byte)
 		for _, s := range in {
 			want := append([]byte(nil), s.Value...)
 			secmem.Wipe(s.Value)
-			v.UseSecret(s.Name, func(got []byte) {
+			v.UseSecret(session, s.Name, func(got []byte) {
 				if !bytes.Equal(got, want) {
 					t.Errorf("%s: %s = %x, want %x", name, s.Name, got, want)
 				}
-				stored[s.Name] = got // kept to watch WipePrefix zeroize this very slice
+				stored[s.Name] = got // kept to watch WipeNamespace zeroize this very slice
 			})
 		}
 		before = e.Transitions()
-		v.WipePrefix("session/7/")
+		v.WipeNamespace(session)
 		if crossed := e.Transitions() - before; name == "enclave" && crossed != 2 {
-			t.Fatalf("enclave WipePrefix: %d transitions, want 2", crossed)
+			t.Fatalf("enclave WipeNamespace: %d transitions, want 2", crossed)
 		}
 		for _, s := range in {
-			kept := s.Name == "other/k"
-			v.UseSecret(s.Name, func(got []byte) {
-				if (got != nil) != kept {
-					t.Errorf("%s: after WipePrefix %s present=%v, want %v", name, s.Name, got != nil, kept)
+			v.UseSecret(session, s.Name, func(got []byte) {
+				if got != nil {
+					t.Errorf("%s: after WipeNamespace %s is still stored", name, s.Name)
 				}
 			})
-			if zero := bytes.Equal(stored[s.Name], make([]byte, len(stored[s.Name]))); zero == kept {
-				t.Errorf("%s: after WipePrefix %s zeroized=%v, want %v", name, s.Name, zero, !kept)
+			if !bytes.Equal(stored[s.Name], make([]byte, len(stored[s.Name]))) {
+				t.Errorf("%s: after WipeNamespace %s is not zeroized", name, s.Name)
 			}
 		}
+		v.UseSecret(other, "hop-0", func(got []byte) {
+			if !bytes.Equal(got, []byte("kept")) {
+				t.Errorf("%s: the other namespace's secret = %q after WipeNamespace, want kept", name, got)
+			}
+		})
 		if name == "host" && len(v.DumpHostMemory()) != 1 {
-			t.Fatalf("host: %d secrets left after WipePrefix, want 1", len(v.DumpHostMemory()))
+			t.Fatalf("host: %d secrets left after WipeNamespace, want 1", len(v.DumpHostMemory()))
+		}
+		before = e.Transitions()
+		v.WipeNamespace(session)
+		if crossed := e.Transitions() - before; crossed != 0 {
+			t.Fatalf("%s: wiping an empty namespace crossed %d times, want 0", name, crossed)
 		}
 	}
 }

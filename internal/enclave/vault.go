@@ -1,8 +1,10 @@
 package enclave
 
 import (
-	"strings"
+	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/secmem"
 )
@@ -14,27 +16,34 @@ import (
 // threat model (§3.1): "On the middlebox infrastructure, the adversary
 // has complete access to all hardware (e.g., it can read and manipulate
 // memory)."
+//
+// Secrets live in numbered namespaces — a middlebox files each session's
+// under the session's ID — so concurrent sessions sharing one enclave
+// keep per-session key isolation, and one session's secrets retire
+// together. A namespace costs no string per secret: names are the
+// callers' constants.
 type Vault interface {
-	// StoreSecrets records a batch of named secrets, cloning each value,
-	// in one visit to the vault's protection domain: a key install is
-	// one enclave crossing however many keys it carries.
-	StoreSecrets(secrets ...Secret)
-	// UseSecret invokes f with the named secret in its protection
-	// domain (inside the enclave for an EnclaveVault). f must not leak
-	// the slice.
-	UseSecret(name string, f func(secret []byte))
+	// StoreSecrets records a batch of named secrets in namespace ns,
+	// cloning each value, in one visit to the vault's protection domain:
+	// a key install is one enclave crossing however many keys it
+	// carries. A name already stored in ns is replaced.
+	StoreSecrets(ns uint64, secrets ...Secret)
+	// UseSecret invokes f with the named secret of namespace ns (nil if
+	// absent) in its protection domain (inside the enclave for an
+	// EnclaveVault). f must not leak the slice.
+	UseSecret(ns uint64, name string, f func(secret []byte))
 	// DumpHostMemory returns every byte of this component's secrets
-	// that is resident in host-visible memory.
+	// that is resident in host-visible memory, keyed
+	// "session/<namespace>/<name>".
 	DumpHostMemory() map[string][]byte
 	// Wipe zeroizes and discards every stored secret. Owners wipe the
 	// vault when the component (or test scenario) it serves is torn
 	// down.
 	Wipe()
-	// WipePrefix zeroizes and discards the secrets whose names start
-	// with prefix. Session hosts use it to retire one session's
-	// namespaced secrets ("session/<id>/...") from a vault shared by
-	// many concurrent sessions.
-	WipePrefix(prefix string)
+	// WipeNamespace zeroizes and discards the secrets of namespace ns.
+	// Session hosts use it to retire one session's secrets from a vault
+	// shared by many concurrent sessions.
+	WipeNamespace(ns uint64)
 }
 
 // Secret is one named entry of a StoreSecrets batch.
@@ -43,105 +52,162 @@ type Secret struct {
 	Value []byte
 }
 
-// HostVault stores secrets in host memory — the non-SGX deployment.
-type HostVault struct {
-	mu      sync.Mutex
-	secrets map[string][]byte
+// namespaces is the secret store both vaults keep — a HostVault in host
+// memory, an EnclaveVault inside the enclave.
+type namespaces struct {
+	mu     sync.Mutex
+	spaces map[uint64][]Secret
 }
 
-// NewHostVault returns an empty host-memory vault.
-func NewHostVault() *HostVault {
-	return &HostVault{secrets: make(map[string][]byte)}
-}
-
-// StoreSecrets implements Vault.
-func (v *HostVault) StoreSecrets(secrets ...Secret) {
-	v.mu.Lock()
+// put files clones of secrets in namespace ns, the batch's values in
+// one allocation.
+func (n *namespaces) put(ns uint64, secrets []Secret) {
+	size := 0
 	for _, s := range secrets {
-		v.secrets[s.Name] = append([]byte(nil), s.Value...)
+		size += len(s.Value)
 	}
-	v.mu.Unlock()
+	clones := make([]byte, 0, size)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.spaces == nil {
+		n.spaces = make(map[uint64][]Secret)
+	}
+	list := slices.Grow(n.spaces[ns], len(secrets))
+	for _, s := range secrets {
+		clones = append(clones, s.Value...)
+		v := clones[len(clones)-len(s.Value) : len(clones) : len(clones)]
+		if i := slices.IndexFunc(list, func(e Secret) bool { return e.Name == s.Name }); i >= 0 {
+			secmem.Wipe(list[i].Value)
+			list[i].Value = v
+		} else {
+			list = append(list, Secret{Name: s.Name, Value: v})
+		}
+	}
+	n.spaces[ns] = list
 }
 
-// UseSecret implements Vault.
-func (v *HostVault) UseSecret(name string, f func([]byte)) {
-	v.mu.Lock()
-	s := v.secrets[name]
-	v.mu.Unlock()
-	f(s)
+// get returns the stored value itself, or nil.
+func (n *namespaces) get(ns uint64, name string) []byte {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for _, e := range n.spaces[ns] {
+		if e.Name == name {
+			return e.Value
+		}
+	}
+	return nil
 }
 
-// DumpHostMemory implements Vault: everything is host-visible.
-func (v *HostVault) DumpHostMemory() map[string][]byte {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	out := make(map[string][]byte, len(v.secrets))
-	for k, s := range v.secrets {
-		out[k] = append([]byte(nil), s...)
+// wipe zeroizes and drops namespace ns.
+func (n *namespaces) wipe(ns uint64) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for _, e := range n.spaces[ns] {
+		secmem.Wipe(e.Value)
+	}
+	delete(n.spaces, ns)
+}
+
+// wipeAll zeroizes and drops every namespace.
+func (n *namespaces) wipeAll() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for _, list := range n.spaces {
+		for _, e := range list {
+			secmem.Wipe(e.Value)
+		}
+	}
+	n.spaces = nil
+}
+
+// dump copies every secret out, keyed "session/<namespace>/<name>".
+func (n *namespaces) dump() map[string][]byte {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	out := make(map[string][]byte)
+	for ns, list := range n.spaces {
+		for _, e := range list {
+			out[fmt.Sprintf("session/%d/%s", ns, e.Name)] = append([]byte(nil), e.Value...)
+		}
 	}
 	return out
 }
 
-// Wipe implements Vault: every entry is zeroized before the map is
-// dropped, so the key bytes do not linger in freed host memory.
-func (v *HostVault) Wipe() {
-	v.mu.Lock()
-	for _, s := range v.secrets {
-		secmem.Wipe(s)
-	}
-	v.secrets = make(map[string][]byte)
-	v.mu.Unlock()
+// HostVault stores secrets in host memory — the non-SGX deployment.
+type HostVault struct {
+	secrets namespaces
 }
 
-// WipePrefix implements Vault.
-func (v *HostVault) WipePrefix(prefix string) {
-	v.mu.Lock()
-	for name, s := range v.secrets {
-		if strings.HasPrefix(name, prefix) {
-			secmem.Wipe(s)
-			delete(v.secrets, name)
-		}
-	}
-	v.mu.Unlock()
-}
+// NewHostVault returns an empty host-memory vault.
+func NewHostVault() *HostVault { return &HostVault{} }
+
+// StoreSecrets implements Vault.
+func (v *HostVault) StoreSecrets(ns uint64, secrets ...Secret) { v.secrets.put(ns, secrets) }
+
+// UseSecret implements Vault.
+func (v *HostVault) UseSecret(ns uint64, name string, f func([]byte)) { f(v.secrets.get(ns, name)) }
+
+// DumpHostMemory implements Vault: everything is host-visible.
+func (v *HostVault) DumpHostMemory() map[string][]byte { return v.secrets.dump() }
+
+// Wipe implements Vault: every entry is zeroized before it is dropped,
+// so the key bytes do not linger in freed host memory.
+func (v *HostVault) Wipe() { v.secrets.wipeAll() }
+
+// WipeNamespace implements Vault.
+func (v *HostVault) WipeNamespace(ns uint64) { v.secrets.wipe(ns) }
 
 // EnclaveVault stores secrets in enclave memory; the host retains only
-// the enclave handle and the secret names (names are not secret — they
-// are the vault's addressing scheme, needed to enumerate entries for
-// Wipe because enclave memory is not iterable from the host).
+// the enclave handle and the numbers of the namespaces in use (they are
+// not secret — they are the vault's addressing scheme, needed to skip
+// an enclave crossing when a namespace holds nothing).
 type EnclaveVault struct {
 	enclave *Enclave
+	// key names the vault's store in enclave memory; built once.
+	key string
 
 	mu    sync.Mutex
-	names map[string]bool
+	inUse map[uint64]bool
 }
+
+// enclaveVaults numbers EnclaveVaults, so vaults sharing one enclave
+// keep separate stores.
+var enclaveVaults atomic.Uint64
 
 // NewEnclaveVault returns a vault backed by the given enclave.
 func NewEnclaveVault(e *Enclave) *EnclaveVault {
-	return &EnclaveVault{enclave: e, names: make(map[string]bool)}
+	return &EnclaveVault{
+		enclave: e,
+		key:     fmt.Sprintf("vault/%d", enclaveVaults.Add(1)),
+		inUse:   make(map[uint64]bool),
+	}
+}
+
+// store returns the vault's namespaces in enclave memory; call it only
+// inside Enter.
+func (v *EnclaveVault) store(mem Memory) *namespaces {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	n, ok := mem.Get(v.key).(*namespaces)
+	if !ok {
+		n = &namespaces{}
+		mem.Put(v.key, n)
+	}
+	return n
 }
 
 // StoreSecrets implements Vault, paying one enclave entry for the
 // whole batch.
-func (v *EnclaveVault) StoreSecrets(secrets ...Secret) {
+func (v *EnclaveVault) StoreSecrets(ns uint64, secrets ...Secret) {
 	v.mu.Lock()
-	for _, s := range secrets {
-		v.names[s.Name] = true
-	}
+	v.inUse[ns] = true
 	v.mu.Unlock()
-	v.enclave.Enter(func(mem Memory) {
-		for _, s := range secrets {
-			mem.Put("secret:"+s.Name, append([]byte(nil), s.Value...))
-		}
-	})
+	v.enclave.Enter(func(mem Memory) { v.store(mem).put(ns, secrets) })
 }
 
 // UseSecret implements Vault; f runs inside the enclave.
-func (v *EnclaveVault) UseSecret(name string, f func([]byte)) {
-	v.enclave.Enter(func(mem Memory) {
-		s, _ := mem.Get("secret:" + name).([]byte)
-		f(s)
-	})
+func (v *EnclaveVault) UseSecret(ns uint64, name string, f func([]byte)) {
+	v.enclave.Enter(func(mem Memory) { f(v.store(mem).get(ns, name)) })
 }
 
 // DumpHostMemory implements Vault: enclave memory is encrypted and
@@ -154,43 +220,22 @@ func (v *EnclaveVault) DumpHostMemory() map[string][]byte {
 // every stored secret.
 func (v *EnclaveVault) Wipe() {
 	v.mu.Lock()
-	names := v.names
-	v.names = make(map[string]bool)
+	used := len(v.inUse) > 0
+	v.inUse = make(map[uint64]bool)
 	v.mu.Unlock()
-	if len(names) == 0 {
-		return
+	if used {
+		v.enclave.Enter(func(mem Memory) { v.store(mem).wipeAll() })
 	}
-	v.enclave.Enter(func(mem Memory) {
-		for name := range names {
-			if s, ok := mem.Get("secret:" + name).([]byte); ok {
-				secmem.Wipe(s)
-			}
-			mem.Delete("secret:" + name)
-		}
-	})
 }
 
-// WipePrefix implements Vault: the host-side name index selects the
-// entries, one enclave transition retires them.
-func (v *EnclaveVault) WipePrefix(prefix string) {
-	var names []string
+// WipeNamespace implements Vault: the host-side index says whether the
+// namespace holds anything, one enclave transition retires it.
+func (v *EnclaveVault) WipeNamespace(ns uint64) {
 	v.mu.Lock()
-	for name := range v.names {
-		if strings.HasPrefix(name, prefix) {
-			names = append(names, name)
-			delete(v.names, name)
-		}
-	}
+	used := v.inUse[ns]
+	delete(v.inUse, ns)
 	v.mu.Unlock()
-	if len(names) == 0 {
-		return
+	if used {
+		v.enclave.Enter(func(mem Memory) { v.store(mem).wipe(ns) })
 	}
-	v.enclave.Enter(func(mem Memory) {
-		for _, name := range names {
-			if s, ok := mem.Get("secret:" + name).([]byte); ok {
-				secmem.Wipe(s)
-			}
-			mem.Delete("secret:" + name)
-		}
-	})
 }

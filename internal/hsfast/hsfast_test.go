@@ -135,7 +135,8 @@ func TestSTEKBigGap(t *testing.T) {
 }
 
 // TestSTEKManualRotateAndWipe covers a rotation on the manual clock,
-// then Wipe.
+// then the wipe: a wiped STEK refuses to seal or open, in both forms,
+// and stays wiped however much time passes.
 func TestSTEKManualRotateAndWipe(t *testing.T) {
 	clk := clock.NewManual(time.Unix(1000, 0))
 	s, err := NewSTEK(time.Hour, clk)
@@ -148,13 +149,18 @@ func TestSTEKManualRotateAndWipe(t *testing.T) {
 	if len(keys) != 2 || keys[1] != k0 {
 		t.Fatalf("after one interval OpenKeys = %v keys, want previous retained", len(keys))
 	}
-	s.Wipe()
-	var zero [32]byte
-	if s.SealKey() != zero {
-		t.Fatal("Wipe left a live key")
+	if n := len(s.OpenAEADs()); n != 2 || s.SealAEAD() != s.OpenAEADs()[0] {
+		t.Fatalf("after one interval %d open AEADs, want 2 with the seal AEAD first", n)
 	}
-	if len(s.OpenKeys()) != 1 {
-		t.Fatal("Wipe left the previous generation")
+	s.Wipe()
+	for _, at := range []string{"at the wipe", "three intervals on"} {
+		if s.SealKey() != ([32]byte{}) || len(s.OpenKeys()) != 0 {
+			t.Fatalf("%s: the wiped STEK serves keys", at)
+		}
+		if s.SealAEAD() != nil || len(s.OpenAEADs()) != 0 {
+			t.Fatalf("%s: the wiped STEK serves AEADs", at)
+		}
+		clk.Advance(3 * time.Hour)
 	}
 }
 

@@ -1,6 +1,8 @@
 package hsfast
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
 	"crypto/rand"
 	"io"
 	"sync"
@@ -11,16 +13,20 @@ import (
 )
 
 // STEK is a rotating session-ticket encryption key with a
-// one-generation grace window. It implements the tls12.TicketKeySource
-// interface: tickets are sealed under the current generation and open
-// under the current or the immediately previous one, so resumption
-// survives exactly one rotation. Tickets sealed two or more
-// generations ago fail to open, which the handshake treats as a silent
-// fall back to a full handshake — never an error.
+// one-generation grace window. It implements tls12.TicketAEADSource:
+// tickets are sealed under the current generation and open under the
+// current or the immediately previous one, so resumption survives
+// exactly one rotation. Tickets sealed two or more generations ago fail
+// to open, which the handshake treats as a silent fall back to a full
+// handshake — never an error. Each generation's AES-256-GCM is built
+// once, when the generation starts, and handed to every handshake that
+// seals or opens under it (SealAEAD, OpenAEADs); SealKey and OpenKeys
+// hand out the raw keys to sources that wrap a STEK.
 //
-// Rotation is lazy: SealKey and OpenKeys rotate when the configured
-// interval has elapsed, so no background goroutine is needed and the
-// injected clock keeps tests deterministic.
+// Rotation is lazy: every call rotates when the configured interval has
+// elapsed, so no background goroutine is needed and the injected clock
+// keeps tests deterministic. A wiped STEK serves nothing: no ticket is
+// sealed and none opens.
 type STEK struct {
 	mu       sync.Mutex
 	interval time.Duration
@@ -32,6 +38,13 @@ type STEK struct {
 	previousKey [32]byte
 	hasPrevious bool
 	rotations   int64
+	wiped       bool
+
+	// seal is the current generation's AEAD; open lists it and, within
+	// the grace window, the previous one's. Both are rebuilt, never
+	// modified, when a generation starts, so callers may keep them.
+	seal cipher.AEAD
+	open []cipher.AEAD
 }
 
 // NewSTEK creates a STEK that rotates every interval on clk (nil means
@@ -41,12 +54,15 @@ func NewSTEK(interval time.Duration, clk clock.Clock) (*STEK, error) {
 	if _, err := io.ReadFull(s.rand, s.currentKey[:]); err != nil {
 		return nil, err
 	}
+	if err := s.rebuildLocked(); err != nil {
+		return nil, err
+	}
 	s.rotatedAt = s.clock.Now()
 	return s, nil
 }
 
 // SealKey returns the key new tickets are sealed under, rotating first
-// if the interval has elapsed.
+// if the interval has elapsed; all zeros once wiped.
 func (s *STEK) SealKey() [32]byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -56,16 +72,37 @@ func (s *STEK) SealKey() [32]byte {
 
 // OpenKeys returns the keys a received ticket may have been sealed
 // under: the current generation and, within the grace window, the
-// previous one.
+// previous one; none once wiped.
 func (s *STEK) OpenKeys() [][32]byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.advanceLocked()
+	if s.wiped {
+		return nil
+	}
 	keys := [][32]byte{s.currentKey}
 	if s.hasPrevious {
 		keys = append(keys, s.previousKey)
 	}
 	return keys
+}
+
+// SealAEAD returns the current generation's AEAD, rotating first if the
+// interval has elapsed; nil once wiped.
+func (s *STEK) SealAEAD() cipher.AEAD {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.advanceLocked()
+	return s.seal
+}
+
+// OpenAEADs returns the AEADs of OpenKeys' generations, current first;
+// nil once wiped.
+func (s *STEK) OpenAEADs() []cipher.AEAD {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.advanceLocked()
+	return s.open
 }
 
 // Rotations reports how many rotations have happened.
@@ -79,7 +116,7 @@ func (s *STEK) Rotations() int64 {
 // keeps the old key in the grace window; two or more retire both
 // generations (everything outstanding falls back to a full handshake).
 func (s *STEK) advanceLocked() {
-	if s.interval <= 0 {
+	if s.interval <= 0 || s.wiped {
 		return
 	}
 	elapsed := s.clock.Now().Sub(s.rotatedAt)
@@ -97,6 +134,7 @@ func (s *STEK) advanceLocked() {
 		secmem.Wipe(fresh[:])
 		s.rotations++
 		s.rotatedAt = s.clock.Now()
+		s.rebuildLocked() //nolint:errcheck // a 32-byte key always makes an AES-256-GCM
 		return
 	}
 	if err := s.rotateLocked(); err == nil {
@@ -114,16 +152,45 @@ func (s *STEK) rotateLocked() error {
 	s.currentKey = fresh
 	secmem.Wipe(fresh[:])
 	s.rotations++
+	return s.rebuildLocked()
+}
+
+// rebuildLocked builds the AEADs of the generations the keys hold.
+func (s *STEK) rebuildLocked() error {
+	seal, err := newTicketAEAD(&s.currentKey)
+	if err != nil {
+		return err
+	}
+	open := []cipher.AEAD{seal}
+	if s.hasPrevious {
+		prev, err := newTicketAEAD(&s.previousKey)
+		if err != nil {
+			return err
+		}
+		open = append(open, prev)
+	}
+	s.seal, s.open = seal, open
 	return nil
 }
 
-// Wipe zeroizes both key generations. A host wipes its STEK at
-// shutdown; outstanding tickets become unredeemable, which is the
-// point.
+func newTicketAEAD(key *[32]byte) (cipher.AEAD, error) {
+	block, err := aes.NewCipher(key[:])
+	if err != nil {
+		return nil, err
+	}
+	return cipher.NewGCM(block)
+}
+
+// Wipe zeroizes both key generations and drops their AEADs; the STEK
+// then seals and opens nothing, and stops rotating. A host wipes its
+// STEK at shutdown; outstanding tickets become unredeemable, which is
+// the point.
 func (s *STEK) Wipe() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	secmem.Wipe(s.currentKey[:])
 	secmem.Wipe(s.previousKey[:])
 	s.hasPrevious = false
+	s.wiped = true
+	s.seal, s.open = nil, nil
 }

@@ -157,12 +157,12 @@ func (ic *Interceptor) Handle(down, up net.Conn) error {
 	// Both session keys sit in host memory — the exposure the
 	// adversary harness probes.
 	if sk, err := downConn.ExportSessionKeys(); err == nil {
-		ic.Vault().StoreSecrets(
+		ic.Vault().StoreSecrets(0,
 			enclave.Secret{Name: "client-side/client-write", Value: sk.ClientWriteKey},
 			enclave.Secret{Name: "client-side/server-write", Value: sk.ServerWriteKey})
 	}
 	if sk, err := upConn.ExportSessionKeys(); err == nil {
-		ic.Vault().StoreSecrets(
+		ic.Vault().StoreSecrets(0,
 			enclave.Secret{Name: "server-side/client-write", Value: sk.ClientWriteKey},
 			enclave.Secret{Name: "server-side/server-write", Value: sk.ServerWriteKey})
 	}

@@ -1,6 +1,7 @@
 package tls12
 
 import (
+	"crypto/cipher"
 	"crypto/ecdh"
 	"crypto/ed25519"
 	"crypto/rand"
@@ -57,9 +58,24 @@ func (st *SessionTicket) Wipe() {
 // OpenKeys returns every key a received ticket may open under
 // (typically the current generation plus a one-generation grace
 // window). internal/hsfast.STEK is the standard implementation.
+//
+// A source with nothing to serve (a wiped STEK) returns the all-zero
+// seal key and no open keys: a server never seals or opens a ticket
+// under the all-zero key, which anyone could forge a ticket under.
 type TicketKeySource interface {
 	SealKey() [32]byte
 	OpenKeys() [][32]byte
+}
+
+// TicketAEADSource is a TicketKeySource that also hands out each key
+// generation's AES-256-GCM, built once per generation; a server uses
+// those when its source has them, so a ticket costs no key expansion.
+// SealAEAD returns nil, and OpenAEADs none, when the source serves
+// nothing. internal/hsfast.STEK is one.
+type TicketAEADSource interface {
+	TicketKeySource
+	SealAEAD() cipher.AEAD
+	OpenAEADs() []cipher.AEAD
 }
 
 // KeyShareSource supplies ephemeral X25519 keys for handshakes, so a

@@ -144,7 +144,7 @@ func (c *Conn) clientHandshake() error {
 	// Optional SGXAttestation, then ServerHelloDone. The report data
 	// binds the transcript up to and including ServerKeyExchange, so a
 	// quote replayed from another handshake cannot verify (§3.4).
-	attestPoint := ts.sum()
+	attestPoint := AttestationReportData(ts.sum())
 	typ, body, raw, _, err = c.readHandshakeMsg(false)
 	if err != nil {
 		return err
@@ -156,7 +156,7 @@ func (c *Conn) clientHandshake() error {
 		}
 		ts.add(raw)
 		if cfg.VerifyQuote != nil {
-			if err := cfg.VerifyQuote(att.quote, AttestationReportData(attestPoint)); err != nil {
+			if err := cfg.VerifyQuote(att.quote, attestPoint); err != nil {
 				return c.fatal(AlertAttestationFailure, err)
 			}
 		}

@@ -1,6 +1,7 @@
 package tls12
 
 import (
+	"crypto/cipher"
 	"crypto/ecdh"
 	"crypto/ed25519"
 	"crypto/rand"
@@ -77,9 +78,14 @@ func (c *Conn) serverHandshake() error {
 		}
 	}
 
+	// A ticket is promised only when there is a key to seal it under.
+	var sealer cipher.AEAD
+	if cfg.EnableTickets && hello.HasSessionTicket {
+		sealer = ticketSealer(cfg.TicketKeys)
+	}
 	sh := &ServerHello{
 		CipherSuite:    suite,
-		TicketExpected: cfg.EnableTickets && hello.HasSessionTicket,
+		TicketExpected: sealer != nil,
 		ResumedHop:     resumedHop,
 	}
 	c.state.ResumedHop = resumedHop
@@ -97,7 +103,7 @@ func (c *Conn) serverHandshake() error {
 	ts.add(shRaw)
 
 	if resumed != nil {
-		return c.serverResume(cfg, sh, resumed, ts)
+		return c.serverResume(cfg, sh, sealer, resumed, ts)
 	}
 
 	if cfg.Certificate == nil || len(cfg.Certificate.Chain) == 0 {
@@ -115,7 +121,7 @@ func (c *Conn) serverHandshake() error {
 	// (and quote) below: the peer starts verifying the chain while we
 	// sign, and a client-side middlebox holding the primary ServerHello
 	// for ours (paper §3.4) releases it as soon as these are out.
-	if err := c.rl.Flush(); err != nil {
+	if err := c.rl.Push(); err != nil {
 		return err
 	}
 
@@ -196,7 +202,7 @@ func (c *Conn) serverHandshake() error {
 
 	// NewSessionTicket, then our CCS + Finished.
 	if sh.TicketExpected {
-		if err := c.sendNewTicket(cfg, suite, ts); err != nil {
+		if err := c.sendNewTicket(cfg, sealer, suite, ts); err != nil {
 			return err
 		}
 	}
@@ -216,14 +222,14 @@ func (c *Conn) serverHandshake() error {
 }
 
 // serverResume completes an abbreviated handshake from a valid ticket.
-func (c *Conn) serverResume(cfg *Config, sh *ServerHello, st *sessionState, ts *transcript) error {
+func (c *Conn) serverResume(cfg *Config, sh *ServerHello, sealer cipher.AEAD, st *sessionState, ts *transcript) error {
 	c.setMaster(append([]byte(nil), st.master...))
 	st.wipe() // the conn owns its clone now
 	c.state.Resumed = true
 	suite := st.suite
 
 	if sh.TicketExpected {
-		if err := c.sendNewTicket(cfg, suite, ts); err != nil {
+		if err := c.sendNewTicket(cfg, sealer, suite, ts); err != nil {
 			return err
 		}
 	}
@@ -249,8 +255,9 @@ func (c *Conn) serverResume(cfg *Config, sh *ServerHello, st *sessionState, ts *
 	return c.verifyPeerFinished(suite, ts, true)
 }
 
-// sendNewTicket seals the current session into a ticket and sends it.
-func (c *Conn) sendNewTicket(cfg *Config, suite uint16, ts *transcript) error {
+// sendNewTicket seals the current session into a ticket under sealer
+// and sends it.
+func (c *Conn) sendNewTicket(cfg *Config, sealer cipher.AEAD, suite uint16, ts *transcript) error {
 	state := &sessionState{
 		suite: suite,
 		// Clone the master so the sealed state owns its copy: the
@@ -259,7 +266,7 @@ func (c *Conn) sendNewTicket(cfg *Config, suite uint16, ts *transcript) error {
 		master:    append([]byte(nil), c.masterSecret...),
 		createdAt: uint64(clock.Or(cfg.Clock).Now().Unix()),
 	}
-	ticket, err := sealTicket(cfg, state)
+	ticket, err := sealTicket(sealer, state)
 	state.wipe()
 	if err != nil {
 		return c.fatal(AlertInternalError, err)

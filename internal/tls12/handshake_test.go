@@ -2,6 +2,8 @@ package tls12_test
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
 	"errors"
 	"io"
 	"net"
@@ -284,41 +286,112 @@ func TestResumptionWithBogusTicketFallsBack(t *testing.T) {
 	}
 }
 
-// TestZeroTicketKeyRefused pins the ticket-key rule: a server with
-// EnableTickets and no TicketKeys fails before it writes a byte, so a
-// ticket sealed under the all-zero key, which anyone can forge, never
-// resumes a session there.
+// forgerKeys seals and opens under the all-zero key through the AEAD
+// path, which takes its source's word for the key: what anyone holding
+// that key could do.
+type forgerKeys struct{ tls12.FixedTicketKeys }
+
+func (forgerKeys) SealAEAD() cipher.AEAD {
+	block, err := aes.NewCipher(make([]byte, 32))
+	if err != nil {
+		panic(err)
+	}
+	aead, err := cipher.NewGCM(block)
+	if err != nil {
+		panic(err)
+	}
+	return aead
+}
+
+func (k forgerKeys) OpenAEADs() []cipher.AEAD { return []cipher.AEAD{k.SealAEAD()} }
+
+// TestZeroTicketKeyRefused pins the ticket-key rules: a ticket sealed
+// under the all-zero key, which anyone can forge, resumes nothing. A
+// server whose key source offers the zero key (a wiped STEK does) neither
+// opens such a ticket nor issues one under it, and a server with
+// EnableTickets and no TicketKeys fails before it writes a byte.
 func TestZeroTicketKeyRefused(t *testing.T) {
 	_, clientCfg, serverCfg := testPKI(t, "example.com")
 	serverCfg.EnableTickets = true
-	serverCfg.TicketKeys = tls12.FixedTicketKeys{} // the forger's key
+	serverCfg.TicketKeys = forgerKeys{}
 	clientCfg.EnableTickets = true
 	clientCfg.OnNewTicket = func(tk *tls12.SessionTicket) { clientCfg.SessionTicket = tk }
 	if _, _, cErr, sErr := runHandshake(t, clientCfg, serverCfg); cErr != nil || sErr != nil {
-		t.Fatalf("issuing handshake: client=%v server=%v", cErr, sErr)
+		t.Fatalf("forging handshake: client=%v server=%v", cErr, sErr)
 	}
-	if clientCfg.SessionTicket == nil {
-		t.Fatal("no ticket issued under the zero key")
+	forged := clientCfg.SessionTicket
+	if forged == nil {
+		t.Fatal("no ticket forged under the zero key")
+	}
+
+	serverCfg.TicketKeys = tls12.FixedTicketKeys{} // the zero key, as a plain source
+	clientCfg.SessionTicket = nil
+	clientCfg.OnNewTicket = func(tk *tls12.SessionTicket) { clientCfg.SessionTicket = tk }
+	offer := *clientCfg
+	offer.SessionTicket = forged
+	_, server, cErr, sErr := runHandshake(t, &offer, serverCfg)
+	if cErr != nil || sErr != nil {
+		t.Fatalf("zero-key server: client=%v server=%v", cErr, sErr)
+	}
+	if server.ConnectionState().Resumed {
+		t.Fatal("a zero-key server resumed the forged ticket")
+	}
+	if clientCfg.SessionTicket != nil {
+		t.Fatal("a zero-key server issued a ticket")
 	}
 
 	serverCfg.TicketKeys = nil
 	cp, sp := netsim.Pipe()
 	wire := &flightConn{Conn: sp}
-	client := tls12.NewClientConn(cp, clientCfg)
-	server := tls12.NewServerConn(wire, serverCfg)
+	client := tls12.NewClientConn(cp, &offer)
+	srv := tls12.NewServerConn(wire, serverCfg)
 	cDone := make(chan error, 1)
 	go func() { cDone <- client.Handshake() }()
-	sErr := server.Handshake()
+	sErr = srv.Handshake()
 	wire.mu.Lock()
 	writes := len(wire.writes)
 	wire.mu.Unlock()
 	sp.Close()
 	<-cDone
-	if sErr == nil || server.ConnectionState().Resumed {
-		t.Fatalf("server without TicketKeys: err=%v resumed=%v, want a config error", sErr, server.ConnectionState().Resumed)
+	if sErr == nil || srv.ConnectionState().Resumed {
+		t.Fatalf("server without TicketKeys: err=%v resumed=%v, want a config error", sErr, srv.ConnectionState().Resumed)
 	}
 	if writes != 0 {
 		t.Fatalf("server wrote %d times before failing, want 0", writes)
+	}
+}
+
+// TestWipedSTEKServesNothing pins what a wiped STEK leaves a server: it
+// issues no ticket, and a ticket sealed before the wipe falls back to a
+// full handshake.
+func TestWipedSTEKServesNothing(t *testing.T) {
+	_, clientCfg, serverCfg := testPKI(t, "example.com")
+	stek := newSTEK(t)
+	serverCfg.EnableTickets = true
+	serverCfg.TicketKeys = stek
+	var issued *tls12.SessionTicket
+	clientCfg.EnableTickets = true
+	clientCfg.OnNewTicket = func(tk *tls12.SessionTicket) { issued = tk }
+	if _, _, cErr, sErr := runHandshake(t, clientCfg, serverCfg); cErr != nil || sErr != nil {
+		t.Fatalf("issuing handshake: client=%v server=%v", cErr, sErr)
+	}
+	if issued == nil {
+		t.Fatal("no ticket issued before the wipe")
+	}
+
+	stek.Wipe()
+	before := issued
+	issued = nil
+	clientCfg.SessionTicket = before
+	_, server, cErr, sErr := runHandshake(t, clientCfg, serverCfg)
+	if cErr != nil || sErr != nil {
+		t.Fatalf("handshake after the wipe: client=%v server=%v", cErr, sErr)
+	}
+	if server.ConnectionState().Resumed {
+		t.Fatal("a wiped STEK resumed a ticket sealed before the wipe")
+	}
+	if issued != nil {
+		t.Fatal("a wiped STEK issued a ticket")
 	}
 }
 

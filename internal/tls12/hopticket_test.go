@@ -92,7 +92,7 @@ func TestTicketKeySourceGrace(t *testing.T) {
 	sealer := &Config{EnableTickets: true, Clock: clk,
 		TicketKeys: &fakeSTEK{seal: genA, open: [][32]byte{genA}}}
 	state := &sessionState{suite: TLS_ECDHE_ECDSA_WITH_AES_256_GCM_SHA384, master: make([]byte, 48), createdAt: uint64(now.Unix())}
-	ticket, err := sealTicket(sealer, state)
+	ticket, err := sealTicket(ticketSealer(sealer.TicketKeys), state)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,9 @@ import (
 	"crypto/sha256"
 	"crypto/sha512"
 	"hash"
+	"sync"
+
+	"repro/internal/secmem"
 )
 
 // PRF labels from RFC 5246 §8.1 and §7.4.9.
@@ -24,29 +27,54 @@ const finishedVerifyLen = 12
 // pHash implements P_hash from RFC 5246 §5: an HMAC expansion over
 // seed, writing len(result) bytes into result. mac is an HMAC keyed
 // with the secret; it is reset first, so one keyed HMAC serves every
-// expansion of the same secret.
-func pHash(mac hash.Hash, result, seed []byte) {
+// expansion of the same secret. scratch, of at least twice mac's size,
+// takes each A(i) and output block, so no HMAC sum allocates.
+func pHash(mac hash.Hash, result, seed, scratch []byte) {
 	// A(0) = seed, A(i) = HMAC(A(i-1)); block i is HMAC(A(i) || seed).
+	size := mac.Size()
+	aBuf, block := scratch[:0:size], scratch[size:size:2*size]
 	a := seed
 	for off := 0; off < len(result); {
 		mac.Reset()
 		mac.Write(a)
-		a = mac.Sum(nil)
+		a = mac.Sum(aBuf)
 
 		mac.Reset()
 		mac.Write(a)
 		mac.Write(seed)
-		off += copy(result[off:], mac.Sum(nil))
+		off += copy(result[off:], mac.Sum(block))
 	}
 }
 
+// prfScratchLen fits every PRF the handshake runs: the longest label
+// (15 bytes) and seed (two randoms, 64), then two SHA-384 blocks.
+const prfScratchLen = 15 + 64 + 2*sha512.Size384
+
+// prfScratch recycles prf's working memory; it holds array pointers, so
+// a Put allocates nothing.
+var prfScratch = sync.Pool{New: func() any { return new([prfScratchLen]byte) }}
+
 // prf computes the TLS 1.2 PRF of the secret mac is keyed with (see
-// prfMAC), filling result.
-func prf(mac hash.Hash, result []byte, label string, seed []byte) {
-	labelAndSeed := make([]byte, 0, len(label)+len(seed))
-	labelAndSeed = append(labelAndSeed, label...)
-	labelAndSeed = append(labelAndSeed, seed...)
-	pHash(mac, result, labelAndSeed)
+// prfMAC) over label and the concatenated seed parts, filling result.
+// label‖seed and pHash's scratch share one pooled buffer, wiped before
+// it goes back (its blocks are the PRF's output).
+func prf(mac hash.Hash, result []byte, label string, seed ...[]byte) {
+	n := len(label)
+	for _, part := range seed {
+		n += len(part)
+	}
+	pooled := prfScratch.Get().(*[prfScratchLen]byte)
+	defer prfScratch.Put(pooled)
+	buf := pooled[:]
+	if n+2*mac.Size() > len(buf) {
+		buf = make([]byte, n+2*mac.Size())
+	}
+	off := copy(buf, label)
+	for _, part := range seed {
+		off += copy(buf[off:], part)
+	}
+	pHash(mac, result, buf[:n], buf[n:])
+	secmem.Wipe(buf)
 }
 
 // suitePRFHash returns the hash constructor used by the suite's PRF
@@ -67,22 +95,16 @@ func prfMAC(suiteID uint16, secret []byte) hash.Hash {
 // computeMasterSecret derives the 48-byte master secret from the ECDHE
 // pre-master secret and the session randoms (RFC 5246 §8.1).
 func computeMasterSecret(suiteID uint16, preMaster, clientRandom, serverRandom []byte) []byte {
-	seed := make([]byte, 0, len(clientRandom)+len(serverRandom))
-	seed = append(seed, clientRandom...)
-	seed = append(seed, serverRandom...)
 	master := make([]byte, masterSecretLen)
-	prf(prfMAC(suiteID, preMaster), master, labelMasterSecret, seed)
+	prf(prfMAC(suiteID, preMaster), master, labelMasterSecret, clientRandom, serverRandom)
 	return master
 }
 
 // keyBlock derives n bytes of key material with the master-keyed mac
 // (RFC 5246 §6.3; note the server_random || client_random seed order).
 func keyBlock(mac hash.Hash, clientRandom, serverRandom []byte, n int) []byte {
-	seed := make([]byte, 0, len(clientRandom)+len(serverRandom))
-	seed = append(seed, serverRandom...)
-	seed = append(seed, clientRandom...)
 	kb := make([]byte, n)
-	prf(mac, kb, labelKeyExpansion, seed)
+	prf(mac, kb, labelKeyExpansion, serverRandom, clientRandom)
 	return kb
 }
 
@@ -102,8 +124,8 @@ func finishedVerifyData(mac hash.Hash, isClient bool, transcriptHash []byte) []b
 // hash that anchors Finished verification and attestation report data.
 type transcript struct {
 	h hash.Hash
-	// raw optionally retains the concatenated message bytes for
-	// debugging; unused in production paths.
+	// sumBuf backs sum's result, so taking the hash allocates nothing.
+	sumBuf [sha512.Size384]byte
 }
 
 // newTranscript returns a transcript using the suite's PRF hash.
@@ -118,7 +140,8 @@ func (t *transcript) add(msg []byte) {
 
 // sum returns the current transcript hash. hash.Hash.Sum does not
 // disturb the running state, so the transcript can keep accumulating
-// messages afterwards.
+// messages afterwards. The result aliases the transcript and holds
+// until the next sum.
 func (t *transcript) sum() []byte {
-	return t.h.Sum(nil)
+	return t.h.Sum(t.sumBuf[:0])
 }

@@ -24,20 +24,22 @@ const (
 
 // recordBufPool recycles maximum-record-size buffers across record
 // layers, relay batches, and data planes, so steady-state record
-// processing performs no heap allocation.
+// processing performs no heap allocation. It holds array pointers: a
+// buffer goes back as a pointer to its own array, which boxes into the
+// pool without allocating a slice header.
 var recordBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, MaxRecordWireSize)
-		return &b
-	},
+	New: func() any { return new(recordArray) },
 }
+
+// recordArray is one pooled buffer's backing array.
+type recordArray [MaxRecordWireSize]byte
 
 // GetRecordBuf returns a zero-length buffer with capacity for one
 // maximum-size wire record. Return it with PutRecordBuf when done; it
 // is also fine to keep it for the lifetime of a long-lived owner (a
 // record layer does exactly that).
 func GetRecordBuf() []byte {
-	return (*recordBufPool.Get().(*[]byte))[:0]
+	return recordBufPool.Get().(*recordArray)[:0]
 }
 
 // PutRecordBuf returns a buffer obtained from GetRecordBuf to the pool.
@@ -46,8 +48,7 @@ func PutRecordBuf(b []byte) {
 	if cap(b) < MaxRecordWireSize {
 		return // never pool undersized buffers
 	}
-	b = b[:0]
-	recordBufPool.Put(&b)
+	recordBufPool.Put((*recordArray)(b[:MaxRecordWireSize]))
 }
 
 // RecordBufPoolStats is a point-in-time snapshot of a RecordBufPool.
@@ -72,7 +73,7 @@ type RecordBufPoolStats struct {
 // GetRecordBuf/PutRecordBuf (and is checked by the same mbtls-lint
 // bufownership analyzer, which matches these methods by name).
 type RecordBufPool struct {
-	free chan *[]byte
+	free chan *recordArray
 	gets atomic.Uint64
 	hits atomic.Uint64
 }
@@ -91,7 +92,7 @@ func NewRecordBufPool(maxRetained int) *RecordBufPool {
 	if maxRetained < 1 {
 		maxRetained = 1
 	}
-	return &RecordBufPool{free: make(chan *[]byte, maxRetained)}
+	return &RecordBufPool{free: make(chan *recordArray, maxRetained)}
 }
 
 // GetRecordBuf returns a zero-length buffer with capacity for one
@@ -105,7 +106,7 @@ func (p *RecordBufPool) GetRecordBuf() []byte {
 	select {
 	case b := <-p.free:
 		p.hits.Add(1)
-		return (*b)[:0]
+		return b[:0]
 	default:
 		return make([]byte, 0, MaxRecordWireSize)
 	}
@@ -122,9 +123,8 @@ func (p *RecordBufPool) PutRecordBuf(b []byte) {
 		PutRecordBuf(b)
 		return
 	}
-	b = b[:0]
 	select {
-	case p.free <- &b:
+	case p.free <- (*recordArray)(b[:MaxRecordWireSize]):
 	default:
 	}
 }
@@ -313,6 +313,22 @@ func (rl *RecordLayer) Flush() error {
 	rl.writeMu.Lock()
 	defer rl.writeMu.Unlock()
 	return rl.flushLocked()
+}
+
+// Push is Flush for a flight the peer should see before the writer next
+// waits for it: a transport that holds writes back (an mbTLS mux, corked
+// while a session establishes) sends what it holds, when it has a Push
+// method to ask it by.
+func (rl *RecordLayer) Push() error {
+	rl.writeMu.Lock()
+	defer rl.writeMu.Unlock()
+	if err := rl.flushLocked(); err != nil {
+		return err
+	}
+	if p, ok := rl.w.(interface{ Push() error }); ok {
+		return p.Push()
+	}
+	return nil
 }
 
 // TryWriteRecord is WriteRecord, except it gives up immediately when

@@ -4,6 +4,7 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/rand"
+	"crypto/subtle"
 	"errors"
 	"io"
 	"time"
@@ -62,19 +63,41 @@ func ticketAEAD(key [32]byte) (cipher.AEAD, error) {
 	return cipher.NewGCM(block)
 }
 
-// sealTicket encrypts session state under the config's current ticket
-// key (TicketKeys' seal generation) using AES-256-GCM with a random nonce prepended.
-func sealTicket(cfg *Config, state *sessionState) ([]byte, error) {
-	aead, err := ticketAEAD(cfg.TicketKeys.SealKey())
+// isZeroKey reports whether key is the all-zero key a source that
+// serves nothing hands out.
+func isZeroKey(key *[32]byte) bool {
+	var zero [32]byte
+	return subtle.ConstantTimeCompare(key[:], zero[:]) == 1
+}
+
+// ticketSealer returns the AEAD new tickets are sealed under — the
+// source's seal generation — or nil when the source serves none.
+func ticketSealer(src TicketKeySource) cipher.AEAD {
+	if s, ok := src.(TicketAEADSource); ok {
+		return s.SealAEAD()
+	}
+	key := src.SealKey()
+	if isZeroKey(&key) {
+		return nil
+	}
+	aead, err := ticketAEAD(key)
 	if err != nil {
-		return nil, err
+		return nil
 	}
-	nonce := make([]byte, aead.NonceSize())
-	if _, err := io.ReadFull(rand.Reader, nonce); err != nil {
-		return nil, err
-	}
+	return aead
+}
+
+// sealTicket encrypts session state under aead (ticketSealer's) with a
+// random nonce prepended.
+func sealTicket(aead cipher.AEAD, state *sessionState) ([]byte, error) {
 	plain := state.marshal()
-	sealed := aead.Seal(nonce, nonce, plain, nil)
+	ns := aead.NonceSize()
+	sealed := make([]byte, ns, ns+len(plain)+aead.Overhead())
+	if _, err := io.ReadFull(rand.Reader, sealed); err != nil {
+		secmem.Wipe(plain)
+		return nil, err
+	}
+	sealed = aead.Seal(sealed, sealed, plain, nil)
 	secmem.Wipe(plain) // the plaintext holds the master secret
 	return sealed, nil
 }
@@ -87,19 +110,30 @@ func sealTicket(cfg *Config, state *sessionState) ([]byte, error) {
 // sealed under a retired STEK generation die quietly.
 func openTicket(cfg *Config, ticket []byte) *sessionState {
 	var plain []byte
-	for _, key := range cfg.TicketKeys.OpenKeys() {
-		aead, err := ticketAEAD(key)
-		if err != nil {
-			continue
+	tryOpen := func(aead cipher.AEAD) bool {
+		ns := aead.NonceSize()
+		if len(ticket) < ns {
+			return false
 		}
-		if len(ticket) < aead.NonceSize() {
-			return nil
+		var err error
+		plain, err = aead.Open(nil, ticket[:ns], ticket[ns:], nil)
+		return err == nil
+	}
+	if s, ok := cfg.TicketKeys.(TicketAEADSource); ok {
+		for _, aead := range s.OpenAEADs() {
+			if tryOpen(aead) {
+				break
+			}
 		}
-		plain, err = aead.Open(nil, ticket[:aead.NonceSize()], ticket[aead.NonceSize():], nil)
-		if err == nil {
-			break
+	} else {
+		for _, key := range cfg.TicketKeys.OpenKeys() {
+			if isZeroKey(&key) {
+				continue
+			}
+			if aead, err := ticketAEAD(key); err == nil && tryOpen(aead) {
+				break
+			}
 		}
-		plain = nil
 	}
 	if plain == nil {
 		return nil

@@ -20,7 +20,7 @@ func TestTicketSealOpenRoundTrip(t *testing.T) {
 		master:    bytes.Repeat([]byte{7}, 48),
 		createdAt: uint64(now.Unix()),
 	}
-	ticket, err := sealTicket(cfg, state)
+	ticket, err := sealTicket(ticketSealer(cfg.TicketKeys), state)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestTicketWrongKeyRejected(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	cfg := ticketConfig(now)
 	state := &sessionState{suite: TLS_ECDHE_ECDSA_WITH_AES_128_GCM_SHA256, master: make([]byte, 48), createdAt: uint64(now.Unix())}
-	ticket, err := sealTicket(cfg, state)
+	ticket, err := sealTicket(ticketSealer(cfg.TicketKeys), state)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestTicketExpiry(t *testing.T) {
 	issued := time.Unix(1_700_000_000, 0)
 	cfg := ticketConfig(issued)
 	state := &sessionState{suite: TLS_ECDHE_ECDSA_WITH_AES_256_GCM_SHA384, master: make([]byte, 48), createdAt: uint64(issued.Unix())}
-	ticket, err := sealTicket(cfg, state)
+	ticket, err := sealTicket(ticketSealer(cfg.TicketKeys), state)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestTicketTamperRejected(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	cfg := ticketConfig(now)
 	state := &sessionState{suite: TLS_ECDHE_ECDSA_WITH_AES_256_GCM_SHA384, master: make([]byte, 48), createdAt: uint64(now.Unix())}
-	ticket, err := sealTicket(cfg, state)
+	ticket, err := sealTicket(ticketSealer(cfg.TicketKeys), state)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestTicketUnsupportedSuiteRejected(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	cfg := ticketConfig(now)
 	state := &sessionState{suite: TLS_ECDHE_ECDSA_WITH_AES_256_GCM_SHA384, master: make([]byte, 48), createdAt: uint64(now.Unix())}
-	ticket, err := sealTicket(cfg, state)
+	ticket, err := sealTicket(ticketSealer(cfg.TicketKeys), state)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,9 +31,11 @@ gate go test -race ./internal/transport/...
 # manual clock; the middlebox's join — a stall at each join phase ×
 # placement × keying in TestEstablishRoleSymmetry, the ServerHello hold
 # and key-material waits, a reset inside the hold — and
-# FuzzHelloSniff's seed corpus), the handshake's write boundaries (one
-# transport write a flight at every end of a chain, and flights split
-# past one record), and the relay's fence — the pipeline
+# FuzzHelloSniff's seed corpus, a client hanging up mid-join), the
+# handshake's write boundaries (one transport write a flight at every
+# end of a chain, flights split past one record, and the mux cork that
+# joins an endpoint's flights: its release rules, and handshakes and a
+# phase deadline run corked), and the relay's fence — the pipeline
 # fault tests, the per-batch and per-session cost pins, the data plane
 # and commit gate against their in-order reference,
 # FuzzParallelReseal's seed corpus — repeated and shuffled at three
@@ -41,7 +43,7 @@ gate go test -race ./internal/transport/...
 for procs in 1 2 4; do
 	gate env GOMAXPROCS=$procs go test -count=20 -shuffle=on ./internal/clock/ ./internal/netsim/ ./internal/transport/... ./internal/chain/ ./internal/sessionhost/
 	gate env GOMAXPROCS=$procs go test -count=20 -shuffle=on \
-		-run 'TestSession|TestNeighborKeys|TestProxySig|TestChainTicket|TestHandshakePhaseDeadline|TestKeyMaterialWait|TestServerHelloHold|TestApproveRejection|TestGoldenTranscript|TestEstablish|FuzzHelloSniff|TestFlight|TestPipeline|TestBurst|TestDataPlane|TestCommitGate|TestResumedSessionFixedCost|FuzzParallelReseal' ./internal/core/
+		-run 'TestSession|TestNeighborKeys|TestProxySig|TestChainTicket|TestHandshakePhaseDeadline|TestKeyMaterialWait|TestServerHelloHold|TestApproveRejection|TestGoldenTranscript|TestEstablish|FuzzHelloSniff|TestJoinAbort|TestFlight|TestCork|TestPipeline|TestBurst|TestDataPlane|TestCommitGate|TestResumedSessionFixedCost|FuzzParallelReseal' ./internal/core/
 done
 # The frozen benchmark module compiles against core's relay API and
 # type-asserts on the transport's conns; catch a break here, not in the
