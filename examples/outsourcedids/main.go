@@ -108,7 +108,7 @@ func main() {
 
 	fmt.Printf("\nids: %d alert(s) raised inside the enclave\n", alerts.Load())
 	//lint:ignore enclaveboundary the demo's point is showing the provider's (empty) host-memory view
-	fmt.Printf("cloud provider's view of IDS memory: %d secrets (SGX)\n", len(ids.Vault().DumpHostMemory()))
+	fmt.Printf("cloud provider's view of IDS memory: %d session data planes (SGX)\n", len(ids.DumpHostMemory()))
 }
 
 func mustIssue(ca *mbtls.CA, name string) *mbtls.Certificate {

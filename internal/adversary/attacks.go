@@ -2,8 +2,8 @@ package adversary
 
 import (
 	"bytes"
+	"crypto/subtle"
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/certs"
@@ -97,45 +97,75 @@ func SniffWire() Result {
 	return r
 }
 
-// MemoryRead: P1A — data/keys read from middlebox application memory
-// by the infrastructure provider.
+// MemoryRead: P1A — data read from middlebox application memory by
+// the infrastructure provider.
 func MemoryRead() Result {
 	r := Result{
 		Property: "P1A",
 		Threat:   "Data read in MS application memory by MIP",
 		Defense:  "Secure Execution Environment",
 	}
-	// Without an enclave the dump must contain keys (showing the
-	// attack is real); with one it must not.
-	plain, err := NewScenario(Opts{})
+	// The MIP reads the middlebox's host memory while the session lives
+	// and opens the client's record captured at T1 with the open state
+	// it finds there. Without an enclave that must work (showing the
+	// attack is real); with one there must be nothing to find. Either
+	// way nothing may be left once the session is over.
+	read := func(enclaveMode bool) (found int, opened bool, err error) {
+		sc, err := NewScenario(Opts{EnclaveMbox: enclaveMode})
+		if err != nil {
+			return 0, false, err
+		}
+		if _, err = sc.Client.Write(secretPayload); err == nil {
+			_, err = sc.ServerRecv(attackTimeout)
+		}
+		if err == nil {
+			dump := sc.Mbox.DumpHostMemory()
+			if found = len(dump); found > 0 {
+				opened = openFirstData(dump[0].OpenC2S, sc.T1)
+			}
+		}
+		sc.Close()
+		if left := len(sc.Mbox.DumpHostMemory()); err == nil && left != 0 {
+			err = fmt.Errorf("%d data planes left in host memory after the session", left)
+		}
+		return found, opened, err
+	}
+
+	_, plainOpened, err := read(false)
 	if err != nil {
 		return harnessFailure(r, err)
 	}
-	plain.Client.Write(secretPayload) //nolint:errcheck
-	plain.ServerRecv(attackTimeout)   //nolint:errcheck
-	plainDump := plain.Mbox.Vault().DumpHostMemory()
-	plain.Close()
-
-	protected, err := NewScenario(Opts{EnclaveMbox: true})
+	protectedFound, _, err := read(true)
 	if err != nil {
 		return harnessFailure(r, err)
 	}
-	protected.Client.Write(secretPayload) //nolint:errcheck
-	protected.ServerRecv(attackTimeout)   //nolint:errcheck
-	protectedDump := protected.Mbox.Vault().DumpHostMemory()
-	protected.Close()
-
-	if len(plainDump) == 0 {
-		r.Detail = "harness: host-memory middlebox exposed nothing (attack not demonstrated)"
+	if !plainOpened {
+		r.Detail = "harness: the host-memory middlebox's dump opened nothing (attack not demonstrated)"
 		return r
 	}
-	if len(protectedDump) != 0 {
-		r.Detail = fmt.Sprintf("enclave middlebox leaked %d secrets to host memory", len(protectedDump))
+	if protectedFound != 0 {
+		r.Detail = fmt.Sprintf("enclave middlebox exposed %d data planes in host memory", protectedFound)
 		return r
 	}
 	r.Defended = true
-	r.Detail = fmt.Sprintf("host dump: %d secrets without SGX, 0 with SGX", len(plainDump))
+	r.Detail = "without SGX the dumped open state opens the client's record to the payload; with SGX the host dump is empty"
 	return r
+}
+
+// openFirstData opens the first application-data record the client sent
+// across tp with a dumped open state, at the state's starting sequence
+// and on the attacker's own scratch, and reports whether it yields the
+// payload.
+func openFirstData(cs *tls12.CipherState, tp *TamperPoint) bool {
+	c2s, _ := tp.Snapshot()
+	for _, rec := range c2s {
+		if rec.Type != tls12.TypeApplicationData {
+			continue
+		}
+		plaintext, err := cs.OpenInPlaceAt(new(tls12.CryptoScratch), cs.Seq(), rec.Type, bytes.Clone(rec.Payload))
+		return err == nil && subtle.ConstantTimeCompare(plaintext, secretPayload) == 1
+	}
+	return false
 }
 
 // ForwardSecrecy: P1B — old traffic decrypted after a long-term key
@@ -385,8 +415,8 @@ func DropRecord() Result {
 	return r
 }
 
-// MemoryForge: P2 — the infrastructure provider forges records using
-// keys scraped from middlebox memory.
+// MemoryForge: P2 — the infrastructure provider forges records with
+// the cipher state it reads in middlebox memory.
 func MemoryForge() Result {
 	r := Result{
 		Property: "P2",
@@ -394,8 +424,8 @@ func MemoryForge() Result {
 		Defense:  "Secure Execution Environment",
 	}
 	// Against a host-memory middlebox, the attack must succeed (the
-	// MIP scrapes the upstream hop key and forges a record the server
-	// accepts); with an enclave there is nothing to scrape.
+	// MIP seals a record with the upstream state it dumps, and the
+	// server accepts it); with an enclave there is nothing to seal with.
 	forge := func(enclaveMode bool) (accepted bool, err error) {
 		sc, err := NewScenario(Opts{EnclaveMbox: enclaveMode})
 		if err != nil {
@@ -408,21 +438,16 @@ func MemoryForge() Result {
 		if _, err := sc.ServerRecv(attackTimeout); err != nil {
 			return false, err
 		}
-		dump := sc.Mbox.Vault().DumpHostMemory()
-		key := scrapeSecret(dump, "hop/up-c2s")
-		iv := scrapeSecret(dump, "hop/up-c2s-iv")
-		if key == nil || iv == nil {
-			return false, nil // nothing to scrape
+		dump := sc.Mbox.DumpHostMemory()
+		if len(dump) == 0 {
+			return false, nil // nothing to seal with
 		}
 		// The upstream hop is the bridge: sequence numbers started at
-		// 1 (the primary Finished) and one data record has passed.
-		cs, err := tls12.NewCipherState(sc.Suite(), key, iv, 2)
-		if err != nil {
-			return false, err
-		}
+		// 1 (the primary Finished) and one data record has passed. The
+		// state is the relay's own, so seal at an explicit sequence.
 		forged := tls12.RawRecord{
 			Type:    tls12.TypeApplicationData,
-			Payload: cs.Seal(tls12.TypeApplicationData, []byte("FORGED BY MIP")),
+			Payload: dump[0].SealC2S.SealAppendAt(new(tls12.CryptoScratch), nil, 2, tls12.TypeApplicationData, []byte("FORGED BY MIP")),
 		}
 		if err := sc.T2.InjectC2S(forged); err != nil {
 			return false, err
@@ -451,21 +476,8 @@ func MemoryForge() Result {
 		return r
 	}
 	r.Defended = true
-	r.Detail = "MIP forgery succeeds against host-memory middlebox, impossible with SGX (no keys in dump)"
+	r.Detail = "without SGX the server accepts a record sealed with the dumped upstream state; with SGX the host dump is empty"
 	return r
-}
-
-// scrapeSecret finds a vault secret by name suffix. Middleboxes
-// namespace per-session secrets ("session/<id>/hop/up-c2s"); the MIP
-// scraping memory doesn't care which session a key belongs to, only
-// that one is there to steal.
-func scrapeSecret(dump map[string][]byte, suffix string) []byte {
-	for name, v := range dump {
-		if strings.HasSuffix(name, suffix) {
-			return v
-		}
-	}
-	return nil
 }
 
 // ImpersonateServer: P3A — wrong entity terminates the primary

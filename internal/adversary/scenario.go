@@ -109,13 +109,13 @@ func pumpReads(r interface{ Read([]byte) (int, error) }, recv chan<- []byte, err
 	}
 }
 
-// Close tears the scenario down, wiping the middlebox's vault: probes
-// of what an adversary could read must happen while the session lives.
+// Close tears the scenario down and returns once the middlebox has
+// retired the session's data plane: probes of what an adversary could
+// read must happen while the session lives.
 func (sc *Scenario) Close() {
 	sc.Client.Close()
 	sc.Server.Close()
 	sc.chain.Close()
-	sc.Mbox.Vault().Wipe()
 }
 
 // ServerRecv waits for the next chunk the server accepted.

@@ -11,13 +11,12 @@ import (
 // only through the ecall API, and the secrets never land in
 // host-visible memory. Two rules:
 //
-//  1. The secret and memory-handle parameters of Vault.UseSecret and
-//     Enclave.Enter callbacks must not escape the callback: assigning
-//     the parameter (or a slice of it, an append of it, or a copy of
-//     its bytes) to anything declared outside the callback moves the
-//     secret into host memory.
+//  1. The memory-handle parameter of an Enclave.Enter callback must not
+//     escape the callback: assigning the parameter (or a slice of it, an
+//     append of it, or a copy of its bytes) to anything declared outside
+//     the callback moves the secret into host memory.
 //
-//  2. Vault.DumpHostMemory models the MIP adversary's memory read; only
+//  2. DumpHostMemory models the MIP adversary's memory read; only
 //     the adversary harness (internal/adversary) and tests may call it.
 var EnclaveBoundary = &Analyzer{
 	Name: "enclaveboundary",
@@ -27,7 +26,7 @@ var EnclaveBoundary = &Analyzer{
 
 // enclaveCallbackMethods are the ecall entry points whose callback
 // parameters carry enclave-resident secrets.
-var enclaveCallbackMethods = map[string]bool{"UseSecret": true, "Enter": true}
+var enclaveCallbackMethods = map[string]bool{"Enter": true}
 
 // dumpAllowedPackages may call DumpHostMemory: the attack harness that
 // exists to model the adversary.

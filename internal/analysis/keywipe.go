@@ -9,8 +9,8 @@ import (
 // KeyWipe enforces key-material zeroization (paper §3.1: the adversary
 // "can read and manipulate memory" on middlebox infrastructure, so
 // secrets must not outlive their session). Any named struct type with a
-// confidential byte-slice field — per-hop keys, master secrets, vault
-// contents — must declare a Wipe (or wipe) method, and that method must
+// confidential byte-slice field — per-hop keys, master secrets, ticket
+// keys — must declare a Wipe (or wipe) method, and that method must
 // route every such field through a wipe helper (secmem.Wipe/WipeAll, a
 // nested Wipe, or a range loop that clears the entries). Teardown paths
 // calling those methods are pinned by conventional tests; this check

@@ -19,8 +19,8 @@ import (
 //     goroutines each holding what the other wants.
 //
 //  2. No blocking under a state mutex. A registry or session mutex held
-//     across a channel operation, a defaultless select, a Vault wipe,
-//     connection I/O, time.Sleep, or a blocking module call stalls
+//     across a channel operation, a defaultless select, connection
+//     I/O, time.Sleep, or a blocking module call stalls
 //     every other goroutine that needs the lock — the exact shape of
 //     a drain regression the session host once had.
 //     Mutexes whose names mark them as I/O-serialization locks (wmu,

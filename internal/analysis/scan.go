@@ -27,11 +27,6 @@ var plaintextWriteSinkNames = map[string]bool{
 	"writePlaintextRecord": true,
 }
 
-// vaultWipeMethods are the Vault teardown entry points: an enclave
-// transition (EnclaveVault) or a full zeroization sweep, neither of
-// which belongs under a state mutex.
-var vaultWipeMethods = map[string]bool{"Wipe": true, "WipeNamespace": true}
-
 // scan walks the body once after taint convergence, recording sinks,
 // returns, blocking operations, and lock acquisitions into st.sum.
 func (st *funcState) scan(body ast.Node) {
@@ -302,10 +297,9 @@ func (st *funcState) callBlockDesc(call *ast.CallExpr) (string, bool) {
 }
 
 // CallBlockDesc reports whether a call may block the calling goroutine:
-// time.Sleep, sync waits, connection I/O, a Vault wipe (an enclave
-// transition), or a module callee whose summary blocks. Lock and Unlock
-// themselves are excluded — the lock-order analyzer owns lock/lock
-// interactions.
+// time.Sleep, sync waits, connection I/O, or a module callee whose
+// summary blocks. Lock and Unlock themselves are excluded — the
+// lock-order analyzer owns lock/lock interactions.
 func (e *Engine) CallBlockDesc(pkg *Package, call *ast.CallExpr) (string, bool) {
 	info := pkg.Info
 	name := calleeName(call)
@@ -319,9 +313,6 @@ func (e *Engine) CallBlockDesc(pkg *Package, call *ast.CallExpr) (string, bool) 
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		if _, isMethod := info.Selections[sel]; isMethod {
 			tv := info.Types[sel.X]
-			if vaultWipeMethods[name] && isVaultType(tv.Type) {
-				return "vault wipe (" + name + ")", true
-			}
 			switch name {
 			case "Wait":
 				// Only WaitGroup: Cond.Wait releases its mutex while
@@ -400,15 +391,6 @@ func lockKey(info *types.Info, e ast.Expr) string {
 		}
 	}
 	return ""
-}
-
-// isVaultType reports whether a type is (or points to) a secret vault.
-func isVaultType(t types.Type) bool {
-	named, ok := derefNamed(t)
-	if !ok {
-		return false
-	}
-	return strings.Contains(named.Obj().Name(), "Vault")
 }
 
 func derefNamed(t types.Type) (*types.Named, bool) {

@@ -9,8 +9,8 @@ package analysis
 //
 // Sources: reads of key-material fields (master/pre-master secrets,
 // STEK and ticket keys, KeyMaterial/SessionKeys structs),
-// ExportSessionKeys/ExportPrimaryKeys results, and the secret
-// parameters of Vault.UseSecret / Enclave.Enter callbacks.
+// ExportSessionKeys/ExportPrimaryKeys results, and the memory-handle
+// parameters of Enclave.Enter callbacks.
 //
 // Sinks: fmt/log formatting and errors.New/fmt.Errorf (a secret in an
 // error string ends up in operator logs), plaintext writes to

@@ -16,12 +16,12 @@ import (
 //   - which parameters taint which results (key-derivation functions
 //     propagate; AEAD seals sanitize),
 //   - which results are fresh secret sources (reads of key-material
-//     fields, ExportSessionKeys, Vault.UseSecret callbacks),
+//     fields, ExportSessionKeys, Enclave.Enter callbacks),
 //   - which parameters reach a leak sink inside the function
 //     (fmt/log/errors formatting, plaintext writes to connections,
 //     assignments to package-level variables),
 //   - whether the function may block (channel operations, defaultless
-//     select, connection I/O, Vault wipes), and
+//     select, connection I/O), and
 //   - which mutexes it may acquire, transitively.
 //
 // Soundness limits (documented in DESIGN.md §8): taint through heap
@@ -66,8 +66,8 @@ type Summary struct {
 	// interprocedural provenance for diagnostics.
 	SinkVia map[int]string
 	// Blocks reports that the function may block: channel send or
-	// receive, select without default, connection I/O, a Vault wipe, or
-	// a call to a function that does.
+	// receive, select without default, connection I/O, or a call to a
+	// function that does.
 	Blocks bool
 	// BlockDesc names the first blocking operation found, for
 	// diagnostics ("channel send", "blocking call to (*T).drain").
@@ -111,7 +111,7 @@ var secretSourceFuncs = map[string]bool{
 
 // enclaveEntryMethods take a callback whose parameters carry
 // enclave-resident secrets; the callback parameters are fresh sources.
-var enclaveEntryMethods = map[string]bool{"UseSecret": true, "Enter": true}
+var enclaveEntryMethods = map[string]bool{"Enter": true}
 
 // sanitizerNames are callees whose results do not carry their
 // arguments' taint: AEAD seals and asymmetric encryption (the output is
@@ -119,7 +119,7 @@ var enclaveEntryMethods = map[string]bool{"UseSecret": true, "Enter": true}
 // the key — ticket names, cache keys), constant-time compares (public
 // verdict), and wipes (no output at all).
 var sanitizerNames = map[string]bool{
-	"Wipe": true, "WipeNamespace": true,
+	"Wipe": true,
 	"Seal": true, "SealAppend": true, "SealedBox": true,
 	"ConstantTimeCompare": true, "ConstantTimeSelect": true, "ConstantTimeByteEq": true,
 	"Sum": true, "Sum224": true, "Sum256": true, "Sum384": true, "Sum512": true,
@@ -643,8 +643,7 @@ func (st *funcState) propagate(body ast.Node) bool {
 					changed = true
 				}
 			}
-			// Vault.UseSecret / Enclave.Enter callback parameters are
-			// fresh sources.
+			// Enclave.Enter callback parameters are fresh sources.
 			if enclaveEntryMethods[calleeName(n)] && len(n.Args) > 0 {
 				if lit, ok := ast.Unparen(n.Args[len(n.Args)-1]).(*ast.FuncLit); ok && lit.Type.Params != nil {
 					for _, f := range lit.Type.Params.List {

@@ -2,43 +2,42 @@
 // parameter escapes and DumpHostMemory outside the adversary harness.
 package fixture
 
-// vault stands in for enclave.Vault / enclave.Enclave.
-type vault struct{}
+// enclave stands in for enclave.Enclave, its Enter callback handed
+// enclave memory; DumpHostMemory for core's Middlebox.DumpHostMemory.
+type enclave struct{}
 
-func (vault) UseSecret(name string, f func(secret []byte)) {}
+func (enclave) Enter(f func(mem []byte)) {}
 
-func (vault) Enter(f func(mem []byte)) {}
-
-func (vault) DumpHostMemory() map[string][]byte { return nil }
+func (enclave) DumpHostMemory() map[string][]byte { return nil }
 
 var hostCopy []byte
 
-func leaks(v vault) {
-	v.UseSecret("hop", func(secret []byte) {
-		hostCopy = secret // want "escapes the UseSecret callback"
+func leaks(e enclave) {
+	e.Enter(func(mem []byte) {
+		hostCopy = mem // want "escapes the Enter callback"
 	})
 	ch := make(chan []byte, 1)
-	v.Enter(func(mem []byte) {
+	e.Enter(func(mem []byte) {
 		ch <- mem // want "escapes the Enter callback over a host-side channel"
 	})
-	_ = v.DumpHostMemory() // want "DumpHostMemory"
+	_ = e.DumpHostMemory() // want "DumpHostMemory"
 }
 
-func copiesOut(v vault) {
+func copiesOut(e enclave) {
 	dst := make([]byte, 32)
-	v.UseSecret("hop", func(secret []byte) {
-		copy(dst, secret) // want "copied out of the UseSecret callback"
+	e.Enter(func(mem []byte) {
+		copy(dst, mem) // want "copied out of the Enter callback"
 	})
 }
 
-func staysInside(v vault) {
-	v.UseSecret("hop", func(secret []byte) {
+func staysInside(e enclave) {
+	e.Enter(func(mem []byte) {
 		sum := 0
-		for _, b := range secret {
+		for _, b := range mem {
 			sum += int(b)
 		}
-		local := make([]byte, len(secret))
-		copy(local, secret) // destination lives inside the callback: fine
+		local := make([]byte, len(mem))
+		copy(local, mem) // destination lives inside the callback: fine
 		_ = local
 		_ = sum
 	})

@@ -80,19 +80,21 @@ func exported() {
 	log.Printf("%x", keys) // want "reaches log.Printf"
 }
 
-type fakeVault struct{}
+// fakeEnclave stands in for enclave.Enclave: Enter's callback is handed
+// enclave memory.
+type fakeEnclave struct{}
 
-func (fakeVault) UseSecret(name string, f func(secret []byte)) { f(nil) }
+func (fakeEnclave) Enter(f func(mem []byte)) { f(nil) }
 
-func enclaveCallback(v fakeVault) {
-	v.UseSecret("k", func(secret []byte) {
-		log.Printf("%x", secret) // want "reaches log.Printf"
+func enclaveCallback(e fakeEnclave) {
+	e.Enter(func(mem []byte) {
+		log.Printf("%x", mem) // want "reaches log.Printf"
 	})
 }
 
-func enclaveClean(v fakeVault) {
-	v.UseSecret("k", func(secret []byte) {
-		sum := sha256.Sum256(secret)
+func enclaveClean(e fakeEnclave) {
+	e.Enter(func(mem []byte) {
+		sum := sha256.Sum256(mem)
 		log.Printf("%x", sum) // digest inside the callback: clean
 	})
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/chain"
 	"repro/internal/core"
 	"repro/internal/enclave"
+	"repro/internal/netsim"
 	"repro/internal/tls12"
 )
 
@@ -644,29 +645,50 @@ func TestCloseNotifyPropagates(t *testing.T) {
 	server.Close()
 }
 
-// TestVaultExposure: without an enclave, hop keys are visible in the
-// middlebox's host memory; with an enclave, they are not (P1A).
+// TestVaultExposure: a read of a plain middlebox's host memory during
+// a session finds the session's data plane — the cipher states the
+// relay reseals with — and an SGX middlebox's finds nothing (P1A).
+// Once the session is torn down, through Handle or HandleHosted, there
+// is nothing to find in either.
 func TestVaultExposure(t *testing.T) {
 	e := newEnv(t)
-	plain := e.middlebox(t, "plain.example", core.ClientSide)
-	client, server := runSession(t, e.clientConfig(), e.serverConfig(), plain)
-	exchange(t, client, server, "secret data", "ok")
-	client.Close()
-	server.Close()
-	dump := plain.Vault().DumpHostMemory()
-	if len(dump) == 0 {
-		t.Fatal("host-memory middlebox should expose keys in a memory dump")
-	}
-
-	encl := e.Platform.CreateEnclave(enclave.CodeImage{Name: "p", Version: "1"})
-	protected := e.middlebox(t, "sgx.example", core.ClientSide, func(cfg *core.MiddleboxConfig) {
-		cfg.Enclave = encl
-	})
-	client, server = runSession(t, e.clientConfig(), e.serverConfig(), protected)
-	exchange(t, client, server, "secret data", "ok")
-	client.Close()
-	server.Close()
-	if dump := protected.Vault().DumpHostMemory(); len(dump) != 0 {
-		t.Fatalf("enclave middlebox leaked %d secrets to host memory", len(dump))
+	for _, sgx := range []bool{false, true} {
+		for _, hosted := range []bool{false, true} {
+			t.Run(fmt.Sprintf("sgx=%v/hosted=%v", sgx, hosted), func(t *testing.T) {
+				mb := e.middlebox(t, "proxy.example", core.ClientSide, func(cfg *core.MiddleboxConfig) {
+					if sgx {
+						cfg.Enclave = e.Platform.CreateEnclave(enclave.CodeImage{Name: "p", Version: "1"})
+					}
+				})
+				left, right := netsim.Pipe()
+				upL, upR := netsim.Pipe()
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					if hosted {
+						mb.HandleHosted(right, upL, &hostedOnce{make(chan struct{}), make(chan struct{})}) //nolint:errcheck
+					} else {
+						mb.Handle(right, upL) //nolint:errcheck
+					}
+				}()
+				client, server := dialAccept(t, left, upR, e.clientConfig(), e.serverConfig())
+				exchange(t, client, server, "secret data", "ok")
+				dump := mb.DumpHostMemory()
+				switch {
+				case sgx && len(dump) != 0:
+					t.Fatalf("enclave middlebox exposed %d data planes in host memory", len(dump))
+				case !sgx && len(dump) != 1:
+					t.Fatalf("host-memory middlebox exposed %d data planes, want the live session's", len(dump))
+				case !sgx && (dump[0].OpenC2S == nil || dump[0].SealC2S == nil || dump[0].OpenS2C == nil || dump[0].SealS2C == nil):
+					t.Fatalf("host-memory dump lacks a cipher state: %+v", dump[0])
+				}
+				client.Close()
+				server.Close()
+				<-done
+				if n := len(mb.DumpHostMemory()); n != 0 {
+					t.Fatalf("%d data planes left in host memory after teardown", n)
+				}
+			})
+		}
 	}
 }

@@ -179,18 +179,24 @@ type enclaveDataPlane struct {
 }
 
 // dpCounter disambiguates concurrent sessions' data planes within one
-// enclave.
+// enclave: the nth plane installed is under dataPlaneKey(n).
 var dpCounter atomic.Uint64
 
+func dataPlaneKey(n uint64) string { return fmt.Sprintf("mbtls:dataplane:%d", n) }
+
 // installEnclaveDataPlane moves a freshly built data plane into the
-// enclave.
+// enclave; retirePlane deletes it.
 func installEnclaveDataPlane(e *enclave.Enclave, dp *dataPlane) *enclaveDataPlane {
-	key := fmt.Sprintf("mbtls:dataplane:%d", dpCounter.Add(1))
+	key := dataPlaneKey(dpCounter.Add(1))
 	e.Enter(func(mem enclave.Memory) {
 		mem.Put(key, dp)
 	})
 	return &enclaveDataPlane{e: e, key: key}
 }
+
+// errPlaneMissing is what a call into a retired enclave data plane
+// gets.
+var errPlaneMissing = errors.New("core: enclave data plane missing")
 
 // enter runs f on the inner plane inside the enclave: one boundary
 // crossing. Enclave.Enter does not serialize callers, so workers
@@ -200,7 +206,7 @@ func (edp *enclaveDataPlane) enter(f func(dp *dataPlane) error) (err error) {
 	edp.e.Enter(func(mem enclave.Memory) {
 		dp, ok := mem.Get(edp.key).(*dataPlane)
 		if !ok {
-			err = errors.New("core: enclave data plane missing")
+			err = errPlaneMissing
 			return
 		}
 		err = f(dp)

@@ -15,8 +15,8 @@ import (
 )
 
 // hostedOnce hosts one middlebox session the way a session host does —
-// HandleHosted, so the session's vault namespace is wiped at teardown —
-// and lets the test wait for its data plane and for that teardown.
+// HandleHosted — and lets the test wait for its data plane and for its
+// teardown.
 type hostedOnce struct{ established, done chan struct{} }
 
 func (h *hostedOnce) SessionEstablished()     { close(h.established) }
@@ -64,12 +64,15 @@ func TestResumedSessionFixedCost(t *testing.T) {
 	}
 
 	// What a resumed session enters the enclave for, two transitions an
-	// Enter: the secondary-key store, the hop-key store and the
-	// data-plane install (1 each), one per data-plane job — ping and
-	// pong pipelined, the client's close_notify inline (1 each) —
-	// and the vault-namespace wipe at teardown (1). Reserving a job's
-	// sequences is gate arithmetic on the host and enters nothing.
-	const wantTransitions = 2 * (1 + 1 + 1 + 1 + 1 + 1 + 1)
+	// Enter: the data-plane install (1), one per data-plane job — ping
+	// and pong pipelined, the client's close_notify inline (1 each) —
+	// and the data plane's retirement at teardown (1). Reserving a job's
+	// sequences is gate arithmetic on the host and enters nothing. It
+	// was 14 while a vault kept copies of the secondary and hop keys:
+	// two stores and a namespace wipe, three Enters where the retirement
+	// is one. Deleting the copies alone makes 8, and leaves every
+	// session's data plane in enclave memory for good.
+	const wantTransitions = 2 * (1 + 1 + 1 + 1 + 1)
 	const n = 200
 	// The garbage budget (DESIGN.md §10): 73.0 KiB and about 600 objects
 	// a session before it.

@@ -89,7 +89,7 @@ func (m *mbProxySig) configure(*tls12.Config) {}
 // receiveDelegation reads and validates the endpoint's delegation
 // warrant: well-formed, self-signed, addressed to this middlebox's
 // certificate key, and within its validity window on the session's
-// clock. A valid warrant is stored in the session's vault namespace and
+// clock. A valid warrant is kept for the evidence the session signs and
 // acknowledged; an invalid one is refused with a descriptive fatal
 // alert.
 func (m *mbProxySig) receiveDelegation(conn *tls12.Conn) error {
@@ -122,7 +122,6 @@ func (m *mbProxySig) receiveDelegation(conn *tls12.Conn) error {
 	if f := s.mb.cfg.AccountabilityFaults; f != nil && f.MutateDelegation != nil {
 		deleg = f.MutateDelegation(deleg)
 	}
-	s.storeSecrets(enclave.Secret{Name: "acct/delegation", Value: deleg})
 	m.mu.Lock()
 	m.delegation = deleg
 	m.mu.Unlock()

@@ -76,6 +76,7 @@ func (s *mbSession) pickRole(hello *tls12.ClientHello) *mbRole {
 func (s *mbSession) run() error {
 	// LIFO: pipeline reapers may wait on a commit goroutine wedged in a
 	// dead transport write, which only closeAll unblocks.
+	defer s.retire() // last: nothing reaches the data plane past bg.Wait
 	defer s.bg.Wait()
 	defer s.closeAll()
 
@@ -303,14 +304,6 @@ func (s *mbSession) runSecondary(r *mbRole) {
 		s.mb.sessionsResumed.Add(1)
 	}
 
-	// Retained for the adversary harness to probe (threat model §3.1).
-	if sk, err := conn.ExportSessionKeys(); err == nil {
-		s.storeSecrets(
-			enclave.Secret{Name: "secondary/client-write", Value: sk.ClientWriteKey},
-			enclave.Secret{Name: "secondary/server-write", Value: sk.ServerWriteKey})
-		sk.Wipe() // the vault cloned what it stored
-	}
-
 	if r.neighbor {
 		return // hop keys come from the neighbor handshakes (§4.2)
 	}
@@ -327,7 +320,6 @@ func (s *mbSession) runSecondary(r *mbRole) {
 		return
 	}
 	defer km.Wipe() // held only until the data plane's cipher states are built
-	s.storeHopKeys(&km.Down, &km.Up)
 
 	// A middlebox never reseals traffic it holds no warrant for.
 	if err := s.acct.receiveDelegation(conn); err != nil {
@@ -442,29 +434,16 @@ func (s *mbSession) runNeighborHops() {
 		return
 	}
 
-	s.storeHopKeys(down.hop, up)
 	km := &KeyMaterial{Version: tls12.VersionTLS12, Down: *down.hop, Up: *up}
 	defer km.Wipe() // the copies alias both hops' key slices
 	s.installDataPlane(km)
 }
 
-// storeHopKeys retains both hops' keys in the vault before the data
-// plane is built from them.
-func (s *mbSession) storeHopKeys(down, up *HopKeys) {
-	s.storeSecrets(
-		enclave.Secret{Name: "hop/down-c2s", Value: down.C2SKey},
-		enclave.Secret{Name: "hop/down-c2s-iv", Value: down.C2SIV},
-		enclave.Secret{Name: "hop/down-s2c", Value: down.S2CKey},
-		enclave.Secret{Name: "hop/down-s2c-iv", Value: down.S2CIV},
-		enclave.Secret{Name: "hop/up-c2s", Value: up.C2SKey},
-		enclave.Secret{Name: "hop/up-c2s-iv", Value: up.C2SIV},
-		enclave.Secret{Name: "hop/up-s2c", Value: up.S2CKey},
-		enclave.Secret{Name: "hop/up-s2c-iv", Value: up.S2CIV})
-}
-
 // installDataPlane builds the session's data plane from its hop keys —
 // with the session's Processor, inside the enclave when one is
-// configured — and publishes it, reporting whether it went live.
+// configured, in the plane registry otherwise — and publishes it,
+// reporting whether it went live. A plane the session ended ahead of
+// is published to no one, so it is retired here.
 func (s *mbSession) installDataPlane(km *KeyMaterial) bool {
 	var proc Processor
 	if s.mb.cfg.NewProcessor != nil {
@@ -479,22 +458,62 @@ func (s *mbSession) installDataPlane(km *KeyMaterial) bool {
 	var dp dataPlaneHandler = host
 	if e := s.mb.cfg.Enclave; e != nil {
 		dp = installEnclaveDataPlane(e, host)
+	} else {
+		s.mb.planesMu.Lock()
+		s.mb.planes[s.id] = host
+		s.mb.planesMu.Unlock()
 	}
-	s.setDataPlane(dp, nil)
+	if !s.setDataPlane(dp, nil) {
+		s.mb.retirePlane(s.id, dp)
+		return false
+	}
 	return true
 }
 
 // setDataPlane ends the join — with the data plane live, or with the
 // error a record waiting for it (waitDataPlane) fails on. The first
-// call decides.
-func (s *mbSession) setDataPlane(dp dataPlaneHandler, err error) {
+// call decides, and is told so.
+func (s *mbSession) setDataPlane(dp dataPlaneHandler, err error) (decided bool) {
 	s.dpOnce.Do(func() {
 		s.dp, s.dpErr = dp, err
 		close(s.dpSet)
+		decided = true
 	})
 	if s.dataPlaneIfReady() != nil {
 		s.notifyEstablished()
 	}
+	return decided
+}
+
+// retire ends the session's data plane at teardown, once nothing can
+// reach it: run has waited out every relay job and commit, and each
+// gate's retired mark turns away a forceClose alert that comes later.
+func (s *mbSession) retire() {
+	dp := s.dataPlaneIfReady()
+	if dp == nil {
+		return
+	}
+	for i := range s.gates {
+		g := &s.gates[i]
+		g.flushMu.Lock()
+		g.retired = true
+		g.flushMu.Unlock()
+	}
+	s.mb.retirePlane(s.id, dp)
+}
+
+// retirePlane drops a session's data plane: out of enclave memory in one
+// Enter, or out of the plane registry. The keys are dropped, not
+// zeroized — Go cannot wipe the AES key schedule inside a cipher.AEAD —
+// and go with the last reference to the plane.
+func (mb *Middlebox) retirePlane(id uint64, dp dataPlaneHandler) {
+	if edp, ok := dp.(*enclaveDataPlane); ok {
+		edp.e.Enter(func(mem enclave.Memory) { mem.Delete(edp.key) })
+		return
+	}
+	mb.planesMu.Lock()
+	delete(mb.planes, id)
+	mb.planesMu.Unlock()
 }
 
 // dataPlaneIfReady returns the data plane if installed.

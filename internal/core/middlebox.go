@@ -109,14 +109,18 @@ type MiddleboxStats struct {
 // connection hop, joins mbTLS sessions via discovery, and processes
 // application data under per-hop keys.
 type Middlebox struct {
-	cfg   MiddleboxConfig
-	vault enclave.Vault
-	bufs  *tls12.RecordBufPool
+	cfg  MiddleboxConfig
+	bufs *tls12.RecordBufPool
 
-	// sessionSeq allocates monotonic per-session IDs; each session's
-	// vault secrets live in the namespace of its ID, so concurrent
-	// sessions sharing one enclave keep per-session key isolation.
+	// sessionSeq allocates monotonic per-session IDs.
 	sessionSeq atomic.Uint64
+
+	// planes holds each live session's host-memory data plane by
+	// session ID, from installDataPlane to retire: what DumpHostMemory
+	// reports. An SGX middlebox's planes live in enclave memory and are
+	// not registered.
+	planesMu sync.Mutex
+	planes   map[uint64]*dataPlane
 
 	annMu    sync.Mutex
 	annCache map[string]bool // server address -> do not announce again
@@ -134,9 +138,9 @@ type Middlebox struct {
 	evidenceSigned   atomic.Int64
 }
 
-// NewMiddlebox builds a middlebox. Key material is stored in an
-// EnclaveVault when cfg.Enclave is set, otherwise in host memory — the
-// distinction the adversary harness probes (threat model §3.1).
+// NewMiddlebox builds a middlebox. Each session's keys live in its data
+// plane: inside cfg.Enclave when it is set, otherwise in host memory —
+// the distinction the adversary harness probes (threat model §3.1).
 func NewMiddlebox(cfg MiddleboxConfig) (*Middlebox, error) {
 	if cfg.Certificate == nil {
 		return nil, errors.New("core: middlebox requires a certificate")
@@ -144,22 +148,36 @@ func NewMiddlebox(cfg MiddleboxConfig) (*Middlebox, error) {
 	if cfg.Name == "" && cfg.Certificate.Leaf != nil {
 		cfg.Name = cfg.Certificate.Leaf.Subject.CommonName
 	}
-	mb := &Middlebox{cfg: cfg, annCache: make(map[string]bool)}
+	mb := &Middlebox{cfg: cfg, annCache: make(map[string]bool), planes: make(map[uint64]*dataPlane)}
 	mb.bufs = cfg.BufPool
 	if mb.bufs == nil {
 		mb.bufs = tls12.SharedRecordBufPool()
 	}
-	if cfg.Enclave != nil {
-		mb.vault = enclave.NewEnclaveVault(cfg.Enclave)
-	} else {
-		mb.vault = enclave.NewHostVault()
-	}
 	return mb, nil
 }
 
-// Vault exposes where this middlebox keeps session secrets, for the
-// adversary harness.
-func (mb *Middlebox) Vault() enclave.Vault { return mb.vault }
+// HostPlane is one live session's data plane as a read of the
+// middlebox's host memory finds it: the cipher states the relay opens
+// and reseals with, per direction. They are the relay's own, not
+// copies, and its goroutines may be using them: call only their
+// explicit-sequence methods (OpenInPlaceAt, SealAppendAt) and Seq.
+type HostPlane struct {
+	OpenC2S, SealC2S, OpenS2C, SealS2C *tls12.CipherState
+}
+
+// DumpHostMemory models the infrastructure provider reading the
+// middlebox's host memory (threat model §3.1): the data plane of every
+// live session. An SGX middlebox's host holds only each plane's enclave
+// handle, so its dump is empty; a retired plane is in no dump.
+func (mb *Middlebox) DumpHostMemory() []HostPlane {
+	mb.planesMu.Lock()
+	defer mb.planesMu.Unlock()
+	dump := make([]HostPlane, 0, len(mb.planes))
+	for _, dp := range mb.planes {
+		dump = append(dump, HostPlane{dp.openC2S, dp.sealC2S, dp.openS2C, dp.sealS2C})
+	}
+	return dump
+}
 
 // Name returns the middlebox name.
 func (mb *Middlebox) Name() string { return mb.cfg.Name }
@@ -220,19 +238,15 @@ type HostHooks interface {
 // Handle relays one connection pair until either side closes. down
 // faces the client, up faces the server; the session runs on down's
 // clock (clock.Of). A join phase that overruns DefaultHandshakeTimeout
-// fails the session with a HandshakeTimeoutError naming it.
-// Per-session vault secrets are retained after the session for
-// post-mortem inspection (the adversary harness depends on this);
-// hosted sessions use HandleHosted, which wipes them.
+// fails the session with a HandshakeTimeoutError naming it. The
+// session's data plane is retired when the session ends.
 func (mb *Middlebox) Handle(down, up net.Conn) error {
 	return mb.handle(down, up, nil)
 }
 
 // HandleHosted is Handle for sessions owned by a hosting runtime: the
 // session registers its force-closer and establishment signal with
-// hooks, and its namespaced vault secrets are wiped at teardown (a
-// long-lived host must not accrete key material for every session it
-// ever served).
+// hooks. Its teardown is Handle's.
 func (mb *Middlebox) HandleHosted(down, up net.Conn, hooks HostHooks) error {
 	return mb.handle(down, up, hooks)
 }
@@ -246,7 +260,6 @@ func (mb *Middlebox) handle(down, up net.Conn, hooks HostHooks) error {
 	defer s.hw.stop()
 	if hooks != nil {
 		hooks.RegisterForceClose(s.forceClose)
-		defer mb.vault.WipeNamespace(s.id)
 	}
 	err := s.run()
 	if te := s.hw.err(); te != nil {
@@ -258,8 +271,8 @@ func (mb *Middlebox) handle(down, up net.Conn, hooks HostHooks) error {
 // mbSession is the per-connection relay state.
 type mbSession struct {
 	mb *Middlebox
-	// id is the session's monotonic ID (also the vault namespace
-	// number), used to label pipeline goroutines for profiling.
+	// id is the session's monotonic ID: its key in the middlebox's
+	// plane registry, and the label of its pipeline goroutines.
 	id uint64
 	// hooks is the hosting runtime's lifecycle surface (nil when the
 	// session is driven directly, e.g. by tests and examples).
@@ -356,12 +369,6 @@ func (mb *Middlebox) newSession(down, up net.Conn, hooks HostHooks) *mbSession {
 		return s.writeSub(DirClientToServer, neighborSubchannel, b)
 	})
 	return s
-}
-
-// storeSecrets files a batch of session secrets in the vault, in the
-// session's namespace — one enclave crossing per batch.
-func (s *mbSession) storeSecrets(secrets ...enclave.Secret) {
-	s.mb.vault.StoreSecrets(s.id, secrets...)
 }
 
 // notifyEstablished ends the join and its deadline, and tells the

@@ -1,8 +1,8 @@
 package core_test
 
 import (
+	"bytes"
 	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -92,25 +92,34 @@ func TestNeighborKeysEndpointsLackHopKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Vault names are namespaced per session ("session/<id>/hop/...");
-	// this test runs one session, so suffix lookup is unambiguous.
-	dump := mb.Vault().DumpHostMemory()
-	var upC2S, downC2S []byte
-	for name, v := range dump {
-		if strings.HasSuffix(name, "/hop/up-c2s") {
-			upC2S = v
+	// Key separation, read off the seals: the same record at the same
+	// sequence differs under different keys.
+	dump := mb.DumpHostMemory()
+	if len(dump) != 1 {
+		t.Fatalf("middlebox host memory holds %d data planes, want 1", len(dump))
+	}
+	hop := dump[0]
+	seal := func(cs *tls12.CipherState) []byte {
+		return cs.SealAppendAt(new(tls12.CryptoScratch), nil, 7, tls12.TypeApplicationData, []byte("key separation probe"))
+	}
+	for _, k := range []struct {
+		name    string
+		key, iv []byte
+	}{
+		{"client-write", clientKeys.ClientWriteKey, clientKeys.ClientWriteIV},
+		{"server-write", clientKeys.ServerWriteKey, clientKeys.ServerWriteIV},
+	} {
+		primary, err := tls12.NewCipherState(clientKeys.Suite, k.key, k.iv, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if strings.HasSuffix(name, "/hop/down-c2s") {
-			downC2S = v
+		if bytes.Equal(seal(hop.SealC2S), seal(primary)) {
+			t.Fatalf("upstream hop seals like the primary %s key: the client could still forge", k.name)
 		}
 	}
-	if upC2S == nil {
-		t.Fatal("middlebox vault lacks upstream hop key")
-	}
-	if string(upC2S) == string(clientKeys.ClientWriteKey) || string(upC2S) == string(clientKeys.ServerWriteKey) {
-		t.Fatal("upstream hop key equals a primary session key: the client could still forge")
-	}
-	if string(downC2S) == string(upC2S) {
+	// In the client-to-server direction the middlebox opens under the
+	// down hop's key and seals under the up hop's.
+	if bytes.Equal(seal(hop.OpenC2S), seal(hop.SealC2S)) {
 		t.Fatal("hops share keys in neighbor mode")
 	}
 }

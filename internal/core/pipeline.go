@@ -66,14 +66,16 @@ type relayJob struct {
 // the next sealing sequence: everything below it is on the wire.
 // err poisons the direction: data commits drop their output (the
 // session is dying and an alert may already hold the next sequence
-// number). The mutex is held only for bookkeeping plus alert sealing,
-// never across a conn write.
+// number). retired marks the data plane gone (mbSession.retire): an
+// alert still to be sealed is dropped. The mutex is held only for
+// bookkeeping plus alert sealing, never across a conn write.
 type commitGate struct {
 	flushMu   sync.Mutex
 	openSeq   uint64
 	sealSeq   uint64
 	err       error
 	alertSent bool
+	retired   bool
 }
 
 // start hands a job of n inbound records its sequence starts and moves
@@ -406,6 +408,10 @@ func (s *mbSession) sealAlertOrdered(dp dataPlaneHandler, dir Direction, level t
 	mu.Lock()
 	defer mu.Unlock()
 	g.flushMu.Lock()
+	if g.retired {
+		g.flushMu.Unlock()
+		return io.ErrClosedPipe
+	}
 	wire, err := dp.appendAlertAt(dir, g.sealSeq, level, desc, new(tls12.CryptoScratch), make([]byte, 0, 64))
 	if err == nil {
 		g.sealSeq++

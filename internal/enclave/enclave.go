@@ -4,9 +4,9 @@
 //   - Secure execution environments: code and secrets inside an enclave
 //     are invisible to the machine owner (the middlebox infrastructure
 //     provider, MIP). The simulation enforces this structurally: enclave
-//     memory is only reachable through Enter, and the Vault abstraction
-//     lets adversary tests "dump" exactly the memory a malicious MIP
-//     could read.
+//     memory is only reachable through Enter. What a malicious MIP can
+//     read is everything else: a component's host-side state, which the
+//     component itself reports (core's Middlebox.DumpHostMemory).
 //
 //   - Remote attestation: an enclave can produce a Quote — a signed
 //     statement binding its code measurement to caller-chosen report

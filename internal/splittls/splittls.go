@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/certs"
 	"repro/internal/core"
-	"repro/internal/enclave"
 	"repro/internal/timing"
 	"repro/internal/tls12"
 )
@@ -47,20 +46,8 @@ type Interceptor struct {
 	// middlebox bar).
 	Stopwatch *timing.Stopwatch
 
-	// vault holds session secrets in host memory: split TLS has no
-	// enclave story, which is exactly the gap mbTLS fills (§2.2).
-	vaultOnce sync.Once
-	vault     *enclave.HostVault
-
 	forgeMu sync.Mutex
 	forged  map[string]*tls12.Certificate
-}
-
-// Vault exposes the interceptor's (host-memory) secret store for the
-// adversary harness.
-func (ic *Interceptor) Vault() *enclave.HostVault {
-	ic.vaultOnce.Do(func() { ic.vault = enclave.NewHostVault() })
-	return ic.vault
 }
 
 // forgeCert returns a (cached) forged leaf for the server name.
@@ -152,19 +139,6 @@ func (ic *Interceptor) Handle(down, up net.Conn) error {
 	}
 	if err := downConn.Handshake(); err != nil {
 		return err
-	}
-
-	// Both session keys sit in host memory — the exposure the
-	// adversary harness probes.
-	if sk, err := downConn.ExportSessionKeys(); err == nil {
-		ic.Vault().StoreSecrets(0,
-			enclave.Secret{Name: "client-side/client-write", Value: sk.ClientWriteKey},
-			enclave.Secret{Name: "client-side/server-write", Value: sk.ServerWriteKey})
-	}
-	if sk, err := upConn.ExportSessionKeys(); err == nil {
-		ic.Vault().StoreSecrets(0,
-			enclave.Secret{Name: "server-side/client-write", Value: sk.ClientWriteKey},
-			enclave.Secret{Name: "server-side/server-write", Value: sk.ServerWriteKey})
 	}
 
 	var proc core.Processor

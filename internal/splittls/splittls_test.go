@@ -132,23 +132,6 @@ func TestLaxUpstreamVerification(t *testing.T) {
 	}
 }
 
-func TestInterceptorExposesKeysInHostMemory(t *testing.T) {
-	fx := newFixture(t)
-	ic := &Interceptor{CA: fx.interceptCA, Upstream: &tls12.Config{RootCAs: fx.originCA.Pool()}, VerifyUpstream: true}
-	client, serverErr := runInterception(t, fx, ic, fx.interceptCA)
-	if err := client.Handshake(); err != nil {
-		t.Fatal(err)
-	}
-	client.Write([]byte("ping")) //nolint:errcheck
-	buf := make([]byte, 4)
-	io.ReadFull(client, buf) //nolint:errcheck
-	<-serverErr
-	dump := ic.Vault().DumpHostMemory()
-	if len(dump) < 4 {
-		t.Fatalf("split TLS should expose both sessions' keys to the MIP; dump has %d entries", len(dump))
-	}
-}
-
 func TestInterceptorWithProcessor(t *testing.T) {
 	fx := newFixture(t)
 	ic := &Interceptor{

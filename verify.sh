@@ -20,8 +20,10 @@ gate go test ./...
 gate go vet ./...
 # Race detector over the concurrent packages; mbapps and httpx are on it
 # because a transformer keeps per-direction scratch and the relay calls
-# one Processor from two goroutines, one per direction.
-gate go test -race ./internal/core/ ./internal/tls12/ ./internal/netsim/ ./internal/sessionhost/ ./internal/hsfast/ ./internal/chain/ ./internal/clock/ ./internal/mbapps/ ./internal/httpx/
+# one Processor from two goroutines, one per direction, and adversary
+# because its memory attacks use a live session's cipher states while
+# the relay's goroutines do.
+gate go test -race ./internal/core/ ./internal/tls12/ ./internal/netsim/ ./internal/sessionhost/ ./internal/hsfast/ ./internal/chain/ ./internal/clock/ ./internal/mbapps/ ./internal/httpx/ ./internal/adversary/
 gate go test -race ./internal/transport/...
 # Stress slice: the manual clock, netsim's byte stream, the Conn
 # contract, the chain builder's own contract (the shared
